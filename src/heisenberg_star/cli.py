@@ -30,7 +30,7 @@ from .core import make_params
 from .dynamics import coherent_experiment, neel_experiment
 from .errors import ConvergenceError, ParameterError, StarError
 from .spectrum import (
-    bath_subground_energy,
+    bath_subground_state,
     ground_scan,
     level_table,
     scan_transitions,
@@ -292,9 +292,9 @@ def cmd_subground(args, config) -> int:
     j = _resolve(args, config, "j", 1.0, float)
     g = _resolve(args, config, "g", 1.0, float)
     out = _resolve(args, config, "out", "subground_state.txt", str)
-    psi = subground_state(n, two_s, two_l, two_m)
+    e1b, seed = bath_subground_state(n, two_l)
+    psi = subground_state(n, two_s, two_l, two_m, seed=seed)
     csvio.write_state_dump(out, psi)
-    e1b = bath_subground_energy(n, two_l // 2)
     energy = sub_ground_energy(two_l, two_s, j, g, e1b)
     csvio.write_meta(out + ".meta", _meta_common(args, {
         "n": n, "two_s": two_s, "two_l": two_l, "two_m": two_m,

@@ -31,8 +31,8 @@ from .errors import (
     StarError,
 )
 
-# Hard cap on sector dimension; enumeration is eager and index maps are
-# kept in memory, so refuse anything beyond desk scale.
+# Hard cap on sector dimension; enumeration is eager and keeps four
+# int64 arrays per sector, so refuse anything beyond desk scale.
 SECTOR_CAPACITY = 2_000_000
 
 
@@ -120,9 +120,10 @@ class BasisSector:
     """Ordered basis of one total-magnetization sector.
 
     States are sorted by ascending ``central_index`` and then ascending
-    ``bath_bits``; the arrays ``central``, ``bits`` and ``n_up`` are
-    parallel. ``lookup`` maps the packed key
-    ``(central_index << N) | bits`` back to the position.
+    ``bath_bits``; the arrays ``central``, ``bits``, ``n_up`` and
+    ``keys`` are parallel. ``keys`` holds the packed key
+    ``(central_index << N) | bits``, which that ordering leaves sorted,
+    so a binary search maps a key back to its position.
     """
 
     N: int
@@ -131,7 +132,7 @@ class BasisSector:
     central: np.ndarray
     bits: np.ndarray
     n_up: np.ndarray
-    lookup: dict
+    keys: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -147,7 +148,17 @@ class BasisSector:
 
     def index_of(self, central_index: int, bath_bits: int) -> int:
         """Position of the product state, KeyError if not in the sector."""
-        return self.lookup[(central_index << self.N) | bath_bits]
+        return int(self.positions(np.array([(central_index << self.N) | bath_bits]))[0])
+
+    def positions(self, keys: np.ndarray) -> np.ndarray:
+        """Positions of an array of packed keys, KeyError if any is missing."""
+        pos = np.searchsorted(self.keys, keys)
+        found = self.keys[np.minimum(pos, self.dim - 1)] == keys
+        if not found.all():
+            missing = int(np.asarray(keys)[~found][0])
+            raise KeyError(f"state ({missing >> self.N}, {missing & ((1 << self.N) - 1):#b})"
+                           f" is not in sector {self.tag}")
+        return pos
 
     def state(self, i: int) -> tuple[int, int]:
         return int(self.central[i]), int(self.bits[i])
@@ -186,7 +197,7 @@ def sector_dimension(N: int, two_S: int, two_m: int) -> int:
 
 
 def enumerate_sector(N: int, two_S: int, two_m: int) -> BasisSector:
-    """Materialize the sector basis with its index map.
+    """Materialize the sector basis and its sorted keys.
 
     Raises EmptySector when no product state has the requested
     magnetization (out of range, or parity mismatch between ``two_m``
@@ -208,25 +219,16 @@ def enumerate_sector(N: int, two_S: int, two_m: int) -> BasisSector:
         raise SectorCapacityError(
             f"sector dim {dim} exceeds the cap {SECTOR_CAPACITY}"
         )
-    central = np.empty(dim, dtype=np.int64)
-    bits = np.empty(dim, dtype=np.int64)
-    ups = np.empty(dim, dtype=np.int64)
-    lookup: dict[int, int] = {}
-    pos = 0
-    for c in range(two_S + 1):
-        n_up = _admissible_n_up(N, two_S, two_m, c)
-        if n_up is None:
-            continue
-        base = c << N
-        for pattern in _bit_patterns(N, n_up):
-            central[pos] = c
-            bits[pos] = pattern
-            ups[pos] = n_up
-            lookup[base | pattern] = pos
-            pos += 1
+    levels = [(c, n_up) for c in range(two_S + 1)
+              if (n_up := _admissible_n_up(N, two_S, two_m, c)) is not None]
+    counts = [math.comb(N, n_up) for _, n_up in levels]
+    central = np.repeat(np.array([c for c, _ in levels], dtype=np.int64), counts)
+    ups = np.repeat(np.array([n_up for _, n_up in levels], dtype=np.int64), counts)
+    bits = np.fromiter((p for _, n_up in levels for p in _bit_patterns(N, n_up)),
+                       dtype=np.int64, count=dim)
     return BasisSector(
         N=N, two_S=two_S, two_m=two_m,
-        central=central, bits=bits, n_up=ups, lookup=lookup,
+        central=central, bits=bits, n_up=ups, keys=(central << N) | bits,
     )
 
 

@@ -272,11 +272,7 @@ def _coherent_block_state(params: ModelParams, theta: float, phi: float) -> Stat
         two_m = params.two_S + 2 * n - N
         sector = enumerate_sector(N, params.two_S, two_m)
         amps = np.zeros(sector.dim, dtype=np.complex128)
-        weight = q / math.sqrt(math.comb(N, n))
-        base = 0 << N
-        for i in range(sector.dim):
-            if sector.central[i] == 0:
-                amps[i] = weight
+        amps[sector.central == 0] = q / math.sqrt(math.comb(N, n))
         blocks.append((sector, amps))
     return StateVector.from_blocks(blocks, renormalize=False)
 

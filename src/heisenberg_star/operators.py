@@ -1,10 +1,15 @@
 """Sparse Hermitian operators resolved on one magnetization sector.
 
-Every builder walks the sector basis once, emits COO triplets for the
-action on each product state, and converts to CSR. Ladder terms are
-emitted in both directions (the pair of adjoint terms appears
-explicitly in each Hamiltonian), so Hermiticity holds by construction
-and is asserted in tests rather than symmetrized after the fact.
+Every term here is either diagonal, with elements read off the bit
+parities and popcounts of the whole basis at once, or a hop: it raises
+some ring spins, lowers others, and may step the central index. The
+private kernel :func:`_hop` applies one hop to the packed keys of a
+whole sector and finds each image by binary search in the destination
+keys. Builders collect COO triplets from these and convert to CSR.
+Ladder terms are emitted in both directions (the pair of adjoint terms
+appears explicitly in each Hamiltonian), so Hermiticity holds by
+construction and is asserted in tests rather than symmetrized after
+the fact.
 
 Matrix elements follow the usual spin ladder weights. For the central
 spin with ``S_m = S - c``:
@@ -17,7 +22,7 @@ and a spin-1/2 raise or lower on a ring site carries weight 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,32 +47,59 @@ class SparseOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    # raw CSR views, mostly for tests and debugging
-    @property
-    def row_offsets(self) -> np.ndarray:
-        return self.matrix.indptr
-
-    @property
-    def col_indices(self) -> np.ndarray:
-        return self.matrix.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.matrix.data
-
     def __repr__(self) -> str:
         return f"SparseOperator({self.tag}, dim={self.dim}, nnz={self.matrix.nnz})"
 
 
-def _to_operator(sector: BasisSector, rows, cols, vals, hermitian=True) -> SparseOperator:
+def _hop(src: BasisSector, dst: BasisSector, raise_bits: int = 0,
+         lower_bits: int = 0, step: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Source and destination positions of the states one hop links.
+
+    The hop raises the ring sites in the mask ``raise_bits``, lowers
+    those in ``lower_bits`` and moves the central index by ``step``.
+    Source states it annihilates (a raised site already up, a lowered
+    site already down, the central index leaving ``0..dst.two_S``) are
+    skipped; every other image must lie in ``dst``, else KeyError.
+    """
+    keep = (src.bits & (raise_bits | lower_bits)) == lower_bits
+    if step:
+        c = src.central + step
+        keep &= (c >= 0) & (c <= dst.two_S)
+    i = np.flatnonzero(keep)
+    shift = (step << src.N) + raise_bits - lower_bits
+    return i, dst.positions(src.keys[i] + shift)
+
+
+def _raise_weight(two_S: int, c):
+    """Central S+ weight out of level c."""
+    return np.sqrt(c * (two_S - c + 1))
+
+
+def _lower_weight(two_S: int, c):
+    """Central S- weight out of level c."""
+    return np.sqrt((two_S - c) * (c + 1))
+
+
+def _diagonal(values: np.ndarray):
+    """COO triplet of the nonzero entries of a diagonal."""
+    i = np.flatnonzero(values)
+    return i, i, values[i]
+
+
+def _to_operator(sector: BasisSector, entries) -> SparseOperator:
+    """CSR from (rows, cols, values) triplets; duplicates are summed."""
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
     mat = sp.csr_matrix(
-        (np.asarray(vals, dtype=np.complex128),
-         (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
+        (vals.astype(np.complex128), (rows, cols)),
         shape=(sector.dim, sector.dim),
     )
     mat.sum_duplicates()
     mat.sort_indices()
-    return SparseOperator(sector=sector, matrix=mat, hermitian=hermitian)
+    return SparseOperator(sector=sector, matrix=mat)
+
+
+def _bit(bits: np.ndarray, a: int) -> np.ndarray:
+    return (bits >> a) & 1
 
 
 def build_bath_ring(sector: BasisSector, J: float, Jp: float) -> SparseOperator:
@@ -78,34 +110,20 @@ def build_bath_ring(sector: BasisSector, J: float, Jp: float) -> SparseOperator:
     the bond is counted twice on purpose.
     """
     N = sector.N
-    bonds = [(n, (n + 1) % N) for n in range(N)]
-    lookup = sector.lookup
-    rows, cols, vals = [], [], []
     half_J = 0.5 * J
     quarter_Jp = 0.25 * Jp
-    for i in range(sector.dim):
-        c = int(sector.central[i])
-        bits = int(sector.bits[i])
-        base = c << N
-        diag = 0.0
-        for a, b in bonds:
-            ba = (bits >> a) & 1
-            bb = (bits >> b) & 1
-            if ba == bb:
-                diag += quarter_Jp
-            else:
-                diag -= quarter_Jp
-                if half_J != 0.0:
-                    flipped = bits ^ ((1 << a) | (1 << b))
-                    j = lookup[base | flipped]
-                    rows.append(j)
-                    cols.append(i)
-                    vals.append(half_J)
-        if diag != 0.0:
-            rows.append(i)
-            cols.append(i)
-            vals.append(diag)
-    return _to_operator(sector, rows, cols, vals)
+    diag = np.zeros(sector.dim)
+    entries = []
+    for a in range(N):
+        b = (a + 1) % N
+        aligned = _bit(sector.bits, a) == _bit(sector.bits, b)
+        diag += np.where(aligned, quarter_Jp, -quarter_Jp)
+        if half_J != 0.0:
+            for up, down in ((a, b), (b, a)):
+                i, j = _hop(sector, sector, raise_bits=1 << up, lower_bits=1 << down)
+                entries.append((j, i, np.full(i.size, half_J)))
+    entries.append(_diagonal(diag))
+    return _to_operator(sector, entries)
 
 
 def build_system_bath(sector: BasisSector, prefactor: float) -> SparseOperator:
@@ -114,43 +132,19 @@ def build_system_bath(sector: BasisSector, prefactor: float) -> SparseOperator:
         raise ParameterError("system-bath coupling needs a central spin in the sector")
     N = sector.N
     two_S = sector.two_S
-    lookup = sector.lookup
-    rows, cols, vals = [], [], []
     half = 0.5 * prefactor
-    for i in range(sector.dim):
-        c = int(sector.central[i])
-        bits = int(sector.bits[i])
-        n_up = int(sector.n_up[i])
-        s_m = 0.5 * (two_S - 2 * c)
-        l_m = 0.5 * (2 * n_up - N)
-        diag = prefactor * s_m * l_m
-        if diag != 0.0:
-            rows.append(i)
-            cols.append(i)
-            vals.append(diag)
-        if half == 0.0:
-            continue
-        if c > 0:
+    s_m = 0.5 * (two_S - 2 * sector.central)
+    l_m = 0.5 * (2 * sector.n_up - N)
+    entries = [_diagonal(prefactor * s_m * l_m)]
+    if half != 0.0:
+        for a in range(N):
             # S+ on the centre, one ring spin lowered
-            w = half * np.sqrt(c * (two_S - c + 1))
-            base = (c - 1) << N
-            for a in range(N):
-                if (bits >> a) & 1:
-                    j = lookup[base | (bits ^ (1 << a))]
-                    rows.append(j)
-                    cols.append(i)
-                    vals.append(w)
-        if c < two_S:
+            i, j = _hop(sector, sector, lower_bits=1 << a, step=-1)
+            entries.append((j, i, half * _raise_weight(two_S, sector.central[i])))
             # S- on the centre, one ring spin raised
-            w = half * np.sqrt((two_S - c) * (c + 1))
-            base = (c + 1) << N
-            for a in range(N):
-                if not (bits >> a) & 1:
-                    j = lookup[base | (bits | (1 << a))]
-                    rows.append(j)
-                    cols.append(i)
-                    vals.append(w)
-    return _to_operator(sector, rows, cols, vals)
+            i, j = _hop(sector, sector, raise_bits=1 << a, step=1)
+            entries.append((j, i, half * _lower_weight(two_S, sector.central[i])))
+    return _to_operator(sector, entries)
 
 
 def build_zeeman(sector: BasisSector, omega: float) -> SparseOperator:
@@ -172,27 +166,14 @@ def build_L_squared(sector: BasisSector) -> SparseOperator:
     spin with one down spin.
     """
     N = sector.N
-    lookup = sector.lookup
-    rows, cols, vals = [], [], []
-    for i in range(sector.dim):
-        c = int(sector.central[i])
-        bits = int(sector.bits[i])
-        n_up = int(sector.n_up[i])
-        l_m = 0.5 * (2 * n_up - N)
-        diag = l_m * (l_m + 1.0) + (N - n_up)
-        rows.append(i)
-        cols.append(i)
-        vals.append(diag)
-        base = c << N
-        up_sites = [a for a in range(N) if (bits >> a) & 1]
-        down_sites = [b for b in range(N) if not (bits >> b) & 1]
-        for a in up_sites:
-            for b in down_sites:
-                j = lookup[base | (bits ^ ((1 << a) | (1 << b)))]
-                rows.append(j)
-                cols.append(i)
-                vals.append(1.0)
-    return _to_operator(sector, rows, cols, vals)
+    l_m = 0.5 * (2 * sector.n_up - N)
+    entries = [_diagonal(l_m * (l_m + 1.0) + (N - sector.n_up))]
+    for a in range(N):
+        for b in range(N):
+            if a != b:
+                i, j = _hop(sector, sector, raise_bits=1 << b, lower_bits=1 << a)
+                entries.append((j, i, np.ones(i.size)))
+    return _to_operator(sector, entries)
 
 
 def build_staggered(sector: BasisSector) -> SparseOperator:
@@ -202,16 +183,12 @@ def build_staggered(sector: BasisSector) -> SparseOperator:
     down has expectation +1/2.
     """
     N = sector.N
-    diag = np.empty(sector.dim, dtype=np.complex128)
-    # sign of site j = i_bit + 1 is (-1)^(i_bit + 1)
-    signs = np.array([-1.0 if (a % 2 == 0) else 1.0 for a in range(N)])
-    for i in range(sector.dim):
-        bits = int(sector.bits[i])
-        total = 0.0
-        for a in range(N):
-            sz = 0.5 if (bits >> a) & 1 else -0.5
-            total += signs[a] * sz
-        diag[i] = total / N
+    total = np.zeros(sector.dim)
+    for a in range(N):
+        # site j = a + 1 enters with sign (-1)^(a + 1)
+        sign = -1.0 if a % 2 == 0 else 1.0
+        total += sign * (_bit(sector.bits, a) - 0.5)
+    diag = (total / N).astype(np.complex128)
     return SparseOperator(sector=sector, matrix=sp.diags(diag, format="csr"))
 
 
@@ -288,19 +265,10 @@ def apply_bath_lowering(sector: BasisSector, amps: np.ndarray,
     """
     if dst.N != sector.N or dst.two_S != sector.two_S or dst.two_m != sector.two_m - 2:
         raise SectorMismatch(f"cannot lower {sector.tag} into {dst.tag}")
-    N = sector.N
     out = np.zeros(dst.dim, dtype=np.complex128)
-    lookup = dst.lookup
-    for i in range(sector.dim):
-        a_i = amps[i]
-        if a_i == 0:
-            continue
-        c = int(sector.central[i])
-        bits = int(sector.bits[i])
-        base = c << N
-        for a in range(N):
-            if (bits >> a) & 1:
-                out[lookup[base | (bits ^ (1 << a))]] += a_i
+    for a in range(sector.N):
+        i, j = _hop(sector, dst, lower_bits=1 << a)
+        out[j] += amps[i]
     return out
 
 
@@ -308,17 +276,6 @@ def apply_total_lowering(sector: BasisSector, amps: np.ndarray,
                          dst: BasisSector) -> np.ndarray:
     """Total lowering S- + L- on a star sector, two_m -> two_m - 2."""
     out = apply_bath_lowering(sector, amps, dst)
-    N = sector.N
-    two_S = sector.two_S
-    lookup = dst.lookup
-    for i in range(sector.dim):
-        a_i = amps[i]
-        if a_i == 0:
-            continue
-        c = int(sector.central[i])
-        if c >= two_S:
-            continue
-        bits = int(sector.bits[i])
-        w = np.sqrt((two_S - c) * (c + 1))
-        out[lookup[((c + 1) << N) | bits]] += w * a_i
+    i, j = _hop(sector, dst, step=1)
+    out[j] += _lower_weight(sector.two_S, sector.central[i]) * amps[i]
     return out

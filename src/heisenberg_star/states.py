@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import BasisSector, StateVector, enumerate_bath_sector, enumerate_sector
 from .errors import ParameterError, StarError
-from .operators import apply_bath_lowering
+from .operators import _hop, apply_bath_lowering
 from . import spectrum
 
 
@@ -195,19 +195,22 @@ def subground_squared_norm(two_S: int, two_l: int) -> Fraction:
 
 
 def bath_multiplet(N: int, two_l: int, two_lm_stop: int | None = None,
-                   tol: float = 1e-10) -> dict[int, StateVector]:
+                   tol: float = 1e-10, seed: StateVector | None = None
+                   ) -> dict[int, StateVector]:
     """Bottom ring multiplet of block l, resolved over its levels.
 
-    Solves the block l_m = l once, then walks down with the total ring
-    lowering operator, normalizing after every step. Returns a map
-    two_lm -> state for two_lm = two_l down to ``two_lm_stop``
-    (default: all the way to -two_l).
+    Solves the block l_m = l once, unless its bottom state is passed as
+    ``seed`` (from :func:`spectrum.bath_subground_state`), then walks
+    down with the total ring lowering operator, normalizing after every
+    step. Returns a map two_lm -> state for two_lm = two_l down to
+    ``two_lm_stop`` (default: all the way to -two_l).
     """
     if two_lm_stop is None:
         two_lm_stop = -two_l
     if two_lm_stop < -two_l or two_lm_stop > two_l or (two_lm_stop - two_l) % 2 != 0:
         raise ParameterError(f"two_lm_stop={two_lm_stop} invalid for two_l={two_l}")
-    _, seed = spectrum.bath_subground_state(N, two_l, tol=tol)
+    if seed is None:
+        _, seed = spectrum.bath_subground_state(N, two_l, tol=tol)
     out = {two_l: seed}
     current = seed
     for two_lm in range(two_l - 2, two_lm_stop - 2, -2):
@@ -224,7 +227,8 @@ def bath_multiplet(N: int, two_l: int, two_lm_stop: int | None = None,
 
 def subground_state(N: int, two_S: int, two_l: int, two_m: int,
                     multiplet: dict[int, StateVector] | None = None,
-                    tol: float = 1e-10) -> StateVector:
+                    tol: float = 1e-10, seed: StateVector | None = None
+                    ) -> StateVector:
     """Closed-form sub-ground eigenstate of the isotropic star.
 
     Assembles sum over levels of coefficient * |central level> x |ring
@@ -234,7 +238,8 @@ def subground_state(N: int, two_S: int, two_l: int, two_m: int,
     through the energy, never the state.
 
     A precomputed ``multiplet`` from :func:`bath_multiplet` can be
-    passed to amortize the ring solve across many (l, m) requests.
+    passed to amortize the ring solve across many (l, m) requests; a
+    ``seed`` is handed on to :func:`bath_multiplet` when it is not.
     """
     two_j = abs(two_l - two_S)
     if abs(two_m) > two_j or (two_m - two_j) % 2 != 0:
@@ -246,17 +251,12 @@ def subground_state(N: int, two_S: int, two_l: int, two_m: int,
         needed = [(two_m - two_lm, two_lm) for two_lm, _ in coeffs]
     lowest_lm = min(lm for _, lm in needed)
     if multiplet is None:
-        multiplet = bath_multiplet(N, two_l, two_lm_stop=lowest_lm, tol=tol)
+        multiplet = bath_multiplet(N, two_l, two_lm_stop=lowest_lm, tol=tol, seed=seed)
     star = enumerate_sector(N, two_S, two_m)
     amps = np.zeros(star.dim, dtype=np.complex128)
     for (two_Sm, two_lm), (_, coeff) in zip(needed, coeffs):
         c = (two_S - two_Sm) // 2
-        ring = multiplet[two_lm]
-        ring_sector, ring_amps = ring.require_single()
-        base = c << N
-        for k in range(ring_sector.dim):
-            a = ring_amps[k]
-            if a == 0:
-                continue
-            amps[star.lookup[base | int(ring_sector.bits[k])]] += coeff * a
+        ring_sector, ring_amps = multiplet[two_lm].require_single()
+        i, j = _hop(ring_sector, star, step=c)
+        amps[j] += coeff * ring_amps[i]
     return StateVector.single(star, amps, renormalize=True)

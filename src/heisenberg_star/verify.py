@@ -16,14 +16,8 @@ import numpy as np
 import scipy.linalg
 
 from .core import make_params
-from .dynamics import coherent_series, evolve, _coherent_block_state, _neel_block_state
-from .operators import (
-    build_bath_ring,
-    build_star_hamiltonian,
-    build_L_squared,
-    build_modified_star,
-    expectation,
-)
+from .dynamics import evolve, _neel_block_state
+from .operators import build_bath_ring, build_star_hamiltonian
 from .spectrum import (
     bath_subground_energy,
     degeneracy,

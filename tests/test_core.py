@@ -115,6 +115,21 @@ class TestEnumeration:
         with pytest.raises(KeyError):
             sec.index_of(0, 0)  # wrong occupation for this sector
 
+    def test_index_roundtrip_star_sector(self):
+        sec = enumerate_sector(8, 3, 1)
+        for i, (c, b) in enumerate(sec.states):
+            assert sec.index_of(c, b) == i
+        np.testing.assert_array_equal(sec.positions(sec.keys), np.arange(sec.dim))
+
+    def test_index_of_missing_state_star_sector(self):
+        sec = enumerate_sector(8, 3, 1)
+        # wrong occupation, beyond the last key, central index beyond two_S
+        for c, b in [(0, 0), (3, 0b11111111), (4, 0b00011111)]:
+            with pytest.raises(KeyError):
+                sec.index_of(c, b)
+        with pytest.raises(KeyError):
+            sec.positions(np.append(sec.keys[:5], 0))
+
     def test_bath_sector(self):
         sec = enumerate_bath_sector(16, 8)
         assert sec.dim == math.comb(16, 8) == 12870

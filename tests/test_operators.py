@@ -7,10 +7,12 @@ route for the squared ring momentum on purpose), so agreement is a real
 cross-check, not a tautology.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from heisenberg_star import operators as ops
 from heisenberg_star.core import (
@@ -98,6 +100,46 @@ def project(full, sector):
 
 def dense(op):
     return op.matrix.toarray()
+
+
+# Sparse Kronecker reference for sectors too large for the dense one.
+SITE = {"z": np.diag([-0.5, 0.5]), "+": np.array([[0.0, 0.0], [1.0, 0.0]])}
+SITE["-"] = SITE["+"].T
+
+
+def sparse_site(N, a, kind):
+    """Single ring-site operator in the 2^N bit basis; bit a is factor N - a."""
+    return sparse.kron(sparse.kron(sparse.identity(1 << (N - 1 - a)), SITE[kind]),
+                       sparse.identity(1 << a), format="csr")
+
+
+@functools.lru_cache(maxsize=None)
+def sparse_ring_terms(N):
+    """Lz, L+, L-, the exchange and Ising bond sums, and the staggered field."""
+    z = [sparse_site(N, a, "z") for a in range(N)]
+    p = [sparse_site(N, a, "+") for a in range(N)]
+    m = [sparse_site(N, a, "-") for a in range(N)]
+    bonds = [(a, (a + 1) % N) for a in range(N)]
+    exchange = sum(0.5 * (p[a] @ m[b] + m[a] @ p[b]) for a, b in bonds)
+    ising = sum(z[a] @ z[b] for a, b in bonds)
+    staggered = sum((-1) ** (a + 1) * z[a] for a in range(N)) / N
+    return sum(z), sum(p), sum(m), exchange, ising, staggered
+
+
+def on_ring(two_S, ring_op):
+    """Ring operator with the central spin riding along."""
+    return sparse.kron(sparse.identity(two_S + 1), ring_op)
+
+
+def sparse_project(full, src, dst=None):
+    """Rows of dst's states, columns of src's states."""
+    dst = src if dst is None else dst
+    return full.tocsr()[dst.keys][:, src.keys]
+
+
+def assert_matches(op, ref):
+    assert op.matrix.shape == ref.shape
+    assert abs(op.matrix - ref).max() <= 1e-12
 
 
 # ------------------------------------------------------------------- tests
@@ -344,3 +386,60 @@ class TestLadders:
         want = low @ full
         for i, (c, b) in enumerate(dst.states):
             assert got[i] == pytest.approx(want[(c << N) | b], abs=1e-13)
+
+
+KRON_SECTORS = [(10, 1, 1), (10, 3, -3), (12, 1, -1), (12, 3, 3)]
+
+
+class TestAgainstSparseKronecker:
+    """Builders at sizes the dense reference cannot reach."""
+
+    @pytest.mark.parametrize("N,two_S,two_m", KRON_SECTORS)
+    def test_anisotropic_ring(self, N, two_S, two_m):
+        sec = enumerate_sector(N, two_S, two_m)
+        _, _, _, exchange, ising, _ = sparse_ring_terms(N)
+        ref = sparse_project(on_ring(two_S, 0.7 * exchange + 0.3 * ising), sec)
+        assert_matches(ops.build_bath_ring(sec, 0.7, 0.3), ref)
+
+    @pytest.mark.parametrize("N,two_S,two_m", KRON_SECTORS)
+    def test_system_bath(self, N, two_S, two_m):
+        sec = enumerate_sector(N, two_S, two_m)
+        sz, sp_, sm = central_matrices(two_S)
+        Lz, Lp, Lm, _, _, _ = sparse_ring_terms(N)
+        full = 0.5 * (sparse.kron(sp_, Lm) + sparse.kron(sm, Lp)) + sparse.kron(sz, Lz)
+        assert_matches(ops.build_system_bath(sec, 1.3), sparse_project(1.3 * full, sec))
+
+    @pytest.mark.parametrize("N,two_S,two_m", KRON_SECTORS)
+    def test_L_squared(self, N, two_S, two_m):
+        # symmetric ladder route, unlike the production builder
+        sec = enumerate_sector(N, two_S, two_m)
+        Lz, Lp, Lm, _, _, _ = sparse_ring_terms(N)
+        L2 = 0.5 * (Lp @ Lm + Lm @ Lp) + Lz @ Lz
+        assert_matches(ops.build_L_squared(sec), sparse_project(on_ring(two_S, L2), sec))
+
+    @pytest.mark.parametrize("N,two_S,two_m", KRON_SECTORS)
+    def test_staggered(self, N, two_S, two_m):
+        sec = enumerate_sector(N, two_S, two_m)
+        staggered = sparse_ring_terms(N)[5]
+        assert_matches(ops.build_staggered(sec),
+                       sparse_project(on_ring(two_S, staggered), sec))
+
+    @pytest.mark.parametrize("N,two_S,two_m", KRON_SECTORS)
+    def test_bath_and_total_lowering(self, N, two_S, two_m):
+        src = enumerate_sector(N, two_S, two_m)
+        dst = enumerate_sector(N, two_S, two_m - 2)
+        _, sm = central_matrices(two_S)[1:]
+        Lm = sparse_ring_terms(N)[2]
+        rng = np.random.default_rng(N + two_S)
+        v = rng.normal(size=src.dim) + 1j * rng.normal(size=src.dim)
+        bath = sparse_project(on_ring(two_S, Lm), src, dst) @ v
+        np.testing.assert_allclose(ops.apply_bath_lowering(src, v, dst), bath,
+                                   rtol=0, atol=1e-12)
+        total = sparse.kron(sm, sparse.identity(1 << N)) + on_ring(two_S, Lm)
+        np.testing.assert_allclose(ops.apply_total_lowering(src, v, dst),
+                                   sparse_project(total, src, dst) @ v, rtol=0, atol=1e-12)
+
+    def test_kernel_raises_on_a_target_outside_the_sector(self):
+        sec = enumerate_sector(10, 3, 1)
+        with pytest.raises(KeyError):
+            ops._hop(sec, sec, lower_bits=1)  # lowering leaves the sector
