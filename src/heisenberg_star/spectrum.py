@@ -1,8 +1,12 @@
 """Static spectrum of the star: ring level structure and closed forms.
 
 The only numerical work in this module is the lowest eigenpair of the
-isotropic ring inside one magnetization block. Everything else is
-arithmetic on top of those numbers:
+isotropic ring inside one magnetization block: dense ``eigh`` of the
+real block up to DENSE_CUTOFF states, ARPACK's Lanczos (``eigsh``) on
+the real CSR above, each pair certified by its true residual and
+returned with a fixed phase, and the ring angular momentum of the
+result read from one lowering, without the L^2 matrix. Everything else
+is arithmetic on top of those numbers:
 
 * each ring block ``l_m = l`` has a nondegenerate bottom level with
   total ring angular momentum ``l`` and energy ``E1b(l)``, strictly
@@ -22,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import BasisSector, StateVector, enumerate_bath_sector
+from .core import StateVector, enumerate_bath_sector
 from .errors import ConvergenceError, ParameterError, StarError
-from .operators import SparseOperator, build_bath_ring, build_L_squared, expectation
+from .operators import SparseOperator, apply_bath_lowering, build_bath_ring
 
 # Fixed seed for the Lanczos start vector. A structured start (for
 # example the all-ones vector, which is the maximal Dicke state and an
@@ -52,90 +56,81 @@ def degeneracy(N: int, l: int) -> int:
     return first - second
 
 
+def _real_if_possible(mat):
+    """The real part of ``mat`` when its imaginary part is exactly zero."""
+    return mat.real if not np.any(mat.data.imag) else mat
+
+
+def _fix_phase(vec: np.ndarray) -> np.ndarray:
+    """Rotate ``vec`` so its first entry of largest magnitude is real and > 0.
+
+    Entries within a relative 1e-8 of the largest count as largest, so
+    rounding cannot move the choice between entries that symmetry makes
+    equal in magnitude.
+    """
+    mags = np.abs(vec)
+    pivot = vec[np.flatnonzero(mags >= (1.0 - 1e-8) * mags.max())[0]]
+    return vec * (abs(pivot) / pivot)
+
+
 def lanczos_lowest(op: SparseOperator, k: int = 500, tol: float = 1e-10,
                    seed: int = LANCZOS_SEED) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair by Lanczos with full reorthogonalization.
+    """Lowest eigenpair by ARPACK's restarted Lanczos (``eigsh``, ``which="SA"``).
 
-    Builds up to ``k`` Krylov vectors from a seeded pseudorandom start,
-    reorthogonalizing every new vector against the whole basis, and
-    stops once the Ritz residual estimate drops below ``tol``. The
-    returned pair satisfies ``|A v - lam v| <= tol`` (checked
-    explicitly); ConvergenceError carries the best residual otherwise.
+    Solves in float64 when the matrix has no imaginary part, as complex
+    Hermitian otherwise, from a seeded start to machine precision with
+    20 Lanczos vectors and about ``k`` matrix-vector products. The pair
+    satisfies ``|A v - lam v| <= tol``, checked on the pair itself; a
+    failure gets one retry from an independent start, a second failure
+    raises ConvergenceError with the smallest true residual seen (the
+    start vector's, when ARPACK ran out of budget and returned none).
     """
+    # imported here: the dynamics commands never solve and skip its import time
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
     n = op.dim
-    mat = op.matrix
+    mat = _real_if_possible(op.matrix)
     if n == 1:
-        v = np.ones(1, dtype=np.complex128)
-        lam = float(mat[0, 0].real)
-        return lam, v
+        return float(mat[0, 0].real), np.ones(1, dtype=mat.dtype)
+    ncv = max(2, min(n, k, 20))
+    # each implicit restart spends about ncv / 2 further products
+    restarts = max(1, (k - ncv) // (ncv // 2))
     rng = np.random.default_rng(seed)
-    start = rng.standard_normal(n)
-    for attempt in range(2):
-        lam, vec, residual = _lanczos_run(mat, start, min(k, n), tol)
+    best = np.inf
+    for _ in range(2):
+        vec = rng.standard_normal(n)
+        try:
+            vec = eigsh(mat, k=1, which="SA", v0=vec, tol=0, ncv=ncv,
+                        maxiter=restarts, rng=rng)[1][:, 0]
+        except ArpackNoConvergence:
+            pass
+        vec = vec / np.linalg.norm(vec)
+        product = mat @ vec
+        lam = float(np.vdot(vec, product).real)
+        residual = float(np.linalg.norm(product - lam * vec))
         if residual <= tol:
             return lam, vec
-        # rare stall: retry once from an independent start
-        start = rng.standard_normal(n)
+        best = min(best, residual)
     raise ConvergenceError(
-        f"Lanczos did not reach tol={tol} within {k} iterations"
-        f" (best residual {residual:.3e})", residual=residual,
+        f"Lanczos did not reach tol={tol} within {k} matrix-vector products"
+        f" (best residual {best:.3e})", residual=best,
     )
 
 
-def _lanczos_run(mat, start, k, tol):
-    n = mat.shape[0]
-    Q = np.empty((k, n), dtype=np.complex128)
-    alphas: list[float] = []
-    betas: list[float] = []
-    q = start.astype(np.complex128)
-    q /= np.linalg.norm(q)
-    Q[0] = q
-    best = (np.inf, None, np.inf)
-    for j in range(k):
-        w = mat @ Q[j]
-        a = float(np.vdot(Q[j], w).real)
-        alphas.append(a)
-        w -= a * Q[j]
-        if j > 0:
-            w -= betas[j - 1] * Q[j - 1]
-        # full reorthogonalization, twice is enough in double precision
-        for _ in range(2):
-            w -= Q[:j + 1].T @ (Q[:j + 1].conj() @ w)
-        b = float(np.linalg.norm(w))
-        theta, z = _tridiag_ground(alphas, betas)
-        residual = b * abs(z[-1])
-        if residual < best[0]:
-            vec = Q[:j + 1].T @ z
-            best = (residual, vec, theta)
-        if residual <= 0.1 * tol or b <= 1e-14 * max(1.0, abs(a)):
-            break
-        if j + 1 < k:
-            betas.append(b)
-            Q[j + 1] = w / b
-    residual, vec, theta = best[0], best[1], best[2]
-    vec = vec / np.linalg.norm(vec)
-    # report the true residual of the assembled pair, not the estimate
-    lam = float(np.vdot(vec, mat @ vec).real)
-    true_res = float(np.linalg.norm(mat @ vec - lam * vec))
-    return lam, vec, true_res
-
-
-def _tridiag_ground(alphas, betas):
-    """Lowest eigenpair of the current Lanczos tridiagonal."""
-    if len(alphas) == 1:
-        return alphas[0], np.ones(1)
-    evals, evecs = scipy.linalg.eigh_tridiagonal(
-        np.asarray(alphas), np.asarray(betas[:len(alphas) - 1]))
-    return float(evals[0]), evecs[:, 0]
-
-
 def lowest_eigenpair(op: SparseOperator, tol: float = 1e-10) -> tuple[float, np.ndarray]:
-    """Route small blocks to the dense solver, large ones to Lanczos."""
+    """Lowest eigenpair: dense ``eigh`` up to DENSE_CUTOFF, Lanczos above.
+
+    Both routes return the vector with the same phase: its first entry
+    of largest magnitude (up to rounding) is real and positive, so the
+    amplitudes do not depend on which solver ran.
+    """
     if op.dim <= DENSE_CUTOFF:
-        dense = op.matrix.toarray()
-        evals, evecs = np.linalg.eigh(dense)
-        return float(evals[0]), np.ascontiguousarray(evecs[:, 0])
-    return lanczos_lowest(op, tol=tol)
+        dense = _real_if_possible(op.matrix).toarray()
+        evals, evecs = scipy.linalg.eigh(dense, subset_by_index=[0, 0])
+        energy, vec = float(evals[0]), evecs[:, 0]
+    else:
+        energy, vec = lanczos_lowest(op, tol=tol)
+    return energy, _fix_phase(vec)
 
 
 def bath_subground_state(N: int, two_l: int, tol: float = 1e-10
@@ -143,10 +138,11 @@ def bath_subground_state(N: int, two_l: int, tol: float = 1e-10
     """Bottom level of the ring block ``l_m = l`` at unit coupling.
 
     Returns the energy and the eigenvector, after checking that the
-    vector really carries ring angular momentum ``l`` (expectation of
-    L squared within 1e-8 of l (l + 1)); the bottom of each block
-    belongs to exactly that multiplet, which is what makes the
-    identification safe.
+    vector really carries ring angular momentum ``l``: with
+    L^2 = L+ L- + Lz (Lz - 1), its expectation is |L- psi|^2 + l (l - 1),
+    read from one lowering into the block below, and must lie within
+    1e-8 of l (l + 1). The bottom of each block belongs to exactly that
+    multiplet, which is what makes the identification safe.
     """
     if two_l % 2 != 0 or two_l < 0 or two_l > N:
         raise ParameterError(f"two_l={two_l} invalid for N={N}")
@@ -155,7 +151,9 @@ def bath_subground_state(N: int, two_l: int, tol: float = 1e-10
     ring = build_bath_ring(sector, 1.0, 1.0)
     energy, vec = lowest_eigenpair(ring, tol=tol)
     state = StateVector.single(sector, vec)
-    l2 = expectation(build_L_squared(sector), state)
+    below = enumerate_bath_sector(N, N // 2 + l - 1)
+    lowered = apply_bath_lowering(sector, state.amps, below)
+    l2 = float(np.vdot(lowered, lowered).real) + l * (l - 1.0)
     want = l * (l + 1.0)
     if abs(l2 - want) > 1e-8:
         raise StarError(

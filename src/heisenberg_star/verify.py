@@ -19,7 +19,7 @@ from .core import make_params
 from .dynamics import evolve, _neel_block_state
 from .operators import build_bath_ring, build_star_hamiltonian
 from .spectrum import (
-    bath_subground_energy,
+    bath_subground_state,
     degeneracy,
     level_table,
     single_magnon_energy,
@@ -27,7 +27,7 @@ from .spectrum import (
     sub_ground_energy,
     transition_point,
 )
-from .states import spin_coherent, subground_squared_norm, subground_state
+from .states import bath_multiplet, spin_coherent, subground_squared_norm, subground_state
 
 
 @dataclass
@@ -88,16 +88,20 @@ def suite_subground(N: int = 8, threads: int = 1) -> list[CheckResult]:
     """Residuals of the closed-form eigenstates for every valid (l, m)."""
     out = []
     J, g = 0.85, 1.1
+    # one ring solve per block, shared by every central spin
+    blocks = {}
+    for two_l in range(0, N + 1, 2):
+        e1b, seed = bath_subground_state(N, two_l)
+        blocks[two_l] = (e1b, bath_multiplet(N, two_l, seed=seed))
     for two_S in (2, 3, 4):
         params = make_params(N, two_S, J=J, g=g)
         worst = 0.0
         count = 0
-        for two_l in range(0, N + 1, 2):
+        for two_l, (e1b, multiplet) in blocks.items():
             two_j = abs(two_l - two_S)
-            e1b = bath_subground_energy(N, two_l // 2)
             energy = sub_ground_energy(two_l, two_S, J, g, e1b)
             for two_m in range(-two_j, two_j + 1, 2):
-                psi = subground_state(N, two_S, two_l, two_m)
+                psi = subground_state(N, two_S, two_l, two_m, multiplet=multiplet)
                 sector, x = psi.require_single()
                 H = build_star_hamiltonian(sector, params)
                 worst = max(worst, float(np.linalg.norm(

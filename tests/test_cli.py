@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from heisenberg_star import cli
+from heisenberg_star import cli, spectrum, verify
 from heisenberg_star.errors import ConvergenceError
 from heisenberg_star.spectrum import level_table, sub_ground_energy
 from heisenberg_star.verify import CheckResult
@@ -155,6 +155,22 @@ class TestVerify:
             lambda *a, **k: [CheckResult("broken", False, "synthetic")])
         assert run(["verify", "--suite", "identities"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_subground_suite_solves_each_ring_block_once(self, monkeypatch, capsys):
+        solved = []
+        real = verify.bath_subground_state
+
+        def counted(N, two_l, **kw):
+            solved.append(two_l)
+            return real(N, two_l, **kw)
+
+        monkeypatch.setattr(verify, "bath_subground_state", counted)
+        monkeypatch.setattr(spectrum, "bath_subground_state", counted)
+        assert run(["verify", "--suite", "subground", "--n", 8, "--threads", 1]) == 0
+        assert sorted(solved) == [0, 2, 4, 6, 8]
+        out = capsys.readouterr().out
+        for two_S, count in ((2, 19), (3, 18), (4, 17)):
+            assert f"PASS subground-residuals two_S={two_S}: {count} states, worst residual" in out
 
 
 class TestPlumbing:

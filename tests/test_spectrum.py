@@ -172,6 +172,68 @@ class TestLanczos:
         assert e_dense == pytest.approx(e_lan, abs=1e-10)
 
 
+def pivot(vec):
+    """First entry whose magnitude is the largest, up to rounding."""
+    mags = np.abs(vec)
+    return vec[np.flatnonzero(mags >= (1.0 - 1e-8) * mags.max())[0]]
+
+
+class TestSparseRoute:
+    @pytest.mark.parametrize("n_up", [7, 8, 9])
+    def test_ring_blocks_above_cutoff_match_dense(self, n_up):
+        op = ops.build_bath_ring(enumerate_bath_sector(14, n_up), 1.0, 1.0)
+        assert op.dim > spectrum.DENSE_CUTOFF
+        want = float(np.linalg.eigvalsh(op.matrix.real.toarray())[0])
+        got, vec = lowest_eigenpair(op)
+        assert got == pytest.approx(want, abs=1e-10)
+        assert np.linalg.norm(op.matrix @ vec - got * vec) <= 1e-10
+
+    def test_star_sector_above_cutoff_matches_dense(self):
+        sec = enumerate_sector(12, 1, 1)
+        op = ops.build_star_hamiltonian(sec, make_params(12, 1, J=0.8, g=1.1))
+        assert op.dim > spectrum.DENSE_CUTOFF
+        want = float(np.linalg.eigvalsh(op.matrix.toarray())[0])
+        got, _ = lowest_eigenpair(op)
+        assert got == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("cutoff", [spectrum.DENSE_CUTOFF, 0])
+    def test_complex_hermitian_matrix_is_solved(self, cutoff, monkeypatch):
+        # a diagonal unitary gives the ring block nonzero imaginary parts
+        # without changing its spectrum; cutoff 0 forces the sparse route
+        monkeypatch.setattr(spectrum, "DENSE_CUTOFF", cutoff)
+        op = ops.build_bath_ring(enumerate_bath_sector(10, 5), 1.0, 1.0)
+        phases = np.exp(1j * np.random.default_rng(3).uniform(0, 2 * np.pi, op.dim))
+        mat = op.matrix.multiply(phases[:, None]).multiply(phases.conj()[None, :]).tocsr()
+        assert np.any(mat.data.imag)
+        want = float(np.linalg.eigvalsh(op.matrix.toarray())[0])
+        got, vec = lowest_eigenpair(ops.SparseOperator(op.sector, mat))
+        assert got == pytest.approx(want, abs=1e-10)
+        assert np.linalg.norm(mat @ vec - got * vec) <= 1e-10
+        p = pivot(vec)
+        assert abs(p.imag) <= 1e-15 and p.real > 0.0
+
+    @pytest.mark.parametrize("N,n_up", [(8, 4), (8, 5), (14, 7), (14, 9)])
+    def test_phase_convention(self, N, n_up):
+        op = ops.build_bath_ring(enumerate_bath_sector(N, n_up), 1.0, 1.0)
+        _, vec = lowest_eigenpair(op)
+        p = pivot(vec)
+        assert np.imag(p) == 0.0 and np.real(p) > 0.0
+
+    def test_both_routes_return_the_same_vector(self, monkeypatch):
+        op = ops.build_bath_ring(enumerate_bath_sector(12, 6), 1.0, 1.0)
+        assert op.dim <= spectrum.DENSE_CUTOFF
+        e_dense, v_dense = lowest_eigenpair(op)
+        monkeypatch.setattr(spectrum, "DENSE_CUTOFF", 0)
+        e_sparse, v_sparse = lowest_eigenpair(op)
+        assert e_sparse == pytest.approx(e_dense, abs=1e-10)
+        np.testing.assert_allclose(v_sparse, v_dense, atol=1e-8)
+
+    def test_threaded_table_is_identical_on_the_sparse_route(self):
+        a = level_table(14, threads=1)
+        b = level_table(14, threads=2)
+        assert [r.energy for r in a.rows] == [r.energy for r in b.rows]
+
+
 class TestRingLevels:
     def test_four_site_bottom_levels_are_rational(self):
         assert bath_subground_energy(4, 0) == pytest.approx(-2.0, abs=1e-12)
@@ -203,6 +265,31 @@ class TestRingLevels:
         l2 = ops.expectation(ops.build_L_squared(sec), st)
         assert l2 == pytest.approx(2 * 3.0, abs=1e-8)
         assert e == pytest.approx(-1.80193773580, abs=1e-8)
+
+    @pytest.mark.parametrize("N", [8, 10])
+    def test_lowering_norm_gives_l_squared(self, N):
+        # <L^2> = |L- x|^2 + l_m (l_m - 1), the readout bath_subground_state uses
+        rng = np.random.default_rng(N)
+        for n_up in range(1, N + 1):
+            sec = enumerate_bath_sector(N, n_up)
+            below = enumerate_bath_sector(N, n_up - 1)
+            x = StateVector.single(
+                sec, rng.standard_normal(sec.dim) + 1j * rng.standard_normal(sec.dim))
+            lowered = ops.apply_bath_lowering(sec, x.amps, below)
+            l_m = n_up - N / 2
+            got = float(np.vdot(lowered, lowered).real) + l_m * (l_m - 1)
+            want = ops.expectation(ops.build_L_squared(sec), x)
+            assert got == pytest.approx(want, abs=1e-12)
+
+    def test_vector_outside_the_multiplet_is_refused(self, monkeypatch):
+        # the first excited level of the l_m = 0 block carries l = 1
+        def excited(op, tol=1e-10):
+            evals, evecs = np.linalg.eigh(op.matrix.toarray())
+            return float(evals[1]), evecs[:, 1]
+
+        monkeypatch.setattr(spectrum, "lowest_eigenpair", excited)
+        with pytest.raises(StarError, match="L\\^2"):
+            bath_subground_state(8, 0)
 
     def test_rejects_bad_momentum(self):
         with pytest.raises(ParameterError):
