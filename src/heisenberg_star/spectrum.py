@@ -1,12 +1,10 @@
 """Static spectrum of the star: ring level structure and closed forms.
 
-The only numerical work in this module is the lowest eigenpair of the
-isotropic ring inside one magnetization block: dense ``eigh`` of the
-real block up to DENSE_CUTOFF states, ARPACK's Lanczos (``eigsh``) on
-the real CSR above, each pair certified by its true residual and
-returned with a fixed phase, and the ring angular momentum of the
-result read from one lowering, without the L^2 matrix. Everything else
-is arithmetic on top of those numbers:
+The only numerical work here is the lowest eigenpair of the isotropic
+ring in one magnetization block (dense ``eigh`` up to DENSE_CUTOFF
+states, ``eigsh`` on the real CSR above, certified by its true residual,
+returned with a fixed phase) and its ring L^2, read from one lowering.
+Everything else is arithmetic on top of those numbers:
 
 * each ring block ``l_m = l`` has a nondegenerate bottom level with
   total ring angular momentum ``l`` and energy ``E1b(l)``, strictly
@@ -65,8 +63,7 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     """Rotate ``vec`` so its first entry of largest magnitude is real and > 0.
 
     Entries within a relative 1e-8 of the largest count as largest, so
-    rounding cannot move the choice between entries that symmetry makes
-    equal in magnitude.
+    rounding cannot choose between entries symmetry makes equal.
     """
     mags = np.abs(vec)
     pivot = vec[np.flatnonzero(mags >= (1.0 - 1e-8) * mags.max())[0]]
@@ -78,50 +75,55 @@ def lanczos_lowest(op: SparseOperator, k: int = 500, tol: float = 1e-10,
     """Lowest eigenpair by ARPACK's restarted Lanczos (``eigsh``, ``which="SA"``).
 
     Solves in float64 when the matrix has no imaginary part, as complex
-    Hermitian otherwise, from a seeded start to machine precision with
-    20 Lanczos vectors and about ``k`` matrix-vector products. The pair
-    satisfies ``|A v - lam v| <= tol``, checked on the pair itself; a
-    failure gets one retry from an independent start, a second failure
-    raises ConvergenceError with the smallest true residual seen (the
-    start vector's, when ARPACK ran out of budget and returned none).
+    Hermitian otherwise (scipy hands that to ``eigs``, which takes no
+    generator, so the seed fixes only the start vector there), to machine
+    precision with 20 Lanczos vectors and about ``k`` matrix-vector
+    products. The pair satisfies ``|A v - lam v| <= tol``, checked on the
+    pair itself; a failure gets one retry from an independent start, a
+    second failure raises ConvergenceError with the smallest true residual
+    of a returned vector (of the start vector if ARPACK returned none).
     """
     # imported here: the dynamics commands never solve and skip its import time
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     n = op.dim
     mat = _real_if_possible(op.matrix)
-    if n == 1:
-        return float(mat[0, 0].real), np.ones(1, dtype=mat.dtype)
-    ncv = max(2, min(n, k, 20))
+    if n < 3:  # below the smallest block ARPACK's complex route accepts
+        evals, evecs = scipy.linalg.eigh(mat.toarray(), subset_by_index=[0, 0])
+        return float(evals[0]), evecs[:, 0]
+    # eigs, which solves the complex route, needs at least 3 Lanczos vectors
+    ncv = max(2 if mat.dtype.kind == "f" else 3, min(n, k, 20))
     # each implicit restart spends about ncv / 2 further products
     restarts = max(1, (k - ncv) // (ncv // 2))
     rng = np.random.default_rng(seed)
-    best = np.inf
+    best = None
     for _ in range(2):
-        vec = rng.standard_normal(n)
+        vec, ritz = rng.standard_normal(n), True
         try:
             vec = eigsh(mat, k=1, which="SA", v0=vec, tol=0, ncv=ncv,
                         maxiter=restarts, rng=rng)[1][:, 0]
         except ArpackNoConvergence:
-            pass
+            ritz = False  # one pair requested: the exception carries no vector
         vec = vec / np.linalg.norm(vec)
         product = mat @ vec
         lam = float(np.vdot(vec, product).real)
         residual = float(np.linalg.norm(product - lam * vec))
         if residual <= tol:
             return lam, vec
-        best = min(best, residual)
-    raise ConvergenceError(
-        f"Lanczos did not reach tol={tol} within {k} matrix-vector products"
-        f" (best residual {best:.3e})", residual=best,
-    )
+        if ritz:
+            best = residual if best is None else min(best, residual)
+    if best is None:
+        raise ConvergenceError(f"ARPACK returned no Ritz vector within {k} matrix-vector"
+                               f" products (tol={tol})", residual=residual)
+    raise ConvergenceError(f"Lanczos did not reach tol={tol} within {k} matrix-vector"
+                           f" products (best residual {best:.3e})", residual=best)
 
 
 def lowest_eigenpair(op: SparseOperator, tol: float = 1e-10) -> tuple[float, np.ndarray]:
     """Lowest eigenpair: dense ``eigh`` up to DENSE_CUTOFF, Lanczos above.
 
-    Both routes return the vector with the same phase: its first entry
-    of largest magnitude (up to rounding) is real and positive, so the
+    Both routes return the vector with the same phase (its first entry of
+    largest magnitude, up to rounding, is real and positive), so the
     amplitudes do not depend on which solver ran.
     """
     if op.dim <= DENSE_CUTOFF:
@@ -156,10 +158,8 @@ def bath_subground_state(N: int, two_l: int, tol: float = 1e-10
     l2 = float(np.vdot(lowered, lowered).real) + l * (l - 1.0)
     want = l * (l + 1.0)
     if abs(l2 - want) > 1e-8:
-        raise StarError(
-            f"ring block n_up={N // 2 + l}: bottom level has <L^2>={l2:.12f},"
-            f" expected {want}"
-        )
+        raise StarError(f"ring block n_up={N // 2 + l}: bottom level has"
+                        f" <L^2>={l2:.12f}, expected {want}")
     return energy, state
 
 

@@ -234,6 +234,44 @@ class TestSparseRoute:
         assert [r.energy for r in a.rows] == [r.energy for r in b.rows]
 
 
+def twisted_ring(N, n_up):
+    """Ring block under a seeded diagonal unitary: same spectrum, complex entries."""
+    op = ops.build_bath_ring(enumerate_bath_sector(N, n_up), 1.0, 1.0)
+    phases = np.exp(1j * np.random.default_rng(3).uniform(0, 2 * np.pi, op.dim))
+    mat = op.matrix.multiply(phases[:, None]).multiply(phases.conj()[None, :]).tocsr()
+    return op, ops.SparseOperator(op.sector, mat)
+
+
+class TestSolverFailures:
+    def test_exhausted_budget_says_no_ritz_vector_came_back(self):
+        op = ops.build_bath_ring(enumerate_bath_sector(10, 5), 1.0, 1.0)
+        with pytest.raises(ConvergenceError, match="no Ritz vector") as ei:
+            lanczos_lowest(op, k=2, tol=1e-13)
+        assert "best residual" not in str(ei.value)
+        assert ei.value.residual > 1e-13
+
+    def test_unreachable_tol_reports_the_returned_vectors_residual(self):
+        op = ops.build_bath_ring(enumerate_bath_sector(10, 5), 1.0, 1.0)
+        with pytest.raises(ConvergenceError, match="best residual") as ei:
+            lanczos_lowest(op, k=60, tol=1e-30)
+        # a converged Ritz vector, not the O(1) residual of a start vector
+        assert 1e-30 < ei.value.residual <= 1e-12
+
+    def test_complex_route_exhausted_budget_is_a_convergence_error(self):
+        _, cop = twisted_ring(10, 5)
+        with pytest.raises(ConvergenceError):
+            lanczos_lowest(cop, k=2, tol=1e-13)
+
+    @pytest.mark.parametrize("n_up", [0, 1])
+    def test_blocks_below_three_states(self, n_up):
+        op, cop = twisted_ring(2, n_up)
+        want = float(np.linalg.eigvalsh(op.matrix.toarray())[0])
+        for o in (op, cop):
+            got, vec = lanczos_lowest(o)
+            assert got == pytest.approx(want, abs=1e-12)
+            assert np.linalg.norm(o.matrix @ vec - got * vec) <= 1e-12
+
+
 class TestRingLevels:
     def test_four_site_bottom_levels_are_rational(self):
         assert bath_subground_energy(4, 0) == pytest.approx(-2.0, abs=1e-12)
