@@ -278,6 +278,7 @@ def cmd_coherent(args, config) -> int:
         "samples": samples, "threads": threads, "out": out,
         "norm_drift": f"{sz_meta['norm_drift']:.3e}",
         "energy_drift": f"{sz_meta['energy_drift']:.3e}",
+        "block_dim_max": max(sz_meta["block_dims"]),
     }))
     print(f"wrote {out} ({samples} rows)")
     return EXIT_OK

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     CentralSpinTooLarge,
@@ -196,13 +197,23 @@ def sector_dimension(N: int, two_S: int, two_m: int) -> int:
     return total
 
 
-def enumerate_sector(N: int, two_S: int, two_m: int) -> BasisSector:
-    """Materialize the sector basis and its sorted keys.
+# Sectors enumerated so far, by (N, two_S, two_m), oldest first. The
+# cache holds at most SECTOR_CAPACITY states in all (32 bytes each).
+_SECTORS: dict[tuple[int, int, int], BasisSector] = {}
 
-    Raises EmptySector when no product state has the requested
-    magnetization (out of range, or parity mismatch between ``two_m``
-    and ``two_S``), and SectorCapacityError beyond the supported size.
+
+def enumerate_sector(N: int, two_S: int, two_m: int) -> BasisSector:
+    """Materialize the sector basis and its sorted keys, once per process.
+
+    Repeated calls return the same cached object, whose arrays are
+    read-only. Raises EmptySector when no product state has the
+    requested magnetization (out of range, or parity mismatch between
+    ``two_m`` and ``two_S``), and SectorCapacityError beyond the
+    supported size.
     """
+    cached = _SECTORS.get((N, two_S, two_m))
+    if cached is not None:
+        return cached
     if N % 2 != 0:
         raise OddBathSize(f"ring length must be even, got N={N}")
     if two_S < 0 or two_S > N:
@@ -226,10 +237,15 @@ def enumerate_sector(N: int, two_S: int, two_m: int) -> BasisSector:
     ups = np.repeat(np.array([n_up for _, n_up in levels], dtype=np.int64), counts)
     bits = np.fromiter((p for _, n_up in levels for p in _bit_patterns(N, n_up)),
                        dtype=np.int64, count=dim)
-    return BasisSector(
-        N=N, two_S=two_S, two_m=two_m,
-        central=central, bits=bits, n_up=ups, keys=(central << N) | bits,
-    )
+    keys = (central << N) | bits
+    for arr in (central, bits, ups, keys):
+        arr.flags.writeable = False
+    sector = BasisSector(N=N, two_S=two_S, two_m=two_m,
+                         central=central, bits=bits, n_up=ups, keys=keys)
+    _SECTORS[(N, two_S, two_m)] = sector
+    while sum(s.dim for s in _SECTORS.values()) > SECTOR_CAPACITY:
+        del _SECTORS[next(iter(_SECTORS))]
+    return sector
 
 
 def enumerate_bath_sector(N: int, n_up: int) -> BasisSector:
@@ -237,6 +253,28 @@ def enumerate_bath_sector(N: int, n_up: int) -> BasisSector:
     if n_up < 0 or n_up > N:
         raise EmptySector(f"n_up={n_up} outside [0, N={N}]")
     return enumerate_sector(N, 0, 2 * n_up - N)
+
+
+def zero_momentum_isometry(sector: BasisSector) -> sp.csr_matrix:
+    """Isometry P (dim x n_orbits) onto the k = 0 states of a sector.
+
+    Cyclic translation of the ring rotates the N bits of a state and
+    keeps its central index. Each column of P is the normalized sum of
+    one orbit of that rotation, the R distinct states of an orbit of
+    period R each with weight 1/sqrt(R). Columns are ordered by the
+    packed key of the orbit representative, the smallest of the N bit
+    rotations. Every operator that commutes with translation satisfies
+    M P = P (P^T M P), so a k = 0 state can evolve under P^T M P.
+    """
+    N = sector.N
+    bits = sector.bits
+    rep = bits
+    for r in range(1, N):
+        rep = np.minimum(rep, ((bits >> r) | (bits << (N - r))) & ((1 << N) - 1))
+    _, col, size = np.unique((sector.central << N) | rep,
+                             return_inverse=True, return_counts=True)
+    return sp.csr_matrix((1.0 / np.sqrt(size[col]), col, np.arange(sector.dim + 1)),
+                         shape=(sector.dim, size.size))
 
 
 @dataclass

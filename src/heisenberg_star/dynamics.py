@@ -10,7 +10,10 @@ substep whenever the a posteriori error estimate misses the tolerance.
 The two experiments mirror the figures this package reproduces: the
 alternating-state quench watched through the staggered magnetization
 (time axis gt_collective = g sqrt(N) t), and the driven coherent-state
-run watched through the central polarization (time axis g t).
+run watched through the central polarization (time axis g t). The
+coherent state and the driven star are both invariant under cyclic
+translation of the ring, so that run evolves each block in its k = 0
+subspace (:class:`K0Block`), about N times smaller than the sector.
 """
 
 from __future__ import annotations
@@ -21,8 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
-from .core import BasisSector, ModelParams, StateVector, enumerate_sector
+from .core import (
+    BasisSector,
+    ModelParams,
+    StateVector,
+    enumerate_sector,
+    zero_momentum_isometry,
+)
 from .errors import ConvergenceError, ParameterError, StarError
 from .operators import (
     SparseOperator,
@@ -36,6 +46,8 @@ from .states import central_initial, coherent_coefficients, neel_state
 
 KRYLOV_DIM = 30
 KRYLOV_TOL = 1e-9
+# largest |P P^T v - v| / |v| of a block accepted as translation invariant
+K0_TOL = 1e-12
 
 
 @dataclass
@@ -52,6 +64,49 @@ class TimeSeries:
     values: np.ndarray
     name: str
     meta: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True, eq=False)
+class K0Block:
+    """The k = 0 states of one sector: the columns of ``P``.
+
+    Stands in for the sector in a StateVector and a SparseOperator, so
+    the propagator runs on it unchanged.
+    """
+
+    sector: BasisSector
+    P: sp.csr_matrix  # dim x n_orbits
+
+    @property
+    def dim(self) -> int:
+        return self.P.shape[1]
+
+    @property
+    def tag(self) -> str:
+        return f"{self.sector.tag}:k=0"
+
+    def reduce(self, op: SparseOperator) -> SparseOperator:
+        """P^T M P of a translation-invariant sector operator M."""
+        return SparseOperator(sector=self, matrix=(self.P.T @ (op.matrix @ self.P)).tocsr())
+
+
+def k0_state(state: StateVector) -> StateVector:
+    """The blocks of a translation-invariant state in their k = 0 bases.
+
+    Raises StarError for a block with a k != 0 part, that is when
+    |P P^T v - v| exceeds K0_TOL |v|.
+    """
+    blocks = []
+    for i, sector in enumerate(state.sectors):
+        block = K0Block(sector, zero_momentum_isometry(sector))
+        v = state.block(i)
+        x = block.P.T @ v
+        leak = float(np.linalg.norm(block.P @ x - v))
+        if leak > K0_TOL * float(np.linalg.norm(v)):
+            raise StarError(f"block {sector.tag} is not translation invariant:"
+                            f" |P P^T v - v| = {leak:.2e}")
+        blocks.append((block, x))
+    return StateVector.from_blocks(blocks, renormalize=False)
 
 
 def _expm_krylov(mat, v, tau, m, tol):
@@ -284,7 +339,8 @@ def neel_series(params: ModelParams, central_kind: str, t_abs,
 
     Returns (values dict, diagnostics). The Hamiltonian is the plain
     isotropic star, so the run refuses anisotropic parameters or a
-    central field.
+    central field. The alternating state has k = 0 and k = pi parts,
+    so this run keeps the full sectors.
     """
     if not params.isotropic:
         raise ParameterError("the alternating-state quench needs J == Jp")
@@ -292,7 +348,7 @@ def neel_series(params: ModelParams, central_kind: str, t_abs,
         raise ParameterError("the alternating-state quench carries no field")
     state = _neel_block_state(params, central_kind)
     hams = [build_star_hamiltonian(s, params) for s in state.sectors]
-    obs = _observable_set(state, observables)
+    obs = {name: [_observable(s, name) for s in state.sectors] for name in observables}
     return run_observables(hams, state, t_abs, obs,
                            krylov_dim=krylov_dim, tol=tol, threads=threads)
 
@@ -300,26 +356,30 @@ def neel_series(params: ModelParams, central_kind: str, t_abs,
 def coherent_series(params: ModelParams, theta: float, phi: float, t_abs,
                     observables=("Sz",), krylov_dim: int = KRYLOV_DIM,
                     tol: float = KRYLOV_TOL, threads: int = 1):
-    """Driven-star run from the coherent ring state, absolute times."""
-    state = _coherent_block_state(params, theta, phi)
-    hams = [build_modified_star(s, params) for s in state.sectors]
-    obs = _observable_set(state, observables)
-    return run_observables(hams, state, t_abs, obs,
-                           krylov_dim=krylov_dim, tol=tol, threads=threads)
+    """Driven-star run from the coherent ring state, absolute times.
+
+    Each block runs in its k = 0 basis: every sector operator is built
+    in full, reduced to P^T M P and dropped. ``diagnostics`` gains
+    ``block_dims``, the k = 0 dimension of each block.
+    """
+    state = k0_state(_coherent_block_state(params, theta, phi))
+    hams = [b.reduce(build_modified_star(b.sector, params)) for b in state.sectors]
+    obs = {name: [b.reduce(_observable(b.sector, name)) for b in state.sectors]
+           for name in observables}
+    values, diagnostics = run_observables(hams, state, t_abs, obs, krylov_dim=krylov_dim,
+                                          tol=tol, threads=threads)
+    diagnostics["block_dims"] = [b.dim for b in state.sectors]
+    return values, diagnostics
 
 
-def _observable_set(state: StateVector, names):
-    out = {}
-    for name in names:
-        if name == "Sz":
-            out[name] = [build_zeeman(s, 1.0) for s in state.sectors]
-        elif name == "ms":
-            out[name] = [build_staggered(s) for s in state.sectors]
-        elif name == "L2":
-            out[name] = [build_L_squared(s) for s in state.sectors]
-        else:
-            raise ParameterError(f"unknown observable {name!r}")
-    return out
+def _observable(sector: BasisSector, name: str) -> SparseOperator:
+    if name == "Sz":
+        return build_zeeman(sector, 1.0)
+    if name == "ms":
+        return build_staggered(sector)
+    if name == "L2":
+        return build_L_squared(sector)
+    raise ParameterError(f"unknown observable {name!r}")
 
 
 def neel_experiment(params: ModelParams, central_kind: str, t_grid,

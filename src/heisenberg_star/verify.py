@@ -16,8 +16,20 @@ import numpy as np
 import scipy.linalg
 
 from .core import make_params
-from .dynamics import evolve, _neel_block_state
-from .operators import build_bath_ring, build_star_hamiltonian
+from .dynamics import (
+    _coherent_block_state,
+    _neel_block_state,
+    coherent_series,
+    evolve,
+    run_observables,
+)
+from .operators import (
+    build_bath_ring,
+    build_L_squared,
+    build_modified_star,
+    build_star_hamiltonian,
+    build_zeeman,
+)
 from .spectrum import (
     bath_subground_state,
     degeneracy,
@@ -136,7 +148,24 @@ def suite_dynamics_oracle(N: int = 6, threads: int = 1) -> list[CheckResult]:
     res = math.sqrt(res)
     out.append(_check("coherent-ring-eigenstate N=14", res <= 1e-10,
                       f"residual {res:.2e}"))
+    out.append(_coherent_k0_check())
     return out
+
+
+def _coherent_k0_check() -> CheckResult:
+    """The k = 0 coherent run against the full-sector one, anisotropic ring."""
+    params = make_params(8, 1, J=1.1, Jp=0.7, g=1.0, omega=0.9)
+    theta, phi = 1.9, 0.4
+    t_abs = np.linspace(0.0, 5.0, 11)
+    got, _ = coherent_series(params, theta, phi, t_abs, observables=("Sz", "L2"))
+    state = _coherent_block_state(params, theta, phi)
+    hams = [build_modified_star(s, params) for s in state.sectors]
+    obs = {"Sz": [build_zeeman(s, 1.0) for s in state.sectors],
+           "L2": [build_L_squared(s) for s in state.sectors]}
+    want, _ = run_observables(hams, state, t_abs, obs)
+    worst = max(float(np.max(np.abs(got[k] - want[k]))) for k in obs)
+    return _check("coherent-k0-vs-full N=8", worst <= 1e-10,
+                  f"max Sz/L2 deviation {worst:.2e}")
 
 
 SUITES = {

@@ -119,6 +119,13 @@ class TestCoherent:
         l2_first = float(lines[1].split(",")[2])
         assert l2_first == pytest.approx(2 * 3.0, abs=1e-9)  # l = N/2 = 2
 
+    def test_meta_records_the_largest_k0_block(self, tmp_path):
+        out = tmp_path / "c8.csv"
+        assert run(["coherent", "--n", 8, "--two-s", 1, "--tmax-gt", 1,
+                    "--samples", 3, "--out", out]) == 0
+        # 10 + 7 necklaces of the two half-filled central levels
+        assert "block_dim_max = 17" in read(tmp_path / "c8.csv.meta").splitlines()
+
 
 class TestSubground:
     def test_dump_and_energy(self, tmp_path):

@@ -164,6 +164,25 @@ class TestEnumeration:
         assert sec.two_Sm(0) == 3
         assert sec.two_Sm(3) == -3
 
+    def test_each_sector_is_enumerated_once(self):
+        assert enumerate_sector(6, 2, 0) is enumerate_sector(6, 2, 0)
+        assert enumerate_bath_sector(6, 3) is enumerate_sector(6, 0, 0)
+
+    def test_cached_arrays_refuse_writes(self):
+        sec = enumerate_sector(6, 2, 2)
+        for arr in (sec.central, sec.bits, sec.n_up, sec.keys):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_cache_holds_at_most_the_capacity(self, monkeypatch):
+        monkeypatch.setattr(core, "_SECTORS", {})
+        monkeypatch.setattr(core, "SECTOR_CAPACITY", 100)
+        first = enumerate_bath_sector(8, 4)   # 70 states
+        enumerate_bath_sector(8, 3)           # 56 more: the first one goes
+        assert list(core._SECTORS) == [(8, 0, -2)]
+        again = enumerate_bath_sector(8, 4)
+        assert again is not first and again.states == first.states
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6), st.data())

@@ -1,0 +1,146 @@
+"""The k = 0 (translation-invariant) basis and the coherent run that uses it.
+
+The isometry is checked against definitions: its columns are orthonormal,
+fixed by a translation built site by site, as many as the necklaces of
+the ring, and every translation-invariant builder satisfies
+M P = P (P^T M P). The driven coherent run in that basis is compared
+with the full-sector propagation of the same state.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sparse
+
+from heisenberg_star import operators as ops
+from heisenberg_star.core import (
+    StateVector,
+    enumerate_sector,
+    make_params,
+    zero_momentum_isometry,
+)
+from heisenberg_star.dynamics import (
+    _coherent_block_state,
+    _neel_block_state,
+    coherent_experiment,
+    coherent_series,
+    k0_state,
+    run_observables,
+)
+from heisenberg_star.errors import StarError
+
+
+def necklaces(N, n_up):
+    """Binary necklaces of length N with n_up ones (Burnside's count)."""
+    total = sum(_phi(d) * math.comb(N // d, n_up // d)
+                for d in range(1, N + 1) if N % d == 0 and n_up % d == 0)
+    assert total % N == 0
+    return total // N
+
+
+def _phi(d):
+    return sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
+
+
+def translation(sector):
+    """Permutation matrix of the ring shift site n -> site n + 1, state by state."""
+    N = sector.N
+    rows = []
+    for c, bits in sector.states:
+        shifted = sum(1 << ((a + 1) % N) for a in range(N) if bits >> a & 1)
+        rows.append(sector.index_of(c, shifted))
+    n = sector.dim
+    return sparse.csr_matrix((np.ones(n), (rows, np.arange(n))), shape=(n, n))
+
+
+def sectors(N, two_S):
+    return [enumerate_sector(N, two_S, two_m)
+            for two_m in range(-(two_S + N), two_S + N + 1, 2)]
+
+
+CASES = [(N, two_S) for N in (2, 4, 6, 8, 10) for two_S in (0, 1, 3) if two_S <= N]
+
+
+@pytest.mark.parametrize("N,two_S", CASES)
+class TestIsometry:
+    def test_orthonormal_columns_fixed_by_translation(self, N, two_S):
+        for sector in sectors(N, two_S):
+            P = zero_momentum_isometry(sector)
+            gram = (P.T @ P).toarray()
+            np.testing.assert_allclose(gram, np.eye(P.shape[1]), atol=1e-14)
+            assert abs(translation(sector) @ P - P).max() <= 1e-14
+
+    def test_dimension_is_the_necklace_count(self, N, two_S):
+        for sector in sectors(N, two_S):
+            # one necklace family per central level, each with its own n_up
+            want = sum(necklaces(N, int(sector.n_up[sector.central == c][0]))
+                       for c in np.unique(sector.central))
+            assert zero_momentum_isometry(sector).shape == (sector.dim, want)
+
+    def test_invariant_operators_reduce_exactly(self, N, two_S):
+        for sector in sectors(N, two_S):
+            P = zero_momentum_isometry(sector)
+            mats = [ops.build_bath_ring(sector, 0.7, 0.3), ops.build_L_squared(sector)]
+            if two_S:
+                mats += [ops.build_system_bath(sector, 1.3), ops.build_zeeman(sector, 0.9)]
+            for op in mats:
+                MP = op.matrix @ P
+                assert abs(MP - P @ (P.T @ MP)).max() <= 1e-12, op
+
+
+class TestGuard:
+    def test_alternating_state_is_refused(self):
+        # the alternating ring state has a k = pi part
+        state = _neel_block_state(make_params(8, 1, J=1.0), "polarized")
+        with pytest.raises(StarError, match="not translation invariant"):
+            k0_state(state)
+
+    def test_coherent_state_passes_with_its_norm(self):
+        state = _coherent_block_state(make_params(8, 3, J=1.0), 1.2, 0.3)
+        reduced = k0_state(state)
+        assert reduced.norm() == pytest.approx(state.norm(), abs=1e-14)
+        assert [b.sector for b in reduced.sectors] == list(state.sectors)
+        assert all(b.dim < b.sector.dim for b in reduced.sectors if b.sector.dim > 1)
+
+    def test_one_off_site_amplitude_is_refused(self):
+        sector = enumerate_sector(6, 1, 1)
+        amps = np.ones(sector.dim, dtype=complex)
+        amps[3] += 1e-9
+        with pytest.raises(StarError):
+            k0_state(StateVector.single(sector, amps))
+
+
+def full_sector_series(params, theta, phi, t_abs):
+    """The oracle: the same run propagated on the whole sectors."""
+    state = _coherent_block_state(params, theta, phi)
+    hams = [ops.build_modified_star(s, params) for s in state.sectors]
+    obs = {"Sz": [ops.build_zeeman(s, 1.0) for s in state.sectors],
+           "L2": [ops.build_L_squared(s) for s in state.sectors]}
+    return run_observables(hams, state, t_abs, obs)
+
+
+@pytest.mark.parametrize("N", [8, 10, 12])
+@pytest.mark.parametrize("two_S", [1, 2, 3])
+def test_k0_run_matches_full_sectors(N, two_S):
+    t_abs = np.linspace(0.0, 3.0, 7)
+    for J, Jp in ((1.0, 1.0), (1.1, 0.7), (0.0, 0.0)):
+        params = make_params(N, two_S, J=J, Jp=Jp, g=0.9, omega=0.8)
+        for theta in (0.0, math.pi / 2, 1.9):
+            got, diag = coherent_series(params, theta, 0.4, t_abs,
+                                        observables=("Sz", "L2"))
+            want, _ = full_sector_series(params, theta, 0.4, t_abs)
+            for name in ("Sz", "L2"):
+                np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-10)
+            assert diag["norm_drift"] <= 1e-10 and diag["energy_drift"] <= 1e-9
+
+
+def test_block_dims_are_recorded():
+    params = make_params(8, 1, J=1.0, Jp=0.6, omega=1.0)
+    series = coherent_experiment(params, math.pi / 2, 0.0, np.linspace(0.0, 1.0, 3),
+                                 observables=("Sz", "L2"))
+    # necklaces(8, n) + necklaces(8, n + 1) for the two central levels
+    want = [necklaces(8, n) + (necklaces(8, n + 1) if n < 8 else 0) for n in range(9)]
+    assert want == [2, 5, 11, 17, 17, 11, 5, 2, 1]
+    for ts in series.values():
+        assert ts.meta["block_dims"] == want
