@@ -31,11 +31,13 @@ from .core import (
     ModelParams,
     StateVector,
     enumerate_sector,
+    make_params,
     zero_momentum_isometry,
 )
 from .errors import ConvergenceError, ParameterError, StarError
 from .operators import (
     SparseOperator,
+    _check_pairing,
     build_L_squared,
     build_modified_star,
     build_staggered,
@@ -183,6 +185,28 @@ def _step_block(mat, v, dt, m, tol):
     return v
 
 
+def _time_grid(t_grid) -> list[float]:
+    """The grid as floats; raises ParameterError unless nonnegative and
+    strictly increasing."""
+    t_grid = [float(t) for t in t_grid]
+    if any(t < 0 for t in t_grid):
+        raise ParameterError("time grid must be nonnegative")
+    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+        raise ParameterError("time grid must be strictly increasing")
+    return t_grid
+
+
+def _trajectory(mat, v, t_grid, krylov_dim, tol):
+    """Yield one block's vector at each grid time, starting from t = 0."""
+    t_prev = 0.0
+    for t in t_grid:
+        dt = t - t_prev
+        if dt > 0.0:
+            v = _step_block(mat, v, dt, krylov_dim, tol)
+            t_prev = t
+        yield v
+
+
 def evolve(hams, state: StateVector, t_grid, krylov_dim: int = KRYLOV_DIM,
            tol: float = KRYLOV_TOL):
     """Yield the state at each requested time, starting from t = 0.
@@ -194,57 +218,17 @@ def evolve(hams, state: StateVector, t_grid, krylov_dim: int = KRYLOV_DIM,
     trajectories never sit in memory at once.
     """
     hams = list(hams)
-    if len(hams) != state.n_blocks:
-        raise StarError("need exactly one Hamiltonian per occupied sector")
-    for op, sector in zip(hams, state.sectors):
-        if op.sector.tag != sector.tag:
-            raise StarError(
-                f"Hamiltonian on {op.sector.tag} paired with sector {sector.tag}")
-    t_grid = [float(t) for t in t_grid]
-    if any(t < 0 for t in t_grid):
-        raise ParameterError("time grid must be nonnegative")
-    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
-        raise ParameterError("time grid must be strictly increasing")
-    blocks = [state.block(i).copy() for i in range(state.n_blocks)]
-    t_prev = 0.0
-    for t in t_grid:
-        dt = t - t_prev
-        if dt > 0.0:
-            blocks = [
-                _step_block(op.matrix, v, dt, krylov_dim, tol)
-                for op, v in zip(hams, blocks)
-            ]
-            t_prev = t
+    _check_pairing(hams, state)
+    t_grid = _time_grid(t_grid)
+    paths = [_trajectory(op.matrix, state.block(i), t_grid, krylov_dim, tol)
+             for i, op in enumerate(hams)]
+    for blocks in zip(*paths):
         yield StateVector(
             sectors=state.sectors,
             amps=np.concatenate(blocks),
             offsets=state.offsets,
             normalized=True,
         )
-
-
-def _block_series(mat, v0, t_grid, obs_mats, krylov_dim, tol):
-    """Per-block trajectory reduced to observable samples.
-
-    Returns (values, norms, energies): values has one row per
-    observable, norms and energies one entry per time.
-    """
-    n_t = len(t_grid)
-    values = np.zeros((len(obs_mats), n_t))
-    norms = np.zeros(n_t)
-    energies = np.zeros(n_t)
-    v = v0.copy()
-    t_prev = 0.0
-    for k, t in enumerate(t_grid):
-        dt = t - t_prev
-        if dt > 0.0:
-            v = _step_block(mat, v, dt, krylov_dim, tol)
-            t_prev = t
-        norms[k] = np.vdot(v, v).real
-        energies[k] = np.vdot(v, mat @ v).real
-        for i, om in enumerate(obs_mats):
-            values[i, k] = np.vdot(v, om @ v).real
-    return values, norms, energies
 
 
 def run_observables(hams, state: StateVector, t_grid, observables,
@@ -262,17 +246,25 @@ def run_observables(hams, state: StateVector, t_grid, observables,
     drift over the grid.
     """
     hams = list(hams)
-    t_grid = [float(t) for t in t_grid]
     names = list(observables.keys())
     obs_lists = [list(observables[name]) for name in names]
-    for ops in obs_lists:
-        if len(ops) != state.n_blocks:
-            raise StarError("each observable needs one operator per sector")
+    for ops in [hams, *obs_lists]:
+        _check_pairing(ops, state)
+    t_grid = _time_grid(t_grid)
+    n_t = len(t_grid)
 
     def work(i):
+        """Rows of observable values, then norms and energies, of block i."""
+        mat = hams[i].matrix
         mats = [ops[i].matrix for ops in obs_lists]
-        return _block_series(hams[i].matrix, state.block(i), t_grid, mats,
-                             krylov_dim, tol)
+        rows = np.zeros((len(mats) + 2, n_t))
+        path = _trajectory(mat, state.block(i), t_grid, krylov_dim, tol)
+        for k, v in enumerate(path):
+            for j, om in enumerate(mats):
+                rows[j, k] = np.vdot(v, om @ v).real
+            rows[-2, k] = np.vdot(v, v).real
+            rows[-1, k] = np.vdot(v, mat @ v).real
+        return rows
 
     indices = range(state.n_blocks)
     if threads > 1:
@@ -281,22 +273,17 @@ def run_observables(hams, state: StateVector, t_grid, observables,
     else:
         results = [work(i) for i in indices]
 
-    n_t = len(t_grid)
-    totals = {name: np.zeros(n_t) for name in names}
-    norm2 = np.zeros(n_t)
-    energy = np.zeros(n_t)
-    for values, norms, energies in results:
-        for i, name in enumerate(names):
-            totals[name] += values[i]
-        norm2 += norms
-        energy += energies
-    norm = np.sqrt(norm2)
+    totals = np.zeros((len(names) + 2, n_t))
+    for rows in results:
+        totals += rows
+    norm = np.sqrt(totals[-2])
+    energy = totals[-1]
     diagnostics = {
         "norm_drift": float(np.max(np.abs(norm - norm[0]))),
         "energy_drift": float(np.max(np.abs(energy - energy[0]))),
         "norm_min": float(norm.min()),
     }
-    return totals, diagnostics
+    return dict(zip(names, totals)), diagnostics
 
 
 def _neel_block_state(params: ModelParams, central_kind: str) -> StateVector:
@@ -382,6 +369,20 @@ def _observable(sector: BasisSector, name: str) -> SparseOperator:
     raise ParameterError(f"unknown observable {name!r}")
 
 
+def _reduced_series(run, rate, t_grid, meta, scales) -> dict[str, TimeSeries]:
+    """Call ``run`` on the absolute grid t_grid / rate; wrap each value
+    series as a TimeSeries on ``t_grid``, divided by ``scales[name]``
+    where given, with ``meta`` and the run's diagnostics."""
+    t_grid = np.asarray(list(t_grid), dtype=float)
+    values, diagnostics = run(t_grid / rate)
+    meta = {**meta, **diagnostics}
+    return {
+        name: TimeSeries(times=t_grid, name=name, meta=dict(meta),
+                         values=vals / scales[name] if name in scales else vals)
+        for name, vals in values.items()
+    }
+
+
 def neel_experiment(params: ModelParams, central_kind: str, t_grid,
                     observables=("ms",), krylov_dim: int = KRYLOV_DIM,
                     tol: float = KRYLOV_TOL, threads: int = 1) -> dict[str, TimeSeries]:
@@ -393,22 +394,11 @@ def neel_experiment(params: ModelParams, central_kind: str, t_grid,
     """
     if params.gt <= 0:
         raise ParameterError("reduced time needs gt = g sqrt(N) > 0")
-    t_grid = np.asarray(list(t_grid), dtype=float)
-    t_abs = t_grid / params.gt
-    values, diagnostics = neel_series(params, central_kind, t_abs,
-                                      observables=observables,
-                                      krylov_dim=krylov_dim, tol=tol,
-                                      threads=threads)
-    meta = {
-        "time_unit": "gt_collective",
-        "central": central_kind,
-        "params": params,
-        **diagnostics,
-    }
-    return {
-        name: TimeSeries(times=t_grid, values=vals, name=name, meta=dict(meta))
-        for name, vals in values.items()
-    }
+    meta = {"time_unit": "gt_collective", "central": central_kind, "params": params}
+    return _reduced_series(
+        lambda t_abs: neel_series(params, central_kind, t_abs, observables=observables,
+                                  krylov_dim=krylov_dim, tol=tol, threads=threads),
+        params.gt, t_grid, meta, scales={})
 
 
 def coherent_experiment(params: ModelParams, theta: float, phi: float, t_grid,
@@ -418,26 +408,11 @@ def coherent_experiment(params: ModelParams, theta: float, phi: float, t_grid,
     """Coherent-state run on a g t grid; 'Sz' is reported as <Sz>/S."""
     if params.g <= 0:
         raise ParameterError("reduced time needs g > 0")
-    t_grid = np.asarray(list(t_grid), dtype=float)
-    t_abs = t_grid / params.g
-    values, diagnostics = coherent_series(params, theta, phi, t_abs,
-                                          observables=observables,
-                                          krylov_dim=krylov_dim, tol=tol,
-                                          threads=threads)
-    meta = {
-        "time_unit": "gt",
-        "theta": theta,
-        "phi": phi,
-        "params": params,
-        **diagnostics,
-    }
-    out = {}
-    for name, vals in values.items():
-        if name == "Sz":
-            vals = vals / params.S
-        out[name] = TimeSeries(times=t_grid, values=vals, name=name,
-                               meta=dict(meta))
-    return out
+    meta = {"time_unit": "gt", "theta": theta, "phi": phi, "params": params}
+    return _reduced_series(
+        lambda t_abs: coherent_series(params, theta, phi, t_abs, observables=observables,
+                                      krylov_dim=krylov_dim, tol=tol, threads=threads),
+        params.g, t_grid, meta, scales={"Sz": params.S})
 
 
 def j_independence_check(params_base: ModelParams, J_list, observable: str,
@@ -458,8 +433,6 @@ def j_independence_check(params_base: ModelParams, J_list, observable: str,
     """
     if not params_base.isotropic:
         raise ParameterError("the J-independence statement needs J == Jp")
-    from .core import make_params
-
     series = []
     for J in J_list:
         params = make_params(params_base.N, params_base.two_S, J=float(J),

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import BasisSector, ModelParams, StateVector
-from .errors import ParameterError, SectorMismatch, StarError
+from .errors import ParameterError, SectorMismatch
 
 
 @dataclass
@@ -240,17 +240,22 @@ def expectation(op: SparseOperator, state: StateVector) -> float:
     return float(np.vdot(amps, op.matrix @ amps).real)
 
 
+def _check_pairing(ops, state: StateVector) -> None:
+    """Raise SectorMismatch unless ``ops`` holds one block operator per
+    occupied sector of ``state``, in the same order."""
+    if len(ops) != state.n_blocks:
+        raise SectorMismatch(f"{len(ops)} operators for {state.n_blocks} occupied sectors")
+    for i, (op, sector) in enumerate(zip(ops, state.sectors)):
+        if op.sector.tag != sector.tag:
+            raise SectorMismatch(
+                f"block {i}: operator on {op.sector.tag}, state on {sector.tag}")
+
+
 def expectation_blocks(ops, state: StateVector) -> float:
     """Sum of per-block expectations for a block-diagonal observable."""
-    if len(ops) != state.n_blocks:
-        raise StarError("need one operator per occupied sector")
+    _check_pairing(ops, state)
     total = 0.0
     for i, op in enumerate(ops):
-        if op.sector.tag != state.sectors[i].tag:
-            raise SectorMismatch(
-                f"block {i}: operator on {op.sector.tag},"
-                f" state on {state.sectors[i].tag}"
-            )
         x = state.block(i)
         total += float(np.vdot(x, op.matrix @ x).real)
     return total

@@ -96,7 +96,7 @@ def suite_spectrum(N: int = 12, threads: int = 1) -> list[CheckResult]:
     return out
 
 
-def suite_subground(N: int = 8, threads: int = 1) -> list[CheckResult]:
+def suite_subground(N: int = 8) -> list[CheckResult]:
     """Residuals of the closed-form eigenstates for every valid (l, m)."""
     out = []
     J, g = 0.85, 1.1
@@ -124,7 +124,7 @@ def suite_subground(N: int = 8, threads: int = 1) -> list[CheckResult]:
     return out
 
 
-def suite_dynamics_oracle(N: int = 6, threads: int = 1) -> list[CheckResult]:
+def suite_dynamics_oracle(N: int = 6) -> list[CheckResult]:
     """Krylov propagation against dense exponentials on a small star."""
     out = []
     params = make_params(N, 2, J=0.8, g=1.0)
@@ -171,8 +171,8 @@ def _coherent_k0_check() -> CheckResult:
 SUITES = {
     "identities": lambda n, threads: suite_identities(),
     "spectrum": lambda n, threads: suite_spectrum(n or 12, threads),
-    "subground": lambda n, threads: suite_subground(n or 8, threads),
-    "dynamics-oracle": lambda n, threads: suite_dynamics_oracle(n or 6, threads),
+    "subground": lambda n, threads: suite_subground(n or 8),
+    "dynamics-oracle": lambda n, threads: suite_dynamics_oracle(n or 6),
 }
 
 

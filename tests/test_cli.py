@@ -99,6 +99,10 @@ class TestNeel:
         assert run(["neel", "--n", 5, "--two-s", 1,
                     "--out", tmp_path / "x.csv"]) == 2
 
+    def test_negative_times_are_a_usage_error(self, tmp_path):
+        assert run(["neel", "--n", 4, "--two-s", 1, "--tmax", -5,
+                    "--samples", 3, "--out", tmp_path / "x.csv"]) == 2
+
 
 class TestCoherent:
     def test_quick_run(self, tmp_path):
@@ -125,6 +129,11 @@ class TestCoherent:
                     "--samples", 3, "--out", out]) == 0
         # 10 + 7 necklaces of the two half-filled central levels
         assert "block_dim_max = 17" in read(tmp_path / "c8.csv.meta").splitlines()
+
+    def test_empty_time_span_is_a_usage_error(self, tmp_path):
+        # tmax-gt 0 repeats t = 0, which is not a strictly increasing grid
+        assert run(["coherent", "--n", 4, "--two-s", 1, "--tmax-gt", 0,
+                    "--samples", 3, "--out", tmp_path / "x.csv"]) == 2
 
 
 class TestSubground:

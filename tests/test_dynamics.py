@@ -44,6 +44,20 @@ def dense_propagate(op, amps, t):
     return scipy.linalg.expm(-1j * op.matrix.toarray() * t) @ amps
 
 
+def _evolve_all(hams, st, grid):
+    return list(evolve(hams, st, grid))
+
+
+def _observe_all(hams, st, grid):
+    sz = [ops.build_zeeman(sector, 1.0) for sector in st.sectors]
+    return run_observables(hams, st, grid, {"Sz": sz})
+
+
+# both public entry points into the propagator
+propagators = pytest.mark.parametrize(
+    "propagate", [_evolve_all, _observe_all], ids=["evolve", "run_observables"])
+
+
 class TestEvolve:
     def test_matches_dense_exponential(self):
         params = make_params(6, 2, J=0.8, g=1.1)
@@ -121,24 +135,40 @@ class TestEvolve:
         want = dense_propagate(H, st.amps, 3.0)
         assert np.linalg.norm(out.amps - want) <= 1e-8
 
-    def test_grid_validation(self):
+    @propagators
+    def test_grid_validation(self, propagate):
         params = make_params(4, 1, J=1.0, g=1.0)
         sec = enumerate_sector(4, 1, 1)
         H = ops.build_star_hamiltonian(sec, params)
         st = random_state(sec, 1)
         with pytest.raises(ParameterError):
-            list(evolve([H], st, [0.0, -1.0]))
+            propagate([H], st, [0.0, -1.0])
         with pytest.raises(ParameterError):
-            list(evolve([H], st, [1.0, 1.0]))
+            propagate([H], st, [1.0, 1.0])
 
-    def test_block_operator_mismatch(self):
+    @propagators
+    def test_block_operator_mismatch(self, propagate):
         params = make_params(4, 1, J=1.0, g=1.0)
         a = enumerate_sector(4, 1, 1)
         b = enumerate_sector(4, 1, 3)
         Ha = ops.build_star_hamiltonian(a, params)
         st = StateVector.from_blocks([(a, np.ones(a.dim)), (b, np.ones(b.dim))])
         with pytest.raises(StarError):
-            list(evolve([Ha], st, [0.0, 1.0]))
+            propagate([Ha], st, [0.0, 1.0])
+
+    @propagators
+    def test_swapped_hamiltonians_of_equal_dimension(self, propagate):
+        # the two blocks have the same dimension, so only the tags tell
+        # that each Hamiltonian sits on the other's block
+        params = make_params(6, 1, J=0.7, g=1.0)
+        a = enumerate_sector(6, 1, 1)
+        b = enumerate_sector(6, 1, -1)
+        assert a.dim == b.dim
+        Ha = ops.build_star_hamiltonian(a, params)
+        Hb = ops.build_star_hamiltonian(b, params)
+        st = StateVector.from_blocks([(a, np.ones(a.dim)), (b, np.ones(b.dim))])
+        with pytest.raises(StarError):
+            propagate([Hb, Ha], st, [0.0, 1.0])
 
 
 class TestRunObservables:
