@@ -43,6 +43,5 @@ from .dynamics import (
     coherent_experiment,
     evolve,
     first_crossing,
-    j_independence_check,
     neel_experiment,
 )

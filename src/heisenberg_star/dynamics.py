@@ -3,9 +3,10 @@
 Time evolution is exact short-iterate Lanczos exponentiation applied
 block by block: total magnetization is conserved, so a multi-sector
 initial state never mixes blocks and each block carries its own
-Hamiltonian. Within a block the propagator builds a small Krylov basis
-per step, exponentiates the projected tridiagonal, and halves the
-substep whenever the a posteriori error estimate misses the tolerance.
+Hamiltonian. Within a block the propagator builds a Krylov basis of at
+most KRYLOV_DIM vectors per step, exponentiates the projected
+tridiagonal, and halves the substep whenever the a posteriori error
+estimate misses KRYLOV_TOL. Both settings are fixed module constants.
 
 The two experiments mirror the figures this package reproduces: the
 alternating-state quench watched through the staggered magnetization
@@ -31,7 +32,6 @@ from .core import (
     ModelParams,
     StateVector,
     enumerate_sector,
-    make_params,
     zero_momentum_isometry,
 )
 from .errors import ConvergenceError, ParameterError, StarError
@@ -44,8 +44,9 @@ from .operators import (
     build_star_hamiltonian,
     build_zeeman,
 )
-from .states import central_initial, coherent_coefficients, neel_state
+from .states import central_initial, coherent_coefficients
 
+# Krylov basis size and per-step error tolerance of the propagator
 KRYLOV_DIM = 30
 KRYLOV_TOL = 1e-9
 # largest |P P^T v - v| / |v| of a block accepted as translation invariant
@@ -160,7 +161,7 @@ def _expm_tridiag(alphas, betas, tau):
     return evecs @ (np.exp(-1j * tau * evals) * evecs[0, :])
 
 
-def _step_block(mat, v, dt, m, tol):
+def _step_block(mat, v, dt):
     """Advance one block by dt, substepping adaptively."""
     if dt == 0.0:
         return v.copy()
@@ -169,18 +170,18 @@ def _step_block(mat, v, dt, m, tol):
     guard = 0
     while remaining > 1e-14 * abs(dt):
         tau = min(tau, remaining)
-        w, err, ok = _expm_krylov(mat, v, tau, m, tol)
+        w, err, ok = _expm_krylov(mat, v, tau, KRYLOV_DIM, KRYLOV_TOL)
         if not ok:
             tau *= 0.5
             guard += 1
             if guard > 60:
                 raise ConvergenceError(
                     f"substep collapsed below {tau:.3e} without meeting"
-                    f" tol={tol}", residual=err)
+                    f" tol={KRYLOV_TOL}", residual=err)
             continue
         v = w
         remaining -= tau
-        if err < 0.01 * tol:
+        if err < 0.01 * KRYLOV_TOL:
             tau *= 2.0
     return v
 
@@ -196,19 +197,18 @@ def _time_grid(t_grid) -> list[float]:
     return t_grid
 
 
-def _trajectory(mat, v, t_grid, krylov_dim, tol):
+def _trajectory(mat, v, t_grid):
     """Yield one block's vector at each grid time, starting from t = 0."""
     t_prev = 0.0
     for t in t_grid:
         dt = t - t_prev
         if dt > 0.0:
-            v = _step_block(mat, v, dt, krylov_dim, tol)
+            v = _step_block(mat, v, dt)
             t_prev = t
         yield v
 
 
-def evolve(hams, state: StateVector, t_grid, krylov_dim: int = KRYLOV_DIM,
-           tol: float = KRYLOV_TOL):
+def evolve(hams, state: StateVector, t_grid):
     """Yield the state at each requested time, starting from t = 0.
 
     ``hams`` supplies one Hermitian block operator per occupied sector,
@@ -220,8 +220,7 @@ def evolve(hams, state: StateVector, t_grid, krylov_dim: int = KRYLOV_DIM,
     hams = list(hams)
     _check_pairing(hams, state)
     t_grid = _time_grid(t_grid)
-    paths = [_trajectory(op.matrix, state.block(i), t_grid, krylov_dim, tol)
-             for i, op in enumerate(hams)]
+    paths = [_trajectory(op.matrix, state.block(i), t_grid) for i, op in enumerate(hams)]
     for blocks in zip(*paths):
         yield StateVector(
             sectors=state.sectors,
@@ -231,9 +230,7 @@ def evolve(hams, state: StateVector, t_grid, krylov_dim: int = KRYLOV_DIM,
         )
 
 
-def run_observables(hams, state: StateVector, t_grid, observables,
-                    krylov_dim: int = KRYLOV_DIM, tol: float = KRYLOV_TOL,
-                    threads: int = 1):
+def run_observables(hams, state: StateVector, t_grid, observables, threads: int = 1):
     """Evolve a block state and sample named block-diagonal observables.
 
     ``observables`` maps a name to the list of per-sector operators
@@ -258,7 +255,7 @@ def run_observables(hams, state: StateVector, t_grid, observables,
         mat = hams[i].matrix
         mats = [ops[i].matrix for ops in obs_lists]
         rows = np.zeros((len(mats) + 2, n_t))
-        path = _trajectory(mat, state.block(i), t_grid, krylov_dim, tol)
+        path = _trajectory(mat, state.block(i), t_grid)
         for k, v in enumerate(path):
             for j, om in enumerate(mats):
                 rows[j, k] = np.vdot(v, om @ v).real
@@ -320,8 +317,7 @@ def _coherent_block_state(params: ModelParams, theta: float, phi: float) -> Stat
 
 
 def neel_series(params: ModelParams, central_kind: str, t_abs,
-                observables=("ms",), krylov_dim: int = KRYLOV_DIM,
-                tol: float = KRYLOV_TOL, threads: int = 1):
+                observables=("ms",), threads: int = 1):
     """Alternating-state quench on an absolute time grid.
 
     Returns (values dict, diagnostics). The Hamiltonian is the plain
@@ -333,28 +329,27 @@ def neel_series(params: ModelParams, central_kind: str, t_abs,
         raise ParameterError("the alternating-state quench needs J == Jp")
     if params.omega != 0.0:
         raise ParameterError("the alternating-state quench carries no field")
+    t_abs = _time_grid(t_abs)
     state = _neel_block_state(params, central_kind)
     hams = [build_star_hamiltonian(s, params) for s in state.sectors]
     obs = {name: [_observable(s, name) for s in state.sectors] for name in observables}
-    return run_observables(hams, state, t_abs, obs,
-                           krylov_dim=krylov_dim, tol=tol, threads=threads)
+    return run_observables(hams, state, t_abs, obs, threads=threads)
 
 
 def coherent_series(params: ModelParams, theta: float, phi: float, t_abs,
-                    observables=("Sz",), krylov_dim: int = KRYLOV_DIM,
-                    tol: float = KRYLOV_TOL, threads: int = 1):
+                    observables=("Sz",), threads: int = 1):
     """Driven-star run from the coherent ring state, absolute times.
 
     Each block runs in its k = 0 basis: every sector operator is built
     in full, reduced to P^T M P and dropped. ``diagnostics`` gains
     ``block_dims``, the k = 0 dimension of each block.
     """
+    t_abs = _time_grid(t_abs)
     state = k0_state(_coherent_block_state(params, theta, phi))
     hams = [b.reduce(build_modified_star(b.sector, params)) for b in state.sectors]
     obs = {name: [b.reduce(_observable(b.sector, name)) for b in state.sectors]
            for name in observables}
-    values, diagnostics = run_observables(hams, state, t_abs, obs, krylov_dim=krylov_dim,
-                                          tol=tol, threads=threads)
+    values, diagnostics = run_observables(hams, state, t_abs, obs, threads=threads)
     diagnostics["block_dims"] = [b.dim for b in state.sectors]
     return values, diagnostics
 
@@ -384,8 +379,7 @@ def _reduced_series(run, rate, t_grid, meta, scales) -> dict[str, TimeSeries]:
 
 
 def neel_experiment(params: ModelParams, central_kind: str, t_grid,
-                    observables=("ms",), krylov_dim: int = KRYLOV_DIM,
-                    tol: float = KRYLOV_TOL, threads: int = 1) -> dict[str, TimeSeries]:
+                    observables=("ms",), threads: int = 1) -> dict[str, TimeSeries]:
     """Staggered-magnetization quench on a gt_collective = g sqrt(N) t grid.
 
     Returns one TimeSeries per requested observable ('ms' is the
@@ -397,57 +391,20 @@ def neel_experiment(params: ModelParams, central_kind: str, t_grid,
     meta = {"time_unit": "gt_collective", "central": central_kind, "params": params}
     return _reduced_series(
         lambda t_abs: neel_series(params, central_kind, t_abs, observables=observables,
-                                  krylov_dim=krylov_dim, tol=tol, threads=threads),
+                                  threads=threads),
         params.gt, t_grid, meta, scales={})
 
 
 def coherent_experiment(params: ModelParams, theta: float, phi: float, t_grid,
-                        observables=("Sz",), krylov_dim: int = KRYLOV_DIM,
-                        tol: float = KRYLOV_TOL, threads: int = 1
-                        ) -> dict[str, TimeSeries]:
+                        observables=("Sz",), threads: int = 1) -> dict[str, TimeSeries]:
     """Coherent-state run on a g t grid; 'Sz' is reported as <Sz>/S."""
     if params.g <= 0:
         raise ParameterError("reduced time needs g > 0")
     meta = {"time_unit": "gt", "theta": theta, "phi": phi, "params": params}
     return _reduced_series(
         lambda t_abs: coherent_series(params, theta, phi, t_abs, observables=observables,
-                                      krylov_dim=krylov_dim, tol=tol, threads=threads),
+                                      threads=threads),
         params.g, t_grid, meta, scales={"Sz": params.S})
-
-
-def j_independence_check(params_base: ModelParams, J_list, observable: str,
-                         t_grid, central_kind: str = "polarized",
-                         krylov_dim: int = KRYLOV_DIM, tol: float = KRYLOV_TOL,
-                         threads: int = 1) -> float:
-    """Max pointwise spread of one observable across intrabath couplings.
-
-    Reruns the alternating-state quench with each J in ``J_list``
-    (isotropic, J = Jp) and returns the largest pairwise deviation of
-    the sampled series. For a central-spin observable the exact answer
-    is zero: the isotropic ring term commutes with every central
-    operator and rotational symmetry removes it from the reduced
-    dynamics, so the spread measures integrator error only. Ring
-    observables such as 'ms' do depend on J, which is the contrast this
-    check quantifies. Anisotropic base parameters are rejected because
-    the statement only holds for the isotropic ring.
-    """
-    if not params_base.isotropic:
-        raise ParameterError("the J-independence statement needs J == Jp")
-    series = []
-    for J in J_list:
-        params = make_params(params_base.N, params_base.two_S, J=float(J),
-                             Jp=float(J), g=params_base.g,
-                             omega=params_base.omega)
-        result = neel_experiment(params, central_kind, t_grid,
-                                 observables=(observable,),
-                                 krylov_dim=krylov_dim, tol=tol,
-                                 threads=threads)
-        series.append(result[observable].values)
-    worst = 0.0
-    for i in range(len(series)):
-        for j in range(i + 1, len(series)):
-            worst = max(worst, float(np.max(np.abs(series[i] - series[j]))))
-    return worst
 
 
 def first_crossing(times, values, level) -> float:

@@ -37,7 +37,6 @@ class SparseOperator:
 
     sector: BasisSector
     matrix: sp.csr_matrix
-    hermitian: bool = True
 
     @property
     def tag(self) -> str:
@@ -251,16 +250,6 @@ def _check_pairing(ops, state: StateVector) -> None:
                 f"block {i}: operator on {op.sector.tag}, state on {sector.tag}")
 
 
-def expectation_blocks(ops, state: StateVector) -> float:
-    """Sum of per-block expectations for a block-diagonal observable."""
-    _check_pairing(ops, state)
-    total = 0.0
-    for i, op in enumerate(ops):
-        x = state.block(i)
-        total += float(np.vdot(x, op.matrix @ x).real)
-    return total
-
-
 def apply_bath_lowering(sector: BasisSector, amps: np.ndarray,
                         dst: BasisSector) -> np.ndarray:
     """Total ring lowering L- = sum_n S-_n, mapping n_up -> n_up - 1.
@@ -279,7 +268,12 @@ def apply_bath_lowering(sector: BasisSector, amps: np.ndarray,
 
 def apply_total_lowering(sector: BasisSector, amps: np.ndarray,
                          dst: BasisSector) -> np.ndarray:
-    """Total lowering S- + L- on a star sector, two_m -> two_m - 2."""
+    """Total lowering S- + L- on a star sector, two_m -> two_m - 2.
+
+    The package itself never lowers a star state; this is the oracle the
+    tests use to check that the closed-form sub-ground states descend
+    their multiplet.
+    """
     out = apply_bath_lowering(sector, amps, dst)
     i, j = _hop(sector, dst, step=1)
     out[j] += _lower_weight(sector.two_S, sector.central[i]) * amps[i]

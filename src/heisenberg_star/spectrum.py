@@ -2,8 +2,9 @@
 
 The only numerical work here is the lowest eigenpair of the isotropic
 ring in one magnetization block (dense ``eigh`` up to DENSE_CUTOFF
-states, ``eigsh`` on the real CSR above, certified by its true residual,
-returned with a fixed phase) and its ring L^2, read from one lowering.
+states, ``eigsh`` above, both on the real CSR with fixed settings;
+certified by its true residual, returned with a fixed phase) and its
+ring L^2, read from one lowering.
 Everything else is arithmetic on top of those numbers:
 
 * each ring block ``l_m = l`` has a nondegenerate bottom level with
@@ -37,6 +38,12 @@ LANCZOS_SEED = 0x5EED5
 # Blocks at or below this dimension go straight to the dense solver.
 DENSE_CUTOFF = 1024
 
+# A Lanczos pair is accepted when its true residual |A v - lam v| is at
+# most LANCZOS_TOL, reached within about LANCZOS_PRODUCTS matrix-vector
+# products per attempt.
+LANCZOS_TOL = 1e-10
+LANCZOS_PRODUCTS = 500
+
 
 def degeneracy(N: int, l: int) -> int:
     """Number of ring multiplets with total angular momentum l.
@@ -54,9 +61,12 @@ def degeneracy(N: int, l: int) -> int:
     return first - second
 
 
-def _real_if_possible(mat):
-    """The real part of ``mat`` when its imaginary part is exactly zero."""
-    return mat.real if not np.any(mat.data.imag) else mat
+def _real_matrix(op: SparseOperator):
+    """The real part of the CSR of ``op``; StarError if its imaginary part is nonzero."""
+    if np.any(op.matrix.data.imag):
+        raise StarError(f"operator on {op.tag} has a nonzero imaginary part;"
+                        " the ring solver takes real symmetric matrices only")
+    return op.matrix.real
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -70,32 +80,28 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (abs(pivot) / pivot)
 
 
-def lanczos_lowest(op: SparseOperator, k: int = 500, tol: float = 1e-10,
-                   seed: int = LANCZOS_SEED) -> tuple[float, np.ndarray]:
+def lanczos_lowest(op: SparseOperator) -> tuple[float, np.ndarray]:
     """Lowest eigenpair by ARPACK's restarted Lanczos (``eigsh``, ``which="SA"``).
 
-    Solves in float64 when the matrix has no imaginary part, as complex
-    Hermitian otherwise (scipy hands that to ``eigs``, which takes no
-    generator, so the seed fixes only the start vector there), to machine
-    precision with 20 Lanczos vectors and about ``k`` matrix-vector
-    products. The pair satisfies ``|A v - lam v| <= tol``, checked on the
-    pair itself; a failure gets one retry from an independent start, a
-    second failure raises ConvergenceError with the smallest true residual
-    of a returned vector (of the start vector if ARPACK returned none).
+    Solves the real CSR in float64 to machine precision with 20 Lanczos
+    vectors and about LANCZOS_PRODUCTS matrix-vector products, start and
+    restart vectors drawn from LANCZOS_SEED. The pair satisfies
+    ``|A v - lam v| <= LANCZOS_TOL``, checked on the pair itself; a
+    failure gets one retry from an independent start, a second failure
+    raises ConvergenceError with the smallest true residual of a returned
+    vector (of the start vector if ARPACK returned none).
     """
     # imported here: the dynamics commands never solve and skip its import time
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     n = op.dim
-    mat = _real_if_possible(op.matrix)
-    if n < 3:  # below the smallest block ARPACK's complex route accepts
-        evals, evecs = scipy.linalg.eigh(mat.toarray(), subset_by_index=[0, 0])
-        return float(evals[0]), evecs[:, 0]
-    # eigs, which solves the complex route, needs at least 3 Lanczos vectors
-    ncv = max(2 if mat.dtype.kind == "f" else 3, min(n, k, 20))
+    mat = _real_matrix(op)
+    if n == 1:  # eigsh needs more states than requested pairs
+        return float(mat[0, 0]), np.ones(1)
+    ncv = min(n, LANCZOS_PRODUCTS, 20)
     # each implicit restart spends about ncv / 2 further products
-    restarts = max(1, (k - ncv) // (ncv // 2))
-    rng = np.random.default_rng(seed)
+    restarts = max(1, (LANCZOS_PRODUCTS - ncv) // (ncv // 2))
+    rng = np.random.default_rng(LANCZOS_SEED)
     best = None
     for _ in range(2):
         vec, ritz = rng.standard_normal(n), True
@@ -108,18 +114,20 @@ def lanczos_lowest(op: SparseOperator, k: int = 500, tol: float = 1e-10,
         product = mat @ vec
         lam = float(np.vdot(vec, product).real)
         residual = float(np.linalg.norm(product - lam * vec))
-        if residual <= tol:
+        if residual <= LANCZOS_TOL:
             return lam, vec
         if ritz:
             best = residual if best is None else min(best, residual)
     if best is None:
-        raise ConvergenceError(f"ARPACK returned no Ritz vector within {k} matrix-vector"
-                               f" products (tol={tol})", residual=residual)
-    raise ConvergenceError(f"Lanczos did not reach tol={tol} within {k} matrix-vector"
-                           f" products (best residual {best:.3e})", residual=best)
+        raise ConvergenceError(f"ARPACK returned no Ritz vector within {LANCZOS_PRODUCTS}"
+                               f" matrix-vector products (tol={LANCZOS_TOL})",
+                               residual=residual)
+    raise ConvergenceError(f"Lanczos did not reach tol={LANCZOS_TOL} within"
+                           f" {LANCZOS_PRODUCTS} matrix-vector products"
+                           f" (best residual {best:.3e})", residual=best)
 
 
-def lowest_eigenpair(op: SparseOperator, tol: float = 1e-10) -> tuple[float, np.ndarray]:
+def lowest_eigenpair(op: SparseOperator) -> tuple[float, np.ndarray]:
     """Lowest eigenpair: dense ``eigh`` up to DENSE_CUTOFF, Lanczos above.
 
     Both routes return the vector with the same phase (its first entry of
@@ -127,16 +135,14 @@ def lowest_eigenpair(op: SparseOperator, tol: float = 1e-10) -> tuple[float, np.
     amplitudes do not depend on which solver ran.
     """
     if op.dim <= DENSE_CUTOFF:
-        dense = _real_if_possible(op.matrix).toarray()
-        evals, evecs = scipy.linalg.eigh(dense, subset_by_index=[0, 0])
+        evals, evecs = scipy.linalg.eigh(_real_matrix(op).toarray(), subset_by_index=[0, 0])
         energy, vec = float(evals[0]), evecs[:, 0]
     else:
-        energy, vec = lanczos_lowest(op, tol=tol)
+        energy, vec = lanczos_lowest(op)
     return energy, _fix_phase(vec)
 
 
-def bath_subground_state(N: int, two_l: int, tol: float = 1e-10
-                         ) -> tuple[float, StateVector]:
+def bath_subground_state(N: int, two_l: int) -> tuple[float, StateVector]:
     """Bottom level of the ring block ``l_m = l`` at unit coupling.
 
     Returns the energy and the eigenvector, after checking that the
@@ -151,7 +157,7 @@ def bath_subground_state(N: int, two_l: int, tol: float = 1e-10
     l = two_l // 2
     sector = enumerate_bath_sector(N, N // 2 + l)
     ring = build_bath_ring(sector, 1.0, 1.0)
-    energy, vec = lowest_eigenpair(ring, tol=tol)
+    energy, vec = lowest_eigenpair(ring)
     state = StateVector.single(sector, vec)
     below = enumerate_bath_sector(N, N // 2 + l - 1)
     lowered = apply_bath_lowering(sector, state.amps, below)
@@ -163,9 +169,9 @@ def bath_subground_state(N: int, two_l: int, tol: float = 1e-10
     return energy, state
 
 
-def bath_subground_energy(N: int, l: int, tol: float = 1e-10) -> float:
+def bath_subground_energy(N: int, l: int) -> float:
     """Energy of the bottom level in ring block ``l_m = l``, unit coupling."""
-    energy, _ = bath_subground_state(N, 2 * l, tol=tol)
+    energy, _ = bath_subground_state(N, 2 * l)
     return energy
 
 
@@ -214,12 +220,12 @@ class LevelTable:
             )
 
 
-def level_table(N: int, tol: float = 1e-10, threads: int = 1) -> LevelTable:
+def level_table(N: int, threads: int = 1) -> LevelTable:
     """Solve every ring block l = 0 .. N/2 and tabulate the bottom levels."""
     two_ls = list(range(0, N + 1, 2))
 
     def solve(two_l):
-        energy, _ = bath_subground_state(N, two_l, tol=tol)
+        energy, _ = bath_subground_state(N, two_l)
         return LevelRow(two_l=two_l, energy=energy,
                         degeneracy=degeneracy(N, two_l // 2))
 
@@ -294,7 +300,7 @@ class GroundScanRow:
 
 
 def ground_scan(N: int, two_S: int, ratio_grid, table: LevelTable | None = None,
-                tol: float = 1e-10, threads: int = 1) -> list[GroundScanRow]:
+                threads: int = 1) -> list[GroundScanRow]:
     """Ground energy and its ring quantum number along a J/gt grid.
 
     Energies are reported in units of the collective coupling
@@ -304,7 +310,7 @@ def ground_scan(N: int, two_S: int, ratio_grid, table: LevelTable | None = None,
     if two_S < 1 or two_S > N:
         raise ParameterError(f"two_S={two_S} outside [1, N={N}]")
     if table is None:
-        table = level_table(N, tol=tol, threads=threads)
+        table = level_table(N, threads=threads)
     inv_sqrt_n = 1.0 / math.sqrt(N)
     branch = []
     for row in table.rows:

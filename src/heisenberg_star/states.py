@@ -195,8 +195,7 @@ def subground_squared_norm(two_S: int, two_l: int) -> Fraction:
 
 
 def bath_multiplet(N: int, two_l: int, two_lm_stop: int | None = None,
-                   tol: float = 1e-10, seed: StateVector | None = None
-                   ) -> dict[int, StateVector]:
+                   seed: StateVector | None = None) -> dict[int, StateVector]:
     """Bottom ring multiplet of block l, resolved over its levels.
 
     Solves the block l_m = l once, unless its bottom state is passed as
@@ -210,7 +209,7 @@ def bath_multiplet(N: int, two_l: int, two_lm_stop: int | None = None,
     if two_lm_stop < -two_l or two_lm_stop > two_l or (two_lm_stop - two_l) % 2 != 0:
         raise ParameterError(f"two_lm_stop={two_lm_stop} invalid for two_l={two_l}")
     if seed is None:
-        _, seed = spectrum.bath_subground_state(N, two_l, tol=tol)
+        _, seed = spectrum.bath_subground_state(N, two_l)
     out = {two_l: seed}
     current = seed
     for two_lm in range(two_l - 2, two_lm_stop - 2, -2):
@@ -227,8 +226,7 @@ def bath_multiplet(N: int, two_l: int, two_lm_stop: int | None = None,
 
 def subground_state(N: int, two_S: int, two_l: int, two_m: int,
                     multiplet: dict[int, StateVector] | None = None,
-                    tol: float = 1e-10, seed: StateVector | None = None
-                    ) -> StateVector:
+                    seed: StateVector | None = None) -> StateVector:
     """Closed-form sub-ground eigenstate of the isotropic star.
 
     Assembles sum over levels of coefficient * |central level> x |ring
@@ -251,7 +249,7 @@ def subground_state(N: int, two_S: int, two_l: int, two_m: int,
         needed = [(two_m - two_lm, two_lm) for two_lm, _ in coeffs]
     lowest_lm = min(lm for _, lm in needed)
     if multiplet is None:
-        multiplet = bath_multiplet(N, two_l, two_lm_stop=lowest_lm, tol=tol, seed=seed)
+        multiplet = bath_multiplet(N, two_l, two_lm_stop=lowest_lm, seed=seed)
     star = enumerate_sector(N, two_S, two_m)
     amps = np.zeros(star.dim, dtype=np.complex128)
     for (two_Sm, two_lm), (_, coeff) in zip(needed, coeffs):

@@ -7,6 +7,7 @@ their stated conventions (time units, initial values, conservation
 laws) rather than re-deriving the propagator.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +26,6 @@ from heisenberg_star.dynamics import (
     coherent_series,
     evolve,
     first_crossing,
-    j_independence_check,
     neel_experiment,
     neel_series,
     run_observables,
@@ -126,12 +126,13 @@ class TestEvolve:
         sampled = list(evolve([H], st, np.linspace(0.5, 8.0, 16)))[-1]
         assert np.linalg.norm(direct.amps - sampled.amps) <= 1e-9
 
-    def test_small_krylov_space_still_converges(self):
+    def test_small_krylov_space_still_converges(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "KRYLOV_DIM", 5)
         params = make_params(6, 1, J=1.0, g=1.0)
         sec = enumerate_sector(6, 1, 1)
         H = ops.build_star_hamiltonian(sec, params)
         st = random_state(sec, 5)
-        out = list(evolve([H], st, [3.0], krylov_dim=5))[0]
+        out = list(evolve([H], st, [3.0]))[0]
         want = dense_propagate(H, st.amps, 3.0)
         assert np.linalg.norm(out.amps - want) <= 1e-8
 
@@ -196,6 +197,26 @@ class TestRunObservables:
         np.testing.assert_array_equal(a["ms"], b["ms"])
 
 
+@pytest.mark.parametrize("series", ["neel", "coherent"])
+def test_series_check_the_grid_before_building(series, monkeypatch):
+    built = []
+
+    def builder(*args, **kwargs):
+        built.append(args)
+        raise AssertionError("built before the grid was checked")
+
+    for name in ("enumerate_sector", "build_star_hamiltonian",
+                 "build_modified_star", "_observable"):
+        monkeypatch.setattr(dynamics, name, builder)
+    params = make_params(6, 1, J=1.0, g=1.0)
+    with pytest.raises(ParameterError, match="increasing"):
+        if series == "neel":
+            neel_series(params, "polarized", [1.0, 0.5])
+        else:
+            coherent_series(params, math.pi / 2, 0.0, [1.0, 0.5])
+    assert built == []
+
+
 class TestNeelSeries:
     def test_decoupled_centre_leaves_the_ring_alone(self):
         # g = 0: the staggered signal is pure ring dynamics
@@ -224,23 +245,21 @@ class TestNeelSeries:
             neel_series(make_params(4, 1, J=1.0, omega=0.2), "polarized", [0.0, 1.0])
 
 
+def j_spread(name):
+    """Largest pointwise spread of one quench series over J in {0, 1, 5}."""
+    grid = np.linspace(0.0, 8.0, 17)
+    runs = [neel_experiment(make_params(6, 1, J=J, g=1.0), "polarized", grid,
+                            observables=(name,))[name].values for J in (0.0, 1.0, 5.0)]
+    return max(float(np.max(np.abs(a - b))) for a, b in itertools.combinations(runs, 2))
+
+
 class TestCentralObservableUniversality:
     def test_central_polarization_ignores_the_ring_coupling(self):
-        params = make_params(6, 1, J=1.0, g=1.0)
-        grid = np.linspace(0.0, 8.0, 17)
-        dev = j_independence_check(params, [0.0, 1.0, 5.0], "Sz", grid)
-        assert dev <= 1e-8
+        # the isotropic ring term commutes with every central operator
+        assert j_spread("Sz") <= 1e-8
 
     def test_the_bath_observable_does_depend_on_it(self):
-        params = make_params(6, 1, J=1.0, g=1.0)
-        grid = np.linspace(0.0, 8.0, 17)
-        dev = j_independence_check(params, [0.0, 1.0, 5.0], "ms", grid)
-        assert dev > 1e-2
-
-    def test_needs_an_isotropic_base(self):
-        params = make_params(6, 1, J=1.0, Jp=0.4, g=1.0)
-        with pytest.raises(ParameterError):
-            j_independence_check(params, [0.0, 1.0], "Sz", [0.0, 1.0])
+        assert j_spread("ms") > 1e-2
 
 
 class TestNeelExperiment:

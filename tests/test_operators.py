@@ -326,18 +326,6 @@ class TestApplication:
         want = np.vdot(st.amps, dense(H) @ st.amps).real
         assert ops.expectation(H, st) == pytest.approx(want)
 
-    def test_expectation_blocks(self):
-        a = enumerate_sector(4, 1, 1)
-        b = enumerate_sector(4, 1, 3)
-        st = StateVector.from_blocks([(a, np.ones(a.dim)), (b, np.ones(b.dim))])
-        za, zb = ops.build_zeeman(a, 1.0), ops.build_zeeman(b, 1.0)
-        total = ops.expectation_blocks([za, zb], st)
-        wa = ops.expectation(za, StateVector.single(a, np.ones(a.dim))) * (a.dim / (a.dim + b.dim))
-        wb = ops.expectation(zb, StateVector.single(b, np.ones(b.dim))) * (b.dim / (a.dim + b.dim))
-        assert total == pytest.approx(wa + wb)
-        with pytest.raises(StarError):
-            ops.expectation_blocks([za], st)
-
 
 class TestLadders:
     def test_lowering_fully_polarized_ring(self):

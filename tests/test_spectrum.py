@@ -157,11 +157,13 @@ class TestLanczos:
         assert e == pytest.approx(6 / 4.0)
         assert v.shape == (1,)
 
-    def test_iteration_budget_enforced(self):
+    def test_iteration_budget_enforced(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "LANCZOS_PRODUCTS", 2)
+        monkeypatch.setattr(spectrum, "LANCZOS_TOL", 1e-13)
         sec = enumerate_bath_sector(10, 5)
         op = ops.build_bath_ring(sec, 1.0, 1.0)
         with pytest.raises(ConvergenceError) as ei:
-            lanczos_lowest(op, k=2, tol=1e-13)
+            lanczos_lowest(op)
         assert ei.value.residual is not None and ei.value.residual > 1e-13
 
     def test_dense_route_agrees_with_lanczos(self):
@@ -176,6 +178,14 @@ def pivot(vec):
     """First entry whose magnitude is the largest, up to rounding."""
     mags = np.abs(vec)
     return vec[np.flatnonzero(mags >= (1.0 - 1e-8) * mags.max())[0]]
+
+
+def twisted_ring(N, n_up):
+    """Ring block under a seeded diagonal unitary: same spectrum, complex entries."""
+    op = ops.build_bath_ring(enumerate_bath_sector(N, n_up), 1.0, 1.0)
+    phases = np.exp(1j * np.random.default_rng(3).uniform(0, 2 * np.pi, op.dim))
+    mat = op.matrix.multiply(phases[:, None]).multiply(phases.conj()[None, :]).tocsr()
+    return ops.SparseOperator(op.sector, mat)
 
 
 class TestSparseRoute:
@@ -197,20 +207,28 @@ class TestSparseRoute:
         assert got == pytest.approx(want, abs=1e-10)
 
     @pytest.mark.parametrize("cutoff", [spectrum.DENSE_CUTOFF, 0])
-    def test_complex_hermitian_matrix_is_solved(self, cutoff, monkeypatch):
-        # a diagonal unitary gives the ring block nonzero imaginary parts
-        # without changing its spectrum; cutoff 0 forces the sparse route
+    def test_complex_matrix_is_refused(self, cutoff, monkeypatch):
+        # cutoff 0 forces the sparse route; neither route may drop the
+        # imaginary part of a matrix the package never builds
+        monkeypatch.setattr(spectrum, "DENSE_CUTOFF", cutoff)
+        cop = twisted_ring(10, 5)
+        assert np.any(cop.matrix.data.imag)
+        with pytest.raises(StarError, match="imaginary") as ei:
+            lowest_eigenpair(cop)
+        assert not isinstance(ei.value, ConvergenceError)
+
+    @pytest.mark.parametrize("cutoff", [spectrum.DENSE_CUTOFF, 0])
+    def test_real_storage_gives_the_same_pair(self, cutoff, monkeypatch):
+        # builders store complex CSR with zero imaginary part; a float64
+        # copy of the same matrix must take the same route to the same bits
         monkeypatch.setattr(spectrum, "DENSE_CUTOFF", cutoff)
         op = ops.build_bath_ring(enumerate_bath_sector(10, 5), 1.0, 1.0)
-        phases = np.exp(1j * np.random.default_rng(3).uniform(0, 2 * np.pi, op.dim))
-        mat = op.matrix.multiply(phases[:, None]).multiply(phases.conj()[None, :]).tocsr()
-        assert np.any(mat.data.imag)
-        want = float(np.linalg.eigvalsh(op.matrix.toarray())[0])
-        got, vec = lowest_eigenpair(ops.SparseOperator(op.sector, mat))
-        assert got == pytest.approx(want, abs=1e-10)
-        assert np.linalg.norm(mat @ vec - got * vec) <= 1e-10
-        p = pivot(vec)
-        assert abs(p.imag) <= 1e-15 and p.real > 0.0
+        real = ops.SparseOperator(op.sector, op.matrix.real.tocsr())
+        assert real.matrix.dtype == np.float64
+        e_complex, v_complex = lowest_eigenpair(op)
+        e_real, v_real = lowest_eigenpair(real)
+        assert e_real == e_complex
+        np.testing.assert_array_equal(v_real, v_complex)
 
     @pytest.mark.parametrize("N,n_up", [(8, 4), (8, 5), (14, 7), (14, 9)])
     def test_phase_convention(self, N, n_up):
@@ -234,42 +252,32 @@ class TestSparseRoute:
         assert [r.energy for r in a.rows] == [r.energy for r in b.rows]
 
 
-def twisted_ring(N, n_up):
-    """Ring block under a seeded diagonal unitary: same spectrum, complex entries."""
-    op = ops.build_bath_ring(enumerate_bath_sector(N, n_up), 1.0, 1.0)
-    phases = np.exp(1j * np.random.default_rng(3).uniform(0, 2 * np.pi, op.dim))
-    mat = op.matrix.multiply(phases[:, None]).multiply(phases.conj()[None, :]).tocsr()
-    return op, ops.SparseOperator(op.sector, mat)
-
-
 class TestSolverFailures:
-    def test_exhausted_budget_says_no_ritz_vector_came_back(self):
+    def test_exhausted_budget_says_no_ritz_vector_came_back(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "LANCZOS_PRODUCTS", 2)
+        monkeypatch.setattr(spectrum, "LANCZOS_TOL", 1e-13)
         op = ops.build_bath_ring(enumerate_bath_sector(10, 5), 1.0, 1.0)
         with pytest.raises(ConvergenceError, match="no Ritz vector") as ei:
-            lanczos_lowest(op, k=2, tol=1e-13)
+            lanczos_lowest(op)
         assert "best residual" not in str(ei.value)
         assert ei.value.residual > 1e-13
 
-    def test_unreachable_tol_reports_the_returned_vectors_residual(self):
+    def test_unreachable_tol_reports_the_returned_vectors_residual(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "LANCZOS_PRODUCTS", 60)
+        monkeypatch.setattr(spectrum, "LANCZOS_TOL", 1e-30)
         op = ops.build_bath_ring(enumerate_bath_sector(10, 5), 1.0, 1.0)
         with pytest.raises(ConvergenceError, match="best residual") as ei:
-            lanczos_lowest(op, k=60, tol=1e-30)
+            lanczos_lowest(op)
         # a converged Ritz vector, not the O(1) residual of a start vector
         assert 1e-30 < ei.value.residual <= 1e-12
 
-    def test_complex_route_exhausted_budget_is_a_convergence_error(self):
-        _, cop = twisted_ring(10, 5)
-        with pytest.raises(ConvergenceError):
-            lanczos_lowest(cop, k=2, tol=1e-13)
-
     @pytest.mark.parametrize("n_up", [0, 1])
     def test_blocks_below_three_states(self, n_up):
-        op, cop = twisted_ring(2, n_up)
+        op = ops.build_bath_ring(enumerate_bath_sector(2, n_up), 1.0, 1.0)
         want = float(np.linalg.eigvalsh(op.matrix.toarray())[0])
-        for o in (op, cop):
-            got, vec = lanczos_lowest(o)
-            assert got == pytest.approx(want, abs=1e-12)
-            assert np.linalg.norm(o.matrix @ vec - got * vec) <= 1e-12
+        got, vec = lanczos_lowest(op)
+        assert got == pytest.approx(want, abs=1e-12)
+        assert np.linalg.norm(op.matrix @ vec - got * vec) <= 1e-12
 
 
 class TestRingLevels:
@@ -321,7 +329,7 @@ class TestRingLevels:
 
     def test_vector_outside_the_multiplet_is_refused(self, monkeypatch):
         # the first excited level of the l_m = 0 block carries l = 1
-        def excited(op, tol=1e-10):
+        def excited(op):
             evals, evecs = np.linalg.eigh(op.matrix.toarray())
             return float(evals[1]), evecs[:, 1]
 
