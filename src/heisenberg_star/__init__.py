@@ -35,6 +35,7 @@ from .states import (
     dicke_state,
     neel_state,
     spin_coherent,
+    star_state,
     subground_coefficients,
     subground_state,
 )

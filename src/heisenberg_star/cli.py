@@ -45,14 +45,17 @@ EXIT_BAD_PARAMS = 2
 EXIT_SOLVER = 3
 
 
-def _default_threads() -> int:
+def _threads(args) -> int:
+    """``--threads`` or config ``threads``, else STAR_THREADS, else all cores."""
+    if args.threads is not None:
+        return args.threads
     env = os.environ.get("STAR_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ParameterError(f"STAR_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
+    if env is None:
+        return os.cpu_count() or 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ParameterError(f"STAR_THREADS must be an integer, got {env!r}")
 
 
 def _parse_config_file(path) -> dict[str, str]:
@@ -70,18 +73,21 @@ def _parse_config_file(path) -> dict[str, str]:
     return values
 
 
-def _resolve(args, config: dict[str, str], key: str, default, cast):
-    """CLI flag beats config file beats default."""
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        try:
-            return cast(config[key])
-        except ValueError:
+def _apply_config(parser: argparse.ArgumentParser, command: str,
+                  config: dict[str, str]) -> None:
+    """Make the config values ``command`` takes its option defaults.
+
+    argparse converts string defaults with the option's type, so flags
+    still win. A switch refuses a value: "false" would be truthy.
+    """
+    (commands,) = (a for a in parser._actions if a.dest == "command")
+    for action in commands.choices[command]._actions:
+        if action.dest not in config:
+            continue
+        if action.nargs == 0:
             raise ParameterError(
-                f"config value for {key} is not valid: {config[key]!r}")
-    return default
+                f"config key {action.dest} is a switch; give it on the command line")
+        action.default = config[action.dest]
 
 
 def _parse_ratio_range(text: str) -> list[float]:
@@ -101,17 +107,20 @@ def _parse_ratio_range(text: str) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
-def _meta_common(args_ns, extra: dict) -> dict:
-    entries = {"version": __version__, "command": args_ns.command}
-    entries.update(extra)
-    return entries
+def _write_meta(args, **results) -> None:
+    """Sidecar of every option, overridden or extended by ``results``."""
+    csvio.write_meta(args.out + ".meta",
+                     {"version": __version__, **vars(args), **results})
 
 
-def _add_common(p):
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: STAR_THREADS or all cores)")
-    p.add_argument("--out", default=None, help="output file path")
+def _command(sub, name: str, help: str, out: str | None) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help,
+                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p.add_argument("--config", help="key = value file of option defaults")
+    p.add_argument("--threads", type=int,
+                   help="worker threads; unset means STAR_THREADS, else all cores")
+    p.add_argument("--out", default=out, help="output file path")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,198 +131,133 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ground-scan", help="ground level along a J/gt grid")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--two-s", type=int, default=None, dest="two_s")
-    p.add_argument("--ratio", default=None, help="J/gt grid as start:stop:step")
+    p = _command(sub, "ground-scan", "ground level along a J/gt grid", "ground_scan.csv")
+    p.add_argument("--n", type=int, default=16, help="ring sites N")
+    p.add_argument("--two-s", type=int, default=2, help="twice the central spin S")
+    p.add_argument("--ratio", default="0:1.2:0.005", help="J/gt grid as start:stop:step")
 
-    p = sub.add_parser("level-table", help="per-l ring bottom energies")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=None)
+    p = _command(sub, "level-table", "per-l ring bottom energies", "level_table.csv")
+    p.add_argument("--n", type=int, default=16, help="ring sites N")
 
-    p = sub.add_parser("neel", help="staggered magnetization after a quench")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--two-s", type=int, default=None, dest="two_s")
-    p.add_argument("--j-over-gt", type=float, default=None, dest="j_over_gt")
-    p.add_argument("--gt", type=float, default=None, help="collective coupling")
-    p.add_argument("--central", default=None, choices=["polarized", "uniform"])
-    p.add_argument("--tmax", type=float, default=None, help="grid end in gt units")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--with-sz", action="store_true", dest="with_sz",
+    p = _command(sub, "neel", "staggered magnetization after a quench", "neel.csv")
+    p.add_argument("--n", type=int, default=12, help="ring sites N")
+    p.add_argument("--two-s", type=int, default=3, help="twice the central spin S")
+    p.add_argument("--j-over-gt", type=float, default=1.0, help="ring coupling J / gt")
+    p.add_argument("--gt", type=float, default=1.0, help="collective coupling g sqrt(N)")
+    p.add_argument("--central", default="polarized", choices=["polarized", "uniform"],
+                   help="central spin state")
+    p.add_argument("--tmax", type=float, default=40.0, help="grid end in gt units")
+    p.add_argument("--samples", type=int, default=400, help="time grid points")
+    p.add_argument("--with-sz", action="store_true",
                    help="also record the central polarization")
 
-    p = sub.add_parser("coherent", help="driven run from a coherent ring state")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--two-s", type=int, default=None, dest="two_s")
-    p.add_argument("--j", type=float, default=None)
-    p.add_argument("--jp", type=float, default=None)
-    p.add_argument("--g", type=float, default=None)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--tmax-gt", type=float, default=None, dest="tmax_gt")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--with-l2", action="store_true", dest="with_l2",
+    p = _command(sub, "coherent", "driven run from a coherent ring state", "coherent.csv")
+    p.add_argument("--n", type=int, default=14, help="ring sites N")
+    p.add_argument("--two-s", type=int, default=1, help="twice the central spin S")
+    p.add_argument("--j", type=float, default=1.0, help="ring xy coupling J")
+    p.add_argument("--jp", type=float, help="ring zz coupling Jp; unset means --j")
+    p.add_argument("--g", type=float, default=1.0, help="central-ring coupling g")
+    p.add_argument("--omega", type=float, default=1.0, help="field on the central spin")
+    p.add_argument("--theta", type=float, default=math.pi / 2, help="coherent polar angle")
+    p.add_argument("--phi", type=float, default=0.0, help="coherent azimuth")
+    p.add_argument("--tmax-gt", type=float, default=100.0, help="grid end in g t units")
+    p.add_argument("--samples", type=int, default=2000, help="time grid points")
+    p.add_argument("--with-l2", action="store_true",
                    help="also record the ring angular momentum squared")
 
-    p = sub.add_parser("subground", help="dump one closed-form eigenstate")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--two-s", type=int, default=None, dest="two_s")
-    p.add_argument("--two-l", type=int, default=None, dest="two_l")
-    p.add_argument("--two-m", type=int, default=None, dest="two_m")
-    p.add_argument("--j", type=float, default=None)
-    p.add_argument("--g", type=float, default=None)
+    p = _command(sub, "subground", "dump one closed-form eigenstate", "subground_state.txt")
+    p.add_argument("--n", type=int, default=8, help="ring sites N")
+    p.add_argument("--two-s", type=int, default=2, help="twice the central spin S")
+    p.add_argument("--two-l", type=int, help="twice the ring spin l; unset means N")
+    p.add_argument("--two-m", type=int, help="twice the level m; unset means |2l - 2S|")
+    p.add_argument("--j", type=float, default=1.0, help="ring coupling J")
+    p.add_argument("--g", type=float, default=1.0, help="central-ring coupling g")
 
-    p = sub.add_parser("verify", help="run self-check suites")
-    _add_common(p)
-    p.add_argument("--suite", default=None,
-                   choices=["identities", "spectrum", "subground",
-                            "dynamics-oracle", "all"])
-    p.add_argument("--n", type=int, default=None)
+    p = _command(sub, "verify", "run self-check suites", None)
+    p.add_argument("--suite", default="all", help="suite to run",
+                   choices=["identities", "spectrum", "subground", "dynamics-oracle", "all"])
+    p.add_argument("--n", type=int, help="ring sites N; unset means each suite's own")
     return parser
 
 
-def cmd_ground_scan(args, config) -> int:
-    n = _resolve(args, config, "n", 16, int)
-    two_s = _resolve(args, config, "two_s", 2, int)
-    ratio = _resolve(args, config, "ratio", "0:1.2:0.005", str)
-    out = _resolve(args, config, "out", "ground_scan.csv", str)
-    threads = _resolve(args, config, "threads", _default_threads(), int)
-    grid = _parse_ratio_range(ratio)
-    rows = ground_scan(n, two_s, grid, threads=threads)
-    csvio.write_ground_scan(out, rows)
+def cmd_ground_scan(args) -> int:
+    threads = _threads(args)
+    rows = ground_scan(args.n, args.two_s, _parse_ratio_range(args.ratio), threads=threads)
+    csvio.write_ground_scan(args.out, rows)
     edges = scan_transitions(rows)
-    trans_path = _with_suffix(out, ".transitions.csv")
+    trans_path = args.out.removesuffix(".csv") + ".transitions.csv"
     csvio.write_transitions(trans_path, edges)
-    csvio.write_meta(out + ".meta", _meta_common(args, {
-        "n": n, "two_s": two_s, "ratio": ratio, "threads": threads,
-        "out": out, "transitions": trans_path,
-    }))
-    print(f"wrote {out} ({len(rows)} rows) and {trans_path} ({len(edges)} edges)")
+    _write_meta(args, threads=threads, transitions=trans_path)
+    print(f"wrote {args.out} ({len(rows)} rows) and {trans_path} ({len(edges)} edges)")
     return EXIT_OK
 
 
-def _with_suffix(path: str, suffix: str) -> str:
-    stem = path[:-4] if path.endswith(".csv") else path
-    return stem + suffix
-
-
-def cmd_level_table(args, config) -> int:
-    n = _resolve(args, config, "n", 16, int)
-    out = _resolve(args, config, "out", "level_table.csv", str)
-    threads = _resolve(args, config, "threads", _default_threads(), int)
-    table = level_table(n, threads=threads)
-    csvio.write_level_table(out, table)
-    csvio.write_meta(out + ".meta", _meta_common(args, {
-        "n": n, "threads": threads, "out": out,
-    }))
-    print(f"wrote {out} ({len(table.rows)} rows)")
+def cmd_level_table(args) -> int:
+    threads = _threads(args)
+    table = level_table(args.n, threads=threads)
+    csvio.write_level_table(args.out, table)
+    _write_meta(args, threads=threads)
+    print(f"wrote {args.out} ({len(table.rows)} rows)")
     return EXIT_OK
 
 
-def cmd_neel(args, config) -> int:
-    n = _resolve(args, config, "n", 12, int)
-    two_s = _resolve(args, config, "two_s", 3, int)
-    j_over_gt = _resolve(args, config, "j_over_gt", 1.0, float)
-    gt = _resolve(args, config, "gt", 1.0, float)
-    central = _resolve(args, config, "central", "polarized", str)
-    tmax = _resolve(args, config, "tmax", 40.0, float)
-    samples = _resolve(args, config, "samples", 400, int)
-    out = _resolve(args, config, "out", "neel.csv", str)
-    threads = _resolve(args, config, "threads", _default_threads(), int)
-    if central not in ("polarized", "uniform"):
-        raise ParameterError(f"unknown central state {central!r}")
-    if samples < 2:
+def cmd_neel(args) -> int:
+    threads = _threads(args)
+    if args.samples < 2:
         raise ParameterError("need at least two samples")
-    g = gt / math.sqrt(n)
-    params = make_params(n, two_s, J=j_over_gt * gt, g=g)
-    grid = np.linspace(0.0, tmax, samples)
+    params = make_params(args.n, args.two_s, J=args.j_over_gt * args.gt,
+                         g=args.gt / math.sqrt(args.n))
+    grid = np.linspace(0.0, args.tmax, args.samples)
     observables = ("Sz", "ms") if args.with_sz else ("ms",)
-    series = neel_experiment(params, central, grid, observables=observables,
+    series = neel_experiment(params, args.central, grid, observables=observables,
                              threads=threads)
-    columns = {name: series[name].values for name in observables}
-    csvio.write_timeseries(out, grid, columns)
+    csvio.write_timeseries(args.out, grid, {name: series[name].values for name in observables})
     ms_meta = series["ms"].meta
-    csvio.write_meta(out + ".meta", _meta_common(args, {
-        "n": n, "two_s": two_s, "j_over_gt": j_over_gt, "gt": gt,
-        "central": central, "tmax": tmax, "samples": samples,
-        "threads": threads, "out": out,
-        "norm_drift": f"{ms_meta['norm_drift']:.3e}",
-        "energy_drift": f"{ms_meta['energy_drift']:.3e}",
-    }))
-    print(f"wrote {out} ({samples} rows)")
+    _write_meta(args, threads=threads,
+                norm_drift=f"{ms_meta['norm_drift']:.3e}",
+                energy_drift=f"{ms_meta['energy_drift']:.3e}")
+    print(f"wrote {args.out} ({args.samples} rows)")
     return EXIT_OK
 
 
-def cmd_coherent(args, config) -> int:
-    n = _resolve(args, config, "n", 14, int)
-    two_s = _resolve(args, config, "two_s", 1, int)
-    j = _resolve(args, config, "j", 1.0, float)
-    jp = _resolve(args, config, "jp", None, lambda s: float(s))
-    g = _resolve(args, config, "g", 1.0, float)
-    omega = _resolve(args, config, "omega", 1.0, float)
-    theta = _resolve(args, config, "theta", math.pi / 2, float)
-    phi = _resolve(args, config, "phi", 0.0, float)
-    tmax_gt = _resolve(args, config, "tmax_gt", 100.0, float)
-    samples = _resolve(args, config, "samples", 2000, int)
-    out = _resolve(args, config, "out", "coherent.csv", str)
-    threads = _resolve(args, config, "threads", _default_threads(), int)
-    if samples < 2:
+def cmd_coherent(args) -> int:
+    threads = _threads(args)
+    if args.samples < 2:
         raise ParameterError("need at least two samples")
-    params = make_params(n, two_s, J=j, Jp=jp, g=g, omega=omega)
-    grid = np.linspace(0.0, tmax_gt, samples)
+    params = make_params(args.n, args.two_s, J=args.j, Jp=args.jp, g=args.g,
+                         omega=args.omega)
+    grid = np.linspace(0.0, args.tmax_gt, args.samples)
     observables = ("Sz", "L2") if args.with_l2 else ("Sz",)
-    series = coherent_experiment(params, theta, phi, grid,
+    series = coherent_experiment(params, args.theta, args.phi, grid,
                                  observables=observables, threads=threads)
-    columns = {name: series[name].values for name in observables}
-    csvio.write_timeseries(out, grid, columns)
+    csvio.write_timeseries(args.out, grid, {name: series[name].values for name in observables})
     sz_meta = series["Sz"].meta
-    csvio.write_meta(out + ".meta", _meta_common(args, {
-        "n": n, "two_s": two_s, "j": j, "jp": params.Jp, "g": g,
-        "omega": omega, "theta": theta, "phi": phi, "tmax_gt": tmax_gt,
-        "samples": samples, "threads": threads, "out": out,
-        "norm_drift": f"{sz_meta['norm_drift']:.3e}",
-        "energy_drift": f"{sz_meta['energy_drift']:.3e}",
-        "block_dim_max": max(sz_meta["block_dims"]),
-    }))
-    print(f"wrote {out} ({samples} rows)")
+    _write_meta(args, threads=threads, jp=params.Jp,
+                norm_drift=f"{sz_meta['norm_drift']:.3e}",
+                energy_drift=f"{sz_meta['energy_drift']:.3e}",
+                block_dim_max=max(sz_meta["block_dims"]))
+    print(f"wrote {args.out} ({args.samples} rows)")
     return EXIT_OK
 
 
-def cmd_subground(args, config) -> int:
-    n = _resolve(args, config, "n", 8, int)
-    two_s = _resolve(args, config, "two_s", 2, int)
-    two_l = _resolve(args, config, "two_l", n, int)
-    default_m = abs(two_l - two_s)
-    two_m = _resolve(args, config, "two_m", default_m, int)
-    j = _resolve(args, config, "j", 1.0, float)
-    g = _resolve(args, config, "g", 1.0, float)
-    out = _resolve(args, config, "out", "subground_state.txt", str)
-    e1b, seed = bath_subground_state(n, two_l)
-    psi = subground_state(n, two_s, two_l, two_m, seed=seed)
-    csvio.write_state_dump(out, psi)
-    energy = sub_ground_energy(two_l, two_s, j, g, e1b)
-    csvio.write_meta(out + ".meta", _meta_common(args, {
-        "n": n, "two_s": two_s, "two_l": two_l, "two_m": two_m,
-        "j": j, "g": g, "out": out,
-        "energy": csvio.fmt(energy), "E1b": csvio.fmt(e1b),
-    }))
-    print(f"wrote {out} (dim {psi.dim}), energy {csvio.fmt(energy)}")
+def cmd_subground(args) -> int:
+    two_l = args.n if args.two_l is None else args.two_l
+    two_m = abs(two_l - args.two_s) if args.two_m is None else args.two_m
+    e1b, seed = bath_subground_state(args.n, two_l)
+    psi = subground_state(args.n, args.two_s, two_l, two_m, seed=seed)
+    csvio.write_state_dump(args.out, psi)
+    energy = sub_ground_energy(two_l, args.two_s, args.j, args.g, e1b)
+    _write_meta(args, two_l=two_l, two_m=two_m,
+                energy=csvio.fmt(energy), E1b=csvio.fmt(e1b))
+    print(f"wrote {args.out} (dim {psi.dim}), energy {csvio.fmt(energy)}")
     return EXIT_OK
 
 
-def cmd_verify(args, config) -> int:
-    suite = _resolve(args, config, "suite", "all", str)
-    n = _resolve(args, config, "n", None, int)
-    threads = _resolve(args, config, "threads", _default_threads(), int)
+def cmd_verify(args) -> int:
     try:
-        results = run_suite(suite, n=n, threads=threads)
+        results = run_suite(args.suite, n=args.n, threads=_threads(args))
     except KeyError:
-        raise ParameterError(f"unknown suite {suite!r}")
+        raise ParameterError(f"unknown suite {args.suite!r}")
     failed = 0
     for result in results:
         flag = "PASS" if result.passed else "FAIL"
@@ -337,8 +281,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _parse_config_file(args.config) if args.config else {}
-        return COMMANDS[args.command](args, config)
+        if args.config:
+            _apply_config(parser, args.command, _parse_config_file(args.config))
+            args = parser.parse_args(argv)
+        return COMMANDS[args.command](args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS

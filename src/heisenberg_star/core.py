@@ -283,15 +283,12 @@ class StateVector:
 
     ``amps`` concatenates the per-sector blocks in the order of
     ``sectors``; ``offsets[i]`` is where block ``i`` starts. Single
-    sector states simply have one block. ``normalized`` records whether
-    the vector is meant to be unit norm (constructors enforce it,
-    operator application does not).
+    sector states simply have one block.
     """
 
     sectors: tuple[BasisSector, ...]
     amps: np.ndarray
     offsets: tuple[int, ...]
-    normalized: bool = True
 
     @classmethod
     def single(cls, sector: BasisSector, amps, *, renormalize: bool = True) -> "StateVector":
@@ -322,10 +319,7 @@ class StateVector:
             if nrm == 0.0:
                 raise StarError("cannot normalize a zero vector")
             vec = vec / nrm
-        return cls(
-            sectors=tuple(sectors), amps=vec, offsets=tuple(offsets),
-            normalized=renormalize,
-        )
+        return cls(sectors=tuple(sectors), amps=vec, offsets=tuple(offsets))
 
     @property
     def dim(self) -> int:
@@ -349,7 +343,4 @@ class StateVector:
         return self.sectors[0], self.amps
 
     def copy(self) -> "StateVector":
-        return StateVector(
-            sectors=self.sectors, amps=self.amps.copy(),
-            offsets=self.offsets, normalized=self.normalized,
-        )
+        return StateVector(sectors=self.sectors, amps=self.amps.copy(), offsets=self.offsets)

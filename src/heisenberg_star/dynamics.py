@@ -31,7 +31,6 @@ from .core import (
     BasisSector,
     ModelParams,
     StateVector,
-    enumerate_sector,
     zero_momentum_isometry,
 )
 from .errors import ConvergenceError, ParameterError, StarError
@@ -44,7 +43,7 @@ from .operators import (
     build_star_hamiltonian,
     build_zeeman,
 )
-from .states import central_initial, coherent_coefficients
+from .states import central_initial, neel_state, spin_coherent, star_state
 
 # Krylov basis size and per-step error tolerance of the propagator
 KRYLOV_DIM = 30
@@ -222,12 +221,8 @@ def evolve(hams, state: StateVector, t_grid):
     t_grid = _time_grid(t_grid)
     paths = [_trajectory(op.matrix, state.block(i), t_grid) for i, op in enumerate(hams)]
     for blocks in zip(*paths):
-        yield StateVector(
-            sectors=state.sectors,
-            amps=np.concatenate(blocks),
-            offsets=state.offsets,
-            normalized=True,
-        )
+        yield StateVector(sectors=state.sectors, amps=np.concatenate(blocks),
+                          offsets=state.offsets)
 
 
 def run_observables(hams, state: StateVector, t_grid, observables, threads: int = 1):
@@ -283,39 +278,6 @@ def run_observables(hams, state: StateVector, t_grid, observables, threads: int 
     return dict(zip(names, totals)), diagnostics
 
 
-def _neel_block_state(params: ModelParams, central_kind: str) -> StateVector:
-    """Central state times the alternating ring state, split by sector."""
-    bits = sum(1 << a for a in range(1, params.N, 2))  # site 1 down
-    central = central_initial(params.two_S, central_kind)
-    blocks = []
-    for c, amp in enumerate(central):
-        if amp == 0:
-            continue
-        two_m = params.two_S - 2 * c  # ring part has l_m = 0
-        sector = enumerate_sector(params.N, params.two_S, two_m)
-        amps = np.zeros(sector.dim, dtype=np.complex128)
-        amps[sector.index_of(c, bits)] = amp
-        blocks.append((sector, amps))
-    return StateVector.from_blocks(blocks, renormalize=False)
-
-
-def _coherent_block_state(params: ModelParams, theta: float, phi: float) -> StateVector:
-    """Polarized centre times the coherent ring state, split by sector."""
-    spec = coherent_coefficients(params.N, theta, phi)
-    N = params.N
-    blocks = []
-    for n in range(N + 1):
-        q = spec.Q[n]
-        if q == 0:
-            continue
-        two_m = params.two_S + 2 * n - N
-        sector = enumerate_sector(N, params.two_S, two_m)
-        amps = np.zeros(sector.dim, dtype=np.complex128)
-        amps[sector.central == 0] = q / math.sqrt(math.comb(N, n))
-        blocks.append((sector, amps))
-    return StateVector.from_blocks(blocks, renormalize=False)
-
-
 def neel_series(params: ModelParams, central_kind: str, t_abs,
                 observables=("ms",), threads: int = 1):
     """Alternating-state quench on an absolute time grid.
@@ -330,7 +292,9 @@ def neel_series(params: ModelParams, central_kind: str, t_abs,
     if params.omega != 0.0:
         raise ParameterError("the alternating-state quench carries no field")
     t_abs = _time_grid(t_abs)
-    state = _neel_block_state(params, central_kind)
+    ring = neel_state(params.N)
+    central = central_initial(params.two_S, central_kind)
+    state = star_state(params.two_S, [(c, amp, ring) for c, amp in enumerate(central)])
     hams = [build_star_hamiltonian(s, params) for s in state.sectors]
     obs = {name: [_observable(s, name) for s in state.sectors] for name in observables}
     return run_observables(hams, state, t_abs, obs, threads=threads)
@@ -345,7 +309,8 @@ def coherent_series(params: ModelParams, theta: float, phi: float, t_abs,
     ``block_dims``, the k = 0 dimension of each block.
     """
     t_abs = _time_grid(t_abs)
-    state = k0_state(_coherent_block_state(params, theta, phi))
+    ring = spin_coherent(params.N, theta, phi)
+    state = k0_state(star_state(params.two_S, [(0, 1.0, ring)]))
     hams = [b.reduce(build_modified_star(b.sector, params)) for b in state.sectors]
     obs = {name: [b.reduce(_observable(b.sector, name)) for b in state.sectors]
            for name in observables}

@@ -225,10 +225,7 @@ def apply(op: SparseOperator, state: StateVector) -> StateVector:
             f"operator on {op.tag} (dim {op.dim}) applied to state on"
             f" {sector.tag} (dim {sector.dim})"
         )
-    return StateVector(
-        sectors=(sector,), amps=op.matrix @ amps,
-        offsets=(0,), normalized=False,
-    )
+    return StateVector(sectors=(sector,), amps=op.matrix @ amps, offsets=(0,))
 
 
 def expectation(op: SparseOperator, state: StateVector) -> float:

@@ -4,7 +4,8 @@ The ring states come in three flavours used by the experiments: the
 alternating (antiferromagnetic) product state, symmetric Dicke states,
 and the spin coherent state that superposes all Dicke states of the
 maximal multiplet. The central spin starts either polarized or in an
-equal-weight superposition of its levels.
+equal-weight superposition of its levels; :func:`star_state` places
+central levels times ring states into the star's magnetization sectors.
 
 The sub-ground eigenstates of the isotropic star are assembled in
 closed form: a string of coefficients couples the central levels to
@@ -117,6 +118,30 @@ def spin_coherent(N: int, theta: float, phi: float) -> StateVector:
         amps = np.full(sector.dim, q / math.sqrt(sector.dim), dtype=np.complex128)
         blocks.append((sector, amps))
     return StateVector.from_blocks(blocks, renormalize=False)
+
+
+def star_state(two_S: int, terms, *, renormalize: bool = False) -> StateVector:
+    """Sum of amp |c> x ring over the ``(c, amp, ring)`` terms, by star sector.
+
+    ``c`` indexes the central level S_m = S - c, as in
+    :func:`central_initial`; ``ring`` is a ring state of one or more
+    blocks. Each ring block lands in the star sector of magnetization
+    two_S - 2c plus its own. Sectors are listed in the order the terms
+    first reach them; terms with amp == 0 add nothing and are skipped.
+    """
+    blocks: dict[int, tuple[BasisSector, np.ndarray]] = {}
+    for c, amp, ring in terms:
+        if amp == 0:
+            continue
+        for b, ring_sector in enumerate(ring.sectors):
+            two_m = two_S - 2 * c + ring_sector.two_m
+            if two_m not in blocks:
+                star = enumerate_sector(ring_sector.N, two_S, two_m)
+                blocks[two_m] = (star, np.zeros(star.dim, dtype=np.complex128))
+            star, amps = blocks[two_m]
+            i, j = _hop(ring_sector, star, step=c)
+            amps[j] += amp * ring.block(b)[i]
+    return StateVector.from_blocks(blocks.values(), renormalize=renormalize)
 
 
 def _sq_coefficient(two_a: int, two_am: int, two_b: int, two_m: int) -> Fraction:
@@ -250,11 +275,6 @@ def subground_state(N: int, two_S: int, two_l: int, two_m: int,
     lowest_lm = min(lm for _, lm in needed)
     if multiplet is None:
         multiplet = bath_multiplet(N, two_l, two_lm_stop=lowest_lm, seed=seed)
-    star = enumerate_sector(N, two_S, two_m)
-    amps = np.zeros(star.dim, dtype=np.complex128)
-    for (two_Sm, two_lm), (_, coeff) in zip(needed, coeffs):
-        c = (two_S - two_Sm) // 2
-        ring_sector, ring_amps = multiplet[two_lm].require_single()
-        i, j = _hop(ring_sector, star, step=c)
-        amps[j] += coeff * ring_amps[i]
-    return StateVector.single(star, amps, renormalize=True)
+    terms = [((two_S - two_Sm) // 2, coeff, multiplet[two_lm])
+             for (two_Sm, two_lm), (_, coeff) in zip(needed, coeffs)]
+    return star_state(two_S, terms, renormalize=True)

@@ -17,8 +17,6 @@ import scipy.linalg
 
 from .core import make_params
 from .dynamics import (
-    _coherent_block_state,
-    _neel_block_state,
     coherent_series,
     evolve,
     run_observables,
@@ -39,7 +37,15 @@ from .spectrum import (
     sub_ground_energy,
     transition_point,
 )
-from .states import bath_multiplet, spin_coherent, subground_squared_norm, subground_state
+from .states import (
+    bath_multiplet,
+    central_initial,
+    neel_state,
+    spin_coherent,
+    star_state,
+    subground_squared_norm,
+    subground_state,
+)
 
 
 @dataclass
@@ -128,7 +134,8 @@ def suite_dynamics_oracle(N: int = 6) -> list[CheckResult]:
     """Krylov propagation against dense exponentials on a small star."""
     out = []
     params = make_params(N, 2, J=0.8, g=1.0)
-    state = _neel_block_state(params, "uniform")
+    central = central_initial(params.two_S, "uniform")
+    state = star_state(params.two_S, [(c, amp, neel_state(N)) for c, amp in enumerate(central)])
     hams = [build_star_hamiltonian(s, params) for s in state.sectors]
     t_grid = np.linspace(0.0, 20.0, 21)[1:] / params.gt
     worst = 0.0
@@ -158,7 +165,7 @@ def _coherent_k0_check() -> CheckResult:
     theta, phi = 1.9, 0.4
     t_abs = np.linspace(0.0, 5.0, 11)
     got, _ = coherent_series(params, theta, phi, t_abs, observables=("Sz", "L2"))
-    state = _coherent_block_state(params, theta, phi)
+    state = star_state(params.two_S, [(0, 1.0, spin_coherent(params.N, theta, phi))])
     hams = [build_modified_star(s, params) for s in state.sectors]
     obs = {"Sz": [build_zeeman(s, 1.0) for s in state.sectors],
            "L2": [build_L_squared(s) for s in state.sectors]}

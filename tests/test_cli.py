@@ -95,6 +95,13 @@ class TestNeel:
         assert float(t0[1]) == pytest.approx(0.5)
         assert float(t0[2]) == pytest.approx(0.5)
 
+    def test_meta_records_the_switch(self, tmp_path):
+        for flags, want in (([], "False"), (["--with-sz"], "True")):
+            out = tmp_path / "q.csv"
+            assert run(["neel", "--n", 4, "--two-s", 1, "--tmax", 1,
+                        "--samples", 3, "--out", out, *flags]) == 0
+            assert f"with_sz = {want}" in read(tmp_path / "q.csv.meta").splitlines()
+
     def test_odd_ring_is_a_usage_error(self, tmp_path):
         assert run(["neel", "--n", 5, "--two-s", 1,
                     "--out", tmp_path / "x.csv"]) == 2
@@ -122,6 +129,7 @@ class TestCoherent:
         assert lines[0] == "t,value_Sz,value_L2"
         l2_first = float(lines[1].split(",")[2])
         assert l2_first == pytest.approx(2 * 3.0, abs=1e-9)  # l = N/2 = 2
+        assert "with_l2 = True" in read(tmp_path / "c2.csv.meta").splitlines()
 
     def test_meta_records_the_largest_k0_block(self, tmp_path):
         out = tmp_path / "c8.csv"
@@ -201,7 +209,7 @@ class TestPlumbing:
         assert ei.value.code == 2
 
     def test_solver_failure_maps_to_three(self, monkeypatch, tmp_path):
-        def boom(args, config):
+        def boom(args):
             raise ConvergenceError("stalled", residual=1.0)
         monkeypatch.setitem(cli.COMMANDS, "level-table", boom)
         assert run(["level-table", "--n", 4, "--out", tmp_path / "x.csv"]) == 3
@@ -233,6 +241,29 @@ class TestPlumbing:
         assert run(["ground-scan", "--n", 4, "--two-s", 1,
                     "--ratio", "0:0.1:0.05", "--out", out]) == 0
         assert "threads = 3" in read(tmp_path / "scan.csv.meta")
+
+    def test_bad_env_is_not_read_when_the_flag_is_given(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("STAR_THREADS", "abc")
+        assert run(["level-table", "--n", 4, "--threads", 1,
+                    "--out", tmp_path / "t.csv"]) == 0
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_config_cannot_set_a_switch(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"with-sz = {value}\n", encoding="utf-8")
+        out = tmp_path / "q.csv"
+        assert run(["neel", "--config", cfg, "--n", 4, "--two-s", 1, "--tmax", 1,
+                    "--samples", 3, "--out", out]) == 2
+        assert "with_sz" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_config_value_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = abc\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as ei:
+            run(["level-table", "--config", cfg, "--out", tmp_path / "t.csv"])
+        assert ei.value.code == 2
+        assert "--n" in capsys.readouterr().err
 
     def test_thread_flag_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STAR_THREADS", "3")

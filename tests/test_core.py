@@ -203,13 +203,11 @@ class TestStateVector:
         sec = enumerate_sector(4, 1, 1)
         st_ = StateVector.single(sec, np.ones(sec.dim))
         assert st_.norm() == pytest.approx(1.0)
-        assert st_.normalized
 
     def test_single_keeps_raw_when_asked(self):
         sec = enumerate_sector(4, 1, 1)
         st_ = StateVector.single(sec, np.ones(sec.dim), renormalize=False)
         assert st_.norm() == pytest.approx(math.sqrt(sec.dim))
-        assert not st_.normalized
 
     def test_zero_vector_rejected(self):
         sec = enumerate_sector(4, 1, 1)

@@ -205,7 +205,7 @@ def test_series_check_the_grid_before_building(series, monkeypatch):
         built.append(args)
         raise AssertionError("built before the grid was checked")
 
-    for name in ("enumerate_sector", "build_star_hamiltonian",
+    for name in ("neel_state", "spin_coherent", "star_state", "build_star_hamiltonian",
                  "build_modified_star", "_observable"):
         monkeypatch.setattr(dynamics, name, builder)
     params = make_params(6, 1, J=1.0, g=1.0)

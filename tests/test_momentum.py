@@ -21,14 +21,17 @@ from heisenberg_star.core import (
     zero_momentum_isometry,
 )
 from heisenberg_star.dynamics import (
-    _coherent_block_state,
-    _neel_block_state,
     coherent_experiment,
     coherent_series,
     k0_state,
     run_observables,
 )
 from heisenberg_star.errors import StarError
+from heisenberg_star.states import central_initial, neel_state, spin_coherent, star_state
+
+
+def coherent_star(params, theta, phi):
+    return star_state(params.two_S, [(0, 1.0, spin_coherent(params.N, theta, phi))])
 
 
 def necklaces(N, n_up):
@@ -92,12 +95,13 @@ class TestIsometry:
 class TestGuard:
     def test_alternating_state_is_refused(self):
         # the alternating ring state has a k = pi part
-        state = _neel_block_state(make_params(8, 1, J=1.0), "polarized")
+        central = central_initial(1, "polarized")
+        state = star_state(1, [(c, a, neel_state(8)) for c, a in enumerate(central)])
         with pytest.raises(StarError, match="not translation invariant"):
             k0_state(state)
 
     def test_coherent_state_passes_with_its_norm(self):
-        state = _coherent_block_state(make_params(8, 3, J=1.0), 1.2, 0.3)
+        state = coherent_star(make_params(8, 3, J=1.0), 1.2, 0.3)
         reduced = k0_state(state)
         assert reduced.norm() == pytest.approx(state.norm(), abs=1e-14)
         assert [b.sector for b in reduced.sectors] == list(state.sectors)
@@ -113,7 +117,7 @@ class TestGuard:
 
 def full_sector_series(params, theta, phi, t_abs):
     """The oracle: the same run propagated on the whole sectors."""
-    state = _coherent_block_state(params, theta, phi)
+    state = coherent_star(params, theta, phi)
     hams = [ops.build_modified_star(s, params) for s in state.sectors]
     obs = {"Sz": [ops.build_zeeman(s, 1.0) for s in state.sectors],
            "L2": [ops.build_L_squared(s) for s in state.sectors]}

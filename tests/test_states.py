@@ -31,6 +31,7 @@ from heisenberg_star.states import (
     dicke_state,
     neel_state,
     spin_coherent,
+    star_state,
     subground_coefficients,
     subground_squared_norm,
     subground_state,
@@ -71,6 +72,25 @@ class TestCentralInitial:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             central_initial(3, "sideways")
+
+
+class TestStarState:
+    def test_each_central_level_gets_its_own_sector(self):
+        central = central_initial(2, "uniform")
+        psi = star_state(2, [(c, a, neel_state(4)) for c, a in enumerate(central)])
+        assert [s.two_m for s in psi.sectors] == [2, 0, -2]  # central level ascending
+        for c, sector in enumerate(psi.sectors):
+            block = psi.block(c)
+            assert block[sector.index_of(c, 0b1010)] == central[c]
+            assert np.count_nonzero(block) == 1
+
+    def test_ring_blocks_keep_their_order_and_zero_terms_are_skipped(self):
+        ring = spin_coherent(4, 1.1, 0.4)
+        psi = star_state(1, [(0, 1.0, ring), (1, 0.0, ring)])
+        assert [s.two_m for s in psi.sectors] == [s.two_m + 1 for s in ring.sectors]
+        for b, sector in enumerate(psi.sectors):
+            np.testing.assert_array_equal(psi.block(b)[sector.central == 0], ring.block(b))
+            assert not psi.block(b)[sector.central == 1].any()
 
 
 class TestDicke:
