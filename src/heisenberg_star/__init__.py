@@ -40,7 +40,6 @@ from .states import (
     subground_state,
 )
 from .dynamics import (
-    TimeSeries,
     coherent_experiment,
     evolve,
     first_crossing,

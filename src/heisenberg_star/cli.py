@@ -9,7 +9,8 @@ Subcommands map one-to-one onto the library experiments:
 * ``subground``: dump one closed-form eigenstate
 * ``verify``: quick self-check suites
 
-Every run writes its effective configuration to ``<output>.meta``.
+Every command but ``verify`` writes a file and its effective
+configuration to ``<output>.meta``.
 Options may also come from a ``key = value`` config file; explicit
 flags win over the file, the file wins over built-in defaults. Exit
 codes: 0 success, 2 bad parameters or usage, 3 solver failure.
@@ -45,6 +46,17 @@ EXIT_BAD_PARAMS = 2
 EXIT_SOLVER = 3
 
 
+def _thread_count(text: str) -> int:
+    """A worker thread count, an integer >= 1: the type of ``--threads``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _threads(args) -> int:
     """``--threads`` or config ``threads``, else STAR_THREADS, else all cores."""
     if args.threads is not None:
@@ -53,9 +65,9 @@ def _threads(args) -> int:
     if env is None:
         return os.cpu_count() or 1
     try:
-        return max(1, int(env))
-    except ValueError:
-        raise ParameterError(f"STAR_THREADS must be an integer, got {env!r}")
+        return _thread_count(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ParameterError(f"STAR_THREADS {exc}")
 
 
 def _parse_config_file(path) -> dict[str, str]:
@@ -113,13 +125,16 @@ def _write_meta(args, **results) -> None:
                      {"version": __version__, **vars(args), **results})
 
 
-def _command(sub, name: str, help: str, out: str | None) -> argparse.ArgumentParser:
+def _command(sub, name: str, help: str, out: str | None,
+             threads: str = "worker threads; unset means STAR_THREADS, else all cores",
+             ) -> argparse.ArgumentParser:
+    """A subcommand with --config, --threads and, if it writes a file, --out."""
     p = sub.add_parser(name, help=help,
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--config", help="key = value file of option defaults")
-    p.add_argument("--threads", type=int,
-                   help="worker threads; unset means STAR_THREADS, else all cores")
-    p.add_argument("--out", default=out, help="output file path")
+    p.add_argument("--threads", type=_thread_count, help=threads)
+    if out is not None:
+        p.add_argument("--out", default=out, help="output file path")
     return p
 
 
@@ -165,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-l2", action="store_true",
                    help="also record the ring angular momentum squared")
 
-    p = _command(sub, "subground", "dump one closed-form eigenstate", "subground_state.txt")
+    p = _command(sub, "subground", "dump one closed-form eigenstate", "subground_state.txt",
+                 threads="only recorded in the sidecar; this command runs one thread")
     p.add_argument("--n", type=int, default=8, help="ring sites N")
     p.add_argument("--two-s", type=int, default=2, help="twice the central spin S")
     p.add_argument("--two-l", type=int, help="twice the ring spin l; unset means N")
@@ -201,43 +217,38 @@ def cmd_level_table(args) -> int:
     return EXIT_OK
 
 
-def cmd_neel(args) -> int:
+def _write_experiment(args, tmax: float, experiment, **results) -> int:
+    """Run ``experiment(grid, threads)`` on ``args.samples`` points of
+    [0, tmax]; write its columns and a sidecar with its drifts."""
     threads = _threads(args)
     if args.samples < 2:
         raise ParameterError("need at least two samples")
-    params = make_params(args.n, args.two_s, J=args.j_over_gt * args.gt,
-                         g=args.gt / math.sqrt(args.n))
-    grid = np.linspace(0.0, args.tmax, args.samples)
-    observables = ("Sz", "ms") if args.with_sz else ("ms",)
-    series = neel_experiment(params, args.central, grid, observables=observables,
-                             threads=threads)
-    csvio.write_timeseries(args.out, grid, {name: series[name].values for name in observables})
-    ms_meta = series["ms"].meta
-    _write_meta(args, threads=threads,
-                norm_drift=f"{ms_meta['norm_drift']:.3e}",
-                energy_drift=f"{ms_meta['energy_drift']:.3e}")
+    grid = np.linspace(0.0, tmax, args.samples)
+    values, meta = experiment(grid, threads)
+    csvio.write_timeseries(args.out, grid, values)
+    results.update(norm_drift=f"{meta['norm_drift']:.3e}",
+                   energy_drift=f"{meta['energy_drift']:.3e}")
+    if "block_dims" in meta:
+        results["block_dim_max"] = max(meta["block_dims"])
+    _write_meta(args, threads=threads, **results)
     print(f"wrote {args.out} ({args.samples} rows)")
     return EXIT_OK
+
+
+def cmd_neel(args) -> int:
+    params = make_params(args.n, args.two_s, J=args.j_over_gt * args.gt,
+                         g=args.gt / math.sqrt(args.n))
+    observables = ("Sz", "ms") if args.with_sz else ("ms",)
+    return _write_experiment(args, args.tmax, lambda grid, threads: neel_experiment(
+        params, args.central, grid, observables, threads))
 
 
 def cmd_coherent(args) -> int:
-    threads = _threads(args)
-    if args.samples < 2:
-        raise ParameterError("need at least two samples")
     params = make_params(args.n, args.two_s, J=args.j, Jp=args.jp, g=args.g,
                          omega=args.omega)
-    grid = np.linspace(0.0, args.tmax_gt, args.samples)
     observables = ("Sz", "L2") if args.with_l2 else ("Sz",)
-    series = coherent_experiment(params, args.theta, args.phi, grid,
-                                 observables=observables, threads=threads)
-    csvio.write_timeseries(args.out, grid, {name: series[name].values for name in observables})
-    sz_meta = series["Sz"].meta
-    _write_meta(args, threads=threads, jp=params.Jp,
-                norm_drift=f"{sz_meta['norm_drift']:.3e}",
-                energy_drift=f"{sz_meta['energy_drift']:.3e}",
-                block_dim_max=max(sz_meta["block_dims"]))
-    print(f"wrote {args.out} ({args.samples} rows)")
-    return EXIT_OK
+    return _write_experiment(args, args.tmax_gt, lambda grid, threads: coherent_experiment(
+        params, args.theta, args.phi, grid, observables, threads), jp=params.Jp)
 
 
 def cmd_subground(args) -> int:

@@ -10,18 +10,23 @@ estimate misses KRYLOV_TOL. Both settings are fixed module constants.
 
 The two experiments mirror the figures this package reproduces: the
 alternating-state quench watched through the staggered magnetization
-(time axis gt_collective = g sqrt(N) t), and the driven coherent-state
-run watched through the central polarization (time axis g t). The
-coherent state and the driven star are both invariant under cyclic
-translation of the ring, so that run evolves each block in its k = 0
-subspace (:class:`K0Block`), about N times smaller than the sector.
+(:func:`neel_experiment`, time axis gt_collective = g sqrt(N) t), and
+the driven coherent-state run watched through the central polarization
+(:func:`coherent_experiment`, time axis g t). Each one checks its input,
+builds its state and operators, runs :func:`run_observables` once on
+the grid divided by its rate, and returns ``(values, meta)``: one array
+per observable and one dict with the time unit, the parameters and the
+run diagnostics. The coherent state and the driven star are both
+invariant under cyclic translation of the ring, so that run evolves
+each block in its k = 0 subspace (:class:`K0Block`), about N times
+smaller than the sector.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -50,22 +55,6 @@ KRYLOV_DIM = 30
 KRYLOV_TOL = 1e-9
 # largest |P P^T v - v| / |v| of a block accepted as translation invariant
 K0_TOL = 1e-12
-
-
-@dataclass
-class TimeSeries:
-    """One observable sampled on a time grid.
-
-    ``times`` is in the experiment's reduced units (recorded in
-    ``meta['time_unit']``); ``values`` are real expectation values.
-    ``meta`` carries the parameter snapshot and integration
-    diagnostics (norm and energy drift over the full grid).
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    name: str
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,47 +267,6 @@ def run_observables(hams, state: StateVector, t_grid, observables, threads: int 
     return dict(zip(names, totals)), diagnostics
 
 
-def neel_series(params: ModelParams, central_kind: str, t_abs,
-                observables=("ms",), threads: int = 1):
-    """Alternating-state quench on an absolute time grid.
-
-    Returns (values dict, diagnostics). The Hamiltonian is the plain
-    isotropic star, so the run refuses anisotropic parameters or a
-    central field. The alternating state has k = 0 and k = pi parts,
-    so this run keeps the full sectors.
-    """
-    if not params.isotropic:
-        raise ParameterError("the alternating-state quench needs J == Jp")
-    if params.omega != 0.0:
-        raise ParameterError("the alternating-state quench carries no field")
-    t_abs = _time_grid(t_abs)
-    ring = neel_state(params.N)
-    central = central_initial(params.two_S, central_kind)
-    state = star_state(params.two_S, [(c, amp, ring) for c, amp in enumerate(central)])
-    hams = [build_star_hamiltonian(s, params) for s in state.sectors]
-    obs = {name: [_observable(s, name) for s in state.sectors] for name in observables}
-    return run_observables(hams, state, t_abs, obs, threads=threads)
-
-
-def coherent_series(params: ModelParams, theta: float, phi: float, t_abs,
-                    observables=("Sz",), threads: int = 1):
-    """Driven-star run from the coherent ring state, absolute times.
-
-    Each block runs in its k = 0 basis: every sector operator is built
-    in full, reduced to P^T M P and dropped. ``diagnostics`` gains
-    ``block_dims``, the k = 0 dimension of each block.
-    """
-    t_abs = _time_grid(t_abs)
-    ring = spin_coherent(params.N, theta, phi)
-    state = k0_state(star_state(params.two_S, [(0, 1.0, ring)]))
-    hams = [b.reduce(build_modified_star(b.sector, params)) for b in state.sectors]
-    obs = {name: [b.reduce(_observable(b.sector, name)) for b in state.sectors]
-           for name in observables}
-    values, diagnostics = run_observables(hams, state, t_abs, obs, threads=threads)
-    diagnostics["block_dims"] = [b.dim for b in state.sectors]
-    return values, diagnostics
-
-
 def _observable(sector: BasisSector, name: str) -> SparseOperator:
     if name == "Sz":
         return build_zeeman(sector, 1.0)
@@ -329,47 +277,62 @@ def _observable(sector: BasisSector, name: str) -> SparseOperator:
     raise ParameterError(f"unknown observable {name!r}")
 
 
-def _reduced_series(run, rate, t_grid, meta, scales) -> dict[str, TimeSeries]:
-    """Call ``run`` on the absolute grid t_grid / rate; wrap each value
-    series as a TimeSeries on ``t_grid``, divided by ``scales[name]``
-    where given, with ``meta`` and the run's diagnostics."""
-    t_grid = np.asarray(list(t_grid), dtype=float)
-    values, diagnostics = run(t_grid / rate)
-    meta = {**meta, **diagnostics}
-    return {
-        name: TimeSeries(times=t_grid, name=name, meta=dict(meta),
-                         values=vals / scales[name] if name in scales else vals)
-        for name, vals in values.items()
-    }
-
-
 def neel_experiment(params: ModelParams, central_kind: str, t_grid,
-                    observables=("ms",), threads: int = 1) -> dict[str, TimeSeries]:
-    """Staggered-magnetization quench on a gt_collective = g sqrt(N) t grid.
+                    observables=("ms",), threads: int = 1):
+    """Alternating-state quench on a gt_collective = g sqrt(N) t grid.
 
-    Returns one TimeSeries per requested observable ('ms' is the
-    headline one; 'Sz' may ride along). The collective coupling must be
-    positive so the reduced time axis is well defined.
+    'ms' is the headline observable; 'Sz' may ride along. The
+    Hamiltonian is the plain isotropic star, so the run refuses
+    anisotropic parameters, a central field, or gt <= 0 (no reduced time
+    axis). The alternating state has k = 0 and k = pi parts, so this run
+    keeps the full sectors.
+
+    Returns (values, meta): one array per observable, and the time unit,
+    the parameters, the central preparation and the run diagnostics.
     """
     if params.gt <= 0:
         raise ParameterError("reduced time needs gt = g sqrt(N) > 0")
-    meta = {"time_unit": "gt_collective", "central": central_kind, "params": params}
-    return _reduced_series(
-        lambda t_abs: neel_series(params, central_kind, t_abs, observables=observables,
-                                  threads=threads),
-        params.gt, t_grid, meta, scales={})
+    if not params.isotropic:
+        raise ParameterError("the alternating-state quench needs J == Jp")
+    if params.omega != 0.0:
+        raise ParameterError("the alternating-state quench carries no field")
+    t_abs = _time_grid(np.asarray(list(t_grid), dtype=float) / params.gt)
+    ring = neel_state(params.N)
+    central = central_initial(params.two_S, central_kind)
+    state = star_state(params.two_S, [(c, amp, ring) for c, amp in enumerate(central)])
+    hams = [build_star_hamiltonian(s, params) for s in state.sectors]
+    obs = {name: [_observable(s, name) for s in state.sectors] for name in observables}
+    values, diagnostics = run_observables(hams, state, t_abs, obs, threads)
+    meta = {"time_unit": "gt_collective", "central": central_kind, "params": params,
+            **diagnostics}
+    return values, meta
 
 
 def coherent_experiment(params: ModelParams, theta: float, phi: float, t_grid,
-                        observables=("Sz",), threads: int = 1) -> dict[str, TimeSeries]:
-    """Coherent-state run on a g t grid; 'Sz' is reported as <Sz>/S."""
+                        observables=("Sz",), threads: int = 1):
+    """Driven-star run from the coherent ring state on a g t grid.
+
+    Each block runs in its k = 0 basis: every sector operator is built
+    in full, reduced to P^T M P and dropped. Needs g > 0.
+
+    Returns (values, meta): one array per observable, 'Sz' reported as
+    <Sz>/S, and the time unit, the parameters, the angles, the run
+    diagnostics and ``block_dims``, the k = 0 dimension of each block.
+    """
     if params.g <= 0:
         raise ParameterError("reduced time needs g > 0")
-    meta = {"time_unit": "gt", "theta": theta, "phi": phi, "params": params}
-    return _reduced_series(
-        lambda t_abs: coherent_series(params, theta, phi, t_abs, observables=observables,
-                                      threads=threads),
-        params.g, t_grid, meta, scales={"Sz": params.S})
+    t_abs = _time_grid(np.asarray(list(t_grid), dtype=float) / params.g)
+    ring = spin_coherent(params.N, theta, phi)
+    state = k0_state(star_state(params.two_S, [(0, 1.0, ring)]))
+    hams = [b.reduce(build_modified_star(b.sector, params)) for b in state.sectors]
+    obs = {name: [b.reduce(_observable(b.sector, name)) for b in state.sectors]
+           for name in observables}
+    values, diagnostics = run_observables(hams, state, t_abs, obs, threads)
+    if "Sz" in values:
+        values["Sz"] = values["Sz"] / params.S
+    meta = {"time_unit": "gt", "theta": theta, "phi": phi, "params": params,
+            **diagnostics, "block_dims": [b.dim for b in state.sectors]}
+    return values, meta
 
 
 def first_crossing(times, values, level) -> float:

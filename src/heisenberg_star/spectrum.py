@@ -45,6 +45,11 @@ LANCZOS_TOL = 1e-10
 LANCZOS_PRODUCTS = 500
 
 
+def _check_ring_length(N: int) -> None:
+    if N % 2 != 0 or N < 2:
+        raise ParameterError(f"N must be even and >= 2, got {N}")
+
+
 def degeneracy(N: int, l: int) -> int:
     """Number of ring multiplets with total angular momentum l.
 
@@ -52,8 +57,7 @@ def degeneracy(N: int, l: int) -> int:
     magnetization l minus states with magnetization l + 1. Exact
     integer arithmetic.
     """
-    if N % 2 != 0 or N < 2:
-        raise ParameterError(f"N must be even and >= 2, got {N}")
+    _check_ring_length(N)
     if l < 0 or l > N // 2:
         return 0
     first = math.comb(N, l + N // 2)
@@ -222,6 +226,7 @@ class LevelTable:
 
 def level_table(N: int, threads: int = 1) -> LevelTable:
     """Solve every ring block l = 0 .. N/2 and tabulate the bottom levels."""
+    _check_ring_length(N)
     two_ls = list(range(0, N + 1, 2))
 
     def solve(two_l):

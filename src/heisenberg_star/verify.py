@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .core import make_params
 from .dynamics import (
-    coherent_series,
+    coherent_experiment,
     evolve,
     run_observables,
 )
@@ -160,11 +160,15 @@ def suite_dynamics_oracle(N: int = 6) -> list[CheckResult]:
 
 
 def _coherent_k0_check() -> CheckResult:
-    """The k = 0 coherent run against the full-sector one, anisotropic ring."""
+    """The k = 0 coherent run against the full-sector one, anisotropic ring.
+
+    The experiment takes g t and reports <Sz>/S; the oracle takes t and <Sz>.
+    """
     params = make_params(8, 1, J=1.1, Jp=0.7, g=1.0, omega=0.9)
     theta, phi = 1.9, 0.4
     t_abs = np.linspace(0.0, 5.0, 11)
-    got, _ = coherent_series(params, theta, phi, t_abs, observables=("Sz", "L2"))
+    got, _ = coherent_experiment(params, theta, phi, t_abs * params.g, ("Sz", "L2"))
+    got["Sz"] *= params.S
     state = star_state(params.two_S, [(0, 1.0, spin_coherent(params.N, theta, phi))])
     hams = [build_modified_star(s, params) for s in state.sectors]
     obs = {"Sz": [build_zeeman(s, 1.0) for s in state.sectors],

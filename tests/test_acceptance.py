@@ -91,10 +91,10 @@ def neel10_runs():
     runs = {}
     for ratio in (0.0, 0.7, 2.0):
         params = make_params(N, two_S, J=ratio * gt, g=1.0)
-        series = neel_experiment(params, "polarized", grid,
-                                 observables=("Sz", "ms"), threads=2)
-        _record(f"neel10 J/gt={ratio}", series["ms"].meta)
-        runs[ratio] = series
+        values, meta = neel_experiment(params, "polarized", grid,
+                                       observables=("Sz", "ms"), threads=2)
+        _record(f"neel10 J/gt={ratio}", meta)
+        runs[ratio] = values
     return grid, runs
 
 
@@ -110,9 +110,9 @@ def neel12_runs():
     cases += [(1, "polarized", 0.5), (2, "polarized", 0.5)]
     for two_S, kind, ratio in cases:
         params = make_params(N, two_S, J=ratio * gt, g=1.0)
-        series = neel_experiment(params, kind, grid, threads=2)
-        _record(f"neel12 two_S={two_S} {kind} J/gt={ratio}", series["ms"].meta)
-        runs[(two_S, kind, ratio)] = series["ms"].values
+        values, meta = neel_experiment(params, kind, grid, threads=2)
+        _record(f"neel12 two_S={two_S} {kind} J/gt={ratio}", meta)
+        runs[(two_S, kind, ratio)] = values["ms"]
     return grid, runs
 
 
@@ -132,10 +132,10 @@ def coherent_runs():
     }.items():
         params = make_params(14, 1, J=J, Jp=Jp, g=1.0, omega=1.0)
         obs = ("Sz", "L2") if key == "aniso" else ("Sz",)
-        series = coherent_experiment(params, math.pi / 2, 0.0, COHERENT_GRID,
-                                     observables=obs, threads=2)
-        _record(f"coherent {key}", series["Sz"].meta)
-        runs[key] = series
+        values, meta = coherent_experiment(params, math.pi / 2, 0.0, COHERENT_GRID,
+                                           observables=obs, threads=2)
+        _record(f"coherent {key}", meta)
+        runs[key] = values
     return runs
 
 
@@ -304,10 +304,8 @@ def test_criterion_06_central_motion_ignores_ring_coupling(neel10_runs):
     for i in range(len(ratios)):
         for k in range(i + 1, len(ratios)):
             a, b = runs[ratios[i]], runs[ratios[k]]
-            worst_sz = max(worst_sz, float(np.max(np.abs(
-                a["Sz"].values - b["Sz"].values))))
-            best_ms = min(best_ms, float(np.max(np.abs(
-                a["ms"].values - b["ms"].values))))
+            worst_sz = max(worst_sz, float(np.max(np.abs(a["Sz"] - b["Sz"]))))
+            best_ms = min(best_ms, float(np.max(np.abs(a["ms"] - b["ms"]))))
     assert worst_sz <= 1e-8
     assert best_ms > 0.05
     print(f"PASS criterion 6: central polarization matches to {worst_sz:.1e}"
@@ -373,7 +371,7 @@ def test_criterion_08_quench_orderings(neel12_runs):
 
 def test_criterion_09_collapse_and_revival(coherent_runs):
     t0 = time.perf_counter()
-    sz = {k: coherent_runs[k]["Sz"].values for k in ("J0", "J1", "J5")}
+    sz = {k: coherent_runs[k]["Sz"] for k in ("J0", "J1", "J5")}
     # ring-coupling invariance of the driven central spin
     worst = max(
         float(np.max(np.abs(sz["J0"] - sz["J1"]))),
@@ -405,13 +403,13 @@ def test_criterion_09_collapse_and_revival(coherent_runs):
 
 def test_criterion_10_anisotropy_fragility(coherent_runs):
     t0 = time.perf_counter()
-    l2 = coherent_runs["aniso"]["L2"].values
+    l2 = coherent_runs["aniso"]["L2"]
     mask = COHERENT_GRID <= 50.0
     drift = float(np.max(np.abs(l2[mask] - l2[0])))
     assert drift > 1.0
     wmask = (COHERENT_GRID >= REVIVAL_WINDOW[0]) & (COHERENT_GRID <= REVIVAL_WINDOW[1])
-    iso = float(np.max(coherent_runs["J1"]["Sz"].values[wmask]))
-    aniso = float(np.max(coherent_runs["aniso"]["Sz"].values[wmask]))
+    iso = float(np.max(coherent_runs["J1"]["Sz"][wmask]))
+    aniso = float(np.max(coherent_runs["aniso"]["Sz"][wmask]))
     assert aniso <= 0.7 * iso
     print(f"PASS criterion 10: momentum drift {drift:.2f}, revival"
           f" {aniso:.3f} vs isotropic {iso:.3f}"

@@ -73,6 +73,10 @@ class TestLevelTable:
             assert float(e_s) == pytest.approx(row.energy, abs=1e-11)
             assert int(d_s) == row.degeneracy
 
+    def test_bad_ring_length_is_named(self, tmp_path, capsys):
+        assert run(["level-table", "--n", -2, "--out", tmp_path / "t.csv"]) == 2
+        assert "N must be even and >= 2, got -2" in capsys.readouterr().err
+
 
 class TestNeel:
     def test_single_column(self, tmp_path):
@@ -173,6 +177,12 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_takes_no_output_path(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as ei:
+            run(["verify", "--suite", "identities", "--out", tmp_path / "x"])
+        assert ei.value.code == 2
+        assert "--out" in capsys.readouterr().err
+
     def test_failing_check_sets_exit_one(self, monkeypatch, capsys):
         monkeypatch.setattr(
             cli, "run_suite",
@@ -264,6 +274,33 @@ class TestPlumbing:
             run(["level-table", "--config", cfg, "--out", tmp_path / "t.csv"])
         assert ei.value.code == 2
         assert "--n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_thread_flag_below_one_exits_two(self, tmp_path, capsys, value):
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as ei:
+            run(["level-table", "--n", 4, "--threads", value, "--out", out])
+        assert ei.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_threads_below_one_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 0\n", encoding="utf-8")
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as ei:
+            run(["level-table", "--config", cfg, "--n", 4, "--out", out])
+        assert ei.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_env_threads_below_one_exits_two(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("STAR_THREADS", value)
+        out = tmp_path / "t.csv"
+        assert run(["level-table", "--n", 4, "--out", out]) == 2
+        assert "STAR_THREADS" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_thread_flag_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STAR_THREADS", "3")

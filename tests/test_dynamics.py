@@ -2,7 +2,7 @@
 
 The reference for every propagation test is scipy's dense expm applied
 sector by sector; the Krylov stepper must match it to 1e-9 while
-keeping the norm and energy flat. Experiment wrappers are checked for
+keeping the norm and energy flat. The two experiments are checked for
 their stated conventions (time units, initial values, conservation
 laws) rather than re-deriving the propagator.
 """
@@ -23,15 +23,13 @@ from heisenberg_star.core import (
 )
 from heisenberg_star.dynamics import (
     coherent_experiment,
-    coherent_series,
     evolve,
     first_crossing,
     neel_experiment,
-    neel_series,
     run_observables,
 )
 from heisenberg_star.errors import ParameterError, StarError
-from heisenberg_star.states import dicke_state, neel_state
+from heisenberg_star.states import central_initial, dicke_state, neel_state, star_state
 
 
 def random_state(sector, seed):
@@ -192,29 +190,43 @@ class TestRunObservables:
     def test_thread_count_does_not_change_results(self):
         params = make_params(6, 2, J=0.8, g=0.9)
         grid = np.linspace(0.0, 4.0, 9)
-        a, _ = neel_series(params, "uniform", grid, threads=1)
-        b, _ = neel_series(params, "uniform", grid, threads=4)
+        a, _ = neel_experiment(params, "uniform", grid * params.gt, threads=1)
+        b, _ = neel_experiment(params, "uniform", grid * params.gt, threads=4)
         np.testing.assert_array_equal(a["ms"], b["ms"])
 
 
-@pytest.mark.parametrize("series", ["neel", "coherent"])
-def test_series_check_the_grid_before_building(series, monkeypatch):
+@pytest.mark.parametrize("experiment", ["neel", "coherent"])
+def test_series_check_the_grid_before_building(experiment, monkeypatch):
     built = []
 
     def builder(*args, **kwargs):
         built.append(args)
         raise AssertionError("built before the grid was checked")
 
-    for name in ("neel_state", "spin_coherent", "star_state", "build_star_hamiltonian",
-                 "build_modified_star", "_observable"):
+    for name in ("neel_state", "central_initial", "spin_coherent", "star_state",
+                 "build_star_hamiltonian", "build_modified_star", "_observable"):
         monkeypatch.setattr(dynamics, name, builder)
     params = make_params(6, 1, J=1.0, g=1.0)
     with pytest.raises(ParameterError, match="increasing"):
-        if series == "neel":
-            neel_series(params, "polarized", [1.0, 0.5])
+        if experiment == "neel":
+            neel_experiment(params, "polarized", [1.0, 0.5])
         else:
-            coherent_series(params, math.pi / 2, 0.0, [1.0, 0.5])
+            coherent_experiment(params, math.pi / 2, 0.0, [1.0, 0.5])
     assert built == []
+
+
+def neel_star_run(params, central_kind, t_abs):
+    """The alternating-state quench built by hand: 'ms' on absolute times.
+
+    Same state, Hamiltonian and observable as neel_experiment, but it
+    also runs at g = 0, where the experiment has no reduced time axis.
+    """
+    central = central_initial(params.two_S, central_kind)
+    state = star_state(params.two_S,
+                       [(c, amp, neel_state(params.N)) for c, amp in enumerate(central)])
+    hams = [ops.build_star_hamiltonian(s, params) for s in state.sectors]
+    stag = [ops.build_staggered(s) for s in state.sectors]
+    return run_observables(hams, state, t_abs, {"ms": stag})
 
 
 class TestNeelSeries:
@@ -223,7 +235,7 @@ class TestNeelSeries:
         N = 6
         params = make_params(N, 2, J=1.0, g=0.0)
         grid = np.linspace(0.0, 6.0, 13)
-        totals, _ = neel_series(params, "polarized", grid)
+        totals, _ = neel_star_run(params, "polarized", grid)
         bath = neel_state(N)
         sec, _ = bath.require_single()
         ring = ops.build_bath_ring(sec, params.J, params.Jp)
@@ -234,22 +246,22 @@ class TestNeelSeries:
     def test_decoupled_centre_kind_is_irrelevant(self):
         params = make_params(6, 3, J=1.0, g=0.0)
         grid = np.linspace(0.0, 3.0, 7)
-        a, _ = neel_series(params, "polarized", grid)
-        b, _ = neel_series(params, "uniform", grid)
+        a, _ = neel_star_run(params, "polarized", grid)
+        b, _ = neel_star_run(params, "uniform", grid)
         np.testing.assert_allclose(a["ms"], b["ms"], atol=1e-12)
 
     def test_rejects_anisotropy_and_field(self):
         with pytest.raises(ParameterError):
-            neel_series(make_params(4, 1, J=1.0, Jp=0.5), "polarized", [0.0, 1.0])
+            neel_experiment(make_params(4, 1, J=1.0, Jp=0.5), "polarized", [0.0, 1.0])
         with pytest.raises(ParameterError):
-            neel_series(make_params(4, 1, J=1.0, omega=0.2), "polarized", [0.0, 1.0])
+            neel_experiment(make_params(4, 1, J=1.0, omega=0.2), "polarized", [0.0, 1.0])
 
 
 def j_spread(name):
     """Largest pointwise spread of one quench series over J in {0, 1, 5}."""
     grid = np.linspace(0.0, 8.0, 17)
     runs = [neel_experiment(make_params(6, 1, J=J, g=1.0), "polarized", grid,
-                            observables=(name,))[name].values for J in (0.0, 1.0, 5.0)]
+                            observables=(name,))[0][name] for J in (0.0, 1.0, 5.0)]
     return max(float(np.max(np.abs(a - b))) for a, b in itertools.combinations(runs, 2))
 
 
@@ -266,25 +278,24 @@ class TestNeelExperiment:
     def test_initial_values_and_units(self):
         params = make_params(8, 2, J=0.5, g=1.0)
         grid = np.linspace(0.0, 4.0, 9)
-        series = neel_experiment(params, "polarized", grid, observables=("Sz", "ms"))
-        assert series["ms"].values[0] == pytest.approx(0.5, abs=1e-12)
-        assert series["Sz"].values[0] == pytest.approx(1.0, abs=1e-12)
-        assert series["ms"].meta["time_unit"] == "gt_collective"
+        values, meta = neel_experiment(params, "polarized", grid, observables=("Sz", "ms"))
+        assert values["ms"][0] == pytest.approx(0.5, abs=1e-12)
+        assert values["Sz"][0] == pytest.approx(1.0, abs=1e-12)
+        assert meta["time_unit"] == "gt_collective"
+        assert meta["central"] == "polarized" and meta["params"] == params
         # grid is in units of gt: the absolute-time run at t = grid/gt agrees
-        totals, _ = neel_series(params, "polarized", grid / params.gt,
-                                observables=("ms",))
-        np.testing.assert_allclose(series["ms"].values, totals["ms"], atol=1e-12)
+        totals, _ = neel_star_run(params, "polarized", grid / params.gt)
+        np.testing.assert_allclose(values["ms"], totals["ms"], atol=1e-12)
 
     def test_uniform_centre_starts_unpolarized(self):
         params = make_params(6, 2, J=0.5, g=1.0)
-        series = neel_experiment(params, "uniform", np.linspace(0.0, 2.0, 5),
-                                 observables=("Sz",))
-        assert series["Sz"].values[0] == pytest.approx(0.0, abs=1e-12)
+        values, _ = neel_experiment(params, "uniform", np.linspace(0.0, 2.0, 5),
+                                    observables=("Sz",))
+        assert values["Sz"][0] == pytest.approx(0.0, abs=1e-12)
 
     def test_diagnostics_recorded(self):
         params = make_params(6, 1, J=1.0, g=1.0)
-        series = neel_experiment(params, "polarized", np.linspace(0.0, 10.0, 21))
-        meta = series["ms"].meta
+        _, meta = neel_experiment(params, "polarized", np.linspace(0.0, 10.0, 21))
         assert meta["norm_drift"] <= 1e-10
         assert meta["energy_drift"] <= 1e-9
 
@@ -297,34 +308,26 @@ class TestNeelExperiment:
 class TestCoherentExperiment:
     def test_starts_fully_polarized(self):
         params = make_params(6, 1, J=1.0, g=1.0, omega=1.0)
-        series = coherent_experiment(params, math.pi / 2, 0.0,
-                                     np.linspace(0.0, 2.0, 5))
-        assert series["Sz"].values[0] == pytest.approx(1.0, abs=1e-12)
-        assert series["Sz"].meta["time_unit"] == "gt"
+        values, meta = coherent_experiment(params, math.pi / 2, 0.0,
+                                           np.linspace(0.0, 2.0, 5))
+        assert values["Sz"][0] == pytest.approx(1.0, abs=1e-12)
+        assert meta["time_unit"] == "gt"
+        assert (meta["theta"], meta["phi"], meta["params"]) == (math.pi / 2, 0.0, params)
 
     def test_ring_momentum_is_conserved_when_isotropic(self):
         params = make_params(6, 1, J=1.0, g=1.0, omega=1.0)
-        series = coherent_experiment(params, 1.9, 0.4, np.linspace(0.0, 6.0, 13),
-                                     observables=("Sz", "L2"))
+        values, _ = coherent_experiment(params, 1.9, 0.4, np.linspace(0.0, 6.0, 13),
+                                        observables=("Sz", "L2"))
         l = 3.0
-        np.testing.assert_allclose(series["L2"].values, l * (l + 1), atol=1e-9)
+        np.testing.assert_allclose(values["L2"], l * (l + 1), atol=1e-9)
 
     def test_anisotropy_lets_the_momentum_drift(self):
         params = make_params(6, 1, J=1.0, Jp=0.5, g=1.0, omega=1.0)
-        series = coherent_experiment(params, math.pi / 2, 0.0,
-                                     np.linspace(0.0, 6.0, 13),
-                                     observables=("Sz", "L2"))
-        drift = np.max(np.abs(series["L2"].values - series["L2"].values[0]))
+        values, _ = coherent_experiment(params, math.pi / 2, 0.0,
+                                        np.linspace(0.0, 6.0, 13),
+                                        observables=("Sz", "L2"))
+        drift = np.max(np.abs(values["L2"] - values["L2"][0]))
         assert drift > 1e-2
-
-    def test_matches_absolute_time_route(self):
-        # the grid is in units of the bare coupling g, not g sqrt(N)
-        params = make_params(4, 2, J=0.7, g=1.1, omega=0.9)
-        grid = np.linspace(0.0, 3.0, 7)
-        series = coherent_experiment(params, 1.1, -0.3, grid)
-        totals, _ = coherent_series(params, 1.1, -0.3, grid / params.g)
-        np.testing.assert_allclose(series["Sz"].values,
-                                   np.asarray(totals["Sz"]) / params.S, atol=1e-12)
 
 
 class TestFirstCrossing:

@@ -22,7 +22,6 @@ from heisenberg_star.core import (
 )
 from heisenberg_star.dynamics import (
     coherent_experiment,
-    coherent_series,
     k0_state,
     run_observables,
 )
@@ -131,8 +130,10 @@ def test_k0_run_matches_full_sectors(N, two_S):
     for J, Jp in ((1.0, 1.0), (1.1, 0.7), (0.0, 0.0)):
         params = make_params(N, two_S, J=J, Jp=Jp, g=0.9, omega=0.8)
         for theta in (0.0, math.pi / 2, 1.9):
-            got, diag = coherent_series(params, theta, 0.4, t_abs,
-                                        observables=("Sz", "L2"))
+            # the experiment takes g t and reports <Sz>/S
+            got, diag = coherent_experiment(params, theta, 0.4, t_abs * params.g,
+                                            observables=("Sz", "L2"))
+            got["Sz"] *= params.S
             want, _ = full_sector_series(params, theta, 0.4, t_abs)
             for name in ("Sz", "L2"):
                 np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-10)
@@ -141,10 +142,9 @@ def test_k0_run_matches_full_sectors(N, two_S):
 
 def test_block_dims_are_recorded():
     params = make_params(8, 1, J=1.0, Jp=0.6, omega=1.0)
-    series = coherent_experiment(params, math.pi / 2, 0.0, np.linspace(0.0, 1.0, 3),
-                                 observables=("Sz", "L2"))
+    _, meta = coherent_experiment(params, math.pi / 2, 0.0, np.linspace(0.0, 1.0, 3),
+                                  observables=("Sz", "L2"))
     # necklaces(8, n) + necklaces(8, n + 1) for the two central levels
     want = [necklaces(8, n) + (necklaces(8, n + 1) if n < 8 else 0) for n in range(9)]
     assert want == [2, 5, 11, 17, 17, 11, 5, 2, 1]
-    for ts in series.values():
-        assert ts.meta["block_dims"] == want
+    assert meta["block_dims"] == want

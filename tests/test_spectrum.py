@@ -370,6 +370,15 @@ class TestRingLevels:
         with pytest.raises(KeyError):
             level_table(4).energy(3)
 
+    @pytest.mark.parametrize("N", [-2, 0, 5])
+    def test_rejects_a_bad_ring_length_before_solving(self, N, monkeypatch):
+        def solve(*args):
+            raise AssertionError("solved before N was checked")
+
+        monkeypatch.setattr(spectrum, "bath_subground_state", solve)
+        with pytest.raises(ParameterError, match=f"N must be even and >= 2, got {N}"):
+            level_table(N)
+
 
 class TestMagnonBand:
     @pytest.mark.parametrize("N", [4, 6, 8, 12])
