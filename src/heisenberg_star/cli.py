@@ -219,15 +219,19 @@ def cmd_level_table(args) -> int:
 
 def _write_experiment(args, tmax: float, experiment, **results) -> int:
     """Run ``experiment(grid, threads)`` on ``args.samples`` points of
-    [0, tmax]; write its columns and a sidecar with its drifts."""
+    [0, tmax]; write its columns and a sidecar with its drifts and the
+    number of blocks on each propagation route."""
     threads = _threads(args)
     if args.samples < 2:
         raise ParameterError("need at least two samples")
     grid = np.linspace(0.0, tmax, args.samples)
     values, meta = experiment(grid, threads)
     csvio.write_timeseries(args.out, grid, values)
+    routes = meta["routes"]
     results.update(norm_drift=f"{meta['norm_drift']:.3e}",
-                   energy_drift=f"{meta['energy_drift']:.3e}")
+                   energy_drift=f"{meta['energy_drift']:.3e}",
+                   spectral_blocks=routes.count("spectral"),
+                   krylov_blocks=routes.count("krylov"))
     if "block_dims" in meta:
         results["block_dim_max"] = max(meta["block_dims"])
     _write_meta(args, threads=threads, **results)
@@ -236,6 +240,7 @@ def _write_experiment(args, tmax: float, experiment, **results) -> int:
 
 
 def cmd_neel(args) -> int:
+    make_params(args.n, args.two_s, J=0.0)  # checks N before sqrt(N) is taken
     params = make_params(args.n, args.two_s, J=args.j_over_gt * args.gt,
                          g=args.gt / math.sqrt(args.n))
     observables = ("Sz", "ms") if args.with_sz else ("ms",)

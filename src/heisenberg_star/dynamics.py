@@ -1,12 +1,16 @@
 """Real-time propagation and the two quench experiments.
 
-Time evolution is exact short-iterate Lanczos exponentiation applied
-block by block: total magnetization is conserved, so a multi-sector
-initial state never mixes blocks and each block carries its own
-Hamiltonian. Within a block the propagator builds a Krylov basis of at
-most KRYLOV_DIM vectors per step, exponentiates the projected
-tridiagonal, and halves the substep whenever the a posteriori error
-estimate misses KRYLOV_TOL. Both settings are fixed module constants.
+Total magnetization is conserved, so a multi-sector initial state never
+mixes blocks and each block carries its own Hamiltonian. Blocks of at
+most DENSE_CUTOFF states, the same cutoff below which the ground-state
+solver diagonalizes densely, take the spectral route: one dense ``eigh``
+H = U E U^H per block gives the state at every grid time exactly,
+v(t) = U (e^{-iEt} U^H v0), with no substeps and no tolerance. Larger
+blocks take the Krylov route: short-iterate Lanczos exponentiation that
+builds a basis of at most KRYLOV_DIM vectors per step, exponentiates the
+projected tridiagonal, and halves the substep whenever the a posteriori
+error estimate misses KRYLOV_TOL. Both settings are fixed module
+constants.
 
 The two experiments mirror the figures this package reproduces: the
 alternating-state quench watched through the staggered magnetization
@@ -48,6 +52,7 @@ from .operators import (
     build_star_hamiltonian,
     build_zeeman,
 )
+from .spectrum import DENSE_CUTOFF
 from .states import central_initial, neel_state, spin_coherent, star_state
 
 # Krylov basis size and per-step error tolerance of the propagator
@@ -185,15 +190,48 @@ def _time_grid(t_grid) -> list[float]:
     return t_grid
 
 
+def _route(mat) -> str:
+    """How a block is propagated: 'spectral' up to DENSE_CUTOFF states,
+    'krylov' above."""
+    return "spectral" if mat.shape[0] <= DENSE_CUTOFF else "krylov"
+
+
 def _trajectory(mat, v, t_grid):
-    """Yield one block's vector at each grid time, starting from t = 0."""
+    """Yield one block's states at the grid times, starting from t = 0.
+
+    Each item is a dim x k array whose columns are the states at k
+    consecutive grid times. The spectral route yields at most
+    DENSE_CUTOFF times per chunk; the Krylov route one at a time.
+    """
+    if _route(mat) == "spectral":
+        dense = mat.toarray()
+        energies, U = np.linalg.eigh(dense if dense.imag.any() else dense.real)
+        del dense
+        c = U.conj().T @ v
+        t_grid = np.asarray(t_grid, dtype=float)
+        for start in range(0, t_grid.size, DENSE_CUTOFF):
+            phases = np.exp(-1j * np.outer(energies, t_grid[start:start + DENSE_CUTOFF]))
+            phases *= c[:, None]
+            if np.iscomplexobj(U):
+                chunk = U @ phases
+            else:
+                # a real U acts on the (re, im) column pairs in one real product
+                chunk = (U @ phases.view(np.float64)).view(np.complex128)
+            del phases
+            yield chunk
+        return
     t_prev = 0.0
     for t in t_grid:
         dt = t - t_prev
         if dt > 0.0:
             v = _step_block(mat, v, dt)
             t_prev = t
-        yield v
+        yield v[:, None]
+
+
+def _column_dots(a, b):
+    """Re <a_j|b_j> of every column pair, without a conjugated copy."""
+    return np.einsum("ij,ij->j", a.real, b.real) + np.einsum("ij,ij->j", a.imag, b.imag)
 
 
 def evolve(hams, state: StateVector, t_grid):
@@ -202,13 +240,15 @@ def evolve(hams, state: StateVector, t_grid):
     ``hams`` supplies one Hermitian block operator per occupied sector,
     in the same order as ``state.sectors``. The grid must be
     nonnegative and strictly increasing; a leading 0.0 returns the
-    initial state unchanged. States are yielded one at a time so long
-    trajectories never sit in memory at once.
+    initial state unchanged. States are yielded one at a time, and a
+    block holds at most DENSE_CUTOFF of them, so long trajectories
+    never sit in memory at once.
     """
     hams = list(hams)
     _check_pairing(hams, state)
     t_grid = _time_grid(t_grid)
-    paths = [_trajectory(op.matrix, state.block(i), t_grid) for i, op in enumerate(hams)]
+    paths = [(col for chunk in _trajectory(op.matrix, state.block(i), t_grid)
+              for col in chunk.T) for i, op in enumerate(hams)]
     for blocks in zip(*paths):
         yield StateVector(sectors=state.sectors, amps=np.concatenate(blocks),
                           offsets=state.offsets)
@@ -224,7 +264,7 @@ def run_observables(hams, state: StateVector, t_grid, observables, threads: int 
 
     Returns (values, diagnostics) where values maps each name to its
     sampled series and diagnostics reports the worst norm and energy
-    drift over the grid.
+    drift over the grid and ``routes``, the route of each block.
     """
     hams = list(hams)
     names = list(observables.keys())
@@ -239,12 +279,14 @@ def run_observables(hams, state: StateVector, t_grid, observables, threads: int 
         mat = hams[i].matrix
         mats = [ops[i].matrix for ops in obs_lists]
         rows = np.zeros((len(mats) + 2, n_t))
-        path = _trajectory(mat, state.block(i), t_grid)
-        for k, v in enumerate(path):
+        k = 0
+        for chunk in _trajectory(mat, state.block(i), t_grid):
+            cols = slice(k, k + chunk.shape[1])
             for j, om in enumerate(mats):
-                rows[j, k] = np.vdot(v, om @ v).real
-            rows[-2, k] = np.vdot(v, v).real
-            rows[-1, k] = np.vdot(v, mat @ v).real
+                rows[j, cols] = _column_dots(chunk, om @ chunk)
+            rows[-2, cols] = _column_dots(chunk, chunk)
+            rows[-1, cols] = _column_dots(chunk, mat @ chunk)
+            k = cols.stop
         return rows
 
     indices = range(state.n_blocks)
@@ -263,6 +305,7 @@ def run_observables(hams, state: StateVector, t_grid, observables, threads: int 
         "norm_drift": float(np.max(np.abs(norm - norm[0]))),
         "energy_drift": float(np.max(np.abs(energy - energy[0]))),
         "norm_min": float(norm.min()),
+        "routes": [_route(op.matrix) for op in hams],
     }
     return dict(zip(names, totals)), diagnostics
 

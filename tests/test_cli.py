@@ -110,6 +110,11 @@ class TestNeel:
         assert run(["neel", "--n", 5, "--two-s", 1,
                     "--out", tmp_path / "x.csv"]) == 2
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_nonpositive_ring_is_a_usage_error(self, tmp_path, capsys, n):
+        assert run(["neel", "--n", n, "--out", tmp_path / "x.csv"]) == 2
+        assert "ring length must be an integer >= 2" in capsys.readouterr().err
+
     def test_negative_times_are_a_usage_error(self, tmp_path):
         assert run(["neel", "--n", 4, "--two-s", 1, "--tmax", -5,
                     "--samples", 3, "--out", tmp_path / "x.csv"]) == 2
@@ -141,6 +146,13 @@ class TestCoherent:
                     "--samples", 3, "--out", out]) == 0
         # 10 + 7 necklaces of the two half-filled central levels
         assert "block_dim_max = 17" in read(tmp_path / "c8.csv.meta").splitlines()
+
+    def test_meta_counts_the_blocks_of_each_route(self, tmp_path):
+        out = tmp_path / "c8.csv"
+        assert run(["coherent", "--n", 8, "--two-s", 1, "--tmax-gt", 1,
+                    "--samples", 3, "--out", out]) == 0
+        meta = read(tmp_path / "c8.csv.meta").splitlines()
+        assert "spectral_blocks = 9" in meta and "krylov_blocks = 0" in meta
 
     def test_empty_time_span_is_a_usage_error(self, tmp_path):
         # tmax-gt 0 repeats t = 0, which is not a strictly increasing grid

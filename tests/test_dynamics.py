@@ -1,10 +1,14 @@
 """Real-time propagation against dense matrix exponentials.
 
 The reference for every propagation test is scipy's dense expm applied
-sector by sector; the Krylov stepper must match it to 1e-9 while
-keeping the norm and energy flat. The two experiments are checked for
-their stated conventions (time units, initial values, conservation
-laws) rather than re-deriving the propagator.
+sector by sector. Blocks up to DENSE_CUTOFF states, the same cutoff the
+ground-state solver uses, take the spectral route (one dense ``eigh``
+per block) and larger blocks the Krylov stepper; every evolve test runs
+on both routes, the Krylov one by setting the cutoff to 0, and must
+match expm to 1e-9 while keeping the norm and energy flat. The two
+experiments are checked for their stated conventions (time units,
+initial values, conservation laws) rather than re-deriving the
+propagator.
 """
 
 import itertools
@@ -57,6 +61,9 @@ propagators = pytest.mark.parametrize(
 
 
 class TestEvolve:
+    """Blocks this small take the spectral route; TestEvolveKrylov below
+    runs these tests again on the Krylov route."""
+
     def test_matches_dense_exponential(self):
         params = make_params(6, 2, J=0.8, g=1.1)
         sec = enumerate_sector(6, 2, 0)
@@ -125,6 +132,7 @@ class TestEvolve:
         assert np.linalg.norm(direct.amps - sampled.amps) <= 1e-9
 
     def test_small_krylov_space_still_converges(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "DENSE_CUTOFF", 0)
         monkeypatch.setattr(dynamics, "KRYLOV_DIM", 5)
         params = make_params(6, 1, J=1.0, g=1.0)
         sec = enumerate_sector(6, 1, 1)
@@ -168,6 +176,49 @@ class TestEvolve:
         st = StateVector.from_blocks([(a, np.ones(a.dim)), (b, np.ones(b.dim))])
         with pytest.raises(StarError):
             propagate([Hb, Ha], st, [0.0, 1.0])
+
+
+class TestEvolveKrylov(TestEvolve):
+    """The TestEvolve checks with each block on the Krylov route."""
+
+    @pytest.fixture(autouse=True)
+    def krylov_route(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "DENSE_CUTOFF", 0)
+
+    # pins the Krylov route itself, so a second run would repeat it
+    test_small_krylov_space_still_converges = None
+
+
+@pytest.mark.parametrize("N", [8, 10, 12])
+def test_spectral_route_matches_krylov(N, monkeypatch):
+    # the alternating-state star with a uniform spin-1/2 centre: two
+    # sectors of 1716 states at N = 12
+    params = make_params(N, 1, J=0.9, g=1.0)
+    central = central_initial(1, "uniform")
+    state = star_state(1, [(c, amp, neel_state(N)) for c, amp in enumerate(central)])
+    hams = [ops.build_star_hamiltonian(s, params) for s in state.sectors]
+    grid = np.linspace(0.0, 10.0, 11) / params.gt
+    runs = {}
+    for route, cutoff in (("spectral", max(s.dim for s in state.sectors)), ("krylov", 0)):
+        monkeypatch.setattr(dynamics, "DENSE_CUTOFF", cutoff)
+        assert {dynamics._route(h.matrix) for h in hams} == {route}
+        runs[route] = [out.amps for out in evolve(hams, state, grid)]
+    for a, b in zip(runs["spectral"], runs["krylov"]):
+        assert np.linalg.norm(a - b) <= 1e-9
+
+
+def test_spectral_chunks_hold_at_most_the_cutoff(monkeypatch):
+    params = make_params(6, 1, J=0.7, g=1.0)
+    sec = enumerate_sector(6, 1, 1)
+    H = ops.build_star_hamiltonian(sec, params)
+    st = random_state(sec, 3)
+    monkeypatch.setattr(dynamics, "DENSE_CUTOFF", 40)
+    assert sec.dim <= 40
+    grid = np.linspace(0.0, 5.0, 100)
+    chunks = list(dynamics._trajectory(H.matrix, st.amps, grid))
+    assert [c.shape for c in chunks] == [(sec.dim, 40)] * 2 + [(sec.dim, 20)]
+    for t, col in zip(grid, np.hstack(chunks).T):
+        assert np.linalg.norm(col - dense_propagate(H, st.amps, t)) <= 1e-9
 
 
 class TestRunObservables:
@@ -320,6 +371,15 @@ class TestCoherentExperiment:
                                         observables=("Sz", "L2"))
         l = 3.0
         np.testing.assert_allclose(values["L2"], l * (l + 1), atol=1e-9)
+
+    def test_routes_are_recorded(self, monkeypatch):
+        params = make_params(8, 1, J=1.0, Jp=0.6, g=1.0, omega=1.0)
+        grid = np.linspace(0.0, 1.0, 3)
+        _, meta = coherent_experiment(params, math.pi / 2, 0.0, grid)
+        assert meta["routes"] == ["spectral"] * 9
+        monkeypatch.setattr(dynamics, "DENSE_CUTOFF", 0)
+        _, meta = coherent_experiment(params, math.pi / 2, 0.0, grid)
+        assert meta["routes"] == ["krylov"] * 9
 
     def test_anisotropy_lets_the_momentum_drift(self):
         params = make_params(6, 1, J=1.0, Jp=0.5, g=1.0, omega=1.0)
