@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     CentralSpinTooLarge,
@@ -255,26 +254,61 @@ def enumerate_bath_sector(N: int, n_up: int) -> BasisSector:
     return enumerate_sector(N, 0, 2 * n_up - N)
 
 
-def zero_momentum_isometry(sector: BasisSector) -> sp.csr_matrix:
-    """Isometry P (dim x n_orbits) onto the k = 0 states of a sector.
+@dataclass(frozen=True, eq=False)
+class OrbitBlock(BasisSector):
+    """The dihedral-invariant states of one sector, one per ring orbit.
 
-    Cyclic translation of the ring rotates the N bits of a state and
-    keeps its central index. Each column of P is the normalized sum of
-    one orbit of that rotation, the R distinct states of an orbit of
-    period R each with weight 1/sqrt(R). Columns are ordered by the
-    packed key of the orbit representative, the smallest of the N bit
-    rotations. Every operator that commutes with translation satisfies
-    M P = P (P^T M P), so a k = 0 state can evolve under P^T M P.
+    The ring's N rotations and their bit-reversed images permute the
+    bits of a state and keep its central index. Orbit ``o`` stands for
+    q_o, the normalized sum of its ``size[o]`` distinct states; these
+    columns of an isometry Q span the k = 0, reflection-even states of
+    the sector. ``label`` gives the orbit of every state of ``sector``.
+    The inherited arrays ``central``, ``bits``, ``n_up`` and ``keys``
+    describe the orbit representatives, the smallest key of each orbit,
+    in ascending key order, so the builders of :mod:`operators` run on
+    the block as on a sector; a hop from a representative lands, through
+    :meth:`positions`, on the orbit of its image.
+    """
+
+    sector: BasisSector
+    label: np.ndarray
+    size: np.ndarray
+
+    @property
+    def tag(self) -> str:
+        return f"{self.sector.tag}:dihedral"
+
+    def positions(self, keys: np.ndarray) -> np.ndarray:
+        """Orbits of an array of packed sector keys, KeyError if any is missing."""
+        return self.label[self.sector.positions(keys)]
+
+    def __repr__(self) -> str:
+        return f"OrbitBlock({self.tag}, dim={self.dim})"
+
+
+def orbit_block(sector: BasisSector) -> OrbitBlock:
+    """Label each state of a sector by its orbit under the ring's dihedral group.
+
+    A state's label key is the smallest of its 2N images: the N bit
+    rotations of ``bits`` and of its bit reversal, at the same central
+    index. The sector's keys are sorted, so each orbit's first state is
+    its representative.
     """
     N = sector.N
-    bits = sector.bits
-    rep = bits
+    mask = (1 << N) - 1
+    mirror = np.zeros_like(sector.bits)
+    for a in range(N):
+        mirror |= ((sector.bits >> a) & 1) << (N - 1 - a)
+    least = np.minimum(sector.bits, mirror)
     for r in range(1, N):
-        rep = np.minimum(rep, ((bits >> r) | (bits << (N - r))) & ((1 << N) - 1))
-    _, col, size = np.unique((sector.central << N) | rep,
-                             return_inverse=True, return_counts=True)
-    return sp.csr_matrix((1.0 / np.sqrt(size[col]), col, np.arange(sector.dim + 1)),
-                         shape=(sector.dim, size.size))
+        for b in (sector.bits, mirror):
+            least = np.minimum(least, ((b >> r) | (b << (N - r))) & mask)
+    _, first, label, size = np.unique((sector.central << N) | least, return_index=True,
+                                      return_inverse=True, return_counts=True)
+    return OrbitBlock(N=N, two_S=sector.two_S, two_m=sector.two_m,
+                      central=sector.central[first], bits=sector.bits[first],
+                      n_up=sector.n_up[first], keys=sector.keys[first],
+                      sector=sector, label=label, size=size)
 
 
 @dataclass

@@ -21,27 +21,21 @@ builds its state and operators, runs :func:`run_observables` once on
 the grid divided by its rate, and returns ``(values, meta)``: one array
 per observable and one dict with the time unit, the parameters and the
 run diagnostics. The coherent state and the driven star are both
-invariant under cyclic translation of the ring, so that run evolves
-each block in its k = 0 subspace (:class:`K0Block`), about N times
-smaller than the sector.
+invariant under the ring's rotations and reflections, so that run
+evolves each block on its dihedral orbit block (k = 0, reflection
+even), built directly (:func:`core.orbit_block`): about 2N times
+smaller than the sector, with no sector-wide operator ever formed.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
-from .core import (
-    BasisSector,
-    ModelParams,
-    StateVector,
-    zero_momentum_isometry,
-)
+from .core import BasisSector, ModelParams, StateVector, orbit_block
 from .errors import ConvergenceError, ParameterError, StarError
 from .operators import (
     SparseOperator,
@@ -58,50 +52,28 @@ from .states import central_initial, neel_state, spin_coherent, star_state
 # Krylov basis size and per-step error tolerance of the propagator
 KRYLOV_DIM = 30
 KRYLOV_TOL = 1e-9
-# largest |P P^T v - v| / |v| of a block accepted as translation invariant
+# largest |Q Q^T v - v| / |v| of a block accepted as ring symmetric
 K0_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class K0Block:
-    """The k = 0 states of one sector: the columns of ``P``.
-
-    Stands in for the sector in a StateVector and a SparseOperator, so
-    the propagator runs on it unchanged.
-    """
-
-    sector: BasisSector
-    P: sp.csr_matrix  # dim x n_orbits
-
-    @property
-    def dim(self) -> int:
-        return self.P.shape[1]
-
-    @property
-    def tag(self) -> str:
-        return f"{self.sector.tag}:k=0"
-
-    def reduce(self, op: SparseOperator) -> SparseOperator:
-        """P^T M P of a translation-invariant sector operator M."""
-        return SparseOperator(sector=self, matrix=(self.P.T @ (op.matrix @ self.P)).tocsr())
-
-
 def k0_state(state: StateVector) -> StateVector:
-    """The blocks of a translation-invariant state in their k = 0 bases.
+    """The blocks of a ring-symmetric state on their dihedral orbit blocks.
 
-    Raises StarError for a block with a k != 0 part, that is when
-    |P P^T v - v| exceeds K0_TOL |v|.
+    Each block v becomes x = Q^T v, x_o = sum_{s in o} v_s / sqrt(size[o]).
+    Raises StarError for a block with a part outside the k = 0,
+    reflection-even states, that is when |Q Q^T v - v| exceeds K0_TOL |v|.
     """
     blocks = []
     for i, sector in enumerate(state.sectors):
-        block = K0Block(sector, zero_momentum_isometry(sector))
+        block = orbit_block(sector)
         v = state.block(i)
-        x = block.P.T @ v
-        leak = float(np.linalg.norm(block.P @ x - v))
+        sums = (np.bincount(block.label, v.real, block.dim)
+                + 1j * np.bincount(block.label, v.imag, block.dim))
+        leak = float(np.linalg.norm((sums / block.size)[block.label] - v))
         if leak > K0_TOL * float(np.linalg.norm(v)):
-            raise StarError(f"block {sector.tag} is not translation invariant:"
-                            f" |P P^T v - v| = {leak:.2e}")
-        blocks.append((block, x))
+            raise StarError(f"block {sector.tag} is not translation invariant or not"
+                            f" reflection even: |Q Q^T v - v| = {leak:.2e}")
+        blocks.append((block, sums / np.sqrt(block.size)))
     return StateVector.from_blocks(blocks, renormalize=False)
 
 
@@ -355,21 +327,20 @@ def coherent_experiment(params: ModelParams, theta: float, phi: float, t_grid,
                         observables=("Sz",), threads: int = 1):
     """Driven-star run from the coherent ring state on a g t grid.
 
-    Each block runs in its k = 0 basis: every sector operator is built
-    in full, reduced to P^T M P and dropped. Needs g > 0.
+    Each block runs on its dihedral orbit block (k = 0, reflection
+    even), where every operator is built directly. Needs g > 0.
 
     Returns (values, meta): one array per observable, 'Sz' reported as
     <Sz>/S, and the time unit, the parameters, the angles, the run
-    diagnostics and ``block_dims``, the k = 0 dimension of each block.
+    diagnostics and ``block_dims``, the orbit count of each block.
     """
     if params.g <= 0:
         raise ParameterError("reduced time needs g > 0")
     t_abs = _time_grid(np.asarray(list(t_grid), dtype=float) / params.g)
     ring = spin_coherent(params.N, theta, phi)
     state = k0_state(star_state(params.two_S, [(0, 1.0, ring)]))
-    hams = [b.reduce(build_modified_star(b.sector, params)) for b in state.sectors]
-    obs = {name: [b.reduce(_observable(b.sector, name)) for b in state.sectors]
-           for name in observables}
+    hams = [build_modified_star(b, params) for b in state.sectors]
+    obs = {name: [_observable(b, name) for b in state.sectors] for name in observables}
     values, diagnostics = run_observables(hams, state, t_abs, obs, threads)
     if "Sz" in values:
         values["Sz"] = values["Sz"] / params.S

@@ -11,6 +11,12 @@ appears explicitly in each Hamiltonian), so Hermiticity holds by
 construction and is asserted in tests rather than symmetrized after
 the fact.
 
+Every builder of an operator that commutes with the ring's rotations
+and reflections (the ring, the system-bath coupling, L^2 and the
+central field) also runs on a :class:`core.OrbitBlock`, where it emits
+that operator on the block's orbits directly. The staggered
+magnetization does not commute with them and has no block form.
+
 Matrix elements follow the usual spin ladder weights. For the central
 spin with ``S_m = S - c``:
 
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import BasisSector, ModelParams, StateVector
+from .core import BasisSector, ModelParams, OrbitBlock, StateVector
 from .errors import ParameterError, SectorMismatch
 
 
@@ -86,8 +92,17 @@ def _diagonal(values: np.ndarray):
 
 
 def _to_operator(sector: BasisSector, entries) -> SparseOperator:
-    """CSR from (rows, cols, values) triplets; duplicates are summed."""
+    """CSR from (rows, cols, values) triplets; duplicates are summed.
+
+    On an orbit block the columns are representatives and the rows the
+    orbits of their images, so the summed entry of row o', column o is
+    sum_{s in o'} M[s, r_o]; scaled by sqrt(size[o] / size[o']) it is
+    the entry (Q^T M Q)[o', o] of any operator M that commutes with the
+    ring's rotations and reflections.
+    """
     rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    if isinstance(sector, OrbitBlock):
+        vals = vals * np.sqrt(sector.size[cols] / sector.size[rows])
     mat = sp.csr_matrix(
         (vals.astype(np.complex128), (rows, cols)),
         shape=(sector.dim, sector.dim),

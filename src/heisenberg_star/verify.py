@@ -16,6 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import make_params
+from .errors import ParameterError
 from .dynamics import (
     _route,
     _step_block,
@@ -42,6 +43,7 @@ from .spectrum import (
 from .states import (
     bath_multiplet,
     central_initial,
+    coherent_coefficients,
     neel_state,
     spin_coherent,
     star_state,
@@ -166,6 +168,7 @@ def suite_dynamics_oracle(N: int = 6) -> list[CheckResult]:
     out.append(_check("coherent-ring-eigenstate N=14", res <= 1e-10,
                       f"residual {res:.2e}"))
     out.append(_coherent_k0_check())
+    out.append(_coherent_collective_check())
     return out
 
 
@@ -187,6 +190,59 @@ def _coherent_k0_check() -> CheckResult:
     worst = max(float(np.max(np.abs(got[k] - want[k]))) for k in obs)
     return _check("coherent-k0-vs-full N=8", worst <= 1e-10,
                   f"max Sz/L2 deviation {worst:.2e}")
+
+
+def _spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense Sz and S+ of spin j = two_j / 2, basis ordered m = j, j - 1, ..., -j."""
+    j = two_j / 2.0
+    m = j - np.arange(two_j + 1)
+    return np.diag(m), np.diag(np.sqrt((j - m[1:]) * (j + m[1:] + 1.0)), 1)
+
+
+def collective_series(params, theta: float, phi: float, t_abs) -> dict[str, np.ndarray]:
+    """<Sz> and <L^2> of the driven coherent run at J == Jp, in spin S x spin N/2.
+
+    The coherent ring state lies in the maximal ring multiplet l = N/2,
+    where the isotropic ring is the constant J N/4, so the run never
+    leaves the (2S+1)(N+1) states |S_m> x |l = N/2, m_l> and
+    H = omega Sz + 2g S.L + J N/4. The central spin starts at S_m = S
+    and the ring in the Dicke weights of ``coherent_coefficients``; the
+    state at each time comes from one dense diagonalization of H. Shares
+    no enumeration, builder or propagator with the package.
+    """
+    if not params.isotropic:
+        raise ParameterError("the collective-spin form needs J == Jp")
+    sz, splus = _spin_matrices(params.two_S)
+    lz, lplus = _spin_matrices(params.N)
+    one_s, one_l = np.eye(params.two_S + 1), np.eye(params.N + 1)
+    s_dot_l = np.kron(sz, lz) + 0.5 * (np.kron(splus, lplus.T) + np.kron(splus.T, lplus))
+    H = params.omega * np.kron(sz, one_l) + 2.0 * params.g * s_dot_l
+    H += params.J * params.N / 4.0 * np.eye(H.shape[0])
+    ring = coherent_coefficients(params.N, theta, phi).Q[::-1]  # n up spins: m_l = n - N/2
+    psi0 = np.kron(one_s[0], ring)
+    energies, U = np.linalg.eigh(H)
+    V = U @ (np.exp(-1j * np.outer(energies, np.asarray(t_abs, float))) * (U.T @ psi0)[:, None])
+    l_squared = np.kron(one_s, lz @ lz + 0.5 * (lplus @ lplus.T + lplus.T @ lplus))
+    return {name: np.einsum("ij,ij->j", V.conj(), M @ V).real
+            for name, M in (("Sz", np.kron(sz, one_l)), ("L2", l_squared))}
+
+
+def _coherent_collective_check() -> CheckResult:
+    """The coherent run against the collective-spin oracle, N = 14, S = 1/2 and 3/2.
+
+    The experiment takes g t and reports <Sz>/S; the oracle takes t and <Sz>.
+    """
+    theta, phi = math.pi / 2, 0.3
+    t_gt = np.linspace(0.0, 55.0, 221)
+    worst = 0.0
+    for two_S in (1, 3):
+        params = make_params(14, two_S, J=1.0, g=1.0, omega=1.0)
+        got, _ = coherent_experiment(params, theta, phi, t_gt, ("Sz", "L2"))
+        got["Sz"] *= params.S
+        want = collective_series(params, theta, phi, t_gt / params.g)
+        worst = max(worst, *(float(np.max(np.abs(got[k] - want[k]))) for k in want))
+    return _check("coherent-collective N=14", worst <= 1e-10,
+                  f"max Sz/L2 deviation {worst:.2e} at 2S = 1, 3")
 
 
 SUITES = {

@@ -144,8 +144,8 @@ class TestCoherent:
         out = tmp_path / "c8.csv"
         assert run(["coherent", "--n", 8, "--two-s", 1, "--tmax-gt", 1,
                     "--samples", 3, "--out", out]) == 0
-        # 10 + 7 necklaces of the two half-filled central levels
-        assert "block_dim_max = 17" in read(tmp_path / "c8.csv.meta").splitlines()
+        # 8 + 5 bracelets of the two half-filled central levels
+        assert "block_dim_max = 13" in read(tmp_path / "c8.csv.meta").splitlines()
 
     def test_meta_counts_the_blocks_of_each_route(self, tmp_path):
         out = tmp_path / "c8.csv"

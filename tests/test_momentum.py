@@ -1,13 +1,17 @@
-"""The k = 0 (translation-invariant) basis and the coherent run that uses it.
+"""The dihedral orbit blocks and the coherent run that uses them.
 
-The isometry is checked against definitions: its columns are orthonormal,
-fixed by a translation built site by site, as many as the necklaces of
-the ring, and every translation-invariant builder satisfies
-M P = P (P^T M P). The driven coherent run in that basis is compared
-with the same state propagated on the full sectors by dense
-diagonalization, which shares no code with the propagator.
+Each orbit block is checked against an isometry Q built here, state by
+state, from rotations and reflections of the ring carried out site by
+site: every ring-symmetric builder emitted on the block equals Q^T M Q,
+is Hermitian, and has one state per bracelet of each central level. The
+k = 0 isometry P of translations alone, also built here, is the oracle
+for the translation part. The driven coherent run on orbit blocks is
+compared with the same state propagated on the full sectors by dense
+diagonalization, which shares no code with the propagator, and at
+J == Jp with the collective-spin oracle of ``verify``.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -16,10 +20,11 @@ import scipy.sparse as sparse
 
 from heisenberg_star import operators as ops
 from heisenberg_star.core import (
+    BasisSector,
     StateVector,
     enumerate_sector,
     make_params,
-    zero_momentum_isometry,
+    orbit_block,
 )
 from heisenberg_star.dynamics import (
     coherent_experiment,
@@ -27,6 +32,29 @@ from heisenberg_star.dynamics import (
 )
 from heisenberg_star.errors import StarError
 from heisenberg_star.states import central_initial, neel_state, spin_coherent, star_state
+from heisenberg_star.verify import collective_series
+
+
+def zero_momentum_isometry(sector: BasisSector) -> sparse.csr_matrix:
+    """Isometry P (dim x n_orbits) onto the k = 0 states of a sector.
+
+    Cyclic translation of the ring rotates the N bits of a state and
+    keeps its central index. Each column of P is the normalized sum of
+    one orbit of that rotation, the R distinct states of an orbit of
+    period R each with weight 1/sqrt(R). Columns are ordered by the
+    packed key of the orbit representative, the smallest of the N bit
+    rotations. Every operator that commutes with translation satisfies
+    M P = P (P^T M P).
+    """
+    N = sector.N
+    bits = sector.bits
+    rep = bits
+    for r in range(1, N):
+        rep = np.minimum(rep, ((bits >> r) | (bits << (N - r))) & ((1 << N) - 1))
+    _, col, size = np.unique((sector.central << N) | rep,
+                             return_inverse=True, return_counts=True)
+    return sparse.csr_matrix((1.0 / np.sqrt(size[col]), col, np.arange(sector.dim + 1)),
+                             shape=(sector.dim, size.size))
 
 
 def coherent_star(params, theta, phi):
@@ -43,6 +71,46 @@ def necklaces(N, n_up):
 
 def _phi(d):
     return sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
+
+
+def bracelets(N, n_up):
+    """Binary bracelets of even length N with n_up ones (Burnside over the
+    dihedral group): N rotations, N/2 reflections through two sites and
+    N/2 through two bonds."""
+    rotations = N * necklaces(N, n_up)
+    # an axis through two sites leaves them free and pairs the other N - 2
+    through_sites = sum(math.comb(2, a) * math.comb((N - 2) // 2, (n_up - a) // 2)
+                        for a in range(3) if a <= n_up and (n_up - a) % 2 == 0)
+    through_bonds = math.comb(N // 2, n_up // 2) if n_up % 2 == 0 else 0
+    total = rotations + N // 2 * (through_sites + through_bonds)
+    assert total % (2 * N) == 0
+    return total // (2 * N)
+
+
+@functools.lru_cache(maxsize=None)
+def ring_orbits(N):
+    """The smallest image of every N-bit ring configuration under the
+    dihedral group, each image moved site by site: site a goes to
+    (a + r) mod N, or to (r - a) mod N when reflected."""
+    def image(bits, r, reflect):
+        return sum(1 << (((r - a) if reflect else (a + r)) % N)
+                   for a in range(N) if bits >> a & 1)
+    return {bits: min(image(bits, r, reflect) for r in range(N) for reflect in (False, True))
+            for bits in range(1 << N)}
+
+
+def dihedral_isometry(sector, block):
+    """Q (dim x block.dim): column o is the normalized sum of the states
+    in the orbit of the block's representative o."""
+    orbits = ring_orbits(sector.N)
+    orbit = [(c, orbits[bits]) for c, bits in sector.states]
+    column = {(int(c), orbits[int(b)]): o
+              for o, (c, b) in enumerate(zip(block.central, block.bits))}
+    assert len(column) == block.dim == len(set(orbit))
+    cols = np.array([column[key] for key in orbit])
+    size = np.bincount(cols, minlength=block.dim)
+    return sparse.csr_matrix((1.0 / np.sqrt(size[cols]), (np.arange(sector.dim), cols)),
+                             shape=(sector.dim, block.dim))
 
 
 def translation(sector):
@@ -91,6 +159,45 @@ class TestIsometry:
                 assert abs(MP - P @ (P.T @ MP)).max() <= 1e-12, op
 
 
+def symmetric_builders(sector):
+    """Every builder of a ring-symmetric operator that applies to the sector,
+    the ring at J != Jp."""
+    builders = [lambda s: ops.build_bath_ring(s, 0.7, 0.3), ops.build_L_squared]
+    if not sector.is_bath:
+        builders += [lambda s: ops.build_system_bath(s, 1.3),
+                     lambda s: ops.build_zeeman(s, 0.9)]
+    return builders
+
+
+BLOCK_CASES = [(N, two_S) for N in (4, 6, 8, 10) for two_S in (0, 1, 3) if two_S <= N]
+
+
+@pytest.mark.parametrize("N,two_S", BLOCK_CASES)
+class TestOrbitBlock:
+    def test_builders_emit_the_reduced_operator(self, N, two_S):
+        for sector in sectors(N, two_S):
+            block = orbit_block(sector)
+            Q = dihedral_isometry(sector, block)
+            for build in symmetric_builders(sector):
+                got = build(block).matrix
+                want = Q.T @ build(sector).matrix @ Q
+                assert got.shape == want.shape
+                assert abs(got - want).max() <= 1e-13, (sector, build)
+
+    def test_block_operators_are_hermitian(self, N, two_S):
+        for sector in sectors(N, two_S):
+            block = orbit_block(sector)
+            for build in symmetric_builders(sector):
+                mat = build(block).matrix
+                assert abs(mat - mat.conj().T).max() <= 1e-14, (sector, build)
+
+    def test_dimension_is_the_bracelet_count(self, N, two_S):
+        for sector in sectors(N, two_S):
+            want = sum(bracelets(N, int(sector.n_up[sector.central == c][0]))
+                       for c in np.unique(sector.central))
+            assert orbit_block(sector).dim == want
+
+
 class TestGuard:
     def test_alternating_state_is_refused(self):
         # the alternating ring state has a k = pi part
@@ -111,6 +218,20 @@ class TestGuard:
         amps = np.ones(sector.dim, dtype=complex)
         amps[3] += 1e-9
         with pytest.raises(StarError):
+            k0_state(StateVector.single(sector, amps))
+
+
+    def test_reflection_odd_state_is_refused(self):
+        # sites {1, 2, 4} up and their mirror image {1, 4, 6} lie on two
+        # translation orbits; their difference has k = 0 and is odd under reflection
+        sector = enumerate_sector(6, 1, 1)
+        amps = np.zeros(sector.dim, dtype=complex)
+        for pattern, sign in ((0b001011, 1.0), (0b101001, -1.0)):
+            for r in range(6):
+                rotated = ((pattern << r) | (pattern >> (6 - r))) & 0b111111
+                amps[sector.index_of(0, rotated)] = sign
+        assert abs(translation(sector) @ amps - amps).max() == 0.0
+        with pytest.raises(StarError, match="not reflection even"):
             k0_state(StateVector.single(sector, amps))
 
 
@@ -162,7 +283,19 @@ def test_block_dims_are_recorded():
     params = make_params(8, 1, J=1.0, Jp=0.6, omega=1.0)
     _, meta = coherent_experiment(params, math.pi / 2, 0.0, np.linspace(0.0, 1.0, 3),
                                   observables=("Sz", "L2"))
-    # necklaces(8, n) + necklaces(8, n + 1) for the two central levels
-    want = [necklaces(8, n) + (necklaces(8, n + 1) if n < 8 else 0) for n in range(9)]
-    assert want == [2, 5, 11, 17, 17, 11, 5, 2, 1]
+    # bracelets(8, n) + bracelets(8, n + 1) for the two central levels
+    want = [bracelets(8, n) + (bracelets(8, n + 1) if n < 8 else 0) for n in range(9)]
+    assert want == [2, 5, 9, 13, 13, 9, 5, 2, 1]
     assert meta["block_dims"] == want
+
+
+@pytest.mark.parametrize("N,two_S", [(14, 1), (14, 3), (12, 4)])
+def test_isotropic_run_matches_the_collective_spin(N, two_S):
+    # the experiment takes g t and reports <Sz>/S; the oracle takes t and <Sz>
+    params = make_params(N, two_S, J=1.0, g=1.0, omega=1.0)
+    t_gt = np.linspace(0.0, 55.0, 1101)
+    got, _ = coherent_experiment(params, math.pi / 2, 0.3, t_gt, observables=("Sz", "L2"))
+    want = collective_series(params, math.pi / 2, 0.3, t_gt / params.g)
+    np.testing.assert_allclose(got["Sz"] * params.S, want["Sz"], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(got["L2"], want["L2"], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(want["L2"], N / 2 * (N / 2 + 1), rtol=0, atol=1e-10)
