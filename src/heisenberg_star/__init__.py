@@ -30,8 +30,8 @@ from .spectrum import (
     transition_point,
 )
 from .states import (
-    CoherentSpec,
     central_initial,
+    coherent_block_state,
     dicke_state,
     neel_state,
     spin_coherent,

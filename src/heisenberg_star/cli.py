@@ -90,9 +90,15 @@ def _apply_config(parser: argparse.ArgumentParser, command: str,
     """Make the config values ``command`` takes its option defaults.
 
     argparse converts string defaults with the option's type, so flags
-    still win. A switch refuses a value: "false" would be truthy.
+    still win. A key another command takes is ignored, so one file may
+    serve several commands; a key no command takes is refused as a typo.
+    A switch refuses a value: "false" would be truthy.
     """
     (commands,) = (a for a in parser._actions if a.dest == "command")
+    known = {a.dest for p in commands.choices.values() for a in p._actions}
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise ParameterError(f"unknown config key {', '.join(unknown)}: no command takes it")
     for action in commands.choices[command]._actions:
         if action.dest not in config:
             continue
@@ -158,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=12, help="ring sites N")
     p.add_argument("--two-s", type=int, default=3, help="twice the central spin S")
     p.add_argument("--j-over-gt", type=float, default=1.0, help="ring coupling J / gt")
-    p.add_argument("--gt", type=float, default=1.0, help="collective coupling g sqrt(N)")
     p.add_argument("--central", default="polarized", choices=["polarized", "uniform"],
                    help="central spin state")
     p.add_argument("--tmax", type=float, default=40.0, help="grid end in gt units")
@@ -241,8 +246,8 @@ def _write_experiment(args, tmax: float, experiment, **results) -> int:
 
 def cmd_neel(args) -> int:
     make_params(args.n, args.two_s, J=0.0)  # checks N before sqrt(N) is taken
-    params = make_params(args.n, args.two_s, J=args.j_over_gt * args.gt,
-                         g=args.gt / math.sqrt(args.n))
+    # on a gt t grid the run depends on J / gt and N only, so gt = 1
+    params = make_params(args.n, args.two_s, J=args.j_over_gt, g=1.0 / math.sqrt(args.n))
     observables = ("Sz", "ms") if args.with_sz else ("ms",)
     return _write_experiment(args, args.tmax, lambda grid, threads: neel_experiment(
         params, args.central, grid, observables, threads))

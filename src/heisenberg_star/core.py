@@ -18,6 +18,7 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,21 +199,32 @@ def sector_dimension(N: int, two_S: int, two_m: int) -> int:
 
 # Sectors enumerated so far, by (N, two_S, two_m), oldest first. The
 # cache holds at most SECTOR_CAPACITY states in all (32 bytes each).
+# Pool workers enumerate concurrently, so one lock guards lookup,
+# enumeration, insert and eviction.
 _SECTORS: dict[tuple[int, int, int], BasisSector] = {}
+_SECTORS_LOCK = threading.Lock()
 
 
 def enumerate_sector(N: int, two_S: int, two_m: int) -> BasisSector:
     """Materialize the sector basis and its sorted keys, once per process.
 
     Repeated calls return the same cached object, whose arrays are
-    read-only. Raises EmptySector when no product state has the
-    requested magnetization (out of range, or parity mismatch between
-    ``two_m`` and ``two_S``), and SectorCapacityError beyond the
-    supported size.
+    read-only, also across threads. Raises EmptySector when no product
+    state has the requested magnetization (out of range, or parity
+    mismatch between ``two_m`` and ``two_S``), and SectorCapacityError
+    beyond the supported size.
     """
-    cached = _SECTORS.get((N, two_S, two_m))
-    if cached is not None:
+    with _SECTORS_LOCK:
+        cached = _SECTORS.get((N, two_S, two_m))
+        if cached is None:
+            cached = _SECTORS[(N, two_S, two_m)] = _enumerate(N, two_S, two_m)
+            while sum(s.dim for s in _SECTORS.values()) > SECTOR_CAPACITY:
+                del _SECTORS[next(iter(_SECTORS))]
         return cached
+
+
+def _enumerate(N: int, two_S: int, two_m: int) -> BasisSector:
+    """A fresh sector basis; see :func:`enumerate_sector`."""
     if N % 2 != 0:
         raise OddBathSize(f"ring length must be even, got N={N}")
     if two_S < 0 or two_S > N:
@@ -239,12 +251,8 @@ def enumerate_sector(N: int, two_S: int, two_m: int) -> BasisSector:
     keys = (central << N) | bits
     for arr in (central, bits, ups, keys):
         arr.flags.writeable = False
-    sector = BasisSector(N=N, two_S=two_S, two_m=two_m,
-                         central=central, bits=bits, n_up=ups, keys=keys)
-    _SECTORS[(N, two_S, two_m)] = sector
-    while sum(s.dim for s in _SECTORS.values()) > SECTOR_CAPACITY:
-        del _SECTORS[next(iter(_SECTORS))]
-    return sector
+    return BasisSector(N=N, two_S=two_S, two_m=two_m,
+                       central=central, bits=bits, n_up=ups, keys=keys)
 
 
 def enumerate_bath_sector(N: int, n_up: int) -> BasisSector:

@@ -23,8 +23,11 @@ per observable and one dict with the time unit, the parameters and the
 run diagnostics. The coherent state and the driven star are both
 invariant under the ring's rotations and reflections, so that run
 evolves each block on its dihedral orbit block (k = 0, reflection
-even), built directly (:func:`core.orbit_block`): about 2N times
-smaller than the sector, with no sector-wide operator ever formed.
+even): about 2N times smaller than the sector, with no sector-wide
+operator or state ever formed. The state comes written on the blocks
+(:func:`states.coherent_block_state`) and the operators are built on
+them; the propagator takes any block state as given and knows nothing
+of orbits.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import scipy.linalg
 
-from .core import BasisSector, ModelParams, StateVector, orbit_block
-from .errors import ConvergenceError, ParameterError, StarError
+from .core import BasisSector, ModelParams, StateVector
+from .errors import ConvergenceError, ParameterError
 from .operators import (
     SparseOperator,
     _check_pairing,
@@ -47,34 +50,11 @@ from .operators import (
     build_zeeman,
 )
 from .spectrum import DENSE_CUTOFF
-from .states import central_initial, neel_state, spin_coherent, star_state
+from .states import central_initial, coherent_block_state, neel_state, star_state
 
 # Krylov basis size and per-step error tolerance of the propagator
 KRYLOV_DIM = 30
 KRYLOV_TOL = 1e-9
-# largest |Q Q^T v - v| / |v| of a block accepted as ring symmetric
-K0_TOL = 1e-12
-
-
-def k0_state(state: StateVector) -> StateVector:
-    """The blocks of a ring-symmetric state on their dihedral orbit blocks.
-
-    Each block v becomes x = Q^T v, x_o = sum_{s in o} v_s / sqrt(size[o]).
-    Raises StarError for a block with a part outside the k = 0,
-    reflection-even states, that is when |Q Q^T v - v| exceeds K0_TOL |v|.
-    """
-    blocks = []
-    for i, sector in enumerate(state.sectors):
-        block = orbit_block(sector)
-        v = state.block(i)
-        sums = (np.bincount(block.label, v.real, block.dim)
-                + 1j * np.bincount(block.label, v.imag, block.dim))
-        leak = float(np.linalg.norm((sums / block.size)[block.label] - v))
-        if leak > K0_TOL * float(np.linalg.norm(v)):
-            raise StarError(f"block {sector.tag} is not translation invariant or not"
-                            f" reflection even: |Q Q^T v - v| = {leak:.2e}")
-        blocks.append((block, sums / np.sqrt(block.size)))
-    return StateVector.from_blocks(blocks, renormalize=False)
 
 
 def _expm_krylov(mat, v, tau, m, tol):
@@ -328,7 +308,8 @@ def coherent_experiment(params: ModelParams, theta: float, phi: float, t_grid,
     """Driven-star run from the coherent ring state on a g t grid.
 
     Each block runs on its dihedral orbit block (k = 0, reflection
-    even), where every operator is built directly. Needs g > 0.
+    even), where the state and every operator are written directly.
+    Needs g > 0.
 
     Returns (values, meta): one array per observable, 'Sz' reported as
     <Sz>/S, and the time unit, the parameters, the angles, the run
@@ -337,8 +318,7 @@ def coherent_experiment(params: ModelParams, theta: float, phi: float, t_grid,
     if params.g <= 0:
         raise ParameterError("reduced time needs g > 0")
     t_abs = _time_grid(np.asarray(list(t_grid), dtype=float) / params.g)
-    ring = spin_coherent(params.N, theta, phi)
-    state = k0_state(star_state(params.two_S, [(0, 1.0, ring)]))
+    state = coherent_block_state(params.N, params.two_S, theta, phi)
     hams = [build_modified_star(b, params) for b in state.sectors]
     obs = {name: [_observable(b, name) for b in state.sectors] for name in observables}
     values, diagnostics = run_observables(hams, state, t_abs, obs, threads)

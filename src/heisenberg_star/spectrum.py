@@ -284,13 +284,14 @@ def sub_ground_energy(two_l: int, two_S: int, J: float, g: float,
         S <= l:  J E1b - g S (l + 1)
         l < S:   J E1b - g l (S + 1)
 
-    with degeneracy 2 |l - S| + 1.
+    with degeneracy 2 |l - S| + 1. ``J`` may be an array, giving one
+    energy per entry.
     """
     l = two_l / 2.0
     S = two_S / 2.0
     if two_S <= two_l:
-        return J * E1b - g * S * (l + 1.0)
-    return J * E1b - g * l * (S + 1.0)
+        return J * E1b - g * (S * (l + 1.0))
+    return J * E1b - g * (l * (S + 1.0))
 
 
 def sub_ground_degeneracy(two_l: int, two_S: int) -> int:
@@ -316,29 +317,15 @@ def ground_scan(N: int, two_S: int, ratio_grid, table: LevelTable | None = None,
         raise ParameterError(f"two_S={two_S} outside [1, N={N}]")
     if table is None:
         table = level_table(N, threads=threads)
-    inv_sqrt_n = 1.0 / math.sqrt(N)
-    branch = []
-    for row in table.rows:
-        l = row.two_l / 2.0
-        S = two_S / 2.0
-        if two_S <= row.two_l:
-            weight = S * (l + 1.0)
-        else:
-            weight = l * (S + 1.0)
-        branch.append((row.two_l, row.energy, weight * inv_sqrt_n))
-    out = []
-    for ratio in ratio_grid:
-        best_l = -1
-        best_e = np.inf
-        # descending l so equal energies keep the larger l
-        for two_l, e1b, weight in reversed(branch):
-            e = ratio * e1b - weight
-            if e < best_e:
-                best_e = e
-                best_l = two_l
-        out.append(GroundScanRow(
-            J_over_gt=float(ratio), EG_over_gt=float(best_e), lG=best_l // 2))
-    return out
+    ratios = np.asarray(ratio_grid, dtype=float)
+    # descending l, so argmin's first minimum keeps the larger l on ties
+    rows = table.rows[::-1]
+    energies = np.array([sub_ground_energy(row.two_l, two_S, ratios, 1.0 / math.sqrt(N),
+                                           row.energy) for row in rows])
+    best = np.argmin(energies, axis=0)
+    return [GroundScanRow(J_over_gt=float(ratio), EG_over_gt=float(energies[k, i]),
+                          lG=rows[k].two_l // 2)
+            for i, (ratio, k) in enumerate(zip(ratios, best))]
 
 
 def scan_transitions(rows: list[GroundScanRow]) -> list[tuple[float, int, int]]:

@@ -6,6 +6,9 @@ and the spin coherent state that superposes all Dicke states of the
 maximal multiplet. The central spin starts either polarized or in an
 equal-weight superposition of its levels; :func:`star_state` places
 central levels times ring states into the star's magnetization sectors.
+The driven run's state, a polarized centre times the coherent ring, is
+written straight onto the dihedral orbit blocks of those sectors by
+:func:`coherent_block_state`, never formed on the full sectors.
 
 The sub-ground eigenstates of the isotropic star are assembled in
 closed form: a string of coefficients couples the central levels to
@@ -18,12 +21,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import BasisSector, StateVector, enumerate_bath_sector, enumerate_sector
+from .core import BasisSector, StateVector, enumerate_bath_sector, enumerate_sector, orbit_block
 from .errors import ParameterError, StarError
 from .operators import _hop, apply_bath_lowering
 from . import spectrum
@@ -64,18 +66,9 @@ def dicke_state(N: int, n_up: int) -> StateVector:
     return StateVector.single(sector, amps, renormalize=False)
 
 
-@dataclass(frozen=True)
-class CoherentSpec:
-    """Direction (theta, phi) and Dicke weights Q_n of a coherent state."""
-
-    N: int
-    theta: float
-    phi: float
-    Q: np.ndarray  # complex, length N + 1, sum |Q_n|^2 = 1
-
-
-def coherent_coefficients(N: int, theta: float, phi: float) -> CoherentSpec:
-    """Dicke weights of the spin coherent state pointing along (theta, phi).
+def coherent_coefficients(N: int, theta: float, phi: float) -> np.ndarray:
+    """Dicke weights Q_n, n = 0 .. N up spins, of the spin coherent state
+    pointing along (theta, phi): a complex (N + 1,) array, sum |Q_n|^2 = 1.
 
     Q_n = z^n / (1 + |z|^2)^(N/2) * sqrt(C(N, n)) with
     z = cot(theta/2) exp(-i phi). Magnitudes are assembled in log space
@@ -97,7 +90,7 @@ def coherent_coefficients(N: int, theta: float, phi: float) -> CoherentSpec:
                               - math.lgamma(N - n + 1))
                        + n * log_cos + (N - n) * log_sin)
             Q[n] = math.exp(log_mag) * cmath.exp(-1j * n * phi)
-    return CoherentSpec(N=N, theta=theta, phi=phi, Q=Q)
+    return Q
 
 
 def spin_coherent(N: int, theta: float, phi: float) -> StateVector:
@@ -108,15 +101,29 @@ def spin_coherent(N: int, theta: float, phi: float) -> StateVector:
     eigenstate of the isotropic ring at the top of the spectrum (energy
     N/4 at unit coupling), which the dynamics tests rely on.
     """
-    spec = coherent_coefficients(N, theta, phi)
+    Q = coherent_coefficients(N, theta, phi)
     blocks = []
-    for n in range(N + 1):
-        q = spec.Q[n]
-        if q == 0:
-            continue
+    for n in np.flatnonzero(Q).tolist():
         sector = enumerate_bath_sector(N, n)
-        amps = np.full(sector.dim, q / math.sqrt(sector.dim), dtype=np.complex128)
-        blocks.append((sector, amps))
+        blocks.append((sector, np.full(sector.dim, Q[n] / math.sqrt(sector.dim))))
+    return StateVector.from_blocks(blocks, renormalize=False)
+
+
+def coherent_block_state(N: int, two_S: int, theta: float, phi: float) -> StateVector:
+    """|S_m = S> x (coherent ring) written on dihedral orbit blocks.
+
+    The star state with n ring spins up is Q_n / sqrt(C(N, n)) on every
+    state of central index 0 in its sector, so its orbit sums (Q^T v in
+    :class:`core.OrbitBlock`) are x_o = Q_n sqrt(size_o / C(N, n)) on the
+    orbits of central index 0 and zero elsewhere. Blocks come in
+    ascending n, the order :func:`star_state` gives the full-sector state.
+    """
+    Q = coherent_coefficients(N, theta, phi)
+    blocks = []
+    for n in np.flatnonzero(Q).tolist():
+        block = orbit_block(enumerate_sector(N, two_S, two_S + 2 * n - N))
+        weight = Q[n] * np.sqrt(block.size / math.comb(N, n))
+        blocks.append((block, np.where(block.central == 0, weight, 0.0)))
     return StateVector.from_blocks(blocks, renormalize=False)
 
 

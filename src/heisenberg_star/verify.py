@@ -218,7 +218,7 @@ def collective_series(params, theta: float, phi: float, t_abs) -> dict[str, np.n
     s_dot_l = np.kron(sz, lz) + 0.5 * (np.kron(splus, lplus.T) + np.kron(splus.T, lplus))
     H = params.omega * np.kron(sz, one_l) + 2.0 * params.g * s_dot_l
     H += params.J * params.N / 4.0 * np.eye(H.shape[0])
-    ring = coherent_coefficients(params.N, theta, phi).Q[::-1]  # n up spins: m_l = n - N/2
+    ring = coherent_coefficients(params.N, theta, phi)[::-1]  # n up spins: m_l = n - N/2
     psi0 = np.kron(one_s[0], ring)
     energies, U = np.linalg.eigh(H)
     V = U @ (np.exp(-1j * np.outer(energies, np.asarray(t_abs, float))) * (U.T @ psi0)[:, None])

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from heisenberg_star import cli, spectrum, verify
+from heisenberg_star.core import make_params
+from heisenberg_star.dynamics import neel_experiment
 from heisenberg_star.errors import ConvergenceError
 from heisenberg_star.spectrum import level_table, sub_ground_energy
 from heisenberg_star.verify import CheckResult
@@ -105,6 +107,22 @@ class TestNeel:
             assert run(["neel", "--n", 4, "--two-s", 1, "--tmax", 1,
                         "--samples", 3, "--out", out, *flags]) == 0
             assert f"with_sz = {want}" in read(tmp_path / "q.csv.meta").splitlines()
+
+    def test_series_depends_on_j_over_gt_only(self, tmp_path):
+        # on a gt t grid H / gt = (J / gt) H_ring + S.L / sqrt(N), so the
+        # command runs at gt = 1 and takes no --gt
+        out = tmp_path / "q.csv"
+        assert run(["neel", "--n", 6, "--two-s", 2, "--j-over-gt", 0.7, "--tmax", 4,
+                    "--samples", 9, "--with-sz", "--threads", 1, "--out", out]) == 0
+        got = np.loadtxt(out, delimiter=",", skiprows=1)
+        gt = 2.5
+        params = make_params(6, 2, J=0.7 * gt, g=gt / math.sqrt(6))
+        want, _ = neel_experiment(params, "polarized", got[:, 0], ("Sz", "ms"))
+        np.testing.assert_allclose(got[:, 1], want["Sz"], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got[:, 2], want["ms"], rtol=0, atol=1e-10)
+        with pytest.raises(SystemExit) as ei:
+            run(["neel", "--gt", 2.5, "--out", out])
+        assert ei.value.code == 2
 
     def test_odd_ring_is_a_usage_error(self, tmp_path):
         assert run(["neel", "--n", 5, "--two-s", 1,
@@ -278,6 +296,23 @@ class TestPlumbing:
                     "--samples", 3, "--out", out]) == 2
         assert "with_sz" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_key_of_no_command_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nn = 8\n", encoding="utf-8")
+        out = tmp_path / "q.csv"
+        assert run(["neel", "--config", cfg, "--n", 4, "--two-s", 1, "--tmax", 1,
+                    "--samples", 3, "--out", out]) == 2
+        assert "nn" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_key_of_another_command_is_ignored(self, tmp_path):
+        # ratio belongs to ground-scan, with-l2 is a coherent switch
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 4\nratio = 0:1:0.5\nwith-l2 = true\n", encoding="utf-8")
+        out = tmp_path / "t.csv"
+        assert run(["level-table", "--config", cfg, "--threads", 1, "--out", out]) == 0
+        assert "n = 4" in read(tmp_path / "t.csv.meta")
 
     def test_bad_config_value_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

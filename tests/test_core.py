@@ -1,6 +1,8 @@
 """Sector enumeration, parameter validation, and state containers."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -182,6 +184,27 @@ class TestEnumeration:
         assert list(core._SECTORS) == [(8, 0, -2)]
         again = enumerate_bath_sector(8, 4)
         assert again is not first and again.states == first.states
+
+    def test_threads_share_the_cache(self, monkeypatch):
+        # level-table and ground-scan workers enumerate concurrently; a small
+        # capacity keeps the cache evicting and a short switch interval
+        # interleaves the threads inside lookup, insert and eviction
+        monkeypatch.setattr(core, "_SECTORS", {})
+        monkeypatch.setattr(core, "SECTOR_CAPACITY", 600)
+
+        def work(start):
+            for k in range(200):
+                sector = enumerate_bath_sector(10, (start + k) % 11)
+                assert sector.dim == math.comb(10, (start + k) % 11)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                list(pool.map(work, range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(s.dim for s in core._SECTORS.values()) <= 600
 
 
 @settings(max_examples=40, deadline=None)

@@ -34,6 +34,7 @@ from heisenberg_star.dynamics import (
 )
 from heisenberg_star.errors import ParameterError, StarError
 from heisenberg_star.states import central_initial, dicke_state, neel_state, star_state
+from test_spectrum import twisted_ring
 
 
 def random_state(sector, seed):
@@ -121,6 +122,17 @@ class TestEvolve:
         for t, out in zip([0.0, 1.5, 4.2], evolve([H], st, [0.0, 1.5, 4.2])):
             want = st.amps * np.exp(-1j * e * t)
             assert np.linalg.norm(out.amps - want) <= 1e-10
+
+    def test_complex_hermitian_block(self):
+        # a diagonal unitary twists the ring block: same spectrum, complex
+        # entries, so the spectral route diagonalizes a complex matrix and
+        # propagates with a complex U
+        op = twisted_ring(8, 4)
+        assert np.any(op.matrix.data.imag)
+        st = random_state(op.sector, 5)
+        grid = np.array([0.0, 0.4, 1.3, 2.5])
+        for t, out in zip(grid, evolve([op], st, grid)):
+            assert np.linalg.norm(out.amps - dense_propagate(op, st.amps, t)) <= 1e-10
 
     def test_final_state_independent_of_output_sampling(self):
         params = make_params(6, 1, J=0.9, g=1.2)
@@ -254,7 +266,7 @@ def test_series_check_the_grid_before_building(experiment, monkeypatch):
         built.append(args)
         raise AssertionError("built before the grid was checked")
 
-    for name in ("neel_state", "central_initial", "spin_coherent", "star_state",
+    for name in ("neel_state", "central_initial", "coherent_block_state", "star_state",
                  "build_star_hamiltonian", "build_modified_star", "_observable"):
         monkeypatch.setattr(dynamics, name, builder)
     params = make_params(6, 1, J=1.0, g=1.0)

@@ -4,11 +4,13 @@ Each orbit block is checked against an isometry Q built here, state by
 state, from rotations and reflections of the ring carried out site by
 site: every ring-symmetric builder emitted on the block equals Q^T M Q,
 is Hermitian, and has one state per bracelet of each central level. The
-k = 0 isometry P of translations alone, also built here, is the oracle
-for the translation part. The driven coherent run on orbit blocks is
-compared with the same state propagated on the full sectors by dense
-diagonalization, which shares no code with the propagator, and at
-J == Jp with the collective-spin oracle of ``verify``.
+coherent state written on the blocks is Q^T v of the full-sector state
+v, which Q Q^T leaves whole. The k = 0 isometry P of translations
+alone, also built here, is the oracle for the translation part. The
+driven coherent run on orbit blocks is compared with the same state
+propagated on the full sectors by dense diagonalization, which shares
+no code with the propagator, and at J == Jp with the collective-spin
+oracle of ``verify``.
 """
 
 import functools
@@ -19,19 +21,9 @@ import pytest
 import scipy.sparse as sparse
 
 from heisenberg_star import operators as ops
-from heisenberg_star.core import (
-    BasisSector,
-    StateVector,
-    enumerate_sector,
-    make_params,
-    orbit_block,
-)
-from heisenberg_star.dynamics import (
-    coherent_experiment,
-    k0_state,
-)
-from heisenberg_star.errors import StarError
-from heisenberg_star.states import central_initial, neel_state, spin_coherent, star_state
+from heisenberg_star.core import BasisSector, enumerate_sector, make_params, orbit_block
+from heisenberg_star.dynamics import coherent_experiment
+from heisenberg_star.states import coherent_block_state, spin_coherent, star_state
 from heisenberg_star.verify import collective_series
 
 
@@ -198,41 +190,20 @@ class TestOrbitBlock:
             assert orbit_block(sector).dim == want
 
 
-class TestGuard:
-    def test_alternating_state_is_refused(self):
-        # the alternating ring state has a k = pi part
-        central = central_initial(1, "polarized")
-        state = star_state(1, [(c, a, neel_state(8)) for c, a in enumerate(central)])
-        with pytest.raises(StarError, match="not translation invariant"):
-            k0_state(state)
-
-    def test_coherent_state_passes_with_its_norm(self):
-        state = coherent_star(make_params(8, 3, J=1.0), 1.2, 0.3)
-        reduced = k0_state(state)
-        assert reduced.norm() == pytest.approx(state.norm(), abs=1e-14)
-        assert [b.sector for b in reduced.sectors] == list(state.sectors)
-        assert all(b.dim < b.sector.dim for b in reduced.sectors if b.sector.dim > 1)
-
-    def test_one_off_site_amplitude_is_refused(self):
-        sector = enumerate_sector(6, 1, 1)
-        amps = np.ones(sector.dim, dtype=complex)
-        amps[3] += 1e-9
-        with pytest.raises(StarError):
-            k0_state(StateVector.single(sector, amps))
-
-
-    def test_reflection_odd_state_is_refused(self):
-        # sites {1, 2, 4} up and their mirror image {1, 4, 6} lie on two
-        # translation orbits; their difference has k = 0 and is odd under reflection
-        sector = enumerate_sector(6, 1, 1)
-        amps = np.zeros(sector.dim, dtype=complex)
-        for pattern, sign in ((0b001011, 1.0), (0b101001, -1.0)):
-            for r in range(6):
-                rotated = ((pattern << r) | (pattern >> (6 - r))) & 0b111111
-                amps[sector.index_of(0, rotated)] = sign
-        assert abs(translation(sector) @ amps - amps).max() == 0.0
-        with pytest.raises(StarError, match="not reflection even"):
-            k0_state(StateVector.single(sector, amps))
+@pytest.mark.parametrize("N,two_S", [(N, two_S) for N in (4, 6, 8, 10) for two_S in (1, 2, 3)])
+def test_block_state_is_the_projected_full_state(N, two_S):
+    # v is the coherent star on the full sectors: its blocks must be Q^T v,
+    # and Q Q^T v = v says nothing of v is lost on the way
+    for theta in (0.0, 1.2, math.pi / 2, math.pi):
+        for phi in (0.0, 0.3):
+            full = star_state(two_S, [(0, 1.0, spin_coherent(N, theta, phi))])
+            got = coherent_block_state(N, two_S, theta, phi)
+            assert [b.sector for b in got.sectors] == list(full.sectors)
+            for i, block in enumerate(got.sectors):
+                Q = dihedral_isometry(block.sector, block)
+                v = full.block(i)
+                np.testing.assert_allclose(got.block(i), Q.T @ v, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(Q @ (Q.T @ v), v, rtol=0, atol=1e-14)
 
 
 def full_sector_series(params, states, t_abs):

@@ -124,43 +124,43 @@ class TestDicke:
 
 class TestCoherentCoefficients:
     def test_equator_two_sites(self):
-        spec = coherent_coefficients(2, math.pi / 2, 0.0)
-        np.testing.assert_allclose(spec.Q, [0.5, math.sqrt(0.5), 0.5], atol=1e-15)
+        Q = coherent_coefficients(2, math.pi / 2, 0.0)
+        np.testing.assert_allclose(Q, [0.5, math.sqrt(0.5), 0.5], atol=1e-15)
 
     def test_poles(self):
         up = coherent_coefficients(4, 0.0, 0.3)
-        np.testing.assert_allclose(np.abs(up.Q), [0, 0, 0, 0, 1], atol=0)
+        np.testing.assert_allclose(np.abs(up), [0, 0, 0, 0, 1], atol=0)
         down = coherent_coefficients(4, math.pi, 0.3)
-        np.testing.assert_allclose(np.abs(down.Q), [1, 0, 0, 0, 0], atol=0)
+        np.testing.assert_allclose(np.abs(down), [1, 0, 0, 0, 0], atol=0)
 
     def test_equator_is_binomial(self):
         N = 14
-        spec = coherent_coefficients(N, math.pi / 2, 0.0)
+        Q = coherent_coefficients(N, math.pi / 2, 0.0)
         for n in range(N + 1):
-            assert abs(spec.Q[n]) ** 2 == pytest.approx(math.comb(N, n) / 2.0**N)
+            assert abs(Q[n]) ** 2 == pytest.approx(math.comb(N, n) / 2.0**N)
 
     def test_azimuthal_phase(self):
-        spec = coherent_coefficients(6, 1.1, 0.7)
+        Q = coherent_coefficients(6, 1.1, 0.7)
         for n in range(1, 7):
-            rel = np.angle(spec.Q[n]) - np.angle(spec.Q[n - 1])
+            rel = np.angle(Q[n]) - np.angle(Q[n - 1])
             rel = (rel + math.pi) % (2 * math.pi) - math.pi
             assert rel == pytest.approx(-0.7, abs=1e-12)
 
     def test_against_direct_formula(self):
         N, theta, phi = 8, 2.1, -0.4
-        spec = coherent_coefficients(N, theta, phi)
+        Q = coherent_coefficients(N, theta, phi)
         z = 1.0 / math.tan(theta / 2.0)
         for n in range(N + 1):
             want = (z**n / (1 + z * z) ** (N / 2.0)) * math.sqrt(math.comb(N, n)) \
                 * np.exp(-1j * n * phi)
-            assert spec.Q[n] == pytest.approx(want, abs=1e-13)
+            assert Q[n] == pytest.approx(want, abs=1e-13)
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.05, math.pi - 0.05), st.floats(-math.pi, math.pi),
            st.sampled_from([2, 4, 8, 14]))
     def test_normalized(self, theta, phi, N):
-        spec = coherent_coefficients(N, theta, phi)
-        assert np.sum(np.abs(spec.Q) ** 2) == pytest.approx(1.0, abs=1e-12)
+        Q = coherent_coefficients(N, theta, phi)
+        assert np.sum(np.abs(Q) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_theta_range(self):
         with pytest.raises(ParameterError):
@@ -173,14 +173,14 @@ class TestSpinCoherent:
     def test_block_structure(self):
         N = 6
         cs = spin_coherent(N, 1.3, 0.2)
-        spec = coherent_coefficients(N, 1.3, 0.2)
+        Q = coherent_coefficients(N, 1.3, 0.2)
         assert cs.n_blocks == N + 1
         for n in range(N + 1):
             block = cs.block(n)
             assert block.size == math.comb(N, n)
             # each block is the Dicke state weighted by one coefficient
             np.testing.assert_allclose(
-                block, spec.Q[n] / math.sqrt(math.comb(N, n)), atol=1e-13)
+                block, Q[n] / math.sqrt(math.comb(N, n)), atol=1e-13)
         assert cs.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_ring_eigenstate(self):
