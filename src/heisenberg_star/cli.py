@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from . import csvio
-from .core import make_params
+from .core import make_params, orbit_count
 from .dynamics import coherent_experiment, neel_experiment
 from .errors import ConvergenceError, ParameterError, StarError
 from .spectrum import (
@@ -203,12 +203,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_ground_scan(args) -> int:
     threads = _threads(args)
-    rows = ground_scan(args.n, args.two_s, _parse_ratio_range(args.ratio), threads=threads)
+    grid = _parse_ratio_range(args.ratio)
+    make_params(args.n, args.two_s, J=0.0)  # checks N and the central spin before solving
+    table = level_table(args.n, threads=threads)
+    rows = ground_scan(args.n, args.two_s, grid, table=table)
     csvio.write_ground_scan(args.out, rows)
     edges = scan_transitions(rows)
     trans_path = args.out.removesuffix(".csv") + ".transitions.csv"
     csvio.write_transitions(trans_path, edges)
-    _write_meta(args, threads=threads, transitions=trans_path)
+    _write_meta(args, threads=threads, transitions=trans_path,
+                block_dim_max=max(row.block_dim for row in table.rows))
     print(f"wrote {args.out} ({len(rows)} rows) and {trans_path} ({len(edges)} edges)")
     return EXIT_OK
 
@@ -217,7 +221,8 @@ def cmd_level_table(args) -> int:
     threads = _threads(args)
     table = level_table(args.n, threads=threads)
     csvio.write_level_table(args.out, table)
-    _write_meta(args, threads=threads)
+    _write_meta(args, threads=threads,
+                block_dim_max=max(row.block_dim for row in table.rows))
     print(f"wrote {args.out} ({len(table.rows)} rows)")
     return EXIT_OK
 
@@ -268,8 +273,8 @@ def cmd_subground(args) -> int:
     psi = subground_state(args.n, args.two_s, two_l, two_m, seed=seed)
     csvio.write_state_dump(args.out, psi)
     energy = sub_ground_energy(two_l, args.two_s, args.j, args.g, e1b)
-    _write_meta(args, two_l=two_l, two_m=two_m,
-                energy=csvio.fmt(energy), E1b=csvio.fmt(e1b))
+    _write_meta(args, two_l=two_l, two_m=two_m, energy=csvio.fmt(energy),
+                E1b=csvio.fmt(e1b), block_dim=orbit_count(args.n, (args.n + two_l) // 2))
     print(f"wrote {args.out} (dim {psi.dim}), energy {csvio.fmt(energy)}")
     return EXIT_OK
 

@@ -319,6 +319,31 @@ def orbit_block(sector: BasisSector) -> OrbitBlock:
                       sector=sector, label=label, size=size)
 
 
+def orbit_count(N: int, n_up: int) -> int:
+    """Number of dihedral orbits of the N-site ring states with n_up up spins.
+
+    This is ``orbit_block(enumerate_bath_sector(N, n_up)).dim``, counted
+    without enumerating: by Burnside's lemma, the mean over the 2N
+    rotations and reflections of the states each one fixes. A state is
+    fixed when every cycle of the site permutation is all up or all down.
+    Exact integer arithmetic; N must be even.
+    """
+    fixed = 0
+    for r in range(N):  # rotation by r: gcd(r, N) cycles of equal length
+        cycles = math.gcd(r, N)
+        length = N // cycles
+        if n_up % length == 0:
+            fixed += math.comb(cycles, n_up // length)
+    pairs = N // 2
+    # N/2 axes through two sites: those sites plus N/2 - 1 swapped pairs
+    fixed += pairs * sum(math.comb(2, j) * math.comb(pairs - 1, (n_up - j) // 2)
+                         for j in range(3) if j <= n_up and (n_up - j) % 2 == 0)
+    # N/2 axes through two bonds: N/2 swapped pairs
+    if n_up % 2 == 0:
+        fixed += pairs * math.comb(pairs, n_up // 2)
+    return fixed // (2 * N)
+
+
 @dataclass
 class StateVector:
     """Complex amplitudes over one or more sectors.

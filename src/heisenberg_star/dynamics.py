@@ -56,6 +56,10 @@ from .states import central_initial, coherent_block_state, neel_state, star_stat
 KRYLOV_DIM = 30
 KRYLOV_TOL = 1e-9
 
+# Entries (states x grid times) in one chunk of the spectral route, so a
+# chunk's complex temporaries take 1 MB each whatever the block size
+CHUNK_ENTRIES = 1 << 16
+
 
 def _expm_krylov(mat, v, tau, m, tol):
     """One Lanczos-exponential application exp(-i tau H) v.
@@ -152,8 +156,9 @@ def _trajectory(mat, v, t_grid):
     """Yield one block's states at the grid times, starting from t = 0.
 
     Each item is a dim x k array whose columns are the states at k
-    consecutive grid times. The spectral route yields at most
-    DENSE_CUTOFF times per chunk; the Krylov route one at a time.
+    consecutive grid times. The spectral route yields chunks of at most
+    CHUNK_ENTRIES entries (at least one time each); the Krylov route one
+    time at a time.
     """
     if _route(mat) == "spectral":
         dense = mat.toarray()
@@ -161,8 +166,9 @@ def _trajectory(mat, v, t_grid):
         del dense
         c = U.conj().T @ v
         t_grid = np.asarray(t_grid, dtype=float)
-        for start in range(0, t_grid.size, DENSE_CUTOFF):
-            phases = np.exp(-1j * np.outer(energies, t_grid[start:start + DENSE_CUTOFF]))
+        times = max(1, CHUNK_ENTRIES // energies.size)
+        for start in range(0, t_grid.size, times):
+            phases = np.exp(-1j * np.outer(energies, t_grid[start:start + times]))
             phases *= c[:, None]
             if np.iscomplexobj(U):
                 chunk = U @ phases
@@ -193,8 +199,8 @@ def evolve(hams, state: StateVector, t_grid):
     in the same order as ``state.sectors``. The grid must be
     nonnegative and strictly increasing; a leading 0.0 returns the
     initial state unchanged. States are yielded one at a time, and a
-    block holds at most DENSE_CUTOFF of them, so long trajectories
-    never sit in memory at once.
+    block holds at most a chunk of CHUNK_ENTRIES entries of them, so
+    long trajectories never sit in memory at once.
     """
     hams = list(hams)
     _check_pairing(hams, state)

@@ -1,10 +1,14 @@
 """Static spectrum of the star: ring level structure and closed forms.
 
 The only numerical work here is the lowest eigenpair of the isotropic
-ring in one magnetization block (dense ``eigh`` up to DENSE_CUTOFF
-states, ``eigsh`` above, both on the real CSR with fixed settings;
-certified by its true residual, returned with a fixed phase) and its
-ring L^2, read from one lowering.
+ring in one magnetization block and its ring L^2, read from one
+lowering. That level is solved on the block's Marshall-rotated dihedral
+orbit block, which holds it exactly (see :func:`bath_subground_state`)
+and is about 2N times smaller, then expanded back onto the block. The
+solver is a dense ``eigh`` up to DENSE_CUTOFF states and ``eigsh``
+above, both on the real CSR with fixed settings; a pair is certified by
+its true residual and returned with a fixed phase. Every orbit block up
+to N = 16 is dense.
 Everything else is arithmetic on top of those numbers:
 
 * each ring block ``l_m = l`` has a nondegenerate bottom level with
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import StateVector, enumerate_bath_sector
+from .core import StateVector, enumerate_bath_sector, orbit_block, orbit_count
 from .errors import ConvergenceError, ParameterError, StarError
 from .operators import SparseOperator, apply_bath_lowering, build_bath_ring
 
@@ -149,6 +153,16 @@ def lowest_eigenpair(op: SparseOperator) -> tuple[float, np.ndarray]:
 def bath_subground_state(N: int, two_l: int) -> tuple[float, StateVector]:
     """Bottom level of the ring block ``l_m = l`` at unit coupling.
 
+    N is even, so the ring is bipartite, and the diagonal sign
+    M = (-1)^(up spins on odd sites) maps the ring H(J, Jp) to H(-J, Jp),
+    whose hops are all nonpositive. By Perron-Frobenius the bottom of
+    each block of H(-J, Jp) is nondegenerate and positive, so it is
+    invariant under the ring's rotations and reflections: it lies in the
+    dihedral orbit block (:func:`core.orbit_block`), about 2N times
+    smaller than the block. The level is solved there and expanded back
+    onto the sector, v_s = M_s x[label[s]] / sqrt(size[label[s]]), with
+    the phase fixed after the expansion.
+
     Returns the energy and the eigenvector, after checking that the
     vector really carries ring angular momentum ``l``: with
     L^2 = L+ L- + Lz (Lz - 1), its expectation is |L- psi|^2 + l (l - 1),
@@ -160,8 +174,11 @@ def bath_subground_state(N: int, two_l: int) -> tuple[float, StateVector]:
         raise ParameterError(f"two_l={two_l} invalid for N={N}")
     l = two_l // 2
     sector = enumerate_bath_sector(N, N // 2 + l)
-    ring = build_bath_ring(sector, 1.0, 1.0)
-    energy, vec = lowest_eigenpair(ring)
+    block = orbit_block(sector)
+    energy, x = lowest_eigenpair(build_bath_ring(block, -1.0, 1.0))
+    odd_sites = sum(1 << a for a in range(0, N, 2))  # sites 1, 3, ...
+    marshall = (-1.0) ** np.bitwise_count(sector.bits & odd_sites)
+    vec = _fix_phase(marshall * x[block.label] / np.sqrt(block.size[block.label]))
     state = StateVector.single(sector, vec)
     below = enumerate_bath_sector(N, N // 2 + l - 1)
     lowered = apply_bath_lowering(sector, state.amps, below)
@@ -181,9 +198,13 @@ def bath_subground_energy(N: int, l: int) -> float:
 
 @dataclass(frozen=True)
 class LevelRow:
+    """Bottom energy of ring block l, its multiplet count, and the
+    dimension of the orbit block it was solved on."""
+
     two_l: int
     energy: float
     degeneracy: int
+    block_dim: int
 
     @property
     def l(self) -> int:
@@ -231,8 +252,8 @@ def level_table(N: int, threads: int = 1) -> LevelTable:
 
     def solve(two_l):
         energy, _ = bath_subground_state(N, two_l)
-        return LevelRow(two_l=two_l, energy=energy,
-                        degeneracy=degeneracy(N, two_l // 2))
+        return LevelRow(two_l=two_l, energy=energy, degeneracy=degeneracy(N, two_l // 2),
+                        block_dim=orbit_count(N, (N + two_l) // 2))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -37,6 +37,22 @@ class TestGroundScan:
         assert "command = ground-scan" in meta
         assert "n = 6" in meta
 
+    def test_meta_records_the_largest_block_solved(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert run(["ground-scan", "--n", 8, "--two-s", 1, "--ratio", "0:0.1:0.1",
+                    "--out", out]) == 0
+        # 8 bracelets of the half-filled 8-site ring
+        assert "block_dim_max = 8" in read(tmp_path / "scan.csv.meta").splitlines()
+
+    @pytest.mark.parametrize("two_s", [0, 9])
+    def test_bad_central_spin_is_refused_before_solving(self, two_s, tmp_path, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the central spin was checked")
+
+        monkeypatch.setattr(cli, "level_table", solve)
+        assert run(["ground-scan", "--n", 8, "--two-s", two_s,
+                    "--out", tmp_path / "x.csv"]) == 2
+
     def test_deterministic_bytes(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -74,6 +90,12 @@ class TestLevelTable:
             assert int(l_s) == row.l
             assert float(e_s) == pytest.approx(row.energy, abs=1e-11)
             assert int(d_s) == row.degeneracy
+
+    def test_meta_records_the_largest_block_solved(self, tmp_path):
+        out = tmp_path / "levels.csv"
+        assert run(["level-table", "--n", 10, "--out", out]) == 0
+        # 16 bracelets of the half-filled 10-site ring, the largest block
+        assert "block_dim_max = 16" in read(tmp_path / "levels.csv.meta").splitlines()
 
     def test_bad_ring_length_is_named(self, tmp_path, capsys):
         assert run(["level-table", "--n", -2, "--out", tmp_path / "t.csv"]) == 2
@@ -195,6 +217,12 @@ class TestSubground:
         table = level_table(4)
         want = sub_ground_energy(4, 2, 1.0, 1.0, table.energy(4))
         assert float(e_line.split("=")[1]) == pytest.approx(want, abs=1e-10)
+
+    def test_meta_records_the_block_solved(self, tmp_path):
+        out = tmp_path / "sg.txt"
+        assert run(["subground", "--n", 8, "--two-s", 1, "--two-l", 2, "--out", out]) == 0
+        # 5 bracelets of the 8-site ring with 5 spins up
+        assert "block_dim = 5" in read(tmp_path / "sg.txt.meta").splitlines()
 
     def test_rejects_bad_multiplet_member(self, tmp_path):
         assert run(["subground", "--n", 4, "--two-s", 2, "--two-l", 4,

@@ -33,7 +33,13 @@ from heisenberg_star.dynamics import (
     run_observables,
 )
 from heisenberg_star.errors import ParameterError, StarError
-from heisenberg_star.states import central_initial, dicke_state, neel_state, star_state
+from heisenberg_star.states import (
+    central_initial,
+    coherent_block_state,
+    dicke_state,
+    neel_state,
+    star_state,
+)
 from test_spectrum import twisted_ring
 
 
@@ -219,18 +225,28 @@ def test_spectral_route_matches_krylov(N, monkeypatch):
         assert np.linalg.norm(a - b) <= 1e-9
 
 
-def test_spectral_chunks_hold_at_most_the_cutoff(monkeypatch):
+def test_spectral_chunks_hold_at_most_the_entry_budget(monkeypatch):
     params = make_params(6, 1, J=0.7, g=1.0)
     sec = enumerate_sector(6, 1, 1)
     H = ops.build_star_hamiltonian(sec, params)
     st = random_state(sec, 3)
-    monkeypatch.setattr(dynamics, "DENSE_CUTOFF", 40)
-    assert sec.dim <= 40
     grid = np.linspace(0.0, 5.0, 100)
+    monkeypatch.setattr(dynamics, "CHUNK_ENTRIES", 40 * sec.dim + sec.dim - 1)
     chunks = list(dynamics._trajectory(H.matrix, st.amps, grid))
     assert [c.shape for c in chunks] == [(sec.dim, 40)] * 2 + [(sec.dim, 20)]
     for t, col in zip(grid, np.hstack(chunks).T):
         assert np.linalg.norm(col - dense_propagate(H, st.amps, t)) <= 1e-9
+    # a budget below one state still advances one grid time per chunk
+    monkeypatch.setattr(dynamics, "CHUNK_ENTRIES", sec.dim - 1)
+    chunks = list(dynamics._trajectory(H.matrix, st.amps, grid[:3]))
+    assert [c.shape for c in chunks] == [(sec.dim, 1)] * 3
+
+
+def test_chunk_budget_keeps_a_driven_n14_grid_whole():
+    # the N = 14 driven run: 201 grid times on orbit blocks of at most 259 states
+    blocks = coherent_block_state(14, 1, 1.0, 0.5).sectors
+    assert max(b.dim for b in blocks) == 259
+    assert dynamics.CHUNK_ENTRIES // 259 >= 201
 
 
 class TestRunObservables:

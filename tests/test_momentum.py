@@ -21,7 +21,13 @@ import pytest
 import scipy.sparse as sparse
 
 from heisenberg_star import operators as ops
-from heisenberg_star.core import BasisSector, enumerate_sector, make_params, orbit_block
+from heisenberg_star.core import (
+    BasisSector,
+    enumerate_sector,
+    make_params,
+    orbit_block,
+    orbit_count,
+)
 from heisenberg_star.dynamics import coherent_experiment
 from heisenberg_star.states import coherent_block_state, spin_coherent, star_state
 from heisenberg_star.verify import collective_series
@@ -188,6 +194,13 @@ class TestOrbitBlock:
             want = sum(bracelets(N, int(sector.n_up[sector.central == c][0]))
                        for c in np.unique(sector.central))
             assert orbit_block(sector).dim == want
+
+
+@pytest.mark.parametrize("N", range(2, 17, 2))
+def test_orbit_count_is_the_ring_block_dimension(N):
+    for n_up in range(N + 1):
+        want = orbit_block(enumerate_sector(N, 0, 2 * n_up - N)).dim
+        assert orbit_count(N, n_up) == want == bracelets(N, n_up)
 
 
 @pytest.mark.parametrize("N,two_S", [(N, two_S) for N in (4, 6, 8, 10) for two_S in (1, 2, 3)])

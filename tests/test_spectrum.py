@@ -5,16 +5,22 @@ independent ways: once from the closed-form shifts applied to every
 ring multiplet (extracted by explicit projection onto each total ring
 momentum subspace), once by dense diagonalization of every
 magnetization sector. The two multisets must coincide level by level.
+The ring levels, which the package solves on Marshall-rotated dihedral
+orbit blocks, are compared with a dense solve of the full block written
+here, and the symmetry that route rests on is checked on that solve.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from heisenberg_star import operators as ops
 from heisenberg_star import spectrum
 from heisenberg_star.core import (
+    OrbitBlock,
     StateVector,
     enumerate_bath_sector,
     enumerate_sector,
@@ -350,18 +356,18 @@ class TestRingLevels:
 
     def test_table_validation_catches_misordering(self):
         rows = (
-            LevelRow(two_l=0, energy=1.0, degeneracy=2),
-            LevelRow(two_l=2, energy=-1.0, degeneracy=3),
-            LevelRow(two_l=4, energy=2.0, degeneracy=1),
+            LevelRow(two_l=0, energy=1.0, degeneracy=2, block_dim=2),
+            LevelRow(two_l=2, energy=-1.0, degeneracy=3, block_dim=1),
+            LevelRow(two_l=4, energy=2.0, degeneracy=1, block_dim=1),
         )
         with pytest.raises(StarError):
             LevelTable(N=4, rows=rows)
 
     def test_table_validation_catches_bad_counting(self):
         rows = (
-            LevelRow(two_l=0, energy=-2.0, degeneracy=2),
-            LevelRow(two_l=2, energy=-1.0, degeneracy=2),
-            LevelRow(two_l=4, energy=1.0, degeneracy=1),
+            LevelRow(two_l=0, energy=-2.0, degeneracy=2, block_dim=2),
+            LevelRow(two_l=2, energy=-1.0, degeneracy=2, block_dim=1),
+            LevelRow(two_l=4, energy=1.0, degeneracy=1, block_dim=1),
         )
         with pytest.raises(StarError):
             LevelTable(N=4, rows=rows)
@@ -378,6 +384,70 @@ class TestRingLevels:
         monkeypatch.setattr(spectrum, "bath_subground_state", solve)
         with pytest.raises(ParameterError, match=f"N must be even and >= 2, got {N}"):
             level_table(N)
+
+
+@functools.lru_cache(maxsize=None)
+def full_sector_bottom(N, two_l):
+    """Lowest pair of the full ring block l_m = l by dense eigh, written here:
+    the route bath_subground_state took before it solved on orbit blocks."""
+    sec = enumerate_bath_sector(N, N // 2 + two_l // 2)
+    mat = ops.build_bath_ring(sec, 1.0, 1.0).matrix.real.toarray()
+    evals, evecs = scipy.linalg.eigh(mat, subset_by_index=[0, 0])
+    vec = evecs[:, 0]
+    return sec, float(evals[0]), vec * np.sign(pivot(vec))
+
+
+def ring_images(sec, shift, reflect):
+    """Position of each state's image under a rotation by ``shift`` sites,
+    after the bit reversal a -> N - 1 - a when ``reflect``."""
+    N = sec.N
+    images = []
+    for bits in sec.bits.tolist():
+        if reflect:
+            bits = sum(1 << (N - 1 - a) for a in range(N) if bits >> a & 1)
+        images.append(sum(1 << ((a + shift) % N) for a in range(N) if bits >> a & 1))
+    return sec.positions(np.array(images))
+
+
+class TestOrbitBlockRoute:
+    """The ring levels come from Marshall-rotated dihedral orbit blocks; the
+    full-block dense solve is the oracle."""
+
+    @pytest.mark.parametrize("N", [2, 4, 6, 8, 10, 12, 14])
+    def test_matches_the_full_block(self, N):
+        # N = 2 keeps its doubled bond on both routes
+        for two_l in range(0, N + 1, 2):
+            sec, want_e, want_v = full_sector_bottom(N, two_l)
+            got_e, state = bath_subground_state(N, two_l)
+            assert state.sectors == (sec,)
+            assert got_e == pytest.approx(want_e, abs=1e-10)
+            assert np.abs(state.amps - want_v).max() <= 1e-10
+
+    @pytest.mark.parametrize("N", [8, 10, 12, 14])
+    def test_bottom_is_even_or_odd_under_translation_and_reflection(self, N):
+        # the premise of the route: T v = R v = (-1)^(N/2 - l) v
+        for two_l in range(0, N + 1, 2):
+            sec, _, v = full_sector_bottom(N, two_l)
+            sign = (-1) ** (N // 2 - two_l // 2)
+            for shift, reflect in ((1, False), (0, True)):
+                image = ring_images(sec, shift, reflect)
+                assert np.abs(v[image] - sign * v).max() <= 1e-10
+
+    def test_level_table_solves_only_orbit_blocks(self, monkeypatch):
+        solved = []
+        solve = spectrum.lowest_eigenpair
+
+        def record(op):
+            solved.append(op.sector)
+            return solve(op)
+
+        monkeypatch.setattr(spectrum, "lowest_eigenpair", record)
+        table = level_table(16)
+        assert len(solved) == 9
+        assert all(isinstance(block, OrbitBlock) for block in solved)
+        # the dimensions the table reports are those of the blocks solved
+        assert [block.dim for block in solved] == [row.block_dim for row in table.rows]
+        assert max(block.dim for block in solved) == 440
 
 
 class TestMagnonBand:
