@@ -267,6 +267,7 @@ def cmd_coherent(args) -> int:
 
 
 def cmd_subground(args) -> int:
+    make_params(args.n, args.two_s, J=args.j, g=args.g)  # checks the model before solving
     two_l = args.n if args.two_l is None else args.two_l
     two_m = abs(two_l - args.two_s) if args.two_m is None else args.two_m
     e1b, seed = bath_subground_state(args.n, two_l)

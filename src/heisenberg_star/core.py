@@ -18,7 +18,6 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,21 +98,23 @@ def make_params(
     )
 
 
-def _bit_patterns(n_sites: int, n_up: int):
-    """Yield every n_sites-bit integer with exactly n_up set bits, ascending.
+def _bit_patterns(n_sites: int, n_up: int) -> np.ndarray:
+    """Every n_sites-bit integer with exactly n_up set bits, ascending, as int64.
 
-    Gosper's hack produces the next larger integer with the same
-    popcount, so the ordering comes for free.
+    Ascending order is colex order, so pattern r has rank r in the
+    combinatorial number system: r = sum_k C(c_k, k) over its set bits
+    c_n_up > ... > c_1. For k = n_up down to 1, the top remaining bit of
+    every rank is the largest c with C(c, k) <= r, one ``searchsorted``
+    over the column C(0..n_sites-1, k) for all ranks at once.
     """
-    if n_up == 0:
-        yield 0
-        return
-    v = (1 << n_up) - 1
-    top = 1 << n_sites
-    while v < top:
-        yield v
-        t = v | (v - 1)
-        v = (t + 1) | (((((t + 1) & -(t + 1)) // (v & -v)) >> 1) - 1)
+    rank = np.arange(math.comb(n_sites, n_up), dtype=np.int64)
+    bits = np.zeros_like(rank)
+    for k in range(n_up, 0, -1):
+        column = np.array([math.comb(c, k) for c in range(n_sites)], dtype=np.int64)
+        top = np.searchsorted(column, rank, side="right") - 1
+        bits |= np.left_shift(1, top, dtype=np.int64)
+        rank -= column[top]
+    return bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,38 +198,23 @@ def sector_dimension(N: int, two_S: int, two_m: int) -> int:
     return total
 
 
-# Sectors enumerated so far, by (N, two_S, two_m), oldest first. The
-# cache holds at most SECTOR_CAPACITY states in all (32 bytes each).
-# Pool workers enumerate concurrently, so one lock guards lookup,
-# enumeration, insert and eviction.
-_SECTORS: dict[tuple[int, int, int], BasisSector] = {}
-_SECTORS_LOCK = threading.Lock()
-
-
 def enumerate_sector(N: int, two_S: int, two_m: int) -> BasisSector:
-    """Materialize the sector basis and its sorted keys, once per process.
+    """Materialize the sector basis and its sorted keys.
 
-    Repeated calls return the same cached object, whose arrays are
-    read-only, also across threads. Raises EmptySector when no product
-    state has the requested magnetization (out of range, or parity
-    mismatch between ``two_m`` and ``two_S``), and SectorCapacityError
-    beyond the supported size.
+    Each call returns a fresh sector whose arrays are read-only. Raises
+    EmptySector when no product state has the requested magnetization
+    (out of range, or parity mismatch between ``two_m`` and ``two_S``),
+    ParameterError when a packed key would not fit in int64, and
+    SectorCapacityError beyond the supported size.
     """
-    with _SECTORS_LOCK:
-        cached = _SECTORS.get((N, two_S, two_m))
-        if cached is None:
-            cached = _SECTORS[(N, two_S, two_m)] = _enumerate(N, two_S, two_m)
-            while sum(s.dim for s in _SECTORS.values()) > SECTOR_CAPACITY:
-                del _SECTORS[next(iter(_SECTORS))]
-        return cached
-
-
-def _enumerate(N: int, two_S: int, two_m: int) -> BasisSector:
-    """A fresh sector basis; see :func:`enumerate_sector`."""
     if N % 2 != 0:
         raise OddBathSize(f"ring length must be even, got N={N}")
     if two_S < 0 or two_S > N:
         raise CentralSpinTooLarge(f"two_S={two_S} outside [0, N={N}]")
+    if N + two_S.bit_length() > 63:
+        raise ParameterError(
+            f"keys (central << N) | bits of N={N}, two_S={two_S} overflow int64"
+        )
     if abs(two_m) > two_S + N:
         raise EmptySector(f"|two_m|={abs(two_m)} exceeds two_S + N = {two_S + N}")
     dim = sector_dimension(N, two_S, two_m)
@@ -246,8 +232,7 @@ def _enumerate(N: int, two_S: int, two_m: int) -> BasisSector:
     counts = [math.comb(N, n_up) for _, n_up in levels]
     central = np.repeat(np.array([c for c, _ in levels], dtype=np.int64), counts)
     ups = np.repeat(np.array([n_up for _, n_up in levels], dtype=np.int64), counts)
-    bits = np.fromiter((p for _, n_up in levels for p in _bit_patterns(N, n_up)),
-                       dtype=np.int64, count=dim)
+    bits = np.concatenate([_bit_patterns(N, n_up) for _, n_up in levels])
     keys = (central << N) | bits
     for arr in (central, bits, ups, keys):
         arr.flags.writeable = False

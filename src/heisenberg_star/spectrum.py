@@ -338,6 +338,8 @@ def ground_scan(N: int, two_S: int, ratio_grid, table: LevelTable | None = None,
         raise ParameterError(f"two_S={two_S} outside [1, N={N}]")
     if table is None:
         table = level_table(N, threads=threads)
+    if table.N != N:
+        raise ParameterError(f"level table is for N={table.N}, not N={N}")
     ratios = np.asarray(ratio_grid, dtype=float)
     # descending l, so argmin's first minimum keeps the larger l on ties
     rows = table.rows[::-1]

@@ -228,6 +228,22 @@ class TestSubground:
         assert run(["subground", "--n", 4, "--two-s", 2, "--two-l", 4,
                     "--two-m", 7, "--out", tmp_path / "x.csv"]) == 2
 
+    @pytest.mark.parametrize("flags", [["--two-s", 0], ["--two-s", -1],
+                                       ["--j", "nan"], ["--g", "inf"]])
+    def test_bad_model_is_refused_before_solving(self, flags, tmp_path, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the model was checked")
+
+        monkeypatch.setattr(cli, "bath_subground_state", solve)
+        out = tmp_path / "x.txt"
+        assert run(["subground", "--n", 4, *flags, "--out", out]) == 2
+        assert not out.exists()
+
+    def test_keys_beyond_int64_exit_two(self, tmp_path, capsys):
+        assert run(["subground", "--n", 62, "--two-s", 3, "--two-l", 62,
+                    "--out", tmp_path / "x.txt"]) == 2
+        assert "overflow int64" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_identities_suite_passes(self, capsys):

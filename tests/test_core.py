@@ -1,8 +1,7 @@
 """Sector enumeration, parameter validation, and state containers."""
 
+import itertools
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -166,45 +165,36 @@ class TestEnumeration:
         assert sec.two_Sm(0) == 3
         assert sec.two_Sm(3) == -3
 
-    def test_each_sector_is_enumerated_once(self):
-        assert enumerate_sector(6, 2, 0) is enumerate_sector(6, 2, 0)
-        assert enumerate_bath_sector(6, 3) is enumerate_sector(6, 0, 0)
-
     def test_cached_arrays_refuse_writes(self):
         sec = enumerate_sector(6, 2, 2)
         for arr in (sec.central, sec.bits, sec.n_up, sec.keys):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
-    def test_cache_holds_at_most_the_capacity(self, monkeypatch):
-        monkeypatch.setattr(core, "_SECTORS", {})
-        monkeypatch.setattr(core, "SECTOR_CAPACITY", 100)
-        first = enumerate_bath_sector(8, 4)   # 70 states
-        enumerate_bath_sector(8, 3)           # 56 more: the first one goes
-        assert list(core._SECTORS) == [(8, 0, -2)]
-        again = enumerate_bath_sector(8, 4)
-        assert again is not first and again.states == first.states
+    def test_keys_that_overflow_int64_are_refused(self):
+        # (3 << 62) | bits needs 64 bits
+        with pytest.raises(ParameterError):
+            enumerate_sector(62, 3, 59)
 
-    def test_threads_share_the_cache(self, monkeypatch):
-        # level-table and ground-scan workers enumerate concurrently; a small
-        # capacity keeps the cache evicting and a short switch interval
-        # interleaves the threads inside lookup, insert and eviction
-        monkeypatch.setattr(core, "_SECTORS", {})
-        monkeypatch.setattr(core, "SECTOR_CAPACITY", 600)
+    def test_largest_key_round_trips(self):
+        # two_m = 57 ends on the state with central index 3 and every ring spin up
+        sec = enumerate_sector(60, 3, 57)
+        top = (3 << 60) | ((1 << 60) - 1)
+        assert int(sec.keys[-1]) == top
+        assert sec.index_of(3, (1 << 60) - 1) == sec.dim - 1
+        assert (sec.keys > 0).all()
 
-        def work(start):
-            for k in range(200):
-                sector = enumerate_bath_sector(10, (start + k) % 11)
-                assert sector.dim == math.comb(10, (start + k) % 11)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                list(pool.map(work, range(8)))
-        finally:
-            sys.setswitchinterval(interval)
-        assert sum(s.dim for s in core._SECTORS.values()) <= 600
+@pytest.mark.parametrize("N", [*range(17), 40, 61])
+def test_bit_patterns_match_combinations(N):
+    # every filling up to N = 16; the edges of the long rings, whose middle is too big
+    fillings = range(N + 1) if N <= 16 else (0, 1, 2, N - 2, N - 1, N)
+    for n_up in fillings:
+        got = core._bit_patterns(N, n_up)
+        want = sorted(sum(1 << a for a in c) for c in itertools.combinations(range(N), n_up))
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert (np.diff(got) > 0).all()
 
 
 @settings(max_examples=40, deadline=None)

@@ -211,7 +211,8 @@ def test_block_state_is_the_projected_full_state(N, two_S):
         for phi in (0.0, 0.3):
             full = star_state(two_S, [(0, 1.0, spin_coherent(N, theta, phi))])
             got = coherent_block_state(N, two_S, theta, phi)
-            assert [b.sector for b in got.sectors] == list(full.sectors)
+            assert ([(b.sector.tag, b.sector.keys.tolist()) for b in got.sectors]
+                    == [(s.tag, s.keys.tolist()) for s in full.sectors])
             for i, block in enumerate(got.sectors):
                 Q = dihedral_isometry(block.sector, block)
                 v = full.block(i)

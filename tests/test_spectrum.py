@@ -419,7 +419,7 @@ class TestOrbitBlockRoute:
         for two_l in range(0, N + 1, 2):
             sec, want_e, want_v = full_sector_bottom(N, two_l)
             got_e, state = bath_subground_state(N, two_l)
-            assert state.sectors == (sec,)
+            assert [(s.tag, s.keys.tolist()) for s in state.sectors] == [(sec.tag, sec.keys.tolist())]
             assert got_e == pytest.approx(want_e, abs=1e-10)
             assert np.abs(state.amps - want_v).max() <= 1e-10
 
@@ -598,6 +598,10 @@ class TestGroundScan:
             ground_scan(4, 0, [0.1])
         with pytest.raises(ParameterError):
             ground_scan(4, 5, [0.1])
+
+    def test_rejects_a_table_of_another_ring(self):
+        with pytest.raises(ParameterError, match="N=8, not N=16"):
+            ground_scan(16, 2, [0.3], table=level_table(8))
 
 
 class TestCountingAndPoints:
