@@ -117,6 +117,8 @@ def _parse_ratio_range(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ParameterError(f"expected numbers in start:stop:step, got {text!r}")
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ParameterError(f"start:stop:step must be finite, got {text!r}")
     if step <= 0:
         raise ParameterError("ratio step must be positive")
     if stop < start:

@@ -136,9 +136,11 @@ def _step_block(mat, v, dt):
 
 
 def _time_grid(t_grid) -> list[float]:
-    """The grid as floats; raises ParameterError unless nonnegative and
-    strictly increasing."""
+    """The grid as floats; raises ParameterError unless finite,
+    nonnegative and strictly increasing."""
     t_grid = [float(t) for t in t_grid]
+    if not all(math.isfinite(t) for t in t_grid):
+        raise ParameterError("time grid must be finite")
     if any(t < 0 for t in t_grid):
         raise ParameterError("time grid must be nonnegative")
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):

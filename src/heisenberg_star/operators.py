@@ -3,9 +3,10 @@
 Every term here is either diagonal, with elements read off the bit
 parities and popcounts of the whole basis at once, or a hop: it raises
 some ring spins, lowers others, and may step the central index. The
-private kernel :func:`_hop` applies one hop to the packed keys of a
-whole sector and finds each image by binary search in the destination
-keys. Builders collect COO triplets from these and convert to CSR.
+private kernel :func:`_hop` applies a list of hops to the packed keys
+of a whole sector at once and finds every image by one binary search
+in the destination keys, so each builder makes one kernel call. The
+builders collect COO triplets and end in one conversion to CSR.
 Ladder terms are emitted in both directions (the pair of adjoint terms
 appears explicitly in each Hamiltonian), so Hermiticity holds by
 construction and is asserted in tests rather than symmetrized after
@@ -56,33 +57,32 @@ class SparseOperator:
         return f"SparseOperator({self.tag}, dim={self.dim}, nnz={self.matrix.nnz})"
 
 
-def _hop(src: BasisSector, dst: BasisSector, raise_bits: int = 0,
-         lower_bits: int = 0, step: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Source and destination positions of the states one hop links.
+def _hop(src: BasisSector, dst: BasisSector, raise_bits=0, lower_bits=0,
+         step=0) -> tuple[np.ndarray, np.ndarray]:
+    """Source and destination positions of the states a list of hops links.
 
-    The hop raises the ring sites in the mask ``raise_bits``, lowers
-    those in ``lower_bits`` and moves the central index by ``step``.
-    Source states it annihilates (a raised site already up, a lowered
-    site already down, the central index leaving ``0..dst.two_S``) are
-    skipped; every other image must lie in ``dst``, else KeyError.
+    Hop h raises the ring sites in the mask ``raise_bits[h]``, lowers
+    those in ``lower_bits[h]`` and moves the central index by
+    ``step[h]``; the three take int64 arrays or scalars, which
+    broadcast. Source states a hop annihilates (a raised site already
+    up, a lowered site already down, the central index leaving
+    ``0..dst.two_S``) are skipped; every other image must lie in
+    ``dst``, else KeyError. The pairs come hop by hop, in hop order.
     """
+    raise_bits, lower_bits, step = (
+        h[:, None] for h in np.broadcast_arrays(*np.atleast_1d(raise_bits, lower_bits, step)))
     keep = (src.bits & (raise_bits | lower_bits)) == lower_bits
-    if step:
+    if step.any():
         c = src.central + step
         keep &= (c >= 0) & (c <= dst.two_S)
-    i = np.flatnonzero(keep)
-    shift = (step << src.N) + raise_bits - lower_bits
-    return i, dst.positions(src.keys[i] + shift)
+    shift = step * (1 << src.N) + raise_bits - lower_bits
+    i = np.broadcast_to(np.arange(src.dim), keep.shape)[keep]
+    return i, dst.positions((src.keys + shift)[keep])
 
 
-def _raise_weight(two_S: int, c):
-    """Central S+ weight out of level c."""
+def _ladder_weight(two_S: int, c):
+    """Central S+ weight out of level c, equal to the S- weight into it."""
     return np.sqrt(c * (two_S - c + 1))
-
-
-def _lower_weight(two_S: int, c):
-    """Central S- weight out of level c."""
-    return np.sqrt((two_S - c) * (c + 1))
 
 
 def _diagonal(values: np.ndarray):
@@ -127,15 +127,16 @@ def build_bath_ring(sector: BasisSector, J: float, Jp: float) -> SparseOperator:
     half_J = 0.5 * J
     quarter_Jp = 0.25 * Jp
     diag = np.zeros(sector.dim)
-    entries = []
+    hops = []
     for a in range(N):
         b = (a + 1) % N
         aligned = _bit(sector.bits, a) == _bit(sector.bits, b)
         diag += np.where(aligned, quarter_Jp, -quarter_Jp)
-        if half_J != 0.0:
-            for up, down in ((a, b), (b, a)):
-                i, j = _hop(sector, sector, raise_bits=1 << up, lower_bits=1 << down)
-                entries.append((j, i, np.full(i.size, half_J)))
+        hops += [(1 << a, 1 << b), (1 << b, 1 << a)]
+    entries = []
+    if half_J != 0.0:
+        i, j = _hop(sector, sector, *np.array(hops).T)
+        entries.append((j, i, np.full(i.size, half_J)))
     entries.append(_diagonal(diag))
     return _to_operator(sector, entries)
 
@@ -151,13 +152,11 @@ def build_system_bath(sector: BasisSector, prefactor: float) -> SparseOperator:
     l_m = 0.5 * (2 * sector.n_up - N)
     entries = [_diagonal(prefactor * s_m * l_m)]
     if half != 0.0:
-        for a in range(N):
-            # S+ on the centre, one ring spin lowered
-            i, j = _hop(sector, sector, lower_bits=1 << a, step=-1)
-            entries.append((j, i, half * _raise_weight(two_S, sector.central[i])))
-            # S- on the centre, one ring spin raised
-            i, j = _hop(sector, sector, raise_bits=1 << a, step=1)
-            entries.append((j, i, half * _lower_weight(two_S, sector.central[i])))
+        # per site: S+ on the centre with the ring spin lowered, then S- with it raised
+        hops = [h for a in range(N) for h in ((0, 1 << a, -1), (1 << a, 0, 1))]
+        i, j = _hop(sector, sector, *np.array(hops).T)
+        upper = np.maximum(sector.central[i], sector.central[j])
+        entries.append((j, i, half * _ladder_weight(two_S, upper)))
     return _to_operator(sector, entries)
 
 
@@ -166,9 +165,7 @@ def build_zeeman(sector: BasisSector, omega: float) -> SparseOperator:
     if sector.is_bath:
         raise ParameterError("the Zeeman term acts on the central spin")
     s_m = 0.5 * (sector.two_S - 2 * sector.central)
-    diag = (omega * s_m).astype(np.complex128)
-    mat = sp.diags(diag, format="csr")
-    return SparseOperator(sector=sector, matrix=mat)
+    return _to_operator(sector, [_diagonal(omega * s_m)])
 
 
 def build_L_squared(sector: BasisSector) -> SparseOperator:
@@ -181,13 +178,10 @@ def build_L_squared(sector: BasisSector) -> SparseOperator:
     """
     N = sector.N
     l_m = 0.5 * (2 * sector.n_up - N)
-    entries = [_diagonal(l_m * (l_m + 1.0) + (N - sector.n_up))]
-    for a in range(N):
-        for b in range(N):
-            if a != b:
-                i, j = _hop(sector, sector, raise_bits=1 << b, lower_bits=1 << a)
-                entries.append((j, i, np.ones(i.size)))
-    return _to_operator(sector, entries)
+    a, b = np.nonzero(~np.eye(N, dtype=bool))  # ordered pairs a != b, a major
+    i, j = _hop(sector, sector, raise_bits=1 << b, lower_bits=1 << a)
+    return _to_operator(sector, [_diagonal(l_m * (l_m + 1.0) + (N - sector.n_up)),
+                                 (j, i, np.ones(i.size))])
 
 
 def build_staggered(sector: BasisSector) -> SparseOperator:
@@ -202,8 +196,7 @@ def build_staggered(sector: BasisSector) -> SparseOperator:
         # site j = a + 1 enters with sign (-1)^(a + 1)
         sign = -1.0 if a % 2 == 0 else 1.0
         total += sign * (_bit(sector.bits, a) - 0.5)
-    diag = (total / N).astype(np.complex128)
-    return SparseOperator(sector=sector, matrix=sp.diags(diag, format="csr"))
+    return _to_operator(sector, [_diagonal(total / N)])
 
 
 def build_star_hamiltonian(sector: BasisSector, params: ModelParams) -> SparseOperator:
@@ -288,5 +281,5 @@ def apply_total_lowering(sector: BasisSector, amps: np.ndarray,
     """
     out = apply_bath_lowering(sector, amps, dst)
     i, j = _hop(sector, dst, step=1)
-    out[j] += _lower_weight(sector.two_S, sector.central[i]) * amps[i]
+    out[j] += _ladder_weight(sector.two_S, sector.central[i] + 1) * amps[i]
     return out

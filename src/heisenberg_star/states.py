@@ -77,6 +77,8 @@ def coherent_coefficients(N: int, theta: float, phi: float) -> np.ndarray:
     """
     if not (0.0 <= theta <= math.pi):
         raise ParameterError(f"theta={theta} outside [0, pi]")
+    if not math.isfinite(phi):
+        raise ParameterError(f"phi={phi} is not finite")
     Q = np.zeros(N + 1, dtype=np.complex128)
     if theta == 0.0:
         Q[N] = 1.0

@@ -76,6 +76,13 @@ class TestGroundScan:
         assert run(["ground-scan", "--n", 4, "--two-s", 1,
                     "--ratio", "0:1:0", "--out", tmp_path / "x.csv"]) == 2
 
+    @pytest.mark.parametrize("ratio", ["0:1:nan", "nan:1:0.1", "0:nan:0.1",
+                                       "0:inf:0.1", "0:-inf:0.1", "0:1:inf"])
+    def test_nonfinite_ratio_is_a_usage_error(self, ratio, tmp_path, capsys):
+        assert run(["ground-scan", "--n", 4, "--two-s", 1,
+                    "--ratio", ratio, "--out", tmp_path / "x.csv"]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
 
 class TestLevelTable:
     def test_matches_library(self, tmp_path):
@@ -159,6 +166,13 @@ class TestNeel:
         assert run(["neel", "--n", 4, "--two-s", 1, "--tmax", -5,
                     "--samples", 3, "--out", tmp_path / "x.csv"]) == 2
 
+    @pytest.mark.parametrize("tmax", ["nan", "inf"])
+    def test_nonfinite_times_are_a_usage_error(self, tmax, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["neel", "--n", 8, "--samples", 3, "--tmax", tmax, "--out", out]) == 2
+        assert "time grid must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCoherent:
     def test_quick_run(self, tmp_path):
@@ -198,6 +212,22 @@ class TestCoherent:
         # tmax-gt 0 repeats t = 0, which is not a strictly increasing grid
         assert run(["coherent", "--n", 4, "--two-s", 1, "--tmax-gt", 0,
                     "--samples", 3, "--out", tmp_path / "x.csv"]) == 2
+
+    @pytest.mark.parametrize("tmax", ["nan", "inf"])
+    def test_nonfinite_times_are_a_usage_error(self, tmax, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["coherent", "--n", 8, "--samples", 3, "--tmax-gt", tmax,
+                    "--out", out]) == 2
+        assert "time grid must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("phi", ["nan", "inf"])
+    def test_nonfinite_phi_is_a_usage_error(self, phi, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["coherent", "--n", 8, "--samples", 3, "--tmax-gt", 1, "--phi", phi,
+                    "--out", out]) == 2
+        assert "phi" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSubground:

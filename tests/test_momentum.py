@@ -196,6 +196,22 @@ class TestOrbitBlock:
             assert orbit_block(sector).dim == want
 
 
+@pytest.mark.parametrize("N,two_S", [(N, two_S) for N, two_S in BLOCK_CASES if two_S])
+def test_hamiltonians_reduce_exactly(N, two_S):
+    """The assembled Hamiltonians the runs propagate, not only their terms."""
+    driven = make_params(N, two_S, J=1.1, Jp=0.88, g=0.7, omega=1.05)
+    star = make_params(N, two_S, J=0.9, g=1.3)
+    for sector in sectors(N, two_S):
+        block = orbit_block(sector)
+        Q = dihedral_isometry(sector, block)
+        for build, params in ((ops.build_modified_star, driven),
+                              (ops.build_star_hamiltonian, star)):
+            got = build(block, params).matrix
+            want = Q.T @ build(sector, params).matrix @ Q
+            assert got.shape == want.shape
+            assert abs(got - want).max() <= 1e-13, (sector, build)
+
+
 @pytest.mark.parametrize("N", range(2, 17, 2))
 def test_orbit_count_is_the_ring_block_dimension(N):
     for n_up in range(N + 1):

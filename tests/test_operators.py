@@ -20,6 +20,7 @@ from heisenberg_star.core import (
     enumerate_bath_sector,
     enumerate_sector,
     make_params,
+    orbit_block,
 )
 from heisenberg_star.errors import ParameterError, SectorMismatch, StarError
 
@@ -430,3 +431,30 @@ class TestAgainstSparseKronecker:
         sec = enumerate_sector(10, 3, 1)
         with pytest.raises(KeyError):
             ops._hop(sec, sec, lower_bits=1)  # lowering leaves the sector
+        with pytest.raises(KeyError):
+            ops._hop(sec, sec, np.array([2, 0]), np.array([1, 1]))  # so does the second hop
+
+
+def kernel_hops(N):
+    """(raise_bits, lower_bits, step) arrays: every hop the builders make,
+    the identity, and two-spin hops whose central step of two leaves
+    0..two_S for most states."""
+    hops = [(1 << b, 1 << a, 0) for a in range(N) for b in range(N) if a != b]
+    hops += [h for a in range(N) for h in ((0, 1 << a, -1), (1 << a, 0, 1))]
+    hops += [(0, 0, 0)]
+    hops += [h for a in range(0, N, 3) for h in (((1 << a) | (1 << (a + 1) % N), 0, 2),
+                                                 (0, (1 << a) | (1 << (a + 2) % N), -2))]
+    return np.array(hops).T
+
+
+@pytest.mark.parametrize("N,two_S", [(N, s) for N in (4, 6, 8, 10) for s in (0, 1, 3)])
+def test_batched_hops_concatenate_the_single_hops(N, two_S):
+    raise_bits, lower_bits, step = kernel_hops(N)
+    for two_m in range(-(two_S + N), two_S + N + 1, 2):
+        sector = enumerate_sector(N, two_S, two_m)
+        for src in (sector, orbit_block(sector)):
+            single = [ops._hop(src, src, int(r), int(l), int(s))
+                      for r, l, s in zip(raise_bits, lower_bits, step)]
+            i, j = ops._hop(src, src, raise_bits, lower_bits, step)
+            np.testing.assert_array_equal(i, np.concatenate([h[0] for h in single]))
+            np.testing.assert_array_equal(j, np.concatenate([h[1] for h in single]))

@@ -168,6 +168,12 @@ class TestCoherentCoefficients:
         with pytest.raises(ParameterError):
             coherent_coefficients(4, math.pi + 0.1, 0.0)
 
+    @pytest.mark.parametrize("theta", [0.0, 1.1, math.pi])
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_phi_must_be_finite(self, theta, phi):
+        with pytest.raises(ParameterError, match="phi"):
+            coherent_coefficients(4, theta, phi)
+
 
 class TestSpinCoherent:
     def test_block_structure(self):
