@@ -236,6 +236,8 @@ def _write_experiment(args, tmax: float, experiment, **results) -> int:
     threads = _threads(args)
     if args.samples < 2:
         raise ParameterError("need at least two samples")
+    if not math.isfinite(tmax):
+        raise ParameterError("time grid must be finite")
     grid = np.linspace(0.0, tmax, args.samples)
     values, meta = experiment(grid, threads)
     csvio.write_timeseries(args.out, grid, values)

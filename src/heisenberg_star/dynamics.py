@@ -3,14 +3,16 @@
 Total magnetization is conserved, so a multi-sector initial state never
 mixes blocks and each block carries its own Hamiltonian. Blocks of at
 most DENSE_CUTOFF states, the same cutoff below which the ground-state
-solver diagonalizes densely, take the spectral route: one dense ``eigh``
-H = U E U^H per block gives the state at every grid time exactly,
-v(t) = U (e^{-iEt} U^H v0), with no substeps and no tolerance. Larger
-blocks take the Krylov route: short-iterate Lanczos exponentiation that
-builds a basis of at most KRYLOV_DIM vectors per step, exponentiates the
-projected tridiagonal, and halves the substep whenever the a posteriori
-error estimate misses KRYLOV_TOL. Both settings are fixed module
-constants.
+solver diagonalizes densely, take the spectral route: one dense numpy
+``eigh`` H = U E U^H per block gives the state at every grid time
+exactly, v(t) = U (e^{-iEt} U^H v0), with no substeps and no tolerance,
+and the observables and the energy are dense products too. Larger
+blocks take the Krylov route on scipy CSR matrices, the only part of
+this module that imports scipy: short-iterate Lanczos exponentiation
+that builds a basis of at most KRYLOV_DIM vectors per step,
+exponentiates the projected tridiagonal, and halves the substep whenever
+the a posteriori error estimate misses KRYLOV_TOL. Both settings are
+fixed module constants.
 
 The two experiments mirror the figures this package reproduces: the
 alternating-state quench watched through the staggered magnetization
@@ -36,7 +38,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import scipy.linalg
 
 from .core import BasisSector, ModelParams, StateVector
 from .errors import ConvergenceError, ParameterError
@@ -103,10 +104,8 @@ def _expm_krylov(mat, v, tau, m, tol):
 
 def _expm_tridiag(alphas, betas, tau):
     """First column of exp(-i tau T) for the Lanczos tridiagonal T."""
-    if len(alphas) == 1:
-        return np.array([np.exp(-1j * tau * alphas[0])])
-    evals, evecs = scipy.linalg.eigh_tridiagonal(
-        np.asarray(alphas), np.asarray(betas[:len(alphas) - 1]))
+    off = betas[:len(alphas) - 1]
+    evals, evecs = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
     return evecs @ (np.exp(-1j * tau * evals) * evecs[0, :])
 
 
@@ -154,37 +153,60 @@ def _route(mat) -> str:
     return "spectral" if mat.shape[0] <= DENSE_CUTOFF else "krylov"
 
 
-def _trajectory(mat, v, t_grid):
+def _block_matrix(mat):
+    """A block's Hamiltonian as its route takes it: a dense numpy array on
+    the spectral route; on the Krylov route a scipy CSR with complex
+    entries, which halve the cost of a product with a complex vector."""
+    if _route(mat) == "spectral":
+        return mat.toarray()
+    return mat.tocsr().astype(np.complex128)
+
+
+def _observable_matrix(mat):
+    """A block observable as its route takes it: its diagonal when it holds
+    nothing else, else a dense numpy array on the spectral route and a
+    scipy CSR on the same arrays on the Krylov route."""
+    if np.array_equal(mat.indices, mat.rows()):
+        diagonal = np.zeros(mat.shape[0], dtype=mat.dtype)
+        diagonal[mat.indices] = mat.data
+        return diagonal
+    return mat.toarray() if _route(mat) == "spectral" else mat.tocsr()
+
+
+def _product(A, X):
+    """A @ X for a complex C-ordered 2-D X, A being a matrix or a diagonal;
+    a real matrix acts on the (re, im) column pairs of X in one real product."""
+    if A.ndim == 1:
+        return A[:, None] * X
+    if np.iscomplexobj(A):
+        return A @ X
+    return (A @ X.view(np.float64)).view(np.complex128)
+
+
+def _trajectory(H, v, t_grid):
     """Yield one block's states at the grid times, starting from t = 0.
 
+    ``H`` is the block's Hamiltonian as :func:`_block_matrix` gives it.
     Each item is a dim x k array whose columns are the states at k
     consecutive grid times. The spectral route yields chunks of at most
     CHUNK_ENTRIES entries (at least one time each); the Krylov route one
     time at a time.
     """
-    if _route(mat) == "spectral":
-        dense = mat.toarray()
-        energies, U = np.linalg.eigh(dense if dense.imag.any() else dense.real)
-        del dense
+    if _route(H) == "spectral":
+        energies, U = np.linalg.eigh(H)
         c = U.conj().T @ v
         t_grid = np.asarray(t_grid, dtype=float)
         times = max(1, CHUNK_ENTRIES // energies.size)
         for start in range(0, t_grid.size, times):
             phases = np.exp(-1j * np.outer(energies, t_grid[start:start + times]))
             phases *= c[:, None]
-            if np.iscomplexobj(U):
-                chunk = U @ phases
-            else:
-                # a real U acts on the (re, im) column pairs in one real product
-                chunk = (U @ phases.view(np.float64)).view(np.complex128)
-            del phases
-            yield chunk
+            yield _product(U, phases)
         return
     t_prev = 0.0
     for t in t_grid:
         dt = t - t_prev
         if dt > 0.0:
-            v = _step_block(mat, v, dt)
+            v = _step_block(H, v, dt)
             t_prev = t
         yield v[:, None]
 
@@ -207,7 +229,7 @@ def evolve(hams, state: StateVector, t_grid):
     hams = list(hams)
     _check_pairing(hams, state)
     t_grid = _time_grid(t_grid)
-    paths = [(col for chunk in _trajectory(op.matrix, state.block(i), t_grid)
+    paths = [(col for chunk in _trajectory(_block_matrix(op.matrix), state.block(i), t_grid)
               for col in chunk.T) for i, op in enumerate(hams)]
     for blocks in zip(*paths):
         yield StateVector(sectors=state.sectors, amps=np.concatenate(blocks),
@@ -236,16 +258,16 @@ def run_observables(hams, state: StateVector, t_grid, observables, threads: int 
 
     def work(i):
         """Rows of observable values, then norms and energies, of block i."""
-        mat = hams[i].matrix
-        mats = [ops[i].matrix for ops in obs_lists]
+        H = _block_matrix(hams[i].matrix)
+        mats = [_observable_matrix(ops[i].matrix) for ops in obs_lists]
         rows = np.zeros((len(mats) + 2, n_t))
         k = 0
-        for chunk in _trajectory(mat, state.block(i), t_grid):
+        for chunk in _trajectory(H, state.block(i), t_grid):
             cols = slice(k, k + chunk.shape[1])
             for j, om in enumerate(mats):
-                rows[j, cols] = _column_dots(chunk, om @ chunk)
+                rows[j, cols] = _column_dots(chunk, _product(om, chunk))
             rows[-2, cols] = _column_dots(chunk, chunk)
-            rows[-1, cols] = _column_dots(chunk, mat @ chunk)
+            rows[-1, cols] = _column_dots(chunk, _product(H, chunk))
             k = cols.stop
         return rows
 

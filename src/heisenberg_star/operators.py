@@ -18,6 +18,11 @@ central field) also runs on a :class:`core.OrbitBlock`, where it emits
 that operator on the block's orbits directly. The staggered
 magnetization does not commute with them and has no block form.
 
+Every entry is real, so each operator holds its canonical CSR arrays in
+float64, assembled in numpy (:class:`CSR`). A solver or propagator takes
+them as a dense numpy matrix up to its DENSE_CUTOFF and as a scipy CSR
+on the same arrays above it; only that conversion imports scipy.
+
 Matrix elements follow the usual spin ladder weights. For the central
 spin with ``S_m = S - c``:
 
@@ -32,18 +37,86 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import BasisSector, ModelParams, OrbitBlock, StateVector
 from .errors import ParameterError, SectorMismatch
 
 
+@dataclass(frozen=True, eq=False)
+class CSR:
+    """Canonical CSR arrays of a square matrix, held in numpy.
+
+    Row r holds the entries ``indptr[r]:indptr[r + 1]``, with ascending,
+    distinct column ``indices`` and their values in ``data``. The index
+    arrays are int32, the index type scipy picks for them, so
+    :meth:`tocsr` wraps the three arrays without a copy.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.indptr.size - 1
+        return n, n
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    def rows(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.dtype)
+        out[self.rows(), self.indices] = self.data
+        return out
+
+    def tocsr(self):
+        """The same matrix as a scipy CSR on these arrays; imports scipy.sparse."""
+        import scipy.sparse
+
+        return scipy.sparse.csr_array((self.data, self.indices, self.indptr),
+                                      shape=self.shape, copy=False)
+
+    def __matmul__(self, x):
+        """Product with a vector, or with the columns of a 2-D array."""
+        x = np.asarray(x)
+        out = np.zeros((self.shape[0], *x.shape[1:]), dtype=np.result_type(self.data, x))
+        np.add.at(out, self.rows(), self.data.reshape(-1, *[1] * (x.ndim - 1)) * x[self.indices])
+        return out
+
+
+def _csr(dim: int, keys: np.ndarray, vals: np.ndarray) -> CSR:
+    """Canonical CSR of the entries ``vals`` at ``keys`` = row * dim + col.
+
+    Entries that share a key are summed in the order they come. The
+    stable sort merges the ascending runs the builders emit, one per hop.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    del order
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    data = np.add.reduceat(vals, first)
+    keys = keys[first]
+    indptr = np.searchsorted(keys, np.arange(dim + 1) * dim)
+    return CSR(indptr.astype(np.int32), (keys % dim).astype(np.int32), data)
+
+
 @dataclass
 class SparseOperator:
-    """CSR matrix tagged with the sector it acts on."""
+    """Canonical CSR arrays tagged with the sector they act on."""
 
     sector: BasisSector
-    matrix: sp.csr_matrix
+    matrix: CSR
 
     @property
     def tag(self) -> str:
@@ -92,7 +165,7 @@ def _diagonal(values: np.ndarray):
 
 
 def _to_operator(sector: BasisSector, entries) -> SparseOperator:
-    """CSR from (rows, cols, values) triplets; duplicates are summed.
+    """Operator from real (rows, cols, values) triplets; duplicates are summed.
 
     On an orbit block the columns are representatives and the rows the
     orbits of their images, so the summed entry of row o', column o is
@@ -103,13 +176,15 @@ def _to_operator(sector: BasisSector, entries) -> SparseOperator:
     rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
     if isinstance(sector, OrbitBlock):
         vals = vals * np.sqrt(sector.size[cols] / sector.size[rows])
-    mat = sp.csr_matrix(
-        (vals.astype(np.complex128), (rows, cols)),
-        shape=(sector.dim, sector.dim),
-    )
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return SparseOperator(sector=sector, matrix=mat)
+    return SparseOperator(sector=sector, matrix=_csr(sector.dim, rows * sector.dim + cols, vals))
+
+
+def _sum(ops) -> SparseOperator:
+    """Sum of operators on one sector."""
+    sector = ops[0].sector
+    keys = np.concatenate([op.matrix.rows() * sector.dim + op.matrix.indices for op in ops])
+    vals = np.concatenate([op.matrix.data for op in ops])
+    return SparseOperator(sector=sector, matrix=_csr(sector.dim, keys, vals))
 
 
 def _bit(bits: np.ndarray, a: int) -> np.ndarray:
@@ -205,9 +280,8 @@ def build_star_hamiltonian(sector: BasisSector, params: ModelParams) -> SparseOp
         raise ParameterError("the plain star Hamiltonian requires J == Jp")
     if params.omega != 0.0:
         raise ParameterError("the plain star Hamiltonian carries no central field")
-    ring = build_bath_ring(sector, params.J, params.Jp)
-    coupling = build_system_bath(sector, params.g)
-    return SparseOperator(sector=sector, matrix=(ring.matrix + coupling.matrix).tocsr())
+    return _sum([build_bath_ring(sector, params.J, params.Jp),
+                 build_system_bath(sector, params.g)])
 
 
 def build_modified_star(sector: BasisSector, params: ModelParams) -> SparseOperator:
@@ -217,12 +291,11 @@ def build_modified_star(sector: BasisSector, params: ModelParams) -> SparseOpera
     (Jp != J) is allowed here and breaks conservation of the total ring
     angular momentum.
     """
-    ring = build_bath_ring(sector, params.J, params.Jp)
-    coupling = build_system_bath(sector, 2.0 * params.g)
-    mat = ring.matrix + coupling.matrix
+    terms = [build_bath_ring(sector, params.J, params.Jp),
+             build_system_bath(sector, 2.0 * params.g)]
     if params.omega != 0.0:
-        mat = mat + build_zeeman(sector, params.omega).matrix
-    return SparseOperator(sector=sector, matrix=mat.tocsr())
+        terms.append(build_zeeman(sector, params.omega))
+    return _sum(terms)
 
 
 def apply(op: SparseOperator, state: StateVector) -> StateVector:

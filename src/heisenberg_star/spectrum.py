@@ -1,19 +1,21 @@
 """Static spectrum of the star: ring level structure and closed forms.
 
-The only numerical work here is the lowest eigenpair of the isotropic
-ring in one magnetization block and its ring L^2, read from one
-lowering. That level is solved on the block's Marshall-rotated dihedral
-orbit block, which holds it exactly (see :func:`bath_subground_state`)
-and is about 2N times smaller, then expanded back onto the block. The
-solver is a dense ``eigh`` up to DENSE_CUTOFF states and ``eigsh``
-above, both on the real CSR with fixed settings; a pair is certified by
-its true residual and returned with a fixed phase. Every orbit block up
-to N = 16 is dense.
-Everything else is arithmetic on top of those numbers:
+The only numerical work here is the lowest level of the isotropic ring
+in each magnetization block. It is solved on the block's
+Marshall-rotated dihedral orbit block, which holds it exactly (see
+:func:`bath_subground_state`) and is about 2N times smaller. Up to
+DENSE_CUTOFF states numpy diagonalizes the dense block: ``eigh`` for
+the pair, ``eigvalsh`` where only the energy is wanted. Above it scipy's
+``eigsh`` runs on the real CSR with fixed settings and its pair is
+certified by its true residual.
+Every orbit block up to N = 16 is dense, so scipy is imported for ring
+levels from N = 18 on only. Everything else is arithmetic on top of
+those numbers:
 
 * each ring block ``l_m = l`` has a nondegenerate bottom level with
   total ring angular momentum ``l`` and energy ``E1b(l)``, strictly
-  increasing with ``l`` (ferromagnetic states cost the most),
+  increasing with ``l`` (ferromagnetic states cost the most); that
+  strict increase is what certifies the angular momentum,
 * attaching the central spin shifts a ring multiplet ``(l, E_b)`` by a
   closed-form amount depending only on quantum numbers, so the star
   spectrum and its per-``l`` sub-ground energies need no further
@@ -27,11 +29,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .core import StateVector, enumerate_bath_sector, orbit_block, orbit_count
+from .core import StateVector, enumerate_bath_sector, orbit_block
 from .errors import ConvergenceError, ParameterError, StarError
-from .operators import SparseOperator, apply_bath_lowering, build_bath_ring
+from .operators import CSR, SparseOperator, build_bath_ring
 
 # Fixed seed for the Lanczos start vector. A structured start (for
 # example the all-ones vector, which is the maximal Dicke state and an
@@ -69,12 +70,15 @@ def degeneracy(N: int, l: int) -> int:
     return first - second
 
 
-def _real_matrix(op: SparseOperator):
-    """The real part of the CSR of ``op``; StarError if its imaginary part is nonzero."""
-    if np.any(op.matrix.data.imag):
-        raise StarError(f"operator on {op.tag} has a nonzero imaginary part;"
-                        " the ring solver takes real symmetric matrices only")
-    return op.matrix.real
+def _real_matrix(op: SparseOperator) -> CSR:
+    """The CSR of ``op`` in float64; StarError if its imaginary part is nonzero."""
+    mat = op.matrix
+    if np.iscomplexobj(mat.data):
+        if mat.data.imag.any():
+            raise StarError(f"operator on {op.tag} has a nonzero imaginary part;"
+                            " the ring solver takes real symmetric matrices only")
+        mat = CSR(mat.indptr, mat.indices, mat.data.real)
+    return mat
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -99,13 +103,13 @@ def lanczos_lowest(op: SparseOperator) -> tuple[float, np.ndarray]:
     raises ConvergenceError with the smallest true residual of a returned
     vector (of the start vector if ARPACK returned none).
     """
-    # imported here: the dynamics commands never solve and skip its import time
+    # imported here: blocks up to DENSE_CUTOFF never need scipy
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     n = op.dim
-    mat = _real_matrix(op)
+    mat = _real_matrix(op).tocsr()
     if n == 1:  # eigsh needs more states than requested pairs
-        return float(mat[0, 0]), np.ones(1)
+        return float(mat.toarray()[0, 0]), np.ones(1)
     ncv = min(n, LANCZOS_PRODUCTS, 20)
     # each implicit restart spends about ncv / 2 further products
     restarts = max(1, (LANCZOS_PRODUCTS - ncv) // (ncv // 2))
@@ -136,18 +140,39 @@ def lanczos_lowest(op: SparseOperator) -> tuple[float, np.ndarray]:
 
 
 def lowest_eigenpair(op: SparseOperator) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair: dense ``eigh`` up to DENSE_CUTOFF, Lanczos above.
+    """Lowest eigenpair: numpy's dense ``eigh`` up to DENSE_CUTOFF, Lanczos above.
 
     Both routes return the vector with the same phase (its first entry of
     largest magnitude, up to rounding, is real and positive), so the
     amplitudes do not depend on which solver ran.
     """
     if op.dim <= DENSE_CUTOFF:
-        evals, evecs = scipy.linalg.eigh(_real_matrix(op).toarray(), subset_by_index=[0, 0])
+        evals, evecs = np.linalg.eigh(_real_matrix(op).toarray())
         energy, vec = float(evals[0]), evecs[:, 0]
     else:
         energy, vec = lanczos_lowest(op)
     return energy, _fix_phase(vec)
+
+
+def lowest_energy(op: SparseOperator) -> float:
+    """Lowest eigenvalue: numpy's dense ``eigvalsh`` up to DENSE_CUTOFF, Lanczos above."""
+    if op.dim <= DENSE_CUTOFF:
+        return float(np.linalg.eigvalsh(_real_matrix(op).toarray())[0])
+    return lanczos_lowest(op)[0]
+
+
+def _ring_block(N: int, two_l: int) -> SparseOperator:
+    """The Marshall-rotated ring H(-1, 1) on the dihedral orbit block of
+    ring block ``l_m = l``."""
+    return build_bath_ring(orbit_block(enumerate_bath_sector(N, (N + two_l) // 2)), -1.0, 1.0)
+
+
+def _check_increase(two_l: int, lower: float, upper: float) -> None:
+    """StarError unless E1b(l + 1) = ``upper`` lies more than 1e-9 above
+    E1b(l) = ``lower``."""
+    if upper <= lower + 1e-9:
+        raise StarError(f"ring level ordering violated at l={two_l // 2 + 1}:"
+                        f" {upper} after {lower}")
 
 
 def bath_subground_state(N: int, two_l: int) -> tuple[float, StateVector]:
@@ -163,31 +188,26 @@ def bath_subground_state(N: int, two_l: int) -> tuple[float, StateVector]:
     onto the sector, v_s = M_s x[label[s]] / sqrt(size[label[s]]), with
     the phase fixed after the expansion.
 
-    Returns the energy and the eigenvector, after checking that the
-    vector really carries ring angular momentum ``l``: with
-    L^2 = L+ L- + Lz (Lz - 1), its expectation is |L- psi|^2 + l (l - 1),
-    read from one lowering into the block below, and must lie within
-    1e-8 of l (l + 1). The bottom of each block belongs to exactly that
-    multiplet, which is what makes the identification safe.
+    Returns the energy and the eigenvector, after certifying that the
+    vector carries ring angular momentum exactly ``l`` by the strict gap
+    E1b(l) < E1b(l + 1), with block l + 1 solved for its energy only.
+    The isotropic ring commutes with L, and the bottom is nondegenerate,
+    so it has one total spin L >= l. Were L > l, then L+ of it would be
+    a level of the same energy in block l + 1, and E1b(l + 1) <= E1b(l).
+    The top block l = N/2 holds one state and needs no certificate.
     """
     if two_l % 2 != 0 or two_l < 0 or two_l > N:
         raise ParameterError(f"two_l={two_l} invalid for N={N}")
-    l = two_l // 2
-    sector = enumerate_bath_sector(N, N // 2 + l)
-    block = orbit_block(sector)
-    energy, x = lowest_eigenpair(build_bath_ring(block, -1.0, 1.0))
+    op = _ring_block(N, two_l)
+    energy, x = lowest_eigenpair(op)
+    if two_l < N:
+        _check_increase(two_l, energy, lowest_energy(_ring_block(N, two_l + 2)))
+    block = op.sector
+    sector = block.sector
     odd_sites = sum(1 << a for a in range(0, N, 2))  # sites 1, 3, ...
     marshall = (-1.0) ** np.bitwise_count(sector.bits & odd_sites)
     vec = _fix_phase(marshall * x[block.label] / np.sqrt(block.size[block.label]))
-    state = StateVector.single(sector, vec)
-    below = enumerate_bath_sector(N, N // 2 + l - 1)
-    lowered = apply_bath_lowering(sector, state.amps, below)
-    l2 = float(np.vdot(lowered, lowered).real) + l * (l - 1.0)
-    want = l * (l + 1.0)
-    if abs(l2 - want) > 1e-8:
-        raise StarError(f"ring block n_up={N // 2 + l}: bottom level has"
-                        f" <L^2>={l2:.12f}, expected {want}")
-    return energy, state
+    return energy, StateVector.single(sector, vec)
 
 
 def bath_subground_energy(N: int, l: int) -> float:
@@ -215,8 +235,10 @@ class LevelRow:
 class LevelTable:
     """Per-l bottom energies of the ring at unit coupling.
 
-    Construction checks the strict increase of the energies with l and
-    the multiplet counting identity sum_l (2l + 1) d_{N,l} = 2^N.
+    Construction checks the strict increase of the energies with l, which
+    certifies that the bottom of block l has angular momentum l (see
+    :func:`bath_subground_state`), and the multiplet counting identity
+    sum_l (2l + 1) d_{N,l} = 2^N.
     """
 
     N: int
@@ -229,16 +251,9 @@ class LevelTable:
         raise KeyError(f"no row for two_l={two_l}")
 
     def __post_init__(self):
-        total = 0
-        prev = -np.inf
-        for row in self.rows:
-            if row.energy <= prev + 1e-9:
-                raise StarError(
-                    f"level ordering violated at l={row.l}:"
-                    f" {row.energy} after {prev}"
-                )
-            prev = row.energy
-            total += (row.two_l + 1) * row.degeneracy
+        for a, b in zip(self.rows, self.rows[1:]):
+            _check_increase(a.two_l, a.energy, b.energy)
+        total = sum((row.two_l + 1) * row.degeneracy for row in self.rows)
         if total != 2 ** self.N:
             raise StarError(
                 f"multiplet counting failed: {total} != 2^{self.N}"
@@ -251,9 +266,10 @@ def level_table(N: int, threads: int = 1) -> LevelTable:
     two_ls = list(range(0, N + 1, 2))
 
     def solve(two_l):
-        energy, _ = bath_subground_state(N, two_l)
+        op = _ring_block(N, two_l)
+        energy, _ = lowest_eigenpair(op)
         return LevelRow(two_l=two_l, energy=energy, degeneracy=degeneracy(N, two_l // 2),
-                        block_dim=orbit_count(N, (N + two_l) // 2))
+                        block_dim=op.dim)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -173,6 +173,12 @@ class TestNeel:
         assert "time grid must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_end_is_refused_without_a_warning(self, tmp_path, capsys):
+        assert run(["neel", "--n", 8, "--samples", 3, "--tmax", "inf",
+                    "--out", tmp_path / "x.csv"]) == 2
+        assert "time grid must be finite" in capsys.readouterr().err
+
 
 class TestCoherent:
     def test_quick_run(self, tmp_path):
@@ -220,6 +226,12 @@ class TestCoherent:
                     "--out", out]) == 2
         assert "time grid must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_end_is_refused_without_a_warning(self, tmp_path, capsys):
+        assert run(["coherent", "--n", 8, "--samples", 3, "--tmax-gt", "inf",
+                    "--out", tmp_path / "x.csv"]) == 2
+        assert "time grid must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("phi", ["nan", "inf"])
     def test_nonfinite_phi_is_a_usage_error(self, phi, tmp_path, capsys):

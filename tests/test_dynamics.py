@@ -53,6 +53,19 @@ def dense_propagate(op, amps, t):
     return scipy.linalg.expm(-1j * op.matrix.toarray() * t) @ amps
 
 
+@pytest.mark.parametrize("m", range(1, 31))
+def test_tridiagonal_exponential_matches_expm(m):
+    # the first column of exp(-i tau T) for a Lanczos tridiagonal of size m
+    rng = np.random.default_rng(m)
+    alphas = list(rng.normal(size=m))
+    betas = list(rng.uniform(0.1, 1.0, size=m))  # one spare, as the stepper passes
+    T = np.diag(alphas) + np.diag(betas[:m - 1], 1) + np.diag(betas[:m - 1], -1)
+    for tau in (0.05, 0.7, 3.0):
+        want = scipy.linalg.expm(-1j * tau * T)[:, 0]
+        got = dynamics._expm_tridiag(alphas, betas, tau)
+        assert np.abs(got - want).max() <= 1e-13
+
+
 def _evolve_all(hams, st, grid):
     return list(evolve(hams, st, grid))
 
@@ -114,7 +127,8 @@ class TestEvolve:
         H = ops.build_star_hamiltonian(sec, params)
         st = random_state(sec, 31)
         fwd = list(evolve([H], st, [7.0]))[0]
-        back_op = ops.SparseOperator(sector=sec, matrix=(-H.matrix).tocsr())
+        m = H.matrix
+        back_op = ops.SparseOperator(sector=sec, matrix=ops.CSR(m.indptr, m.indices, -m.data))
         back = list(evolve([back_op], fwd, [7.0]))[0]
         assert np.linalg.norm(back.amps - st.amps) <= 1e-9
 
@@ -232,13 +246,13 @@ def test_spectral_chunks_hold_at_most_the_entry_budget(monkeypatch):
     st = random_state(sec, 3)
     grid = np.linspace(0.0, 5.0, 100)
     monkeypatch.setattr(dynamics, "CHUNK_ENTRIES", 40 * sec.dim + sec.dim - 1)
-    chunks = list(dynamics._trajectory(H.matrix, st.amps, grid))
+    chunks = list(dynamics._trajectory(dynamics._block_matrix(H.matrix), st.amps, grid))
     assert [c.shape for c in chunks] == [(sec.dim, 40)] * 2 + [(sec.dim, 20)]
     for t, col in zip(grid, np.hstack(chunks).T):
         assert np.linalg.norm(col - dense_propagate(H, st.amps, t)) <= 1e-9
     # a budget below one state still advances one grid time per chunk
     monkeypatch.setattr(dynamics, "CHUNK_ENTRIES", sec.dim - 1)
-    chunks = list(dynamics._trajectory(H.matrix, st.amps, grid[:3]))
+    chunks = list(dynamics._trajectory(dynamics._block_matrix(H.matrix), st.amps, grid[:3]))
     assert [c.shape for c in chunks] == [(sec.dim, 1)] * 3
 
 

@@ -153,7 +153,7 @@ class TestIsometry:
             if two_S:
                 mats += [ops.build_system_bath(sector, 1.3), ops.build_zeeman(sector, 0.9)]
             for op in mats:
-                MP = op.matrix @ P
+                MP = op.matrix.tocsr() @ P
                 assert abs(MP - P @ (P.T @ MP)).max() <= 1e-12, op
 
 
@@ -177,8 +177,8 @@ class TestOrbitBlock:
             block = orbit_block(sector)
             Q = dihedral_isometry(sector, block)
             for build in symmetric_builders(sector):
-                got = build(block).matrix
-                want = Q.T @ build(sector).matrix @ Q
+                got = build(block).matrix.tocsr()
+                want = Q.T @ build(sector).matrix.tocsr() @ Q
                 assert got.shape == want.shape
                 assert abs(got - want).max() <= 1e-13, (sector, build)
 
@@ -186,7 +186,7 @@ class TestOrbitBlock:
         for sector in sectors(N, two_S):
             block = orbit_block(sector)
             for build in symmetric_builders(sector):
-                mat = build(block).matrix
+                mat = build(block).matrix.tocsr()
                 assert abs(mat - mat.conj().T).max() <= 1e-14, (sector, build)
 
     def test_dimension_is_the_bracelet_count(self, N, two_S):
@@ -206,8 +206,8 @@ def test_hamiltonians_reduce_exactly(N, two_S):
         Q = dihedral_isometry(sector, block)
         for build, params in ((ops.build_modified_star, driven),
                               (ops.build_star_hamiltonian, star)):
-            got = build(block, params).matrix
-            want = Q.T @ build(sector, params).matrix @ Q
+            got = build(block, params).matrix.tocsr()
+            want = Q.T @ build(sector, params).matrix.tocsr() @ Q
             assert got.shape == want.shape
             assert abs(got - want).max() <= 1e-13, (sector, build)
 

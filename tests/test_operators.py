@@ -140,7 +140,7 @@ def sparse_project(full, src, dst=None):
 
 def assert_matches(op, ref):
     assert op.matrix.shape == ref.shape
-    assert abs(op.matrix - ref).max() <= 1e-12
+    assert abs(op.matrix.tocsr() - ref).max() <= 1e-12
 
 
 # ------------------------------------------------------------------- tests
@@ -298,8 +298,25 @@ class TestAssembledHamiltonians:
     ])
     def test_hermitian(self, builder):
         for sec in (enumerate_sector(6, 2, 0), enumerate_bath_sector(6, 3)):
-            A = builder(sec).matrix
-            assert abs(A - A.getH()).max() < 1e-14
+            A = builder(sec).matrix.tocsr()
+            assert abs(A - A.conj().T).max() < 1e-14
+
+
+class TestCSR:
+    def test_scipy_wraps_the_canonical_arrays_without_a_copy(self):
+        m = ops.build_star_hamiltonian(enumerate_sector(8, 3, 1),
+                                       make_params(8, 3, J=0.9, g=1.1)).matrix
+        s = m.tocsr()
+        for ours, theirs in ((m.indptr, s.indptr), (m.indices, s.indices), (m.data, s.data)):
+            assert np.shares_memory(ours, theirs)
+        assert s.has_canonical_format and s.nnz == m.nnz
+
+    def test_product_matches_the_dense_matrix(self):
+        m = ops.build_L_squared(enumerate_sector(8, 2, 0)).matrix
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(m.shape[0], 3)) + 1j * rng.normal(size=(m.shape[0], 3))
+        np.testing.assert_allclose(m @ x, m.toarray() @ x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m @ x[:, 0], m.toarray() @ x[:, 0], rtol=0, atol=1e-12)
 
 
 class TestApplication:

@@ -190,8 +190,9 @@ def twisted_ring(N, n_up):
     """Ring block under a seeded diagonal unitary: same spectrum, complex entries."""
     op = ops.build_bath_ring(enumerate_bath_sector(N, n_up), 1.0, 1.0)
     phases = np.exp(1j * np.random.default_rng(3).uniform(0, 2 * np.pi, op.dim))
-    mat = op.matrix.multiply(phases[:, None]).multiply(phases.conj()[None, :]).tocsr()
-    return ops.SparseOperator(op.sector, mat)
+    m = op.matrix
+    data = phases[m.rows()] * m.data * phases.conj()[m.indices]
+    return ops.SparseOperator(op.sector, ops.CSR(m.indptr, m.indices, data))
 
 
 class TestSparseRoute:
@@ -199,7 +200,7 @@ class TestSparseRoute:
     def test_ring_blocks_above_cutoff_match_dense(self, n_up):
         op = ops.build_bath_ring(enumerate_bath_sector(14, n_up), 1.0, 1.0)
         assert op.dim > spectrum.DENSE_CUTOFF
-        want = float(np.linalg.eigvalsh(op.matrix.real.toarray())[0])
+        want = float(np.linalg.eigvalsh(op.matrix.toarray())[0])
         got, vec = lowest_eigenpair(op)
         assert got == pytest.approx(want, abs=1e-10)
         assert np.linalg.norm(op.matrix @ vec - got * vec) <= 1e-10
@@ -225,14 +226,15 @@ class TestSparseRoute:
 
     @pytest.mark.parametrize("cutoff", [spectrum.DENSE_CUTOFF, 0])
     def test_real_storage_gives_the_same_pair(self, cutoff, monkeypatch):
-        # builders store complex CSR with zero imaginary part; a float64
-        # copy of the same matrix must take the same route to the same bits
+        # builders store float64 CSR; a complex copy of the same matrix, with
+        # zero imaginary part, must take the same route to the same bits
         monkeypatch.setattr(spectrum, "DENSE_CUTOFF", cutoff)
         op = ops.build_bath_ring(enumerate_bath_sector(10, 5), 1.0, 1.0)
-        real = ops.SparseOperator(op.sector, op.matrix.real.tocsr())
-        assert real.matrix.dtype == np.float64
-        e_complex, v_complex = lowest_eigenpair(op)
-        e_real, v_real = lowest_eigenpair(real)
+        assert op.matrix.dtype == np.float64
+        m = op.matrix
+        cop = ops.SparseOperator(op.sector, ops.CSR(m.indptr, m.indices, m.data.astype(complex)))
+        e_complex, v_complex = lowest_eigenpair(cop)
+        e_real, v_real = lowest_eigenpair(op)
         assert e_real == e_complex
         np.testing.assert_array_equal(v_real, v_complex)
 
@@ -320,7 +322,8 @@ class TestRingLevels:
 
     @pytest.mark.parametrize("N", [8, 10])
     def test_lowering_norm_gives_l_squared(self, N):
-        # <L^2> = |L- x|^2 + l_m (l_m - 1), the readout bath_subground_state uses
+        # <L^2> = |L- x|^2 + l_m (l_m - 1): the lowering bath_multiplet walks
+        # down with agrees with the L^2 builder
         rng = np.random.default_rng(N)
         for n_up in range(1, N + 1):
             sec = enumerate_bath_sector(N, n_up)
@@ -334,14 +337,28 @@ class TestRingLevels:
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_vector_outside_the_multiplet_is_refused(self, monkeypatch):
-        # the first excited level of the l_m = 0 block carries l = 1
+        # the first excited level of the l_m = 0 orbit block at N = 8 is the
+        # l = 2 bottom, above E1b(1), so the strict gap refuses it
         def excited(op):
             evals, evecs = np.linalg.eigh(op.matrix.toarray())
             return float(evals[1]), evecs[:, 1]
 
         monkeypatch.setattr(spectrum, "lowest_eigenpair", excited)
-        with pytest.raises(StarError, match="L\\^2"):
+        with pytest.raises(StarError, match="ordering violated at l=1"):
             bath_subground_state(8, 0)
+
+    @pytest.mark.parametrize("N", range(2, 15, 2))
+    def test_certified_vector_carries_its_momentum(self, N):
+        # the oracle is the L^2 builder, which the certificate never uses
+        energies = []
+        for two_l in range(0, N + 1, 2):
+            energy, st = bath_subground_state(N, two_l)
+            sec, _ = st.require_single()
+            l = two_l // 2
+            assert ops.expectation(ops.build_L_squared(sec), st) == pytest.approx(
+                l * (l + 1), abs=1e-8)
+            energies.append(energy)
+        assert all(a < b for a, b in zip(energies, energies[1:]))
 
     def test_rejects_bad_momentum(self):
         with pytest.raises(ParameterError):
@@ -391,7 +408,7 @@ def full_sector_bottom(N, two_l):
     """Lowest pair of the full ring block l_m = l by dense eigh, written here:
     the route bath_subground_state took before it solved on orbit blocks."""
     sec = enumerate_bath_sector(N, N // 2 + two_l // 2)
-    mat = ops.build_bath_ring(sec, 1.0, 1.0).matrix.real.toarray()
+    mat = ops.build_bath_ring(sec, 1.0, 1.0).matrix.toarray()
     evals, evecs = scipy.linalg.eigh(mat, subset_by_index=[0, 0])
     vec = evecs[:, 0]
     return sec, float(evals[0]), vec * np.sign(pivot(vec))
