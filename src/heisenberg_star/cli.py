@@ -27,13 +27,14 @@ import numpy as np
 
 from . import __version__
 from . import csvio
-from .core import make_params, orbit_count
+from .core import make_params
 from .dynamics import coherent_experiment, neel_experiment
 from .errors import ConvergenceError, ParameterError, StarError
 from .spectrum import (
     bath_subground_state,
     ground_scan,
     level_table,
+    ring_block_dim,
     scan_transitions,
     sub_ground_energy,
 )
@@ -279,7 +280,7 @@ def cmd_subground(args) -> int:
     csvio.write_state_dump(args.out, psi)
     energy = sub_ground_energy(two_l, args.two_s, args.j, args.g, e1b)
     _write_meta(args, two_l=two_l, two_m=two_m, energy=csvio.fmt(energy),
-                E1b=csvio.fmt(e1b), block_dim=orbit_count(args.n, (args.n + two_l) // 2))
+                E1b=csvio.fmt(e1b), block_dim=ring_block_dim(args.n, two_l))
     print(f"wrote {args.out} (dim {psi.dim}), energy {csvio.fmt(energy)}")
     return EXIT_OK
 

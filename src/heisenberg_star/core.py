@@ -304,6 +304,25 @@ def orbit_block(sector: BasisSector) -> OrbitBlock:
                       sector=sector, label=label, size=size)
 
 
+def _flip_block(block: OrbitBlock) -> OrbitBlock:
+    """Merge each orbit of a half-filled ring block with the orbit of its complement.
+
+    The global spin flip ``bits ^ mask`` maps the half-filled ring block
+    onto itself and commutes with the rotations and reflections, so it
+    pairs the dihedral orbits; the merged orbits are those of the
+    dihedral group times the flip, and their q_o span its even states.
+    Each keeps the smaller representative of its pair, so the result is
+    again an orbit block in ascending key order.
+    """
+    partner = block.positions(block.keys ^ ((1 << block.N) - 1))
+    first, merged = np.unique(np.minimum(np.arange(block.dim), partner), return_inverse=True)
+    return OrbitBlock(N=block.N, two_S=block.two_S, two_m=block.two_m,
+                      central=block.central[first], bits=block.bits[first],
+                      n_up=block.n_up[first], keys=block.keys[first],
+                      sector=block.sector, label=merged[block.label],
+                      size=np.bincount(merged, weights=block.size).astype(block.size.dtype))
+
+
 def orbit_count(N: int, n_up: int) -> int:
     """Number of dihedral orbits of the N-site ring states with n_up up spins.
 

@@ -12,6 +12,10 @@ import numpy as np
 from .core import StateVector
 from .spectrum import GroundScanRow, LevelTable
 
+# Lines of a state dump formatted at once: large enough to amortize the
+# formatting call, small enough that no whole dump is held as text.
+DUMP_LINES = 4096
+
 
 def fmt(x: float) -> str:
     return format(float(x), ".12g")
@@ -64,13 +68,17 @@ def write_state_dump(path, state: StateVector) -> None:
     """Plain-text amplitudes of a single-sector state.
 
     Header line ``N two_S two_m dim``, then one ``index re im`` line
-    per basis state in sector order.
+    per basis state in sector order. Each chunk of DUMP_LINES lines is
+    formatted by one ``%`` operation; ``%.12g`` prints what :func:`fmt`
+    prints.
     """
     sector, amps = state.require_single()
     with _open_w(path) as fh:
         fh.write(f"{sector.N} {sector.two_S} {sector.two_m} {sector.dim}\n")
-        for i, a in enumerate(amps):
-            fh.write(f"{i} {fmt(a.real)} {fmt(a.imag)}\n")
+        for start in range(0, amps.size, DUMP_LINES):
+            part = amps[start:start + DUMP_LINES]
+            rows = np.column_stack((np.arange(start, start + part.size), part.real, part.imag))
+            fh.write(("%d %.12g %.12g\n" * part.size) % tuple(rows.ravel().tolist()))
 
 
 def write_meta(path, entries: dict) -> None:

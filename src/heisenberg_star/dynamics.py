@@ -198,7 +198,10 @@ def _trajectory(H, v, t_grid):
         t_grid = np.asarray(t_grid, dtype=float)
         times = max(1, CHUNK_ENTRIES // energies.size)
         for start in range(0, t_grid.size, times):
-            phases = np.exp(-1j * np.outer(energies, t_grid[start:start + times]))
+            angles = np.outer(energies, t_grid[start:start + times])
+            phases = np.empty(angles.shape, dtype=complex)  # exp(-i angles)
+            np.cos(angles, out=phases.real)
+            np.sin(np.negative(angles, out=angles), out=phases.imag)
             phases *= c[:, None]
             yield _product(U, phases)
         return

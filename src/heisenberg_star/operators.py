@@ -342,17 +342,3 @@ def apply_bath_lowering(sector: BasisSector, amps: np.ndarray,
         i, j = _hop(sector, dst, lower_bits=1 << a)
         out[j] += amps[i]
     return out
-
-
-def apply_total_lowering(sector: BasisSector, amps: np.ndarray,
-                         dst: BasisSector) -> np.ndarray:
-    """Total lowering S- + L- on a star sector, two_m -> two_m - 2.
-
-    The package itself never lowers a star state; this is the oracle the
-    tests use to check that the closed-form sub-ground states descend
-    their multiplet.
-    """
-    out = apply_bath_lowering(sector, amps, dst)
-    i, j = _hop(sector, dst, step=1)
-    out[j] += _ladder_weight(sector.two_S, sector.central[i] + 1) * amps[i]
-    return out

@@ -3,7 +3,8 @@
 The only numerical work here is the lowest level of the isotropic ring
 in each magnetization block. It is solved on the block's
 Marshall-rotated dihedral orbit block, which holds it exactly (see
-:func:`bath_subground_state`) and is about 2N times smaller. Up to
+:func:`bath_subground_state`) and is about 2N times smaller; at l = 0
+the spin flip folds that block once more, to 257 states at N = 16. Up to
 DENSE_CUTOFF states numpy diagonalizes the dense block: ``eigh`` for
 the pair, ``eigvalsh`` where only the energy is wanted. Above it scipy's
 ``eigsh`` runs on the real CSR with fixed settings and its pair is
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateVector, enumerate_bath_sector, orbit_block
+from .core import StateVector, _flip_block, enumerate_bath_sector, orbit_block, orbit_count
 from .errors import ConvergenceError, ParameterError, StarError
 from .operators import CSR, SparseOperator, build_bath_ring
 
@@ -163,8 +164,31 @@ def lowest_energy(op: SparseOperator) -> float:
 
 def _ring_block(N: int, two_l: int) -> SparseOperator:
     """The Marshall-rotated ring H(-1, 1) on the dihedral orbit block of
-    ring block ``l_m = l``."""
-    return build_bath_ring(orbit_block(enumerate_bath_sector(N, (N + two_l) // 2)), -1.0, 1.0)
+    ring block ``l_m = l``, folded by the spin flip at l = 0."""
+    block = orbit_block(enumerate_bath_sector(N, (N + two_l) // 2))
+    if two_l == 0:
+        block = _flip_block(block)
+    return build_bath_ring(block, -1.0, 1.0)
+
+
+def ring_block_dim(N: int, two_l: int) -> int:
+    """Dimension of the block :func:`bath_subground_state` solves for ``l_m = l``.
+
+    Counted without enumerating: the dihedral orbit count for l > 0. At
+    l = 0 the orbits are those of the dihedral group times the spin
+    flip P, counted by Burnside's lemma as the mean over the 4N elements
+    g and gP of the states each fixes. gP fixes a state when the spins
+    alternate along every cycle of the site permutation g: each cycle
+    has even length, and two states per cycle qualify.
+    """
+    _check_ring_length(N)
+    dihedral = orbit_count(N, (N + two_l) // 2)
+    if two_l != 0:
+        return dihedral
+    flipped = sum(2 ** math.gcd(r, N) for r in range(N) if (N // math.gcd(r, N)) % 2 == 0)
+    # axes through two bonds swap N/2 pairs; axes through two sites fix a site
+    flipped += (N // 2) * 2 ** (N // 2)
+    return (2 * N * dihedral + flipped) // (4 * N)
 
 
 def _check_increase(two_l: int, lower: float, upper: float) -> None:
@@ -184,9 +208,15 @@ def bath_subground_state(N: int, two_l: int) -> tuple[float, StateVector]:
     each block of H(-J, Jp) is nondegenerate and positive, so it is
     invariant under the ring's rotations and reflections: it lies in the
     dihedral orbit block (:func:`core.orbit_block`), about 2N times
-    smaller than the block. The level is solved there and expanded back
-    onto the sector, v_s = M_s x[label[s]] / sqrt(size[label[s]]), with
-    the phase fixed after the expansion.
+    smaller than the block. At l = 0 the block is half filled, and the
+    spin flip P, which inverts every bit, maps it onto itself and
+    commutes with H(-J, Jp) and the dihedral group; P of the bottom is
+    again a positive bottom, so by nondegeneracy the bottom is flip
+    even, and it lies in the block whose orbits also merge each state
+    with its complement (:func:`core._flip_block`), about half as large.
+    The level is solved there and expanded back onto the sector,
+    v_s = M_s x[label[s]] / sqrt(size[label[s]]), with the phase fixed
+    after the expansion.
 
     Returns the energy and the eigenvector, after certifying that the
     vector carries ring angular momentum exactly ``l`` by the strict gap
@@ -329,10 +359,6 @@ def sub_ground_energy(two_l: int, two_S: int, J: float, g: float,
     if two_S <= two_l:
         return J * E1b - g * (S * (l + 1.0))
     return J * E1b - g * (l * (S + 1.0))
-
-
-def sub_ground_degeneracy(two_l: int, two_S: int) -> int:
-    return abs(two_l - two_S) + 1
 
 
 @dataclass(frozen=True)

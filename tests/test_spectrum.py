@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from heisenberg_star import operators as ops
 from heisenberg_star import spectrum
@@ -25,6 +26,8 @@ from heisenberg_star.core import (
     enumerate_bath_sector,
     enumerate_sector,
     make_params,
+    orbit_block,
+    orbit_count,
 )
 from heisenberg_star.errors import ConvergenceError, ParameterError, StarError
 from heisenberg_star.spectrum import (
@@ -42,7 +45,6 @@ from heisenberg_star.spectrum import (
     single_magnon_energy,
     star_energy,
     state_count,
-    sub_ground_degeneracy,
     sub_ground_energy,
     transition_point,
 )
@@ -464,7 +466,86 @@ class TestOrbitBlockRoute:
         assert all(isinstance(block, OrbitBlock) for block in solved)
         # the dimensions the table reports are those of the blocks solved
         assert [block.dim for block in solved] == [row.block_dim for row in table.rows]
-        assert max(block.dim for block in solved) == 440
+        # l = 0 folds to 257 orbits, so the 375 orbits of l = 1 are the most
+        assert max(block.dim for block in solved) == 375 == orbit_count(16, 9)
+
+
+def half_filled_states(N):
+    """Every N-bit string with N/2 bits set, ascending, enumerated here."""
+    return [b for b in range(1 << N) if bin(b).count("1") == N // 2]
+
+
+def half_filled_ring(N):
+    """Isotropic ring H(1, 1) on the half-filled strings, bond by bond, as a
+    scipy CSR; for N = 2 the one pair of sites is bonded twice."""
+    states = half_filled_states(N)
+    index = {b: i for i, b in enumerate(states)}
+    entries = []  # (row, col, value), duplicates summed
+    for i, b in enumerate(states):
+        for a in range(N):
+            bond = 1 << a | 1 << (a + 1) % N
+            if bin(b & bond).count("1") != 1:
+                entries.append((i, i, 0.25))
+            else:
+                entries += [(i, i, -0.25), (index[b ^ bond], i, 0.5)]
+    rows, cols, vals = zip(*entries)
+    return scipy.sparse.csr_array((vals, (rows, cols)), shape=(len(states),) * 2)
+
+
+def flip_dihedral_orbits(N):
+    """Orbits of the half-filled strings under rotations, reflection and the
+    spin flip, counted by walking each orbit."""
+    mask = (1 << N) - 1
+    seen, orbits = set(), 0
+    for start in half_filled_states(N):
+        if start in seen:
+            continue
+        orbits += 1
+        stack = [start]
+        while stack:
+            b = stack.pop()
+            if b not in seen:
+                seen.add(b)
+                stack += [(b >> 1 | b << (N - 1)) & mask,
+                          int(format(b, f"0{N}b")[::-1], 2), b ^ mask]
+    return orbits
+
+
+class TestFlipFold:
+    """The l = 0 level is solved on the dihedral orbit block folded by the
+    spin flip. Its oracles are written here: an orbit count, and the full
+    half-filled block built bond by bond."""
+
+    @pytest.mark.parametrize("N", range(2, 17, 2))
+    def test_dimension_is_the_orbit_count_with_the_flip(self, N):
+        want = flip_dihedral_orbits(N)
+        assert spectrum._ring_block(N, 0).dim == want == spectrum.ring_block_dim(N, 0)
+
+    @pytest.mark.parametrize("N", range(2, 15, 2))
+    def test_counted_dimensions_are_those_solved(self, N):
+        for two_l in range(0, N + 1, 2):
+            assert spectrum.ring_block_dim(N, two_l) == spectrum._ring_block(N, two_l).dim
+
+    @pytest.mark.parametrize("N", range(2, 17, 2))
+    def test_energy_matches_the_dihedral_and_the_full_block(self, N):
+        dihedral = ops.build_bath_ring(orbit_block(enumerate_bath_sector(N, N // 2)), -1.0, 1.0)
+        got = lowest_eigenpair(spectrum._ring_block(N, 0))[0]
+        assert got == pytest.approx(np.linalg.eigvalsh(dihedral.matrix.toarray())[0], abs=1e-12)
+        if N <= 14:
+            ring = half_filled_ring(N)
+            want = (np.linalg.eigvalsh(ring.toarray())[0] if N <= 12 else
+                    scipy.sparse.linalg.eigsh(ring, k=1, which="SA", tol=0)[0][0])
+            assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("N", [2, 4, 6, 8, 10, 12])
+    def test_state_is_the_full_block_bottom(self, N):
+        evals, evecs = np.linalg.eigh(half_filled_ring(N).toarray())
+        energy, state = bath_subground_state(N, 0)
+        (sector,) = state.sectors
+        assert sector.bits.tolist() == half_filled_states(N)
+        want = evecs[:, 0] * np.sign(np.vdot(evecs[:, 0], state.amps).real)
+        assert energy == pytest.approx(evals[0], abs=1e-12)
+        assert np.abs(state.amps - want).max() <= 1e-10
 
 
 class TestMagnonBand:
@@ -534,11 +615,6 @@ class TestStarLevels:
         # l < S branch: J E1b - g l (S + 1)
         assert sub_ground_energy(2, 4, 0.5, 2.0, -3.0) == pytest.approx(
             0.5 * -3.0 - 2.0 * 1.0 * 3.0)
-
-    def test_sub_ground_degeneracy(self):
-        assert sub_ground_degeneracy(4, 2) == 3
-        assert sub_ground_degeneracy(2, 2) == 1
-        assert sub_ground_degeneracy(0, 5) == 6
 
     def test_sub_ground_matches_dense_ground(self):
         # global ground over l equals the dense ground state energy

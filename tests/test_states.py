@@ -38,6 +38,19 @@ from heisenberg_star.states import (
 )
 
 
+def apply_total_lowering(sector, amps, dst):
+    """Total lowering S- + L- on a star sector, two_m -> two_m - 2.
+
+    The package never lowers a star state; this is the oracle that checks
+    that the closed-form sub-ground states descend their multiplet.
+    ``tests/test_operators.py`` checks it against Kronecker products.
+    """
+    out = ops.apply_bath_lowering(sector, amps, dst)
+    i, j = ops._hop(sector, dst, step=1)
+    out[j] += ops._ladder_weight(sector.two_S, sector.central[i] + 1) * amps[i]
+    return out
+
+
 class TestNeel:
     def test_alternating_pattern(self):
         st_ = neel_state(4)
@@ -359,7 +372,7 @@ class TestSubgroundState:
             lo = subground_state(N, two_S, two_l, two_m - 2)
             sec_hi, amps_hi = hi.require_single()
             sec_lo, _ = lo.require_single()
-            dropped = ops.apply_total_lowering(sec_hi, amps_hi, sec_lo)
+            dropped = apply_total_lowering(sec_hi, amps_hi, sec_lo)
             ov = abs(np.vdot(lo.amps, dropped))
             assert ov == pytest.approx(np.linalg.norm(dropped), rel=1e-8)
 
