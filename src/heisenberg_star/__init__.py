@@ -18,7 +18,6 @@ from .operators import (
 from .spectrum import (
     GroundScanRow,
     LevelTable,
-    bath_subground_energy,
     degeneracy,
     ground_scan,
     lanczos_lowest,

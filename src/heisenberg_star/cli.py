@@ -34,7 +34,6 @@ from .spectrum import (
     bath_subground_state,
     ground_scan,
     level_table,
-    ring_block_dim,
     scan_transitions,
     sub_ground_energy,
 )
@@ -209,7 +208,7 @@ def cmd_ground_scan(args) -> int:
     grid = _parse_ratio_range(args.ratio)
     make_params(args.n, args.two_s, J=0.0)  # checks N and the central spin before solving
     table = level_table(args.n, threads=threads)
-    rows = ground_scan(args.n, args.two_s, grid, table=table)
+    rows = ground_scan(table, args.two_s, grid)
     csvio.write_ground_scan(args.out, rows)
     edges = scan_transitions(rows)
     trans_path = args.out.removesuffix(".csv") + ".transitions.csv"
@@ -275,12 +274,12 @@ def cmd_subground(args) -> int:
     make_params(args.n, args.two_s, J=args.j, g=args.g)  # checks the model before solving
     two_l = args.n if args.two_l is None else args.two_l
     two_m = abs(two_l - args.two_s) if args.two_m is None else args.two_m
-    e1b, seed = bath_subground_state(args.n, two_l)
+    row, seed = bath_subground_state(args.n, two_l)
     psi = subground_state(args.n, args.two_s, two_l, two_m, seed=seed)
     csvio.write_state_dump(args.out, psi)
-    energy = sub_ground_energy(two_l, args.two_s, args.j, args.g, e1b)
+    energy = sub_ground_energy(two_l, args.two_s, args.j, args.g, row.energy)
     _write_meta(args, two_l=two_l, two_m=two_m, energy=csvio.fmt(energy),
-                E1b=csvio.fmt(e1b), block_dim=ring_block_dim(args.n, two_l))
+                E1b=csvio.fmt(row.energy), block_dim=row.block_dim)
     print(f"wrote {args.out} (dim {psi.dim}), energy {csvio.fmt(energy)}")
     return EXIT_OK
 

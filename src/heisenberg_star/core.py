@@ -53,12 +53,18 @@ class ModelParams:
     Jp: float
     g: float
     omega: float
-    gt: float
-    isotropic: bool
 
     @property
     def S(self) -> float:
         return self.two_S / 2.0
+
+    @property
+    def gt(self) -> float:
+        return self.g * math.sqrt(self.N)
+
+    @property
+    def isotropic(self) -> bool:
+        return self.J == self.Jp
 
 
 def make_params(
@@ -69,7 +75,7 @@ def make_params(
     g: float = 1.0,
     omega: float = 0.0,
 ) -> ModelParams:
-    """Validate couplings and derive ``gt`` and the isotropy flag.
+    """Validate the model and store its couplings as floats.
 
     ``Jp=None`` means an isotropic ring (``Jp = J``).
     """
@@ -93,8 +99,6 @@ def make_params(
         Jp=float(Jp),
         g=float(g),
         omega=float(omega),
-        gt=float(g) * math.sqrt(N),
-        isotropic=(float(J) == float(Jp)),
     )
 
 
@@ -321,31 +325,6 @@ def _flip_block(block: OrbitBlock) -> OrbitBlock:
                       n_up=block.n_up[first], keys=block.keys[first],
                       sector=block.sector, label=merged[block.label],
                       size=np.bincount(merged, weights=block.size).astype(block.size.dtype))
-
-
-def orbit_count(N: int, n_up: int) -> int:
-    """Number of dihedral orbits of the N-site ring states with n_up up spins.
-
-    This is ``orbit_block(enumerate_bath_sector(N, n_up)).dim``, counted
-    without enumerating: by Burnside's lemma, the mean over the 2N
-    rotations and reflections of the states each one fixes. A state is
-    fixed when every cycle of the site permutation is all up or all down.
-    Exact integer arithmetic; N must be even.
-    """
-    fixed = 0
-    for r in range(N):  # rotation by r: gcd(r, N) cycles of equal length
-        cycles = math.gcd(r, N)
-        length = N // cycles
-        if n_up % length == 0:
-            fixed += math.comb(cycles, n_up // length)
-    pairs = N // 2
-    # N/2 axes through two sites: those sites plus N/2 - 1 swapped pairs
-    fixed += pairs * sum(math.comb(2, j) * math.comb(pairs - 1, (n_up - j) // 2)
-                         for j in range(3) if j <= n_up and (n_up - j) % 2 == 0)
-    # N/2 axes through two bonds: N/2 swapped pairs
-    if n_up % 2 == 0:
-        fixed += pairs * math.comb(pairs, n_up // 2)
-    return fixed // (2 * N)
 
 
 @dataclass

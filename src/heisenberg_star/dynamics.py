@@ -365,16 +365,18 @@ def coherent_experiment(params: ModelParams, theta: float, phi: float, t_grid,
 def first_crossing(times, values, level) -> float:
     """First time the series reaches ``level`` from above, interpolated.
 
-    Returns inf when the series never crosses. Used to compare decay
-    speeds between runs without committing to a fit model.
+    Returns ``times[0]`` when the series starts at or below ``level``
+    and inf when it never reaches it, so no result lies outside the
+    grid. Used to compare decay speeds between runs without committing
+    to a fit model.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    for k in range(1, len(times)):
+    for k in range(len(times)):
         if values[k] <= level:
-            v0, v1 = values[k - 1], values[k]
-            if v1 == v0:
-                return float(times[k])
+            if k == 0:
+                return float(times[0])
+            v0, v1 = values[k - 1], values[k]  # v0 > level >= v1
             frac = (v0 - level) / (v0 - v1)
             return float(times[k - 1] + frac * (times[k] - times[k - 1]))
     return math.inf

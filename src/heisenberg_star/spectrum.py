@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateVector, _flip_block, enumerate_bath_sector, orbit_block, orbit_count
+from .core import OrbitBlock, StateVector, _flip_block, enumerate_bath_sector, orbit_block
 from .errors import ConvergenceError, ParameterError, StarError
 from .operators import CSR, SparseOperator, build_bath_ring
 
@@ -171,24 +171,30 @@ def _ring_block(N: int, two_l: int) -> SparseOperator:
     return build_bath_ring(block, -1.0, 1.0)
 
 
-def ring_block_dim(N: int, two_l: int) -> int:
-    """Dimension of the block :func:`bath_subground_state` solves for ``l_m = l``.
+@dataclass(frozen=True)
+class LevelRow:
+    """One solved ring level: the bottom energy of ring block l, its
+    multiplet count, and the dimension of the block it was solved on.
+    Built by :func:`_ring_level` only."""
 
-    Counted without enumerating: the dihedral orbit count for l > 0. At
-    l = 0 the orbits are those of the dihedral group times the spin
-    flip P, counted by Burnside's lemma as the mean over the 4N elements
-    g and gP of the states each fixes. gP fixes a state when the spins
-    alternate along every cycle of the site permutation g: each cycle
-    has even length, and two states per cycle qualify.
-    """
-    _check_ring_length(N)
-    dihedral = orbit_count(N, (N + two_l) // 2)
-    if two_l != 0:
-        return dihedral
-    flipped = sum(2 ** math.gcd(r, N) for r in range(N) if (N // math.gcd(r, N)) % 2 == 0)
-    # axes through two bonds swap N/2 pairs; axes through two sites fix a site
-    flipped += (N // 2) * 2 ** (N // 2)
-    return (2 * N * dihedral + flipped) // (4 * N)
+    two_l: int
+    energy: float
+    degeneracy: int
+    block_dim: int
+
+    @property
+    def l(self) -> int:
+        return self.two_l // 2
+
+
+def _ring_level(N: int, two_l: int) -> tuple[LevelRow, np.ndarray, OrbitBlock]:
+    """Solve the bottom level of ring block ``l_m = l`` once: its row, its
+    amplitudes on the block solved, and that block."""
+    op = _ring_block(N, two_l)
+    energy, x = lowest_eigenpair(op)
+    row = LevelRow(two_l=two_l, energy=energy, degeneracy=degeneracy(N, two_l // 2),
+                   block_dim=op.dim)
+    return row, x, op.sector
 
 
 def _check_increase(two_l: int, lower: float, upper: float) -> None:
@@ -199,7 +205,7 @@ def _check_increase(two_l: int, lower: float, upper: float) -> None:
                         f" {upper} after {lower}")
 
 
-def bath_subground_state(N: int, two_l: int) -> tuple[float, StateVector]:
+def bath_subground_state(N: int, two_l: int) -> tuple[LevelRow, StateVector]:
     """Bottom level of the ring block ``l_m = l`` at unit coupling.
 
     N is even, so the ring is bipartite, and the diagonal sign
@@ -218,9 +224,10 @@ def bath_subground_state(N: int, two_l: int) -> tuple[float, StateVector]:
     v_s = M_s x[label[s]] / sqrt(size[label[s]]), with the phase fixed
     after the expansion.
 
-    Returns the energy and the eigenvector, after certifying that the
-    vector carries ring angular momentum exactly ``l`` by the strict gap
-    E1b(l) < E1b(l + 1), with block l + 1 solved for its energy only.
+    Returns the level's row, the one :func:`level_table` reports, and the
+    eigenvector, after certifying that the vector carries ring angular
+    momentum exactly ``l`` by the strict gap E1b(l) < E1b(l + 1), with
+    block l + 1 solved for its energy only.
     The isotropic ring commutes with L, and the bottom is nondegenerate,
     so it has one total spin L >= l. Were L > l, then L+ of it would be
     a level of the same energy in block l + 1, and E1b(l + 1) <= E1b(l).
@@ -228,37 +235,14 @@ def bath_subground_state(N: int, two_l: int) -> tuple[float, StateVector]:
     """
     if two_l % 2 != 0 or two_l < 0 or two_l > N:
         raise ParameterError(f"two_l={two_l} invalid for N={N}")
-    op = _ring_block(N, two_l)
-    energy, x = lowest_eigenpair(op)
+    row, x, block = _ring_level(N, two_l)
     if two_l < N:
-        _check_increase(two_l, energy, lowest_energy(_ring_block(N, two_l + 2)))
-    block = op.sector
+        _check_increase(two_l, row.energy, lowest_energy(_ring_block(N, two_l + 2)))
     sector = block.sector
     odd_sites = sum(1 << a for a in range(0, N, 2))  # sites 1, 3, ...
     marshall = (-1.0) ** np.bitwise_count(sector.bits & odd_sites)
     vec = _fix_phase(marshall * x[block.label] / np.sqrt(block.size[block.label]))
-    return energy, StateVector.single(sector, vec)
-
-
-def bath_subground_energy(N: int, l: int) -> float:
-    """Energy of the bottom level in ring block ``l_m = l``, unit coupling."""
-    energy, _ = bath_subground_state(N, 2 * l)
-    return energy
-
-
-@dataclass(frozen=True)
-class LevelRow:
-    """Bottom energy of ring block l, its multiplet count, and the
-    dimension of the orbit block it was solved on."""
-
-    two_l: int
-    energy: float
-    degeneracy: int
-    block_dim: int
-
-    @property
-    def l(self) -> int:
-        return self.two_l // 2
+    return row, StateVector.single(sector, vec)
 
 
 @dataclass(frozen=True)
@@ -291,15 +275,13 @@ class LevelTable:
 
 
 def level_table(N: int, threads: int = 1) -> LevelTable:
-    """Solve every ring block l = 0 .. N/2 and tabulate the bottom levels."""
+    """Solve each ring block l = 0 .. N/2 once and tabulate its row; the
+    table's ordering check certifies every row, so no block is solved twice."""
     _check_ring_length(N)
     two_ls = list(range(0, N + 1, 2))
 
     def solve(two_l):
-        op = _ring_block(N, two_l)
-        energy, _ = lowest_eigenpair(op)
-        return LevelRow(two_l=two_l, energy=energy, degeneracy=degeneracy(N, two_l // 2),
-                        block_dim=op.dim)
+        return _ring_level(N, two_l)[0]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -368,20 +350,17 @@ class GroundScanRow:
     lG: int
 
 
-def ground_scan(N: int, two_S: int, ratio_grid, table: LevelTable | None = None,
-                threads: int = 1) -> list[GroundScanRow]:
+def ground_scan(table: LevelTable, two_S: int, ratio_grid) -> list[GroundScanRow]:
     """Ground energy and its ring quantum number along a J/gt grid.
 
+    Arithmetic on the ring levels of ``table``, whose N is the ring's.
     Energies are reported in units of the collective coupling
     gt = g sqrt(N). Ties between l values are broken toward larger l,
     matching the ferromagnetic side of each crossing.
     """
+    N = table.N
     if two_S < 1 or two_S > N:
         raise ParameterError(f"two_S={two_S} outside [1, N={N}]")
-    if table is None:
-        table = level_table(N, threads=threads)
-    if table.N != N:
-        raise ParameterError(f"level table is for N={table.N}, not N={N}")
     ratios = np.asarray(ratio_grid, dtype=float)
     # descending l, so argmin's first minimum keeps the larger l on ties
     rows = table.rows[::-1]

@@ -197,18 +197,13 @@ def subground_coefficients(two_S: int, two_l: int, two_m: int
     if abs(two_m) > two_j or (two_m - two_j) % 2 != 0:
         raise ParameterError(
             f"two_m={two_m} invalid for the multiplet two_j={two_j}")
+    # the string runs over the levels of the smaller spin a against the larger b
+    two_a, two_b = (two_S, two_l) if two_S <= two_l else (two_l, two_S)
     out = []
-    if two_S <= two_l:
-        for two_Sm in range(two_S, -two_S - 1, -2):
-            sq = _sq_coefficient(two_S, two_Sm, two_l, two_m)
-            sign = -1.0 if ((two_S - two_Sm) // 2) % 2 else 1.0
-            out.append((two_Sm, sign * math.sqrt(sq)))
-    else:
-        # swapped roles: sum over ring levels against central levels
-        for two_lm in range(two_l, -two_l - 1, -2):
-            sq = _sq_coefficient(two_l, two_lm, two_S, two_m)
-            sign = -1.0 if ((two_l - two_lm) // 2) % 2 else 1.0
-            out.append((two_lm, sign * math.sqrt(sq)))
+    for two_am in range(two_a, -two_a - 1, -2):
+        sq = _sq_coefficient(two_a, two_am, two_b, two_m)
+        sign = -1.0 if ((two_a - two_am) // 2) % 2 else 1.0
+        out.append((two_am, sign * math.sqrt(sq)))
     return out
 
 

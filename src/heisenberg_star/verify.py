@@ -112,8 +112,8 @@ def suite_subground(N: int = 8) -> list[CheckResult]:
     # one ring solve per block, shared by every central spin
     blocks = {}
     for two_l in range(0, N + 1, 2):
-        e1b, seed = bath_subground_state(N, two_l)
-        blocks[two_l] = (e1b, bath_multiplet(N, two_l, seed=seed))
+        row, seed = bath_subground_state(N, two_l)
+        blocks[two_l] = (row.energy, bath_multiplet(N, two_l, seed=seed))
     for two_S in (2, 3, 4):
         params = make_params(N, two_S, J=J, g=g)
         worst = 0.0

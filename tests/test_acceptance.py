@@ -198,7 +198,7 @@ def test_criterion_04_ground_scan_plateaus(table16):
         w1 = 2.0 * S if two_S <= 2 else S + 1.0
         stop = w1 / (sqrt_n * delta10) + 0.1
         grid = np.arange(0.0, stop, step)
-        scans[two_S] = ground_scan(N, two_S, grid, table=table16)
+        scans[two_S] = ground_scan(table16, two_S, grid)
 
     worst_edge = worst_slope1 = worst_slope2 = worst_offset = 0.0
     points7, segments7 = {}, {}

@@ -281,6 +281,17 @@ class TestSubground:
         assert solved == [7]
         assert "block_dim = 7" in read(tmp_path / "sg.txt.meta").splitlines()
 
+    @pytest.mark.parametrize("two_l", range(0, 13, 2))
+    def test_meta_reports_the_level_table_row(self, two_l, tmp_path):
+        assert run(["level-table", "--n", 12, "--out", tmp_path / "t.csv"]) == 0
+        assert run(["subground", "--n", 12, "--two-s", 2, "--two-l", two_l,
+                    "--out", tmp_path / "sg.txt"]) == 0
+        l, e1b, _ = read(tmp_path / "t.csv").splitlines()[1 + two_l // 2].split(",")
+        assert int(l) == two_l // 2
+        meta = read(tmp_path / "sg.txt.meta").splitlines()
+        assert f"E1b = {e1b}" in meta
+        assert f"block_dim = {level_table(12).rows[two_l // 2].block_dim}" in meta
+
     def test_rejects_bad_multiplet_member(self, tmp_path):
         assert run(["subground", "--n", 4, "--two-s", 2, "--two-l", 4,
                     "--two-m", 7, "--out", tmp_path / "x.csv"]) == 2

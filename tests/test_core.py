@@ -52,6 +52,12 @@ class TestMakeParams:
         # passing Jp equal to J still counts as isotropic
         assert make_params(4, 1, J=1.0, Jp=1.0).isotropic
 
+    def test_derived_values_follow_the_couplings(self):
+        # gt and the flag are computed, so a directly built record cannot contradict them
+        p = core.ModelParams(N=4, two_S=1, J=1.0, Jp=0.5, g=2.0, omega=0.0)
+        assert p.gt == 4.0 and not p.isotropic
+        assert make_params(8, 1, J=0.3, g=0.7).gt == 0.7 * math.sqrt(8)
+
     def test_odd_ring_rejected(self):
         with pytest.raises(OddBathSize):
             make_params(5, 1, J=1.0)

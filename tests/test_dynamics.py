@@ -441,3 +441,8 @@ class TestFirstCrossing:
 
     def test_exact_hit(self):
         assert first_crossing([0.0, 2.0, 4.0], [1.0, 0.5, 0.1], 0.5) == pytest.approx(2.0)
+
+    def test_start_at_or_below_the_level_is_the_first_time(self):
+        # no extrapolation before the grid: [0.1, 0.05] once gave -2.0
+        assert first_crossing([0.0, 1.0], [0.1, 0.05], 0.2) == 0.0
+        assert first_crossing([3.0, 4.0], [0.2, 0.1], 0.2) == 3.0

@@ -27,14 +27,12 @@ from heisenberg_star.core import (
     enumerate_sector,
     make_params,
     orbit_block,
-    orbit_count,
 )
 from heisenberg_star.errors import ConvergenceError, ParameterError, StarError
 from heisenberg_star.spectrum import (
     GroundScanRow,
     LevelRow,
     LevelTable,
-    bath_subground_energy,
     bath_subground_state,
     degeneracy,
     ground_scan,
@@ -292,9 +290,9 @@ class TestSolverFailures:
 
 class TestRingLevels:
     def test_four_site_bottom_levels_are_rational(self):
-        assert bath_subground_energy(4, 0) == pytest.approx(-2.0, abs=1e-12)
-        assert bath_subground_energy(4, 1) == pytest.approx(-1.0, abs=1e-12)
-        assert bath_subground_energy(4, 2) == pytest.approx(1.0, abs=1e-12)
+        for two_l, want in ((0, -2.0), (2, -1.0), (4, 1.0)):
+            row, _ = bath_subground_state(4, two_l)
+            assert row.energy == pytest.approx(want, abs=1e-12)
 
     def test_eight_site_reference_values(self):
         # independent published diagonalization of the 8-site ring
@@ -316,11 +314,11 @@ class TestRingLevels:
         assert table.energy(N - 2) == pytest.approx(N / 4.0 - 2.0, abs=1e-10)
 
     def test_state_carries_the_right_momentum(self):
-        e, st = bath_subground_state(8, 4)
+        row, st = bath_subground_state(8, 4)
         sec, _ = st.require_single()
         l2 = ops.expectation(ops.build_L_squared(sec), st)
         assert l2 == pytest.approx(2 * 3.0, abs=1e-8)
-        assert e == pytest.approx(-1.80193773580, abs=1e-8)
+        assert row.energy == pytest.approx(-1.80193773580, abs=1e-8)
 
     @pytest.mark.parametrize("N", [8, 10])
     def test_lowering_norm_gives_l_squared(self, N):
@@ -354,13 +352,22 @@ class TestRingLevels:
         # the oracle is the L^2 builder, which the certificate never uses
         energies = []
         for two_l in range(0, N + 1, 2):
-            energy, st = bath_subground_state(N, two_l)
+            row, st = bath_subground_state(N, two_l)
             sec, _ = st.require_single()
             l = two_l // 2
             assert ops.expectation(ops.build_L_squared(sec), st) == pytest.approx(
                 l * (l + 1), abs=1e-8)
-            energies.append(energy)
+            energies.append(row.energy)
         assert all(a < b for a, b in zip(energies, energies[1:]))
+
+    @pytest.mark.parametrize("N", range(2, 17, 2))
+    def test_state_reports_the_row_of_the_level_table(self, N):
+        # one solve makes both: the same energy bit for bit, the same
+        # multiplet count and the same block dimension
+        table = level_table(N)
+        for two_l in range(0, N + 1, 2):
+            row, _ = bath_subground_state(N, two_l)
+            assert row == table.rows[two_l // 2]
 
     def test_rejects_bad_momentum(self):
         with pytest.raises(ParameterError):
@@ -400,7 +407,7 @@ class TestRingLevels:
         def solve(*args):
             raise AssertionError("solved before N was checked")
 
-        monkeypatch.setattr(spectrum, "bath_subground_state", solve)
+        monkeypatch.setattr(spectrum, "_ring_level", solve)
         with pytest.raises(ParameterError, match=f"N must be even and >= 2, got {N}"):
             level_table(N)
 
@@ -437,9 +444,9 @@ class TestOrbitBlockRoute:
         # N = 2 keeps its doubled bond on both routes
         for two_l in range(0, N + 1, 2):
             sec, want_e, want_v = full_sector_bottom(N, two_l)
-            got_e, state = bath_subground_state(N, two_l)
+            row, state = bath_subground_state(N, two_l)
             assert [(s.tag, s.keys.tolist()) for s in state.sectors] == [(sec.tag, sec.keys.tolist())]
-            assert got_e == pytest.approx(want_e, abs=1e-10)
+            assert row.energy == pytest.approx(want_e, abs=1e-10)
             assert np.abs(state.amps - want_v).max() <= 1e-10
 
     @pytest.mark.parametrize("N", [8, 10, 12, 14])
@@ -467,7 +474,7 @@ class TestOrbitBlockRoute:
         # the dimensions the table reports are those of the blocks solved
         assert [block.dim for block in solved] == [row.block_dim for row in table.rows]
         # l = 0 folds to 257 orbits, so the 375 orbits of l = 1 are the most
-        assert max(block.dim for block in solved) == 375 == orbit_count(16, 9)
+        assert max(block.dim for block in solved) == 375
 
 
 def half_filled_states(N):
@@ -519,12 +526,7 @@ class TestFlipFold:
     @pytest.mark.parametrize("N", range(2, 17, 2))
     def test_dimension_is_the_orbit_count_with_the_flip(self, N):
         want = flip_dihedral_orbits(N)
-        assert spectrum._ring_block(N, 0).dim == want == spectrum.ring_block_dim(N, 0)
-
-    @pytest.mark.parametrize("N", range(2, 15, 2))
-    def test_counted_dimensions_are_those_solved(self, N):
-        for two_l in range(0, N + 1, 2):
-            assert spectrum.ring_block_dim(N, two_l) == spectrum._ring_block(N, two_l).dim
+        assert spectrum._ring_block(N, 0).dim == want
 
     @pytest.mark.parametrize("N", range(2, 17, 2))
     def test_energy_matches_the_dihedral_and_the_full_block(self, N):
@@ -540,11 +542,11 @@ class TestFlipFold:
     @pytest.mark.parametrize("N", [2, 4, 6, 8, 10, 12])
     def test_state_is_the_full_block_bottom(self, N):
         evals, evecs = np.linalg.eigh(half_filled_ring(N).toarray())
-        energy, state = bath_subground_state(N, 0)
+        row, state = bath_subground_state(N, 0)
         (sector,) = state.sectors
         assert sector.bits.tolist() == half_filled_states(N)
         want = evecs[:, 0] * np.sign(np.vdot(evecs[:, 0], state.amps).real)
-        assert energy == pytest.approx(evals[0], abs=1e-12)
+        assert row.energy == pytest.approx(evals[0], abs=1e-12)
         assert np.abs(state.amps - want).max() <= 1e-10
 
 
@@ -631,7 +633,7 @@ class TestStarLevels:
 class TestGroundScan:
     def test_weak_ring_limit(self):
         N, two_S = 8, 3
-        rows = ground_scan(N, two_S, [0.0])
+        rows = ground_scan(level_table(N), two_S, [0.0])
         S = two_S / 2.0
         assert rows[0].lG == N // 2
         assert rows[0].EG_over_gt == pytest.approx(
@@ -641,7 +643,7 @@ class TestGroundScan:
         N, two_S = 8, 2
         table = level_table(N)
         grid = np.arange(0.0, 1.2, 0.002)
-        rows = ground_scan(N, two_S, grid, table=table)
+        rows = ground_scan(table, two_S, grid)
         for a, b in zip(rows, rows[1:]):
             if a.lG == b.lG:
                 slope = (b.EG_over_gt - a.EG_over_gt) / (b.J_over_gt - a.J_over_gt)
@@ -651,7 +653,7 @@ class TestGroundScan:
         N, two_S = 8, 3
         table = level_table(N)
         inv = 1.0 / math.sqrt(N)
-        for row in ground_scan(N, two_S, [0.07, 0.33, 0.81], table=table):
+        for row in ground_scan(table, two_S, [0.07, 0.33, 0.81]):
             cands = {}
             for t in table.rows:
                 l, S = t.two_l / 2.0, two_S / 2.0
@@ -665,7 +667,7 @@ class TestGroundScan:
         # exactly at the first crossing both l values give equal energy
         N, two_S = 4, 1
         r = transition_point(N, two_S)
-        rows = ground_scan(N, two_S, [r - 1e-9, r, r + 1e-9])
+        rows = ground_scan(level_table(N), two_S, [r - 1e-9, r, r + 1e-9])
         assert rows[0].lG == N // 2
         assert rows[1].lG == N // 2
         assert rows[2].lG == N // 2 - 1
@@ -673,7 +675,7 @@ class TestGroundScan:
     def test_first_edge_near_closed_form(self):
         N, two_S = 8, 2
         step = 0.005
-        rows = ground_scan(N, two_S, np.arange(0.0, 0.6, step))
+        rows = ground_scan(level_table(N), two_S, np.arange(0.0, 0.6, step))
         edges = scan_transitions(rows)
         assert edges, "no plateau edge found"
         ratio, l_from, l_to = edges[0]
@@ -681,20 +683,16 @@ class TestGroundScan:
         assert abs(ratio - transition_point(N, two_S)) <= step + 1e-12
 
     def test_monotone_quantum_number(self):
-        rows = ground_scan(8, 2, np.arange(0.0, 4.0, 0.01))
+        rows = ground_scan(level_table(8), 2, np.arange(0.0, 4.0, 0.01))
         ls = [r.lG for r in rows]
         assert all(a >= b for a, b in zip(ls, ls[1:]))
         assert ls[-1] == 0
 
     def test_rejects_bad_central_spin(self):
         with pytest.raises(ParameterError):
-            ground_scan(4, 0, [0.1])
+            ground_scan(level_table(4), 0, [0.1])
         with pytest.raises(ParameterError):
-            ground_scan(4, 5, [0.1])
-
-    def test_rejects_a_table_of_another_ring(self):
-        with pytest.raises(ParameterError, match="N=8, not N=16"):
-            ground_scan(16, 2, [0.3], table=level_table(8))
+            ground_scan(level_table(4), 5, [0.1])
 
 
 class TestCountingAndPoints:
