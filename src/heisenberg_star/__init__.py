@@ -20,7 +20,6 @@ from .spectrum import (
     LevelTable,
     degeneracy,
     ground_scan,
-    lanczos_lowest,
     level_table,
     single_magnon_energy,
     star_energy,

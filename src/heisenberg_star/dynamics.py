@@ -2,8 +2,7 @@
 
 Total magnetization is conserved, so a multi-sector initial state never
 mixes blocks and each block carries its own Hamiltonian. Blocks of at
-most DENSE_CUTOFF states, the same cutoff below which the ground-state
-solver diagonalizes densely, take the spectral route: one dense numpy
+most DENSE_CUTOFF states take the spectral route: one dense numpy
 ``eigh`` H = U E U^H per block gives the state at every grid time
 exactly, v(t) = U (e^{-iEt} U^H v0), with no substeps and no tolerance,
 and the observables and the energy are dense products too. Larger
@@ -50,8 +49,10 @@ from .operators import (
     build_star_hamiltonian,
     build_zeeman,
 )
-from .spectrum import DENSE_CUTOFF
 from .states import central_initial, coherent_block_state, neel_state, star_state
+
+# Blocks of at most this many states take the spectral route
+DENSE_CUTOFF = 1024
 
 # Krylov basis size and per-step error tolerance of the propagator
 KRYLOV_DIM = 30

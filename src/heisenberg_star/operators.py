@@ -19,9 +19,10 @@ that operator on the block's orbits directly. The staggered
 magnetization does not commute with them and has no block form.
 
 Every entry is real, so each operator holds its canonical CSR arrays in
-float64, assembled in numpy (:class:`CSR`). A solver or propagator takes
-them as a dense numpy matrix up to its DENSE_CUTOFF and as a scipy CSR
-on the same arrays above it; only that conversion imports scipy.
+float64, assembled in numpy (:class:`CSR`). The ring solver multiplies
+by these arrays in numpy at every size; the propagator takes them as a
+dense numpy matrix up to its DENSE_CUTOFF and as a scipy CSR on the same
+arrays above it, and only that conversion imports scipy.
 
 Matrix elements follow the usual spin ladder weights. For the central
 spin with ``S_m = S - c``:

@@ -4,14 +4,11 @@ The only numerical work here is the lowest level of the isotropic ring
 in each magnetization block. It is solved on the block's
 Marshall-rotated dihedral orbit block, which holds it exactly (see
 :func:`bath_subground_state`) and is about 2N times smaller; at l = 0
-the spin flip folds that block once more, to 257 states at N = 16. Up to
-DENSE_CUTOFF states numpy diagonalizes the dense block: ``eigh`` for
-the pair, ``eigvalsh`` where only the energy is wanted. Above it scipy's
-``eigsh`` runs on the real CSR with fixed settings and its pair is
-certified by its true residual.
-Every orbit block up to N = 16 is dense, so scipy is imported for ring
-levels from N = 18 on only. Everything else is arithmetic on top of
-those numbers:
+the spin flip folds that block once more, to 257 states at N = 16. One
+numpy Lanczos with full reorthogonalization solves every block, from a
+fixed positive start vector, and certifies its pair by the true
+residual; it needs neither a full diagonalization nor scipy, at any N.
+Everything else is arithmetic on top of those numbers:
 
 * each ring block ``l_m = l`` has a nondegenerate bottom level with
   total ring angular momentum ``l`` and energy ``E1b(l)``, strictly
@@ -35,20 +32,14 @@ from .core import OrbitBlock, StateVector, _flip_block, enumerate_bath_sector, o
 from .errors import ConvergenceError, ParameterError, StarError
 from .operators import CSR, SparseOperator, build_bath_ring
 
-# Fixed seed for the Lanczos start vector. A structured start (for
-# example the all-ones vector, which is the maximal Dicke state and an
-# exact ring eigenstate) can be orthogonal to the target level, so the
-# start is pseudorandom but reproducible.
-LANCZOS_SEED = 0x5EED5
-
-# Blocks at or below this dimension go straight to the dense solver.
-DENSE_CUTOFF = 1024
-
-# A Lanczos pair is accepted when its true residual |A v - lam v| is at
-# most LANCZOS_TOL, reached within about LANCZOS_PRODUCTS matrix-vector
-# products per attempt.
+# A pair is accepted when its true residual |A v - lam v| is at most
+# LANCZOS_TOL; the Krylov basis holds at most LANCZOS_PRODUCTS vectors,
+# one matrix-vector product each. It grows by LANCZOS_CHUNK vectors at a
+# time, and the Ritz estimate is checked every LANCZOS_CHECK steps.
 LANCZOS_TOL = 1e-10
 LANCZOS_PRODUCTS = 500
+LANCZOS_CHUNK = 32
+LANCZOS_CHECK = 8
 
 
 def _check_ring_length(N: int) -> None:
@@ -93,73 +84,65 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (abs(pivot) / pivot)
 
 
-def lanczos_lowest(op: SparseOperator) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair by ARPACK's restarted Lanczos (``eigsh``, ``which="SA"``).
-
-    Solves the real CSR in float64 to machine precision with 20 Lanczos
-    vectors and about LANCZOS_PRODUCTS matrix-vector products, start and
-    restart vectors drawn from LANCZOS_SEED. The pair satisfies
-    ``|A v - lam v| <= LANCZOS_TOL``, checked on the pair itself; a
-    failure gets one retry from an independent start, a second failure
-    raises ConvergenceError with the smallest true residual of a returned
-    vector (of the start vector if ARPACK returned none).
-    """
-    # imported here: blocks up to DENSE_CUTOFF never need scipy
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
-    n = op.dim
-    mat = _real_matrix(op).tocsr()
-    if n == 1:  # eigsh needs more states than requested pairs
-        return float(mat.toarray()[0, 0]), np.ones(1)
-    ncv = min(n, LANCZOS_PRODUCTS, 20)
-    # each implicit restart spends about ncv / 2 further products
-    restarts = max(1, (LANCZOS_PRODUCTS - ncv) // (ncv // 2))
-    rng = np.random.default_rng(LANCZOS_SEED)
-    best = None
-    for _ in range(2):
-        vec, ritz = rng.standard_normal(n), True
-        try:
-            vec = eigsh(mat, k=1, which="SA", v0=vec, tol=0, ncv=ncv,
-                        maxiter=restarts, rng=rng)[1][:, 0]
-        except ArpackNoConvergence:
-            ritz = False  # one pair requested: the exception carries no vector
-        vec = vec / np.linalg.norm(vec)
-        product = mat @ vec
-        lam = float(np.vdot(vec, product).real)
-        residual = float(np.linalg.norm(product - lam * vec))
-        if residual <= LANCZOS_TOL:
-            return lam, vec
-        if ritz:
-            best = residual if best is None else min(best, residual)
-    if best is None:
-        raise ConvergenceError(f"ARPACK returned no Ritz vector within {LANCZOS_PRODUCTS}"
-                               f" matrix-vector products (tol={LANCZOS_TOL})",
-                               residual=residual)
-    raise ConvergenceError(f"Lanczos did not reach tol={LANCZOS_TOL} within"
-                           f" {LANCZOS_PRODUCTS} matrix-vector products"
-                           f" (best residual {best:.3e})", residual=best)
-
-
 def lowest_eigenpair(op: SparseOperator) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair: numpy's dense ``eigh`` up to DENSE_CUTOFF, Lanczos above.
+    """Lowest eigenpair of a real symmetric operator, by Lanczos with full
+    reorthogonalization.
 
-    Both routes return the vector with the same phase (its first entry of
-    largest magnitude, up to rounding, is real and positive), so the
-    amplitudes do not depend on which solver ran.
+    The start vector 1 + frac(i phi) (phi the golden ratio) is fixed and
+    positive. Every block the package solves is Marshall-rotated, so its
+    bottom is a positive Perron vector, which a positive start cannot be
+    orthogonal to. Each new vector is orthogonalized twice against the
+    whole basis. Every LANCZOS_CHECK steps the tridiagonal is diagonalized
+    and the iteration stops once the Ritz estimate beta_m |s_m| of the
+    lowest pair is at rounding level, or on breakdown, or when the basis
+    spans the space or holds LANCZOS_PRODUCTS vectors. The pair is then
+    certified by its true residual, else ConvergenceError carries it.
+
+    The vector's phase is fixed: its first entry of largest magnitude, up
+    to rounding, is real and positive. A complex matrix with a nonzero
+    imaginary part is refused; one stored complex with a zero imaginary
+    part gives the same bits as its real storage.
     """
-    if op.dim <= DENSE_CUTOFF:
-        evals, evecs = np.linalg.eigh(_real_matrix(op).toarray())
-        energy, vec = float(evals[0]), evecs[:, 0]
-    else:
-        energy, vec = lanczos_lowest(op)
+    mat = _real_matrix(op)
+    n = op.dim
+    rows = mat.rows()
+
+    def product(v):
+        # the bits of mat @ v, with the row of each entry found once
+        return np.bincount(rows, mat.data * v[mat.indices], n)
+
+    cap = min(n, LANCZOS_PRODUCTS)
+    eps = np.finfo(float).eps
+    basis = np.empty((min(cap, LANCZOS_CHUNK), n))
+    basis[0] = 1.0 + np.modf(np.arange(n) * ((math.sqrt(5.0) - 1.0) / 2.0))[0]
+    basis[0] /= np.linalg.norm(basis[0])
+    alpha, beta, scale = [], [], 0.0
+    for j in range(cap):
+        w = product(basis[j])
+        alpha.append(float(basis[j] @ w))
+        for _ in range(2):
+            w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
+        b = float(np.linalg.norm(w))
+        scale = max(scale, abs(alpha[-1]) + b + (beta[-1] if beta else 0.0))
+        if b <= eps * scale or (j + 1) % LANCZOS_CHECK == 0 or j + 1 == cap:
+            tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            s = np.linalg.eigh(tri)[1][:, 0]
+            if b * abs(s[-1]) <= eps * scale or j + 1 == cap:
+                break
+        if j + 1 == len(basis):
+            basis = np.concatenate([basis, np.empty((min(LANCZOS_CHUNK, cap - j - 1), n))])
+        beta.append(b)
+        basis[j + 1] = w / b
+    vec = basis[:len(alpha)].T @ s
+    vec /= np.linalg.norm(vec)
+    w = product(vec)
+    energy = float(vec @ w)
+    residual = float(np.linalg.norm(w - energy * vec))
+    if residual > LANCZOS_TOL:
+        raise ConvergenceError(f"Lanczos did not reach tol={LANCZOS_TOL} with"
+                               f" {len(alpha)} Krylov vectors (residual {residual:.3e})",
+                               residual=residual)
     return energy, _fix_phase(vec)
-
-
-def lowest_energy(op: SparseOperator) -> float:
-    """Lowest eigenvalue: numpy's dense ``eigvalsh`` up to DENSE_CUTOFF, Lanczos above."""
-    if op.dim <= DENSE_CUTOFF:
-        return float(np.linalg.eigvalsh(_real_matrix(op).toarray())[0])
-    return lanczos_lowest(op)[0]
 
 
 def _ring_block(N: int, two_l: int) -> SparseOperator:
@@ -227,7 +210,7 @@ def bath_subground_state(N: int, two_l: int) -> tuple[LevelRow, StateVector]:
     Returns the level's row, the one :func:`level_table` reports, and the
     eigenvector, after certifying that the vector carries ring angular
     momentum exactly ``l`` by the strict gap E1b(l) < E1b(l + 1), with
-    block l + 1 solved for its energy only.
+    block l + 1 solved the same way.
     The isotropic ring commutes with L, and the bottom is nondegenerate,
     so it has one total spin L >= l. Were L > l, then L+ of it would be
     a level of the same energy in block l + 1, and E1b(l + 1) <= E1b(l).
@@ -237,7 +220,7 @@ def bath_subground_state(N: int, two_l: int) -> tuple[LevelRow, StateVector]:
         raise ParameterError(f"two_l={two_l} invalid for N={N}")
     row, x, block = _ring_level(N, two_l)
     if two_l < N:
-        _check_increase(two_l, row.energy, lowest_energy(_ring_block(N, two_l + 2)))
+        _check_increase(two_l, row.energy, _ring_level(N, two_l + 2)[0].energy)
     sector = block.sector
     odd_sites = sum(1 << a for a in range(0, N, 2))  # sites 1, 3, ...
     marshall = (-1.0) ** np.bitwise_count(sector.bits & odd_sites)

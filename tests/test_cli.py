@@ -277,8 +277,9 @@ class TestSubground:
         monkeypatch.setattr(spectrum, "lowest_eigenpair", record)
         out = tmp_path / "sg.txt"
         assert run(["subground", "--n", 8, "--two-s", 2, "--two-l", 0, "--out", out]) == 0
-        # the 8 bracelets of the half-filled 8-site ring pair up under the flip into 7
-        assert solved == [7]
+        # the 8 bracelets of the half-filled 8-site ring pair up under the flip
+        # into 7; the gap certificate then solves the 5 bracelets of block l = 1
+        assert solved == [7, 5]
         assert "block_dim = 7" in read(tmp_path / "sg.txt.meta").splitlines()
 
     @pytest.mark.parametrize("two_l", range(0, 13, 2))

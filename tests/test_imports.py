@@ -1,8 +1,9 @@
 """scipy stays unloaded on the routes that need none of it.
 
-Every block up to DENSE_CUTOFF states is solved and propagated with
-numpy alone; scipy is imported only for the Krylov route and ``eigsh``
-above the cutoff, and for the ``expm`` oracle of ``verify``. Each case
+Every ring level is solved by the package's numpy Lanczos, at any N, and
+every block up to ``dynamics.DENSE_CUTOFF`` states is propagated with
+numpy alone; scipy is imported only for the Krylov propagation route
+above that cutoff and for the ``expm`` oracle of ``verify``. Each case
 runs in a fresh interpreter and reads ``sys.modules`` at its exit.
 """
 
@@ -50,7 +51,12 @@ def test_importing_the_package_loads_no_scipy(code):
     ["level-table", "--n", "16"],
     ["ground-scan", "--n", "12", "--two-s", "3"],
     ["subground", "--n", "16", "--two-s", "3", "--two-l", "6"],
-], ids=["coherent", "level-table", "ground-scan", "subground"])
+    # ring levels on orbit blocks of up to 1282 states (l = 1)
+    ["level-table", "--n", "18"],
+    ["ground-scan", "--n", "18", "--two-s", "3"],
+    ["subground", "--n", "18", "--two-s", "2", "--two-l", "0"],
+], ids=["coherent", "level-table", "ground-scan", "subground",
+        "level-table-18", "ground-scan-18", "subground-18"])
 def test_dense_routes_load_no_scipy(args, tmp_path):
     assert scipy_modules([*args, "--threads", "1", "--out", "out.csv"], tmp_path) == []
 
@@ -58,9 +64,7 @@ def test_dense_routes_load_no_scipy(args, tmp_path):
 @pytest.mark.parametrize("args", [
     # one Krylov block of 2431 states
     ["neel", "--n", "12", "--two-s", "3", "--samples", "21"],
-    # eigsh on the orbit blocks of l = 0 and 1 (1387 and 1282 states)
-    ["level-table", "--n", "18"],
-], ids=["neel-krylov", "level-table-eigsh"])
+], ids=["neel-krylov"])
 def test_routes_above_the_cutoff_import_scipy_sparse(args, tmp_path):
     assert "scipy.sparse" in scipy_modules([*args, "--threads", "1", "--out", "out.csv"],
                                            tmp_path)

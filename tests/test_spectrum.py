@@ -36,7 +36,6 @@ from heisenberg_star.spectrum import (
     bath_subground_state,
     degeneracy,
     ground_scan,
-    lanczos_lowest,
     level_table,
     lowest_eigenpair,
     scan_transitions,
@@ -128,14 +127,23 @@ class TestDegeneracy:
             degeneracy(5, 1)
 
 
+@functools.lru_cache(maxsize=None)
+def ring_block_bottom(N, n_up):
+    """The full ring block at n_up up spins, and its lowest eigenvalue by
+    numpy's dense eigvalsh."""
+    op = ops.build_bath_ring(enumerate_bath_sector(N, n_up), 1.0, 1.0)
+    return op, float(np.linalg.eigvalsh(op.matrix.toarray())[0])
+
+
 class TestLanczos:
-    @pytest.mark.parametrize("N", [4, 6, 8])
+    """The ring solver's contract, checked on blocks the package never
+    solves (not Marshall-rotated) as well as on its own."""
+
+    @pytest.mark.parametrize("N", range(2, 15, 2))
     def test_matches_dense_on_every_ring_block(self, N):
         for n_up in range(N + 1):
-            sec = enumerate_bath_sector(N, n_up)
-            op = ops.build_bath_ring(sec, 1.0, 1.0)
-            want = float(np.linalg.eigvalsh(op.matrix.toarray())[0])
-            got, vec = lanczos_lowest(op)
+            op, want = ring_block_bottom(N, n_up)
+            got, vec = lowest_eigenpair(op)
             assert got == pytest.approx(want, abs=1e-10)
             # residual contract
             r = np.linalg.norm(op.matrix @ vec - got * vec)
@@ -145,38 +153,40 @@ class TestLanczos:
         sec = enumerate_sector(6, 3, 1)
         op = ops.build_star_hamiltonian(sec, make_params(6, 3, J=0.8, g=1.1))
         want = float(np.linalg.eigvalsh(op.matrix.toarray())[0])
-        got, _ = lanczos_lowest(op)
+        got, _ = lowest_eigenpair(op)
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_deterministic(self):
         sec = enumerate_bath_sector(8, 4)
         op = ops.build_bath_ring(sec, 1.0, 1.0)
-        e1, v1 = lanczos_lowest(op)
-        e2, v2 = lanczos_lowest(op)
+        e1, v1 = lowest_eigenpair(op)
+        e2, v2 = lowest_eigenpair(op)
         assert e1 == e2
         np.testing.assert_array_equal(v1, v2)
 
     def test_dimension_one_block(self):
         sec = enumerate_bath_sector(6, 6)
         op = ops.build_bath_ring(sec, 1.0, 1.0)
-        e, v = lanczos_lowest(op)
+        e, v = lowest_eigenpair(op)
         assert e == pytest.approx(6 / 4.0)
         assert v.shape == (1,)
 
     def test_iteration_budget_enforced(self, monkeypatch):
+        # two Krylov vectors cannot hold the bottom of a 252-state block
         monkeypatch.setattr(spectrum, "LANCZOS_PRODUCTS", 2)
         monkeypatch.setattr(spectrum, "LANCZOS_TOL", 1e-13)
         sec = enumerate_bath_sector(10, 5)
         op = ops.build_bath_ring(sec, 1.0, 1.0)
-        with pytest.raises(ConvergenceError) as ei:
-            lanczos_lowest(op)
+        with pytest.raises(ConvergenceError, match="with 2 Krylov vectors") as ei:
+            lowest_eigenpair(op)
         assert ei.value.residual is not None and ei.value.residual > 1e-13
 
     def test_dense_route_agrees_with_lanczos(self):
+        # the dense route is numpy's eigvalsh, written here
         sec = enumerate_bath_sector(8, 3)
         op = ops.build_bath_ring(sec, 1.0, 1.0)
-        e_dense, _ = lowest_eigenpair(op)
-        e_lan, _ = lanczos_lowest(op)
+        e_dense = float(np.linalg.eigvalsh(op.matrix.toarray())[0])
+        e_lan, _ = lowest_eigenpair(op)
         assert e_dense == pytest.approx(e_lan, abs=1e-10)
 
 
@@ -196,39 +206,36 @@ def twisted_ring(N, n_up):
 
 
 class TestSparseRoute:
+    """Lanczos on the CSR is the only route, for blocks of any size."""
+
     @pytest.mark.parametrize("n_up", [7, 8, 9])
     def test_ring_blocks_above_cutoff_match_dense(self, n_up):
-        op = ops.build_bath_ring(enumerate_bath_sector(14, n_up), 1.0, 1.0)
-        assert op.dim > spectrum.DENSE_CUTOFF
-        want = float(np.linalg.eigvalsh(op.matrix.toarray())[0])
+        # 3432 and 3003 states, above the largest orbit block of N = 18
+        op, want = ring_block_bottom(14, n_up)
         got, vec = lowest_eigenpair(op)
         assert got == pytest.approx(want, abs=1e-10)
         assert np.linalg.norm(op.matrix @ vec - got * vec) <= 1e-10
 
     def test_star_sector_above_cutoff_matches_dense(self):
         sec = enumerate_sector(12, 1, 1)
+        # 1716 states, more than any orbit block below N = 20
         op = ops.build_star_hamiltonian(sec, make_params(12, 1, J=0.8, g=1.1))
-        assert op.dim > spectrum.DENSE_CUTOFF
         want = float(np.linalg.eigvalsh(op.matrix.toarray())[0])
         got, _ = lowest_eigenpair(op)
         assert got == pytest.approx(want, abs=1e-10)
 
-    @pytest.mark.parametrize("cutoff", [spectrum.DENSE_CUTOFF, 0])
-    def test_complex_matrix_is_refused(self, cutoff, monkeypatch):
-        # cutoff 0 forces the sparse route; neither route may drop the
-        # imaginary part of a matrix the package never builds
-        monkeypatch.setattr(spectrum, "DENSE_CUTOFF", cutoff)
+    def test_complex_matrix_is_refused(self):
+        # the solver must not drop the imaginary part of a matrix the
+        # package never builds
         cop = twisted_ring(10, 5)
         assert np.any(cop.matrix.data.imag)
         with pytest.raises(StarError, match="imaginary") as ei:
             lowest_eigenpair(cop)
         assert not isinstance(ei.value, ConvergenceError)
 
-    @pytest.mark.parametrize("cutoff", [spectrum.DENSE_CUTOFF, 0])
-    def test_real_storage_gives_the_same_pair(self, cutoff, monkeypatch):
+    def test_real_storage_gives_the_same_pair(self):
         # builders store float64 CSR; a complex copy of the same matrix, with
-        # zero imaginary part, must take the same route to the same bits
-        monkeypatch.setattr(spectrum, "DENSE_CUTOFF", cutoff)
+        # zero imaginary part, must give the same bits
         op = ops.build_bath_ring(enumerate_bath_sector(10, 5), 1.0, 1.0)
         assert op.matrix.dtype == np.float64
         m = op.matrix
@@ -245,14 +252,33 @@ class TestSparseRoute:
         p = pivot(vec)
         assert np.imag(p) == 0.0 and np.real(p) > 0.0
 
-    def test_both_routes_return_the_same_vector(self, monkeypatch):
-        op = ops.build_bath_ring(enumerate_bath_sector(12, 6), 1.0, 1.0)
-        assert op.dim <= spectrum.DENSE_CUTOFF
-        e_dense, v_dense = lowest_eigenpair(op)
-        monkeypatch.setattr(spectrum, "DENSE_CUTOFF", 0)
-        e_sparse, v_sparse = lowest_eigenpair(op)
-        assert e_sparse == pytest.approx(e_dense, abs=1e-10)
-        np.testing.assert_allclose(v_sparse, v_dense, atol=1e-8)
+    def test_both_routes_return_the_same_vector(self):
+        # Lanczos and a dense eigh written here agree on the vector of every
+        # nondegenerate bottom: full ring blocks, the package's orbit blocks
+        # and a star sector
+        star = ops.build_star_hamiltonian(enumerate_sector(6, 3, 1), make_params(6, 3, J=0.8, g=1.1))
+        blocks = [ops.build_bath_ring(enumerate_bath_sector(N, n_up), 1.0, 1.0)
+                  for N, n_up in ((8, 3), (12, 6), (12, 7), (12, 9))]
+        blocks += [spectrum._ring_block(16, two_l) for two_l in (0, 2, 6)] + [star]
+        for op in blocks:
+            evals, evecs = np.linalg.eigh(op.matrix.toarray())
+            assert evals[1] - evals[0] > 1e-3
+            e, vec = lowest_eigenpair(op)
+            assert e == pytest.approx(evals[0], abs=1e-10)
+            np.testing.assert_allclose(vec, evecs[:, 0] * np.sign(pivot(evecs[:, 0])),
+                                       rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("N", [18, 20])
+    def test_every_level_matches_scipy_eigsh(self, N):
+        # scipy's ARPACK, imported by this test only, is the oracle on the
+        # orbit blocks the package solves above N = 16
+        for two_l in range(0, N + 1, 2):
+            op = spectrum._ring_block(N, two_l)
+            got, vec = lowest_eigenpair(op)
+            want = (scipy.sparse.linalg.eigsh(op.matrix.tocsr(), k=1, which="SA", tol=0)[0][0]
+                    if op.dim > 2 else np.linalg.eigvalsh(op.matrix.toarray())[0])
+            assert got == pytest.approx(want, abs=1e-12)
+            assert np.linalg.norm(op.matrix @ vec - got * vec) <= 1e-10
 
     def test_threaded_table_is_identical_on_the_sparse_route(self):
         a = level_table(14, threads=1)
@@ -261,21 +287,12 @@ class TestSparseRoute:
 
 
 class TestSolverFailures:
-    def test_exhausted_budget_says_no_ritz_vector_came_back(self, monkeypatch):
-        monkeypatch.setattr(spectrum, "LANCZOS_PRODUCTS", 2)
-        monkeypatch.setattr(spectrum, "LANCZOS_TOL", 1e-13)
-        op = ops.build_bath_ring(enumerate_bath_sector(10, 5), 1.0, 1.0)
-        with pytest.raises(ConvergenceError, match="no Ritz vector") as ei:
-            lanczos_lowest(op)
-        assert "best residual" not in str(ei.value)
-        assert ei.value.residual > 1e-13
-
     def test_unreachable_tol_reports_the_returned_vectors_residual(self, monkeypatch):
         monkeypatch.setattr(spectrum, "LANCZOS_PRODUCTS", 60)
         monkeypatch.setattr(spectrum, "LANCZOS_TOL", 1e-30)
         op = ops.build_bath_ring(enumerate_bath_sector(10, 5), 1.0, 1.0)
-        with pytest.raises(ConvergenceError, match="best residual") as ei:
-            lanczos_lowest(op)
+        with pytest.raises(ConvergenceError, match="did not reach tol") as ei:
+            lowest_eigenpair(op)
         # a converged Ritz vector, not the O(1) residual of a start vector
         assert 1e-30 < ei.value.residual <= 1e-12
 
@@ -283,7 +300,7 @@ class TestSolverFailures:
     def test_blocks_below_three_states(self, n_up):
         op = ops.build_bath_ring(enumerate_bath_sector(2, n_up), 1.0, 1.0)
         want = float(np.linalg.eigvalsh(op.matrix.toarray())[0])
-        got, vec = lanczos_lowest(op)
+        got, vec = lowest_eigenpair(op)
         assert got == pytest.approx(want, abs=1e-12)
         assert np.linalg.norm(op.matrix @ vec - got * vec) <= 1e-12
 
@@ -338,8 +355,14 @@ class TestRingLevels:
 
     def test_vector_outside_the_multiplet_is_refused(self, monkeypatch):
         # the first excited level of the l_m = 0 orbit block at N = 8 is the
-        # l = 2 bottom, above E1b(1), so the strict gap refuses it
+        # l = 2 bottom, above E1b(1), so the strict gap refuses it; the
+        # certificate's own solve of block l = 1 is left alone
+        solve, solved = spectrum.lowest_eigenpair, []
+
         def excited(op):
+            solved.append(op)
+            if len(solved) > 1:
+                return solve(op)
             evals, evecs = np.linalg.eigh(op.matrix.toarray())
             return float(evals[1]), evecs[:, 1]
 
