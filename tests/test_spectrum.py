@@ -205,6 +205,11 @@ def twisted_ring(N, n_up):
     return ops.SparseOperator(op.sector, ops.CSR(m.indptr, m.indices, data))
 
 
+def half_filled_ring_above(min_dim):
+    """(N, N // 2) of the shortest half-filled ring, N >= 10, with more than min_dim states."""
+    return next((N, N // 2) for N in range(10, 20, 2) if math.comb(N, N // 2) > min_dim)
+
+
 class TestSparseRoute:
     """Lanczos on the CSR is the only route, for blocks of any size."""
 
@@ -224,19 +229,24 @@ class TestSparseRoute:
         got, _ = lowest_eigenpair(op)
         assert got == pytest.approx(want, abs=1e-10)
 
-    def test_complex_matrix_is_refused(self):
+    @pytest.mark.parametrize("min_dim", [0, 1024])
+    def test_complex_matrix_is_refused(self, min_dim):
         # the solver must not drop the imaginary part of a matrix the
-        # package never builds
-        cop = twisted_ring(10, 5)
+        # package never builds, on a small block or a large one
+        cop = twisted_ring(*half_filled_ring_above(min_dim))
+        assert cop.dim > min_dim
         assert np.any(cop.matrix.data.imag)
         with pytest.raises(StarError, match="imaginary") as ei:
             lowest_eigenpair(cop)
         assert not isinstance(ei.value, ConvergenceError)
 
-    def test_real_storage_gives_the_same_pair(self):
+    @pytest.mark.parametrize("min_dim", [0, 1024])
+    def test_real_storage_gives_the_same_pair(self, min_dim):
         # builders store float64 CSR; a complex copy of the same matrix, with
-        # zero imaginary part, must give the same bits
-        op = ops.build_bath_ring(enumerate_bath_sector(10, 5), 1.0, 1.0)
+        # zero imaginary part, must give the same bits, on a small block or a
+        # large one
+        op = ops.build_bath_ring(enumerate_bath_sector(*half_filled_ring_above(min_dim)), 1.0, 1.0)
+        assert op.dim > min_dim
         assert op.matrix.dtype == np.float64
         m = op.matrix
         cop = ops.SparseOperator(op.sector, ops.CSR(m.indptr, m.indices, m.data.astype(complex)))
