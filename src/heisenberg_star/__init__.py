@@ -18,6 +18,7 @@ from .operators import (
 from .spectrum import (
     GroundScanRow,
     LevelTable,
+    bethe_levels,
     degeneracy,
     ground_scan,
     level_table,

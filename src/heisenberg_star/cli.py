@@ -32,6 +32,7 @@ from .dynamics import coherent_experiment, neel_experiment
 from .errors import ConvergenceError, ParameterError, StarError
 from .spectrum import (
     bath_subground_state,
+    bethe_levels,
     ground_scan,
     level_table,
     scan_transitions,
@@ -44,6 +45,10 @@ EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
 EXIT_BAD_PARAMS = 2
 EXIT_SOLVER = 3
+
+# Largest --ratio grid or --samples count; a mistyped step would otherwise
+# try to allocate the grid before anything is checked.
+GRID_POINTS_MAX = 10**6
 
 
 def _thread_count(text: str) -> int:
@@ -123,7 +128,10 @@ def _parse_ratio_range(text: str) -> list[float]:
         raise ParameterError("ratio step must be positive")
     if stop < start:
         raise ParameterError("ratio stop must be >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if not span < GRID_POINTS_MAX:
+        raise ParameterError(f"ratio grid {text!r} has more than {GRID_POINTS_MAX} points")
+    count = math.floor(span) + 1
     return [start + i * step for i in range(count)]
 
 
@@ -154,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _command(sub, "ground-scan", "ground level along a J/gt grid", "ground_scan.csv")
+    p = _command(sub, "ground-scan", "ground level along a J/gt grid", "ground_scan.csv",
+                 threads="only recorded in the sidecar; this command runs one thread")
     p.add_argument("--n", type=int, default=16, help="ring sites N")
     p.add_argument("--two-s", type=int, default=2, help="twice the central spin S")
     p.add_argument("--ratio", default="0:1.2:0.005", help="J/gt grid as start:stop:step")
@@ -207,14 +216,12 @@ def cmd_ground_scan(args) -> int:
     threads = _threads(args)
     grid = _parse_ratio_range(args.ratio)
     make_params(args.n, args.two_s, J=0.0)  # checks N and the central spin before solving
-    table = level_table(args.n, threads=threads)
-    rows = ground_scan(table, args.two_s, grid)
+    rows = ground_scan(bethe_levels(args.n), args.two_s, grid)
     csvio.write_ground_scan(args.out, rows)
     edges = scan_transitions(rows)
     trans_path = args.out.removesuffix(".csv") + ".transitions.csv"
     csvio.write_transitions(trans_path, edges)
-    _write_meta(args, threads=threads, transitions=trans_path,
-                block_dim_max=max(row.block_dim for row in table.rows))
+    _write_meta(args, threads=threads, transitions=trans_path)
     print(f"wrote {args.out} ({len(rows)} rows) and {trans_path} ({len(edges)} edges)")
     return EXIT_OK
 
@@ -236,6 +243,8 @@ def _write_experiment(args, tmax: float, experiment, **results) -> int:
     threads = _threads(args)
     if args.samples < 2:
         raise ParameterError("need at least two samples")
+    if args.samples > GRID_POINTS_MAX:
+        raise ParameterError(f"--samples {args.samples} exceeds {GRID_POINTS_MAX}")
     if not math.isfinite(tmax):
         raise ParameterError("time grid must be finite")
     grid = np.linspace(0.0, tmax, args.samples)

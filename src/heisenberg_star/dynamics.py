@@ -167,7 +167,7 @@ def _observable_matrix(mat):
     """A block observable as its route takes it: its diagonal when it holds
     nothing else, else a dense numpy array on the spectral route and a
     scipy CSR on the same arrays on the Krylov route."""
-    if np.array_equal(mat.indices, mat.rows()):
+    if np.array_equal(mat.indices, mat.rows):
         diagonal = np.zeros(mat.shape[0], dtype=mat.dtype)
         diagonal[mat.indices] = mat.data
         return diagonal

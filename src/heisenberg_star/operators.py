@@ -36,6 +36,7 @@ and a spin-1/2 raise or lower on a ring site carries weight 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,13 +71,16 @@ class CSR:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
+    @cached_property
     def rows(self) -> np.ndarray:
-        """The row of every stored entry."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        """The row of every stored entry, found once per matrix (read-only)."""
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        rows.flags.writeable = False
+        return rows
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=self.dtype)
-        out[self.rows(), self.indices] = self.data
+        out[self.rows, self.indices] = self.data
         return out
 
     def tocsr(self):
@@ -87,10 +91,24 @@ class CSR:
                                       shape=self.shape, copy=False)
 
     def __matmul__(self, x):
-        """Product with a vector, or with the columns of a 2-D array."""
+        """Product with a vector, or with the columns of a 2-D array.
+
+        Each row sums its entries' products in stored order, by
+        ``np.bincount`` on the real and imaginary parts apart.
+        """
         x = np.asarray(x)
-        out = np.zeros((self.shape[0], *x.shape[1:]), dtype=np.result_type(self.data, x))
-        np.add.at(out, self.rows(), self.data.reshape(-1, *[1] * (x.ndim - 1)) * x[self.indices])
+        n = self.shape[0]
+        if x.ndim == 2:
+            out = np.empty((n, x.shape[1]), dtype=np.result_type(self.data, x))
+            for c in range(x.shape[1]):
+                out[:, c] = self @ x[:, c]
+            return out
+        terms = self.data * x[self.indices]
+        if not np.iscomplexobj(terms):
+            return np.bincount(self.rows, terms, n)
+        out = np.empty(n, dtype=terms.dtype)
+        out.real = np.bincount(self.rows, terms.real, n)
+        out.imag = np.bincount(self.rows, terms.imag, n)
         return out
 
 
@@ -183,7 +201,7 @@ def _to_operator(sector: BasisSector, entries) -> SparseOperator:
 def _sum(ops) -> SparseOperator:
     """Sum of operators on one sector."""
     sector = ops[0].sector
-    keys = np.concatenate([op.matrix.rows() * sector.dim + op.matrix.indices for op in ops])
+    keys = np.concatenate([op.matrix.rows * sector.dim + op.matrix.indices for op in ops])
     vals = np.concatenate([op.matrix.data for op in ops])
     return SparseOperator(sector=sector, matrix=_csr(sector.dim, keys, vals))
 

@@ -1,13 +1,22 @@
 """Static spectrum of the star: ring level structure and closed forms.
 
 The only numerical work here is the lowest level of the isotropic ring
-in each magnetization block. It is solved on the block's
-Marshall-rotated dihedral orbit block, which holds it exactly (see
-:func:`bath_subground_state`) and is about 2N times smaller; at l = 0
-the spin flip folds that block once more, to 257 states at N = 16. One
-numpy Lanczos with full reorthogonalization solves every block, from a
-fixed positive start vector, and certifies its pair by the true
-residual; it needs neither a full diagonalization nor scipy, at any N.
+in each magnetization block, found two ways:
+
+* :func:`bethe_levels` takes every level from the Bethe ansatz of the
+  XXX ring: one small Newton solve per block, certified by its residual
+  and by the strict increase of the levels with l, at any even N. The
+  ground scan uses it.
+* :func:`level_table` and :func:`bath_subground_state` solve each block
+  by exact diagonalization on its Marshall-rotated dihedral orbit
+  block, which holds the level exactly (see
+  :func:`bath_subground_state`) and is about 2N times smaller; at
+  l = 0 the spin flip folds that block once more, to 257 states at
+  N = 16. One numpy Lanczos with full reorthogonalization solves every
+  block, from a fixed positive start vector, and certifies its pair by
+  the true residual. ``subground`` needs the eigenvector, and the
+  level table is the Bethe levels' oracle.
+
 Everything else is arithmetic on top of those numbers:
 
 * each ring block ``l_m = l`` has a nondegenerate bottom level with
@@ -40,6 +49,14 @@ LANCZOS_TOL = 1e-10
 LANCZOS_PRODUCTS = 500
 LANCZOS_CHUNK = 32
 LANCZOS_CHECK = 8
+
+# Bethe roots are accepted when the largest residual of the scaled Bethe
+# equations is at most BETHE_TOL; Newton stops after a step no larger than
+# BETHE_STEP_TOL (quadratic convergence leaves the next iterate at rounding
+# level) and gives up after BETHE_NEWTON_STEPS steps.
+BETHE_TOL = 1e-12
+BETHE_STEP_TOL = 1e-9
+BETHE_NEWTON_STEPS = 50
 
 
 def _check_ring_length(N: int) -> None:
@@ -105,12 +122,6 @@ def lowest_eigenpair(op: SparseOperator) -> tuple[float, np.ndarray]:
     """
     mat = _real_matrix(op)
     n = op.dim
-    rows = mat.rows()
-
-    def product(v):
-        # the bits of mat @ v, with the row of each entry found once
-        return np.bincount(rows, mat.data * v[mat.indices], n)
-
     cap = min(n, LANCZOS_PRODUCTS)
     eps = np.finfo(float).eps
     basis = np.empty((min(cap, LANCZOS_CHUNK), n))
@@ -118,7 +129,7 @@ def lowest_eigenpair(op: SparseOperator) -> tuple[float, np.ndarray]:
     basis[0] /= np.linalg.norm(basis[0])
     alpha, beta, scale = [], [], 0.0
     for j in range(cap):
-        w = product(basis[j])
+        w = mat @ basis[j]
         alpha.append(float(basis[j] @ w))
         for _ in range(2):
             w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
@@ -135,7 +146,7 @@ def lowest_eigenpair(op: SparseOperator) -> tuple[float, np.ndarray]:
         basis[j + 1] = w / b
     vec = basis[:len(alpha)].T @ s
     vec /= np.linalg.norm(vec)
-    w = product(vec)
+    w = mat @ vec
     energy = float(vec @ w)
     residual = float(np.linalg.norm(w - energy * vec))
     if residual > LANCZOS_TOL:
@@ -274,6 +285,70 @@ def level_table(N: int, threads: int = 1) -> LevelTable:
     return LevelTable(N=N, rows=tuple(rows))
 
 
+def _bethe_bottom(N: int, M: int) -> tuple[float, float]:
+    """Energy and equation residual of the Bethe state with M magnons and
+    Bethe numbers I_j = -(M - 1)/2 .. (M - 1)/2; see :func:`bethe_levels`."""
+    I = np.arange(M) - (M - 1) / 2.0
+    lam = 0.5 * np.tan(np.pi * I / N)
+
+    def equations(lam):
+        diff = lam[:, None] - lam[None, :]
+        return np.arctan(2.0 * lam) - (np.pi * I + np.arctan(diff).sum(axis=1)) / N, diff
+
+    converged = False
+    for _ in range(BETHE_NEWTON_STEPS):
+        residual, diff = equations(lam)
+        kernel = 1.0 / (1.0 + diff * diff)
+        jacobian = kernel / N
+        jacobian[np.diag_indices(M)] = (2.0 / (1.0 + 4.0 * lam * lam)
+                                        - (kernel.sum(axis=1) - 1.0) / N)
+        step = np.linalg.solve(jacobian, residual)
+        lam = lam - step
+        converged = bool(np.all(np.abs(step) <= BETHE_STEP_TOL))
+        if converged:
+            break
+    worst = float(np.abs(equations(lam)[0]).max(initial=0.0))
+    ordered = bool(np.all(np.diff(lam) > 0.0))
+    if not (converged and ordered and worst <= BETHE_TOL):
+        raise ConvergenceError(f"Bethe roots for N={N}, M={M} are not certified:"
+                               f" Newton converged within {BETHE_NEWTON_STEPS} steps:"
+                               f" {converged}, ordered like the I_j: {ordered},"
+                               f" residual {worst:.3e}", residual=worst)
+    return N / 4.0 - float(np.sum(0.5 / (lam * lam + 0.25))), worst
+
+
+def bethe_levels(N: int) -> np.ndarray:
+    """E1b(l) for l = 0 .. N/2 at unit coupling, from the Bethe ansatz.
+
+    The bottom of ring block ``l_m = l`` is the Bethe state of
+    M = N/2 - l magnons whose Bethe numbers are I_j = -(M - 1)/2, ...,
+    (M - 1)/2 (Griffiths 1964). Its real rapidities solve
+
+        arctan(2 lam_j) = (pi I_j + sum_k arctan(lam_j - lam_k)) / N,
+
+    the Bethe equations divided by 2N, by Newton with the analytic
+    Jacobian from lam_j = tan(pi I_j / N) / 2 (Karbach and Mueller 1997),
+    and the level is E1b(l) = N/4 - sum_j (1/2) / (lam_j^2 + 1/4). M = 0
+    gives N/4 and M = 1 (lam = 0) gives N/4 - 2, both exactly. N = 2
+    counts its one bond twice, as the ring builder does.
+
+    ConvergenceError, carrying the largest residual, unless every solve
+    converges within BETHE_NEWTON_STEPS, its residual is at most
+    BETHE_TOL, its roots are strictly ordered like the I_j, and the
+    energies strictly increase with l (the certificate of the angular
+    momentum, see :func:`bath_subground_state`). Exact diagonalization
+    (:func:`level_table`) is the oracle of these numbers up to N = 22.
+    """
+    _check_ring_length(N)
+    solved = [_bethe_bottom(N, N // 2 - l) for l in range(N // 2 + 1)]
+    energies = np.array([energy for energy, _ in solved])
+    worst = max(residual for _, residual in solved)
+    if not np.all(np.diff(energies) > 0.0):
+        raise ConvergenceError(f"Bethe levels for N={N} do not increase strictly with l"
+                               f" (largest residual {worst:.3e})", residual=worst)
+    return energies
+
+
 def single_magnon_energy(N: int, k_index: int) -> float:
     """One flipped spin on the ferromagnetic ring: N/4 - (1 - cos k).
 
@@ -333,25 +408,30 @@ class GroundScanRow:
     lG: int
 
 
-def ground_scan(table: LevelTable, two_S: int, ratio_grid) -> list[GroundScanRow]:
+def ground_scan(levels, two_S: int, ratio_grid) -> list[GroundScanRow]:
     """Ground energy and its ring quantum number along a J/gt grid.
 
-    Arithmetic on the ring levels of ``table``, whose N is the ring's.
-    Energies are reported in units of the collective coupling
-    gt = g sqrt(N). Ties between l values are broken toward larger l,
-    matching the ferromagnetic side of each crossing.
+    Arithmetic on the ring levels ``levels[l]`` = E1b(l), l = 0 .. N/2
+    (:func:`bethe_levels`, or the energies of a :func:`level_table`), so
+    N = 2 (len(levels) - 1). Energies are reported in units of the
+    collective coupling gt = g sqrt(N). Ties between l values are broken
+    toward larger l, matching the ferromagnetic side of each crossing.
     """
-    N = table.N
+    levels = np.asarray(levels, dtype=float)
+    if levels.ndim != 1 or levels.size < 2:
+        raise ParameterError(f"levels must hold E1b(l) for l = 0 .. N/2, got shape"
+                             f" {levels.shape}")
+    N = 2 * (levels.size - 1)
     if two_S < 1 or two_S > N:
         raise ParameterError(f"two_S={two_S} outside [1, N={N}]")
     ratios = np.asarray(ratio_grid, dtype=float)
     # descending l, so argmin's first minimum keeps the larger l on ties
-    rows = table.rows[::-1]
-    energies = np.array([sub_ground_energy(row.two_l, two_S, ratios, 1.0 / math.sqrt(N),
-                                           row.energy) for row in rows])
+    ls = range(N // 2, -1, -1)
+    energies = np.array([sub_ground_energy(2 * l, two_S, ratios, 1.0 / math.sqrt(N),
+                                           float(levels[l])) for l in ls])
     best = np.argmin(energies, axis=0)
     return [GroundScanRow(J_over_gt=float(ratio), EG_over_gt=float(energies[k, i]),
-                          lG=rows[k].two_l // 2)
+                          lG=N // 2 - int(k))
             for i, (ratio, k) in enumerate(zip(ratios, best))]
 
 

@@ -34,6 +34,7 @@ from heisenberg_star.operators import (
     build_system_bath,
 )
 from heisenberg_star.spectrum import (
+    bethe_levels,
     degeneracy,
     ground_scan,
     level_table,
@@ -186,11 +187,12 @@ def test_criterion_03_bath_anchors(table8, table12, table16):
           f" ({time.perf_counter() - t0:.2f}s)")
 
 
-def test_criterion_04_ground_scan_plateaus(table16):
+def test_criterion_04_ground_scan_plateaus():
     t0 = time.perf_counter()
     N, step = 16, 0.005
     sqrt_n = math.sqrt(N)
-    delta10 = table16.energy(2) - table16.energy(0)
+    levels = bethe_levels(N)
+    delta10 = levels[1] - levels[0]
     scans = {}
     for two_S in range(2, 15, 2):
         S = two_S / 2.0
@@ -198,7 +200,7 @@ def test_criterion_04_ground_scan_plateaus(table16):
         w1 = 2.0 * S if two_S <= 2 else S + 1.0
         stop = w1 / (sqrt_n * delta10) + 0.1
         grid = np.arange(0.0, stop, step)
-        scans[two_S] = ground_scan(table16, two_S, grid)
+        scans[two_S] = ground_scan(levels, two_S, grid)
 
     worst_edge = worst_slope1 = worst_slope2 = worst_offset = 0.0
     points7, segments7 = {}, {}

@@ -1,6 +1,10 @@
 """Command line behavior: files written, formats, precedence, exit codes."""
 
 import math
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -40,16 +44,32 @@ class TestGroundScan:
     def test_meta_records_the_largest_block_solved(self, tmp_path):
         out = tmp_path / "scan.csv"
         assert run(["ground-scan", "--n", 8, "--two-s", 1, "--ratio", "0:0.1:0.1",
-                    "--out", out]) == 0
-        # 7 orbits of the half-filled 8-site ring under rotation, reflection and flip
-        assert "block_dim_max = 7" in read(tmp_path / "scan.csv.meta").splitlines()
+                    "--threads", 2, "--out", out]) == 0
+        # the levels come from the Bethe ansatz: no block is built or solved
+        meta = read(tmp_path / "scan.csv.meta").splitlines()
+        assert not [line for line in meta if line.startswith("block_dim_max")]
+        assert "threads = 2" in meta
+
+    def test_solves_no_ring_block(self, tmp_path, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("a ring block was solved")
+
+        monkeypatch.setattr(spectrum, "lowest_eigenpair", solve)
+        monkeypatch.setattr(cli, "level_table", solve)
+        assert run(["ground-scan", "--n", 16, "--two-s", 3, "--out", tmp_path / "x.csv"]) == 0
+
+    def test_newton_failure_exits_three(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(spectrum, "BETHE_NEWTON_STEPS", 1)
+        assert run(["ground-scan", "--n", 16, "--two-s", 3, "--out", tmp_path / "x.csv"]) == 3
+        assert "residual" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("two_s", [0, 9])
     def test_bad_central_spin_is_refused_before_solving(self, two_s, tmp_path, monkeypatch):
         def solve(*args, **kwargs):
             raise AssertionError("solved before the central spin was checked")
 
-        monkeypatch.setattr(cli, "level_table", solve)
+        monkeypatch.setattr(cli, "bethe_levels", solve)
         assert run(["ground-scan", "--n", 8, "--two-s", two_s,
                     "--out", tmp_path / "x.csv"]) == 2
 
@@ -82,6 +102,80 @@ class TestGroundScan:
         assert run(["ground-scan", "--n", 4, "--two-s", 1,
                     "--ratio", ratio, "--out", tmp_path / "x.csv"]) == 2
         assert "must be finite" in capsys.readouterr().err
+
+
+class TestGroundScanAtLargeN:
+    """What the model implies, at ring lengths exact diagonalization cannot
+    reach: every sub-ground energy is linear in J, so the ground energy is
+    the lower envelope of N/2 + 1 lines. E1b(N/2) - E1b(N/2 - 1) = 2 puts
+    the first edge at J/gt = S / (2 sqrt(N)), and for S >= 1 the l = 1
+    line, of weight S + 1, meets the l = 0 line at
+    J/gt = (S + 1) / (sqrt(N) (E1b(1) - E1b(0)))."""
+
+    def test_sixty_four_sites(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert run(["ground-scan", "--n", 64, "--two-s", 7, "--out", out]) == 0
+        assert len(read(out).splitlines()) == 1 + 241
+
+    @pytest.mark.parametrize("two_s", range(2, 9))
+    @pytest.mark.parametrize("N", [32, 64])
+    def test_edges_and_monotone_quantum_number(self, N, two_s, tmp_path):
+        step = 0.001
+        levels = spectrum.bethe_levels(N)
+        last = (two_s / 2 + 1) / (math.sqrt(N) * float(levels[1] - levels[0]))
+        out = tmp_path / "scan.csv"
+        assert run(["ground-scan", "--n", N, "--two-s", two_s,
+                    "--ratio", f"0:{last + 0.1!r}:{step}", "--out", out]) == 0
+        ls = [int(line.split(",")[2]) for line in read(out).splitlines()[1:]]
+        assert all(a >= b for a, b in zip(ls, ls[1:]))
+        edges = [line.split(",") for line in
+                 read(tmp_path / "scan.transitions.csv").splitlines()[1:]]
+        # plateaus narrower than a step may be skipped, so only the plateau
+        # each edge leaves or reaches is fixed
+        ratio, l_from, _ = edges[0]
+        assert int(l_from) == N // 2
+        assert abs(float(ratio) - spectrum.transition_point(N, two_s)) <= step + 1e-9
+        ratio, l_from, l_to = edges[-1]
+        assert (int(l_from), int(l_to)) == (1, 0)
+        assert abs(float(ratio) - last) <= step + 1e-9
+
+
+class TestGridSizeGuard:
+    # runs the CLI on its arguments and prints the time cli.main took
+    PROBE = """
+import sys, time
+from heisenberg_star import cli
+start = time.perf_counter()
+code = cli.main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+    @pytest.mark.parametrize("args", [
+        ["ground-scan", "--ratio", "0:1.2:1e-12"],
+        ["ground-scan", "--ratio=-1e308:1e308:1"],
+        ["neel", "--samples", "1000000000000"],
+        ["coherent", "--samples", "1000001"],
+    ], ids=["ratio-step", "ratio-span", "neel-samples", "coherent-samples"])
+    def test_oversized_grid_is_refused_at_once(self, args, tmp_path):
+        # a fresh interpreter under a 1 GB address-space limit, so a guard
+        # that let the grid through fails on memory, not the machine
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, *args, "--threads", "1",
+                               "--out", str(tmp_path / "x.csv")], env=env,
+                              capture_output=True, text=True, timeout=120, preexec_fn=limit)
+        assert proc.returncode == 2, proc.stderr
+        assert str(cli.GRID_POINTS_MAX) in proc.stderr
+        assert float(proc.stdout.splitlines()[-1]) < 0.5
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_the_largest_grid_is_accepted(self):
+        assert len(cli._parse_ratio_range(f"0:{cli.GRID_POINTS_MAX - 1}:1")) \
+            == cli.GRID_POINTS_MAX
 
 
 class TestLevelTable:

@@ -1,7 +1,7 @@
 """scipy stays unloaded on the routes that need none of it.
 
-Every ring level is solved by the package's numpy Lanczos, at any N, and
-every block up to ``dynamics.DENSE_CUTOFF`` states is propagated with
+Every ring level is solved by the package's numpy Lanczos or taken from
+the Bethe ansatz in numpy, at any N, and every block up to ``dynamics.DENSE_CUTOFF`` states is propagated with
 numpy alone; scipy is imported only for the Krylov propagation route
 above that cutoff and for the ``expm`` oracle of ``verify``. Each case
 runs in a fresh interpreter and reads ``sys.modules`` at its exit.
@@ -55,8 +55,10 @@ def test_importing_the_package_loads_no_scipy(code):
     ["level-table", "--n", "18"],
     ["ground-scan", "--n", "18", "--two-s", "3"],
     ["subground", "--n", "18", "--two-s", "2", "--two-l", "0"],
+    # Bethe ring levels beyond the reach of exact diagonalization
+    ["ground-scan", "--n", "64", "--two-s", "7"],
 ], ids=["coherent", "level-table", "ground-scan", "subground",
-        "level-table-18", "ground-scan-18", "subground-18"])
+        "level-table-18", "ground-scan-18", "subground-18", "ground-scan-64"])
 def test_dense_routes_load_no_scipy(args, tmp_path):
     assert scipy_modules([*args, "--threads", "1", "--out", "out.csv"], tmp_path) == []
 

@@ -319,6 +319,30 @@ class TestCSR:
         np.testing.assert_allclose(m @ x, m.toarray() @ x, rtol=0, atol=1e-12)
         np.testing.assert_allclose(m @ x[:, 0], m.toarray() @ x[:, 0], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["real", "complex", "real-2d", "complex-2d"])
+    def test_product_has_the_bits_of_the_scatter_form(self, kind):
+        # the np.add.at scatter the product once used, kept as the reference
+        m = ops.build_star_hamiltonian(enumerate_sector(10, 3, 1),
+                                       make_params(10, 3, J=0.9, g=1.1)).matrix
+        rng = np.random.default_rng(7)
+        shape = (m.shape[0], 3) if kind.endswith("2d") else (m.shape[0],)
+        x = rng.normal(size=shape)
+        if kind.startswith("complex"):
+            x = x + 1j * rng.normal(size=shape)
+        want = np.zeros(shape, dtype=x.dtype)
+        np.add.at(want, m.rows, m.data.reshape(-1, *[1] * (x.ndim - 1)) * x[m.indices])
+        got = m @ x
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_rows_are_found_once_and_read_only(self):
+        m = ops.build_L_squared(enumerate_sector(8, 2, 0)).matrix
+        assert m.rows is m.rows
+        np.testing.assert_array_equal(m.rows, np.repeat(np.arange(m.shape[0]),
+                                                        np.diff(m.indptr)))
+        with pytest.raises(ValueError):
+            m.rows[0] = 1
+
 
 class TestApplication:
     def test_apply_returns_unnormalized(self):

@@ -34,6 +34,7 @@ from heisenberg_star.spectrum import (
     LevelRow,
     LevelTable,
     bath_subground_state,
+    bethe_levels,
     degeneracy,
     ground_scan,
     level_table,
@@ -201,7 +202,7 @@ def twisted_ring(N, n_up):
     op = ops.build_bath_ring(enumerate_bath_sector(N, n_up), 1.0, 1.0)
     phases = np.exp(1j * np.random.default_rng(3).uniform(0, 2 * np.pi, op.dim))
     m = op.matrix
-    data = phases[m.rows()] * m.data * phases.conj()[m.indices]
+    data = phases[m.rows] * m.data * phases.conj()[m.indices]
     return ops.SparseOperator(op.sector, ops.CSR(m.indptr, m.indices, data))
 
 
@@ -663,69 +664,133 @@ class TestStarLevels:
         assert best == pytest.approx(want, abs=1e-9)
 
 
+def scan_levels(N):
+    """The ring levels a ground scan takes: from the Bethe ansatz and from
+    the exact-diagonalization level table."""
+    return (bethe_levels(N), np.array([row.energy for row in level_table(N).rows]))
+
+
 class TestGroundScan:
     def test_weak_ring_limit(self):
         N, two_S = 8, 3
-        rows = ground_scan(level_table(N), two_S, [0.0])
         S = two_S / 2.0
-        assert rows[0].lG == N // 2
-        assert rows[0].EG_over_gt == pytest.approx(
-            -S * (N / 2.0 + 1.0) / math.sqrt(N), abs=1e-12)
+        for levels in scan_levels(N):
+            rows = ground_scan(levels, two_S, [0.0])
+            assert rows[0].lG == N // 2
+            assert rows[0].EG_over_gt == pytest.approx(
+                -S * (N / 2.0 + 1.0) / math.sqrt(N), abs=1e-12)
 
     def test_plateau_slopes_are_ring_energies(self):
         N, two_S = 8, 2
-        table = level_table(N)
         grid = np.arange(0.0, 1.2, 0.002)
-        rows = ground_scan(table, two_S, grid)
-        for a, b in zip(rows, rows[1:]):
-            if a.lG == b.lG:
-                slope = (b.EG_over_gt - a.EG_over_gt) / (b.J_over_gt - a.J_over_gt)
-                assert slope == pytest.approx(table.energy(2 * a.lG), abs=1e-9)
+        for levels in scan_levels(N):
+            rows = ground_scan(levels, two_S, grid)
+            for a, b in zip(rows, rows[1:]):
+                if a.lG == b.lG:
+                    slope = (b.EG_over_gt - a.EG_over_gt) / (b.J_over_gt - a.J_over_gt)
+                    assert slope == pytest.approx(levels[a.lG], abs=1e-9)
 
     def test_rows_match_direct_minimization(self):
         N, two_S = 8, 3
-        table = level_table(N)
         inv = 1.0 / math.sqrt(N)
-        for row in ground_scan(table, two_S, [0.07, 0.33, 0.81]):
-            cands = {}
-            for t in table.rows:
-                l, S = t.two_l / 2.0, two_S / 2.0
-                w = S * (l + 1.0) if two_S <= t.two_l else l * (S + 1.0)
-                cands[t.two_l // 2] = row.J_over_gt * t.energy - w * inv
-            best = min(cands.values())
-            assert row.EG_over_gt == pytest.approx(best, abs=1e-12)
-            assert cands[row.lG] == pytest.approx(best, abs=1e-12)
+        for levels in scan_levels(N):
+            for row in ground_scan(levels, two_S, [0.07, 0.33, 0.81]):
+                cands = {}
+                for l, energy in enumerate(levels):
+                    S = two_S / 2.0
+                    w = S * (l + 1.0) if two_S <= 2 * l else l * (S + 1.0)
+                    cands[l] = row.J_over_gt * energy - w * inv
+                best = min(cands.values())
+                assert row.EG_over_gt == pytest.approx(best, abs=1e-12)
+                assert cands[row.lG] == pytest.approx(best, abs=1e-12)
 
     def test_tie_breaks_toward_larger_momentum(self):
         # exactly at the first crossing both l values give equal energy
         N, two_S = 4, 1
         r = transition_point(N, two_S)
-        rows = ground_scan(level_table(N), two_S, [r - 1e-9, r, r + 1e-9])
-        assert rows[0].lG == N // 2
-        assert rows[1].lG == N // 2
-        assert rows[2].lG == N // 2 - 1
+        for levels in scan_levels(N):
+            rows = ground_scan(levels, two_S, [r - 1e-9, r, r + 1e-9])
+            assert rows[0].lG == N // 2
+            assert rows[1].lG == N // 2
+            assert rows[2].lG == N // 2 - 1
 
     def test_first_edge_near_closed_form(self):
         N, two_S = 8, 2
         step = 0.005
-        rows = ground_scan(level_table(N), two_S, np.arange(0.0, 0.6, step))
-        edges = scan_transitions(rows)
-        assert edges, "no plateau edge found"
-        ratio, l_from, l_to = edges[0]
-        assert (l_from, l_to) == (N // 2, N // 2 - 1)
-        assert abs(ratio - transition_point(N, two_S)) <= step + 1e-12
+        for levels in scan_levels(N):
+            rows = ground_scan(levels, two_S, np.arange(0.0, 0.6, step))
+            edges = scan_transitions(rows)
+            assert edges, "no plateau edge found"
+            ratio, l_from, l_to = edges[0]
+            assert (l_from, l_to) == (N // 2, N // 2 - 1)
+            assert abs(ratio - transition_point(N, two_S)) <= step + 1e-12
 
     def test_monotone_quantum_number(self):
-        rows = ground_scan(level_table(8), 2, np.arange(0.0, 4.0, 0.01))
-        ls = [r.lG for r in rows]
-        assert all(a >= b for a, b in zip(ls, ls[1:]))
-        assert ls[-1] == 0
+        for levels in scan_levels(8):
+            ls = [r.lG for r in ground_scan(levels, 2, np.arange(0.0, 4.0, 0.01))]
+            assert all(a >= b for a, b in zip(ls, ls[1:]))
+            assert ls[-1] == 0
 
     def test_rejects_bad_central_spin(self):
+        for levels in scan_levels(4):
+            with pytest.raises(ParameterError):
+                ground_scan(levels, 0, [0.1])
+            with pytest.raises(ParameterError):
+                ground_scan(levels, 5, [0.1])
+
+    @pytest.mark.parametrize("levels", [[], [1.0], [[0.0, 1.0]], 0.5])
+    def test_rejects_levels_of_no_ring(self, levels):
         with pytest.raises(ParameterError):
-            ground_scan(level_table(4), 0, [0.1])
+            ground_scan(levels, 1, [0.1])
+
+
+class TestBetheLevels:
+    @pytest.mark.parametrize("N", range(2, 23, 2))
+    def test_match_the_level_table(self, N):
+        levels = bethe_levels(N)
+        assert levels.shape == (N // 2 + 1,)
+        np.testing.assert_allclose(levels, [row.energy for row in level_table(N).rows],
+                                   rtol=0, atol=1e-12)
+        # the empty and the one-magnon (lam = 0) solves are exact
+        assert levels[-1] == N / 4.0
+        assert levels[-2] == N / 4.0 - 2.0
+
+    @pytest.mark.parametrize("N", [128, 256])
+    def test_increase_strictly_and_approach_hulthen(self, N):
+        levels = bethe_levels(N)
+        assert np.all(np.diff(levels) > 0.0)
+        # E0 / N lies below Hulthen's 1/4 - ln 2 by the finite-size term
+        # pi^2 / (12 N^2) of the critical chain, to leading order
+        below = (0.25 - math.log(2.0)) - levels[0] / N
+        assert 0.0 < below < math.pi ** 2 / (6.0 * N * N)
+
+    def test_newton_cap_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "BETHE_NEWTON_STEPS", 1)
+        with pytest.raises(ConvergenceError) as err:
+            bethe_levels(16)
+        assert err.value.residual is not None and 1e-12 < err.value.residual < 1.0
+
+    def test_residual_above_the_tolerance_is_refused(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "BETHE_TOL", -1.0)
+        with pytest.raises(ConvergenceError) as err:
+            bethe_levels(8)
+        assert err.value.residual is not None and err.value.residual >= 0.0
+
+    def test_levels_out_of_order_are_refused(self, monkeypatch):
+        solve = spectrum._bethe_bottom
+
+        def reversed_levels(N, M):
+            energy, residual = solve(N, M)
+            return -energy, residual
+
+        monkeypatch.setattr(spectrum, "_bethe_bottom", reversed_levels)
+        with pytest.raises(ConvergenceError, match="increase strictly"):
+            bethe_levels(8)
+
+    @pytest.mark.parametrize("N", [0, 3, -2])
+    def test_rejects_a_bad_ring_length(self, N):
         with pytest.raises(ParameterError):
-            ground_scan(level_table(4), 5, [0.1])
+            bethe_levels(N)
 
 
 class TestCountingAndPoints:
