@@ -38,7 +38,7 @@ from .spectrum import (
     scan_transitions,
     sub_ground_energy,
 )
-from .states import subground_state
+from .states import subground_amplitudes, subground_layout
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -283,13 +283,15 @@ def cmd_subground(args) -> int:
     make_params(args.n, args.two_s, J=args.j, g=args.g)  # checks the model before solving
     two_l = args.n if args.two_l is None else args.two_l
     two_m = abs(two_l - args.two_s) if args.two_m is None else args.two_m
+    # refuses a bad (l, m), and a sector beyond the cap or int64 keys, before any solve
+    subground_layout(args.n, args.two_s, two_l, two_m)
     row, seed = bath_subground_state(args.n, two_l)
-    psi = subground_state(args.n, args.two_s, two_l, two_m, seed=seed)
-    csvio.write_state_dump(args.out, psi)
+    amps = subground_amplitudes(args.n, args.two_s, two_l, two_m, seed=seed)
+    csvio.write_state_dump(args.out, (args.n, args.two_s, two_m), amps)
     energy = sub_ground_energy(two_l, args.two_s, args.j, args.g, row.energy)
     _write_meta(args, two_l=two_l, two_m=two_m, energy=csvio.fmt(energy),
                 E1b=csvio.fmt(row.energy), block_dim=row.block_dim)
-    print(f"wrote {args.out} (dim {psi.dim}), energy {csvio.fmt(energy)}")
+    print(f"wrote {args.out} (dim {amps.size}), energy {csvio.fmt(energy)}")
     return EXIT_OK
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -180,36 +181,40 @@ class BasisSector:
         return f"BasisSector({self.tag}, dim={self.dim})"
 
 
-def _admissible_n_up(N: int, two_S: int, two_m: int, central_index: int) -> int | None:
-    """Ring occupation forced by the sector constraint, None if impossible."""
-    two_Sm = two_S - 2 * central_index
-    num = two_m - two_Sm + N
-    if num % 2 != 0:
-        return None
-    n_up = num // 2
-    if n_up < 0 or n_up > N:
-        return None
-    return n_up
-
-
-def sector_dimension(N: int, two_S: int, two_m: int) -> int:
-    """Dimension of the sector without materializing it."""
-    total = 0
+def _fillings(N: int, two_S: int, two_m: int) -> list[tuple[int, int]]:
+    """``(central_index, n_up)`` of every central level the sector holds,
+    in ascending central index: the ring filling n_up that the level
+    S_m = S - central_index leaves for the magnetization ``two_m``."""
+    out = []
     for c in range(two_S + 1):
-        n_up = _admissible_n_up(N, two_S, two_m, c)
-        if n_up is not None:
-            total += math.comb(N, n_up)
-    return total
+        num = two_m - (two_S - 2 * c) + N
+        if num % 2 == 0 and 0 <= num // 2 <= N:
+            out.append((c, num // 2))
+    return out
 
 
-def enumerate_sector(N: int, two_S: int, two_m: int) -> BasisSector:
-    """Materialize the sector basis and its sorted keys.
+class SectorSlice(NamedTuple):
+    """The states of one central level in a sector: positions
+    ``start:stop``, every ring configuration with ``n_up`` spins up in
+    ascending-bit order."""
 
-    Each call returns a fresh sector whose arrays are read-only. Raises
-    EmptySector when no product state has the requested magnetization
-    (out of range, or parity mismatch between ``two_m`` and ``two_S``),
-    ParameterError when a packed key would not fit in int64, and
-    SectorCapacityError beyond the supported size.
+    central: int
+    n_up: int
+    start: int
+    stop: int
+
+
+def sector_layout(N: int, two_S: int, two_m: int) -> list[SectorSlice]:
+    """Where each central level of a sector lies, without materializing it.
+
+    Sector order is ascending central index, then ascending ring bits, so
+    slice c holds the C(N, n_c) fillings n_c of central index c one after
+    another, and its start is the sum of the binomials before it. Every
+    refusal of a sector is made here: OddBathSize, CentralSpinTooLarge,
+    ParameterError when a packed key would not fit in int64, EmptySector
+    when no product state has the magnetization (out of range, or parity
+    mismatch between ``two_m`` and ``two_S``), and SectorCapacityError
+    beyond the supported size.
     """
     if N % 2 != 0:
         raise OddBathSize(f"ring length must be even, got N={N}")
@@ -221,22 +226,44 @@ def enumerate_sector(N: int, two_S: int, two_m: int) -> BasisSector:
         )
     if abs(two_m) > two_S + N:
         raise EmptySector(f"|two_m|={abs(two_m)} exceeds two_S + N = {two_S + N}")
-    dim = sector_dimension(N, two_S, two_m)
-    if dim == 0:
+    layout = []
+    start = 0
+    for c, n_up in _fillings(N, two_S, two_m):
+        stop = start + math.comb(N, n_up)
+        layout.append(SectorSlice(c, n_up, start, stop))
+        start = stop
+    if not layout:
         raise EmptySector(
             f"no states with two_m={two_m} for N={N}, two_S={two_S}"
             " (parity mismatch)"
         )
-    if dim > SECTOR_CAPACITY:
+    if start > SECTOR_CAPACITY:
         raise SectorCapacityError(
-            f"sector dim {dim} exceeds the cap {SECTOR_CAPACITY}"
+            f"sector dim {start} exceeds the cap {SECTOR_CAPACITY}"
         )
-    levels = [(c, n_up) for c in range(two_S + 1)
-              if (n_up := _admissible_n_up(N, two_S, two_m, c)) is not None]
-    counts = [math.comb(N, n_up) for _, n_up in levels]
-    central = np.repeat(np.array([c for c, _ in levels], dtype=np.int64), counts)
-    ups = np.repeat(np.array([n_up for _, n_up in levels], dtype=np.int64), counts)
-    bits = np.concatenate([_bit_patterns(N, n_up) for _, n_up in levels])
+    return layout
+
+
+def sector_dimension(N: int, two_S: int, two_m: int) -> int:
+    """Dimension of the sector without materializing it, 0 when it is empty.
+
+    Unlike :func:`sector_layout` it refuses nothing, so it also counts
+    sectors beyond the cap.
+    """
+    return sum(math.comb(N, n_up) for _, n_up in _fillings(N, two_S, two_m))
+
+
+def enumerate_sector(N: int, two_S: int, two_m: int) -> BasisSector:
+    """Materialize the sector basis and its sorted keys.
+
+    Each call returns a fresh sector whose arrays are read-only; the
+    refusals are those of :func:`sector_layout`.
+    """
+    layout = sector_layout(N, two_S, two_m)
+    counts = [s.stop - s.start for s in layout]
+    central = np.repeat(np.array([s.central for s in layout], dtype=np.int64), counts)
+    ups = np.repeat(np.array([s.n_up for s in layout], dtype=np.int64), counts)
+    bits = np.concatenate([_bit_patterns(N, s.n_up) for s in layout])
     keys = (central << N) | bits
     for arr in (central, bits, ups, keys):
         arr.flags.writeable = False

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import StateVector
 from .spectrum import GroundScanRow, LevelTable
 
 # Lines of a state dump formatted at once: large enough to amortize the
@@ -64,17 +63,18 @@ def write_timeseries(path, times, columns: dict[str, np.ndarray]) -> None:
             fh.write(fmt(t) + "," + ",".join(fmt(c[k]) for c in cols) + "\n")
 
 
-def write_state_dump(path, state: StateVector) -> None:
+def write_state_dump(path, header: tuple[int, int, int], amps: np.ndarray) -> None:
     """Plain-text amplitudes of a single-sector state.
 
-    Header line ``N two_S two_m dim``, then one ``index re im`` line
-    per basis state in sector order. Each chunk of DUMP_LINES lines is
-    formatted by one ``%`` operation; ``%.12g`` prints what :func:`fmt`
-    prints.
+    ``header`` is the sector's ``(N, two_S, two_m)`` and ``amps`` its
+    amplitudes in sector order. Header line ``N two_S two_m dim``, then
+    one ``index re im`` line per basis state. Each chunk of DUMP_LINES
+    lines is formatted by one ``%`` operation; ``%.12g`` prints what
+    :func:`fmt` prints.
     """
-    sector, amps = state.require_single()
+    N, two_S, two_m = header
     with _open_w(path) as fh:
-        fh.write(f"{sector.N} {sector.two_S} {sector.two_m} {sector.dim}\n")
+        fh.write(f"{N} {two_S} {two_m} {amps.size}\n")
         for start in range(0, amps.size, DUMP_LINES):
             part = amps[start:start + DUMP_LINES]
             rows = np.column_stack((np.arange(start, start + part.size), part.real, part.imag))

@@ -93,8 +93,10 @@ class CSR:
     def __matmul__(self, x):
         """Product with a vector, or with the columns of a 2-D array.
 
-        Each row sums its entries' products in stored order, by
-        ``np.bincount`` on the real and imaginary parts apart.
+        Each row sums its entries' products in stored order: by
+        ``np.bincount`` for a real product, by one ``np.add.at`` scatter
+        for a complex one, which numpy adds faster than two ``bincount``
+        calls on its real and imaginary parts.
         """
         x = np.asarray(x)
         n = self.shape[0]
@@ -106,9 +108,8 @@ class CSR:
         terms = self.data * x[self.indices]
         if not np.iscomplexobj(terms):
             return np.bincount(self.rows, terms, n)
-        out = np.empty(n, dtype=terms.dtype)
-        out.real = np.bincount(self.rows, terms.real, n)
-        out.imag = np.bincount(self.rows, terms.imag, n)
+        out = np.zeros(n, dtype=terms.dtype)
+        np.add.at(out, self.rows, terms)
         return out
 
 

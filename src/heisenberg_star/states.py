@@ -25,7 +25,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import BasisSector, StateVector, enumerate_bath_sector, enumerate_sector, orbit_block
+from .core import (
+    BasisSector,
+    SectorSlice,
+    StateVector,
+    enumerate_bath_sector,
+    enumerate_sector,
+    orbit_block,
+    sector_layout,
+)
 from .errors import ParameterError, StarError
 from .operators import _hop, apply_bath_lowering
 from . import spectrum
@@ -223,6 +231,26 @@ def subground_squared_norm(two_S: int, two_l: int) -> Fraction:
     return total
 
 
+def _multiplet_levels(N: int, two_l: int, two_lm_stop: int, seed: StateVector | None):
+    """Yield ``(two_lm, level)`` down the bottom ring multiplet of block l,
+    from two_lm = two_l to ``two_lm_stop``: the seed, then each lowering
+    normalized. Only the level being lowered and its image are held."""
+    if seed is None:
+        _, seed = spectrum.bath_subground_state(N, two_l)
+    current = seed
+    yield two_l, current
+    for two_lm in range(two_l - 2, two_lm_stop - 2, -2):
+        src, amps = current.require_single()
+        dst = enumerate_bath_sector(N, (two_lm + N) // 2)
+        lowered = apply_bath_lowering(src, amps, dst)
+        nrm = np.linalg.norm(lowered)
+        if nrm < 1e-12:
+            raise StarError(f"lowering annihilated the multiplet at two_lm={two_lm}")
+        lowered /= nrm
+        current = StateVector(sectors=(dst,), amps=lowered, offsets=(0,))
+        yield two_lm, current
+
+
 def bath_multiplet(N: int, two_l: int, two_lm_stop: int | None = None,
                    seed: StateVector | None = None) -> dict[int, StateVector]:
     """Bottom ring multiplet of block l, resolved over its levels.
@@ -237,20 +265,64 @@ def bath_multiplet(N: int, two_l: int, two_lm_stop: int | None = None,
         two_lm_stop = -two_l
     if two_lm_stop < -two_l or two_lm_stop > two_l or (two_lm_stop - two_l) % 2 != 0:
         raise ParameterError(f"two_lm_stop={two_lm_stop} invalid for two_l={two_l}")
-    if seed is None:
-        _, seed = spectrum.bath_subground_state(N, two_l)
-    out = {two_l: seed}
-    current = seed
-    for two_lm in range(two_l - 2, two_lm_stop - 2, -2):
-        src, amps = current.require_single()
-        dst = enumerate_bath_sector(N, (two_lm + N) // 2)
-        lowered = apply_bath_lowering(src, amps, dst)
-        nrm = np.linalg.norm(lowered)
-        if nrm < 1e-12:
-            raise StarError(f"lowering annihilated the multiplet at two_lm={two_lm}")
-        current = StateVector.single(dst, lowered / nrm, renormalize=False)
-        out[two_lm] = current
-    return out
+    return dict(_multiplet_levels(N, two_l, two_lm_stop, seed))
+
+
+def subground_layout(N: int, two_S: int, two_l: int, two_m: int) -> list[SectorSlice]:
+    """Layout of the star sector that holds the sub-ground state (l, m).
+
+    Refuses, before any ring solve, an l outside the ring or an m outside
+    the multiplet j = |l - S| (ParameterError), and the sector refusals
+    of :func:`core.sector_layout`: keys beyond int64 and a sector beyond
+    the cap.
+    """
+    if two_l % 2 != 0 or not 0 <= two_l <= N:
+        raise ParameterError(f"two_l={two_l} invalid for N={N}")
+    two_j = abs(two_l - two_S)
+    if abs(two_m) > two_j or (two_m - two_j) % 2 != 0:
+        raise ParameterError(f"two_m={two_m} invalid for two_j={two_j}")
+    return sector_layout(N, two_S, two_m)
+
+
+def subground_amplitudes(N: int, two_S: int, two_l: int, two_m: int,
+                         multiplet: dict[int, StateVector] | None = None,
+                         seed: StateVector | None = None) -> np.ndarray:
+    """Normalized amplitudes of the sub-ground state (l, m), in the order
+    of ``enumerate_sector(N, two_S, two_m)``, built without that sector.
+
+    The term of central index c is A_c times one multiplet level, whose
+    ring filling is the one of slice c in :func:`subground_layout`; both
+    come in ascending-bit order, so the term is added into that slice of
+    one zeroed buffer as is, as the lowering produces the level. Slices
+    no term reaches (l < S) stay zero. The buffer is then divided by its
+    norm in place. ``multiplet`` and ``seed`` are as in
+    :func:`subground_state`.
+    """
+    layout = subground_layout(N, two_S, two_l, two_m)
+    coeffs = subground_coefficients(two_S, two_l, two_m)
+    # ring level two_lm -> (central index, coefficient) of its term
+    if two_S <= two_l:
+        terms = {two_m - two_Sm: ((two_S - two_Sm) // 2, coeff) for two_Sm, coeff in coeffs}
+    else:
+        terms = {two_lm: ((two_S - two_m + two_lm) // 2, coeff) for two_lm, coeff in coeffs}
+    if multiplet is None:
+        levels = _multiplet_levels(N, two_l, min(terms), seed)
+    else:
+        levels = ((two_lm, multiplet[two_lm]) for two_lm in terms)
+    slices = {s.central: s for s in layout}
+    amps = np.zeros(layout[-1].stop, dtype=np.complex128)
+    for two_lm, level in levels:
+        if two_lm not in terms:
+            continue
+        c, coeff = terms[two_lm]
+        ring, ring_amps = level.require_single()
+        if (ring.N, ring.two_S, ring.two_m) != (N, 0, two_lm):
+            raise StarError(f"multiplet level two_lm={two_lm} lives on {ring.tag}")
+        part = slices[c]
+        amps[part.start:part.stop] += coeff * ring_amps
+    nrm = float(np.linalg.norm(amps))
+    amps /= nrm
+    return amps
 
 
 def subground_state(N: int, two_S: int, two_l: int, two_m: int,
@@ -259,26 +331,15 @@ def subground_state(N: int, two_S: int, two_l: int, two_m: int,
     """Closed-form sub-ground eigenstate of the isotropic star.
 
     Assembles sum over levels of coefficient * |central level> x |ring
-    multiplet level> inside the star sector two_m and normalizes. The
-    result is an exact eigenstate of the star for every J and g, with
-    total angular momentum j = |l - S|; the couplings enter only
-    through the energy, never the state.
+    multiplet level> inside the star sector two_m and normalizes
+    (:func:`subground_amplitudes`). The result is an exact eigenstate of
+    the star for every J and g, with total angular momentum j = |l - S|;
+    the couplings enter only through the energy, never the state.
 
     A precomputed ``multiplet`` from :func:`bath_multiplet` can be
-    passed to amortize the ring solve across many (l, m) requests; a
-    ``seed`` is handed on to :func:`bath_multiplet` when it is not.
+    passed to amortize the ring solve across many (l, m) requests;
+    otherwise the multiplet is lowered from ``seed``, the bottom state of
+    block l_m = l, which is solved here when it is not given.
     """
-    two_j = abs(two_l - two_S)
-    if abs(two_m) > two_j or (two_m - two_j) % 2 != 0:
-        raise ParameterError(f"two_m={two_m} invalid for two_j={two_j}")
-    coeffs = subground_coefficients(two_S, two_l, two_m)
-    if two_S <= two_l:
-        needed = [(two_Sm, two_m - two_Sm) for two_Sm, _ in coeffs]
-    else:
-        needed = [(two_m - two_lm, two_lm) for two_lm, _ in coeffs]
-    lowest_lm = min(lm for _, lm in needed)
-    if multiplet is None:
-        multiplet = bath_multiplet(N, two_l, two_lm_stop=lowest_lm, seed=seed)
-    terms = [((two_S - two_Sm) // 2, coeff, multiplet[two_lm])
-             for (two_Sm, two_lm), (_, coeff) in zip(needed, coeffs)]
-    return star_state(two_S, terms, renormalize=True)
+    amps = subground_amplitudes(N, two_S, two_l, two_m, multiplet=multiplet, seed=seed)
+    return StateVector(sectors=(enumerate_sector(N, two_S, two_m),), amps=amps, offsets=(0,))

@@ -10,10 +10,16 @@ import numpy as np
 import pytest
 
 from heisenberg_star import cli, csvio, spectrum, verify
-from heisenberg_star.core import BasisSector, StateVector, make_params
+from heisenberg_star.core import make_params
 from heisenberg_star.dynamics import neel_experiment
 from heisenberg_star.errors import ConvergenceError
 from heisenberg_star.spectrum import level_table, sub_ground_energy
+from heisenberg_star.states import (
+    bath_multiplet,
+    star_state,
+    subground_coefficients,
+    subground_state,
+)
 from heisenberg_star.verify import CheckResult
 
 
@@ -336,6 +342,16 @@ class TestCoherent:
         assert not out.exists()
 
 
+def term_by_term_subground(N, two_S, two_l, two_m, multiplet):
+    """The sub-ground state with each coefficient times multiplet level
+    placed by states.star_state and normalized there, by key lookup."""
+    terms = []
+    for level, coeff in subground_coefficients(two_S, two_l, two_m):
+        two_Sm, two_lm = (level, two_m - level) if two_S <= two_l else (two_m - level, level)
+        terms.append(((two_S - two_Sm) // 2, coeff, multiplet[two_lm]))
+    return star_state(two_S, terms, renormalize=True)
+
+
 class TestSubground:
     def test_dump_and_energy(self, tmp_path):
         out = tmp_path / "sg.csv"
@@ -402,17 +418,64 @@ class TestSubground:
         assert run(["subground", "--n", 4, *flags, "--out", out]) == 2
         assert not out.exists()
 
+    def test_sector_beyond_the_cap_is_refused_before_solving(self, tmp_path, monkeypatch,
+                                                              capsys):
+        def solve(*args, **kwargs):
+            raise AssertionError("a ring block was solved")
+
+        monkeypatch.setattr(cli, "bath_subground_state", solve)
+        monkeypatch.setattr(spectrum, "lowest_eigenpair", solve)
+        out = tmp_path / "x.txt"
+        # the star sector N = 22, 2S = 3, 2m = 3 holds 2,169,268 states
+        assert run(["subground", "--n", 22, "--two-s", 3, "--two-l", 6, "--out", out]) == 2
+        assert "sector dim 2169268 exceeds the cap 2000000" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "x.txt.meta").exists()
+
+    @pytest.mark.parametrize("N,two_S,two_l,two_m", [
+        (2, 1, 2, 1), (2, 2, 0, 2),
+        (8, 2, 4, 2), (8, 3, 2, -1),  # l < S: central index 0 is a zero slice
+        (10, 2, 4, -2), (10, 7, 4, -1), (10, 3, 10, -5),
+        (16, 4, 4, 0), (16, 5, 2, -3), (16, 4, 8, -4),
+    ])
+    def test_dump_is_the_formatted_state(self, N, two_S, two_l, two_m, tmp_path):
+        out = tmp_path / "sg.txt"
+        assert run(["subground", "--n", N, "--two-s", two_S, "--two-l", two_l,
+                    "--two-m", two_m, "--out", out]) == 0
+        row, seed = spectrum.bath_subground_state(N, two_l)
+        multiplet = bath_multiplet(N, two_l, seed=seed)
+
+        def dump(state):
+            sector, amps = state.require_single()
+            assert sector.tag == f"N={N}:2S={two_S}:2m={two_m}"
+            lines = ["%d %.12g %.12g\n" % (i, a.real, a.imag) for i, a in enumerate(amps)]
+            return f"{N} {two_S} {two_m} {amps.size}\n" + "".join(lines)
+
+        psi = subground_state(N, two_S, two_l, two_m, multiplet=multiplet)
+        text = dump(psi)
+        assert read(out) == text
+        # the seed path, and each term placed by star_state as the assembly once was
+        assert dump(subground_state(N, two_S, two_l, two_m, seed=seed)) == text
+        reference = term_by_term_subground(N, two_S, two_l, two_m, multiplet)
+        assert dump(reference) == text and np.array_equal(reference.amps, psi.amps)
+        if two_l < two_S:
+            sector = psi.sectors[0]
+            assert any(not psi.amps[sector.central == c].any() for c in range(two_S + 1))
+        meta = read(tmp_path / "sg.txt.meta").splitlines()
+        energy = sub_ground_energy(two_l, two_S, 1.0, 1.0, row.energy)
+        for line in (f"two_l = {two_l}", f"two_m = {two_m}", f"block_dim = {row.block_dim}",
+                     f"E1b = {csvio.fmt(row.energy)}", f"energy = {csvio.fmt(energy)}"):
+            assert line in meta
+
     def test_keys_beyond_int64_exit_two(self, tmp_path, capsys):
         assert run(["subground", "--n", 62, "--two-s", 3, "--two-l", 62,
                     "--out", tmp_path / "x.txt"]) == 2
         assert "overflow int64" in capsys.readouterr().err
 
 
-def per_line_dump(path, state):
+def per_line_dump(path, header, amps):
     """The state dump written one line at a time, as csvio once did."""
-    sector, amps = state.require_single()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{sector.N} {sector.two_S} {sector.two_m} {sector.dim}\n")
+        fh.write(f"{header[0]} {header[1]} {header[2]} {amps.size}\n")
         for i, a in enumerate(amps):
             fh.write(f"{i} {format(float(a.real), '.12g')} {format(float(a.imag), '.12g')}\n")
 
@@ -420,18 +483,13 @@ def per_line_dump(path, state):
 class TestStateDump:
     @pytest.mark.parametrize("size", [1, 4095, 4096, 4097])
     def test_bytes_match_the_per_line_writer(self, size, tmp_path):
-        # a stand-in sector: the dump reads only its header fields and dim
-        idx = np.arange(size)
-        sector = BasisSector(N=14, two_S=2, two_m=-2, central=0 * idx, bits=idx,
-                             n_up=0 * idx, keys=idx)
         rng = np.random.default_rng(size)
         scale = 10.0 ** rng.integers(-20, 3, (2, size))
         amps = rng.standard_normal(size) * scale[0] + 1j * rng.standard_normal(size) * scale[1]
         amps.real[::3] = -0.0
         amps.imag[1::4] = -0.0
-        state = StateVector(sectors=(sector,), amps=amps, offsets=(0,))
-        csvio.write_state_dump(tmp_path / "chunked.txt", state)
-        per_line_dump(tmp_path / "per_line.txt", state)
+        csvio.write_state_dump(tmp_path / "chunked.txt", (14, 2, -2), amps)
+        per_line_dump(tmp_path / "per_line.txt", (14, 2, -2), amps)
         text = (tmp_path / "chunked.txt").read_bytes()
         assert text == (tmp_path / "per_line.txt").read_bytes()
         assert b"\n0 -0 " in text and (size == 1 or b" -0\n" in text)

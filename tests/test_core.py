@@ -102,6 +102,31 @@ class TestEnumeration:
             assert sector_dimension(N, two_S, two_m) == enumerate_sector(N, two_S, two_m).dim
             assert sector_dimension(N, two_S, two_m) == len(brute_sector(N, two_S, two_m))
 
+    def test_layout_gives_each_central_level_its_slice(self):
+        # (6, 5, -9) holds central indices 4 and 5 only: the others need n_up < 0
+        for N, two_S, two_m in [(4, 1, 1), (6, 3, -3), (8, 2, 2), (6, 5, -9), (10, 7, -1)]:
+            sec = enumerate_sector(N, two_S, two_m)
+            layout = core.sector_layout(N, two_S, two_m)
+            assert layout[0].start == 0 and layout[-1].stop == sec.dim
+            for s, after in zip(layout, layout[1:]):
+                assert s.stop == after.start and s.central < after.central
+            for s in layout:
+                assert set(sec.central[s.start:s.stop].tolist()) == {s.central}
+                assert set(sec.n_up[s.start:s.stop].tolist()) == {s.n_up}
+                assert s.stop - s.start == math.comb(N, s.n_up)
+
+    def test_layout_refuses_before_enumerating(self):
+        # C(22, 11) + C(22, 10) + C(22, 9) + C(22, 8) = 2,169,268 states
+        with pytest.raises(SectorCapacityError, match="2169268"):
+            core.sector_layout(22, 3, 3)
+        with pytest.raises(ParameterError, match="overflow int64"):
+            core.sector_layout(62, 3, 59)
+        with pytest.raises(EmptySector):
+            core.sector_layout(4, 2, 1)
+        # the dimension itself refuses nothing
+        assert sector_dimension(22, 3, 3) == 2_169_268
+        assert sector_dimension(4, 2, 1) == 0
+
     def test_sector_dims_sum_to_full_space(self):
         # summing over every magnetization must tile (2S+1) * 2^N
         for N, two_S in [(4, 1), (4, 4), (6, 2), (8, 3)]:

@@ -8,9 +8,10 @@ coherent state written on the blocks is Q^T v of the full-sector state
 v, which Q Q^T leaves whole. The k = 0 isometry P of translations
 alone, also built here, is the oracle for the translation part. The
 driven coherent run on orbit blocks is compared with the same state
-propagated on the full sectors by dense diagonalization, which shares
-no code with the propagator, and at J == Jp with the collective-spin
-oracle of ``verify``.
+propagated on the full sectors by dense diagonalization, on the half of
+each sector that a reflection built here from bit reversal leaves even;
+that oracle shares no code with the propagator. At J == Jp the run is
+also compared with the collective-spin oracle of ``verify``.
 """
 
 import functools
@@ -234,25 +235,59 @@ def test_block_state_is_the_projected_full_state(N, two_S):
                 np.testing.assert_allclose(Q @ (Q.T @ v), v, rtol=0, atol=1e-14)
 
 
+def reflection(sector):
+    """The ring reflection R of a sector, and the isometry W (dim x n_even)
+    onto its reflection-even states.
+
+    R maps site a + 1 to site N - a, so it reverses the N bits of a state
+    and keeps its central index. Column p of W is (|s> + |R s>) / sqrt(2)
+    for a pair s < R s, or |s> when R s = s, in the order of the pair's
+    first state.
+    """
+    N = sector.N
+    mirror = np.zeros_like(sector.bits)
+    for a in range(N):
+        mirror |= ((sector.bits >> a) & 1) << (N - 1 - a)
+    partner = sector.positions((sector.central << N) | mirror)
+    state = np.arange(sector.dim)
+    R = sparse.csr_matrix((np.ones(sector.dim), (partner, state)),
+                          shape=(sector.dim, sector.dim))
+    _, col = np.unique(np.minimum(state, partner), return_inverse=True)
+    weight = np.where(partner == state, 1.0, math.sqrt(0.5))
+    W = sparse.csr_matrix((weight, (state, col)), shape=(sector.dim, col.max() + 1))
+    return R, W
+
+
 def full_sector_series(params, states, t_abs):
     """The oracle: each state's run on the whole sectors, <Sz> and <L^2>.
 
-    Every sector is propagated exactly through one dense eigendecomposition
-    of its Hamiltonian, v(t) = U e^{-iEt} U^T v0, shared by the states.
+    The reflection R commutes with the Hamiltonian and both observables,
+    and every state here is reflection even; both are checked. So each
+    sector is propagated on its even half W^T H W, exactly through one
+    dense eigendecomposition, v(t) = W U e^{-i w t} U^T W^T v0 for the
+    eigenvalues w, shared by the states.
     """
     values = [{"Sz": np.zeros(len(t_abs)), "L2": np.zeros(len(t_abs))} for _ in states]
     sectors = {s.tag: s for state in states for s in state.sectors}
     for tag, sector in sectors.items():
-        H = ops.build_modified_star(sector, params).matrix.toarray()
-        assert not H.imag.any()
-        energies, U = np.linalg.eigh(H.real)
-        obs = {"Sz": ops.build_zeeman(sector, 1.0).matrix,
-               "L2": ops.build_L_squared(sector).matrix}
+        R, W = reflection(sector)
+
+        def even_half(op):
+            M = op.matrix.tocsr()
+            assert abs(M @ R - R @ M).max() <= 1e-13, op
+            return W.T @ M @ W
+
+        energies, U = np.linalg.eigh(even_half(ops.build_modified_star(sector, params)).toarray())
+        obs = {"Sz": even_half(ops.build_zeeman(sector, 1.0)),
+               "L2": even_half(ops.build_L_squared(sector))}
         for state, vals in zip(states, values):
             index = {s.tag: i for i, s in enumerate(state.sectors)}
             if tag not in index:
                 continue
-            c = U.T @ state.block(index[tag])
+            v = state.block(index[tag])
+            even = W.T @ v
+            np.testing.assert_allclose(W @ even, v, rtol=0, atol=1e-14)
+            c = U.T @ even
             V = U @ (np.exp(-1j * np.outer(energies, t_abs)) * c[:, None])
             for name, M in obs.items():
                 vals[name] += np.einsum("ij,ij->j", V.conj(), M @ V).real
