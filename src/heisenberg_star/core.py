@@ -196,7 +196,7 @@ def _fillings(N: int, two_S: int, two_m: int) -> list[tuple[int, int]]:
 class SectorSlice(NamedTuple):
     """The states of one central level in a sector: positions
     ``start:stop``, every ring configuration with ``n_up`` spins up in
-    ascending-bit order."""
+    ascending-bit order. In a :class:`StarBlock` they count orbits."""
 
     central: int
     n_up: int
@@ -333,6 +333,60 @@ def orbit_block(sector: BasisSector) -> OrbitBlock:
                       central=sector.central[first], bits=sector.bits[first],
                       n_up=sector.n_up[first], keys=sector.keys[first],
                       sector=sector, label=label, size=size)
+
+
+@dataclass(frozen=True, eq=False)
+class StarBlock:
+    """The dihedral orbit block of one star sector, made of ring orbit blocks.
+
+    A rotation or reflection keeps the central index, so the orbits of
+    the sector are those of its ring fillings, one central level after
+    another. ``slices`` holds a :class:`SectorSlice` per central level,
+    its ``start:stop`` counting orbits; ``central``, ``bits`` and ``size``
+    give every orbit's central index, representative and size. They are
+    the orbits, in the order, of ``orbit_block`` on the sector, which is
+    never enumerated here, so no hop builder runs on a star block.
+    """
+
+    N: int
+    two_S: int
+    two_m: int
+    slices: tuple[SectorSlice, ...]
+    central: np.ndarray
+    bits: np.ndarray
+    size: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.slices[-1].stop
+
+    @property
+    def tag(self) -> str:
+        return f"N={self.N}:2S={self.two_S}:2m={self.two_m}:dihedral"
+
+    def __repr__(self) -> str:
+        return f"StarBlock({self.tag}, dim={self.dim})"
+
+
+def star_block(N: int, two_S: int, two_m: int, rings) -> StarBlock:
+    """The orbit block of sector ``two_m`` from the ring orbit blocks of its
+    :func:`sector_layout` slices, placed in central-index order.
+
+    ``rings[n]`` holds the representatives ``bits`` and orbit ``size`` of
+    ring filling n, as an :class:`OrbitBlock` of ``enumerate_bath_sector(N,
+    n)`` does; the refusals are those of :func:`sector_layout`.
+    """
+    layout = sector_layout(N, two_S, two_m)
+    parts = [rings[s.n_up] for s in layout]
+    slices, start = [], 0
+    for s, ring in zip(layout, parts):
+        slices.append(SectorSlice(s.central, s.n_up, start, start + ring.size.size))
+        start += ring.size.size
+    central = np.repeat(np.array([s.central for s in slices], dtype=np.int64),
+                        [s.stop - s.start for s in slices])
+    return StarBlock(N=N, two_S=two_S, two_m=two_m, slices=tuple(slices), central=central,
+                     bits=np.concatenate([r.bits for r in parts]),
+                     size=np.concatenate([r.size for r in parts]))
 
 
 def _flip_block(block: OrbitBlock) -> OrbitBlock:

@@ -24,11 +24,14 @@ per observable and one dict with the time unit, the parameters and the
 run diagnostics. The coherent state and the driven star are both
 invariant under the ring's rotations and reflections, so that run
 evolves each block on its dihedral orbit block (k = 0, reflection
-even): about 2N times smaller than the sector, with no sector-wide
-operator or state ever formed. The state comes written on the blocks
-(:func:`states.coherent_block_state`) and the operators are built on
-them; the propagator takes any block state as given and knows nothing
-of orbits.
+even): about 2N times smaller than the sector, with no star sector ever
+enumerated. The pieces of every ring filling are made once per run
+(:func:`operators.ring_pieces`), the state is written on the blocks they
+make (:func:`states.coherent_block_state`), and each block's operators
+are assembled from them inside its work in :func:`run_observables`:
+dense on the spectral route, CSR on the Krylov one, one block's
+matrices alive per thread. The propagator takes any block state as
+given and knows nothing of orbits.
 """
 
 from __future__ import annotations
@@ -44,12 +47,19 @@ from .operators import (
     SparseOperator,
     _check_pairing,
     build_L_squared,
-    build_modified_star,
     build_staggered,
     build_star_hamiltonian,
     build_zeeman,
+    ring_pieces,
+    star_block_operators,
 )
-from .states import central_initial, coherent_block_state, neel_state, star_state
+from .states import (
+    central_initial,
+    coherent_block_state,
+    coherent_fillings,
+    neel_state,
+    star_state,
+)
 
 # Blocks of at most this many states take the spectral route
 DENSE_CUTOFF = 1024
@@ -148,17 +158,20 @@ def _time_grid(t_grid) -> list[float]:
     return t_grid
 
 
-def _route(mat) -> str:
-    """How a block is propagated: 'spectral' up to DENSE_CUTOFF states,
-    'krylov' above."""
-    return "spectral" if mat.shape[0] <= DENSE_CUTOFF else "krylov"
+def _route(dim: int) -> str:
+    """How a block of ``dim`` states is propagated: 'spectral' up to
+    DENSE_CUTOFF states, 'krylov' above."""
+    return "spectral" if dim <= DENSE_CUTOFF else "krylov"
 
 
 def _block_matrix(mat):
     """A block's Hamiltonian as its route takes it: a dense numpy array on
     the spectral route; on the Krylov route a scipy CSR with complex
-    entries, which halve the cost of a product with a complex vector."""
-    if _route(mat) == "spectral":
+    entries, which halve the cost of a product with a complex vector. A
+    numpy array is taken as given."""
+    if isinstance(mat, np.ndarray):
+        return mat
+    if _route(mat.shape[0]) == "spectral":
         return mat.toarray()
     return mat.tocsr().astype(np.complex128)
 
@@ -166,12 +179,15 @@ def _block_matrix(mat):
 def _observable_matrix(mat):
     """A block observable as its route takes it: its diagonal when it holds
     nothing else, else a dense numpy array on the spectral route and a
-    scipy CSR on the same arrays on the Krylov route."""
+    scipy CSR on the same arrays on the Krylov route. A numpy array, dense
+    or a diagonal, is taken as given."""
+    if isinstance(mat, np.ndarray):
+        return mat
     if np.array_equal(mat.indices, mat.rows):
         diagonal = np.zeros(mat.shape[0], dtype=mat.dtype)
         diagonal[mat.indices] = mat.data
         return diagonal
-    return mat.toarray() if _route(mat) == "spectral" else mat.tocsr()
+    return mat.toarray() if _route(mat.shape[0]) == "spectral" else mat.tocsr()
 
 
 def _product(A, X):
@@ -193,7 +209,7 @@ def _trajectory(H, v, t_grid):
     CHUNK_ENTRIES entries (at least one time each); the Krylov route one
     time at a time.
     """
-    if _route(H) == "spectral":
+    if _route(H.shape[0]) == "spectral":
         energies, U = np.linalg.eigh(H)
         c = U.conj().T @ v
         t_grid = np.asarray(t_grid, dtype=float)
@@ -243,27 +259,42 @@ def evolve(hams, state: StateVector, t_grid):
 def run_observables(hams, state: StateVector, t_grid, observables, threads: int = 1):
     """Evolve a block state and sample named block-diagonal observables.
 
-    ``observables`` maps a name to the list of per-sector operators
-    (aligned with ``state.sectors``). Blocks are independent, so they
-    may run on a thread pool; the reduction is an ordered sum and the
-    output does not depend on the thread count.
+    Either ``hams`` lists one block operator per sector of ``state``, in
+    order, and ``observables`` maps each name to such a list; or ``hams``
+    is a function ``hams(i, dense)`` that makes block i's Hamiltonian and
+    the observables that ``observables`` names, in order: numpy arrays
+    when ``dense`` (the block takes the spectral route), else CSR, and a
+    1-D array for an observable that is its diagonal. The function is
+    called inside block i's work, so only the blocks being propagated
+    hold their matrices. Blocks are independent, so they may run on a
+    thread pool; the reduction is an ordered sum and the output does not
+    depend on the thread count.
 
     Returns (values, diagnostics) where values maps each name to its
     sampled series and diagnostics reports the worst norm and energy
     drift over the grid and ``routes``, the route of each block.
     """
-    hams = list(hams)
-    names = list(observables.keys())
-    obs_lists = [list(observables[name]) for name in names]
-    for ops in [hams, *obs_lists]:
-        _check_pairing(ops, state)
+    names = list(observables)
+    if callable(hams):
+        build = hams
+    else:
+        hams = list(hams)
+        obs_lists = [list(observables[name]) for name in names]
+        for ops in [hams, *obs_lists]:
+            _check_pairing(ops, state)
+
+        def build(i, dense):
+            return hams[i].matrix, [ops[i].matrix for ops in obs_lists]
+
     t_grid = _time_grid(t_grid)
     n_t = len(t_grid)
+    routes = [_route(sector.dim) for sector in state.sectors]
 
     def work(i):
         """Rows of observable values, then norms and energies, of block i."""
-        H = _block_matrix(hams[i].matrix)
-        mats = [_observable_matrix(ops[i].matrix) for ops in obs_lists]
+        H, mats = build(i, routes[i] == "spectral")
+        H = _block_matrix(H)
+        mats = [_observable_matrix(m) for m in mats]
         rows = np.zeros((len(mats) + 2, n_t))
         k = 0
         for chunk in _trajectory(H, state.block(i), t_grid):
@@ -291,7 +322,7 @@ def run_observables(hams, state: StateVector, t_grid, observables, threads: int 
         "norm_drift": float(np.max(np.abs(norm - norm[0]))),
         "energy_drift": float(np.max(np.abs(energy - energy[0]))),
         "norm_min": float(norm.min()),
-        "routes": [_route(op.matrix) for op in hams],
+        "routes": routes,
     }
     return dict(zip(names, totals)), diagnostics
 
@@ -342,8 +373,11 @@ def coherent_experiment(params: ModelParams, theta: float, phi: float, t_grid,
     """Driven-star run from the coherent ring state on a g t grid.
 
     Each block runs on its dihedral orbit block (k = 0, reflection
-    even), where the state and every operator are written directly.
-    Needs g > 0.
+    even). The ring pieces of every filling the blocks hold are made once
+    (:func:`operators.ring_pieces`), the state is written on the blocks
+    they make, and each block's Hamiltonian and observables are assembled
+    from them inside its work (:func:`operators.star_block_operators`).
+    Needs g > 0; the observables are 'Sz' and 'L2'.
 
     Returns (values, meta): one array per observable, 'Sz' reported as
     <Sz>/S, and the time unit, the parameters, the angles, the run
@@ -352,10 +386,19 @@ def coherent_experiment(params: ModelParams, theta: float, phi: float, t_grid,
     if params.g <= 0:
         raise ParameterError("reduced time needs g > 0")
     t_abs = _time_grid(np.asarray(list(t_grid), dtype=float) / params.g)
-    state = coherent_block_state(params.N, params.two_S, theta, phi)
-    hams = [build_modified_star(b, params) for b in state.sectors]
-    obs = {name: [_observable(b, name) for b in state.sectors] for name in observables}
-    values, diagnostics = run_observables(hams, state, t_abs, obs, threads)
+    names = list(observables)
+    for name in names:
+        if name not in ("Sz", "L2"):
+            raise ParameterError(f"the coherent run observes Sz and L2, not {name!r}")
+    N, two_S = params.N, params.two_S
+    pieces = ring_pieces(N, params.J, params.Jp, coherent_fillings(N, two_S, theta, phi),
+                         l_squared="L2" in names)
+    state = coherent_block_state(N, two_S, theta, phi, pieces)
+
+    def block(i, dense):
+        return star_block_operators(state.sectors[i], pieces, params, names, dense)
+
+    values, diagnostics = run_observables(block, state, t_abs, names, threads)
     if "Sz" in values:
         values["Sz"] = values["Sz"] / params.S
     meta = {"time_unit": "gt", "theta": theta, "phi": phi, "params": params,

@@ -18,6 +18,12 @@ central field) also runs on a :class:`core.OrbitBlock`, where it emits
 that operator on the block's orbits directly. The staggered
 magnetization does not commute with them and has no block form.
 
+The coherent run needs no builder on a star block. It makes the pieces
+of every ring filling once (:func:`ring_pieces`): the ring Hamiltonian
+on the filling's orbit block, the orbit form of the ring lowering, and
+L^2 from it. :func:`star_block_operators` places them block by block in
+the central index, as a dense array or as CSR rows without a sort.
+
 Every entry is real, so each operator holds its canonical CSR arrays in
 float64, assembled in numpy (:class:`CSR`). The ring solver multiplies
 by these arrays in numpy at every size; the propagator takes them as a
@@ -40,28 +46,38 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import BasisSector, ModelParams, OrbitBlock, StateVector
+from .core import (
+    BasisSector,
+    ModelParams,
+    OrbitBlock,
+    StarBlock,
+    StateVector,
+    enumerate_bath_sector,
+    orbit_block,
+)
 from .errors import ParameterError, SectorMismatch
 
 
 @dataclass(frozen=True, eq=False)
 class CSR:
-    """Canonical CSR arrays of a square matrix, held in numpy.
+    """Canonical CSR arrays of a matrix, held in numpy.
 
     Row r holds the entries ``indptr[r]:indptr[r + 1]``, with ascending,
-    distinct column ``indices`` and their values in ``data``. The index
-    arrays are int32, the index type scipy picks for them, so
-    :meth:`tocsr` wraps the three arrays without a copy.
+    distinct column ``indices`` and their values in ``data``. The matrix
+    is square unless ``width`` gives its column count. The index arrays
+    are int32, the index type scipy picks for them, so :meth:`tocsr`
+    wraps the three arrays without a copy.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+    width: int | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
         n = self.indptr.size - 1
-        return n, n
+        return n, n if self.width is None else self.width
 
     @property
     def nnz(self) -> int:
@@ -113,12 +129,14 @@ class CSR:
         return out
 
 
-def _csr(dim: int, keys: np.ndarray, vals: np.ndarray) -> CSR:
-    """Canonical CSR of the entries ``vals`` at ``keys`` = row * dim + col.
+def _csr(dim: int, keys: np.ndarray, vals: np.ndarray, width: int | None = None) -> CSR:
+    """Canonical CSR of the entries ``vals`` at ``keys`` = row * width + col,
+    with ``dim`` rows and ``width`` (default ``dim``) columns.
 
     Entries that share a key are summed in the order they come. The
     stable sort merges the ascending runs the builders emit, one per hop.
     """
+    cols = dim if width is None else width
     order = np.argsort(keys, kind="stable")
     keys, vals = keys[order], vals[order]
     del order
@@ -127,8 +145,8 @@ def _csr(dim: int, keys: np.ndarray, vals: np.ndarray) -> CSR:
     first = np.flatnonzero(first)
     data = np.add.reduceat(vals, first)
     keys = keys[first]
-    indptr = np.searchsorted(keys, np.arange(dim + 1) * dim)
-    return CSR(indptr.astype(np.int32), (keys % dim).astype(np.int32), data)
+    indptr = np.searchsorted(keys, np.arange(dim + 1) * cols)
+    return CSR(indptr.astype(np.int32), (keys % cols).astype(np.int32), data, width)
 
 
 @dataclass
@@ -316,6 +334,169 @@ def build_modified_star(sector: BasisSector, params: ModelParams) -> SparseOpera
     if params.omega != 0.0:
         terms.append(build_zeeman(sector, params.omega))
     return _sum(terms)
+
+
+@dataclass(frozen=True, eq=False)
+class RingPiece:
+    """What ring filling n lends every star block of a run that holds it.
+
+    All of it lives on the dihedral orbit block of the filling, whose
+    representatives and orbit sizes are ``bits`` and ``size``. ``ring`` is
+    H_ring(J, Jp) with every diagonal entry stored, at the positions
+    ``diagonal`` of its data. ``lowering`` is the orbit form of the ring
+    lowering, Q_{n-1}^T L- Q_n, and ``raising`` its transpose
+    Q_n^T L+ Q_{n-1}; both are None at the lowest filling of a run that
+    needs no L^2. ``l_squared`` is Q_n^T L^2 Q_n when the run asked for it.
+    """
+
+    n_up: int
+    bits: np.ndarray
+    size: np.ndarray
+    ring: CSR
+    diagonal: np.ndarray
+    lowering: CSR | None
+    raising: CSR | None
+    l_squared: CSR | None
+
+
+def _lowering(src: OrbitBlock, dst: OrbitBlock) -> CSR:
+    """Q_dst^T L- Q_src from the orbit block of ring filling n to that of
+    n - 1, one hop per site."""
+    i, j = _hop(src, dst, lower_bits=1 << np.arange(src.N, dtype=np.int64))
+    return _csr(dst.dim, j * src.dim + i, np.sqrt(src.size[i] / dst.size[j]), src.dim)
+
+
+def _transpose(mat: CSR) -> CSR:
+    """The transpose of a CSR matrix, again canonical."""
+    rows, cols = mat.shape
+    return _csr(cols, mat.indices.astype(np.int64) * rows + mat.rows, mat.data, rows)
+
+
+def _gram(mat: CSR) -> tuple[np.ndarray, np.ndarray]:
+    """Keys (row * width + col) and values of the products that make
+    mat^T mat: every ordered pair of entries that share a row of ``mat``."""
+    width = mat.shape[1]
+    count = np.diff(mat.indptr)[mat.rows]  # entries in the row of each entry
+    left = np.repeat(np.arange(mat.nnz), count)
+    before = np.repeat(np.cumsum(count) - count, count)
+    right = np.repeat(mat.indptr[mat.rows], count) + (np.arange(left.size) - before)
+    keys = mat.indices[left].astype(np.int64) * width + mat.indices[right]
+    return keys, mat.data[left] * mat.data[right]
+
+
+def ring_pieces(N: int, J: float, Jp: float, fillings: range,
+                l_squared: bool = False) -> dict[int, RingPiece]:
+    """The :class:`RingPiece` of every ring filling in ``fillings``, made once
+    per run.
+
+    Each filling's orbit block is built and labelled once; only it and
+    the block below it are alive at a time. L- commutes with the ring's
+    rotations and reflections, so it maps the k = 0, reflection-even
+    states of filling n into those of n - 1, and on them
+    L^2 = L+ L- + Lz (Lz - 1) is lowering^T lowering + Lz (Lz - 1): N hops
+    instead of the N (N - 1) of :func:`build_L_squared`.
+    """
+    pieces = {}
+    below = None
+    first = fillings.start - 1 if l_squared and fillings.start > 0 else fillings.start
+    for n in range(first, fillings.stop):
+        block = orbit_block(enumerate_bath_sector(N, n))
+        if n in fillings:
+            dim = block.dim
+            diagonal = np.arange(dim) * (dim + 1)
+            ring = build_bath_ring(block, J, Jp).matrix
+            ring = _csr(dim, np.concatenate([ring.rows * dim + ring.indices, diagonal]),
+                        np.concatenate([ring.data, np.zeros(dim)]))
+            lowering = raising = squared = None
+            if below is not None:
+                lowering = _lowering(block, below)
+                raising = _transpose(lowering)
+            if l_squared:
+                lz = n - N / 2
+                keys, vals = (_gram(lowering) if lowering is not None
+                              else (diagonal[:0], np.zeros(0)))
+                squared = _csr(dim, np.concatenate([keys, diagonal]),
+                               np.concatenate([vals, np.full(dim, lz * (lz - 1.0))]))
+            pieces[n] = RingPiece(n_up=n, bits=block.bits, size=block.size, ring=ring,
+                                  diagonal=np.flatnonzero(ring.indices == ring.rows),
+                                  lowering=lowering, raising=raising, l_squared=squared)
+        below = block
+    return pieces
+
+
+def _assemble(dim: int, parts, dense: bool):
+    """The dim x dim matrix made of CSR pieces, dense when ``dense``, else CSR.
+
+    Each part ``(r0, c0, piece, values)`` puts ``values``, the data of the
+    CSR ``piece`` or data on its pattern, at rows ``r0 + piece.rows`` and
+    columns ``c0 + piece.indices``. Parts that share rows must come in
+    ascending ``c0`` and cover disjoint columns, so each row of the CSR is
+    its pieces' rows one after another, without a sort.
+    """
+    if dense:
+        out = np.zeros((dim, dim))
+        for r0, c0, piece, values in parts:
+            out[r0 + piece.rows, c0 + piece.indices] = values
+        return out
+    counts = np.zeros(dim, dtype=np.int64)
+    for r0, _, piece, _ in parts:
+        counts[r0:r0 + piece.shape[0]] += np.diff(piece.indptr)
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    fill = indptr[:-1].copy()
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    for r0, c0, piece, values in parts:
+        at = fill[r0 + piece.rows] + (np.arange(piece.nnz) - piece.indptr[piece.rows])
+        indices[at] = c0 + piece.indices
+        data[at] = values
+        fill[r0:r0 + piece.shape[0]] += np.diff(piece.indptr)
+    return CSR(indptr.astype(np.int32), indices, data)
+
+
+def star_block_operators(block: StarBlock, pieces: dict[int, RingPiece],
+                         params: ModelParams, names, dense: bool):
+    """The driven star and the observables ``names`` on one star block,
+    from the run's ring pieces.
+
+    The Hamiltonian is that of :func:`build_modified_star`, block
+    tridiagonal in the central index: slice c holds H_ring(n_c) plus
+    (omega S_m + 2 g S_m L_m) on its diagonal, and slices c - 1 and c are
+    linked by g sqrt(c (two_S - c + 1)) times the lowering of filling n_c
+    and its transpose. 'L2' is block diagonal, L^2 of each filling, and
+    'Sz', the central S_m, is returned as its diagonal. The Hamiltonian
+    and L^2 come dense when ``dense``, else as CSR.
+    """
+    N, two_S, g = block.N, block.two_S, params.g
+    slices = block.slices
+    ham, squared, s_m = [], [], []
+    for k, s in enumerate(slices):
+        piece = pieces[s.n_up]
+        sm = 0.5 * (two_S - 2 * s.central)
+        lm = 0.5 * (2 * s.n_up - N)
+        ring = piece.ring.data.copy()
+        ring[piece.diagonal] += 2.0 * g * sm * lm + params.omega * sm
+        if k > 0:
+            up = piece.raising
+            ham.append((s.start, slices[k - 1].start, up,
+                        g * _ladder_weight(two_S, s.central) * up.data))
+        ham.append((s.start, s.start, piece.ring, ring))
+        if k + 1 < len(slices):
+            down = pieces[slices[k + 1].n_up].lowering
+            ham.append((s.start, slices[k + 1].start, down,
+                        g * _ladder_weight(two_S, slices[k + 1].central) * down.data))
+        if "L2" in names:
+            squared.append((s.start, s.start, piece.l_squared, piece.l_squared.data))
+        s_m.append(sm)
+    mats = []
+    for name in names:
+        if name == "Sz":
+            mats.append(np.repeat(s_m, [s.stop - s.start for s in slices]))
+        elif name == "L2":
+            mats.append(_assemble(block.dim, squared, dense))
+        else:
+            raise ParameterError(f"observable {name!r} has no star-block form")
+    return _assemble(block.dim, ham, dense), mats
 
 
 def apply(op: SparseOperator, state: StateVector) -> StateVector:

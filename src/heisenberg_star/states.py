@@ -8,7 +8,9 @@ equal-weight superposition of its levels; :func:`star_state` places
 central levels times ring states into the star's magnetization sectors.
 The driven run's state, a polarized centre times the coherent ring, is
 written straight onto the dihedral orbit blocks of those sectors by
-:func:`coherent_block_state`, never formed on the full sectors.
+:func:`coherent_block_state`, each block made from the orbit blocks of
+its ring fillings (:func:`core.star_block`), so the full sectors are
+never enumerated.
 
 The sub-ground eigenstates of the isotropic star are assembled in
 closed form: a string of coefficients couples the central levels to
@@ -31,8 +33,8 @@ from .core import (
     StateVector,
     enumerate_bath_sector,
     enumerate_sector,
-    orbit_block,
     sector_layout,
+    star_block,
 )
 from .errors import ParameterError, StarError
 from .operators import _hop, apply_bath_lowering
@@ -119,21 +121,36 @@ def spin_coherent(N: int, theta: float, phi: float) -> StateVector:
     return StateVector.from_blocks(blocks, renormalize=False)
 
 
-def coherent_block_state(N: int, two_S: int, theta: float, phi: float) -> StateVector:
+def coherent_fillings(N: int, two_S: int, theta: float, phi: float) -> range:
+    """The ring fillings that the star blocks of |S_m = S> x (coherent ring)
+    hold: from the least n with a Dicke weight Q_n to the largest plus 2S,
+    at most N. Central index c of the block of weight Q_n has n + c spins up."""
+    occupied = np.flatnonzero(coherent_coefficients(N, theta, phi))
+    return range(int(occupied[0]), min(int(occupied[-1]) + two_S, N) + 1)
+
+
+def coherent_block_state(N: int, two_S: int, theta: float, phi: float,
+                         rings) -> StateVector:
     """|S_m = S> x (coherent ring) written on dihedral orbit blocks.
 
     The star state with n ring spins up is Q_n / sqrt(C(N, n)) on every
     state of central index 0 in its sector, so its orbit sums (Q^T v in
     :class:`core.OrbitBlock`) are x_o = Q_n sqrt(size_o / C(N, n)) on the
-    orbits of central index 0 and zero elsewhere. Blocks come in
-    ascending n, the order :func:`star_state` gives the full-sector state.
+    orbits of central index 0, the first slice of the block, and zero
+    elsewhere. Each block is a :class:`core.StarBlock` made from
+    ``rings[n]``, the ring orbit block (or :class:`operators.RingPiece`) of
+    every filling n in :func:`coherent_fillings`. Blocks come in ascending
+    n, the order :func:`star_state` gives the full-sector state.
     """
     Q = coherent_coefficients(N, theta, phi)
     blocks = []
     for n in np.flatnonzero(Q).tolist():
-        block = orbit_block(enumerate_sector(N, two_S, two_S + 2 * n - N))
-        weight = Q[n] * np.sqrt(block.size / math.comb(N, n))
-        blocks.append((block, np.where(block.central == 0, weight, 0.0)))
+        block = star_block(N, two_S, two_S + 2 * n - N, rings)
+        amps = np.zeros(block.dim, dtype=np.complex128)
+        top = block.slices[0]
+        amps[top.start:top.stop] = Q[n] * np.sqrt(block.size[top.start:top.stop]
+                                                  / math.comb(N, n))
+        blocks.append((block, amps))
     return StateVector.from_blocks(blocks, renormalize=False)
 
 

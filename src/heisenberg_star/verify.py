@@ -154,7 +154,7 @@ def suite_dynamics_oracle(N: int = 6) -> list[CheckResult]:
             worst_evolve = max(worst_evolve, float(np.max(np.abs(dense - st.block(i)))))
             worst_krylov = max(worst_krylov, float(np.max(np.abs(dense - krylov[i]))))
         t_prev = t
-    routes = "/".join(sorted({_route(h.matrix) for h in hams}))
+    routes = "/".join(sorted({_route(h.dim) for h in hams}))
     out.append(_check(f"krylov-vs-dense N={N}", max(worst_evolve, worst_krylov) <= 1e-9,
                       f"max amplitude deviation: evolve ({routes}) {worst_evolve:.2e},"
                       f" _step_block (krylov) {worst_krylov:.2e}"))

@@ -36,6 +36,7 @@ from heisenberg_star.errors import ParameterError, StarError
 from heisenberg_star.states import (
     central_initial,
     coherent_block_state,
+    coherent_fillings,
     dicke_state,
     neel_state,
     star_state,
@@ -233,7 +234,7 @@ def test_spectral_route_matches_krylov(N, monkeypatch):
     runs = {}
     for route, cutoff in (("spectral", max(s.dim for s in state.sectors)), ("krylov", 0)):
         monkeypatch.setattr(dynamics, "DENSE_CUTOFF", cutoff)
-        assert {dynamics._route(h.matrix) for h in hams} == {route}
+        assert {dynamics._route(h.dim) for h in hams} == {route}
         runs[route] = [out.amps for out in evolve(hams, state, grid)]
     for a, b in zip(runs["spectral"], runs["krylov"]):
         assert np.linalg.norm(a - b) <= 1e-9
@@ -258,7 +259,8 @@ def test_spectral_chunks_hold_at_most_the_entry_budget(monkeypatch):
 
 def test_chunk_budget_keeps_a_driven_n14_grid_whole():
     # the N = 14 driven run: 201 grid times on orbit blocks of at most 259 states
-    blocks = coherent_block_state(14, 1, 1.0, 0.5).sectors
+    pieces = ops.ring_pieces(14, 1.0, 1.0, coherent_fillings(14, 1, 1.0, 0.5))
+    blocks = coherent_block_state(14, 1, 1.0, 0.5, pieces).sectors
     assert max(b.dim for b in blocks) == 259
     assert dynamics.CHUNK_ENTRIES // 259 >= 201
 
@@ -297,7 +299,8 @@ def test_series_check_the_grid_before_building(experiment, monkeypatch):
         raise AssertionError("built before the grid was checked")
 
     for name in ("neel_state", "central_initial", "coherent_block_state", "star_state",
-                 "build_star_hamiltonian", "build_modified_star", "_observable"):
+                 "build_star_hamiltonian", "coherent_fillings", "ring_pieces",
+                 "star_block_operators", "_observable"):
         monkeypatch.setattr(dynamics, name, builder)
     params = make_params(6, 1, J=1.0, g=1.0)
     with pytest.raises(ParameterError, match="increasing"):

@@ -3,15 +3,18 @@
 Each orbit block is checked against an isometry Q built here, state by
 state, from rotations and reflections of the ring carried out site by
 site: every ring-symmetric builder emitted on the block equals Q^T M Q,
-is Hermitian, and has one state per bracelet of each central level. The
-coherent state written on the blocks is Q^T v of the full-sector state
-v, which Q Q^T leaves whole. The k = 0 isometry P of translations
-alone, also built here, is the oracle for the translation part. The
-driven coherent run on orbit blocks is compared with the same state
-propagated on the full sectors by dense diagonalization, on the half of
-each sector that a reflection built here from bit reversal leaves even;
-that oracle shares no code with the propagator. At J == Jp the run is
-also compared with the collective-spin oracle of ``verify``.
+is Hermitian, and has one state per bracelet of each central level. So
+do the coherent run's star blocks, assembled from ring pieces, dense and
+CSR: their Hamiltonian, Sz and L^2 equal Q^T M Q of the hop builders on
+the full sector. The coherent state written on the blocks is Q^T v of
+the full-sector state v, which Q Q^T leaves whole. The k = 0 isometry P
+of translations alone, also built here, is the oracle for the
+translation part. The driven coherent run on orbit blocks, on either
+propagation route, is compared with the same state propagated on the
+full sectors by dense diagonalization, on the half of each sector that a
+reflection built here from bit reversal leaves even; that oracle shares
+no code with the propagator. At J == Jp the run is also compared with
+the collective-spin oracle of ``verify``.
 """
 
 import functools
@@ -21,12 +24,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+from heisenberg_star import dynamics
 from heisenberg_star import operators as ops
 from heisenberg_star.core import (
     BasisSector,
+    enumerate_bath_sector,
     enumerate_sector,
     make_params,
     orbit_block,
+    star_block,
 )
 from heisenberg_star.dynamics import coherent_experiment
 from heisenberg_star.states import coherent_block_state, spin_coherent, star_state
@@ -196,11 +202,14 @@ class TestOrbitBlock:
             assert orbit_block(sector).dim == want
 
 
-@pytest.mark.parametrize("N,two_S", [(N, two_S) for N, two_S in BLOCK_CASES if two_S])
+@pytest.mark.parametrize("N,two_S", [(N, two_S) for N in (4, 6, 8, 10, 12) for two_S in (1, 2, 3)])
 def test_hamiltonians_reduce_exactly(N, two_S):
-    """The assembled Hamiltonians the runs propagate, not only their terms."""
+    """The assembled Hamiltonians the runs propagate, not only their terms:
+    the builders on orbit blocks, and the coherent run's star blocks made
+    from ring pieces, with their Sz and L^2, dense and CSR."""
     driven = make_params(N, two_S, J=1.1, Jp=0.88, g=0.7, omega=1.05)
     star = make_params(N, two_S, J=0.9, g=1.3)
+    pieces = ops.ring_pieces(N, driven.J, driven.Jp, range(N + 1), l_squared=True)
     for sector in sectors(N, two_S):
         block = orbit_block(sector)
         Q = dihedral_isometry(sector, block)
@@ -210,6 +219,22 @@ def test_hamiltonians_reduce_exactly(N, two_S):
             want = Q.T @ build(sector, params).matrix.tocsr() @ Q
             assert got.shape == want.shape
             assert abs(got - want).max() <= 1e-13, (sector, build)
+        wants = [(Q.T @ op.matrix.tocsr() @ Q).toarray()
+                 for op in (ops.build_modified_star(sector, driven),
+                            ops.build_zeeman(sector, 1.0), ops.build_L_squared(sector))]
+        assembled = star_block(N, two_S, sector.two_m, pieces)
+        dense_H, (dense_Sz, dense_L2) = ops.star_block_operators(
+            assembled, pieces, driven, ["Sz", "L2"], dense=True)
+        csr_H, (csr_Sz, csr_L2) = ops.star_block_operators(
+            assembled, pieces, driven, ["Sz", "L2"], dense=False)
+        for mat in (csr_H, csr_L2):
+            assert mat.tocsr().has_canonical_format
+        np.testing.assert_array_equal(csr_H.toarray(), dense_H)
+        np.testing.assert_array_equal(csr_L2.toarray(), dense_L2)
+        np.testing.assert_array_equal(csr_Sz, dense_Sz)
+        for got, want in zip((dense_H, np.diag(dense_Sz), dense_L2), wants):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13, sector
 
 
 @pytest.mark.parametrize("N", range(2, 17, 2))
@@ -222,14 +247,19 @@ def test_orbit_count_is_the_ring_block_dimension(N):
 def test_block_state_is_the_projected_full_state(N, two_S):
     # v is the coherent star on the full sectors: its blocks must be Q^T v,
     # and Q Q^T v = v says nothing of v is lost on the way
+    rings = {n: orbit_block(enumerate_bath_sector(N, n)) for n in range(N + 1)}
     for theta in (0.0, 1.2, math.pi / 2, math.pi):
         for phi in (0.0, 0.3):
             full = star_state(two_S, [(0, 1.0, spin_coherent(N, theta, phi))])
-            got = coherent_block_state(N, two_S, theta, phi)
-            assert ([(b.sector.tag, b.sector.keys.tolist()) for b in got.sectors]
-                    == [(s.tag, s.keys.tolist()) for s in full.sectors])
-            for i, block in enumerate(got.sectors):
-                Q = dihedral_isometry(block.sector, block)
+            got = coherent_block_state(N, two_S, theta, phi, rings)
+            assert [b.tag for b in got.sectors] == [f"{s.tag}:dihedral" for s in full.sectors]
+            for i, (block, sector) in enumerate(zip(got.sectors, full.sectors)):
+                # the block is made from ring blocks, without the sector: it
+                # must hold the orbits of orbit_block on the sector, in order
+                want = orbit_block(sector)
+                for name in ("central", "bits", "size"):
+                    np.testing.assert_array_equal(getattr(block, name), getattr(want, name))
+                Q = dihedral_isometry(sector, block)
                 v = full.block(i)
                 np.testing.assert_allclose(got.block(i), Q.T @ v, rtol=0, atol=1e-14)
                 np.testing.assert_allclose(Q @ (Q.T @ v), v, rtol=0, atol=1e-14)
@@ -294,9 +324,17 @@ def full_sector_series(params, states, t_abs):
     return values
 
 
-@pytest.mark.parametrize("N", [8, 10, 12])
-@pytest.mark.parametrize("two_S", [1, 2, 3])
-def test_k0_run_matches_full_sectors(N, two_S):
+K0_CASES = [pytest.param(two_S, N, None, id=f"{two_S}-{N}")
+            for N in (8, 10, 12) for two_S in (1, 2, 3)]
+# every block on the Krylov route, with CSR star blocks
+K0_CASES += [pytest.param(two_S, N, 0, id=f"krylov-{two_S}-{N}")
+             for N in (8, 10) for two_S in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("two_S,N,cutoff", K0_CASES)
+def test_k0_run_matches_full_sectors(two_S, N, cutoff, monkeypatch):
+    if cutoff is not None:
+        monkeypatch.setattr(dynamics, "DENSE_CUTOFF", cutoff)
     t_abs = np.linspace(0.0, 3.0, 7)
     thetas = (0.0, math.pi / 2, 1.9)
     for J, Jp in ((1.0, 1.0), (1.1, 0.7), (0.0, 0.0)):
@@ -307,6 +345,7 @@ def test_k0_run_matches_full_sectors(N, two_S):
             # the experiment takes g t and reports <Sz>/S
             got, diag = coherent_experiment(params, theta, 0.4, t_abs * params.g,
                                             observables=("Sz", "L2"))
+            assert set(diag["routes"]) == {"krylov" if cutoff == 0 else "spectral"}
             got["Sz"] *= params.S
             for name in ("Sz", "L2"):
                 np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-10)
