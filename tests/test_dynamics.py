@@ -426,6 +426,15 @@ class TestCoherentExperiment:
         _, meta = coherent_experiment(params, math.pi / 2, 0.0, grid)
         assert meta["routes"] == ["krylov"] * 9
 
+    def test_refuses_an_observable_without_a_block_form(self, monkeypatch):
+        # the staggered magnetization breaks the ring's rotations, so the
+        # orbit blocks cannot carry it; refused before anything is built
+        monkeypatch.setattr(dynamics, "ring_pieces",
+                            lambda *args, **kwargs: pytest.fail("built before refusing"))
+        params = make_params(6, 1, J=1.0, g=1.0)
+        with pytest.raises(ParameterError, match="'ms'"):
+            coherent_experiment(params, math.pi / 2, 0.0, [0.0, 1.0], observables=("Sz", "ms"))
+
     def test_anisotropy_lets_the_momentum_drift(self):
         params = make_params(6, 1, J=1.0, Jp=0.5, g=1.0, omega=1.0)
         values, _ = coherent_experiment(params, math.pi / 2, 0.0,
