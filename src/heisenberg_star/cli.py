@@ -238,8 +238,8 @@ def cmd_level_table(args) -> int:
 
 def _write_experiment(args, tmax: float, experiment, **results) -> int:
     """Run ``experiment(grid, threads)`` on ``args.samples`` points of
-    [0, tmax]; write its columns and a sidecar with its drifts and the
-    number of blocks on each propagation route."""
+    [0, tmax]; write its columns and a sidecar with its drifts, the
+    number of blocks on each propagation route and the largest block."""
     threads = _threads(args)
     if args.samples < 2:
         raise ParameterError("need at least two samples")
@@ -254,9 +254,8 @@ def _write_experiment(args, tmax: float, experiment, **results) -> int:
     results.update(norm_drift=f"{meta['norm_drift']:.3e}",
                    energy_drift=f"{meta['energy_drift']:.3e}",
                    spectral_blocks=routes.count("spectral"),
-                   krylov_blocks=routes.count("krylov"))
-    if "block_dims" in meta:
-        results["block_dim_max"] = max(meta["block_dims"])
+                   krylov_blocks=routes.count("krylov"),
+                   block_dim_max=max(meta["block_dims"]))
     _write_meta(args, threads=threads, **results)
     print(f"wrote {args.out} ({args.samples} rows)")
     return EXIT_OK

@@ -337,7 +337,7 @@ def orbit_block(sector: BasisSector) -> OrbitBlock:
 
 @dataclass(frozen=True, eq=False)
 class StarBlock:
-    """The dihedral orbit block of one star sector, made of ring orbit blocks.
+    """One star sector, or its dihedral orbit block, made of ring blocks.
 
     A rotation or reflection keeps the central index, so the orbits of
     the sector are those of its ring fillings, one central level after
@@ -345,7 +345,8 @@ class StarBlock:
     its ``start:stop`` counting orbits; ``central``, ``bits`` and ``size``
     give every orbit's central index, representative and size. They are
     the orbits, in the order, of ``orbit_block`` on the sector, which is
-    never enumerated here, so no hop builder runs on a star block.
+    never enumerated here, so no hop builder runs on a star block. On the
+    whole sector each state is its own orbit and ``size`` is None.
     """
 
     N: int
@@ -354,7 +355,7 @@ class StarBlock:
     slices: tuple[SectorSlice, ...]
     central: np.ndarray
     bits: np.ndarray
-    size: np.ndarray
+    size: np.ndarray | None
 
     @property
     def dim(self) -> int:
@@ -362,31 +363,34 @@ class StarBlock:
 
     @property
     def tag(self) -> str:
-        return f"N={self.N}:2S={self.two_S}:2m={self.two_m}:dihedral"
+        suffix = "" if self.size is None else ":dihedral"
+        return f"N={self.N}:2S={self.two_S}:2m={self.two_m}{suffix}"
 
     def __repr__(self) -> str:
         return f"StarBlock({self.tag}, dim={self.dim})"
 
 
 def star_block(N: int, two_S: int, two_m: int, rings) -> StarBlock:
-    """The orbit block of sector ``two_m`` from the ring orbit blocks of its
+    """The block of sector ``two_m`` from the ring blocks of its
     :func:`sector_layout` slices, placed in central-index order.
 
     ``rings[n]`` holds the representatives ``bits`` and orbit ``size`` of
     ring filling n, as an :class:`OrbitBlock` of ``enumerate_bath_sector(N,
-    n)`` does; the refusals are those of :func:`sector_layout`.
+    n)`` does, or its states and None, which make the whole sector in the
+    order of :func:`enumerate_sector`; the refusals are those of
+    :func:`sector_layout`.
     """
     layout = sector_layout(N, two_S, two_m)
     parts = [rings[s.n_up] for s in layout]
     slices, start = [], 0
     for s, ring in zip(layout, parts):
-        slices.append(SectorSlice(s.central, s.n_up, start, start + ring.size.size))
-        start += ring.size.size
+        slices.append(SectorSlice(s.central, s.n_up, start, start + ring.bits.size))
+        start += ring.bits.size
     central = np.repeat(np.array([s.central for s in slices], dtype=np.int64),
                         [s.stop - s.start for s in slices])
+    size = None if parts[0].size is None else np.concatenate([r.size for r in parts])
     return StarBlock(N=N, two_S=two_S, two_m=two_m, slices=tuple(slices), central=central,
-                     bits=np.concatenate([r.bits for r in parts]),
-                     size=np.concatenate([r.size for r in parts]))
+                     bits=np.concatenate([r.bits for r in parts]), size=size)
 
 
 def _flip_block(block: OrbitBlock) -> OrbitBlock:

@@ -17,21 +17,18 @@ The two experiments mirror the figures this package reproduces: the
 alternating-state quench watched through the staggered magnetization
 (:func:`neel_experiment`, time axis gt_collective = g sqrt(N) t), and
 the driven coherent-state run watched through the central polarization
-(:func:`coherent_experiment`, time axis g t). Each one checks its input,
-builds its state and operators, runs :func:`run_observables` once on
-the grid divided by its rate, and returns ``(values, meta)``: one array
-per observable and one dict with the time unit, the parameters and the
-run diagnostics. The coherent state and the driven star are both
-invariant under the ring's rotations and reflections, so that run
-evolves each block on its dihedral orbit block (k = 0, reflection
-even): about 2N times smaller than the sector, with no star sector ever
-enumerated. The pieces of every ring filling are made once per run
-(:func:`operators.ring_pieces`), the state is written on the blocks they
-make (:func:`states.coherent_block_state`), and each block's operators
-are assembled from them inside its work in :func:`run_observables`:
-dense on the spectral route, CSR on the Krylov one, one block's
-matrices alive per thread. The propagator takes any block state as
-given and knows nothing of orbits.
+(:func:`coherent_experiment`, time axis g t). Each one checks its input
+and the layout of every star block, makes the pieces of every ring
+filling once (:func:`operators.ring_pieces`), writes its state on the
+blocks they make, and runs :func:`run_observables` once on the grid
+divided by its rate, each block's operators assembled from the pieces
+inside its work: dense on the spectral route, CSR on the Krylov one.
+It returns ``(values, meta)``: one array per observable and one dict
+with the time unit, the parameters, the run diagnostics and the block
+dimensions. The driven run evolves dihedral orbit blocks (k = 0,
+reflection even), about 2N times smaller than the sectors; the
+alternating state has k = 0 and k = pi parts, so the quench runs on
+whole sectors. The propagator knows nothing of orbits.
 """
 
 from __future__ import annotations
@@ -41,24 +38,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .core import BasisSector, ModelParams, StateVector
+from .core import ModelParams, StateVector, sector_layout
 from .errors import ConvergenceError, ParameterError
-from .operators import (
-    SparseOperator,
-    _check_pairing,
-    build_L_squared,
-    build_staggered,
-    build_star_hamiltonian,
-    build_zeeman,
-    ring_pieces,
-    star_block_operators,
-)
+from .operators import _check_pairing, ring_pieces, star_block_operators
 from .states import (
     central_initial,
     coherent_block_state,
-    coherent_fillings,
-    neel_state,
-    star_state,
+    coherent_coefficients,
+    neel_block_state,
 )
 
 # Blocks of at most this many states take the spectral route
@@ -177,16 +164,11 @@ def _block_matrix(mat):
 
 
 def _observable_matrix(mat):
-    """A block observable as its route takes it: its diagonal when it holds
-    nothing else, else a dense numpy array on the spectral route and a
-    scipy CSR on the same arrays on the Krylov route. A numpy array, dense
-    or a diagonal, is taken as given."""
+    """A block observable as its route takes it: a dense numpy array on the
+    spectral route and a scipy CSR on the same arrays on the Krylov route.
+    A numpy array, dense or a diagonal, is taken as given."""
     if isinstance(mat, np.ndarray):
         return mat
-    if np.array_equal(mat.indices, mat.rows):
-        diagonal = np.zeros(mat.shape[0], dtype=mat.dtype)
-        diagonal[mat.indices] = mat.data
-        return diagonal
     return mat.toarray() if _route(mat.shape[0]) == "spectral" else mat.tocsr()
 
 
@@ -259,40 +241,27 @@ def evolve(hams, state: StateVector, t_grid):
 def run_observables(hams, state: StateVector, t_grid, observables, threads: int = 1):
     """Evolve a block state and sample named block-diagonal observables.
 
-    Either ``hams`` lists one block operator per sector of ``state``, in
-    order, and ``observables`` maps each name to such a list; or ``hams``
-    is a function ``hams(i, dense)`` that makes block i's Hamiltonian and
+    ``hams(i, dense)`` makes the Hamiltonian of block i of ``state`` and
     the observables that ``observables`` names, in order: numpy arrays
     when ``dense`` (the block takes the spectral route), else CSR, and a
-    1-D array for an observable that is its diagonal. The function is
-    called inside block i's work, so only the blocks being propagated
-    hold their matrices. Blocks are independent, so they may run on a
-    thread pool; the reduction is an ordered sum and the output does not
-    depend on the thread count.
+    1-D array for an observable that is its diagonal. It is called
+    inside block i's work, so only the blocks being propagated hold
+    their matrices. Blocks are independent, so they may run on a thread
+    pool; the reduction is an ordered sum and the output does not depend
+    on the thread count.
 
     Returns (values, diagnostics) where values maps each name to its
     sampled series and diagnostics reports the worst norm and energy
     drift over the grid and ``routes``, the route of each block.
     """
     names = list(observables)
-    if callable(hams):
-        build = hams
-    else:
-        hams = list(hams)
-        obs_lists = [list(observables[name]) for name in names]
-        for ops in [hams, *obs_lists]:
-            _check_pairing(ops, state)
-
-        def build(i, dense):
-            return hams[i].matrix, [ops[i].matrix for ops in obs_lists]
-
     t_grid = _time_grid(t_grid)
     n_t = len(t_grid)
     routes = [_route(sector.dim) for sector in state.sectors]
 
     def work(i):
         """Rows of observable values, then norms and energies, of block i."""
-        H, mats = build(i, routes[i] == "spectral")
+        H, mats = hams(i, routes[i] == "spectral")
         H = _block_matrix(H)
         mats = [_observable_matrix(m) for m in mats]
         rows = np.zeros((len(mats) + 2, n_t))
@@ -327,28 +296,27 @@ def run_observables(hams, state: StateVector, t_grid, observables, threads: int 
     return dict(zip(names, totals)), diagnostics
 
 
-def _observable(sector: BasisSector, name: str) -> SparseOperator:
-    if name == "Sz":
-        return build_zeeman(sector, 1.0)
-    if name == "ms":
-        return build_staggered(sector)
-    if name == "L2":
-        return build_L_squared(sector)
-    raise ParameterError(f"unknown observable {name!r}")
+def _fillings(N: int, two_S: int, two_ms) -> range:
+    """The ring fillings that the star sectors ``two_ms`` hold. Their
+    :func:`core.sector_layout` refuses an empty or over-cap sector here,
+    before any ring piece is built."""
+    ups = [s.n_up for two_m in two_ms for s in sector_layout(N, two_S, two_m)]
+    return range(min(ups), max(ups) + 1)
 
 
 def neel_experiment(params: ModelParams, central_kind: str, t_grid,
                     observables=("ms",), threads: int = 1):
     """Alternating-state quench on a gt_collective = g sqrt(N) t grid.
 
-    'ms' is the headline observable; 'Sz' may ride along. The
+    'ms' is the headline observable; 'Sz' and 'L2' may ride along. The
     Hamiltonian is the plain isotropic star, so the run refuses
     anisotropic parameters, a central field, or gt <= 0 (no reduced time
-    axis). The alternating state has k = 0 and k = pi parts, so this run
-    keeps the full sectors.
+    axis). Each block is a whole sector, made from the whole-sector ring
+    pieces of its fillings.
 
     Returns (values, meta): one array per observable, and the time unit,
-    the parameters, the central preparation and the run diagnostics.
+    the parameters, the central preparation, the run diagnostics and
+    ``block_dims``, the dimension of each block.
     """
     if params.gt <= 0:
         raise ParameterError("reduced time needs gt = g sqrt(N) > 0")
@@ -357,14 +325,20 @@ def neel_experiment(params: ModelParams, central_kind: str, t_grid,
     if params.omega != 0.0:
         raise ParameterError("the alternating-state quench carries no field")
     t_abs = _time_grid(np.asarray(list(t_grid), dtype=float) / params.gt)
-    ring = neel_state(params.N)
-    central = central_initial(params.two_S, central_kind)
-    state = star_state(params.two_S, [(c, amp, ring) for c, amp in enumerate(central)])
-    hams = [build_star_hamiltonian(s, params) for s in state.sectors]
-    obs = {name: [_observable(s, name) for s in state.sectors] for name in observables}
-    values, diagnostics = run_observables(hams, state, t_abs, obs, threads)
+    names = list(observables)
+    for name in names:
+        if name not in ("Sz", "ms", "L2"):
+            raise ParameterError(f"the quench observes Sz, ms and L2, not {name!r}")
+    N, two_S = params.N, params.two_S
+    central = central_initial(two_S, central_kind)
+    fillings = _fillings(N, two_S, [two_S - 2 * c for c in np.flatnonzero(central).tolist()])
+    pieces = ring_pieces(N, params.J, params.Jp, fillings, l_squared="L2" in names,
+                         orbits=False)
+    state = neel_block_state(N, two_S, central, pieces)
+    values, diagnostics = run_observables(lambda i, dense: star_block_operators(
+        state.sectors[i], pieces, params.g, 0.0, names, dense), state, t_abs, names, threads)
     meta = {"time_unit": "gt_collective", "central": central_kind, "params": params,
-            **diagnostics}
+            **diagnostics, "block_dims": [b.dim for b in state.sectors]}
     return values, meta
 
 
@@ -373,11 +347,8 @@ def coherent_experiment(params: ModelParams, theta: float, phi: float, t_grid,
     """Driven-star run from the coherent ring state on a g t grid.
 
     Each block runs on its dihedral orbit block (k = 0, reflection
-    even). The ring pieces of every filling the blocks hold are made once
-    (:func:`operators.ring_pieces`), the state is written on the blocks
-    they make, and each block's Hamiltonian and observables are assembled
-    from them inside its work (:func:`operators.star_block_operators`).
-    Needs g > 0; the observables are 'Sz' and 'L2'.
+    even), made from the orbit-block ring pieces of its fillings. Needs
+    g > 0; the observables are 'Sz' and 'L2'.
 
     Returns (values, meta): one array per observable, 'Sz' reported as
     <Sz>/S, and the time unit, the parameters, the angles, the run
@@ -391,18 +362,17 @@ def coherent_experiment(params: ModelParams, theta: float, phi: float, t_grid,
         if name not in ("Sz", "L2"):
             raise ParameterError(f"the coherent run observes Sz and L2, not {name!r}")
     N, two_S = params.N, params.two_S
-    pieces = ring_pieces(N, params.J, params.Jp, coherent_fillings(N, two_S, theta, phi),
-                         l_squared="L2" in names)
+    occupied = np.flatnonzero(coherent_coefficients(N, theta, phi))
+    fillings = _fillings(N, two_S, (two_S + 2 * occupied - N).tolist())
+    pieces = ring_pieces(N, params.J, params.Jp, fillings, l_squared="L2" in names)
     state = coherent_block_state(N, two_S, theta, phi, pieces)
-
-    def block(i, dense):
-        return star_block_operators(state.sectors[i], pieces, params, names, dense)
-
-    values, diagnostics = run_observables(block, state, t_abs, names, threads)
+    values, diagnostics = run_observables(lambda i, dense: star_block_operators(
+        state.sectors[i], pieces, 2.0 * params.g, params.omega, names, dense),
+        state, t_abs, names, threads)
     if "Sz" in values:
         values["Sz"] = values["Sz"] / params.S
-    meta = {"time_unit": "gt", "theta": theta, "phi": phi, "params": params,
-            **diagnostics, "block_dims": [b.dim for b in state.sectors]}
+    meta = {"time_unit": "gt", "theta": theta, "phi": phi, "params": params, **diagnostics,
+            "block_dims": [b.dim for b in state.sectors]}
     return values, meta
 
 

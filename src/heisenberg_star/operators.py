@@ -18,11 +18,14 @@ central field) also runs on a :class:`core.OrbitBlock`, where it emits
 that operator on the block's orbits directly. The staggered
 magnetization does not commute with them and has no block form.
 
-The coherent run needs no builder on a star block. It makes the pieces
-of every ring filling once (:func:`ring_pieces`): the ring Hamiltonian
-on the filling's orbit block, the orbit form of the ring lowering, and
-L^2 from it. :func:`star_block_operators` places them block by block in
-the central index, as a dense array or as CSR rows without a sort.
+The quench runs use no builder on a star block. Each makes the pieces
+of every ring filling once (:func:`ring_pieces`): the ring Hamiltonian,
+the ring lowering and L^2 from it, on the filling's orbit block (the
+coherent run) or on its whole ring sector (the alternating-state run).
+:func:`star_block_operators` places them block by block in the central
+index, as a dense array or as CSR rows without a sort. The builders on
+star sectors are the full-sector reference these runs are tested
+against.
 
 Every entry is real, so each operator holds its canonical CSR arrays in
 float64, assembled in numpy (:class:`CSR`). The ring solver multiplies
@@ -297,19 +300,23 @@ def build_L_squared(sector: BasisSector) -> SparseOperator:
                                  (j, i, np.ones(i.size))])
 
 
+def _staggered(N: int, bits: np.ndarray) -> np.ndarray:
+    """The staggered magnetization of every ring configuration in ``bits``."""
+    total = np.zeros(bits.size)
+    for a in range(N):
+        # site j = a + 1 enters with sign (-1)^(a + 1)
+        sign = -1.0 if a % 2 == 0 else 1.0
+        total += sign * (_bit(bits, a) - 0.5)
+    return total / N
+
+
 def build_staggered(sector: BasisSector) -> SparseOperator:
     """Diagonal staggered magnetization (1/N) sum_j (-1)^j Sz_j, site 1 first.
 
     Odd sites enter with sign -1, so the alternating state with site 1
     down has expectation +1/2.
     """
-    N = sector.N
-    total = np.zeros(sector.dim)
-    for a in range(N):
-        # site j = a + 1 enters with sign (-1)^(a + 1)
-        sign = -1.0 if a % 2 == 0 else 1.0
-        total += sign * (_bit(sector.bits, a) - 0.5)
-    return _to_operator(sector, [_diagonal(total / N)])
+    return _to_operator(sector, [_diagonal(_staggered(sector.N, sector.bits))])
 
 
 def build_star_hamiltonian(sector: BasisSector, params: ModelParams) -> SparseOperator:
@@ -341,7 +348,9 @@ class RingPiece:
     """What ring filling n lends every star block of a run that holds it.
 
     All of it lives on the dihedral orbit block of the filling, whose
-    representatives and orbit sizes are ``bits`` and ``size``. ``ring`` is
+    representatives and orbit sizes are ``bits`` and ``size``, or on its
+    whole ring sector, with ``size`` None: its states are its orbits, and
+    the orbit forms below are the operators themselves. ``ring`` is
     H_ring(J, Jp) with every diagonal entry stored, at the positions
     ``diagonal`` of its data. ``lowering`` is the orbit form of the ring
     lowering, Q_{n-1}^T L- Q_n, and ``raising`` its transpose
@@ -351,7 +360,7 @@ class RingPiece:
 
     n_up: int
     bits: np.ndarray
-    size: np.ndarray
+    size: np.ndarray | None
     ring: CSR
     diagonal: np.ndarray
     lowering: CSR | None
@@ -359,11 +368,12 @@ class RingPiece:
     l_squared: CSR | None
 
 
-def _lowering(src: OrbitBlock, dst: OrbitBlock) -> CSR:
+def _lowering(src: BasisSector, dst: BasisSector) -> CSR:
     """Q_dst^T L- Q_src from the orbit block of ring filling n to that of
-    n - 1, one hop per site."""
+    n - 1, one hop per site; L- itself between whole ring sectors."""
     i, j = _hop(src, dst, lower_bits=1 << np.arange(src.N, dtype=np.int64))
-    return _csr(dst.dim, j * src.dim + i, np.sqrt(src.size[i] / dst.size[j]), src.dim)
+    vals = np.sqrt(src.size[i] / dst.size[j]) if isinstance(src, OrbitBlock) else np.ones(i.size)
+    return _csr(dst.dim, j * src.dim + i, vals, src.dim)
 
 
 def _transpose(mat: CSR) -> CSR:
@@ -385,22 +395,24 @@ def _gram(mat: CSR) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ring_pieces(N: int, J: float, Jp: float, fillings: range,
-                l_squared: bool = False) -> dict[int, RingPiece]:
+                l_squared: bool = False, orbits: bool = True) -> dict[int, RingPiece]:
     """The :class:`RingPiece` of every ring filling in ``fillings``, made once
-    per run.
+    per run on its dihedral orbit block, or on its whole sector unless ``orbits``.
 
-    Each filling's orbit block is built and labelled once; only it and
-    the block below it are alive at a time. L- commutes with the ring's
+    Each filling's block is built and labelled once; only it and the
+    block below it are alive at a time. L- commutes with the ring's
     rotations and reflections, so it maps the k = 0, reflection-even
-    states of filling n into those of n - 1, and on them
-    L^2 = L+ L- + Lz (Lz - 1) is lowering^T lowering + Lz (Lz - 1): N hops
-    instead of the N (N - 1) of :func:`build_L_squared`.
+    states of filling n into those of n - 1, and on them, as on whole
+    sectors, L^2 = L+ L- + Lz (Lz - 1) is lowering^T lowering + Lz (Lz - 1):
+    N hops instead of the N (N - 1) of :func:`build_L_squared`.
     """
     pieces = {}
     below = None
     first = fillings.start - 1 if l_squared and fillings.start > 0 else fillings.start
     for n in range(first, fillings.stop):
-        block = orbit_block(enumerate_bath_sector(N, n))
+        block = enumerate_bath_sector(N, n)
+        if orbits:
+            block = orbit_block(block)
         if n in fillings:
             dim = block.dim
             diagonal = np.arange(dim) * (dim + 1)
@@ -417,8 +429,8 @@ def ring_pieces(N: int, J: float, Jp: float, fillings: range,
                               else (diagonal[:0], np.zeros(0)))
                 squared = _csr(dim, np.concatenate([keys, diagonal]),
                                np.concatenate([vals, np.full(dim, lz * (lz - 1.0))]))
-            pieces[n] = RingPiece(n_up=n, bits=block.bits, size=block.size, ring=ring,
-                                  diagonal=np.flatnonzero(ring.indices == ring.rows),
+            pieces[n] = RingPiece(n_up=n, bits=block.bits, size=block.size if orbits else None,
+                                  ring=ring, diagonal=np.flatnonzero(ring.indices == ring.rows),
                                   lowering=lowering, raising=raising, l_squared=squared)
         below = block
     return pieces
@@ -454,20 +466,21 @@ def _assemble(dim: int, parts, dense: bool):
     return CSR(indptr.astype(np.int32), indices, data)
 
 
-def star_block_operators(block: StarBlock, pieces: dict[int, RingPiece],
-                         params: ModelParams, names, dense: bool):
-    """The driven star and the observables ``names`` on one star block,
-    from the run's ring pieces.
+def star_block_operators(block: StarBlock, pieces: dict[int, RingPiece], prefactor: float,
+                         omega: float, names, dense: bool):
+    """The star omega Sz + H_ring + prefactor S.L (g: :func:`build_star_hamiltonian`,
+    2 g: :func:`build_modified_star`) and the observables ``names`` on one
+    star block, from the run's ring pieces.
 
-    The Hamiltonian is that of :func:`build_modified_star`, block
-    tridiagonal in the central index: slice c holds H_ring(n_c) plus
-    (omega S_m + 2 g S_m L_m) on its diagonal, and slices c - 1 and c are
-    linked by g sqrt(c (two_S - c + 1)) times the lowering of filling n_c
-    and its transpose. 'L2' is block diagonal, L^2 of each filling, and
-    'Sz', the central S_m, is returned as its diagonal. The Hamiltonian
-    and L^2 come dense when ``dense``, else as CSR.
+    The Hamiltonian is block tridiagonal in the central index: slice c
+    holds H_ring(n_c) plus (omega S_m + prefactor S_m L_m) on its
+    diagonal, and slices c - 1 and c are linked by prefactor / 2
+    sqrt(c (two_S - c + 1)) times the lowering of filling n_c and its
+    transpose. 'L2' is block diagonal, L^2 of each filling; 'Sz', the
+    central S_m, and, on whole sectors, 'ms' are returned as diagonals.
+    The Hamiltonian and L^2 come dense when ``dense``, else as CSR.
     """
-    N, two_S, g = block.N, block.two_S, params.g
+    N, two_S, half = block.N, block.two_S, 0.5 * prefactor
     slices = block.slices
     ham, squared, s_m = [], [], []
     for k, s in enumerate(slices):
@@ -475,16 +488,16 @@ def star_block_operators(block: StarBlock, pieces: dict[int, RingPiece],
         sm = 0.5 * (two_S - 2 * s.central)
         lm = 0.5 * (2 * s.n_up - N)
         ring = piece.ring.data.copy()
-        ring[piece.diagonal] += 2.0 * g * sm * lm + params.omega * sm
+        ring[piece.diagonal] += prefactor * sm * lm + omega * sm
         if k > 0:
             up = piece.raising
             ham.append((s.start, slices[k - 1].start, up,
-                        g * _ladder_weight(two_S, s.central) * up.data))
+                        half * _ladder_weight(two_S, s.central) * up.data))
         ham.append((s.start, s.start, piece.ring, ring))
         if k + 1 < len(slices):
             down = pieces[slices[k + 1].n_up].lowering
             ham.append((s.start, slices[k + 1].start, down,
-                        g * _ladder_weight(two_S, slices[k + 1].central) * down.data))
+                        half * _ladder_weight(two_S, slices[k + 1].central) * down.data))
         if "L2" in names:
             squared.append((s.start, s.start, piece.l_squared, piece.l_squared.data))
         s_m.append(sm)
@@ -494,8 +507,10 @@ def star_block_operators(block: StarBlock, pieces: dict[int, RingPiece],
             mats.append(np.repeat(s_m, [s.stop - s.start for s in slices]))
         elif name == "L2":
             mats.append(_assemble(block.dim, squared, dense))
+        elif name == "ms" and block.size is None:
+            mats.append(_staggered(N, block.bits))
         else:
-            raise ParameterError(f"observable {name!r} has no star-block form")
+            raise ParameterError(f"observable {name!r} has no form on {block.tag}")
     return _assemble(block.dim, ham, dense), mats
 
 

@@ -5,12 +5,13 @@ alternating (antiferromagnetic) product state, symmetric Dicke states,
 and the spin coherent state that superposes all Dicke states of the
 maximal multiplet. The central spin starts either polarized or in an
 equal-weight superposition of its levels; :func:`star_state` places
-central levels times ring states into the star's magnetization sectors.
-The driven run's state, a polarized centre times the coherent ring, is
-written straight onto the dihedral orbit blocks of those sectors by
-:func:`coherent_block_state`, each block made from the orbit blocks of
-its ring fillings (:func:`core.star_block`), so the full sectors are
-never enumerated.
+central levels times ring states into the star's magnetization sectors,
+the full-sector reference of the two quench runs. Each run writes its
+state straight onto star blocks made from the blocks of their ring
+fillings (:func:`core.star_block`), so no star sector is enumerated:
+the driven run's polarized centre times the coherent ring on dihedral
+orbit blocks (:func:`coherent_block_state`), the quench's centre times
+the alternating ring on whole sectors (:func:`neel_block_state`).
 
 The sub-ground eigenstates of the isotropic star are assembled in
 closed form: a string of coefficients couples the central levels to
@@ -41,6 +42,11 @@ from .operators import _hop, apply_bath_lowering
 from . import spectrum
 
 
+def _neel_bits(N: int) -> int:
+    """Ring bits of the alternating state: site 1 down, every even site up."""
+    return sum(1 << a for a in range(1, N, 2))
+
+
 def neel_state(N: int) -> StateVector:
     """Alternating product state, site 1 down: |down up down up ...>.
 
@@ -48,10 +54,25 @@ def neel_state(N: int) -> StateVector:
     magnetization exactly +1/2.
     """
     sector = enumerate_bath_sector(N, N // 2)
-    bits = sum(1 << a for a in range(1, N, 2))
     amps = np.zeros(sector.dim, dtype=np.complex128)
-    amps[sector.index_of(0, bits)] = 1.0
+    amps[sector.index_of(0, _neel_bits(N))] = 1.0
     return StateVector.single(sector, amps, renormalize=False)
+
+
+def neel_block_state(N: int, two_S: int, central: np.ndarray, rings) -> StateVector:
+    """sum_c central[c] |c> x (alternating ring) on whole star sectors, each
+    a :class:`core.StarBlock` made from ``rings[n]``, the whole-sector
+    :class:`operators.RingPiece` of every filling n. Blocks come in
+    ascending c, the order :func:`star_state` gives the full-sector state.
+    """
+    at = int(np.searchsorted(rings[N // 2].bits, _neel_bits(N)))
+    blocks = []
+    for c in np.flatnonzero(central).tolist():
+        block = star_block(N, two_S, two_S - 2 * c, rings)
+        amps = np.zeros(block.dim, dtype=np.complex128)
+        amps[next(s.start for s in block.slices if s.central == c) + at] = central[c]
+        blocks.append((block, amps))
+    return StateVector.from_blocks(blocks, renormalize=False)
 
 
 def central_initial(two_S: int, kind: str) -> np.ndarray:
@@ -121,14 +142,6 @@ def spin_coherent(N: int, theta: float, phi: float) -> StateVector:
     return StateVector.from_blocks(blocks, renormalize=False)
 
 
-def coherent_fillings(N: int, two_S: int, theta: float, phi: float) -> range:
-    """The ring fillings that the star blocks of |S_m = S> x (coherent ring)
-    hold: from the least n with a Dicke weight Q_n to the largest plus 2S,
-    at most N. Central index c of the block of weight Q_n has n + c spins up."""
-    occupied = np.flatnonzero(coherent_coefficients(N, theta, phi))
-    return range(int(occupied[0]), min(int(occupied[-1]) + two_S, N) + 1)
-
-
 def coherent_block_state(N: int, two_S: int, theta: float, phi: float,
                          rings) -> StateVector:
     """|S_m = S> x (coherent ring) written on dihedral orbit blocks.
@@ -139,7 +152,7 @@ def coherent_block_state(N: int, two_S: int, theta: float, phi: float,
     orbits of central index 0, the first slice of the block, and zero
     elsewhere. Each block is a :class:`core.StarBlock` made from
     ``rings[n]``, the ring orbit block (or :class:`operators.RingPiece`) of
-    every filling n in :func:`coherent_fillings`. Blocks come in ascending
+    every filling n the block holds. Blocks come in ascending
     n, the order :func:`star_state` gives the full-sector state.
     """
     Q = coherent_coefficients(N, theta, phi)

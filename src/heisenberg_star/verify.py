@@ -184,11 +184,10 @@ def _coherent_k0_check() -> CheckResult:
     got, _ = coherent_experiment(params, theta, phi, t_abs * params.g, ("Sz", "L2"))
     got["Sz"] *= params.S
     state = star_state(params.two_S, [(0, 1.0, spin_coherent(params.N, theta, phi))])
-    hams = [build_modified_star(s, params) for s in state.sectors]
-    obs = {"Sz": [build_zeeman(s, 1.0) for s in state.sectors],
-           "L2": [build_L_squared(s) for s in state.sectors]}
-    want, _ = run_observables(hams, state, t_abs, obs)
-    worst = max(float(np.max(np.abs(got[k] - want[k]))) for k in obs)
+    hams = [build_modified_star(s, params).matrix for s in state.sectors]
+    obs = [[build_zeeman(s, 1.0).matrix, build_L_squared(s).matrix] for s in state.sectors]
+    want, _ = run_observables(lambda i, dense: (hams[i], obs[i]), state, t_abs, ["Sz", "L2"])
+    worst = max(float(np.max(np.abs(got[k] - want[k]))) for k in want)
     return _check("coherent-k0-vs-full N=8", worst <= 1e-10,
                   f"max Sz/L2 deviation {worst:.2e}")
 

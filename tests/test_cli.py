@@ -237,6 +237,14 @@ class TestNeel:
                         "--samples", 3, "--out", out, *flags]) == 0
             assert f"with_sz = {want}" in read(tmp_path / "q.csv.meta").splitlines()
 
+    def test_meta_records_the_largest_block(self, tmp_path):
+        out = tmp_path / "q.csv"
+        assert run(["neel", "--n", 4, "--two-s", 1, "--central", "uniform", "--tmax", 1,
+                    "--samples", 3, "--out", out]) == 0
+        # the sectors 2m = +-1 each hold C(4, 2) + C(4, 3) states
+        meta = read(tmp_path / "q.csv.meta").splitlines()
+        assert "block_dim_max = 10" in meta and "spectral_blocks = 2" in meta
+
     def test_series_depends_on_j_over_gt_only(self, tmp_path):
         # on a gt t grid H / gt = (J / gt) H_ring + S.L / sqrt(N), so the
         # command runs at gt = 1 and takes no --gt

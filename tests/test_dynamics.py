@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from heisenberg_star import dynamics, operators as ops
+from heisenberg_star import core, dynamics, operators as ops
 from heisenberg_star.core import (
     StateVector,
     enumerate_bath_sector,
@@ -32,11 +32,10 @@ from heisenberg_star.dynamics import (
     neel_experiment,
     run_observables,
 )
-from heisenberg_star.errors import ParameterError, StarError
+from heisenberg_star.errors import ParameterError, SectorCapacityError, StarError
 from heisenberg_star.states import (
     central_initial,
     coherent_block_state,
-    coherent_fillings,
     dicke_state,
     neel_state,
     star_state,
@@ -72,13 +71,16 @@ def _evolve_all(hams, st, grid):
 
 
 def _observe_all(hams, st, grid):
-    sz = [ops.build_zeeman(sector, 1.0) for sector in st.sectors]
-    return run_observables(hams, st, grid, {"Sz": sz})
+    sz = [ops.build_zeeman(sector, 1.0).matrix for sector in st.sectors]
+    return run_observables(lambda i, dense: (hams[i].matrix, [sz[i]]), st, grid, ["Sz"])
 
 
 # both public entry points into the propagator
 propagators = pytest.mark.parametrize(
     "propagate", [_evolve_all, _observe_all], ids=["evolve", "run_observables"])
+# run_observables takes each block's operators from a function, so only
+# evolve pairs a list of block operators with the blocks of a state
+pairing = pytest.mark.parametrize("propagate", [_evolve_all], ids=["evolve"])
 
 
 class TestEvolve:
@@ -186,7 +188,7 @@ class TestEvolve:
         with pytest.raises(ParameterError):
             propagate([H], st, [1.0, 1.0])
 
-    @propagators
+    @pairing
     def test_block_operator_mismatch(self, propagate):
         params = make_params(4, 1, J=1.0, g=1.0)
         a = enumerate_sector(4, 1, 1)
@@ -196,7 +198,7 @@ class TestEvolve:
         with pytest.raises(StarError):
             propagate([Ha], st, [0.0, 1.0])
 
-    @propagators
+    @pairing
     def test_swapped_hamiltonians_of_equal_dimension(self, propagate):
         # the two blocks have the same dimension, so only the tags tell
         # that each Hamiltonian sits on the other's block
@@ -259,7 +261,7 @@ def test_spectral_chunks_hold_at_most_the_entry_budget(monkeypatch):
 
 def test_chunk_budget_keeps_a_driven_n14_grid_whole():
     # the N = 14 driven run: 201 grid times on orbit blocks of at most 259 states
-    pieces = ops.ring_pieces(14, 1.0, 1.0, coherent_fillings(14, 1, 1.0, 0.5))
+    pieces = ops.ring_pieces(14, 1.0, 1.0, range(15))
     blocks = coherent_block_state(14, 1, 1.0, 0.5, pieces).sectors
     assert max(b.dim for b in blocks) == 259
     assert dynamics.CHUNK_ENTRIES // 259 >= 201
@@ -273,7 +275,8 @@ class TestRunObservables:
         Sz = ops.build_zeeman(sec, 1.0)
         st = random_state(sec, 12)
         grid = np.linspace(0.0, 5.0, 7)
-        totals, diag = run_observables([H], st, grid, {"Sz": [Sz]})
+        totals, diag = run_observables(lambda i, dense: (H.matrix, [Sz.matrix]), st, grid,
+                                       ["Sz"])
         want = [
             ops.expectation(Sz, out) for out in evolve([H], st, grid)
         ]
@@ -298,9 +301,9 @@ def test_series_check_the_grid_before_building(experiment, monkeypatch):
         built.append(args)
         raise AssertionError("built before the grid was checked")
 
-    for name in ("neel_state", "central_initial", "coherent_block_state", "star_state",
-                 "build_star_hamiltonian", "coherent_fillings", "ring_pieces",
-                 "star_block_operators", "_observable"):
+    for name in ("central_initial", "neel_block_state", "coherent_block_state",
+                 "coherent_coefficients", "sector_layout", "ring_pieces",
+                 "star_block_operators"):
         monkeypatch.setattr(dynamics, name, builder)
     params = make_params(6, 1, J=1.0, g=1.0)
     with pytest.raises(ParameterError, match="increasing"):
@@ -311,18 +314,28 @@ def test_series_check_the_grid_before_building(experiment, monkeypatch):
     assert built == []
 
 
-def neel_star_run(params, central_kind, t_abs):
-    """The alternating-state quench built by hand: 'ms' on absolute times.
+FULL_SECTOR_OBSERVABLES = {"Sz": lambda s: ops.build_zeeman(s, 1.0),
+                           "ms": ops.build_staggered, "L2": ops.build_L_squared}
 
-    Same state, Hamiltonian and observable as neel_experiment, but it
-    also runs at g = 0, where the experiment has no reduced time axis.
+
+def neel_star_run(params, central_kind, t_abs, names=("ms",)):
+    """The alternating-state quench built by hand on absolute times.
+
+    Same state, Hamiltonian and observables as neel_experiment, from the
+    full-sector reference: the state placed by star_state, the operators
+    made by the hop builders on the enumerated sectors. It also runs at
+    g = 0, where the experiment has no reduced time axis.
     """
     central = central_initial(params.two_S, central_kind)
     state = star_state(params.two_S,
                        [(c, amp, neel_state(params.N)) for c, amp in enumerate(central)])
-    hams = [ops.build_star_hamiltonian(s, params) for s in state.sectors]
-    stag = [ops.build_staggered(s) for s in state.sectors]
-    return run_observables(hams, state, t_abs, {"ms": stag})
+
+    def full_sector(i, dense):
+        sector = state.sectors[i]
+        return (ops.build_star_hamiltonian(sector, params).matrix,
+                [FULL_SECTOR_OBSERVABLES[name](sector).matrix for name in names])
+
+    return run_observables(full_sector, state, t_abs, names)
 
 
 class TestNeelSeries:
@@ -399,6 +412,49 @@ class TestNeelExperiment:
         params = make_params(6, 1, J=1.0, g=0.0)
         with pytest.raises(ParameterError):
             neel_experiment(params, "polarized", [0.0, 1.0])
+
+    @pytest.mark.parametrize("N,two_S", [(N, two_S) for N in (6, 8, 10, 12)
+                                         for two_S in (1, 2, 3, 4)])
+    def test_matches_the_full_sector_reference(self, N, two_S, monkeypatch):
+        # whole-sector star blocks from ring pieces against the hop builders
+        # on enumerated sectors, on both propagation routes
+        params = make_params(N, two_S, J=0.8, g=1.1)
+        grid = np.linspace(0.0, 3.0, 7)
+        names = ("Sz", "ms", "L2")
+        for cutoff in (dynamics.DENSE_CUTOFF, 0):
+            monkeypatch.setattr(dynamics, "DENSE_CUTOFF", cutoff)
+            for kind in ("polarized", "uniform"):
+                got, meta = neel_experiment(params, kind, grid, names)
+                want, diag = neel_star_run(params, kind, grid / params.gt, names)
+                assert meta["routes"] == diag["routes"]
+                for name in names:
+                    np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12)
+
+    def test_records_the_block_dimensions(self):
+        # two_m = 1 at N = 4: C(4, 2) + C(4, 3) states of the two central levels
+        _, meta = neel_experiment(make_params(4, 1, J=1.0, g=1.0), "polarized", [0.0, 1.0])
+        assert meta["block_dims"] == [10]
+
+    def test_refuses_an_unknown_observable_before_building(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "ring_pieces",
+                            lambda *args, **kwargs: pytest.fail("built before refusing"))
+        params = make_params(6, 1, J=1.0, g=1.0)
+        with pytest.raises(ParameterError, match="'Sx'"):
+            neel_experiment(params, "polarized", [0.0, 1.0], observables=("ms", "Sx"))
+
+
+@pytest.mark.parametrize("experiment", ["neel", "coherent"])
+def test_an_over_cap_sector_is_refused_before_any_ring_piece(experiment, monkeypatch):
+    # at N = 8, 2S = 3 both runs hold the sectors 2m = +-1 of 210 states
+    monkeypatch.setattr(core, "SECTOR_CAPACITY", 150)
+    monkeypatch.setattr(dynamics, "ring_pieces",
+                        lambda *args, **kwargs: pytest.fail("built before refusing"))
+    params = make_params(8, 3, J=1.0, g=1.0)
+    with pytest.raises(SectorCapacityError):
+        if experiment == "neel":
+            neel_experiment(params, "uniform", [0.0, 1.0])
+        else:
+            coherent_experiment(params, math.pi / 2, 0.0, [0.0, 1.0])
 
 
 class TestCoherentExperiment:

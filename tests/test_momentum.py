@@ -6,7 +6,9 @@ site: every ring-symmetric builder emitted on the block equals Q^T M Q,
 is Hermitian, and has one state per bracelet of each central level. So
 do the coherent run's star blocks, assembled from ring pieces, dense and
 CSR: their Hamiltonian, Sz and L^2 equal Q^T M Q of the hop builders on
-the full sector. The coherent state written on the blocks is Q^T v of
+the full sector. The whole-sector star blocks of the alternating-state
+quench hold the enumerated sector's states in its order, and their
+operators equal the builders' on it. The coherent state written on the blocks is Q^T v of
 the full-sector state v, which Q Q^T leaves whole. The k = 0 isometry P
 of translations alone, also built here, is the oracle for the
 translation part. The driven coherent run on orbit blocks, on either
@@ -205,11 +207,13 @@ class TestOrbitBlock:
 @pytest.mark.parametrize("N,two_S", [(N, two_S) for N in (4, 6, 8, 10, 12) for two_S in (1, 2, 3)])
 def test_hamiltonians_reduce_exactly(N, two_S):
     """The assembled Hamiltonians the runs propagate, not only their terms:
-    the builders on orbit blocks, and the coherent run's star blocks made
-    from ring pieces, with their Sz and L^2, dense and CSR."""
+    the builders on orbit blocks, the coherent run's star blocks made from
+    ring pieces, with their Sz and L^2, and the quench's whole-sector star
+    blocks, with their Sz, ms and L^2, dense and CSR."""
     driven = make_params(N, two_S, J=1.1, Jp=0.88, g=0.7, omega=1.05)
     star = make_params(N, two_S, J=0.9, g=1.3)
     pieces = ops.ring_pieces(N, driven.J, driven.Jp, range(N + 1), l_squared=True)
+    whole = ops.ring_pieces(N, star.J, star.Jp, range(N + 1), l_squared=True, orbits=False)
     for sector in sectors(N, two_S):
         block = orbit_block(sector)
         Q = dihedral_isometry(sector, block)
@@ -224,9 +228,9 @@ def test_hamiltonians_reduce_exactly(N, two_S):
                             ops.build_zeeman(sector, 1.0), ops.build_L_squared(sector))]
         assembled = star_block(N, two_S, sector.two_m, pieces)
         dense_H, (dense_Sz, dense_L2) = ops.star_block_operators(
-            assembled, pieces, driven, ["Sz", "L2"], dense=True)
+            assembled, pieces, 2.0 * driven.g, driven.omega, ["Sz", "L2"], dense=True)
         csr_H, (csr_Sz, csr_L2) = ops.star_block_operators(
-            assembled, pieces, driven, ["Sz", "L2"], dense=False)
+            assembled, pieces, 2.0 * driven.g, driven.omega, ["Sz", "L2"], dense=False)
         for mat in (csr_H, csr_L2):
             assert mat.tocsr().has_canonical_format
         np.testing.assert_array_equal(csr_H.toarray(), dense_H)
@@ -235,6 +239,29 @@ def test_hamiltonians_reduce_exactly(N, two_S):
         for got, want in zip((dense_H, np.diag(dense_Sz), dense_L2), wants):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13, sector
+        # the whole sector, state for state: the star Hamiltonian bit for bit
+        assembled = star_block(N, two_S, sector.two_m, whole)
+        assert assembled.tag == sector.tag
+        np.testing.assert_array_equal(assembled.central, sector.central)
+        np.testing.assert_array_equal(assembled.bits, sector.bits)
+        names = ["Sz", "ms", "L2"]
+        want_H = ops.build_star_hamiltonian(sector, star).matrix
+        dense_H, dense_obs = ops.star_block_operators(assembled, whole, star.g, 0.0, names,
+                                                      dense=True)
+        csr_H, csr_obs = ops.star_block_operators(assembled, whole, star.g, 0.0, names,
+                                                  dense=False)
+        assert csr_H.tocsr().has_canonical_format
+        np.testing.assert_array_equal(dense_H, want_H.toarray())
+        np.testing.assert_array_equal(csr_H.toarray(), want_H.toarray())
+        assert (csr_H.tocsr() != want_H.tocsr()).nnz == 0
+        np.testing.assert_array_equal(csr_obs[2].toarray(), dense_obs[2])
+        np.testing.assert_array_equal(csr_obs[:2], dense_obs[:2])
+        wants = [op.matrix.toarray() for op in (ops.build_zeeman(sector, 1.0),
+                                                ops.build_staggered(sector),
+                                                ops.build_L_squared(sector))]
+        np.testing.assert_array_equal(np.diag(dense_obs[0]), wants[0])
+        np.testing.assert_array_equal(np.diag(dense_obs[1]), wants[1])
+        assert np.abs(dense_obs[2] - wants[2]).max() <= 1e-13, sector
 
 
 @pytest.mark.parametrize("N", range(2, 17, 2))
