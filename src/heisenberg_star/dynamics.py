@@ -1,17 +1,20 @@
 """Real-time propagation and the two quench experiments.
 
 Total magnetization is conserved, so a multi-sector initial state never
-mixes blocks and each block carries its own Hamiltonian. Blocks of at
-most DENSE_CUTOFF states take the spectral route: one dense numpy
-``eigh`` H = U E U^H per block gives the state at every grid time
-exactly, v(t) = U (e^{-iEt} U^H v0), with no substeps and no tolerance,
-and the observables and the energy are dense products too. Larger
-blocks take the Krylov route on scipy CSR matrices, the only part of
-this module that imports scipy: short-iterate Lanczos exponentiation
-that builds a basis of at most KRYLOV_DIM vectors per step,
-exponentiates the projected tridiagonal, and halves the substep whenever
-the a posteriori error estimate misses KRYLOV_TOL. Both settings are
-fixed module constants.
+mixes blocks and each block carries its own Hamiltonian. Both routes
+write the state a time tau after a basis start v as B (e^{-iE tau} c)
+and run one loop over the grid. Blocks of at most DENSE_CUTOFF states
+take the spectral route: one dense numpy ``eigh`` H = U E U^H per block
+(B = U, c = U^H v) gives every grid time exactly, with no substeps and
+no tolerance, and the observables and the energy are dense products
+too. Larger blocks take the Krylov route on scipy CSR matrices, the only
+part of this module that imports scipy: one Lanczos basis of at most
+KRYLOV_DIM vectors and the ``eigh`` of its tridiagonal serve every
+following grid time whose a posteriori error estimate is at most
+KRYLOV_TOL (Park and Light 1986, Hochbruck and Lubich 1997); the next
+basis starts from the last state yielded, and a grid gap that no basis
+covers is crossed by halved substeps. Both settings are fixed module
+constants.
 
 The two experiments mirror the figures this package reproduces: the
 alternating-state quench watched through the staggered magnetization
@@ -40,7 +43,7 @@ import numpy as np
 
 from .core import ModelParams, StateVector, sector_layout
 from .errors import ConvergenceError, ParameterError
-from .operators import _check_pairing, ring_pieces, star_block_operators
+from .operators import CSR, _check_pairing, ring_pieces, star_block_operators
 from .states import (
     central_initial,
     coherent_block_state,
@@ -51,85 +54,14 @@ from .states import (
 # Blocks of at most this many states take the spectral route
 DENSE_CUTOFF = 1024
 
-# Krylov basis size and per-step error tolerance of the propagator
+# Krylov basis size, and the error tolerance of each grid time taken from
+# a basis (30: the fewest vectors with at most 2 products per grid time)
 KRYLOV_DIM = 30
 KRYLOV_TOL = 1e-9
 
-# Entries (states x grid times) in one chunk of the spectral route, so a
+# Entries (states x grid times) in one chunk of propagated states, so a
 # chunk's complex temporaries take 1 MB each whatever the block size
 CHUNK_ENTRIES = 1 << 16
-
-
-def _expm_krylov(mat, v, tau, m, tol):
-    """One Lanczos-exponential application exp(-i tau H) v.
-
-    Returns (w, err, ok). ``err`` is the standard a posteriori estimate
-    beta_0 * b_p * |u_p|; ok is False when the basis filled up without
-    meeting ``tol`` (the caller then shrinks tau). A vanishing next
-    beta means the Krylov space is invariant and the result exact.
-    """
-    beta0 = float(np.linalg.norm(v))
-    if beta0 == 0.0:
-        return v.copy(), 0.0, True
-    n = v.size
-    m_eff = min(m, n)
-    V = np.empty((m_eff, n), dtype=np.complex128)
-    alphas: list[float] = []
-    betas: list[float] = []
-    V[0] = v / beta0
-    scale = 1.0
-    for j in range(m_eff):
-        w = mat @ V[j]
-        a = float(np.vdot(V[j], w).real)
-        scale = max(scale, abs(a))
-        alphas.append(a)
-        w -= a * V[j]
-        if j > 0:
-            w -= betas[j - 1] * V[j - 1]
-        w -= V[:j + 1].T @ (V[:j + 1].conj() @ w)
-        b = float(np.linalg.norm(w))
-        u = _expm_tridiag(alphas, betas, tau)
-        err = beta0 * b * abs(u[-1])
-        if b <= 1e-14 * scale:
-            return beta0 * (u @ V[:j + 1]), 0.0, True
-        if err <= tol:
-            return beta0 * (u @ V[:j + 1]), err, True
-        if j + 1 < m_eff:
-            betas.append(b)
-            V[j + 1] = w / b
-    return beta0 * (u @ V[:m_eff]), err, False
-
-
-def _expm_tridiag(alphas, betas, tau):
-    """First column of exp(-i tau T) for the Lanczos tridiagonal T."""
-    off = betas[:len(alphas) - 1]
-    evals, evecs = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
-    return evecs @ (np.exp(-1j * tau * evals) * evecs[0, :])
-
-
-def _step_block(mat, v, dt):
-    """Advance one block by dt, substepping adaptively."""
-    if dt == 0.0:
-        return v.copy()
-    remaining = float(dt)
-    tau = remaining
-    guard = 0
-    while remaining > 1e-14 * abs(dt):
-        tau = min(tau, remaining)
-        w, err, ok = _expm_krylov(mat, v, tau, KRYLOV_DIM, KRYLOV_TOL)
-        if not ok:
-            tau *= 0.5
-            guard += 1
-            if guard > 60:
-                raise ConvergenceError(
-                    f"substep collapsed below {tau:.3e} without meeting"
-                    f" tol={KRYLOV_TOL}", residual=err)
-            continue
-        v = w
-        remaining -= tau
-        if err < 0.01 * KRYLOV_TOL:
-            tau *= 2.0
-    return v
 
 
 def _time_grid(t_grid) -> list[float]:
@@ -151,16 +83,16 @@ def _route(dim: int) -> str:
     return "spectral" if dim <= DENSE_CUTOFF else "krylov"
 
 
-def _block_matrix(mat):
-    """A block's Hamiltonian as its route takes it: a dense numpy array on
+def _block_matrix(mat, route: str):
+    """A block's Hamiltonian as ``route`` takes it: a dense numpy array on
     the spectral route; on the Krylov route a scipy CSR with complex
-    entries, which halve the cost of a product with a complex vector. A
-    numpy array is taken as given."""
+    entries, which halve the cost of a product with a complex vector, on
+    the given index arrays. A numpy array is taken as given."""
     if isinstance(mat, np.ndarray):
         return mat
-    if _route(mat.shape[0]) == "spectral":
+    if route == "spectral":
         return mat.toarray()
-    return mat.tocsr().astype(np.complex128)
+    return CSR(mat.indptr, mat.indices, mat.data.astype(np.complex128)).tocsr()
 
 
 def _observable_matrix(mat):
@@ -182,35 +114,100 @@ def _product(A, X):
     return (A @ X.view(np.float64)).view(np.complex128)
 
 
-def _trajectory(H, v, t_grid):
+def _basis(H, v, route: str):
+    """(B, S, E, c, tail): the block's state a time tau after ``v`` is
+    B S (e^{-iE tau} c), with the error estimate |tail . (e^{-iE tau} c)|.
+
+    The spectral route diagonalizes H = U E U^H: B = U, S is None,
+    c = U^H v, and every tau is exact. The Krylov route builds the
+    Lanczos basis V of at most KRYLOV_DIM vectors from v = beta_0 V[0],
+    each new vector reorthogonalized against all earlier ones, and
+    diagonalizes its tridiagonal T = S E S^T: B = V^T, c = beta_0 S[0]
+    and tail = beta_m S[-1], so the estimate is beta_0 beta_m |u_m(tau)|
+    with u(tau) = exp(-i tau T) e_0 (Hochbruck and Lubich 1997). tail is 0
+    on the spectral route and when the basis spans an invariant space.
+    """
+    if route == "spectral":
+        energies, U = np.linalg.eigh(H)
+        return U, None, energies, U.conj().T @ v, np.zeros(energies.size)
+    beta0 = float(np.linalg.norm(v))
+    V = np.empty((min(KRYLOV_DIM, v.size), v.size), dtype=np.complex128)
+    V[0] = v / beta0 if beta0 else v
+    alphas, betas = [], []
+    for j in range(V.shape[0]):
+        w = H @ V[j]
+        alphas.append(float(np.vdot(V[j], w).real))
+        w -= alphas[j] * V[j]
+        if j:
+            w -= betas[j - 1] * V[j - 1]
+        w -= V[:j + 1].T @ np.conj(V[:j + 1] @ np.conj(w))  # conjugates w, not a copy of V
+        betas.append(float(np.linalg.norm(w)))
+        if betas[j] <= 1e-14 * max(1.0, max(map(abs, alphas))):
+            betas[j] = 0.0  # breakdown: the basis spans an invariant space
+            break
+        if j + 1 < V.shape[0]:
+            V[j + 1] = w / betas[j]
+    m = len(alphas)
+    off = betas[:m - 1]
+    energies, S = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
+    return V[:m].T, S, energies, beta0 * S[0], betas[-1] * S[-1]
+
+
+def _phases(energies, c, taus):
+    """e^{-i E tau} c for each tau, one column per tau."""
+    angles = np.outer(energies, taus)
+    phases = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=phases.real)
+    np.sin(np.negative(angles, out=angles), out=phases.imag)
+    phases *= c[:, None]
+    return phases
+
+
+def _trajectory(H, v, t_grid, route: str):
     """Yield one block's states at the grid times, starting from t = 0.
 
-    ``H`` is the block's Hamiltonian as :func:`_block_matrix` gives it.
-    Each item is a dim x k array whose columns are the states at k
-    consecutive grid times. The spectral route yields chunks of at most
-    CHUNK_ENTRIES entries (at least one time each); the Krylov route one
-    time at a time.
+    ``H`` is the block's Hamiltonian as :func:`_block_matrix` gives it for
+    ``route``. Each item is a dim x k array whose columns are the states
+    at k consecutive grid times, at most CHUNK_ENTRIES entries (at least
+    one time). Both routes run one loop: a :func:`_basis` yields every
+    following grid time whose error estimate is at most KRYLOV_TOL (on
+    the spectral route, all of them), chunk after chunk, and the next
+    basis starts from the last state yielded. When not even the next grid
+    time is covered, the substep towards it is halved on the same basis
+    until it is, and the next basis starts there; ConvergenceError when
+    the substep falls below the resolution of that grid time.
     """
-    if _route(H.shape[0]) == "spectral":
-        energies, U = np.linalg.eigh(H)
-        c = U.conj().T @ v
-        t_grid = np.asarray(t_grid, dtype=float)
-        times = max(1, CHUNK_ENTRIES // energies.size)
-        for start in range(0, t_grid.size, times):
-            angles = np.outer(energies, t_grid[start:start + times])
-            phases = np.empty(angles.shape, dtype=complex)  # exp(-i angles)
-            np.cos(angles, out=phases.real)
-            np.sin(np.negative(angles, out=angles), out=phases.imag)
-            phases *= c[:, None]
-            yield _product(U, phases)
-        return
-    t_prev = 0.0
-    for t in t_grid:
-        dt = t - t_prev
-        if dt > 0.0:
-            v = _step_block(H, v, dt)
-            t_prev = t
-        yield v[:, None]
+    t_grid = np.asarray(t_grid, dtype=float)
+    times = max(1, CHUNK_ENTRIES // v.size)
+    t0, start = 0.0, 0
+    while start < t_grid.size:
+        B, S, energies, c, tail = _basis(H, v, route)
+        while start < t_grid.size:
+            phases = _phases(energies, c, t_grid[start:start + times] - t0)
+            err = np.abs(tail @ phases)
+            covered = err <= KRYLOV_TOL
+            k = covered.size if covered.all() else int(covered.argmin())
+            if k == 0:
+                break
+            states = _product(B, phases[:, :k] if S is None else S @ phases[:, :k])
+            yield states
+            start += k
+            if k < covered.size:
+                break
+        if k:  # the next basis starts from the last state yielded
+            v, t0 = states[:, -1], t_grid[start - 1]
+        else:  # or where a halved substep towards the next grid time ends
+            tau = t_grid[start] - t0
+            while not err[0] <= KRYLOV_TOL:
+                tau *= 0.5
+                if t_grid[start] - tau == t_grid[start]:
+                    raise ConvergenceError(f"substep collapsed to {tau:.3e} before t ="
+                                           f" {t_grid[start]:.6g} at tol={KRYLOV_TOL}",
+                                           residual=float(err[0]))
+                phases = _phases(energies, c, [tau])
+                err = np.abs(tail @ phases)
+            v, t0 = (B @ (S @ phases))[:, 0], t0 + tau
+        del B  # the next basis is built without this one alive
 
 
 def _column_dots(a, b):
@@ -224,15 +221,16 @@ def evolve(hams, state: StateVector, t_grid):
     ``hams`` supplies one Hermitian block operator per occupied sector,
     in the same order as ``state.sectors``. The grid must be
     nonnegative and strictly increasing; a leading 0.0 returns the
-    initial state unchanged. States are yielded one at a time, and a
+    initial state, to rounding. States are yielded one at a time, and a
     block holds at most a chunk of CHUNK_ENTRIES entries of them, so
     long trajectories never sit in memory at once.
     """
     hams = list(hams)
     _check_pairing(hams, state)
     t_grid = _time_grid(t_grid)
-    paths = [(col for chunk in _trajectory(_block_matrix(op.matrix), state.block(i), t_grid)
-              for col in chunk.T) for i, op in enumerate(hams)]
+    routes = [_route(op.dim) for op in hams]
+    paths = [(col for chunk in _trajectory(_block_matrix(op.matrix, r), state.block(i), t_grid, r)
+              for col in chunk.T) for i, (op, r) in enumerate(zip(hams, routes))]
     for blocks in zip(*paths):
         yield StateVector(sectors=state.sectors, amps=np.concatenate(blocks),
                           offsets=state.offsets)
@@ -262,11 +260,11 @@ def run_observables(hams, state: StateVector, t_grid, observables, threads: int 
     def work(i):
         """Rows of observable values, then norms and energies, of block i."""
         H, mats = hams(i, routes[i] == "spectral")
-        H = _block_matrix(H)
+        H = _block_matrix(H, routes[i])
         mats = [_observable_matrix(m) for m in mats]
         rows = np.zeros((len(mats) + 2, n_t))
         k = 0
-        for chunk in _trajectory(H, state.block(i), t_grid):
+        for chunk in _trajectory(H, state.block(i), t_grid, routes[i]):
             cols = slice(k, k + chunk.shape[1])
             for j, om in enumerate(mats):
                 rows[j, cols] = _column_dots(chunk, _product(om, chunk))

@@ -17,8 +17,9 @@ import numpy as np
 from .core import make_params
 from .errors import ParameterError
 from .dynamics import (
+    _block_matrix,
     _route,
-    _step_block,
+    _trajectory,
     coherent_experiment,
     evolve,
     run_observables,
@@ -143,21 +144,19 @@ def suite_dynamics_oracle(N: int = 6) -> list[CheckResult]:
     state = star_state(params.two_S, [(c, amp, neel_state(N)) for c, amp in enumerate(central)])
     hams = [build_star_hamiltonian(s, params) for s in state.sectors]
     t_grid = np.linspace(0.0, 20.0, 21)[1:] / params.gt
-    # evolve takes each block's own route; _step_block is the Krylov stepper
-    krylov = [state.block(i) for i in range(state.n_blocks)]
+    # evolve takes each block's own route; _trajectory is given the Krylov route
+    krylov = [np.hstack(list(_trajectory(_block_matrix(h.matrix, "krylov"), state.block(i),
+                                         t_grid, "krylov"))) for i, h in enumerate(hams)]
     worst_evolve = worst_krylov = 0.0
-    t_prev = 0.0
-    for t, st in zip(t_grid, evolve(hams, state, t_grid)):
+    for k, (t, st) in enumerate(zip(t_grid, evolve(hams, state, t_grid))):
         for i, h in enumerate(hams):
             dense = scipy.linalg.expm(-1j * t * h.matrix.toarray()) @ state.block(i)
-            krylov[i] = _step_block(h.matrix, krylov[i], t - t_prev)
             worst_evolve = max(worst_evolve, float(np.max(np.abs(dense - st.block(i)))))
-            worst_krylov = max(worst_krylov, float(np.max(np.abs(dense - krylov[i]))))
-        t_prev = t
+            worst_krylov = max(worst_krylov, float(np.max(np.abs(dense - krylov[i][:, k]))))
     routes = "/".join(sorted({_route(h.dim) for h in hams}))
     out.append(_check(f"krylov-vs-dense N={N}", max(worst_evolve, worst_krylov) <= 1e-9,
                       f"max amplitude deviation: evolve ({routes}) {worst_evolve:.2e},"
-                      f" _step_block (krylov) {worst_krylov:.2e}"))
+                      f" _trajectory (krylov) {worst_krylov:.2e}"))
     psi = spin_coherent(14, 2.0, 0.3)
     res = 0.0
     for i, sector in enumerate(psi.sectors):

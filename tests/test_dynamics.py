@@ -1,11 +1,15 @@
 """Real-time propagation against dense matrix exponentials.
 
 The reference for every propagation test is scipy's dense expm applied
-sector by sector. Blocks up to DENSE_CUTOFF states, the same cutoff the
-ground-state solver uses, take the spectral route (one dense ``eigh``
-per block) and larger blocks the Krylov stepper; every evolve test runs
-on both routes, the Krylov one by setting the cutoff to 0, and must
-match expm to 1e-9 while keeping the norm and energy flat. The two
+sector by sector. Blocks up to DENSE_CUTOFF states take the spectral
+route (one dense ``eigh`` per block) and larger blocks the Krylov route
+(one Lanczos basis for as many grid times as its error estimate
+allows); every evolve test runs on both routes, the Krylov one by
+setting the cutoff to 0, and must match expm to 1e-9 while keeping the
+norm and energy flat. The Krylov route is also pinned on its own: exact
+on a basis that spans the block, at most 2 products per grid time,
+halved substeps when a basis covers no grid time, and ConvergenceError
+when no substep meets the tolerance. The two
 experiments are checked for their stated conventions (time units,
 initial values, conservation laws) rather than re-deriving the
 propagator.
@@ -17,6 +21,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from heisenberg_star import core, dynamics, operators as ops
 from heisenberg_star.core import (
@@ -32,7 +37,12 @@ from heisenberg_star.dynamics import (
     neel_experiment,
     run_observables,
 )
-from heisenberg_star.errors import ParameterError, SectorCapacityError, StarError
+from heisenberg_star.errors import (
+    ConvergenceError,
+    ParameterError,
+    SectorCapacityError,
+    StarError,
+)
 from heisenberg_star.states import (
     central_initial,
     coherent_block_state,
@@ -54,16 +64,22 @@ def dense_propagate(op, amps, t):
 
 
 @pytest.mark.parametrize("m", range(1, 31))
-def test_tridiagonal_exponential_matches_expm(m):
-    # the first column of exp(-i tau T) for a Lanczos tridiagonal of size m
+def test_tridiagonal_exponential_matches_expm(m, monkeypatch):
+    # a Lanczos tridiagonal of size m as the block, with KRYLOV_DIM = m: the
+    # Krylov basis spans the block, so the state is exact at every tau and
+    # the tail of the error estimate vanishes
+    monkeypatch.setattr(dynamics, "KRYLOV_DIM", m)
     rng = np.random.default_rng(m)
-    alphas = list(rng.normal(size=m))
-    betas = list(rng.uniform(0.1, 1.0, size=m))  # one spare, as the stepper passes
-    T = np.diag(alphas) + np.diag(betas[:m - 1], 1) + np.diag(betas[:m - 1], -1)
+    off = rng.uniform(0.1, 1.0, size=m - 1)
+    T = np.diag(rng.normal(size=m)) + np.diag(off, 1) + np.diag(off, -1)
+    v = rng.normal(size=m) + 1j * rng.normal(size=m)
+    v /= np.linalg.norm(v)
+    B, S, energies, c, tail = dynamics._basis(
+        dynamics._block_matrix(scipy.sparse.csr_array(T), "krylov"), v, "krylov")
+    assert np.abs(tail).max() <= 1e-13
     for tau in (0.05, 0.7, 3.0):
-        want = scipy.linalg.expm(-1j * tau * T)[:, 0]
-        got = dynamics._expm_tridiag(alphas, betas, tau)
-        assert np.abs(got - want).max() <= 1e-13
+        got = B @ (S @ (np.exp(-1j * tau * energies) * c))
+        assert np.abs(got - scipy.linalg.expm(-1j * tau * T) @ v).max() <= 1e-13
 
 
 def _evolve_all(hams, st, grid):
@@ -167,15 +183,27 @@ class TestEvolve:
         assert np.linalg.norm(direct.amps - sampled.amps) <= 1e-9
 
     def test_small_krylov_space_still_converges(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "DENSE_CUTOFF", 0)
+        # five vectors cover a few of the closely spaced grid times, across
+        # chunks of two, and none of the 0.15 gaps after them, which are
+        # reached by halved substeps
         monkeypatch.setattr(dynamics, "KRYLOV_DIM", 5)
         params = make_params(6, 1, J=1.0, g=1.0)
         sec = enumerate_sector(6, 1, 1)
+        monkeypatch.setattr(dynamics, "CHUNK_ENTRIES", 2 * sec.dim)
         H = ops.build_star_hamiltonian(sec, params)
         st = random_state(sec, 5)
-        out = list(evolve([H], st, [3.0]))[0]
-        want = dense_propagate(H, st.amps, 3.0)
-        assert np.linalg.norm(out.amps - want) <= 1e-8
+        grid = np.concatenate([np.linspace(0.0, 0.02, 11), np.linspace(0.15, 3.0, 20)])
+        yields = []  # the grid times each basis yielded, in order
+        basis = dynamics._basis
+        monkeypatch.setattr(dynamics, "_basis", lambda *args: yields.append(0) or basis(*args))
+        chunks = []
+        for chunk in dynamics._trajectory(dynamics._block_matrix(H.matrix, "krylov"), st.amps,
+                                          grid, "krylov"):
+            yields[-1] += chunk.shape[1]
+            chunks.append(chunk)
+        assert max(yields) > 2 and yields.count(0) > len(grid)
+        for t, col in zip(grid, np.hstack(chunks).T):
+            assert np.linalg.norm(col - dense_propagate(H, st.amps, t)) <= 1e-8
 
     @propagators
     def test_grid_validation(self, propagate):
@@ -249,14 +277,64 @@ def test_spectral_chunks_hold_at_most_the_entry_budget(monkeypatch):
     st = random_state(sec, 3)
     grid = np.linspace(0.0, 5.0, 100)
     monkeypatch.setattr(dynamics, "CHUNK_ENTRIES", 40 * sec.dim + sec.dim - 1)
-    chunks = list(dynamics._trajectory(dynamics._block_matrix(H.matrix), st.amps, grid))
+    dense = dynamics._block_matrix(H.matrix, "spectral")
+    chunks = list(dynamics._trajectory(dense, st.amps, grid, "spectral"))
     assert [c.shape for c in chunks] == [(sec.dim, 40)] * 2 + [(sec.dim, 20)]
     for t, col in zip(grid, np.hstack(chunks).T):
         assert np.linalg.norm(col - dense_propagate(H, st.amps, t)) <= 1e-9
     # a budget below one state still advances one grid time per chunk
     monkeypatch.setattr(dynamics, "CHUNK_ENTRIES", sec.dim - 1)
-    chunks = list(dynamics._trajectory(dynamics._block_matrix(H.matrix), st.amps, grid[:3]))
+    chunks = list(dynamics._trajectory(dense, st.amps, grid[:3], "spectral"))
     assert [c.shape for c in chunks] == [(sec.dim, 1)] * 3
+
+
+def test_one_krylov_basis_serves_many_grid_times(monkeypatch):
+    # the alternating star block with the centre up, 1716 states at N = 12;
+    # a fresh basis per grid time makes about 7 products for each
+    params = make_params(12, 1, J=0.9, g=1.0)
+    state = star_state(1, [(0, 1.0, neel_state(12))])
+    H = ops.build_star_hamiltonian(state.sectors[0], params)
+    grid = np.linspace(0.0, 10.0, 101) / params.gt
+
+    class Counted:
+        """The block's CSR, counting its products with a vector."""
+        products = 0
+
+        def __init__(self, mat):
+            self.mat = mat
+            self.shape = mat.shape
+
+        def __matmul__(self, x):
+            Counted.products += 1
+            return self.mat @ x
+
+    block_matrix = dynamics._block_matrix
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_block_matrix",
+                      lambda mat, route: Counted(block_matrix(mat, route)))
+        patch.setattr(dynamics, "DENSE_CUTOFF", 0)
+        krylov = [out.amps for out in evolve([H], state, grid)]
+    assert 0 < Counted.products <= 2 * grid.size
+    monkeypatch.setattr(dynamics, "DENSE_CUTOFF", H.dim)
+    for a, out in zip(krylov, evolve([H], state, grid)):
+        assert np.linalg.norm(a - out.amps) <= 1e-9
+
+
+def test_krylov_route_raises_when_no_substep_meets_the_tolerance(monkeypatch):
+    # with a zero tolerance no substep is ever covered: the substep halves
+    # on its one basis until it vanishes, then the run refuses
+    monkeypatch.setattr(dynamics, "KRYLOV_TOL", 0.0)
+    monkeypatch.setattr(dynamics, "DENSE_CUTOFF", 0)
+    params = make_params(8, 1, J=1.0, g=1.0)
+    sec = enumerate_sector(8, 1, 1)
+    assert sec.dim > dynamics.KRYLOV_DIM
+    H = ops.build_star_hamiltonian(sec, params)
+    bases = []
+    basis = dynamics._basis
+    monkeypatch.setattr(dynamics, "_basis", lambda *args: bases.append(1) or basis(*args))
+    with pytest.raises(ConvergenceError, match="substep collapsed") as exc:
+        list(evolve([H], random_state(sec, 2), [1.0]))
+    assert len(bases) == 1 and exc.value.residual > 0.0
 
 
 def test_chunk_budget_keeps_a_driven_n14_grid_whole():
