@@ -42,8 +42,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .core import ModelParams, StateVector, sector_layout
-from .errors import ConvergenceError, ParameterError
-from .operators import CSR, _check_pairing, ring_pieces, star_block_operators
+from .errors import ConvergenceError, ParameterError, SectorMismatch
+from .operators import CSR, ring_pieces, star_block_operators
 from .states import (
     central_initial,
     coherent_block_state,
@@ -65,9 +65,11 @@ CHUNK_ENTRIES = 1 << 16
 
 
 def _time_grid(t_grid) -> list[float]:
-    """The grid as floats; raises ParameterError unless finite,
-    nonnegative and strictly increasing."""
+    """The grid as floats; raises ParameterError unless non-empty,
+    finite, nonnegative and strictly increasing."""
     t_grid = [float(t) for t in t_grid]
+    if not t_grid:
+        raise ParameterError("time grid must be non-empty")
     if not all(math.isfinite(t) for t in t_grid):
         raise ParameterError("time grid must be finite")
     if any(t < 0 for t in t_grid):
@@ -83,25 +85,26 @@ def _route(dim: int) -> str:
     return "spectral" if dim <= DENSE_CUTOFF else "krylov"
 
 
-def _block_matrix(mat, route: str):
-    """A block's Hamiltonian as ``route`` takes it: a dense numpy array on
-    the spectral route; on the Krylov route a scipy CSR with complex
-    entries, which halve the cost of a product with a complex vector, on
-    the given index arrays. A numpy array is taken as given."""
-    if isinstance(mat, np.ndarray):
-        return mat
-    if route == "spectral":
-        return mat.toarray()
-    return CSR(mat.indptr, mat.indices, mat.data.astype(np.complex128)).tocsr()
-
-
-def _observable_matrix(mat):
-    """A block observable as its route takes it: a dense numpy array on the
-    spectral route and a scipy CSR on the same arrays on the Krylov route.
-    A numpy array, dense or a diagonal, is taken as given."""
-    if isinstance(mat, np.ndarray):
-        return mat
-    return mat.toarray() if _route(mat.shape[0]) == "spectral" else mat.tocsr()
+def _prepare(hams, block):
+    """(route, H, observables) of one block from ``hams(block, dense)``,
+    ``dense`` being True on the spectral route: dense numpy arrays there;
+    on the Krylov route the Hamiltonian as a scipy CSR on its index arrays
+    with complex entries, which a complex vector multiplies faster (see
+    the README's numerical notes), and each observable as a scipy CSR on
+    its own arrays. A numpy array, dense or a 1-D diagonal, is taken as
+    given. SectorMismatch when a matrix does not match the block's size."""
+    route = _route(block.dim)
+    dense = route == "spectral"
+    H, observables = hams(block, dense)
+    for mat in [H, *observables]:
+        if tuple(mat.shape) != (block.dim,) * len(mat.shape):
+            raise SectorMismatch(f"shape {tuple(mat.shape)} on {block.tag} of {block.dim} states")
+    if not isinstance(H, np.ndarray):
+        H = H.toarray() if dense else CSR(H.indptr, H.indices,
+                                          H.data.astype(np.complex128)).tocsr()
+    mats = [m if isinstance(m, np.ndarray) else m.toarray() if dense else m.tocsr()
+            for m in observables]
+    return route, H, mats
 
 
 def _product(A, X):
@@ -166,7 +169,7 @@ def _phases(energies, c, taus):
 def _trajectory(H, v, t_grid, route: str):
     """Yield one block's states at the grid times, starting from t = 0.
 
-    ``H`` is the block's Hamiltonian as :func:`_block_matrix` gives it for
+    ``H`` is the block's Hamiltonian as :func:`_prepare` gives it for
     ``route``. Each item is a dim x k array whose columns are the states
     at k consecutive grid times, at most CHUNK_ENTRIES entries (at least
     one time). Both routes run one loop: a :func:`_basis` yields every
@@ -218,19 +221,20 @@ def _column_dots(a, b):
 def evolve(hams, state: StateVector, t_grid):
     """Yield the state at each requested time, starting from t = 0.
 
-    ``hams`` supplies one Hermitian block operator per occupied sector,
-    in the same order as ``state.sectors``. The grid must be
-    nonnegative and strictly increasing; a leading 0.0 returns the
-    initial state, to rounding. States are yielded one at a time, and a
-    block holds at most a chunk of CHUNK_ENTRIES entries of them, so
-    long trajectories never sit in memory at once.
+    ``hams(block, dense)`` makes the Hermitian Hamiltonian of one
+    occupied sector ``block`` of ``state``, as :func:`run_observables`
+    takes it. The grid must be non-empty, nonnegative and strictly
+    increasing; a leading 0.0 returns the initial state, to rounding.
+    States are yielded one at a time, and a block holds at most a chunk
+    of CHUNK_ENTRIES entries of them, so long trajectories never sit in
+    memory at once.
     """
-    hams = list(hams)
-    _check_pairing(hams, state)
     t_grid = _time_grid(t_grid)
-    routes = [_route(op.dim) for op in hams]
-    paths = [(col for chunk in _trajectory(_block_matrix(op.matrix, r), state.block(i), t_grid, r)
-              for col in chunk.T) for i, (op, r) in enumerate(zip(hams, routes))]
+    paths = []
+    for i, block in enumerate(state.sectors):
+        route, H, _ = _prepare(lambda b, dense: (hams(b, dense), []), block)
+        paths.append(col for chunk in _trajectory(H, state.block(i), t_grid, route)
+                     for col in chunk.T)
     for blocks in zip(*paths):
         yield StateVector(sectors=state.sectors, amps=np.concatenate(blocks),
                           offsets=state.offsets)
@@ -239,14 +243,14 @@ def evolve(hams, state: StateVector, t_grid):
 def run_observables(hams, state: StateVector, t_grid, observables, threads: int = 1):
     """Evolve a block state and sample named block-diagonal observables.
 
-    ``hams(i, dense)`` makes the Hamiltonian of block i of ``state`` and
-    the observables that ``observables`` names, in order: numpy arrays
-    when ``dense`` (the block takes the spectral route), else CSR, and a
-    1-D array for an observable that is its diagonal. It is called
-    inside block i's work, so only the blocks being propagated hold
-    their matrices. Blocks are independent, so they may run on a thread
-    pool; the reduction is an ordered sum and the output does not depend
-    on the thread count.
+    ``hams(block, dense)`` makes the Hamiltonian of the occupied sector
+    ``block`` of ``state`` and the observables that ``observables``
+    names, in order: numpy arrays when ``dense`` (the block takes the
+    spectral route), else CSR, and a 1-D array for an observable that is
+    its diagonal. It is called inside that block's work, so only the
+    blocks being propagated hold their matrices. Blocks are independent,
+    so they may run on a thread pool; the reduction is an ordered sum and
+    the output does not depend on the thread count.
 
     Returns (values, diagnostics) where values maps each name to its
     sampled series and diagnostics reports the worst norm and energy
@@ -255,23 +259,21 @@ def run_observables(hams, state: StateVector, t_grid, observables, threads: int 
     names = list(observables)
     t_grid = _time_grid(t_grid)
     n_t = len(t_grid)
-    routes = [_route(sector.dim) for sector in state.sectors]
 
     def work(i):
-        """Rows of observable values, then norms and energies, of block i."""
-        H, mats = hams(i, routes[i] == "spectral")
-        H = _block_matrix(H, routes[i])
-        mats = [_observable_matrix(m) for m in mats]
+        """Block i's route, and its rows of observable values, then norms
+        and energies."""
+        route, H, mats = _prepare(hams, state.sectors[i])
         rows = np.zeros((len(mats) + 2, n_t))
         k = 0
-        for chunk in _trajectory(H, state.block(i), t_grid, routes[i]):
+        for chunk in _trajectory(H, state.block(i), t_grid, route):
             cols = slice(k, k + chunk.shape[1])
             for j, om in enumerate(mats):
                 rows[j, cols] = _column_dots(chunk, _product(om, chunk))
             rows[-2, cols] = _column_dots(chunk, chunk)
             rows[-1, cols] = _column_dots(chunk, _product(H, chunk))
             k = cols.stop
-        return rows
+        return route, rows
 
     indices = range(state.n_blocks)
     if threads > 1:
@@ -281,7 +283,7 @@ def run_observables(hams, state: StateVector, t_grid, observables, threads: int 
         results = [work(i) for i in indices]
 
     totals = np.zeros((len(names) + 2, n_t))
-    for rows in results:
+    for _, rows in results:
         totals += rows
     norm = np.sqrt(totals[-2])
     energy = totals[-1]
@@ -289,7 +291,7 @@ def run_observables(hams, state: StateVector, t_grid, observables, threads: int 
         "norm_drift": float(np.max(np.abs(norm - norm[0]))),
         "energy_drift": float(np.max(np.abs(energy - energy[0]))),
         "norm_min": float(norm.min()),
-        "routes": routes,
+        "routes": [route for route, _ in results],
     }
     return dict(zip(names, totals)), diagnostics
 
@@ -333,8 +335,8 @@ def neel_experiment(params: ModelParams, central_kind: str, t_grid,
     pieces = ring_pieces(N, params.J, params.Jp, fillings, l_squared="L2" in names,
                          orbits=False)
     state = neel_block_state(N, two_S, central, pieces)
-    values, diagnostics = run_observables(lambda i, dense: star_block_operators(
-        state.sectors[i], pieces, params.g, 0.0, names, dense), state, t_abs, names, threads)
+    values, diagnostics = run_observables(lambda block, dense: star_block_operators(
+        block, pieces, params.g, 0.0, names, dense), state, t_abs, names, threads)
     meta = {"time_unit": "gt_collective", "central": central_kind, "params": params,
             **diagnostics, "block_dims": [b.dim for b in state.sectors]}
     return values, meta
@@ -364,9 +366,8 @@ def coherent_experiment(params: ModelParams, theta: float, phi: float, t_grid,
     fillings = _fillings(N, two_S, (two_S + 2 * occupied - N).tolist())
     pieces = ring_pieces(N, params.J, params.Jp, fillings, l_squared="L2" in names)
     state = coherent_block_state(N, two_S, theta, phi, pieces)
-    values, diagnostics = run_observables(lambda i, dense: star_block_operators(
-        state.sectors[i], pieces, 2.0 * params.g, params.omega, names, dense),
-        state, t_abs, names, threads)
+    values, diagnostics = run_observables(lambda block, dense: star_block_operators(
+        block, pieces, 2.0 * params.g, params.omega, names, dense), state, t_abs, names, threads)
     if "Sz" in values:
         values["Sz"] = values["Sz"] / params.S
     meta = {"time_unit": "gt", "theta": theta, "phi": phi, "params": params, **diagnostics,

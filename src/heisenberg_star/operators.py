@@ -29,9 +29,11 @@ against.
 
 Every entry is real, so each operator holds its canonical CSR arrays in
 float64, assembled in numpy (:class:`CSR`). The ring solver multiplies
-by these arrays in numpy at every size; the propagator takes them as a
-dense numpy matrix up to its DENSE_CUTOFF and as a scipy CSR on the same
-arrays above it, and only that conversion imports scipy.
+by these arrays in numpy at every size. The propagator takes a block up
+to its DENSE_CUTOFF as a dense numpy matrix; above it, each observable
+as a scipy CSR on the same arrays, and the Hamiltonian as a scipy CSR on
+the same index arrays with its entries copied as complex, which makes a
+product with a complex vector faster. Only that conversion imports scipy.
 
 Matrix elements follow the usual spin ladder weights. For the central
 spin with ``S_m = S - c``:
@@ -531,17 +533,6 @@ def expectation(op: SparseOperator, state: StateVector) -> float:
     if sector.tag != op.tag:
         raise SectorMismatch(f"operator on {op.tag}, state on {sector.tag}")
     return float(np.vdot(amps, op.matrix @ amps).real)
-
-
-def _check_pairing(ops, state: StateVector) -> None:
-    """Raise SectorMismatch unless ``ops`` holds one block operator per
-    occupied sector of ``state``, in the same order."""
-    if len(ops) != state.n_blocks:
-        raise SectorMismatch(f"{len(ops)} operators for {state.n_blocks} occupied sectors")
-    for i, (op, sector) in enumerate(zip(ops, state.sectors)):
-        if op.sector.tag != sector.tag:
-            raise SectorMismatch(
-                f"block {i}: operator on {op.sector.tag}, state on {sector.tag}")
 
 
 def apply_bath_lowering(sector: BasisSector, amps: np.ndarray,

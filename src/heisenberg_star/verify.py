@@ -17,7 +17,6 @@ import numpy as np
 from .core import make_params
 from .errors import ParameterError
 from .dynamics import (
-    _block_matrix,
     _route,
     _trajectory,
     coherent_experiment,
@@ -142,18 +141,20 @@ def suite_dynamics_oracle(N: int = 6) -> list[CheckResult]:
     params = make_params(N, 2, J=0.8, g=1.0)
     central = central_initial(params.two_S, "uniform")
     state = star_state(params.two_S, [(c, amp, neel_state(N)) for c, amp in enumerate(central)])
-    hams = [build_star_hamiltonian(s, params) for s in state.sectors]
+    mats = [build_star_hamiltonian(s, params).matrix for s in state.sectors]
     t_grid = np.linspace(0.0, 20.0, 21)[1:] / params.gt
-    # evolve takes each block's own route; _trajectory is given the Krylov route
-    krylov = [np.hstack(list(_trajectory(_block_matrix(h.matrix, "krylov"), state.block(i),
-                                         t_grid, "krylov"))) for i, h in enumerate(hams)]
+    # evolve takes each block's own route; _trajectory the Krylov route's complex CSR
+    krylov = [np.hstack(list(_trajectory(m.tocsr().astype(np.complex128), state.block(i),
+                                         t_grid, "krylov"))) for i, m in enumerate(mats)]
+    states = evolve(lambda block, dense: build_star_hamiltonian(block, params).matrix,
+                    state, t_grid)
     worst_evolve = worst_krylov = 0.0
-    for k, (t, st) in enumerate(zip(t_grid, evolve(hams, state, t_grid))):
-        for i, h in enumerate(hams):
-            dense = scipy.linalg.expm(-1j * t * h.matrix.toarray()) @ state.block(i)
+    for k, (t, st) in enumerate(zip(t_grid, states)):
+        for i, m in enumerate(mats):
+            dense = scipy.linalg.expm(-1j * t * m.toarray()) @ state.block(i)
             worst_evolve = max(worst_evolve, float(np.max(np.abs(dense - st.block(i)))))
             worst_krylov = max(worst_krylov, float(np.max(np.abs(dense - krylov[i][:, k]))))
-    routes = "/".join(sorted({_route(h.dim) for h in hams}))
+    routes = "/".join(sorted({_route(s.dim) for s in state.sectors}))
     out.append(_check(f"krylov-vs-dense N={N}", max(worst_evolve, worst_krylov) <= 1e-9,
                       f"max amplitude deviation: evolve ({routes}) {worst_evolve:.2e},"
                       f" _trajectory (krylov) {worst_krylov:.2e}"))
@@ -183,9 +184,10 @@ def _coherent_k0_check() -> CheckResult:
     got, _ = coherent_experiment(params, theta, phi, t_abs * params.g, ("Sz", "L2"))
     got["Sz"] *= params.S
     state = star_state(params.two_S, [(0, 1.0, spin_coherent(params.N, theta, phi))])
-    hams = [build_modified_star(s, params).matrix for s in state.sectors]
-    obs = [[build_zeeman(s, 1.0).matrix, build_L_squared(s).matrix] for s in state.sectors]
-    want, _ = run_observables(lambda i, dense: (hams[i], obs[i]), state, t_abs, ["Sz", "L2"])
+    want, _ = run_observables(lambda block, dense: (
+        build_modified_star(block, params).matrix,
+        [build_zeeman(block, 1.0).matrix, build_L_squared(block).matrix]),
+        state, t_abs, ["Sz", "L2"])
     worst = max(float(np.max(np.abs(got[k] - want[k]))) for k in want)
     return _check("coherent-k0-vs-full N=8", worst <= 1e-10,
                   f"max Sz/L2 deviation {worst:.2e}")

@@ -331,7 +331,8 @@ def test_criterion_07_propagator_oracle(neel10_runs, neel12_runs, coherent_runs)
              for h in hams]
     reference = [state.block(i).copy() for i in range(state.n_blocks)]
     worst = 0.0
-    outs = list(evolve(hams, state, t_abs))
+    outs = list(evolve(lambda block, dense: build_star_hamiltonian(block, params).matrix,
+                       state, t_abs))
     for step, out in enumerate(outs):
         if step > 0:
             reference = [p @ r for p, r in zip(props, reference)]

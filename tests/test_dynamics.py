@@ -41,7 +41,7 @@ from heisenberg_star.errors import (
     ConvergenceError,
     ParameterError,
     SectorCapacityError,
-    StarError,
+    SectorMismatch,
 )
 from heisenberg_star.states import (
     central_initial,
@@ -63,6 +63,12 @@ def dense_propagate(op, amps, t):
     return scipy.linalg.expm(-1j * op.matrix.toarray() * t) @ amps
 
 
+def on_blocks(*ops):
+    """hams(block, dense) giving each block the matrix of the operator on its sector."""
+    mats = {op.tag: op.matrix for op in ops}
+    return lambda block, dense: mats[block.tag]
+
+
 @pytest.mark.parametrize("m", range(1, 31))
 def test_tridiagonal_exponential_matches_expm(m, monkeypatch):
     # a Lanczos tridiagonal of size m as the block, with KRYLOV_DIM = m: the
@@ -75,7 +81,7 @@ def test_tridiagonal_exponential_matches_expm(m, monkeypatch):
     v = rng.normal(size=m) + 1j * rng.normal(size=m)
     v /= np.linalg.norm(v)
     B, S, energies, c, tail = dynamics._basis(
-        dynamics._block_matrix(scipy.sparse.csr_array(T), "krylov"), v, "krylov")
+        scipy.sparse.csr_array(T.astype(complex)), v, "krylov")
     assert np.abs(tail).max() <= 1e-13
     for tau in (0.05, 0.7, 3.0):
         got = B @ (S @ (np.exp(-1j * tau * energies) * c))
@@ -87,16 +93,13 @@ def _evolve_all(hams, st, grid):
 
 
 def _observe_all(hams, st, grid):
-    sz = [ops.build_zeeman(sector, 1.0).matrix for sector in st.sectors]
-    return run_observables(lambda i, dense: (hams[i].matrix, [sz[i]]), st, grid, ["Sz"])
+    return run_observables(lambda block, dense: (
+        hams(block, dense), [ops.build_zeeman(block, 1.0).matrix]), st, grid, ["Sz"])
 
 
 # both public entry points into the propagator
 propagators = pytest.mark.parametrize(
     "propagate", [_evolve_all, _observe_all], ids=["evolve", "run_observables"])
-# run_observables takes each block's operators from a function, so only
-# evolve pairs a list of block operators with the blocks of a state
-pairing = pytest.mark.parametrize("propagate", [_evolve_all], ids=["evolve"])
 
 
 class TestEvolve:
@@ -109,7 +112,7 @@ class TestEvolve:
         H = ops.build_star_hamiltonian(sec, params)
         st = random_state(sec, 21)
         grid = np.array([0.0, 0.3, 1.7, 4.0, 9.5])
-        for t, out in zip(grid, evolve([H], st, grid)):
+        for t, out in zip(grid, evolve(on_blocks(H), st, grid)):
             want = dense_propagate(H, st.amps, t)
             assert np.linalg.norm(out.amps - want) <= 1e-9
 
@@ -125,7 +128,7 @@ class TestEvolve:
             (b, rng.normal(size=b.dim) + 1j * rng.normal(size=b.dim)),
         ])
         grid = np.array([0.0, 2.5, 6.0])
-        outs = list(evolve([Ha, Hb], st, grid))
+        outs = list(evolve(on_blocks(Ha, Hb), st, grid))
         for t, out in zip(grid, outs):
             wa = dense_propagate(Ha, st.block(0), t)
             wb = dense_propagate(Hb, st.block(1), t)
@@ -137,7 +140,7 @@ class TestEvolve:
         sec = enumerate_sector(8, 1, 1)
         H = ops.build_star_hamiltonian(sec, params)
         st = random_state(sec, 8)
-        for out in evolve([H], st, np.linspace(0.0, 20.0, 11)):
+        for out in evolve(on_blocks(H), st, np.linspace(0.0, 20.0, 11)):
             assert abs(out.norm() - 1.0) <= 1e-12
 
     def test_time_reversal_returns_home(self):
@@ -145,10 +148,10 @@ class TestEvolve:
         sec = enumerate_sector(6, 2, 2)
         H = ops.build_star_hamiltonian(sec, params)
         st = random_state(sec, 31)
-        fwd = list(evolve([H], st, [7.0]))[0]
+        fwd = list(evolve(on_blocks(H), st, [7.0]))[0]
         m = H.matrix
         back_op = ops.SparseOperator(sector=sec, matrix=ops.CSR(m.indptr, m.indices, -m.data))
-        back = list(evolve([back_op], fwd, [7.0]))[0]
+        back = list(evolve(on_blocks(back_op), fwd, [7.0]))[0]
         assert np.linalg.norm(back.amps - st.amps) <= 1e-9
 
     def test_stationary_state_only_turns_a_phase(self):
@@ -158,7 +161,7 @@ class TestEvolve:
         sec, _ = st.require_single()
         H = ops.build_bath_ring(sec, 1.0, 1.0)
         e = N / 4.0
-        for t, out in zip([0.0, 1.5, 4.2], evolve([H], st, [0.0, 1.5, 4.2])):
+        for t, out in zip([0.0, 1.5, 4.2], evolve(on_blocks(H), st, [0.0, 1.5, 4.2])):
             want = st.amps * np.exp(-1j * e * t)
             assert np.linalg.norm(out.amps - want) <= 1e-10
 
@@ -170,7 +173,7 @@ class TestEvolve:
         assert np.any(op.matrix.data.imag)
         st = random_state(op.sector, 5)
         grid = np.array([0.0, 0.4, 1.3, 2.5])
-        for t, out in zip(grid, evolve([op], st, grid)):
+        for t, out in zip(grid, evolve(on_blocks(op), st, grid)):
             assert np.linalg.norm(out.amps - dense_propagate(op, st.amps, t)) <= 1e-10
 
     def test_final_state_independent_of_output_sampling(self):
@@ -178,8 +181,8 @@ class TestEvolve:
         sec = enumerate_sector(6, 1, -1)
         H = ops.build_star_hamiltonian(sec, params)
         st = random_state(sec, 77)
-        direct = list(evolve([H], st, [8.0]))[-1]
-        sampled = list(evolve([H], st, np.linspace(0.5, 8.0, 16)))[-1]
+        direct = list(evolve(on_blocks(H), st, [8.0]))[-1]
+        sampled = list(evolve(on_blocks(H), st, np.linspace(0.5, 8.0, 16)))[-1]
         assert np.linalg.norm(direct.amps - sampled.amps) <= 1e-9
 
     def test_small_krylov_space_still_converges(self, monkeypatch):
@@ -187,6 +190,7 @@ class TestEvolve:
         # chunks of two, and none of the 0.15 gaps after them, which are
         # reached by halved substeps
         monkeypatch.setattr(dynamics, "KRYLOV_DIM", 5)
+        monkeypatch.setattr(dynamics, "DENSE_CUTOFF", 0)
         params = make_params(6, 1, J=1.0, g=1.0)
         sec = enumerate_sector(6, 1, 1)
         monkeypatch.setattr(dynamics, "CHUNK_ENTRIES", 2 * sec.dim)
@@ -196,9 +200,10 @@ class TestEvolve:
         yields = []  # the grid times each basis yielded, in order
         basis = dynamics._basis
         monkeypatch.setattr(dynamics, "_basis", lambda *args: yields.append(0) or basis(*args))
+        route, Hk, _ = dynamics._prepare(lambda block, dense: (H.matrix, []), sec)
+        assert route == "krylov"
         chunks = []
-        for chunk in dynamics._trajectory(dynamics._block_matrix(H.matrix, "krylov"), st.amps,
-                                          grid, "krylov"):
+        for chunk in dynamics._trajectory(Hk, st.amps, grid, route):
             yields[-1] += chunk.shape[1]
             chunks.append(chunk)
         assert max(yields) > 2 and yields.count(0) > len(grid)
@@ -212,33 +217,21 @@ class TestEvolve:
         H = ops.build_star_hamiltonian(sec, params)
         st = random_state(sec, 1)
         with pytest.raises(ParameterError):
-            propagate([H], st, [0.0, -1.0])
+            propagate(on_blocks(H), st, [0.0, -1.0])
         with pytest.raises(ParameterError):
-            propagate([H], st, [1.0, 1.0])
+            propagate(on_blocks(H), st, [1.0, 1.0])
 
-    @pairing
-    def test_block_operator_mismatch(self, propagate):
+    @propagators
+    def test_a_matrix_of_another_dimension_is_refused(self, propagate):
+        # block 2m = 3 is given the Hamiltonian of the larger sector 2m = 1
         params = make_params(4, 1, J=1.0, g=1.0)
         a = enumerate_sector(4, 1, 1)
         b = enumerate_sector(4, 1, 3)
+        assert a.dim != b.dim
         Ha = ops.build_star_hamiltonian(a, params)
         st = StateVector.from_blocks([(a, np.ones(a.dim)), (b, np.ones(b.dim))])
-        with pytest.raises(StarError):
-            propagate([Ha], st, [0.0, 1.0])
-
-    @pairing
-    def test_swapped_hamiltonians_of_equal_dimension(self, propagate):
-        # the two blocks have the same dimension, so only the tags tell
-        # that each Hamiltonian sits on the other's block
-        params = make_params(6, 1, J=0.7, g=1.0)
-        a = enumerate_sector(6, 1, 1)
-        b = enumerate_sector(6, 1, -1)
-        assert a.dim == b.dim
-        Ha = ops.build_star_hamiltonian(a, params)
-        Hb = ops.build_star_hamiltonian(b, params)
-        st = StateVector.from_blocks([(a, np.ones(a.dim)), (b, np.ones(b.dim))])
-        with pytest.raises(StarError):
-            propagate([Hb, Ha], st, [0.0, 1.0])
+        with pytest.raises(SectorMismatch, match=b.tag):
+            propagate(lambda block, dense: Ha.matrix, st, [0.0, 1.0])
 
 
 class TestEvolveKrylov(TestEvolve):
@@ -265,7 +258,7 @@ def test_spectral_route_matches_krylov(N, monkeypatch):
     for route, cutoff in (("spectral", max(s.dim for s in state.sectors)), ("krylov", 0)):
         monkeypatch.setattr(dynamics, "DENSE_CUTOFF", cutoff)
         assert {dynamics._route(h.dim) for h in hams} == {route}
-        runs[route] = [out.amps for out in evolve(hams, state, grid)]
+        runs[route] = [out.amps for out in evolve(on_blocks(*hams), state, grid)]
     for a, b in zip(runs["spectral"], runs["krylov"]):
         assert np.linalg.norm(a - b) <= 1e-9
 
@@ -277,7 +270,7 @@ def test_spectral_chunks_hold_at_most_the_entry_budget(monkeypatch):
     st = random_state(sec, 3)
     grid = np.linspace(0.0, 5.0, 100)
     monkeypatch.setattr(dynamics, "CHUNK_ENTRIES", 40 * sec.dim + sec.dim - 1)
-    dense = dynamics._block_matrix(H.matrix, "spectral")
+    dense = H.matrix.toarray()
     chunks = list(dynamics._trajectory(dense, st.amps, grid, "spectral"))
     assert [c.shape for c in chunks] == [(sec.dim, 40)] * 2 + [(sec.dim, 20)]
     for t, col in zip(grid, np.hstack(chunks).T):
@@ -308,15 +301,19 @@ def test_one_krylov_basis_serves_many_grid_times(monkeypatch):
             Counted.products += 1
             return self.mat @ x
 
-    block_matrix = dynamics._block_matrix
+    prepare = dynamics._prepare
+
+    def counted(hams, block):
+        route, mat, observables = prepare(hams, block)
+        return route, Counted(mat), observables
+
     with monkeypatch.context() as patch:
-        patch.setattr(dynamics, "_block_matrix",
-                      lambda mat, route: Counted(block_matrix(mat, route)))
+        patch.setattr(dynamics, "_prepare", counted)
         patch.setattr(dynamics, "DENSE_CUTOFF", 0)
-        krylov = [out.amps for out in evolve([H], state, grid)]
+        krylov = [out.amps for out in evolve(on_blocks(H), state, grid)]
     assert 0 < Counted.products <= 2 * grid.size
     monkeypatch.setattr(dynamics, "DENSE_CUTOFF", H.dim)
-    for a, out in zip(krylov, evolve([H], state, grid)):
+    for a, out in zip(krylov, evolve(on_blocks(H), state, grid)):
         assert np.linalg.norm(a - out.amps) <= 1e-9
 
 
@@ -333,7 +330,7 @@ def test_krylov_route_raises_when_no_substep_meets_the_tolerance(monkeypatch):
     basis = dynamics._basis
     monkeypatch.setattr(dynamics, "_basis", lambda *args: bases.append(1) or basis(*args))
     with pytest.raises(ConvergenceError, match="substep collapsed") as exc:
-        list(evolve([H], random_state(sec, 2), [1.0]))
+        list(evolve(on_blocks(H), random_state(sec, 2), [1.0]))
     assert len(bases) == 1 and exc.value.residual > 0.0
 
 
@@ -353,10 +350,10 @@ class TestRunObservables:
         Sz = ops.build_zeeman(sec, 1.0)
         st = random_state(sec, 12)
         grid = np.linspace(0.0, 5.0, 7)
-        totals, diag = run_observables(lambda i, dense: (H.matrix, [Sz.matrix]), st, grid,
-                                       ["Sz"])
+        totals, diag = run_observables(lambda block, dense: (H.matrix, [Sz.matrix]), st,
+                                       grid, ["Sz"])
         want = [
-            ops.expectation(Sz, out) for out in evolve([H], st, grid)
+            ops.expectation(Sz, out) for out in evolve(on_blocks(H), st, grid)
         ]
         np.testing.assert_allclose(totals["Sz"], want, atol=1e-12)
         assert diag["norm_drift"] <= 1e-10
@@ -369,6 +366,35 @@ class TestRunObservables:
         a, _ = neel_experiment(params, "uniform", grid * params.gt, threads=1)
         b, _ = neel_experiment(params, "uniform", grid * params.gt, threads=4)
         np.testing.assert_array_equal(a["ms"], b["ms"])
+
+
+@pytest.mark.parametrize("cutoff", [dynamics.DENSE_CUTOFF, 0], ids=["spectral", "krylov"])
+def test_an_observable_of_another_dimension_is_refused(cutoff, monkeypatch):
+    monkeypatch.setattr(dynamics, "DENSE_CUTOFF", cutoff)
+    params = make_params(4, 1, J=1.0, g=1.0)
+    a = enumerate_sector(4, 1, 1)
+    b = enumerate_sector(4, 1, 3)
+    Hb, Sza = ops.build_star_hamiltonian(b, params), ops.build_zeeman(a, 1.0)
+    st = random_state(b, 2)
+    with pytest.raises(SectorMismatch, match=b.tag):
+        run_observables(lambda block, dense: (Hb.matrix, [Sza.matrix]), st, [0.0, 1.0], ["Sz"])
+
+
+@pytest.mark.parametrize("run", ["evolve", "run_observables", "neel", "coherent"])
+def test_an_empty_grid_is_refused(run):
+    params = make_params(6, 1, J=1.0, g=1.0)
+    sec = enumerate_sector(6, 1, 1)
+    st = random_state(sec, 1)
+    hams = on_blocks(ops.build_star_hamiltonian(sec, params))
+    with pytest.raises(ParameterError, match="non-empty"):
+        if run == "evolve":
+            _evolve_all(hams, st, [])
+        elif run == "run_observables":
+            _observe_all(hams, st, [])
+        elif run == "neel":
+            neel_experiment(params, "polarized", [])
+        else:
+            coherent_experiment(params, 1.0, 0.0, [])
 
 
 @pytest.mark.parametrize("experiment", ["neel", "coherent"])
@@ -408,8 +434,7 @@ def neel_star_run(params, central_kind, t_abs, names=("ms",)):
     state = star_state(params.two_S,
                        [(c, amp, neel_state(params.N)) for c, amp in enumerate(central)])
 
-    def full_sector(i, dense):
-        sector = state.sectors[i]
+    def full_sector(sector, dense):
         return (ops.build_star_hamiltonian(sector, params).matrix,
                 [FULL_SECTOR_OBSERVABLES[name](sector).matrix for name in names])
 
@@ -427,7 +452,7 @@ class TestNeelSeries:
         sec, _ = bath.require_single()
         ring = ops.build_bath_ring(sec, params.J, params.Jp)
         stag = ops.build_staggered(sec)
-        want = [ops.expectation(stag, out) for out in evolve([ring], bath, grid)]
+        want = [ops.expectation(stag, out) for out in evolve(on_blocks(ring), bath, grid)]
         np.testing.assert_allclose(totals["ms"], want, atol=1e-10)
 
     def test_decoupled_centre_kind_is_irrelevant(self):
