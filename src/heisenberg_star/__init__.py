@@ -3,18 +3,7 @@
 __version__ = "0.1.0"
 
 from .core import BasisSector, ModelParams, StateVector, enumerate_bath_sector, enumerate_sector, make_params, sector_dimension
-from .operators import (
-    SparseOperator,
-    apply,
-    build_bath_ring,
-    build_L_squared,
-    build_modified_star,
-    build_staggered,
-    build_star_hamiltonian,
-    build_system_bath,
-    build_zeeman,
-    expectation,
-)
+from .operators import SparseOperator, build_bath_ring
 from .spectrum import (
     GroundScanRow,
     LevelTable,
@@ -31,10 +20,6 @@ from .spectrum import (
 from .states import (
     central_initial,
     coherent_block_state,
-    dicke_state,
-    neel_state,
-    spin_coherent,
-    star_state,
     subground_coefficients,
     subground_state,
 )

@@ -5,27 +5,19 @@ parities and popcounts of the whole basis at once, or a hop: it raises
 some ring spins, lowers others, and may step the central index. The
 private kernel :func:`_hop` applies a list of hops to the packed keys
 of a whole sector at once and finds every image by one binary search
-in the destination keys, so each builder makes one kernel call. The
-builders collect COO triplets and end in one conversion to CSR.
-Ladder terms are emitted in both directions (the pair of adjoint terms
-appears explicitly in each Hamiltonian), so Hermiticity holds by
-construction and is asserted in tests rather than symmetrized after
-the fact.
+in the destination keys. :func:`build_bath_ring` makes the ring of a
+ring sector, or of its :class:`core.OrbitBlock`, with one kernel call;
+the exchange is emitted in both directions, so Hermiticity holds by
+construction and is asserted in tests.
 
-Every builder of an operator that commutes with the ring's rotations
-and reflections (the ring, the system-bath coupling, L^2 and the
-central field) also runs on a :class:`core.OrbitBlock`, where it emits
-that operator on the block's orbits directly. The staggered
-magnetization does not commute with them and has no block form.
-
-The quench runs use no builder on a star block. Each makes the pieces
-of every ring filling once (:func:`ring_pieces`): the ring Hamiltonian,
-the ring lowering and L^2 from it, on the filling's orbit block (the
-coherent run) or on its whole ring sector (the alternating-state run).
-:func:`star_block_operators` places them block by block in the central
-index, as a dense array or as CSR rows without a sort. The builders on
-star sectors are the full-sector reference these runs are tested
-against.
+The quench runs make the pieces of every ring filling once
+(:func:`ring_pieces`): the ring Hamiltonian, the ring lowering and L^2
+from it, on the filling's orbit block (the coherent run) or on its whole
+ring sector (the alternating-state run). :func:`star_block_operators`
+places them block by block in the central index, as a dense array or as
+CSR rows without a sort. No star sector is built whole here: the tests
+and ``verify`` check the pieces against an independent Kronecker
+reference (:func:`verify.reference_hamiltonian`) restricted to a sector.
 
 Every entry is real, so each operator holds its canonical CSR arrays in
 float64, assembled in numpy (:class:`CSR`). The ring solver multiplies
@@ -53,10 +45,8 @@ import numpy as np
 
 from .core import (
     BasisSector,
-    ModelParams,
     OrbitBlock,
     StarBlock,
-    StateVector,
     enumerate_bath_sector,
     orbit_block,
 )
@@ -201,148 +191,48 @@ def _ladder_weight(two_S: int, c):
     return np.sqrt(c * (two_S - c + 1))
 
 
-def _diagonal(values: np.ndarray):
-    """COO triplet of the nonzero entries of a diagonal."""
-    i = np.flatnonzero(values)
-    return i, i, values[i]
-
-
-def _to_operator(sector: BasisSector, entries) -> SparseOperator:
-    """Operator from real (rows, cols, values) triplets; duplicates are summed.
-
-    On an orbit block the columns are representatives and the rows the
-    orbits of their images, so the summed entry of row o', column o is
-    sum_{s in o'} M[s, r_o]; scaled by sqrt(size[o] / size[o']) it is
-    the entry (Q^T M Q)[o', o] of any operator M that commutes with the
-    ring's rotations and reflections.
-    """
-    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
-    if isinstance(sector, OrbitBlock):
-        vals = vals * np.sqrt(sector.size[cols] / sector.size[rows])
-    return SparseOperator(sector=sector, matrix=_csr(sector.dim, rows * sector.dim + cols, vals))
-
-
-def _sum(ops) -> SparseOperator:
-    """Sum of operators on one sector."""
-    sector = ops[0].sector
-    keys = np.concatenate([op.matrix.rows * sector.dim + op.matrix.indices for op in ops])
-    vals = np.concatenate([op.matrix.data for op in ops])
-    return SparseOperator(sector=sector, matrix=_csr(sector.dim, keys, vals))
-
-
-def _bit(bits: np.ndarray, a: int) -> np.ndarray:
-    return (bits >> a) & 1
-
-
 def build_bath_ring(sector: BasisSector, J: float, Jp: float) -> SparseOperator:
     """Ring Hamiltonian sum_n [J/2 (S+_n S-_{n+1} + h.c.) + Jp Sz_n Sz_{n+1}].
 
     The bond list runs n = 1..N with site N+1 identified with site 1,
     taken literally: for N = 2 the same pair of sites appears twice and
-    the bond is counted twice on purpose.
+    the bond is counted twice on purpose. Entries that share a position
+    are summed. On an orbit block the columns are representatives and
+    the rows the orbits of their images, so the summed entry of row o',
+    column o is sum_{s in o'} M[s, r_o]; scaled by sqrt(size[o] / size[o'])
+    it is the entry (Q^T M Q)[o', o] of the ring, which commutes with the
+    ring's rotations and reflections.
     """
-    N = sector.N
+    N, bits = sector.N, sector.bits
     half_J = 0.5 * J
     quarter_Jp = 0.25 * Jp
     diag = np.zeros(sector.dim)
     hops = []
     for a in range(N):
         b = (a + 1) % N
-        aligned = _bit(sector.bits, a) == _bit(sector.bits, b)
+        aligned = ((bits >> a) & 1) == ((bits >> b) & 1)
         diag += np.where(aligned, quarter_Jp, -quarter_Jp)
         hops += [(1 << a, 1 << b), (1 << b, 1 << a)]
-    entries = []
+    i = j = np.zeros(0, dtype=np.int64)
     if half_J != 0.0:
         i, j = _hop(sector, sector, *np.array(hops).T)
-        entries.append((j, i, np.full(i.size, half_J)))
-    entries.append(_diagonal(diag))
-    return _to_operator(sector, entries)
-
-
-def build_system_bath(sector: BasisSector, prefactor: float) -> SparseOperator:
-    """Coupling prefactor * [ (S+ L- + S- L+)/2 + Sz Lz ] on a star sector."""
-    if sector.is_bath:
-        raise ParameterError("system-bath coupling needs a central spin in the sector")
-    N = sector.N
-    two_S = sector.two_S
-    half = 0.5 * prefactor
-    s_m = 0.5 * (two_S - 2 * sector.central)
-    l_m = 0.5 * (2 * sector.n_up - N)
-    entries = [_diagonal(prefactor * s_m * l_m)]
-    if half != 0.0:
-        # per site: S+ on the centre with the ring spin lowered, then S- with it raised
-        hops = [h for a in range(N) for h in ((0, 1 << a, -1), (1 << a, 0, 1))]
-        i, j = _hop(sector, sector, *np.array(hops).T)
-        upper = np.maximum(sector.central[i], sector.central[j])
-        entries.append((j, i, half * _ladder_weight(two_S, upper)))
-    return _to_operator(sector, entries)
-
-
-def build_zeeman(sector: BasisSector, omega: float) -> SparseOperator:
-    """Diagonal field omega * Sz on the central spin."""
-    if sector.is_bath:
-        raise ParameterError("the Zeeman term acts on the central spin")
-    s_m = 0.5 * (sector.two_S - 2 * sector.central)
-    return _to_operator(sector, [_diagonal(omega * s_m)])
-
-
-def build_L_squared(sector: BasisSector) -> SparseOperator:
-    """Total ring angular momentum squared, as L- L+ + Lz (Lz + 1).
-
-    Acts on the ring part only; the central level rides along
-    untouched. The L- L+ route stays inside the sector: its diagonal
-    counts the down spins and its off-diagonal part exchanges one up
-    spin with one down spin.
-    """
-    N = sector.N
-    l_m = 0.5 * (2 * sector.n_up - N)
-    a, b = np.nonzero(~np.eye(N, dtype=bool))  # ordered pairs a != b, a major
-    i, j = _hop(sector, sector, raise_bits=1 << b, lower_bits=1 << a)
-    return _to_operator(sector, [_diagonal(l_m * (l_m + 1.0) + (N - sector.n_up)),
-                                 (j, i, np.ones(i.size))])
+    d = np.flatnonzero(diag)
+    rows, cols = np.concatenate([j, d]), np.concatenate([i, d])
+    vals = np.concatenate([np.full(i.size, half_J), diag[d]])
+    if isinstance(sector, OrbitBlock):
+        vals = vals * np.sqrt(sector.size[cols] / sector.size[rows])
+    return SparseOperator(sector=sector, matrix=_csr(sector.dim, rows * sector.dim + cols, vals))
 
 
 def _staggered(N: int, bits: np.ndarray) -> np.ndarray:
-    """The staggered magnetization of every ring configuration in ``bits``."""
+    """The staggered magnetization (1/N) sum_j (-1)^j Sz_j of every ring
+    configuration in ``bits``, site j = a + 1 being bit a: the alternating
+    state with site 1 down has +1/2."""
     total = np.zeros(bits.size)
     for a in range(N):
-        # site j = a + 1 enters with sign (-1)^(a + 1)
         sign = -1.0 if a % 2 == 0 else 1.0
-        total += sign * (_bit(bits, a) - 0.5)
+        total += sign * (((bits >> a) & 1) - 0.5)
     return total / N
-
-
-def build_staggered(sector: BasisSector) -> SparseOperator:
-    """Diagonal staggered magnetization (1/N) sum_j (-1)^j Sz_j, site 1 first.
-
-    Odd sites enter with sign -1, so the alternating state with site 1
-    down has expectation +1/2.
-    """
-    return _to_operator(sector, [_diagonal(_staggered(sector.N, sector.bits))])
-
-
-def build_star_hamiltonian(sector: BasisSector, params: ModelParams) -> SparseOperator:
-    """Isotropic star J * H_ring + g * S.L with no central field."""
-    if not params.isotropic:
-        raise ParameterError("the plain star Hamiltonian requires J == Jp")
-    if params.omega != 0.0:
-        raise ParameterError("the plain star Hamiltonian carries no central field")
-    return _sum([build_bath_ring(sector, params.J, params.Jp),
-                 build_system_bath(sector, params.g)])
-
-
-def build_modified_star(sector: BasisSector, params: ModelParams) -> SparseOperator:
-    """Driven star omega Sz + ring(J, Jp) + 2 g S.L.
-
-    Note the literal factor two on the coupling; the anisotropic ring
-    (Jp != J) is allowed here and breaks conservation of the total ring
-    angular momentum.
-    """
-    terms = [build_bath_ring(sector, params.J, params.Jp),
-             build_system_bath(sector, 2.0 * params.g)]
-    if params.omega != 0.0:
-        terms.append(build_zeeman(sector, params.omega))
-    return _sum(terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,7 +296,7 @@ def ring_pieces(N: int, J: float, Jp: float, fillings: range,
     rotations and reflections, so it maps the k = 0, reflection-even
     states of filling n into those of n - 1, and on them, as on whole
     sectors, L^2 = L+ L- + Lz (Lz - 1) is lowering^T lowering + Lz (Lz - 1):
-    N hops instead of the N (N - 1) of :func:`build_L_squared`.
+    N hops instead of the N (N - 1) of an exchange of every pair of sites.
     """
     pieces = {}
     below = None
@@ -470,9 +360,9 @@ def _assemble(dim: int, parts, dense: bool):
 
 def star_block_operators(block: StarBlock, pieces: dict[int, RingPiece], prefactor: float,
                          omega: float, names, dense: bool):
-    """The star omega Sz + H_ring + prefactor S.L (g: :func:`build_star_hamiltonian`,
-    2 g: :func:`build_modified_star`) and the observables ``names`` on one
-    star block, from the run's ring pieces.
+    """The star omega Sz + H_ring + prefactor S.L (g: the plain star, 2 g: the
+    driven one) and the observables ``names`` on one star block, from the
+    run's ring pieces.
 
     The Hamiltonian is block tridiagonal in the central index: slice c
     holds H_ring(n_c) plus (omega S_m + prefactor S_m L_m) on its
@@ -514,25 +404,6 @@ def star_block_operators(block: StarBlock, pieces: dict[int, RingPiece], prefact
         else:
             raise ParameterError(f"observable {name!r} has no form on {block.tag}")
     return _assemble(block.dim, ham, dense), mats
-
-
-def apply(op: SparseOperator, state: StateVector) -> StateVector:
-    """Matrix-vector product; the result is returned unnormalized."""
-    sector, amps = state.require_single()
-    if sector.tag != op.tag or sector.dim != op.dim:
-        raise SectorMismatch(
-            f"operator on {op.tag} (dim {op.dim}) applied to state on"
-            f" {sector.tag} (dim {sector.dim})"
-        )
-    return StateVector(sectors=(sector,), amps=op.matrix @ amps, offsets=(0,))
-
-
-def expectation(op: SparseOperator, state: StateVector) -> float:
-    """Real expectation value <psi|A|psi> of a Hermitian block operator."""
-    sector, amps = state.require_single()
-    if sector.tag != op.tag:
-        raise SectorMismatch(f"operator on {op.tag}, state on {sector.tag}")
-    return float(np.vdot(amps, op.matrix @ amps).real)
 
 
 def apply_bath_lowering(sector: BasisSector, amps: np.ndarray,

@@ -1,17 +1,15 @@
 """Initial states and the closed-form sub-ground eigenstates.
 
-The ring states come in three flavours used by the experiments: the
-alternating (antiferromagnetic) product state, symmetric Dicke states,
-and the spin coherent state that superposes all Dicke states of the
-maximal multiplet. The central spin starts either polarized or in an
-equal-weight superposition of its levels; :func:`star_state` places
-central levels times ring states into the star's magnetization sectors,
-the full-sector reference of the two quench runs. Each run writes its
-state straight onto star blocks made from the blocks of their ring
-fillings (:func:`core.star_block`), so no star sector is enumerated:
-the driven run's polarized centre times the coherent ring on dihedral
-orbit blocks (:func:`coherent_block_state`), the quench's centre times
-the alternating ring on whole sectors (:func:`neel_block_state`).
+The ring starts in the alternating (antiferromagnetic) product state or
+in the spin coherent state, the Dicke states of the maximal multiplet
+weighted by :func:`coherent_coefficients`; the central spin starts
+polarized or in an equal-weight superposition (:func:`central_initial`).
+Each run writes its state straight onto star blocks made from the blocks
+of their ring fillings (:func:`core.star_block`), so no star sector is
+enumerated: the coherent ring on dihedral orbit blocks
+(:func:`coherent_block_state`), the alternating ring on whole sectors
+(:func:`neel_block_state`). The tests and ``verify`` check both against
+the product states of :func:`verify.reference_state`.
 
 The sub-ground eigenstates of the isotropic star are assembled in
 closed form: a string of coefficients couples the central levels to
@@ -29,7 +27,6 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    BasisSector,
     SectorSlice,
     StateVector,
     enumerate_bath_sector,
@@ -38,7 +35,7 @@ from .core import (
     star_block,
 )
 from .errors import ParameterError, StarError
-from .operators import _hop, apply_bath_lowering
+from .operators import apply_bath_lowering
 from . import spectrum
 
 
@@ -47,23 +44,11 @@ def _neel_bits(N: int) -> int:
     return sum(1 << a for a in range(1, N, 2))
 
 
-def neel_state(N: int) -> StateVector:
-    """Alternating product state, site 1 down: |down up down up ...>.
-
-    Lives in the half-filled ring block (l_m = 0) and has staggered
-    magnetization exactly +1/2.
-    """
-    sector = enumerate_bath_sector(N, N // 2)
-    amps = np.zeros(sector.dim, dtype=np.complex128)
-    amps[sector.index_of(0, _neel_bits(N))] = 1.0
-    return StateVector.single(sector, amps, renormalize=False)
-
-
 def neel_block_state(N: int, two_S: int, central: np.ndarray, rings) -> StateVector:
     """sum_c central[c] |c> x (alternating ring) on whole star sectors, each
     a :class:`core.StarBlock` made from ``rings[n]``, the whole-sector
     :class:`operators.RingPiece` of every filling n. Blocks come in
-    ascending c, the order :func:`star_state` gives the full-sector state.
+    ascending c, one per occupied central level.
     """
     at = int(np.searchsorted(rings[N // 2].bits, _neel_bits(N)))
     blocks = []
@@ -88,13 +73,6 @@ def central_initial(two_S: int, kind: str) -> np.ndarray:
     if kind == "uniform":
         return np.full(two_S + 1, 1.0 / math.sqrt(two_S + 1), dtype=np.complex128)
     raise ParameterError(f"unknown central state kind {kind!r}")
-
-
-def dicke_state(N: int, n_up: int) -> StateVector:
-    """Symmetric state of the maximal ring multiplet with n_up spins up."""
-    sector = enumerate_bath_sector(N, n_up)
-    amps = np.full(sector.dim, 1.0 / math.sqrt(sector.dim), dtype=np.complex128)
-    return StateVector.single(sector, amps, renormalize=False)
 
 
 def coherent_coefficients(N: int, theta: float, phi: float) -> np.ndarray:
@@ -126,22 +104,6 @@ def coherent_coefficients(N: int, theta: float, phi: float) -> np.ndarray:
     return Q
 
 
-def spin_coherent(N: int, theta: float, phi: float) -> StateVector:
-    """Spin coherent ring state as a block vector over all n_up sectors.
-
-    Each occupied block is the Dicke state of that filling scaled by
-    Q_n; blocks with zero weight are dropped. The state is an exact
-    eigenstate of the isotropic ring at the top of the spectrum (energy
-    N/4 at unit coupling), which the dynamics tests rely on.
-    """
-    Q = coherent_coefficients(N, theta, phi)
-    blocks = []
-    for n in np.flatnonzero(Q).tolist():
-        sector = enumerate_bath_sector(N, n)
-        blocks.append((sector, np.full(sector.dim, Q[n] / math.sqrt(sector.dim))))
-    return StateVector.from_blocks(blocks, renormalize=False)
-
-
 def coherent_block_state(N: int, two_S: int, theta: float, phi: float,
                          rings) -> StateVector:
     """|S_m = S> x (coherent ring) written on dihedral orbit blocks.
@@ -152,8 +114,8 @@ def coherent_block_state(N: int, two_S: int, theta: float, phi: float,
     orbits of central index 0, the first slice of the block, and zero
     elsewhere. Each block is a :class:`core.StarBlock` made from
     ``rings[n]``, the ring orbit block (or :class:`operators.RingPiece`) of
-    every filling n the block holds. Blocks come in ascending
-    n, the order :func:`star_state` gives the full-sector state.
+    every filling n the block holds. Blocks come in ascending n, one per
+    filling of nonzero weight.
     """
     Q = coherent_coefficients(N, theta, phi)
     blocks = []
@@ -165,30 +127,6 @@ def coherent_block_state(N: int, two_S: int, theta: float, phi: float,
                                                   / math.comb(N, n))
         blocks.append((block, amps))
     return StateVector.from_blocks(blocks, renormalize=False)
-
-
-def star_state(two_S: int, terms, *, renormalize: bool = False) -> StateVector:
-    """Sum of amp |c> x ring over the ``(c, amp, ring)`` terms, by star sector.
-
-    ``c`` indexes the central level S_m = S - c, as in
-    :func:`central_initial`; ``ring`` is a ring state of one or more
-    blocks. Each ring block lands in the star sector of magnetization
-    two_S - 2c plus its own. Sectors are listed in the order the terms
-    first reach them; terms with amp == 0 add nothing and are skipped.
-    """
-    blocks: dict[int, tuple[BasisSector, np.ndarray]] = {}
-    for c, amp, ring in terms:
-        if amp == 0:
-            continue
-        for b, ring_sector in enumerate(ring.sectors):
-            two_m = two_S - 2 * c + ring_sector.two_m
-            if two_m not in blocks:
-                star = enumerate_sector(ring_sector.N, two_S, two_m)
-                blocks[two_m] = (star, np.zeros(star.dim, dtype=np.complex128))
-            star, amps = blocks[two_m]
-            i, j = _hop(ring_sector, star, step=c)
-            amps[j] += amp * ring.block(b)[i]
-    return StateVector.from_blocks(blocks.values(), renormalize=renormalize)
 
 
 def _sq_coefficient(two_a: int, two_am: int, two_b: int, two_m: int) -> Fraction:

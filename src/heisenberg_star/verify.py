@@ -4,7 +4,11 @@ Each suite returns a list of named checks with a pass flag and a short
 detail string; the CLI prints one line per check and exits nonzero if
 any failed. The checks are quick versions of the package's invariants,
 meant as a smoke test on a fresh install rather than a substitute for
-the test suite.
+the test suite. Their oracles, which the tests use too, share nothing
+with the package but numpy and scipy: the collective-spin form of the
+isotropic driven run, and a Kronecker reference of the star on the whole
+(2S + 1) 2^N product space, cut down to a sector's keys c 2^N + bits,
+which refuses a space above REFERENCE_CAPACITY states.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import make_params
+from .core import StateVector, enumerate_sector, make_params
 from .errors import ParameterError
 from .dynamics import (
     _route,
@@ -22,13 +26,6 @@ from .dynamics import (
     coherent_experiment,
     evolve,
     run_observables,
-)
-from .operators import (
-    build_bath_ring,
-    build_L_squared,
-    build_modified_star,
-    build_star_hamiltonian,
-    build_zeeman,
 )
 from .spectrum import (
     bath_subground_state,
@@ -43,9 +40,6 @@ from .states import (
     bath_multiplet,
     central_initial,
     coherent_coefficients,
-    neel_state,
-    spin_coherent,
-    star_state,
     subground_squared_norm,
     subground_state,
 )
@@ -106,16 +100,18 @@ def suite_spectrum(N: int = 12, threads: int = 1) -> list[CheckResult]:
 
 
 def suite_subground(N: int = 8) -> list[CheckResult]:
-    """Residuals of the closed-form eigenstates for every valid (l, m)."""
+    """Residuals of the closed-form eigenstates for every valid (l, m) on the reference."""
     out = []
     J, g = 0.85, 1.1
+    two_Ss = (2, 3, 4)
+    _product_dim(N, max(two_Ss))  # refuse an N beyond the reference before any solve
     # one ring solve per block, shared by every central spin
     blocks = {}
     for two_l in range(0, N + 1, 2):
         row, seed = bath_subground_state(N, two_l)
         blocks[two_l] = (row.energy, bath_multiplet(N, two_l, seed=seed))
-    for two_S in (2, 3, 4):
-        params = make_params(N, two_S, J=J, g=g)
+    for two_S in two_Ss:
+        H = reference_hamiltonian(N, two_S, J, J, g, 0.0)
         worst = 0.0
         count = 0
         for two_l, (e1b, multiplet) in blocks.items():
@@ -124,9 +120,8 @@ def suite_subground(N: int = 8) -> list[CheckResult]:
             for two_m in range(-two_j, two_j + 1, 2):
                 psi = subground_state(N, two_S, two_l, two_m, multiplet=multiplet)
                 sector, x = psi.require_single()
-                H = build_star_hamiltonian(sector, params)
                 worst = max(worst, float(np.linalg.norm(
-                    H.matrix @ x - energy * x)))
+                    restrict(H, sector.keys) @ x - energy * x)))
                 count += 1
         out.append(_check(f"subground-residuals two_S={two_S}", worst <= 1e-8,
                           f"{count} states, worst residual {worst:.2e}"))
@@ -140,14 +135,14 @@ def suite_dynamics_oracle(N: int = 6) -> list[CheckResult]:
     out = []
     params = make_params(N, 2, J=0.8, g=1.0)
     central = central_initial(params.two_S, "uniform")
-    state = star_state(params.two_S, [(c, amp, neel_state(N)) for c, amp in enumerate(central)])
-    mats = [build_star_hamiltonian(s, params).matrix for s in state.sectors]
+    state = restrict_state(reference_state(central, neel_sites(N)), N, params.two_S)
+    H = reference_hamiltonian(N, params.two_S, params.J, params.Jp, params.g, 0.0)
+    mats = [restrict(H, s.keys) for s in state.sectors]
     t_grid = np.linspace(0.0, 20.0, 21)[1:] / params.gt
     # evolve takes each block's own route; _trajectory the Krylov route's complex CSR
-    krylov = [np.hstack(list(_trajectory(m.tocsr().astype(np.complex128), state.block(i),
+    krylov = [np.hstack(list(_trajectory(m.astype(np.complex128), state.block(i),
                                          t_grid, "krylov"))) for i, m in enumerate(mats)]
-    states = evolve(lambda block, dense: build_star_hamiltonian(block, params).matrix,
-                    state, t_grid)
+    states = evolve(lambda block, dense: restrict(H, block.keys), state, t_grid)
     worst_evolve = worst_krylov = 0.0
     for k, (t, st) in enumerate(zip(t_grid, states)):
         for i, m in enumerate(mats):
@@ -158,14 +153,11 @@ def suite_dynamics_oracle(N: int = 6) -> list[CheckResult]:
     out.append(_check(f"krylov-vs-dense N={N}", max(worst_evolve, worst_krylov) <= 1e-9,
                       f"max amplitude deviation: evolve ({routes}) {worst_evolve:.2e},"
                       f" _trajectory (krylov) {worst_krylov:.2e}"))
-    psi = spin_coherent(14, 2.0, 0.3)
-    res = 0.0
-    for i, sector in enumerate(psi.sectors):
-        ring = build_bath_ring(sector, 1.0, 1.0)
-        x = psi.block(i)
-        r = ring.matrix @ x - (14 / 4.0) * x
-        res += float(np.vdot(r, r).real)
-    res = math.sqrt(res)
+    # the Dicke weights of the coherent ring on every configuration, against the ring alone
+    n_up = np.bitwise_count(np.arange(1 << 14))
+    x = coherent_coefficients(14, 2.0, 0.3)[n_up] / np.sqrt([math.comb(14, n) for n in n_up])
+    r = reference_hamiltonian(14, 0, 1.0, 1.0, 0.0, 0.0) @ x - (14 / 4.0) * x
+    res = float(np.linalg.norm(r))
     out.append(_check("coherent-ring-eigenstate N=14", res <= 1e-10,
                       f"residual {res:.2e}"))
     out.append(_coherent_k0_check())
@@ -174,19 +166,23 @@ def suite_dynamics_oracle(N: int = 6) -> list[CheckResult]:
 
 
 def _coherent_k0_check() -> CheckResult:
-    """The k = 0 coherent run against the full-sector one, anisotropic ring.
+    """The k = 0 coherent run against the Kronecker reference on whole
+    sectors, anisotropic ring.
 
     The experiment takes g t and reports <Sz>/S; the oracle takes t and <Sz>.
     """
     params = make_params(8, 1, J=1.1, Jp=0.7, g=1.0, omega=0.9)
+    N, two_S = params.N, params.two_S
     theta, phi = 1.9, 0.4
     t_abs = np.linspace(0.0, 5.0, 11)
     got, _ = coherent_experiment(params, theta, phi, t_abs * params.g, ("Sz", "L2"))
     got["Sz"] *= params.S
-    state = star_state(params.two_S, [(0, 1.0, spin_coherent(params.N, theta, phi))])
+    state = restrict_state(reference_state(np.eye(two_S + 1)[0],
+                                           coherent_sites(N, theta, phi)), N, two_S)
+    H = reference_hamiltonian(N, two_S, params.J, params.Jp, 2.0 * params.g, params.omega)
+    obs = [reference_operator(N, two_S, name) for name in ("Sz", "L2")]
     want, _ = run_observables(lambda block, dense: (
-        build_modified_star(block, params).matrix,
-        [build_zeeman(block, 1.0).matrix, build_L_squared(block).matrix]),
+        restrict(H, block.keys), [restrict(M, block.keys) for M in obs]),
         state, t_abs, ["Sz", "L2"])
     worst = max(float(np.max(np.abs(got[k] - want[k]))) for k in want)
     return _check("coherent-k0-vs-full N=8", worst <= 1e-10,
@@ -226,6 +222,116 @@ def collective_series(params, theta: float, phi: float, t_abs) -> dict[str, np.n
     l_squared = np.kron(one_s, lz @ lz + 0.5 * (lplus @ lplus.T + lplus.T @ lplus))
     return {name: np.einsum("ij,ij->j", V.conj(), M @ V).real
             for name, M in (("Sz", np.kron(sz, one_l)), ("L2", l_squared))}
+
+
+# Largest product space (2S + 1) 2^N the Kronecker reference builds:
+# N = 14 at 2S = 3, N = 12 at 2S = 15
+REFERENCE_CAPACITY = 1 << 16
+
+
+def _product_dim(N: int, two_S: int) -> int:
+    """(2S + 1) 2^N, or ParameterError above REFERENCE_CAPACITY."""
+    dim = (two_S + 1) << N
+    if dim > REFERENCE_CAPACITY:
+        raise ParameterError(f"the Kronecker reference holds at most {REFERENCE_CAPACITY}"
+                             f" product states; N={N}, 2S={two_S} has {dim}")
+    return dim
+
+
+def _ring_sites(N: int):
+    """One-site Sz, S+ and S- of every ring site on the 2^N ring states:
+    site a + 1 is bit a, the Kronecker factor N - a, with basis (down, up)."""
+    import scipy.sparse as sparse
+
+    sz, splus = np.diag([-0.5, 0.5]), np.array([[0.0, 0.0], [1.0, 0.0]])
+    return [[sparse.kron(sparse.kron(sparse.identity(1 << (N - 1 - a)), m),
+                         sparse.identity(1 << a), format="csr") for a in range(N)]
+            for m in (sz, splus, splus.T)]
+
+
+def reference_hamiltonian(N: int, two_S: int, J: float, Jp: float, prefactor: float,
+                          omega: float):
+    """omega Sz + sum_n [J/2 (S+_n S-_{n+1} + h.c.) + Jp Sz_n Sz_{n+1}] + prefactor S.L
+    as a scipy CSR on the whole product space, row c 2^N + bits for the
+    central level S_m = S - c and the ring configuration ``bits``: the
+    plain star is (J, J, g, 0), the driven one (J, Jp, 2 g, omega).
+
+    Kronecker products of one-site matrices, sharing nothing with the
+    package's enumeration, hop kernel or ring pieces; ParameterError above
+    REFERENCE_CAPACITY states, before anything is allocated.
+    """
+    import scipy.sparse as sparse
+
+    _product_dim(N, two_S)
+    sz, splus = _spin_matrices(two_S)
+    z, p, m = _ring_sites(N)
+    # bond by bond, so N = 2 counts its one bond twice
+    ring = sum(0.5 * J * (p[a] @ m[b] + m[a] @ p[b]) + Jp * (z[a] @ z[b])
+               for a, b in ((a, (a + 1) % N) for a in range(N)))
+    # the diagonal of the central terms first, then the ring's: ring + (S.L + Sz)
+    central = sparse.kron(prefactor * sz, sum(z))
+    if omega != 0.0:
+        central = central + sparse.kron(omega * sz, sparse.identity(1 << N))
+    H = sparse.kron(np.eye(two_S + 1), ring) + central \
+        + sparse.kron(0.5 * prefactor * splus, sum(m)) \
+        + sparse.kron(0.5 * prefactor * splus.T, sum(p))
+    return H.tocsr()
+
+
+def reference_operator(N: int, two_S: int, name: str):
+    """'Sz' (the central S_m), 'L2' (the ring's L^2, by the symmetric
+    ladder route) or 'ms' (the staggered magnetization (1/N) sum_j (-1)^j Sz_j)
+    on the whole product space of :func:`reference_hamiltonian`, a scipy CSR."""
+    import scipy.sparse as sparse
+
+    _product_dim(N, two_S)
+    if name == "Sz":
+        return sparse.kron(_spin_matrices(two_S)[0], sparse.identity(1 << N), format="csr")
+    z, p, m = _ring_sites(N)
+    if name == "L2":
+        Lz, Lp, Lm = sum(z), sum(p), sum(m)
+        ring = 0.5 * (Lp @ Lm + Lm @ Lp) + Lz @ Lz
+    elif name == "ms":
+        ring = sum((-1) ** (a + 1) * z[a] for a in range(N))
+        ring.data /= N
+    else:
+        raise ParameterError(f"the reference has no operator {name!r}")
+    return sparse.kron(sparse.identity(two_S + 1), ring, format="csr")
+
+
+def reference_state(central, sites) -> np.ndarray:
+    """The product state central x site N x ... x site 1 on the whole product
+    space, by ``np.kron``: ``central`` holds the amplitudes of c = 0 .. 2S,
+    ``sites[a]`` the (down, up) amplitudes of ring site a + 1."""
+    _product_dim(len(sites), len(central) - 1)
+    out = np.asarray(central, dtype=np.complex128)
+    for spinor in reversed(sites):
+        out = np.kron(out, spinor)
+    return out
+
+
+def neel_sites(N: int) -> list[np.ndarray]:
+    """The alternating ring: site 1 down, every even site up."""
+    return [np.eye(2)[a % 2] for a in range(N)]
+
+
+def coherent_sites(N: int, theta: float, phi: float) -> list[np.ndarray]:
+    """The spin coherent ring along (theta, phi), every site
+    sin(theta/2) |down> + cos(theta/2) e^{-i phi} |up>."""
+    return [np.array([math.sin(theta / 2), math.cos(theta / 2) * np.exp(-1j * phi)])] * N
+
+
+def restrict(full, keys, rows=None):
+    """The rows ``rows`` (default ``keys``) and columns ``keys`` of a
+    whole-space matrix: a sector's operator, when both are its keys."""
+    return full[keys if rows is None else rows][:, keys]
+
+
+def restrict_state(full: np.ndarray, N: int, two_S: int) -> StateVector:
+    """A whole-space vector on the star sectors it occupies, in ascending 2m."""
+    sectors = [enumerate_sector(N, two_S, two_m) for two_m in range(-two_S - N, two_S + N + 1, 2)]
+    return StateVector.from_blocks([(s, full[s.keys]) for s in sectors if full[s.keys].any()],
+                                   renormalize=False)
 
 
 def _coherent_collective_check() -> CheckResult:

@@ -27,12 +27,6 @@ from heisenberg_star.dynamics import (
     first_crossing,
     neel_experiment,
 )
-from heisenberg_star.operators import (
-    build_L_squared,
-    build_bath_ring,
-    build_star_hamiltonian,
-    build_system_bath,
-)
 from heisenberg_star.spectrum import (
     bethe_levels,
     degeneracy,
@@ -45,11 +39,12 @@ from heisenberg_star.spectrum import (
 )
 from heisenberg_star.states import (
     bath_multiplet,
-    spin_coherent,
+    coherent_coefficients,
     subground_coefficients,
     subground_squared_norm,
     subground_state,
 )
+from heisenberg_star.verify import reference_hamiltonian, reference_operator, restrict
 
 # Unitarity and energy bounds every production run must respect.
 NORM_DRIFT_BOUND = 1e-10
@@ -260,7 +255,10 @@ def test_criterion_05_subground_eigenvectors(table8):
     worst_r = worst_j2 = worst_l2 = 0.0
     checked = 0
     for two_S in (2, 3, 4):
-        params = make_params(N, two_S, J=J, g=g)
+        # the star, L^2 and S.L of the Kronecker reference
+        full_H = reference_hamiltonian(N, two_S, J, J, g, 0.0)
+        full_L2 = reference_operator(N, two_S, "L2")
+        full_SL = reference_hamiltonian(N, two_S, 0.0, 0.0, 1.0, 0.0)
         for two_l in range(0, N + 1, 2):
             mult = bath_multiplet(N, two_l)
             two_j = abs(two_l - two_S)
@@ -268,15 +266,15 @@ def test_criterion_05_subground_eigenvectors(table8):
             for two_m in range(-two_j, two_j + 1, 2):
                 st = subground_state(N, two_S, two_l, two_m, multiplet=mult)
                 sec, amps = st.require_single()
-                H = build_star_hamiltonian(sec, params)
+                H = restrict(full_H, sec.keys)
                 worst_r = max(worst_r, float(np.linalg.norm(
-                    H.matrix @ amps - energy * amps)))
+                    H @ amps - energy * amps)))
                 S = two_S / 2.0
-                L2 = build_L_squared(sec)
-                SL = build_system_bath(sec, 1.0)
-                l2 = float(np.vdot(amps, L2.matrix @ amps).real)
+                L2 = restrict(full_L2, sec.keys)
+                SL = restrict(full_SL, sec.keys)
+                l2 = float(np.vdot(amps, L2 @ amps).real)
                 j2 = S * (S + 1.0) + l2 \
-                    + 2.0 * float(np.vdot(amps, SL.matrix @ amps).real)
+                    + 2.0 * float(np.vdot(amps, SL @ amps).real)
                 j = two_j / 2.0
                 l = two_l / 2.0
                 worst_j2 = max(worst_j2, abs(j2 - j * (j + 1.0)))
@@ -324,15 +322,14 @@ def test_criterion_07_propagator_oracle(neel10_runs, neel12_runs, coherent_runs)
         (s, rng.normal(size=s.dim) + 1j * rng.normal(size=s.dim))
         for s in sectors
     ])
-    hams = [build_star_hamiltonian(s, params) for s in sectors]
+    full_H = reference_hamiltonian(6, 2, params.J, params.Jp, params.g, 0.0)
+    hams = [restrict(full_H, s.keys) for s in sectors]
     gt_grid = np.linspace(0.0, 20.0, 21)
     t_abs = gt_grid / params.gt
-    props = [scipy.linalg.expm(-1j * h.matrix.toarray() * (t_abs[1] - t_abs[0]))
-             for h in hams]
+    props = [scipy.linalg.expm(-1j * h.toarray() * (t_abs[1] - t_abs[0])) for h in hams]
     reference = [state.block(i).copy() for i in range(state.n_blocks)]
     worst = 0.0
-    outs = list(evolve(lambda block, dense: build_star_hamiltonian(block, params).matrix,
-                       state, t_abs))
+    outs = list(evolve(lambda block, dense: restrict(full_H, block.keys), state, t_abs))
     for step, out in enumerate(outs):
         if step > 0:
             reference = [p @ r for p, r in zip(props, reference)]
@@ -390,14 +387,14 @@ def test_criterion_09_collapse_and_revival(coherent_runs):
     wmask = (COHERENT_GRID >= REVIVAL_WINDOW[0]) & (COHERENT_GRID <= REVIVAL_WINDOW[1])
     revival = float(np.max(sz["J1"][wmask]))
     assert revival >= 0.3
-    # the driving state really is a ring eigenstate
+    # the driving state, its Dicke weights spread over every ring
+    # configuration, really is an eigenstate of the reference ring
     N = 14
-    cs = spin_coherent(N, math.pi / 2, 0.0)
-    total = 0.0
-    for i, sec in enumerate(cs.sectors):
-        H = build_bath_ring(sec, 1.0, 1.0)
-        x = cs.block(i)
-        total += float(np.linalg.norm(H.matrix @ x - (N / 4.0) * x)) ** 2
+    n_up = np.bitwise_count(np.arange(1 << N))
+    x = coherent_coefficients(N, math.pi / 2, 0.0)[n_up] / np.sqrt(
+        [math.comb(N, n) for n in n_up])
+    r = reference_hamiltonian(N, 0, 1.0, 1.0, 0.0, 0.0) @ x - (N / 4.0) * x
+    total = float(np.vdot(r, r).real)
     assert math.sqrt(total) <= 1e-10
     print(f"PASS criterion 9: runs agree to {worst:.1e}, quiet window"
           f" {quiet:.1f}, revival {revival:.3f}, eigenstate residual"

@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 from heisenberg_star import cli, csvio, spectrum, verify
-from heisenberg_star.core import make_params
+from heisenberg_star.core import StateVector, enumerate_sector, make_params
 from heisenberg_star.dynamics import neel_experiment
 from heisenberg_star.errors import ConvergenceError
 from heisenberg_star.spectrum import level_table, sub_ground_energy
 from heisenberg_star.states import (
     bath_multiplet,
-    star_state,
     subground_coefficients,
     subground_state,
 )
@@ -29,6 +28,11 @@ def run(args, **kw):
 
 def read(path):
     return path.read_text(encoding="utf-8")
+
+
+# a fresh interpreter on this package with one BLAS thread
+SUBPROCESS_ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                      PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
 
 
 class TestGroundScan:
@@ -351,13 +355,16 @@ class TestCoherent:
 
 
 def term_by_term_subground(N, two_S, two_l, two_m, multiplet):
-    """The sub-ground state with each coefficient times multiplet level
-    placed by states.star_state and normalized there, by key lookup."""
-    terms = []
+    """The sub-ground state with each coefficient times multiplet level placed
+    in the whole product space at c 2^N + bits, restricted to the sector's
+    keys and normalized there."""
+    full = np.zeros((two_S + 1) << N, dtype=np.complex128)
     for level, coeff in subground_coefficients(two_S, two_l, two_m):
         two_Sm, two_lm = (level, two_m - level) if two_S <= two_l else (two_m - level, level)
-        terms.append(((two_S - two_Sm) // 2, coeff, multiplet[two_lm]))
-    return star_state(two_S, terms, renormalize=True)
+        ring, amps = multiplet[two_lm].require_single()
+        full[(((two_S - two_Sm) // 2) << N) | ring.bits] += coeff * amps
+    sector = enumerate_sector(N, two_S, two_m)
+    return StateVector.from_blocks([(sector, full[sector.keys])], renormalize=True)
 
 
 class TestSubground:
@@ -461,7 +468,7 @@ class TestSubground:
         psi = subground_state(N, two_S, two_l, two_m, multiplet=multiplet)
         text = dump(psi)
         assert read(out) == text
-        # the seed path, and each term placed by star_state as the assembly once was
+        # the seed path, and each term placed in the whole product space
         assert dump(subground_state(N, two_S, two_l, two_m, seed=seed)) == text
         reference = term_by_term_subground(N, two_S, two_l, two_m, multiplet)
         assert dump(reference) == text and np.array_equal(reference.amps, psi.amps)
@@ -537,6 +544,50 @@ class TestVerify:
         out = capsys.readouterr().out
         for two_S, count in ((2, 19), (3, 18), (4, 17)):
             assert f"PASS subground-residuals two_S={two_S}: {count} states, worst residual" in out
+
+
+    def test_reference_suites_refuse_an_n_beyond_the_cap_at_once(self, tmp_path):
+        # at N = 20 the subground suite's 2S = 4 needs 5 2^20 product states,
+        # above the reference's cap: refused before any ring solve, in a fresh
+        # interpreter under a 1 GB address-space limit, so a refusal that came
+        # too late fails on memory, not the machine
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run([sys.executable, "-c", TestGridSizeGuard.PROBE, "verify",
+                               "--suite", "subground", "--n", "20", "--threads", "1"],
+                              env=SUBPROCESS_ENV, capture_output=True, text=True,
+                              timeout=120, preexec_fn=limit)
+        assert proc.returncode == 2, proc.stderr
+        assert f"at most {verify.REFERENCE_CAPACITY} product states" in proc.stderr
+        assert float(proc.stdout.splitlines()[-1]) < 0.5
+        # the spectrum suite uses no reference, so N = 20 still runs
+        proc = subprocess.run([sys.executable, "-m", "heisenberg_star.cli", "verify",
+                               "--suite", "spectrum", "--n", "20", "--threads", "1"],
+                              env=SUBPROCESS_ENV, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "4/4 checks passed"
+
+
+@pytest.mark.parametrize("args", [
+    ["coherent", "--n", "12", "--jp", "0.8", "--with-l2", "--samples", "201",
+     "--tmax-gt", "10"],
+    ["level-table", "--n", "14"],
+    ["neel", "--n", "12", "--samples", "101"],
+], ids=["coherent", "level-table", "neel"])
+def test_blas_thread_count_moves_no_value_beyond_1e_12(args, tmp_path):
+    # no bitwise promise across BLAS thread counts, but this bound holds
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}.csv"
+        env = dict(SUBPROCESS_ENV, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "heisenberg_star.cli", *args, "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        header, *rows = read(out).splitlines()
+        tables.append((header, np.array([[float(v) for v in row.split(",")] for row in rows])))
+    (header1, one), (header2, two) = tables
+    assert header1 == header2 and one.shape == two.shape and one.size
+    np.testing.assert_allclose(one, two, rtol=0, atol=1e-12)
 
 
 class TestPlumbing:

@@ -15,6 +15,7 @@ initial values, conservation laws) rather than re-deriving the
 propagator.
 """
 
+import functools
 import itertools
 import math
 
@@ -43,12 +44,14 @@ from heisenberg_star.errors import (
     SectorCapacityError,
     SectorMismatch,
 )
-from heisenberg_star.states import (
-    central_initial,
-    coherent_block_state,
-    dicke_state,
-    neel_state,
-    star_state,
+from heisenberg_star.states import central_initial, coherent_block_state
+from heisenberg_star.verify import (
+    neel_sites,
+    reference_hamiltonian,
+    reference_operator,
+    reference_state,
+    restrict,
+    restrict_state,
 )
 from test_spectrum import twisted_ring
 
@@ -59,13 +62,41 @@ def random_state(sector, seed):
     return StateVector.single(sector, v)
 
 
-def dense_propagate(op, amps, t):
-    return scipy.linalg.expm(-1j * op.matrix.toarray() * t) @ amps
+def dense_propagate(mat, amps, t):
+    return scipy.linalg.expm(-1j * mat.toarray() * t) @ amps
 
 
-def on_blocks(*ops):
-    """hams(block, dense) giving each block the matrix of the operator on its sector."""
-    mats = {op.tag: op.matrix for op in ops}
+@functools.lru_cache(maxsize=4)
+def full_star(N, two_S, J, g):
+    """The plain star on the whole product space, from the Kronecker reference."""
+    return reference_hamiltonian(N, two_S, J, J, g, 0.0)
+
+
+def star(sector, params):
+    """The plain star on one sector, from the Kronecker reference (scipy CSR)."""
+    return restrict(full_star(sector.N, sector.two_S, params.J, params.g), sector.keys)
+
+
+@functools.lru_cache(maxsize=8)
+def full_observable(N, two_S, name):
+    """One observable on the whole product space, from the Kronecker reference."""
+    return reference_operator(N, two_S, name)
+
+
+def zeeman(sector):
+    """The central Sz on one sector, from the Kronecker reference."""
+    return restrict(full_observable(sector.N, sector.two_S, "Sz"), sector.keys)
+
+
+def reference_neel_star(params, central):
+    """The alternating-state star on its full sectors, from the reference."""
+    full = reference_state(central, neel_sites(params.N))
+    return restrict_state(full, params.N, params.two_S)
+
+
+def on_blocks(*pairs):
+    """hams(block, dense) giving each block the matrix paired with its sector."""
+    mats = {sector.tag: mat for sector, mat in pairs}
     return lambda block, dense: mats[block.tag]
 
 
@@ -94,7 +125,7 @@ def _evolve_all(hams, st, grid):
 
 def _observe_all(hams, st, grid):
     return run_observables(lambda block, dense: (
-        hams(block, dense), [ops.build_zeeman(block, 1.0).matrix]), st, grid, ["Sz"])
+        hams(block, dense), [zeeman(block)]), st, grid, ["Sz"])
 
 
 # both public entry points into the propagator
@@ -109,10 +140,10 @@ class TestEvolve:
     def test_matches_dense_exponential(self):
         params = make_params(6, 2, J=0.8, g=1.1)
         sec = enumerate_sector(6, 2, 0)
-        H = ops.build_star_hamiltonian(sec, params)
+        H = star(sec, params)
         st = random_state(sec, 21)
         grid = np.array([0.0, 0.3, 1.7, 4.0, 9.5])
-        for t, out in zip(grid, evolve(on_blocks(H), st, grid)):
+        for t, out in zip(grid, evolve(on_blocks((sec, H)), st, grid)):
             want = dense_propagate(H, st.amps, t)
             assert np.linalg.norm(out.amps - want) <= 1e-9
 
@@ -120,15 +151,15 @@ class TestEvolve:
         params = make_params(6, 1, J=0.5, g=0.9)
         a = enumerate_sector(6, 1, 1)
         b = enumerate_sector(6, 1, 3)
-        Ha = ops.build_star_hamiltonian(a, params)
-        Hb = ops.build_star_hamiltonian(b, params)
+        Ha = star(a, params)
+        Hb = star(b, params)
         rng = np.random.default_rng(4)
         st = StateVector.from_blocks([
             (a, rng.normal(size=a.dim) + 1j * rng.normal(size=a.dim)),
             (b, rng.normal(size=b.dim) + 1j * rng.normal(size=b.dim)),
         ])
         grid = np.array([0.0, 2.5, 6.0])
-        outs = list(evolve(on_blocks(Ha, Hb), st, grid))
+        outs = list(evolve(on_blocks((a, Ha), (b, Hb)), st, grid))
         for t, out in zip(grid, outs):
             wa = dense_propagate(Ha, st.block(0), t)
             wb = dense_propagate(Hb, st.block(1), t)
@@ -138,30 +169,28 @@ class TestEvolve:
     def test_unitary_at_every_output(self):
         params = make_params(8, 1, J=1.0, g=1.0)
         sec = enumerate_sector(8, 1, 1)
-        H = ops.build_star_hamiltonian(sec, params)
+        H = star(sec, params)
         st = random_state(sec, 8)
-        for out in evolve(on_blocks(H), st, np.linspace(0.0, 20.0, 11)):
+        for out in evolve(on_blocks((sec, H)), st, np.linspace(0.0, 20.0, 11)):
             assert abs(out.norm() - 1.0) <= 1e-12
 
     def test_time_reversal_returns_home(self):
         params = make_params(6, 2, J=1.3, g=0.7)
         sec = enumerate_sector(6, 2, 2)
-        H = ops.build_star_hamiltonian(sec, params)
+        H = star(sec, params)
         st = random_state(sec, 31)
-        fwd = list(evolve(on_blocks(H), st, [7.0]))[0]
-        m = H.matrix
-        back_op = ops.SparseOperator(sector=sec, matrix=ops.CSR(m.indptr, m.indices, -m.data))
-        back = list(evolve(on_blocks(back_op), fwd, [7.0]))[0]
+        fwd = list(evolve(on_blocks((sec, H)), st, [7.0]))[0]
+        back = list(evolve(on_blocks((sec, -H)), fwd, [7.0]))[0]
         assert np.linalg.norm(back.amps - st.amps) <= 1e-9
 
     def test_stationary_state_only_turns_a_phase(self):
-        # the symmetric one-magnon combination is a ring eigenstate
+        # the Dicke state, uniform over one filling, is a ring eigenstate
         N = 6
-        st = dicke_state(N, 3)
-        sec, _ = st.require_single()
-        H = ops.build_bath_ring(sec, 1.0, 1.0)
+        sec = enumerate_bath_sector(N, 3)
+        st = StateVector.single(sec, np.full(sec.dim, 1.0 / math.sqrt(sec.dim)))
+        H = ops.build_bath_ring(sec, 1.0, 1.0).matrix
         e = N / 4.0
-        for t, out in zip([0.0, 1.5, 4.2], evolve(on_blocks(H), st, [0.0, 1.5, 4.2])):
+        for t, out in zip([0.0, 1.5, 4.2], evolve(on_blocks((sec, H)), st, [0.0, 1.5, 4.2])):
             want = st.amps * np.exp(-1j * e * t)
             assert np.linalg.norm(out.amps - want) <= 1e-10
 
@@ -173,16 +202,16 @@ class TestEvolve:
         assert np.any(op.matrix.data.imag)
         st = random_state(op.sector, 5)
         grid = np.array([0.0, 0.4, 1.3, 2.5])
-        for t, out in zip(grid, evolve(on_blocks(op), st, grid)):
-            assert np.linalg.norm(out.amps - dense_propagate(op, st.amps, t)) <= 1e-10
+        for t, out in zip(grid, evolve(on_blocks((op.sector, op.matrix)), st, grid)):
+            assert np.linalg.norm(out.amps - dense_propagate(op.matrix, st.amps, t)) <= 1e-10
 
     def test_final_state_independent_of_output_sampling(self):
         params = make_params(6, 1, J=0.9, g=1.2)
         sec = enumerate_sector(6, 1, -1)
-        H = ops.build_star_hamiltonian(sec, params)
+        H = star(sec, params)
         st = random_state(sec, 77)
-        direct = list(evolve(on_blocks(H), st, [8.0]))[-1]
-        sampled = list(evolve(on_blocks(H), st, np.linspace(0.5, 8.0, 16)))[-1]
+        direct = list(evolve(on_blocks((sec, H)), st, [8.0]))[-1]
+        sampled = list(evolve(on_blocks((sec, H)), st, np.linspace(0.5, 8.0, 16)))[-1]
         assert np.linalg.norm(direct.amps - sampled.amps) <= 1e-9
 
     def test_small_krylov_space_still_converges(self, monkeypatch):
@@ -194,13 +223,13 @@ class TestEvolve:
         params = make_params(6, 1, J=1.0, g=1.0)
         sec = enumerate_sector(6, 1, 1)
         monkeypatch.setattr(dynamics, "CHUNK_ENTRIES", 2 * sec.dim)
-        H = ops.build_star_hamiltonian(sec, params)
+        H = star(sec, params)
         st = random_state(sec, 5)
         grid = np.concatenate([np.linspace(0.0, 0.02, 11), np.linspace(0.15, 3.0, 20)])
         yields = []  # the grid times each basis yielded, in order
         basis = dynamics._basis
         monkeypatch.setattr(dynamics, "_basis", lambda *args: yields.append(0) or basis(*args))
-        route, Hk, _ = dynamics._prepare(lambda block, dense: (H.matrix, []), sec)
+        route, Hk, _ = dynamics._prepare(lambda block, dense: (H, []), sec)
         assert route == "krylov"
         chunks = []
         for chunk in dynamics._trajectory(Hk, st.amps, grid, route):
@@ -214,12 +243,12 @@ class TestEvolve:
     def test_grid_validation(self, propagate):
         params = make_params(4, 1, J=1.0, g=1.0)
         sec = enumerate_sector(4, 1, 1)
-        H = ops.build_star_hamiltonian(sec, params)
+        H = star(sec, params)
         st = random_state(sec, 1)
         with pytest.raises(ParameterError):
-            propagate(on_blocks(H), st, [0.0, -1.0])
+            propagate(on_blocks((sec, H)), st, [0.0, -1.0])
         with pytest.raises(ParameterError):
-            propagate(on_blocks(H), st, [1.0, 1.0])
+            propagate(on_blocks((sec, H)), st, [1.0, 1.0])
 
     @propagators
     def test_a_matrix_of_another_dimension_is_refused(self, propagate):
@@ -228,10 +257,10 @@ class TestEvolve:
         a = enumerate_sector(4, 1, 1)
         b = enumerate_sector(4, 1, 3)
         assert a.dim != b.dim
-        Ha = ops.build_star_hamiltonian(a, params)
+        Ha = star(a, params)
         st = StateVector.from_blocks([(a, np.ones(a.dim)), (b, np.ones(b.dim))])
         with pytest.raises(SectorMismatch, match=b.tag):
-            propagate(lambda block, dense: Ha.matrix, st, [0.0, 1.0])
+            propagate(lambda block, dense: Ha, st, [0.0, 1.0])
 
 
 class TestEvolveKrylov(TestEvolve):
@@ -251,13 +280,13 @@ def test_spectral_route_matches_krylov(N, monkeypatch):
     # sectors of 1716 states at N = 12
     params = make_params(N, 1, J=0.9, g=1.0)
     central = central_initial(1, "uniform")
-    state = star_state(1, [(c, amp, neel_state(N)) for c, amp in enumerate(central)])
-    hams = [ops.build_star_hamiltonian(s, params) for s in state.sectors]
+    state = reference_neel_star(params, central)
+    hams = [(s, star(s, params)) for s in state.sectors]
     grid = np.linspace(0.0, 10.0, 11) / params.gt
     runs = {}
     for route, cutoff in (("spectral", max(s.dim for s in state.sectors)), ("krylov", 0)):
         monkeypatch.setattr(dynamics, "DENSE_CUTOFF", cutoff)
-        assert {dynamics._route(h.dim) for h in hams} == {route}
+        assert {dynamics._route(h.shape[0]) for _, h in hams} == {route}
         runs[route] = [out.amps for out in evolve(on_blocks(*hams), state, grid)]
     for a, b in zip(runs["spectral"], runs["krylov"]):
         assert np.linalg.norm(a - b) <= 1e-9
@@ -266,11 +295,11 @@ def test_spectral_route_matches_krylov(N, monkeypatch):
 def test_spectral_chunks_hold_at_most_the_entry_budget(monkeypatch):
     params = make_params(6, 1, J=0.7, g=1.0)
     sec = enumerate_sector(6, 1, 1)
-    H = ops.build_star_hamiltonian(sec, params)
+    H = star(sec, params)
     st = random_state(sec, 3)
     grid = np.linspace(0.0, 5.0, 100)
     monkeypatch.setattr(dynamics, "CHUNK_ENTRIES", 40 * sec.dim + sec.dim - 1)
-    dense = H.matrix.toarray()
+    dense = H.toarray()
     chunks = list(dynamics._trajectory(dense, st.amps, grid, "spectral"))
     assert [c.shape for c in chunks] == [(sec.dim, 40)] * 2 + [(sec.dim, 20)]
     for t, col in zip(grid, np.hstack(chunks).T):
@@ -285,8 +314,9 @@ def test_one_krylov_basis_serves_many_grid_times(monkeypatch):
     # the alternating star block with the centre up, 1716 states at N = 12;
     # a fresh basis per grid time makes about 7 products for each
     params = make_params(12, 1, J=0.9, g=1.0)
-    state = star_state(1, [(0, 1.0, neel_state(12))])
-    H = ops.build_star_hamiltonian(state.sectors[0], params)
+    state = reference_neel_star(params, [1.0, 0.0])
+    sec = state.sectors[0]
+    H = star(sec, params)
     grid = np.linspace(0.0, 10.0, 101) / params.gt
 
     class Counted:
@@ -310,10 +340,10 @@ def test_one_krylov_basis_serves_many_grid_times(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "_prepare", counted)
         patch.setattr(dynamics, "DENSE_CUTOFF", 0)
-        krylov = [out.amps for out in evolve(on_blocks(H), state, grid)]
+        krylov = [out.amps for out in evolve(on_blocks((sec, H)), state, grid)]
     assert 0 < Counted.products <= 2 * grid.size
-    monkeypatch.setattr(dynamics, "DENSE_CUTOFF", H.dim)
-    for a, out in zip(krylov, evolve(on_blocks(H), state, grid)):
+    monkeypatch.setattr(dynamics, "DENSE_CUTOFF", sec.dim)
+    for a, out in zip(krylov, evolve(on_blocks((sec, H)), state, grid)):
         assert np.linalg.norm(a - out.amps) <= 1e-9
 
 
@@ -325,12 +355,12 @@ def test_krylov_route_raises_when_no_substep_meets_the_tolerance(monkeypatch):
     params = make_params(8, 1, J=1.0, g=1.0)
     sec = enumerate_sector(8, 1, 1)
     assert sec.dim > dynamics.KRYLOV_DIM
-    H = ops.build_star_hamiltonian(sec, params)
+    H = star(sec, params)
     bases = []
     basis = dynamics._basis
     monkeypatch.setattr(dynamics, "_basis", lambda *args: bases.append(1) or basis(*args))
     with pytest.raises(ConvergenceError, match="substep collapsed") as exc:
-        list(evolve(on_blocks(H), random_state(sec, 2), [1.0]))
+        list(evolve(on_blocks((sec, H)), random_state(sec, 2), [1.0]))
     assert len(bases) == 1 and exc.value.residual > 0.0
 
 
@@ -346,14 +376,14 @@ class TestRunObservables:
     def test_totals_match_a_manual_loop(self):
         params = make_params(6, 1, J=0.6, g=1.0)
         sec = enumerate_sector(6, 1, -1)
-        H = ops.build_star_hamiltonian(sec, params)
-        Sz = ops.build_zeeman(sec, 1.0)
+        H = star(sec, params)
+        Sz = zeeman(sec)
         st = random_state(sec, 12)
         grid = np.linspace(0.0, 5.0, 7)
-        totals, diag = run_observables(lambda block, dense: (H.matrix, [Sz.matrix]), st,
-                                       grid, ["Sz"])
+        totals, diag = run_observables(lambda block, dense: (H, [Sz]), st, grid, ["Sz"])
         want = [
-            ops.expectation(Sz, out) for out in evolve(on_blocks(H), st, grid)
+            np.vdot(out.amps, Sz @ out.amps).real
+            for out in evolve(on_blocks((sec, H)), st, grid)
         ]
         np.testing.assert_allclose(totals["Sz"], want, atol=1e-12)
         assert diag["norm_drift"] <= 1e-10
@@ -374,10 +404,10 @@ def test_an_observable_of_another_dimension_is_refused(cutoff, monkeypatch):
     params = make_params(4, 1, J=1.0, g=1.0)
     a = enumerate_sector(4, 1, 1)
     b = enumerate_sector(4, 1, 3)
-    Hb, Sza = ops.build_star_hamiltonian(b, params), ops.build_zeeman(a, 1.0)
+    Hb, Sza = star(b, params), zeeman(a)
     st = random_state(b, 2)
     with pytest.raises(SectorMismatch, match=b.tag):
-        run_observables(lambda block, dense: (Hb.matrix, [Sza.matrix]), st, [0.0, 1.0], ["Sz"])
+        run_observables(lambda block, dense: (Hb, [Sza]), st, [0.0, 1.0], ["Sz"])
 
 
 @pytest.mark.parametrize("run", ["evolve", "run_observables", "neel", "coherent"])
@@ -385,7 +415,7 @@ def test_an_empty_grid_is_refused(run):
     params = make_params(6, 1, J=1.0, g=1.0)
     sec = enumerate_sector(6, 1, 1)
     st = random_state(sec, 1)
-    hams = on_blocks(ops.build_star_hamiltonian(sec, params))
+    hams = on_blocks((sec, star(sec, params)))
     with pytest.raises(ParameterError, match="non-empty"):
         if run == "evolve":
             _evolve_all(hams, st, [])
@@ -418,25 +448,19 @@ def test_series_check_the_grid_before_building(experiment, monkeypatch):
     assert built == []
 
 
-FULL_SECTOR_OBSERVABLES = {"Sz": lambda s: ops.build_zeeman(s, 1.0),
-                           "ms": ops.build_staggered, "L2": ops.build_L_squared}
-
-
 def neel_star_run(params, central_kind, t_abs, names=("ms",)):
     """The alternating-state quench built by hand on absolute times.
 
     Same state, Hamiltonian and observables as neel_experiment, from the
-    full-sector reference: the state placed by star_state, the operators
-    made by the hop builders on the enumerated sectors. It also runs at
-    g = 0, where the experiment has no reduced time axis.
+    Kronecker reference restricted to the enumerated sectors: the product
+    state by ``np.kron`` and every operator from one-site matrices. It
+    also runs at g = 0, where the experiment has no reduced time axis.
     """
-    central = central_initial(params.two_S, central_kind)
-    state = star_state(params.two_S,
-                       [(c, amp, neel_state(params.N)) for c, amp in enumerate(central)])
+    state = reference_neel_star(params, central_initial(params.two_S, central_kind))
+    full = {name: full_observable(params.N, params.two_S, name) for name in names}
 
     def full_sector(sector, dense):
-        return (ops.build_star_hamiltonian(sector, params).matrix,
-                [FULL_SECTOR_OBSERVABLES[name](sector).matrix for name in names])
+        return (star(sector, params), [restrict(full[name], sector.keys) for name in names])
 
     return run_observables(full_sector, state, t_abs, names)
 
@@ -448,11 +472,12 @@ class TestNeelSeries:
         params = make_params(N, 2, J=1.0, g=0.0)
         grid = np.linspace(0.0, 6.0, 13)
         totals, _ = neel_star_run(params, "polarized", grid)
-        bath = neel_state(N)
-        sec, _ = bath.require_single()
-        ring = ops.build_bath_ring(sec, params.J, params.Jp)
-        stag = ops.build_staggered(sec)
-        want = [ops.expectation(stag, out) for out in evolve(on_blocks(ring), bath, grid)]
+        sec = enumerate_bath_sector(N, N // 2)
+        bath = StateVector.single(sec, reference_state([1.0], neel_sites(N))[sec.keys])
+        ring = ops.build_bath_ring(sec, params.J, params.Jp).matrix
+        stag = restrict(reference_operator(N, 0, "ms"), sec.keys)
+        want = [np.vdot(out.amps, stag @ out.amps).real
+                for out in evolve(on_blocks((sec, ring)), bath, grid)]
         np.testing.assert_allclose(totals["ms"], want, atol=1e-10)
 
     def test_decoupled_centre_kind_is_irrelevant(self):
@@ -519,8 +544,8 @@ class TestNeelExperiment:
     @pytest.mark.parametrize("N,two_S", [(N, two_S) for N in (6, 8, 10, 12)
                                          for two_S in (1, 2, 3, 4)])
     def test_matches_the_full_sector_reference(self, N, two_S, monkeypatch):
-        # whole-sector star blocks from ring pieces against the hop builders
-        # on enumerated sectors, on both propagation routes
+        # whole-sector star blocks from ring pieces against the Kronecker
+        # reference on enumerated sectors, on both propagation routes
         params = make_params(N, two_S, J=0.8, g=1.1)
         grid = np.linspace(0.0, 3.0, 7)
         names = ("Sz", "ms", "L2")

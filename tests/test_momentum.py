@@ -2,24 +2,26 @@
 
 Each orbit block is checked against an isometry Q built here, state by
 state, from rotations and reflections of the ring carried out site by
-site: every ring-symmetric builder emitted on the block equals Q^T M Q,
-is Hermitian, and has one state per bracelet of each central level. So
-do the coherent run's star blocks, assembled from ring pieces, dense and
-CSR: their Hamiltonian, Sz and L^2 equal Q^T M Q of the hop builders on
-the full sector. The whole-sector star blocks of the alternating-state
-quench hold the enumerated sector's states in its order, and their
-operators equal the builders' on it. The coherent state written on the blocks is Q^T v of
-the full-sector state v, which Q Q^T leaves whole. The k = 0 isometry P
-of translations alone, also built here, is the oracle for the
-translation part. The driven coherent run on orbit blocks, on either
-propagation route, is compared with the same state propagated on the
-full sectors by dense diagonalization, on the half of each sector that a
-reflection built here from bit reversal leaves even; that oracle shares
-no code with the propagator. At J == Jp the run is also compared with
-the collective-spin oracle of ``verify``.
+site: the ring builder emitted on the block equals Q^T M Q, is
+Hermitian, and has one state per bracelet of each central level. So do
+the coherent run's star blocks, assembled from ring pieces, dense and
+CSR: their Hamiltonian, Sz and L^2 equal Q^T M Q of ``verify``'s
+Kronecker reference restricted to the full sector. The whole-sector
+star blocks of the alternating-state quench hold the enumerated
+sector's states in its order, and their operators equal the reference
+on it. The coherent state written on the blocks is Q^T v of the
+reference's product state v, which Q Q^T leaves whole. The k = 0
+isometry P of translations alone, also built here, is the oracle for
+the translation part. The driven coherent run on orbit blocks, on
+either propagation route, is compared with the reference's state
+propagated on the full sectors by dense diagonalization, on the half of
+each sector that a reflection built here from bit reversal leaves even;
+that oracle shares no code with the propagator. At J == Jp the run is
+also compared with the collective-spin oracle of ``verify``.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -37,8 +39,16 @@ from heisenberg_star.core import (
     star_block,
 )
 from heisenberg_star.dynamics import coherent_experiment
-from heisenberg_star.states import coherent_block_state, spin_coherent, star_state
-from heisenberg_star.verify import collective_series
+from heisenberg_star.states import coherent_block_state
+from heisenberg_star.verify import (
+    coherent_sites,
+    collective_series,
+    reference_hamiltonian,
+    reference_operator,
+    reference_state,
+    restrict,
+    restrict_state,
+)
 
 
 def zero_momentum_isometry(sector: BasisSector) -> sparse.csr_matrix:
@@ -63,8 +73,18 @@ def zero_momentum_isometry(sector: BasisSector) -> sparse.csr_matrix:
                              shape=(sector.dim, size.size))
 
 
-def coherent_star(params, theta, phi):
-    return star_state(params.two_S, [(0, 1.0, spin_coherent(params.N, theta, phi))])
+def reference_coherent_star(N, two_S, theta, phi):
+    """The driven run's initial state on the full sectors, from the reference."""
+    full = reference_state(np.eye(two_S + 1)[0], coherent_sites(N, theta, phi))
+    return restrict_state(full, N, two_S)
+
+
+def reference_terms(N, two_S):
+    """The ring at J != Jp, L^2, S.L and Sz on the whole product space."""
+    return [reference_hamiltonian(N, two_S, 0.7, 0.3, 0.0, 0.0),
+            reference_operator(N, two_S, "L2"),
+            reference_hamiltonian(N, two_S, 0.0, 0.0, 1.3, 0.0),
+            reference_operator(N, two_S, "Sz")]
 
 
 def necklaces(N, n_up):
@@ -155,24 +175,17 @@ class TestIsometry:
             assert zero_momentum_isometry(sector).shape == (sector.dim, want)
 
     def test_invariant_operators_reduce_exactly(self, N, two_S):
+        terms = reference_terms(N, two_S)
         for sector in sectors(N, two_S):
             P = zero_momentum_isometry(sector)
-            mats = [ops.build_bath_ring(sector, 0.7, 0.3), ops.build_L_squared(sector)]
-            if two_S:
-                mats += [ops.build_system_bath(sector, 1.3), ops.build_zeeman(sector, 0.9)]
-            for op in mats:
-                MP = op.matrix.tocsr() @ P
-                assert abs(MP - P @ (P.T @ MP)).max() <= 1e-12, op
+            for k, full in enumerate(terms):
+                MP = restrict(full, sector.keys) @ P
+                assert abs(MP - P @ (P.T @ MP)).max() <= 1e-12, (sector, k)
 
 
-def symmetric_builders(sector):
-    """Every builder of a ring-symmetric operator that applies to the sector,
-    the ring at J != Jp."""
-    builders = [lambda s: ops.build_bath_ring(s, 0.7, 0.3), ops.build_L_squared]
-    if not sector.is_bath:
-        builders += [lambda s: ops.build_system_bath(s, 1.3),
-                     lambda s: ops.build_zeeman(s, 0.9)]
-    return builders
+def ring(sector):
+    """The ring builder at J != Jp."""
+    return ops.build_bath_ring(sector, 0.7, 0.3)
 
 
 BLOCK_CASES = [(N, two_S) for N in (4, 6, 8, 10) for two_S in (0, 1, 3) if two_S <= N]
@@ -184,18 +197,16 @@ class TestOrbitBlock:
         for sector in sectors(N, two_S):
             block = orbit_block(sector)
             Q = dihedral_isometry(sector, block)
-            for build in symmetric_builders(sector):
-                got = build(block).matrix.tocsr()
-                want = Q.T @ build(sector).matrix.tocsr() @ Q
-                assert got.shape == want.shape
-                assert abs(got - want).max() <= 1e-13, (sector, build)
+            got = ring(block).matrix.tocsr()
+            want = Q.T @ ring(sector).matrix.tocsr() @ Q
+            assert got.shape == want.shape
+            assert abs(got - want).max() <= 1e-13, sector
 
     def test_block_operators_are_hermitian(self, N, two_S):
         for sector in sectors(N, two_S):
             block = orbit_block(sector)
-            for build in symmetric_builders(sector):
-                mat = build(block).matrix.tocsr()
-                assert abs(mat - mat.conj().T).max() <= 1e-14, (sector, build)
+            mat = ring(block).matrix.tocsr()
+            assert abs(mat - mat.conj().T).max() <= 1e-14, sector
 
     def test_dimension_is_the_bracelet_count(self, N, two_S):
         for sector in sectors(N, two_S):
@@ -206,26 +217,23 @@ class TestOrbitBlock:
 
 @pytest.mark.parametrize("N,two_S", [(N, two_S) for N in (4, 6, 8, 10, 12) for two_S in (1, 2, 3)])
 def test_hamiltonians_reduce_exactly(N, two_S):
-    """The assembled Hamiltonians the runs propagate, not only their terms:
-    the builders on orbit blocks, the coherent run's star blocks made from
-    ring pieces, with their Sz and L^2, and the quench's whole-sector star
-    blocks, with their Sz, ms and L^2, dense and CSR."""
+    """The assembled Hamiltonians the runs propagate, not only their terms,
+    against the Kronecker reference: the coherent run's star blocks made
+    from ring pieces, with their Sz and L^2, and the quench's whole-sector
+    star blocks, with their Sz, ms and L^2, dense and CSR."""
     driven = make_params(N, two_S, J=1.1, Jp=0.88, g=0.7, omega=1.05)
     star = make_params(N, two_S, J=0.9, g=1.3)
     pieces = ops.ring_pieces(N, driven.J, driven.Jp, range(N + 1), l_squared=True)
     whole = ops.ring_pieces(N, star.J, star.Jp, range(N + 1), l_squared=True, orbits=False)
+    driven_H = reference_hamiltonian(N, two_S, driven.J, driven.Jp, 2.0 * driven.g,
+                                     driven.omega)
+    star_H = reference_hamiltonian(N, two_S, star.J, star.Jp, star.g, 0.0)
+    observables = {name: reference_operator(N, two_S, name) for name in ("Sz", "ms", "L2")}
     for sector in sectors(N, two_S):
         block = orbit_block(sector)
         Q = dihedral_isometry(sector, block)
-        for build, params in ((ops.build_modified_star, driven),
-                              (ops.build_star_hamiltonian, star)):
-            got = build(block, params).matrix.tocsr()
-            want = Q.T @ build(sector, params).matrix.tocsr() @ Q
-            assert got.shape == want.shape
-            assert abs(got - want).max() <= 1e-13, (sector, build)
-        wants = [(Q.T @ op.matrix.tocsr() @ Q).toarray()
-                 for op in (ops.build_modified_star(sector, driven),
-                            ops.build_zeeman(sector, 1.0), ops.build_L_squared(sector))]
+        wants = [(Q.T @ restrict(full, sector.keys) @ Q).toarray()
+                 for full in (driven_H, observables["Sz"], observables["L2"])]
         assembled = star_block(N, two_S, sector.two_m, pieces)
         dense_H, (dense_Sz, dense_L2) = ops.star_block_operators(
             assembled, pieces, 2.0 * driven.g, driven.omega, ["Sz", "L2"], dense=True)
@@ -245,7 +253,7 @@ def test_hamiltonians_reduce_exactly(N, two_S):
         np.testing.assert_array_equal(assembled.central, sector.central)
         np.testing.assert_array_equal(assembled.bits, sector.bits)
         names = ["Sz", "ms", "L2"]
-        want_H = ops.build_star_hamiltonian(sector, star).matrix
+        want_H = restrict(star_H, sector.keys)
         dense_H, dense_obs = ops.star_block_operators(assembled, whole, star.g, 0.0, names,
                                                       dense=True)
         csr_H, csr_obs = ops.star_block_operators(assembled, whole, star.g, 0.0, names,
@@ -253,12 +261,10 @@ def test_hamiltonians_reduce_exactly(N, two_S):
         assert csr_H.tocsr().has_canonical_format
         np.testing.assert_array_equal(dense_H, want_H.toarray())
         np.testing.assert_array_equal(csr_H.toarray(), want_H.toarray())
-        assert (csr_H.tocsr() != want_H.tocsr()).nnz == 0
+        assert (csr_H.tocsr() != want_H).nnz == 0
         np.testing.assert_array_equal(csr_obs[2].toarray(), dense_obs[2])
         np.testing.assert_array_equal(csr_obs[:2], dense_obs[:2])
-        wants = [op.matrix.toarray() for op in (ops.build_zeeman(sector, 1.0),
-                                                ops.build_staggered(sector),
-                                                ops.build_L_squared(sector))]
+        wants = [restrict(observables[name], sector.keys).toarray() for name in names]
         np.testing.assert_array_equal(np.diag(dense_obs[0]), wants[0])
         np.testing.assert_array_equal(np.diag(dense_obs[1]), wants[1])
         assert np.abs(dense_obs[2] - wants[2]).max() <= 1e-13, sector
@@ -272,24 +278,34 @@ def test_orbit_count_is_the_ring_block_dimension(N):
 
 @pytest.mark.parametrize("N,two_S", [(N, two_S) for N in (4, 6, 8, 10) for two_S in (1, 2, 3)])
 def test_block_state_is_the_projected_full_state(N, two_S):
-    # v is the coherent star on the full sectors: its blocks must be Q^T v,
-    # and Q Q^T v = v says nothing of v is lost on the way
+    # v is the reference's coherent star on the full sectors: its blocks must
+    # be Q^T v, and Q Q^T v = v says nothing of v is lost on the way. At the
+    # poles the package writes only the one occupied filling, so the
+    # reference's other sectors must hold no weight there; at theta = 0
+    # coherent_coefficients also drops the global phase e^{-i N phi} that
+    # every site's e^{-i phi} multiplies up to, so it is taken off v there.
     rings = {n: orbit_block(enumerate_bath_sector(N, n)) for n in range(N + 1)}
-    for theta in (0.0, 1.2, math.pi / 2, math.pi):
-        for phi in (0.0, 0.3):
-            full = star_state(two_S, [(0, 1.0, spin_coherent(N, theta, phi))])
-            got = coherent_block_state(N, two_S, theta, phi, rings)
-            assert [b.tag for b in got.sectors] == [f"{s.tag}:dihedral" for s in full.sectors]
-            for i, (block, sector) in enumerate(zip(got.sectors, full.sectors)):
-                # the block is made from ring blocks, without the sector: it
-                # must hold the orbits of orbit_block on the sector, in order
-                want = orbit_block(sector)
-                for name in ("central", "bits", "size"):
-                    np.testing.assert_array_equal(getattr(block, name), getattr(want, name))
-                Q = dihedral_isometry(sector, block)
-                v = full.block(i)
-                np.testing.assert_allclose(got.block(i), Q.T @ v, rtol=0, atol=1e-14)
-                np.testing.assert_allclose(Q @ (Q.T @ v), v, rtol=0, atol=1e-14)
+    for theta, phi in itertools.product((0.0, 1.2, math.pi / 2, math.pi), (0.0, 0.3)):
+        full = reference_state(np.eye(two_S + 1)[0], coherent_sites(N, theta, phi))
+        if theta == 0.0:
+            full *= np.exp(1j * N * phi)
+        got = coherent_block_state(N, two_S, theta, phi, rings)
+        held = np.zeros(full.size, dtype=bool)
+        for i, block in enumerate(got.sectors):
+            sector = enumerate_sector(N, two_S, block.two_m)
+            assert block.tag == f"{sector.tag}:dihedral"
+            # the block is made from ring blocks, without the sector: it
+            # must hold the orbits of orbit_block on the sector, in order
+            want = orbit_block(sector)
+            for name in ("central", "bits", "size"):
+                np.testing.assert_array_equal(getattr(block, name), getattr(want, name))
+            Q = dihedral_isometry(sector, block)
+            v = full[sector.keys]
+            held[sector.keys] = True
+            np.testing.assert_allclose(got.block(i), Q.T @ v, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(Q @ (Q.T @ v), v, rtol=0, atol=1e-14)
+        assert [b.two_m for b in got.sectors] == sorted(b.two_m for b in got.sectors)
+        assert np.linalg.norm(full[~held]) <= 1e-14
 
 
 def reflection(sector):
@@ -326,17 +342,19 @@ def full_sector_series(params, states, t_abs):
     """
     values = [{"Sz": np.zeros(len(t_abs)), "L2": np.zeros(len(t_abs))} for _ in states]
     sectors = {s.tag: s for state in states for s in state.sectors}
+    N, two_S = params.N, params.two_S
+    full_H = reference_hamiltonian(N, two_S, params.J, params.Jp, 2.0 * params.g, params.omega)
+    full_obs = {name: reference_operator(N, two_S, name) for name in ("Sz", "L2")}
     for tag, sector in sectors.items():
         R, W = reflection(sector)
 
-        def even_half(op):
-            M = op.matrix.tocsr()
-            assert abs(M @ R - R @ M).max() <= 1e-13, op
+        def even_half(full):
+            M = restrict(full, sector.keys)
+            assert abs(M @ R - R @ M).max() <= 1e-13, sector
             return W.T @ M @ W
 
-        energies, U = np.linalg.eigh(even_half(ops.build_modified_star(sector, params)).toarray())
-        obs = {"Sz": even_half(ops.build_zeeman(sector, 1.0)),
-               "L2": even_half(ops.build_L_squared(sector))}
+        energies, U = np.linalg.eigh(even_half(full_H).toarray())
+        obs = {name: even_half(full) for name, full in full_obs.items()}
         for state, vals in zip(states, values):
             index = {s.tag: i for i, s in enumerate(state.sectors)}
             if tag not in index:
@@ -367,7 +385,7 @@ def test_k0_run_matches_full_sectors(two_S, N, cutoff, monkeypatch):
     for J, Jp in ((1.0, 1.0), (1.1, 0.7), (0.0, 0.0)):
         params = make_params(N, two_S, J=J, Jp=Jp, g=0.9, omega=0.8)
         wants = full_sector_series(
-            params, [coherent_star(params, theta, 0.4) for theta in thetas], t_abs)
+            params, [reference_coherent_star(N, two_S, theta, 0.4) for theta in thetas], t_abs)
         for theta, want in zip(thetas, wants):
             # the experiment takes g t and reports <Sz>/S
             got, diag = coherent_experiment(params, theta, 0.4, t_abs * params.g,

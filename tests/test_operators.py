@@ -1,13 +1,18 @@
-"""Operator builders against a dense Kronecker-product reference.
+"""The Kronecker reference of ``verify`` and the operators it checks.
 
-The reference implementation below assembles every term from explicit
-single-site matrices in the full product space and projects onto the
-sector basis. It shares no code with the builders (different ladder
-route for the squared ring momentum on purpose), so agreement is a real
-cross-check, not a tautology.
+The dense reference below assembles every term from single-site
+matrices written out bit by bit in the full product space and projects
+onto a sector's basis. It anchors ``verify``'s sparse Kronecker
+reference (``reference_hamiltonian``, ``reference_operator``,
+``reference_state``), which is built from ``scipy.sparse.kron`` of one
+2 x 2 matrix per site, term by term at N = 2-6. That reference in turn
+checks the package's own operators: the ring builder, the kernel, the
+ring pieces and the star blocks assembled from them, at sizes the dense
+one cannot reach. Neither reference shares code with the package (the
+squared ring momentum even takes a different ladder route), so
+agreement is a real cross-check, not a tautology.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -15,14 +20,21 @@ import pytest
 import scipy.sparse as sparse
 
 from heisenberg_star import operators as ops
+from heisenberg_star import verify
 from heisenberg_star.core import (
-    StateVector,
     enumerate_bath_sector,
     enumerate_sector,
-    make_params,
     orbit_block,
+    star_block,
 )
-from heisenberg_star.errors import ParameterError, SectorMismatch, StarError
+from heisenberg_star.errors import ParameterError, SectorMismatch
+from heisenberg_star.states import coherent_coefficients
+from heisenberg_star.verify import (
+    reference_hamiltonian,
+    reference_operator,
+    reference_state,
+    restrict,
+)
 from test_states import apply_total_lowering
 
 # ---------------------------------------------------------------- reference
@@ -77,7 +89,7 @@ def collective_matrices(N):
 
 
 def l_squared_matrix(N):
-    # symmetric ladder route, unlike the production builder
+    # symmetric ladder route, unlike the ring pieces
     Lz, Lp, Lm = collective_matrices(N)
     return 0.5 * (Lp @ Lm + Lm @ Lp) + Lz @ Lz
 
@@ -104,44 +116,24 @@ def dense(op):
     return op.matrix.toarray()
 
 
-# Sparse Kronecker reference for sectors too large for the dense one.
-SITE = {"z": np.diag([-0.5, 0.5]), "+": np.array([[0.0, 0.0], [1.0, 0.0]])}
-SITE["-"] = SITE["+"].T
+def block_keys(block):
+    """The whole-space keys c 2^N + bits of a whole-sector star block's states."""
+    return (block.central << block.N) | block.bits
 
 
-def sparse_site(N, a, kind):
-    """Single ring-site operator in the 2^N bit basis; bit a is factor N - a."""
-    return sparse.kron(sparse.kron(sparse.identity(1 << (N - 1 - a)), SITE[kind]),
-                       sparse.identity(1 << a), format="csr")
+def whole_sector(N, two_S, two_m, J=0.0, Jp=0.0, prefactor=0.0, omega=0.0, names=(),
+                 dense=False):
+    """(block, H, observables) of one whole star sector, assembled from
+    whole-sector ring pieces as the alternating-state quench assembles it."""
+    pieces = ops.ring_pieces(N, J, Jp, range(N + 1), l_squared="L2" in names, orbits=False)
+    block = star_block(N, two_S, two_m, pieces)
+    H, mats = ops.star_block_operators(block, pieces, prefactor, omega, names, dense)
+    return block, H, mats
 
 
-@functools.lru_cache(maxsize=None)
-def sparse_ring_terms(N):
-    """Lz, L+, L-, the exchange and Ising bond sums, and the staggered field."""
-    z = [sparse_site(N, a, "z") for a in range(N)]
-    p = [sparse_site(N, a, "+") for a in range(N)]
-    m = [sparse_site(N, a, "-") for a in range(N)]
-    bonds = [(a, (a + 1) % N) for a in range(N)]
-    exchange = sum(0.5 * (p[a] @ m[b] + m[a] @ p[b]) for a, b in bonds)
-    ising = sum(z[a] @ z[b] for a, b in bonds)
-    staggered = sum((-1) ** (a + 1) * z[a] for a in range(N)) / N
-    return sum(z), sum(p), sum(m), exchange, ising, staggered
-
-
-def on_ring(two_S, ring_op):
-    """Ring operator with the central spin riding along."""
-    return sparse.kron(sparse.identity(two_S + 1), ring_op)
-
-
-def sparse_project(full, src, dst=None):
-    """Rows of dst's states, columns of src's states."""
-    dst = src if dst is None else dst
-    return full.tocsr()[dst.keys][:, src.keys]
-
-
-def assert_matches(op, ref):
-    assert op.matrix.shape == ref.shape
-    assert abs(op.matrix.tocsr() - ref).max() <= 1e-12
+def assert_matches(mat, ref):
+    assert mat.shape == ref.shape
+    assert abs(mat.tocsr() - ref).max() <= 1e-12
 
 
 # ------------------------------------------------------------------- tests
@@ -183,7 +175,7 @@ class TestSystemBath:
         sec = enumerate_sector(2, 1, 1)
         assert sec.states == [(0, 0b01), (0, 0b10), (1, 0b11)]
         p = 0.6
-        H = dense(ops.build_system_bath(sec, p))
+        H = restrict(reference_hamiltonian(2, 1, 0.0, 0.0, p, 0.0), sec.keys).toarray()
         want = 0.5 * p * np.array([
             [0.0, 0.0, 1.0],
             [0.0, 0.0, 1.0],
@@ -193,127 +185,111 @@ class TestSystemBath:
 
     @pytest.mark.parametrize("two_S,two_m", [(1, 1), (1, -3), (2, 0), (4, 2)])
     def test_against_reference(self, two_S, two_m):
-        sec = enumerate_sector(4, two_S, two_m)
-        H = dense(ops.build_system_bath(sec, 1.3))
-        ref = project(full_star_matrix(4, two_S, 0.0, 0.0, 1.3, 0.0), sec)
+        # the coupling assembled from ring pieces, against the dense bit-loop route
+        block, H, _ = whole_sector(4, two_S, two_m, prefactor=1.3, dense=True)
+        ref = project(full_star_matrix(4, two_S, 0.0, 0.0, 1.3, 0.0),
+                      enumerate_sector(4, two_S, two_m))
         np.testing.assert_allclose(H, ref, atol=1e-13)
-
-    def test_rejects_bath_sector(self):
-        with pytest.raises(ParameterError):
-            ops.build_system_bath(enumerate_bath_sector(4, 2), 1.0)
 
 
 class TestDiagonalObservables:
     def test_zeeman_levels(self):
-        sec = enumerate_sector(4, 3, 1)
-        H = dense(ops.build_zeeman(sec, 2.0))
-        for i, (c, _) in enumerate(sec.states):
+        block, H, (Sz,) = whole_sector(4, 3, 1, omega=2.0, names=["Sz"], dense=True)
+        for i, c in enumerate(block.central):
             assert H[i, i] == pytest.approx(2.0 * (1.5 - c))
-
-    def test_zeeman_rejects_bath_sector(self):
-        with pytest.raises(ParameterError):
-            ops.build_zeeman(enumerate_bath_sector(4, 2), 1.0)
+            assert Sz[i] == 1.5 - c
 
     def test_staggered_signs(self):
         sec = enumerate_bath_sector(4, 2)
-        M = dense(ops.build_staggered(sec))
+        M = ops._staggered(4, sec.bits)
         # sites 2 and 4 up (bits 0b1010) is the alternating pattern
-        assert M[sec.index_of(0, 0b1010), sec.index_of(0, 0b1010)] == pytest.approx(0.5)
-        assert M[sec.index_of(0, 0b0101), sec.index_of(0, 0b0101)] == pytest.approx(-0.5)
+        assert M[sec.index_of(0, 0b1010)] == pytest.approx(0.5)
+        assert M[sec.index_of(0, 0b0101)] == pytest.approx(-0.5)
         # sites 1 and 2 up: contributions cancel pairwise
-        assert M[sec.index_of(0, 0b0011), sec.index_of(0, 0b0011)] == pytest.approx(0.0)
+        assert M[sec.index_of(0, 0b0011)] == pytest.approx(0.0)
 
     def test_staggered_vanishes_on_polarized(self):
         sec = enumerate_bath_sector(6, 6)
-        assert dense(ops.build_staggered(sec))[0, 0] == pytest.approx(0.0)
+        assert ops._staggered(6, sec.bits)[0] == pytest.approx(0.0)
+
+
+def ring_l_squared(N, n_up):
+    """L^2 of ring filling n_up, from the whole-sector ring pieces."""
+    pieces = ops.ring_pieces(N, 1.0, 1.0, range(n_up, n_up + 1), l_squared=True, orbits=False)
+    return pieces[n_up].l_squared.toarray()
 
 
 class TestRingMomentumSquared:
     @pytest.mark.parametrize("n_up", [0, 1, 2])
     def test_bath_sector_against_reference(self, n_up):
         sec = enumerate_bath_sector(4, n_up)
-        L2 = dense(ops.build_L_squared(sec))
         ref = project(np.kron(np.eye(1), l_squared_matrix(4)), sec)
-        np.testing.assert_allclose(L2, ref, atol=1e-13)
+        np.testing.assert_allclose(ring_l_squared(4, n_up), ref, atol=1e-13)
 
     def test_star_sector_leaves_central_untouched(self):
-        sec = enumerate_sector(4, 2, 0)
-        L2 = dense(ops.build_L_squared(sec))
-        ref = project(np.kron(np.eye(3), l_squared_matrix(4)), sec)
+        _, _, (L2,) = whole_sector(4, 2, 0, names=["L2"], dense=True)
+        ref = project(np.kron(np.eye(3), l_squared_matrix(4)), enumerate_sector(4, 2, 0))
         np.testing.assert_allclose(L2, ref, atol=1e-13)
 
     def test_spectrum_of_balanced_sector(self):
         # N=4, n_up=2: eigenvalues l(l+1) with multiplicities 2, 3, 1
-        sec = enumerate_bath_sector(4, 2)
-        vals = np.sort(np.linalg.eigvalsh(dense(ops.build_L_squared(sec))))
+        vals = np.sort(np.linalg.eigvalsh(ring_l_squared(4, 2)))
         np.testing.assert_allclose(vals, [0, 0, 2, 2, 2, 6], atol=1e-12)
 
     def test_polarized_is_maximal(self):
         for N in (4, 6):
-            sec = enumerate_bath_sector(N, N)
             l = N / 2
-            assert dense(ops.build_L_squared(sec))[0, 0] == pytest.approx(l * (l + 1))
+            assert ring_l_squared(N, N)[0, 0] == pytest.approx(l * (l + 1))
 
 
 class TestAssembledHamiltonians:
+    """The star blocks of the alternating-state quench, on whole sectors."""
+
     def test_star_against_reference(self):
-        params = make_params(4, 2, J=0.9, g=0.7)
-        sec = enumerate_sector(4, 2, 0)
-        H = dense(ops.build_star_hamiltonian(sec, params))
-        ref = project(full_star_matrix(4, 2, 0.9, 0.9, 0.7, 0.0), sec)
+        _, H, _ = whole_sector(4, 2, 0, J=0.9, Jp=0.9, prefactor=0.7, dense=True)
+        ref = project(full_star_matrix(4, 2, 0.9, 0.9, 0.7, 0.0), enumerate_sector(4, 2, 0))
         np.testing.assert_allclose(H, ref, atol=1e-13)
 
-    def test_star_rejects_anisotropy_and_field(self):
-        sec = enumerate_sector(4, 1, 1)
-        with pytest.raises(ParameterError):
-            ops.build_star_hamiltonian(sec, make_params(4, 1, J=1.0, Jp=0.5))
-        with pytest.raises(ParameterError):
-            ops.build_star_hamiltonian(sec, make_params(4, 1, J=1.0, omega=0.3))
-
     def test_modified_star_against_reference(self):
-        # coupling enters with an explicit factor two here
-        params = make_params(4, 1, J=1.0, Jp=0.8, g=0.5, omega=0.9)
-        sec = enumerate_sector(4, 1, 1)
-        H = dense(ops.build_modified_star(sec, params))
-        ref = project(full_star_matrix(4, 1, 1.0, 0.8, 2.0 * 0.5, 0.9), sec)
+        # the driven star's coupling enters with an explicit factor two
+        _, H, _ = whole_sector(4, 1, 1, J=1.0, Jp=0.8, prefactor=2.0 * 0.5, omega=0.9,
+                               dense=True)
+        ref = project(full_star_matrix(4, 1, 1.0, 0.8, 2.0 * 0.5, 0.9),
+                      enumerate_sector(4, 1, 1))
         np.testing.assert_allclose(H, ref, atol=1e-13)
 
     def test_isotropic_star_commutes_with_ring_momentum(self):
-        params = make_params(6, 2, J=0.77, g=1.3)
-        sec = enumerate_sector(6, 2, 0)
-        H = dense(ops.build_star_hamiltonian(sec, params))
-        L2 = dense(ops.build_L_squared(sec))
+        _, H, (L2,) = whole_sector(6, 2, 0, J=0.77, Jp=0.77, prefactor=1.3, names=["L2"],
+                                   dense=True)
         assert np.max(np.abs(H @ L2 - L2 @ H)) < 1e-12
 
     def test_anisotropic_ring_breaks_the_conservation(self):
-        params = make_params(6, 2, J=1.0, Jp=0.8, g=1.3)
-        sec = enumerate_sector(6, 2, 0)
-        H = dense(ops.build_modified_star(sec, params))
-        L2 = dense(ops.build_L_squared(sec))
+        _, H, (L2,) = whole_sector(6, 2, 0, J=1.0, Jp=0.8, prefactor=2.6, names=["L2"],
+                                   dense=True)
         assert np.max(np.abs(H @ L2 - L2 @ H)) > 1e-3
 
-    @pytest.mark.parametrize("builder", [
-        lambda s: ops.build_bath_ring(s, 0.7, 0.3),
-        ops.build_L_squared,
-        lambda s: ops.build_system_bath(s, 1.1) if not s.is_bath else ops.build_L_squared(s),
+    @pytest.mark.parametrize("build", [
+        lambda: [ops.build_bath_ring(s, 0.7, 0.3).matrix
+                 for s in (enumerate_sector(6, 2, 0), enumerate_bath_sector(6, 3))],
+        lambda: whole_sector(6, 2, 0, names=["L2"])[2],
+        lambda: [whole_sector(6, 2, 0, J=0.7, Jp=0.3, prefactor=1.1, omega=0.4)[1]],
     ])
-    def test_hermitian(self, builder):
-        for sec in (enumerate_sector(6, 2, 0), enumerate_bath_sector(6, 3)):
-            A = builder(sec).matrix.tocsr()
+    def test_hermitian(self, build):
+        for mat in build():
+            A = mat.tocsr()
             assert abs(A - A.conj().T).max() < 1e-14
 
 
 class TestCSR:
     def test_scipy_wraps_the_canonical_arrays_without_a_copy(self):
-        m = ops.build_star_hamiltonian(enumerate_sector(8, 3, 1),
-                                       make_params(8, 3, J=0.9, g=1.1)).matrix
+        _, m, _ = whole_sector(8, 3, 1, J=0.9, Jp=0.9, prefactor=1.1)
         s = m.tocsr()
         for ours, theirs in ((m.indptr, s.indptr), (m.indices, s.indices), (m.data, s.data)):
             assert np.shares_memory(ours, theirs)
         assert s.has_canonical_format and s.nnz == m.nnz
 
     def test_product_matches_the_dense_matrix(self):
-        m = ops.build_L_squared(enumerate_sector(8, 2, 0)).matrix
+        m = whole_sector(8, 2, 0, names=["L2"])[2][0]
         rng = np.random.default_rng(4)
         x = rng.normal(size=(m.shape[0], 3)) + 1j * rng.normal(size=(m.shape[0], 3))
         np.testing.assert_allclose(m @ x, m.toarray() @ x, rtol=0, atol=1e-12)
@@ -322,8 +298,7 @@ class TestCSR:
     @pytest.mark.parametrize("kind", ["real", "complex", "real-2d", "complex-2d"])
     def test_product_has_the_bits_of_the_scatter_form(self, kind):
         # the np.add.at scatter the product once used, kept as the reference
-        m = ops.build_star_hamiltonian(enumerate_sector(10, 3, 1),
-                                       make_params(10, 3, J=0.9, g=1.1)).matrix
+        _, m, _ = whole_sector(10, 3, 1, J=0.9, Jp=0.9, prefactor=1.1)
         rng = np.random.default_rng(7)
         shape = (m.shape[0], 3) if kind.endswith("2d") else (m.shape[0],)
         x = rng.normal(size=shape)
@@ -336,37 +311,12 @@ class TestCSR:
         assert np.array_equal(got, want)
 
     def test_rows_are_found_once_and_read_only(self):
-        m = ops.build_L_squared(enumerate_sector(8, 2, 0)).matrix
+        m = whole_sector(8, 2, 0, names=["L2"])[2][0]
         assert m.rows is m.rows
         np.testing.assert_array_equal(m.rows, np.repeat(np.arange(m.shape[0]),
                                                         np.diff(m.indptr)))
         with pytest.raises(ValueError):
             m.rows[0] = 1
-
-
-class TestApplication:
-    def test_apply_returns_unnormalized(self):
-        sec = enumerate_bath_sector(4, 2)
-        H = ops.build_bath_ring(sec, 1.0, 1.0)
-        st = StateVector.single(sec, np.ones(sec.dim))
-        out = ops.apply(H, st)
-        np.testing.assert_allclose(out.amps, H.matrix @ st.amps)
-
-    def test_apply_sector_mismatch(self):
-        a = enumerate_bath_sector(4, 2)
-        b = enumerate_bath_sector(4, 1)
-        H = ops.build_bath_ring(a, 1.0, 1.0)
-        with pytest.raises(SectorMismatch):
-            ops.apply(H, StateVector.single(b, np.ones(b.dim)))
-
-    def test_expectation_matches_dense(self):
-        sec = enumerate_sector(4, 1, 1)
-        H = ops.build_system_bath(sec, 0.9)
-        rng = np.random.default_rng(11)
-        v = rng.normal(size=sec.dim) + 1j * rng.normal(size=sec.dim)
-        st = StateVector.single(sec, v)
-        want = np.vdot(st.amps, dense(H) @ st.amps).real
-        assert ops.expectation(H, st) == pytest.approx(want)
 
 
 class TestLadders:
@@ -381,7 +331,6 @@ class TestLadders:
     def test_lowering_weight_matches_ladder_rule(self):
         # on the symmetric l = N/2 multiplet the norm is sqrt((l+lm)(l-lm+1))
         N, l = 4, 2.0
-        amps = None
         src = enumerate_bath_sector(N, N)
         vec = np.ones(1, dtype=complex)
         lm = l
@@ -422,52 +371,53 @@ KRON_SECTORS = [(10, 1, 1), (10, 3, -3), (12, 1, -1), (12, 3, 3)]
 
 
 class TestAgainstSparseKronecker:
-    """Builders at sizes the dense reference cannot reach."""
+    """The ring builder, the star blocks assembled from ring pieces and the
+    lowerings, against the Kronecker reference at sizes the dense one
+    cannot reach."""
 
     @pytest.mark.parametrize("N,two_S,two_m", KRON_SECTORS)
     def test_anisotropic_ring(self, N, two_S, two_m):
         sec = enumerate_sector(N, two_S, two_m)
-        _, _, _, exchange, ising, _ = sparse_ring_terms(N)
-        ref = sparse_project(on_ring(two_S, 0.7 * exchange + 0.3 * ising), sec)
-        assert_matches(ops.build_bath_ring(sec, 0.7, 0.3), ref)
+        ref = restrict(reference_hamiltonian(N, two_S, 0.7, 0.3, 0.0, 0.0), sec.keys)
+        assert_matches(ops.build_bath_ring(sec, 0.7, 0.3).matrix, ref)
 
     @pytest.mark.parametrize("N,two_S,two_m", KRON_SECTORS)
     def test_system_bath(self, N, two_S, two_m):
-        sec = enumerate_sector(N, two_S, two_m)
-        sz, sp_, sm = central_matrices(two_S)
-        Lz, Lp, Lm, _, _, _ = sparse_ring_terms(N)
-        full = 0.5 * (sparse.kron(sp_, Lm) + sparse.kron(sm, Lp)) + sparse.kron(sz, Lz)
-        assert_matches(ops.build_system_bath(sec, 1.3), sparse_project(1.3 * full, sec))
+        block, H, _ = whole_sector(N, two_S, two_m, prefactor=1.3)
+        ref = restrict(reference_hamiltonian(N, two_S, 0.0, 0.0, 1.3, 0.0), block_keys(block))
+        assert_matches(H, ref)
 
     @pytest.mark.parametrize("N,two_S,two_m", KRON_SECTORS)
     def test_L_squared(self, N, two_S, two_m):
-        # symmetric ladder route, unlike the production builder
-        sec = enumerate_sector(N, two_S, two_m)
-        Lz, Lp, Lm, _, _, _ = sparse_ring_terms(N)
-        L2 = 0.5 * (Lp @ Lm + Lm @ Lp) + Lz @ Lz
-        assert_matches(ops.build_L_squared(sec), sparse_project(on_ring(two_S, L2), sec))
+        # symmetric ladder route in the reference, L+ L- from the lowering in the pieces
+        block, _, (L2,) = whole_sector(N, two_S, two_m, names=["L2"])
+        assert_matches(L2, restrict(reference_operator(N, two_S, "L2"), block_keys(block)))
 
     @pytest.mark.parametrize("N,two_S,two_m", KRON_SECTORS)
     def test_staggered(self, N, two_S, two_m):
-        sec = enumerate_sector(N, two_S, two_m)
-        staggered = sparse_ring_terms(N)[5]
-        assert_matches(ops.build_staggered(sec),
-                       sparse_project(on_ring(two_S, staggered), sec))
+        block, _, (ms, Sz) = whole_sector(N, two_S, two_m, names=["ms", "Sz"])
+        keys = block_keys(block)
+        np.testing.assert_array_equal(ms, restrict(reference_operator(N, two_S, "ms"),
+                                                   keys).diagonal())
+        np.testing.assert_array_equal(Sz, restrict(reference_operator(N, two_S, "Sz"),
+                                                    keys).diagonal())
 
     @pytest.mark.parametrize("N,two_S,two_m", KRON_SECTORS)
     def test_bath_and_total_lowering(self, N, two_S, two_m):
         src = enumerate_sector(N, two_S, two_m)
         dst = enumerate_sector(N, two_S, two_m - 2)
         _, sm = central_matrices(two_S)[1:]
-        Lm = sparse_ring_terms(N)[2]
+        # the ring lowering from the reference's one-site matrices
+        Lm = sparse.kron(sparse.identity(two_S + 1), sum(verify._ring_sites(N)[2]), format="csr")
         rng = np.random.default_rng(N + two_S)
         v = rng.normal(size=src.dim) + 1j * rng.normal(size=src.dim)
-        bath = sparse_project(on_ring(two_S, Lm), src, dst) @ v
+        bath = restrict(Lm, src.keys, dst.keys) @ v
         np.testing.assert_allclose(ops.apply_bath_lowering(src, v, dst), bath,
                                    rtol=0, atol=1e-12)
-        total = sparse.kron(sm, sparse.identity(1 << N)) + on_ring(two_S, Lm)
+        total = sparse.kron(sm, sparse.identity(1 << N)) + Lm
         np.testing.assert_allclose(apply_total_lowering(src, v, dst),
-                                   sparse_project(total, src, dst) @ v, rtol=0, atol=1e-12)
+                                   restrict(total.tocsr(), src.keys, dst.keys) @ v,
+                                   rtol=0, atol=1e-12)
 
     def test_kernel_raises_on_a_target_outside_the_sector(self):
         sec = enumerate_sector(10, 3, 1)
@@ -477,10 +427,68 @@ class TestAgainstSparseKronecker:
             ops._hop(sec, sec, np.array([2, 0]), np.array([1, 1]))  # so does the second hop
 
 
+SMALL = [(N, two_S) for N in range(2, 7) for two_S in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("N,two_S", SMALL)
+class TestReference:
+    """The sparse Kronecker reference, term by term, against the dense
+    bit-loop route in the whole product space."""
+
+    def test_hamiltonian_terms(self, N, two_S):
+        for coefficients in ((0.7, 0.3, 0.0, 0.0), (0.0, 0.0, 1.3, 0.0),
+                             (0.0, 0.0, 0.0, 0.9), (1.1, 0.88, 1.4, 1.05)):
+            got = reference_hamiltonian(N, two_S, *coefficients).toarray()
+            np.testing.assert_allclose(got, full_star_matrix(N, two_S, *coefficients),
+                                       rtol=0, atol=1e-13)
+
+    def test_operators(self, N, two_S):
+        sz = central_matrices(two_S)[0]
+        staggered = sum((-1) ** (a + 1) * site_matrix(N, a, "z") for a in range(N)) / N
+        eye_c, eye_b = np.eye(two_S + 1), np.eye(1 << N)
+        wants = {"Sz": np.kron(sz, eye_b), "L2": np.kron(eye_c, l_squared_matrix(N)),
+                 "ms": np.kron(eye_c, staggered)}
+        for name, want in wants.items():
+            np.testing.assert_allclose(reference_operator(N, two_S, name).toarray(), want,
+                                       rtol=0, atol=1e-13)
+
+    def test_product_states(self, N, two_S):
+        # the alternating ring at c = 1 only: site 1 down, every even site up
+        central = np.eye(two_S + 1)[1]
+        got = reference_state(central, verify.neel_sites(N))
+        want = np.zeros((two_S + 1) << N)
+        want[(1 << N) | sum(1 << a for a in range(1, N, 2))] = 1.0
+        np.testing.assert_array_equal(got, want)
+        # the coherent ring: the Dicke weight of each filling, spread evenly
+        theta, phi = 1.2, 0.3
+        got = reference_state(np.eye(two_S + 1)[0], verify.coherent_sites(N, theta, phi))
+        n_up = np.bitwise_count(np.arange(1 << N))
+        ring = coherent_coefficients(N, theta, phi)[n_up] / np.sqrt(
+            [math.comb(N, n) for n in n_up])
+        np.testing.assert_allclose(got[:1 << N], ring, rtol=0, atol=1e-15)
+        assert not got[1 << N:].any()
+
+
+def test_the_reference_refuses_a_space_above_its_cap(monkeypatch):
+    # every refusal comes before a single site matrix is made
+    monkeypatch.setattr(verify, "_ring_sites", lambda N: pytest.fail("allocated"))
+    cap = verify.REFERENCE_CAPACITY
+    assert verify._product_dim(14, 3) == cap  # the largest size the tests use
+    for N, two_S in ((14, 4), (16, 1), (17, 0)):
+        assert (two_S + 1) << N > cap
+        with pytest.raises(ParameterError, match="Kronecker reference"):
+            reference_hamiltonian(N, two_S, 1.0, 1.0, 1.0, 0.0)
+        for name in ("Sz", "L2", "ms"):
+            with pytest.raises(ParameterError, match="Kronecker reference"):
+                reference_operator(N, two_S, name)
+        with pytest.raises(ParameterError, match="Kronecker reference"):
+            reference_state(np.eye(two_S + 1)[0], verify.neel_sites(N))
+
+
 def kernel_hops(N):
-    """(raise_bits, lower_bits, step) arrays: every hop the builders make,
-    the identity, and two-spin hops whose central step of two leaves
-    0..two_S for most states."""
+    """(raise_bits, lower_bits, step) arrays: every exchange of two ring
+    sites, every central step with one ring flip, the identity, and
+    two-spin hops whose central step of two leaves 0..two_S for most states."""
     hops = [(1 << b, 1 << a, 0) for a in range(N) for b in range(N) if a != b]
     hops += [h for a in range(N) for h in ((0, 1 << a, -1), (1 << a, 0, 1))]
     hops += [(0, 0, 0)]

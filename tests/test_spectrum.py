@@ -25,7 +25,6 @@ from heisenberg_star.core import (
     StateVector,
     enumerate_bath_sector,
     enumerate_sector,
-    make_params,
     orbit_block,
 )
 from heisenberg_star.errors import ConvergenceError, ParameterError, StarError
@@ -46,6 +45,7 @@ from heisenberg_star.spectrum import (
     sub_ground_energy,
     transition_point,
 )
+from heisenberg_star.verify import reference_hamiltonian, reference_operator, restrict
 
 # ---------------------------------------------------------------- reference
 
@@ -61,7 +61,7 @@ def bath_multiplets(N):
     for l in range(N // 2 + 1):
         sec = enumerate_bath_sector(N, N // 2 + l)
         H = ops.build_bath_ring(sec, 1.0, 1.0).matrix.toarray()
-        L2 = ops.build_L_squared(sec).matrix.toarray()
+        L2 = restrict(full_ring_l_squared(N), sec.keys).toarray()
         P = np.eye(sec.dim)
         for lp in range(l + 1, N // 2 + 1):
             P = P @ (L2 - lp * (lp + 1) * np.eye(sec.dim)) \
@@ -87,13 +87,30 @@ def predicted_star_spectrum(N, two_S, J, g):
 
 
 def dense_star_spectrum(N, two_S, J, g):
-    params = make_params(N, two_S, J=J, g=g)
-    vals = []
-    for two_m in range(-(two_S + N), two_S + N + 1, 2):
-        sec = enumerate_sector(N, two_S, two_m)
-        H = ops.build_star_hamiltonian(sec, params)
-        vals.extend(np.linalg.eigvalsh(H.matrix.toarray()))
-    return np.sort(vals)
+    """Every level of the star, from the Kronecker reference on the whole
+    product space, ascending."""
+    return np.linalg.eigvalsh(reference_hamiltonian(N, two_S, J, J, g, 0.0).toarray())
+
+
+def reference_star(sector, J, g):
+    """The plain star on one sector, from the Kronecker reference, as the
+    SparseOperator the solver takes."""
+    m = restrict(reference_hamiltonian(sector.N, sector.two_S, J, J, g, 0.0), sector.keys)
+    m.sort_indices()
+    return ops.SparseOperator(sector, ops.CSR(m.indptr.astype(np.int32),
+                                              m.indices.astype(np.int32), m.data))
+
+
+@functools.lru_cache(maxsize=2)
+def full_ring_l_squared(N):
+    """L^2 on the 2^N ring states, from the Kronecker reference."""
+    return reference_operator(N, 0, "L2")
+
+
+def ring_l_squared(sector, x):
+    """<x|L^2|x> on a ring sector, from the Kronecker reference."""
+    L2 = restrict(full_ring_l_squared(sector.N), sector.keys)
+    return float(np.vdot(x, L2 @ x).real)
 
 
 # ------------------------------------------------------------------- tests
@@ -110,7 +127,7 @@ class TestDegeneracy:
     def test_counted_from_momentum_eigenvalues(self):
         N = 6
         sec = enumerate_bath_sector(N, N // 2)
-        vals = np.linalg.eigvalsh(ops.build_L_squared(sec).matrix.toarray())
+        vals = np.linalg.eigvalsh(restrict(full_ring_l_squared(N), sec.keys).toarray())
         for l in range(N // 2 + 1):
             hits = int(np.sum(np.abs(vals - l * (l + 1)) < 1e-8))
             assert hits == degeneracy(N, l)
@@ -152,7 +169,7 @@ class TestLanczos:
 
     def test_matches_dense_on_star_sector(self):
         sec = enumerate_sector(6, 3, 1)
-        op = ops.build_star_hamiltonian(sec, make_params(6, 3, J=0.8, g=1.1))
+        op = reference_star(sec, 0.8, 1.1)
         want = float(np.linalg.eigvalsh(op.matrix.toarray())[0])
         got, _ = lowest_eigenpair(op)
         assert got == pytest.approx(want, abs=1e-10)
@@ -225,7 +242,7 @@ class TestSparseRoute:
     def test_star_sector_above_cutoff_matches_dense(self):
         sec = enumerate_sector(12, 1, 1)
         # 1716 states, more than any orbit block below N = 20
-        op = ops.build_star_hamiltonian(sec, make_params(12, 1, J=0.8, g=1.1))
+        op = reference_star(sec, 0.8, 1.1)
         want = float(np.linalg.eigvalsh(op.matrix.toarray())[0])
         got, _ = lowest_eigenpair(op)
         assert got == pytest.approx(want, abs=1e-10)
@@ -267,7 +284,7 @@ class TestSparseRoute:
         # Lanczos and a dense eigh written here agree on the vector of every
         # nondegenerate bottom: full ring blocks, the package's orbit blocks
         # and a star sector
-        star = ops.build_star_hamiltonian(enumerate_sector(6, 3, 1), make_params(6, 3, J=0.8, g=1.1))
+        star = reference_star(enumerate_sector(6, 3, 1), 0.8, 1.1)
         blocks = [ops.build_bath_ring(enumerate_bath_sector(N, n_up), 1.0, 1.0)
                   for N, n_up in ((8, 3), (12, 6), (12, 7), (12, 9))]
         blocks += [spectrum._ring_block(16, two_l) for two_l in (0, 2, 6)] + [star]
@@ -344,14 +361,14 @@ class TestRingLevels:
     def test_state_carries_the_right_momentum(self):
         row, st = bath_subground_state(8, 4)
         sec, _ = st.require_single()
-        l2 = ops.expectation(ops.build_L_squared(sec), st)
+        l2 = ring_l_squared(sec, st.amps)
         assert l2 == pytest.approx(2 * 3.0, abs=1e-8)
         assert row.energy == pytest.approx(-1.80193773580, abs=1e-8)
 
     @pytest.mark.parametrize("N", [8, 10])
     def test_lowering_norm_gives_l_squared(self, N):
         # <L^2> = |L- x|^2 + l_m (l_m - 1): the lowering bath_multiplet walks
-        # down with agrees with the L^2 builder
+        # down with agrees with the reference's L^2
         rng = np.random.default_rng(N)
         for n_up in range(1, N + 1):
             sec = enumerate_bath_sector(N, n_up)
@@ -361,7 +378,7 @@ class TestRingLevels:
             lowered = ops.apply_bath_lowering(sec, x.amps, below)
             l_m = n_up - N / 2
             got = float(np.vdot(lowered, lowered).real) + l_m * (l_m - 1)
-            want = ops.expectation(ops.build_L_squared(sec), x)
+            want = ring_l_squared(sec, x.amps)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_vector_outside_the_multiplet_is_refused(self, monkeypatch):
@@ -383,13 +400,13 @@ class TestRingLevels:
 
     @pytest.mark.parametrize("N", range(2, 15, 2))
     def test_certified_vector_carries_its_momentum(self, N):
-        # the oracle is the L^2 builder, which the certificate never uses
+        # the oracle is the reference's L^2, which the certificate never uses
         energies = []
         for two_l in range(0, N + 1, 2):
             row, st = bath_subground_state(N, two_l)
             sec, _ = st.require_single()
             l = two_l // 2
-            assert ops.expectation(ops.build_L_squared(sec), st) == pytest.approx(
+            assert ring_l_squared(sec, st.amps) == pytest.approx(
                 l * (l + 1), abs=1e-8)
             energies.append(row.energy)
         assert all(a < b for a, b in zip(energies, energies[1:]))
@@ -610,6 +627,24 @@ class TestStarLevels:
         want = dense_star_spectrum(N, two_S, J, g)
         assert got.size == want.size == (two_S + 1) * 2**N
         np.testing.assert_allclose(got, want, atol=1e-8)
+
+    @pytest.mark.parametrize("two_S", [1, 2, 3])
+    def test_reference_star_has_the_closed_form_levels(self, two_S):
+        # the reference's whole product space holds exactly the levels of
+        # star_energy, each as often as the multiplets state_count counts
+        N, J, g = 6, 0.9, 0.7
+
+        def levels(values):
+            values = np.sort(values)
+            groups = np.split(values, np.flatnonzero(np.diff(values) > 1e-9) + 1)
+            return np.array([v.mean() for v in groups]), [v.size for v in groups]
+
+        want = predicted_star_spectrum(N, two_S, J, g)
+        assert want.size == state_count(N, two_S)
+        got_e, got_n = levels(dense_star_spectrum(N, two_S, J, g))
+        want_e, want_n = levels(want)
+        assert got_n == want_n
+        np.testing.assert_allclose(got_e, want_e, rtol=0, atol=1e-10)
 
     def test_shift_equals_recoupling_identity(self):
         # the closed form must equal (j(j+1) - l(l+1) - S(S+1)) / 2

@@ -2,8 +2,10 @@
 
 The closed-form states are judged by physics, not by their own
 formulas: each assembled vector must be an exact eigenvector of the
-dense star Hamiltonian at the closed-form energy, for more than one
-coupling pair, since the coefficients carry no coupling dependence.
+star Hamiltonian of ``verify``'s Kronecker reference at the closed-form
+energy, for more than one coupling pair, since the coefficients carry
+no coupling dependence. The initial states the runs write on star
+blocks are judged by the operators assembled on the same blocks.
 """
 
 import math
@@ -19,22 +21,27 @@ from heisenberg_star import states
 from heisenberg_star.core import (
     StateVector,
     enumerate_bath_sector,
-    enumerate_sector,
-    make_params,
+    orbit_block,
 )
 from heisenberg_star.errors import ParameterError
 from heisenberg_star.spectrum import level_table, sub_ground_energy
 from heisenberg_star.states import (
     bath_multiplet,
     central_initial,
+    coherent_block_state,
     coherent_coefficients,
-    dicke_state,
-    neel_state,
-    spin_coherent,
-    star_state,
+    neel_block_state,
     subground_coefficients,
     subground_squared_norm,
     subground_state,
+)
+from heisenberg_star.verify import (
+    coherent_sites,
+    neel_sites,
+    reference_hamiltonian,
+    reference_operator,
+    reference_state,
+    restrict,
 )
 
 
@@ -51,26 +58,44 @@ def apply_total_lowering(sector, amps, dst):
     return out
 
 
+def neel_star(N, two_S, central):
+    """The alternating-state quench's initial state and its whole-sector ring pieces."""
+    pieces = ops.ring_pieces(N, 1.0, 1.0, range(N + 1), l_squared=True, orbits=False)
+    return neel_block_state(N, two_S, central, pieces), pieces
+
+
+def block_expectation(state, pieces, name):
+    """<name> of a whole-sector star state, from the operators on its blocks."""
+    total = 0.0
+    for i, block in enumerate(state.sectors):
+        x = state.block(i)
+        _, (M,) = ops.star_block_operators(block, pieces, 1.0, 0.0, [name], dense=True)
+        Mx = M * x if M.ndim == 1 else M @ x
+        total += float(np.vdot(x, Mx).real)
+    return total
+
+
 class TestNeel:
     def test_alternating_pattern(self):
-        st_ = neel_state(4)
-        sec, amps = st_.require_single()
-        assert sec.two_m == 0 and sec.is_bath
+        central = central_initial(1, "polarized")
+        st_, _ = neel_star(4, 1, central)
+        block, amps = st_.require_single()
+        assert block.two_m == 1
         i = int(np.argmax(np.abs(amps)))
-        assert sec.state(i) == (0, 0b1010)  # sites 2 and 4 up, 1 and 3 down
+        assert (block.central[i], block.bits[i]) == (0, 0b1010)  # sites 2 and 4 up
         assert np.count_nonzero(amps) == 1
+        full = reference_state(central, neel_sites(4))
+        np.testing.assert_array_equal(amps, full[(block.central << 4) | block.bits])
 
     def test_staggered_expectation_is_one_half(self):
         for N in (4, 6, 10):
-            st_ = neel_state(N)
-            sec, _ = st_.require_single()
-            assert ops.expectation(ops.build_staggered(sec), st_) == pytest.approx(0.5)
+            st_, pieces = neel_star(N, 1, central_initial(1, "uniform"))
+            assert block_expectation(st_, pieces, "ms") == pytest.approx(0.5)
 
     def test_momentum_content(self):
         # a product state of N/2 flips carries <L^2> = N/2
-        st_ = neel_state(6)
-        sec, _ = st_.require_single()
-        assert ops.expectation(ops.build_L_squared(sec), st_) == pytest.approx(3.0)
+        st_, pieces = neel_star(6, 1, central_initial(1, "polarized"))
+        assert block_expectation(st_, pieces, "L2") == pytest.approx(3.0)
 
 
 class TestCentralInitial:
@@ -90,35 +115,50 @@ class TestCentralInitial:
 class TestStarState:
     def test_each_central_level_gets_its_own_sector(self):
         central = central_initial(2, "uniform")
-        psi = star_state(2, [(c, a, neel_state(4)) for c, a in enumerate(central)])
+        psi, _ = neel_star(4, 2, central)
         assert [s.two_m for s in psi.sectors] == [2, 0, -2]  # central level ascending
-        for c, sector in enumerate(psi.sectors):
-            block = psi.block(c)
-            assert block[sector.index_of(c, 0b1010)] == central[c]
-            assert np.count_nonzero(block) == 1
+        for c, block in enumerate(psi.sectors):
+            amps = psi.block(c)
+            at = np.flatnonzero((block.central == c) & (block.bits == 0b1010))
+            assert amps[at] == central[c]
+            assert np.count_nonzero(amps) == 1
 
     def test_ring_blocks_keep_their_order_and_zero_terms_are_skipped(self):
-        ring = spin_coherent(4, 1.1, 0.4)
-        psi = star_state(1, [(0, 1.0, ring), (1, 0.0, ring)])
-        assert [s.two_m for s in psi.sectors] == [s.two_m + 1 for s in ring.sectors]
-        for b, sector in enumerate(psi.sectors):
-            np.testing.assert_array_equal(psi.block(b)[sector.central == 0], ring.block(b))
-            assert not psi.block(b)[sector.central == 1].any()
+        N, theta, phi = 4, 1.1, 0.4
+        rings = {n: orbit_block(enumerate_bath_sector(N, n)) for n in range(N + 1)}
+        psi = coherent_block_state(N, 1, theta, phi, rings)
+        Q = coherent_coefficients(N, theta, phi)
+        assert [s.two_m for s in psi.sectors] == [1 + 2 * n - N for n in range(N + 1)]
+        for n, block in enumerate(psi.sectors):
+            top = block.central == 0
+            np.testing.assert_allclose(psi.block(n)[top],
+                                       Q[n] * np.sqrt(block.size[top] / math.comb(N, n)),
+                                       rtol=0, atol=1e-15)
+            assert not psi.block(n)[~top].any()
+
+
+def dicke_block(N, n):
+    """The Dicke state of ring filling n on its orbit block: Q^T of the
+    uniform state, sqrt(size_o / C(N, n)) on orbit o."""
+    block = orbit_block(enumerate_bath_sector(N, n))
+    return np.sqrt(block.size / math.comb(N, n))
 
 
 class TestDicke:
     def test_uniform_over_configurations(self):
-        st_ = dicke_state(4, 2)
-        sec, amps = st_.require_single()
+        # the coherent ring on the equator spreads evenly over each filling
+        sec = enumerate_bath_sector(4, 2)
+        amps = reference_state([1.0], coherent_sites(4, math.pi / 2, 0.0))[sec.keys]
         assert sec.dim == 6
-        np.testing.assert_allclose(amps, 1.0 / math.sqrt(6))
+        np.testing.assert_allclose(amps, 0.25, rtol=0, atol=1e-15)
 
     def test_maximal_momentum(self):
         for N, n in [(4, 2), (6, 1), (6, 5)]:
-            st_ = dicke_state(N, n)
-            sec, _ = st_.require_single()
+            pieces = ops.ring_pieces(N, 1.0, 1.0, range(n, n + 1), l_squared=True)
+            x = dicke_block(N, n)
+            assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-14)
             l = N / 2.0
-            got = ops.expectation(ops.build_L_squared(sec), st_)
+            got = x @ (pieces[n].l_squared @ x)
             assert got == pytest.approx(l * (l + 1), abs=1e-12)
 
     def test_reached_by_lowering_the_polarized_state(self):
@@ -130,8 +170,7 @@ class TestDicke:
             vec = ops.apply_bath_lowering(src, vec, dst)
             src = dst
         got = StateVector.single(src, vec)
-        want = dicke_state(N, 3)
-        overlap = abs(np.vdot(got.amps, want.amps))
+        overlap = abs(np.sum(got.amps)) / math.sqrt(src.dim)
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
@@ -188,35 +227,41 @@ class TestCoherentCoefficients:
             coherent_coefficients(4, theta, phi)
 
 
+def coherent_star(N, two_S, theta, phi):
+    """The driven run's initial state on orbit blocks, with their ring pieces."""
+    pieces = ops.ring_pieces(N, 1.0, 1.0, range(N + 1))
+    return coherent_block_state(N, two_S, theta, phi, pieces), pieces
+
+
 class TestSpinCoherent:
     def test_block_structure(self):
         N = 6
-        cs = spin_coherent(N, 1.3, 0.2)
+        cs, _ = coherent_star(N, 1, 1.3, 0.2)
         Q = coherent_coefficients(N, 1.3, 0.2)
         assert cs.n_blocks == N + 1
         for n in range(N + 1):
-            block = cs.block(n)
-            assert block.size == math.comb(N, n)
+            top = cs.sectors[n].slices[0]
+            assert (top.central, top.n_up) == (0, n)
             # each block is the Dicke state weighted by one coefficient
-            np.testing.assert_allclose(
-                block, Q[n] / math.sqrt(math.comb(N, n)), atol=1e-13)
+            np.testing.assert_allclose(cs.block(n)[top.start:top.stop],
+                                       Q[n] * dicke_block(N, n), atol=1e-13)
         assert cs.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_ring_eigenstate(self):
-        # every block must return N/4 times itself under the ring
+        # every filling must return N/4 times itself under the ring
         N = 8
-        cs = spin_coherent(N, 2.0, 1.1)
-        for i, sec in enumerate(cs.sectors):
-            H = ops.build_bath_ring(sec, 1.0, 1.0)
-            x = cs.block(i)
-            r = np.linalg.norm(H.matrix @ x - (N / 4.0) * x)
+        cs, pieces = coherent_star(N, 1, 2.0, 1.1)
+        for i, block in enumerate(cs.sectors):
+            top = block.slices[0]
+            x = cs.block(i)[top.start:top.stop]
+            r = np.linalg.norm(pieces[top.n_up].ring @ x - (N / 4.0) * x)
             assert r <= 1e-10
 
     def test_poles_collapse_to_one_block(self):
-        up = spin_coherent(4, 0.0, 0.0)
-        assert up.n_blocks == 1 and up.sectors[0].two_m == 4
-        down = spin_coherent(4, math.pi, 0.0)
-        assert down.n_blocks == 1 and down.sectors[0].two_m == -4
+        up, _ = coherent_star(4, 1, 0.0, 0.0)
+        assert up.n_blocks == 1 and up.sectors[0].two_m == 5
+        down, _ = coherent_star(4, 1, math.pi, 0.0)
+        assert down.n_blocks == 1 and down.sectors[0].two_m == -3
 
 
 class TestSubgroundCoefficients:
@@ -294,9 +339,10 @@ class TestBathMultiplet:
     def test_members_share_the_momentum(self):
         l = 2
         mult = bath_multiplet(6, 2 * l)
+        L2 = reference_operator(6, 0, "L2")
         for st_ in mult.values():
-            sec, _ = st_.require_single()
-            got = ops.expectation(ops.build_L_squared(sec), st_)
+            sec, x = st_.require_single()
+            got = np.vdot(x, restrict(L2, sec.keys) @ x).real
             assert got == pytest.approx(l * (l + 1), abs=1e-8)
 
     def test_lowering_connects_neighbors_in_phase(self):
@@ -317,12 +363,12 @@ class TestBathMultiplet:
 
 
 def total_momentum_squared(sector):
-    """Dense (S + L)^2 on a star sector, assembled from parts."""
-    two_S = sector.two_S
+    """Dense (S + L)^2 on a star sector, assembled from the reference's parts."""
+    N, two_S = sector.N, sector.two_S
     S = two_S / 2.0
     eye = np.eye(sector.dim)
-    L2 = ops.build_L_squared(sector).matrix.toarray()
-    SL = ops.build_system_bath(sector, 1.0).matrix.toarray()
+    L2 = restrict(reference_operator(N, two_S, "L2"), sector.keys).toarray()
+    SL = restrict(reference_hamiltonian(N, two_S, 0.0, 0.0, 1.0, 0.0), sector.keys).toarray()
     return S * (S + 1.0) * eye + L2 + 2.0 * SL
 
 
@@ -339,10 +385,9 @@ class TestSubgroundState:
                 sec, amps = st_.require_single()
                 # one state, two Hamiltonians: coefficients carry no couplings
                 for J, g in ((0.85, 1.1), (2.0, 0.3)):
-                    H = ops.build_star_hamiltonian(
-                        sec, make_params(N, two_S, J=J, g=g))
+                    H = restrict(reference_hamiltonian(N, two_S, J, J, g, 0.0), sec.keys)
                     e = sub_ground_energy(two_l, two_S, J, g, table.energy(two_l))
-                    r = np.linalg.norm(H.matrix @ amps - e * amps)
+                    r = np.linalg.norm(H @ amps - e * amps)
                     assert r <= 1e-8
 
     def test_total_momentum_labels(self):
