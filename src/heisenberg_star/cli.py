@@ -39,7 +39,6 @@ from .spectrum import (
     sub_ground_energy,
 )
 from .states import subground_amplitudes, subground_layout
-from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
@@ -239,7 +238,8 @@ def cmd_level_table(args) -> int:
 def _write_experiment(args, tmax: float, experiment, **results) -> int:
     """Run ``experiment(grid, threads)`` on ``args.samples`` points of
     [0, tmax]; write its columns and a sidecar with its drifts, the
-    number of blocks on each propagation route and the largest block."""
+    number of blocks on each propagation route, the largest block, and
+    the run's products of H with a state and Krylov bases."""
     threads = _threads(args)
     if args.samples < 2:
         raise ParameterError("need at least two samples")
@@ -255,7 +255,8 @@ def _write_experiment(args, tmax: float, experiment, **results) -> int:
                    energy_drift=f"{meta['energy_drift']:.3e}",
                    spectral_blocks=routes.count("spectral"),
                    krylov_blocks=routes.count("krylov"),
-                   block_dim_max=max(meta["block_dims"]))
+                   block_dim_max=max(meta["block_dims"]),
+                   h_products=meta["h_products"], krylov_bases=meta["krylov_bases"])
     _write_meta(args, threads=threads, **results)
     print(f"wrote {args.out} ({args.samples} rows)")
     return EXIT_OK
@@ -295,6 +296,8 @@ def cmd_subground(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     try:
         results = run_suite(args.suite, n=args.n, threads=_threads(args))
     except KeyError:

@@ -6,15 +6,18 @@ write the state a time tau after a basis start v as B (e^{-iE tau} c)
 and run one loop over the grid. Blocks of at most DENSE_CUTOFF states
 take the spectral route: one dense numpy ``eigh`` H = U E U^H per block
 (B = U, c = U^H v) gives every grid time exactly, with no substeps and
-no tolerance, and the observables and the energy are dense products
-too. Larger blocks take the Krylov route on scipy CSR matrices, the only
+no tolerance. Larger blocks take the Krylov route on scipy CSR matrices, the only
 part of this module that imports scipy: one Lanczos basis of at most
 KRYLOV_DIM vectors and the ``eigh`` of its tridiagonal serve every
 following grid time whose a posteriori error estimate is at most
 KRYLOV_TOL (Park and Light 1986, Hochbruck and Lubich 1997); the next
 basis starts from the last state yielded, and a grid gap that no basis
 covers is crossed by halved substeps. Both settings are fixed module
-constants.
+constants. :func:`run_observables` reads each chunk of states through
+one pass over its weights |psi|^2 (the norm and every diagonal
+observable), one product per factor A of an observable A^T A + diag(d)
+(L^2) and one per other matrix; it checks the energy, which no grid time
+needs, at every basis start and at the first and last grid time only.
 
 The two experiments mirror the figures this package reproduces: the
 alternating-state quench watched through the staggered magnetization
@@ -37,7 +40,6 @@ whole sectors. The propagator knows nothing of orbits.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -90,49 +92,60 @@ def _prepare(hams, block):
     ``dense`` being True on the spectral route: dense numpy arrays there;
     on the Krylov route the Hamiltonian as a scipy CSR on its index arrays
     with complex entries, which a complex vector multiplies faster (see
-    the README's numerical notes), and each observable as a scipy CSR on
-    its own arrays. A numpy array, dense or a 1-D diagonal, is taken as
-    given. SectorMismatch when a matrix does not match the block's size."""
+    the README's numerical notes), and each observable matrix as a scipy
+    CSR on its own arrays. A numpy array, dense or a 1-D diagonal, is
+    taken as given. An observable may also be a pair (A, d), A^T A +
+    diag(d), whose A has the block's columns and any number of rows.
+    SectorMismatch when a matrix does not match the block's size."""
     route = _route(block.dim)
     dense = route == "spectral"
     H, observables = hams(block, dense)
-    for mat in [H, *observables]:
-        if tuple(mat.shape) != (block.dim,) * len(mat.shape):
-            raise SectorMismatch(f"shape {tuple(mat.shape)} on {block.tag} of {block.dim} states")
+
+    def take(mat, square=True):
+        shape = tuple(mat.shape)
+        if shape[-1:] != (block.dim,) or square and len(set(shape)) > 1:
+            raise SectorMismatch(f"shape {shape} on {block.tag} of {block.dim} states")
+        if isinstance(mat, np.ndarray):
+            return mat
+        return mat.toarray() if dense else mat.tocsr()
+
+    H = take(H)
     if not isinstance(H, np.ndarray):
-        H = H.toarray() if dense else CSR(H.indptr, H.indices,
-                                          H.data.astype(np.complex128)).tocsr()
-    mats = [m if isinstance(m, np.ndarray) else m.toarray() if dense else m.tocsr()
-            for m in observables]
+        H = CSR(H.indptr, H.indices, H.data.astype(np.complex128)).tocsr()
+    mats = [(take(om[0], square=False), take(om[1])) if isinstance(om, tuple) else take(om)
+            for om in observables]
     return route, H, mats
 
 
 def _product(A, X):
-    """A @ X for a complex C-ordered 2-D X, A being a matrix or a diagonal;
-    a real matrix acts on the (re, im) column pairs of X in one real product."""
-    if A.ndim == 1:
-        return A[:, None] * X
+    """A @ X for a complex C-ordered 2-D X; a real matrix A acts on the
+    (re, im) column pairs of X in one real product."""
     if np.iscomplexobj(A):
         return A @ X
     return (A @ X.view(np.float64)).view(np.complex128)
 
 
 def _basis(H, v, route: str):
-    """(B, S, E, c, tail): the block's state a time tau after ``v`` is
-    B S (e^{-iE tau} c), with the error estimate |tail . (e^{-iE tau} c)|.
+    """(B, S, E, c, tail, energy): the block's state a time tau after
+    ``v`` is B S (e^{-iE tau} c), with the error estimate
+    |tail . (e^{-iE tau} c)|, and ``energy`` is <v|H|v> read off the basis.
 
-    The spectral route diagonalizes H = U E U^H: B = U, S is None,
-    c = U^H v, and every tau is exact. The Krylov route builds the
-    Lanczos basis V of at most KRYLOV_DIM vectors from v = beta_0 V[0],
-    each new vector reorthogonalized against all earlier ones, and
-    diagonalizes its tridiagonal T = S E S^T: B = V^T, c = beta_0 S[0]
-    and tail = beta_m S[-1], so the estimate is beta_0 beta_m |u_m(tau)|
-    with u(tau) = exp(-i tau T) e_0 (Hochbruck and Lubich 1997). tail is 0
-    on the spectral route and when the basis spans an invariant space.
+    The spectral route diagonalizes H = U E U^H: B = U, S and tail are
+    None, c = U^H v, every tau is exact, and the energy is
+    sum_k |c_k|^2 E_k. The Krylov route builds the Lanczos basis V of at
+    most KRYLOV_DIM vectors from v = beta_0 V[0], each new vector
+    reorthogonalized against all earlier ones, and diagonalizes its
+    tridiagonal T = S E S^T: B = V^T, c = beta_0 S[0] and
+    tail = beta_m S[-1], so the estimate is beta_0 beta_m |u_m(tau)| with
+    u(tau) = exp(-i tau T) e_0 (Hochbruck and Lubich 1997), and the
+    energy is beta_0^2 alpha_0. tail is 0 when the basis spans an
+    invariant space. The Krylov route takes one product with H per
+    basis vector, S.shape[0] in all; the spectral route none.
     """
     if route == "spectral":
         energies, U = np.linalg.eigh(H)
-        return U, None, energies, U.conj().T @ v, np.zeros(energies.size)
+        c = U.conj().T @ v
+        return U, None, energies, c, None, float(energies @ (c.real ** 2 + c.imag ** 2))
     beta0 = float(np.linalg.norm(v))
     V = np.empty((min(KRYLOV_DIM, v.size), v.size), dtype=np.complex128)
     V[0] = v / beta0 if beta0 else v
@@ -153,7 +166,7 @@ def _basis(H, v, route: str):
     m = len(alphas)
     off = betas[:m - 1]
     energies, S = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
-    return V[:m].T, S, energies, beta0 * S[0], betas[-1] * S[-1]
+    return V[:m].T, S, energies, beta0 * S[0], betas[-1] * S[-1], beta0 ** 2 * alphas[0]
 
 
 def _phases(energies, c, taus):
@@ -166,7 +179,7 @@ def _phases(energies, c, taus):
     return phases
 
 
-def _trajectory(H, v, t_grid, route: str):
+def _trajectory(H, v, t_grid, route: str, bases=None):
     """Yield one block's states at the grid times, starting from t = 0.
 
     ``H`` is the block's Hamiltonian as :func:`_prepare` gives it for
@@ -174,28 +187,35 @@ def _trajectory(H, v, t_grid, route: str):
     at k consecutive grid times, at most CHUNK_ENTRIES entries (at least
     one time). Both routes run one loop: a :func:`_basis` yields every
     following grid time whose error estimate is at most KRYLOV_TOL (on
-    the spectral route, all of them), chunk after chunk, and the next
-    basis starts from the last state yielded. When not even the next grid
-    time is covered, the substep towards it is halved on the same basis
-    until it is, and the next basis starts there; ConvergenceError when
-    the substep falls below the resolution of that grid time.
+    the spectral route, all of them, with no estimate taken), chunk after
+    chunk, and the next basis starts from the last state yielded. When
+    not even the next grid time is covered, the substep towards it is
+    halved on the same basis until it is, and the next basis starts
+    there; ConvergenceError when the substep falls below the resolution
+    of that grid time. When ``bases`` is a list, each basis appends to it
+    the number of its products with H and the energy <v|H|v> of its start.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     times = max(1, CHUNK_ENTRIES // v.size)
     t0, start = 0.0, 0
     while start < t_grid.size:
-        B, S, energies, c, tail = _basis(H, v, route)
+        B, S, energies, c, tail, energy = _basis(H, v, route)
+        if bases is not None:
+            bases.append((0 if S is None else S.shape[0], energy))
         while start < t_grid.size:
             phases = _phases(energies, c, t_grid[start:start + times] - t0)
-            err = np.abs(tail @ phases)
-            covered = err <= KRYLOV_TOL
-            k = covered.size if covered.all() else int(covered.argmin())
-            if k == 0:
-                break
+            if tail is None:
+                k = phases.shape[1]
+            else:
+                err = np.abs(tail @ phases)
+                covered = err <= KRYLOV_TOL
+                k = covered.size if covered.all() else int(covered.argmin())
+                if k == 0:
+                    break
             states = _product(B, phases[:, :k] if S is None else S @ phases[:, :k])
             yield states
             start += k
-            if k < covered.size:
+            if k < phases.shape[1]:
                 break
         if k:  # the next basis starts from the last state yielded
             v, t0 = states[:, -1], t_grid[start - 1]
@@ -246,52 +266,90 @@ def run_observables(hams, state: StateVector, t_grid, observables, threads: int 
     ``hams(block, dense)`` makes the Hamiltonian of the occupied sector
     ``block`` of ``state`` and the observables that ``observables``
     names, in order: numpy arrays when ``dense`` (the block takes the
-    spectral route), else CSR, and a 1-D array for an observable that is
-    its diagonal. It is called inside that block's work, so only the
-    blocks being propagated hold their matrices. Blocks are independent,
-    so they may run on a thread pool; the reduction is an ordered sum and
-    the output does not depend on the thread count.
+    spectral route), else CSR. An observable that is its diagonal d comes
+    as a 1-D array, one of the form A^T A + diag(d) as the pair (A, d),
+    any other as its matrix. ``hams`` is called inside that block's work,
+    so only the blocks being propagated hold their matrices. Blocks are
+    independent, so they may run on a thread pool; the reduction is an
+    ordered sum and the output does not depend on the thread count.
+
+    Each chunk of states costs one pass over its weights |psi|^2, which
+    gives the norm and every diagonal part as one matrix product, plus
+    one product with each A and each other matrix. The energy is not
+    sampled at every grid time: each block checks it at every basis start
+    (read off the basis, no product) and, by one product with H each, at
+    its first and last grid time.
 
     Returns (values, diagnostics) where values maps each name to its
-    sampled series and diagnostics reports the worst norm and energy
-    drift over the grid and ``routes``, the route of each block.
+    sampled series. diagnostics holds ``norm_drift``, the largest
+    deviation of the norm from its value at the first grid time;
+    ``energy_drift``, the sum over blocks of the largest deviation of
+    each block's checked energies from its energy at t = 0; ``norm_min``;
+    ``routes``, the route of each block; ``h_products``, the products of
+    H with a state; and ``krylov_bases``, the Krylov bases built.
     """
     names = list(observables)
     t_grid = _time_grid(t_grid)
     n_t = len(t_grid)
 
     def work(i):
-        """Block i's route, and its rows of observable values, then norms
-        and energies."""
+        """Block i's route, its rows of observable values and norms, its
+        energy drift, its products with H and its Krylov bases."""
         route, H, mats = _prepare(hams, state.sectors[i])
-        rows = np.zeros((len(mats) + 2, n_t))
+        diagonal = np.zeros((len(mats) + 1, state.sectors[i].dim))
+        diagonal[-1] = 1.0  # the norm
+        factors, matrices = {}, {}
+        for j, om in enumerate(mats):
+            if isinstance(om, tuple):
+                factors[j], diagonal[j] = om
+            elif om.ndim == 1:
+                diagonal[j] = om
+            else:
+                matrices[j] = om
+        rows = np.empty((len(mats) + 1, n_t))
+        bases, ends = [], []
         k = 0
-        for chunk in _trajectory(H, state.block(i), t_grid, route):
+        for chunk in _trajectory(H, state.block(i), t_grid, route, bases):
             cols = slice(k, k + chunk.shape[1])
-            for j, om in enumerate(mats):
-                rows[j, cols] = _column_dots(chunk, _product(om, chunk))
-            rows[-2, cols] = _column_dots(chunk, chunk)
-            rows[-1, cols] = _column_dots(chunk, _product(H, chunk))
+            weights = np.square(chunk.real)
+            weights += np.square(chunk.imag)
+            rows[:, cols] = diagonal @ weights
+            del weights
+            for j, A in factors.items():
+                lowered = _product(A, chunk)
+                rows[j, cols] += _column_dots(lowered, lowered)
+            for j, M in matrices.items():
+                rows[j, cols] += _column_dots(chunk, _product(M, chunk))
+            if not k:
+                ends.append(chunk[:, :1].copy())
             k = cols.stop
-        return route, rows
+        ends.append(chunk[:, -1:].copy())
+        energies = [energy for _, energy in bases]
+        energies += [float(_column_dots(x, _product(H, x))[0]) for x in ends]
+        drift = max(abs(e - energies[0]) for e in energies)
+        products = sum(n for n, _ in bases) + len(ends)
+        return route, rows, drift, products, len(bases) if route == "krylov" else 0
 
     indices = range(state.n_blocks)
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, indices))
     else:
         results = [work(i) for i in indices]
 
-    totals = np.zeros((len(names) + 2, n_t))
-    for _, rows in results:
+    totals = np.zeros((len(names) + 1, n_t))
+    for _, rows, *_ in results:
         totals += rows
-    norm = np.sqrt(totals[-2])
-    energy = totals[-1]
+    norm = np.sqrt(totals[-1])
     diagnostics = {
         "norm_drift": float(np.max(np.abs(norm - norm[0]))),
-        "energy_drift": float(np.max(np.abs(energy - energy[0]))),
+        "energy_drift": sum(drift for _, _, drift, _, _ in results),
         "norm_min": float(norm.min()),
-        "routes": [route for route, _ in results],
+        "routes": [route for route, *_ in results],
+        "h_products": sum(products for *_, products, _ in results),
+        "krylov_bases": sum(bases for *_, bases in results),
     }
     return dict(zip(names, totals)), diagnostics
 

@@ -11,11 +11,12 @@ the exchange is emitted in both directions, so Hermiticity holds by
 construction and is asserted in tests.
 
 The quench runs make the pieces of every ring filling once
-(:func:`ring_pieces`): the ring Hamiltonian, the ring lowering and L^2
-from it, on the filling's orbit block (the coherent run) or on its whole
-ring sector (the alternating-state run). :func:`star_block_operators`
-places them block by block in the central index, as a dense array or as
-CSR rows without a sort. No star sector is built whole here: the tests
+(:func:`ring_pieces`): the ring Hamiltonian and the ring lowering, on
+the filling's orbit block (the coherent run) or on its whole ring sector
+(the alternating-state run). :func:`star_block_operators` places them
+block by block in the central index, as a dense array or as CSR rows
+without a sort, and gives L^2 as its lowering factor A and diagonal d,
+L^2 = A^T A + diag(d). No star sector is built whole here: the tests
 and ``verify`` check the pieces against an independent Kronecker
 reference (:func:`verify.reference_hamiltonian`) restricted to a sector.
 
@@ -247,7 +248,7 @@ class RingPiece:
     ``diagonal`` of its data. ``lowering`` is the orbit form of the ring
     lowering, Q_{n-1}^T L- Q_n, and ``raising`` its transpose
     Q_n^T L+ Q_{n-1}; both are None at the lowest filling of a run that
-    needs no L^2. ``l_squared`` is Q_n^T L^2 Q_n when the run asked for it.
+    needs no L^2, and at filling 0.
     """
 
     n_up: int
@@ -257,7 +258,6 @@ class RingPiece:
     diagonal: np.ndarray
     lowering: CSR | None
     raising: CSR | None
-    l_squared: CSR | None
 
 
 def _lowering(src: BasisSector, dst: BasisSector) -> CSR:
@@ -274,29 +274,15 @@ def _transpose(mat: CSR) -> CSR:
     return _csr(cols, mat.indices.astype(np.int64) * rows + mat.rows, mat.data, rows)
 
 
-def _gram(mat: CSR) -> tuple[np.ndarray, np.ndarray]:
-    """Keys (row * width + col) and values of the products that make
-    mat^T mat: every ordered pair of entries that share a row of ``mat``."""
-    width = mat.shape[1]
-    count = np.diff(mat.indptr)[mat.rows]  # entries in the row of each entry
-    left = np.repeat(np.arange(mat.nnz), count)
-    before = np.repeat(np.cumsum(count) - count, count)
-    right = np.repeat(mat.indptr[mat.rows], count) + (np.arange(left.size) - before)
-    keys = mat.indices[left].astype(np.int64) * width + mat.indices[right]
-    return keys, mat.data[left] * mat.data[right]
-
-
 def ring_pieces(N: int, J: float, Jp: float, fillings: range,
                 l_squared: bool = False, orbits: bool = True) -> dict[int, RingPiece]:
     """The :class:`RingPiece` of every ring filling in ``fillings``, made once
     per run on its dihedral orbit block, or on its whole sector unless ``orbits``.
 
     Each filling's block is built and labelled once; only it and the
-    block below it are alive at a time. L- commutes with the ring's
-    rotations and reflections, so it maps the k = 0, reflection-even
-    states of filling n into those of n - 1, and on them, as on whole
-    sectors, L^2 = L+ L- + Lz (Lz - 1) is lowering^T lowering + Lz (Lz - 1):
-    N hops instead of the N (N - 1) of an exchange of every pair of sites.
+    block below it are alive at a time. With ``l_squared`` the filling
+    below the lowest one is built too, so every filling above 0 has its
+    lowering, from which :func:`star_block_operators` gives L^2.
     """
     pieces = {}
     below = None
@@ -311,25 +297,20 @@ def ring_pieces(N: int, J: float, Jp: float, fillings: range,
             ring = build_bath_ring(block, J, Jp).matrix
             ring = _csr(dim, np.concatenate([ring.rows * dim + ring.indices, diagonal]),
                         np.concatenate([ring.data, np.zeros(dim)]))
-            lowering = raising = squared = None
+            lowering = raising = None
             if below is not None:
                 lowering = _lowering(block, below)
                 raising = _transpose(lowering)
-            if l_squared:
-                lz = n - N / 2
-                keys, vals = (_gram(lowering) if lowering is not None
-                              else (diagonal[:0], np.zeros(0)))
-                squared = _csr(dim, np.concatenate([keys, diagonal]),
-                               np.concatenate([vals, np.full(dim, lz * (lz - 1.0))]))
             pieces[n] = RingPiece(n_up=n, bits=block.bits, size=block.size if orbits else None,
                                   ring=ring, diagonal=np.flatnonzero(ring.indices == ring.rows),
-                                  lowering=lowering, raising=raising, l_squared=squared)
+                                  lowering=lowering, raising=raising)
         below = block
     return pieces
 
 
-def _assemble(dim: int, parts, dense: bool):
-    """The dim x dim matrix made of CSR pieces, dense when ``dense``, else CSR.
+def _assemble(dim: int, parts, dense: bool, width: int | None = None):
+    """The dim x width matrix (width defaults to dim) made of CSR pieces,
+    dense when ``dense``, else CSR.
 
     Each part ``(r0, c0, piece, values)`` puts ``values``, the data of the
     CSR ``piece`` or data on its pattern, at rows ``r0 + piece.rows`` and
@@ -338,7 +319,7 @@ def _assemble(dim: int, parts, dense: bool):
     its pieces' rows one after another, without a sort.
     """
     if dense:
-        out = np.zeros((dim, dim))
+        out = np.zeros((dim, dim if width is None else width))
         for r0, c0, piece, values in parts:
             out[r0 + piece.rows, c0 + piece.indices] = values
         return out
@@ -355,7 +336,7 @@ def _assemble(dim: int, parts, dense: bool):
         indices[at] = c0 + piece.indices
         data[at] = values
         fill[r0:r0 + piece.shape[0]] += np.diff(piece.indptr)
-    return CSR(indptr.astype(np.int32), indices, data)
+    return CSR(indptr.astype(np.int32), indices, data, width)
 
 
 def star_block_operators(block: StarBlock, pieces: dict[int, RingPiece], prefactor: float,
@@ -368,13 +349,20 @@ def star_block_operators(block: StarBlock, pieces: dict[int, RingPiece], prefact
     holds H_ring(n_c) plus (omega S_m + prefactor S_m L_m) on its
     diagonal, and slices c - 1 and c are linked by prefactor / 2
     sqrt(c (two_S - c + 1)) times the lowering of filling n_c and its
-    transpose. 'L2' is block diagonal, L^2 of each filling; 'Sz', the
-    central S_m, and, on whole sectors, 'ms' are returned as diagonals.
-    The Hamiltonian and L^2 come dense when ``dense``, else as CSR.
+    transpose. 'Sz', the central S_m, and, on whole sectors, 'ms' are
+    returned as diagonals. 'L2' is returned as a pair (A, d) with
+    L^2 = A^T A + diag(d): on slice c, L^2 = L+ L- + L_z (L_z - 1), so A
+    stacks the lowering of each filling n_c above 0, its rows those of
+    filling n_c - 1 one slice after another, and d is L_z (L_z - 1). L-
+    commutes with the ring's rotations and reflections, so this holds on
+    orbit blocks as on whole sectors. The Hamiltonian and A come dense
+    when ``dense``, else as CSR.
     """
     N, two_S, half = block.N, block.two_S, 0.5 * prefactor
     slices = block.slices
-    ham, squared, s_m = [], [], []
+    sizes = [s.stop - s.start for s in slices]
+    ham, lower, s_m = [], [], []
+    rows = 0  # the rows of A so far
     for k, s in enumerate(slices):
         piece = pieces[s.n_up]
         sm = 0.5 * (two_S - 2 * s.central)
@@ -390,15 +378,18 @@ def star_block_operators(block: StarBlock, pieces: dict[int, RingPiece], prefact
             down = pieces[slices[k + 1].n_up].lowering
             ham.append((s.start, slices[k + 1].start, down,
                         half * _ladder_weight(two_S, slices[k + 1].central) * down.data))
-        if "L2" in names:
-            squared.append((s.start, s.start, piece.l_squared, piece.l_squared.data))
+        if "L2" in names and s.n_up > 0:
+            lower.append((rows, s.start, piece.lowering, piece.lowering.data))
+            rows += piece.lowering.shape[0]
         s_m.append(sm)
     mats = []
     for name in names:
         if name == "Sz":
-            mats.append(np.repeat(s_m, [s.stop - s.start for s in slices]))
+            mats.append(np.repeat(s_m, sizes))
         elif name == "L2":
-            mats.append(_assemble(block.dim, squared, dense))
+            lz = np.array([s.n_up - 0.5 * N for s in slices])
+            mats.append((_assemble(rows, lower, dense, block.dim),
+                         np.repeat(lz * (lz - 1.0), sizes)))
         elif name == "ms" and block.size is None:
             mats.append(_staggered(N, block.bits))
         else:

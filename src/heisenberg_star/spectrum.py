@@ -32,7 +32,6 @@ Everything else is arithmetic on top of those numbers:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,6 +277,8 @@ def level_table(N: int, threads: int = 1) -> LevelTable:
         return _ring_level(N, two_l)[0]
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(solve, two_ls))
     else:

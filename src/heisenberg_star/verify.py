@@ -25,7 +25,6 @@ from .dynamics import (
     _trajectory,
     coherent_experiment,
     evolve,
-    run_observables,
 )
 from .spectrum import (
     bath_subground_state,
@@ -162,7 +161,9 @@ def suite_dynamics_oracle(N: int = 6) -> list[CheckResult]:
 
 def _coherent_k0_check() -> CheckResult:
     """The k = 0 coherent run against the Kronecker reference on whole
-    sectors, anisotropic ring.
+    sectors, anisotropic ring: the oracle takes its <Sz> and <L^2> from
+    the states ``evolve`` yields and the reference matrices, sharing no
+    observable code with ``run_observables``.
 
     The experiment takes g t and reports <Sz>/S; the oracle takes t and <Sz>.
     """
@@ -175,10 +176,14 @@ def _coherent_k0_check() -> CheckResult:
     state = restrict_state(reference_state(np.eye(two_S + 1)[0],
                                            coherent_sites(N, theta, phi)), N, two_S)
     H = reference_hamiltonian(N, two_S, params.J, params.Jp, 2.0 * params.g, params.omega)
-    obs = [reference_operator(N, two_S, name) for name in ("Sz", "L2")]
-    want, _ = run_observables(lambda block, dense: (
-        restrict(H, block.keys), [restrict(M, block.keys) for M in obs]),
-        state, t_abs, ["Sz", "L2"])
+    obs = {name: reference_operator(N, two_S, name) for name in ("Sz", "L2")}
+    want = {name: np.zeros(t_abs.size) for name in obs}
+    states = evolve(lambda block, dense: restrict(H, block.keys), state, t_abs)
+    for k, st in enumerate(states):
+        for i, sector in enumerate(st.sectors):
+            x = st.block(i)
+            for name, M in obs.items():
+                want[name][k] += float(np.vdot(x, restrict(M, sector.keys) @ x).real)
     worst = max(float(np.max(np.abs(got[k] - want[k]))) for k in want)
     return _check("coherent-k0-vs-full N=8", worst <= 1e-10,
                   f"max Sz/L2 deviation {worst:.2e}")

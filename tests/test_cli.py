@@ -527,8 +527,9 @@ class TestVerify:
         assert "--out" in capsys.readouterr().err
 
     def test_failing_check_sets_exit_one(self, monkeypatch, capsys):
+        # cmd_verify imports run_suite when it runs, so it is replaced in verify
         monkeypatch.setattr(
-            cli, "run_suite",
+            verify, "run_suite",
             lambda *a, **k: [CheckResult("broken", False, "synthetic")])
         assert run(["verify", "--suite", "identities"]) == 1
         assert "FAIL" in capsys.readouterr().out

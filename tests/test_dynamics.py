@@ -16,8 +16,10 @@ propagator.
 """
 
 import functools
+import inspect
 import itertools
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -111,9 +113,10 @@ def test_tridiagonal_exponential_matches_expm(m, monkeypatch):
     T = np.diag(rng.normal(size=m)) + np.diag(off, 1) + np.diag(off, -1)
     v = rng.normal(size=m) + 1j * rng.normal(size=m)
     v /= np.linalg.norm(v)
-    B, S, energies, c, tail = dynamics._basis(
+    B, S, energies, c, tail, energy = dynamics._basis(
         scipy.sparse.csr_array(T.astype(complex)), v, "krylov")
     assert np.abs(tail).max() <= 1e-13
+    assert abs(energy - np.vdot(v, T @ v).real) <= 1e-13
     for tau in (0.05, 0.7, 3.0):
         got = B @ (S @ (np.exp(-1j * tau * energies) * c))
         assert np.abs(got - scipy.linalg.expm(-1j * tau * T) @ v).max() <= 1e-13
@@ -642,3 +645,157 @@ class TestFirstCrossing:
         # no extrapolation before the grid: [0.1, 0.05] once gave -2.0
         assert first_crossing([0.0, 1.0], [0.1, 0.05], 0.2) == 0.0
         assert first_crossing([3.0, 4.0], [0.2, 0.1], 0.2) == 3.0
+
+
+class CountingMatrix:
+    """A Hamiltonian that counts the states it multiplies: one per vector,
+    one per column of a complex array or per column pair of its real view."""
+
+    def __init__(self, H):
+        self.H, self.dtype, self.shape, self.ndim = H, H.dtype, H.shape, 2
+        self.count = 0
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.H, dtype=dtype)
+
+    def __matmul__(self, X):
+        self.count += 1 if X.ndim == 1 else X.shape[1] // (1 if np.iscomplexobj(X) else 2)
+        return self.H @ X
+
+
+@pytest.mark.parametrize("cutoff", [dynamics.DENSE_CUTOFF, 0], ids=["spectral", "krylov"])
+def test_run_record_counts_products_and_bases(cutoff, monkeypatch, tmp_path):
+    # the diagnostics and the sidecar against counts taken outside the
+    # propagator: every state any Hamiltonian multiplies, every Krylov basis
+    from heisenberg_star import cli
+
+    monkeypatch.setattr(dynamics, "DENSE_CUTOFF", cutoff)
+    monkeypatch.setattr(dynamics, "KRYLOV_DIM", 8)  # several bases per block
+    hams, krylov = [], []
+    prepare, basis = dynamics._prepare, dynamics._basis
+
+    def counting_prepare(*args):
+        route, H, mats = prepare(*args)
+        hams.append(CountingMatrix(H))
+        return route, hams[-1], mats
+
+    def counting_basis(H, v, route):
+        krylov.extend([1] if route == "krylov" else [])
+        return basis(H, v, route)
+
+    monkeypatch.setattr(dynamics, "_prepare", counting_prepare)
+    monkeypatch.setattr(dynamics, "_basis", counting_basis)
+    params = make_params(8, 2, J=0.8, g=1.0)
+    _, meta = neel_experiment(params, "uniform", np.linspace(0.0, 4.0, 21), ("Sz", "ms", "L2"))
+    assert meta["h_products"] == sum(h.count for h in hams)
+    assert meta["krylov_bases"] == len(krylov)
+    if cutoff:  # the energy at the first and last grid time of each block
+        assert meta["h_products"] == 2 * len(hams) and not krylov
+    else:
+        assert len(krylov) > len(hams)
+    hams.clear()
+    krylov.clear()
+    out = tmp_path / "neel.csv"
+    assert cli.main(["neel", "--n", "8", "--two-s", "2", "--central", "uniform", "--samples",
+                     "21", "--tmax", "4", "--with-sz", "--threads", "1", "--out", str(out)]) == 0
+    sidecar = (tmp_path / "neel.csv.meta").read_text().splitlines()
+    assert f"h_products = {sum(h.count for h in hams)}" in sidecar
+    assert f"krylov_bases = {len(krylov)}" in sidecar
+
+
+def mutated_basis(old, new):
+    """dynamics._basis with the source line ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(dynamics._basis))
+    assert old in source
+    namespace = dict(vars(dynamics))
+    exec(source.replace(old, new), namespace)
+    return namespace["_basis"]
+
+
+def per_time_energy_drift(hams, state, grid):
+    """The energy drift taken at every grid time by a product with H:
+    the sum over blocks of each block's largest deviation from t = 0."""
+    energies = np.array([[np.vdot(st.block(i), hams(s) @ st.block(i)).real
+                          for i, s in enumerate(st.sectors)]
+                         for st in evolve(lambda block, dense: hams(block), state, grid)])
+    return float(np.abs(energies - energies[0]).max(axis=0).sum())
+
+
+class TestDriftCatchesMutations:
+    """A propagator made wrong on purpose must show in the drifts that
+    run_observables reports, past the bounds of the benchmark checker
+    (norm 1e-10, energy 1e-9), as it shows in an energy taken at every
+    grid time."""
+
+    NORM_BOUND, ENERGY_BOUND = 1e-10, 1e-9
+
+    def drifts(self, hams, state, grid):
+        _, diag = run_observables(lambda block, dense: (hams(block), []), state, grid, [])
+        return diag["norm_drift"], diag["energy_drift"], per_time_energy_drift(hams, state,
+                                                                               grid)
+
+    def neel(self):
+        params = make_params(8, 1, J=0.8, g=1.0)
+        return (lambda block: star(block, params),
+                reference_neel_star(params, central_initial(1, "uniform")))
+
+    def test_a_krylov_basis_without_reorthogonalization(self, monkeypatch):
+        # on the star's own blocks the exponential survives the lost
+        # orthogonality, and neither drift moves; a stiff block of 21 states
+        # with levels from 1e-2 to 1e5 is one basis when reorthogonalized
+        # and some thousand bases, with ghost levels, when not
+        monkeypatch.setattr(dynamics, "DENSE_CUTOFF", 0)
+        sec = enumerate_sector(6, 1, 3)
+        rng = np.random.default_rng(2)
+        Q = np.linalg.qr(rng.normal(size=(sec.dim, sec.dim)))[0]
+        H = scipy.sparse.csr_array(Q @ np.diag(np.geomspace(1e-2, 1e5, sec.dim)) @ Q.T)
+        v = random_state(sec, 2).amps
+        state = StateVector.single(sec, v / np.linalg.norm(v))
+        grid = np.linspace(0.0, 5.0, 6)
+        _, energy, per_time = self.drifts(lambda block: H, state, grid)
+        assert energy <= 1e-10 and per_time <= 1e-10
+        monkeypatch.setattr(dynamics, "_basis", mutated_basis(
+            "w -= V[:j + 1].T @ np.conj(V[:j + 1] @ np.conj(w))", "pass"))
+        _, energy, per_time = self.drifts(lambda block: H, state, grid)
+        assert energy > self.ENERGY_BOUND and per_time > self.ENERGY_BOUND
+
+    def test_a_wrong_lanczos_alpha(self, monkeypatch):
+        # the second diagonal entry of every tridiagonal off by 1e-5: the
+        # basis stays orthonormal, so only the energy can tell
+        monkeypatch.setattr(dynamics, "DENSE_CUTOFF", 0)
+        monkeypatch.setattr(dynamics, "_basis", mutated_basis(
+            "alphas.append(float(np.vdot(V[j], w).real))",
+            "alphas.append(float(np.vdot(V[j], w).real) + (1e-5 if j == 1 else 0.0))"))
+        hams, state = self.neel()
+        _, energy, per_time = self.drifts(hams, state, np.linspace(0.0, 10.0, 41))
+        assert energy > self.ENERGY_BOUND and per_time > self.ENERGY_BOUND
+
+    def test_a_perturbed_eigenvector_column(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_basis", mutated_basis(
+            "energies, U = np.linalg.eigh(H)",
+            "energies, U = np.linalg.eigh(H)\n        U[:, 0] += 1e-5"))
+        hams, state = self.neel()
+        assert {dynamics._route(b.dim) for b in state.sectors} == {"spectral"}
+        norm, energy, per_time = self.drifts(hams, state, np.linspace(0.0, 10.0, 41))
+        assert norm > self.NORM_BOUND
+        assert energy > self.ENERGY_BOUND and per_time > self.ENERGY_BOUND
+
+    def test_the_unmutated_runs_stay_within_the_bounds(self, monkeypatch):
+        hams, state = self.neel()
+        for cutoff in (dynamics.DENSE_CUTOFF, 0):
+            monkeypatch.setattr(dynamics, "DENSE_CUTOFF", cutoff)
+            norm, energy, per_time = self.drifts(hams, state, np.linspace(0.0, 10.0, 41))
+            assert norm <= 1e-13 and energy <= 1e-12 and per_time <= 1e-12
+
+
+def test_a_restart_heavy_run_reports_the_per_time_energy_drift(monkeypatch):
+    # bases of 5 vectors, so most grid times start a basis of their own
+    monkeypatch.setattr(dynamics, "KRYLOV_DIM", 5)
+    monkeypatch.setattr(dynamics, "DENSE_CUTOFF", 0)
+    params = make_params(8, 2, J=0.8, g=1.0)
+    state = reference_neel_star(params, central_initial(2, "uniform"))
+    grid = np.linspace(0.0, 6.0, 61)
+    _, diag = run_observables(lambda block, dense: (star(block, params), []), state, grid, [])
+    assert diag["krylov_bases"] > len(grid) * state.n_blocks
+    per_time = per_time_energy_drift(lambda block: star(block, params), state, grid)
+    assert abs(diag["energy_drift"] - per_time) <= dynamics.KRYLOV_TOL

@@ -46,6 +46,18 @@ def test_importing_the_package_loads_no_scipy(code):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_importing_the_cli_loads_neither_verify_nor_a_thread_pool():
+    # verify and concurrent.futures are imported by the code that runs them
+    env = dict(os.environ, PYTHONPATH=SRC)
+    check = ("import sys\nimport heisenberg_star.cli\n"
+             "loaded = [m for m in sys.modules if m == 'heisenberg_star.verify'"
+             " or m.split('.')[0] == 'concurrent']\n"
+             "assert not loaded, loaded")
+    proc = subprocess.run([sys.executable, "-c", check], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("args", [
     ["coherent", "--n", "14", "--jp", "0.8", "--with-l2", "--samples", "21"],
     ["level-table", "--n", "16"],

@@ -131,6 +131,16 @@ def whole_sector(N, two_S, two_m, J=0.0, Jp=0.0, prefactor=0.0, omega=0.0, names
     return block, H, mats
 
 
+def l_squared(pair):
+    """L^2 = A^T A + diag(d) of the pair (A, d) that star_block_operators
+    returns for 'L2', dense or as a scipy CSR after the form of A."""
+    A, d = pair
+    if isinstance(A, np.ndarray):
+        return A.T @ A + np.diag(d)
+    A = A.tocsr()
+    return (A.T @ A + sparse.diags_array(d)).tocsr()
+
+
 def assert_matches(mat, ref):
     assert mat.shape == ref.shape
     assert abs(mat.tocsr() - ref).max() <= 1e-12
@@ -214,9 +224,10 @@ class TestDiagonalObservables:
 
 
 def ring_l_squared(N, n_up):
-    """L^2 of ring filling n_up, from the whole-sector ring pieces."""
-    pieces = ops.ring_pieces(N, 1.0, 1.0, range(n_up, n_up + 1), l_squared=True, orbits=False)
-    return pieces[n_up].l_squared.toarray()
+    """L^2 of ring filling n_up, A^T A + diag(d) of the star block without
+    a central spin, from the whole-sector ring pieces."""
+    _, _, (pair,) = whole_sector(N, 0, 2 * n_up - N, names=["L2"], dense=True)
+    return l_squared(pair)
 
 
 class TestRingMomentumSquared:
@@ -229,7 +240,7 @@ class TestRingMomentumSquared:
     def test_star_sector_leaves_central_untouched(self):
         _, _, (L2,) = whole_sector(4, 2, 0, names=["L2"], dense=True)
         ref = project(np.kron(np.eye(3), l_squared_matrix(4)), enumerate_sector(4, 2, 0))
-        np.testing.assert_allclose(L2, ref, atol=1e-13)
+        np.testing.assert_allclose(l_squared(L2), ref, atol=1e-13)
 
     def test_spectrum_of_balanced_sector(self):
         # N=4, n_up=2: eigenvalues l(l+1) with multiplicities 2, 3, 1
@@ -259,19 +270,21 @@ class TestAssembledHamiltonians:
         np.testing.assert_allclose(H, ref, atol=1e-13)
 
     def test_isotropic_star_commutes_with_ring_momentum(self):
-        _, H, (L2,) = whole_sector(6, 2, 0, J=0.77, Jp=0.77, prefactor=1.3, names=["L2"],
-                                   dense=True)
+        _, H, (pair,) = whole_sector(6, 2, 0, J=0.77, Jp=0.77, prefactor=1.3, names=["L2"],
+                                     dense=True)
+        L2 = l_squared(pair)
         assert np.max(np.abs(H @ L2 - L2 @ H)) < 1e-12
 
     def test_anisotropic_ring_breaks_the_conservation(self):
-        _, H, (L2,) = whole_sector(6, 2, 0, J=1.0, Jp=0.8, prefactor=2.6, names=["L2"],
-                                   dense=True)
+        _, H, (pair,) = whole_sector(6, 2, 0, J=1.0, Jp=0.8, prefactor=2.6, names=["L2"],
+                                     dense=True)
+        L2 = l_squared(pair)
         assert np.max(np.abs(H @ L2 - L2 @ H)) > 1e-3
 
     @pytest.mark.parametrize("build", [
         lambda: [ops.build_bath_ring(s, 0.7, 0.3).matrix
                  for s in (enumerate_sector(6, 2, 0), enumerate_bath_sector(6, 3))],
-        lambda: whole_sector(6, 2, 0, names=["L2"])[2],
+        lambda: [l_squared(pair) for pair in whole_sector(6, 2, 0, names=["L2"])[2]],
         lambda: [whole_sector(6, 2, 0, J=0.7, Jp=0.3, prefactor=1.1, omega=0.4)[1]],
     ])
     def test_hermitian(self, build):
@@ -289,7 +302,7 @@ class TestCSR:
         assert s.has_canonical_format and s.nnz == m.nnz
 
     def test_product_matches_the_dense_matrix(self):
-        m = whole_sector(8, 2, 0, names=["L2"])[2][0]
+        m = whole_sector(8, 2, 0, J=0.9, Jp=0.6, prefactor=1.1)[1]
         rng = np.random.default_rng(4)
         x = rng.normal(size=(m.shape[0], 3)) + 1j * rng.normal(size=(m.shape[0], 3))
         np.testing.assert_allclose(m @ x, m.toarray() @ x, rtol=0, atol=1e-12)
@@ -311,7 +324,7 @@ class TestCSR:
         assert np.array_equal(got, want)
 
     def test_rows_are_found_once_and_read_only(self):
-        m = whole_sector(8, 2, 0, names=["L2"])[2][0]
+        m = whole_sector(8, 2, 0, J=0.9, Jp=0.6, prefactor=1.1)[1]
         assert m.rows is m.rows
         np.testing.assert_array_equal(m.rows, np.repeat(np.arange(m.shape[0]),
                                                         np.diff(m.indptr)))
@@ -391,7 +404,8 @@ class TestAgainstSparseKronecker:
     def test_L_squared(self, N, two_S, two_m):
         # symmetric ladder route in the reference, L+ L- from the lowering in the pieces
         block, _, (L2,) = whole_sector(N, two_S, two_m, names=["L2"])
-        assert_matches(L2, restrict(reference_operator(N, two_S, "L2"), block_keys(block)))
+        assert_matches(l_squared(L2), restrict(reference_operator(N, two_S, "L2"),
+                                                block_keys(block)))
 
     @pytest.mark.parametrize("N,two_S,two_m", KRON_SECTORS)
     def test_staggered(self, N, two_S, two_m):

@@ -70,8 +70,10 @@ def block_expectation(state, pieces, name):
     for i, block in enumerate(state.sectors):
         x = state.block(i)
         _, (M,) = ops.star_block_operators(block, pieces, 1.0, 0.0, [name], dense=True)
-        Mx = M * x if M.ndim == 1 else M @ x
-        total += float(np.vdot(x, Mx).real)
+        if isinstance(M, tuple):  # L^2 = A^T A + diag(d)
+            A, M = M
+            total += float(np.linalg.norm(A @ x) ** 2)
+        total += float(np.vdot(x, M * x).real)
     return total
 
 
@@ -158,7 +160,9 @@ class TestDicke:
             x = dicke_block(N, n)
             assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-14)
             l = N / 2.0
-            got = x @ (pieces[n].l_squared @ x)
+            # L^2 = L+ L- + Lz (Lz - 1) on the orbit block, from its lowering
+            got = np.linalg.norm(pieces[n].lowering.toarray() @ x) ** 2 \
+                + (n - l) * (n - l - 1) * (x @ x)
             assert got == pytest.approx(l * (l + 1), abs=1e-12)
 
     def test_reached_by_lowering_the_polarized_state(self):
