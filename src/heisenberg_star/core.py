@@ -310,23 +310,30 @@ class OrbitBlock(BasisSector):
         return f"OrbitBlock({self.tag}, dim={self.dim})"
 
 
+def _least_image(N: int, bits: np.ndarray) -> np.ndarray:
+    """The smallest of the 2N dihedral images of each N-bit ring
+    configuration in ``bits``: the N bit rotations of it and of its bit
+    reversal. It is the representative of the configuration's orbit."""
+    mask = (1 << N) - 1
+    mirror = np.zeros_like(bits)
+    for a in range(N):
+        mirror |= ((bits >> a) & 1) << (N - 1 - a)
+    least = np.minimum(bits, mirror)
+    for r in range(1, N):
+        for b in (bits, mirror):
+            least = np.minimum(least, ((b >> r) | (b << (N - r))) & mask)
+    return least
+
+
 def orbit_block(sector: BasisSector) -> OrbitBlock:
     """Label each state of a sector by its orbit under the ring's dihedral group.
 
-    A state's label key is the smallest of its 2N images: the N bit
-    rotations of ``bits`` and of its bit reversal, at the same central
-    index. The sector's keys are sorted, so each orbit's first state is
-    its representative.
+    A state's label key is the smallest of its 2N images
+    (:func:`_least_image`) at the same central index. The sector's keys
+    are sorted, so each orbit's first state is its representative.
     """
     N = sector.N
-    mask = (1 << N) - 1
-    mirror = np.zeros_like(sector.bits)
-    for a in range(N):
-        mirror |= ((sector.bits >> a) & 1) << (N - 1 - a)
-    least = np.minimum(sector.bits, mirror)
-    for r in range(1, N):
-        for b in (sector.bits, mirror):
-            least = np.minimum(least, ((b >> r) | (b << (N - r))) & mask)
+    least = _least_image(N, sector.bits)
     _, first, label, size = np.unique((sector.central << N) | least, return_index=True,
                                       return_inverse=True, return_counts=True)
     return OrbitBlock(N=N, two_S=sector.two_S, two_m=sector.two_m,

@@ -13,7 +13,12 @@ following grid time whose a posteriori error estimate is at most
 KRYLOV_TOL (Park and Light 1986, Hochbruck and Lubich 1997); the next
 basis starts from the last state yielded, and a grid gap that no basis
 covers is crossed by halved substeps. Both settings are fixed module
-constants. :func:`run_observables` reads each chunk of states through
+constants. On a grid uniform to rounding, which every grid of the CLI
+is, both routes take the phases e^{-iE tau} c from two small cos/sin
+tables, about 2 sqrt(n) pairs per energy for n grid times
+(:func:`_phases`). Before a block propagates, ConvergenceError refuses
+a grid end that double precision cannot resolve, eps ||H|| t_end above
+KRYLOV_TOL. :func:`run_observables` reads each chunk of states through
 one pass over its weights |psi|^2 (the norm and every diagonal
 observable), one product per factor A of an observable A^T A + diag(d)
 (L^2) and one per other matrix; it checks the energy, which no grid time
@@ -25,7 +30,8 @@ alternating-state quench watched through the staggered magnetization
 the driven coherent-state run watched through the central polarization
 (:func:`coherent_experiment`, time axis g t). Each one checks its input
 and the layout of every star block, makes the pieces of every ring
-filling once (:func:`operators.ring_pieces`), writes its state on the
+filling once (:func:`operators.ring_pieces`, which takes the fillings
+above half filling from their spin-flip mirrors), writes its state on the
 blocks they make, and runs :func:`run_observables` once on the grid
 divided by its rate, each block's operators assembled from the pieces
 inside its work: dense on the spectral route, CSR on the Krylov one.
@@ -60,6 +66,10 @@ DENSE_CUTOFF = 1024
 # a basis (30: the fewest vectors with at most 2 products per grid time)
 KRYLOV_DIM = 30
 KRYLOV_TOL = 1e-9
+
+# The largest ||H|| t_end a block is propagated to: beyond it the rounding
+# of its phases, eps ||H|| t, exceeds KRYLOV_TOL (about 4.5e6)
+SPAN_MAX = KRYLOV_TOL / np.finfo(float).eps
 
 # Entries (states x grid times) in one chunk of propagated states, so a
 # chunk's complex temporaries take 1 MB each whatever the block size
@@ -117,6 +127,20 @@ def _prepare(hams, block):
     return route, H, mats
 
 
+def _spanned(H, block, t_end: float):
+    """H, once double precision resolves the block's phases up to the grid
+    end: ConvergenceError, naming the block and ``t_end``, unless
+    ||H|| t_end <= SPAN_MAX, ||H|| being the largest absolute row sum of H,
+    a numpy array, a :class:`operators.CSR` or a scipy sparse matrix."""
+    norm = float(abs(H.tocsr() if isinstance(H, CSR) else H).sum(axis=1).max())
+    if norm * t_end > SPAN_MAX:
+        raise ConvergenceError(
+            f"{block.tag}: double precision does not resolve the grid end t = {t_end:.6g}:"
+            f" eps ||H|| t = {np.finfo(float).eps * norm * t_end:.3g} exceeds"
+            f" {KRYLOV_TOL:g} (||H|| = {norm:.6g}, the largest absolute row sum)")
+    return H
+
+
 def _product(A, X):
     """A @ X for a complex C-ordered 2-D X; a real matrix A acts on the
     (re, im) column pairs of X in one real product."""
@@ -169,12 +193,45 @@ def _basis(H, v, route: str):
     return V[:m].T, S, energies, beta0 * S[0], betas[-1] * S[-1], beta0 ** 2 * alphas[0]
 
 
-def _phases(energies, c, taus):
-    """e^{-i E tau} c for each tau, one column per tau."""
+def _trig_table(energies, taus):
+    """e^{-i E tau} for each energy (row) and tau (column), by cos and sin."""
     angles = np.outer(energies, taus)
-    phases = np.empty(angles.shape, dtype=complex)
-    np.cos(angles, out=phases.real)
-    np.sin(np.negative(angles, out=angles), out=phases.imag)
+    table = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=table.real)
+    np.sin(np.negative(angles, out=angles), out=table.imag)
+    return table
+
+
+def _phases(energies, c, times, t0=0.0):
+    """e^{-i E (t - t0)} c for each of the n grid times t, one column per time.
+
+    On a grid uniform to rounding, t_k = t_0 + k dt with every t_k within
+    4 eps max|t| of it (a grid made as ``np.linspace(0, tmax, n) / g``, or
+    a slice of one, stays within 2.5), column k = a K + b is the product of
+    two small tables: c e^{-i E (t_0 - t0 + a K dt)} for a < ceil(n / K) and
+    e^{-i E b dt} for b < K = ceil(sqrt(n)), so each energy takes about
+    2 sqrt(n) cos/sin pairs instead of n. Any other grid, and one too short
+    to gain, takes cos and sin of every E (t - t0).
+    """
+    times = np.asarray(times, dtype=float)
+    n = times.size
+    K = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    A = -(-n // K)  # ceil(n / K)
+    if K + A < n:
+        step = (times[-1] - times[0]) / (n - 1)
+        drift = np.abs(times - (times[0] + step * np.arange(n))).max()
+        if drift <= 4 * np.finfo(float).eps * max(abs(times[0]), abs(times[-1])):
+            rows = _trig_table(energies, times[0] - t0 + np.arange(A) * (K * step))
+            rows *= c[:, None]
+            cols = _trig_table(energies, np.arange(K) * step)
+            # written in place, so the columns stay C-ordered for _product
+            phases = np.empty((c.size, n), dtype=complex)
+            whole = n - n % K  # the columns of the full rows a
+            np.multiply(rows[:, :whole // K, None], cols[:, None, :],
+                        out=phases[:, :whole].reshape(c.size, whole // K, K))
+            np.multiply(rows[:, -1:], cols[:, :n - whole], out=phases[:, whole:])
+            return phases
+    phases = _trig_table(energies, times - t0)
     phases *= c[:, None]
     return phases
 
@@ -203,7 +260,7 @@ def _trajectory(H, v, t_grid, route: str, bases=None):
         if bases is not None:
             bases.append((0 if S is None else S.shape[0], energy))
         while start < t_grid.size:
-            phases = _phases(energies, c, t_grid[start:start + times] - t0)
+            phases = _phases(energies, c, t_grid[start:start + times], t0)
             if tail is None:
                 k = phases.shape[1]
             else:
@@ -252,7 +309,8 @@ def evolve(hams, state: StateVector, t_grid):
     t_grid = _time_grid(t_grid)
     paths = []
     for i, block in enumerate(state.sectors):
-        route, H, _ = _prepare(lambda b, dense: (hams(b, dense), []), block)
+        route, H, _ = _prepare(lambda b, dense: (_spanned(hams(b, dense), b, t_grid[-1]), []),
+                               block)
         paths.append(col for chunk in _trajectory(H, state.block(i), t_grid, route)
                      for col in chunk.T)
     for blocks in zip(*paths):
@@ -292,10 +350,14 @@ def run_observables(hams, state: StateVector, t_grid, observables, threads: int 
     t_grid = _time_grid(t_grid)
     n_t = len(t_grid)
 
+    def spanned(block, dense):
+        H, mats = hams(block, dense)
+        return _spanned(H, block, t_grid[-1]), mats
+
     def work(i):
         """Block i's route, its rows of observable values and norms, its
         energy drift, its products with H and its Krylov bases."""
-        route, H, mats = _prepare(hams, state.sectors[i])
+        route, H, mats = _prepare(spanned, state.sectors[i])
         diagonal = np.zeros((len(mats) + 1, state.sectors[i].dim))
         diagonal[-1] = 1.0  # the norm
         factors, matrices = {}, {}

@@ -13,7 +13,10 @@ construction and is asserted in tests.
 The quench runs make the pieces of every ring filling once
 (:func:`ring_pieces`): the ring Hamiltonian and the ring lowering, on
 the filling's orbit block (the coherent run) or on its whole ring sector
-(the alternating-state run). :func:`star_block_operators` places them
+(the alternating-state run). Only fillings up to half filling, and those
+whose spin-flip mirror the run lacks, are enumerated and built; every
+other filling above half filling permutes its mirror's pieces by the
+global spin flip. :func:`star_block_operators` places them
 block by block in the central index, as a dense array or as CSR rows
 without a sort, and gives L^2 as its lowering factor A and diagonal d,
 L^2 = A^T A + diag(d). No star sector is built whole here: the tests
@@ -48,6 +51,7 @@ from .core import (
     BasisSector,
     OrbitBlock,
     StarBlock,
+    _least_image,
     enumerate_bath_sector,
     orbit_block,
 )
@@ -262,10 +266,14 @@ class RingPiece:
 
 def _lowering(src: BasisSector, dst: BasisSector) -> CSR:
     """Q_dst^T L- Q_src from the orbit block of ring filling n to that of
-    n - 1, one hop per site; L- itself between whole ring sectors."""
+    n - 1, one hop per site; L- itself between whole ring sectors. Entry
+    (o', o) is the number of hops from the representative of o into o',
+    times sqrt(size[o] / size[o'])."""
     i, j = _hop(src, dst, lower_bits=1 << np.arange(src.N, dtype=np.int64))
-    vals = np.sqrt(src.size[i] / dst.size[j]) if isinstance(src, OrbitBlock) else np.ones(i.size)
-    return _csr(dst.dim, j * src.dim + i, vals, src.dim)
+    mat = _csr(dst.dim, j * src.dim + i, np.ones(i.size), src.dim)
+    if isinstance(src, OrbitBlock):
+        np.multiply(mat.data, np.sqrt(src.size[mat.indices] / dst.size[mat.rows]), out=mat.data)
+    return mat
 
 
 def _transpose(mat: CSR) -> CSR:
@@ -274,24 +282,76 @@ def _transpose(mat: CSR) -> CSR:
     return _csr(cols, mat.indices.astype(np.int64) * rows + mat.rows, mat.data, rows)
 
 
+def _permuted(mat: CSR, rows: np.ndarray, cols: np.ndarray) -> CSR:
+    """The canonical CSR whose entry (rows[i], cols[j]) is entry (i, j) of
+    ``mat``, for permutations ``rows`` and ``cols`` of its rows and columns."""
+    height, width = mat.shape
+    return _csr(height, rows[mat.rows] * width + cols[mat.indices], mat.data, mat.width)
+
+
+def _flip(N: int, piece: RingPiece) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The global spin flip from ring filling n to filling N - n, as
+    ``(bits, order, where)``: ``bits`` are the representatives of filling
+    N - n in ascending order, orbit ``order[k]`` of filling n flips onto
+    orbit k, and orbit o onto orbit ``where[o]``.
+
+    The flip commutes with the rotations and reflections, so it maps
+    orbits onto orbits of the same size, and the representative of an
+    orbit's image is the least dihedral image of its complemented
+    representative; on a whole sector it is the complement itself, and
+    the order is a plain reversal.
+    """
+    image = ((1 << N) - 1) ^ piece.bits
+    if piece.size is not None:
+        image = _least_image(N, image)
+    order = np.argsort(image, kind="stable")
+    where = np.empty_like(order)
+    where[order] = np.arange(order.size)
+    return image[order], order, where
+
+
 def ring_pieces(N: int, J: float, Jp: float, fillings: range,
                 l_squared: bool = False, orbits: bool = True) -> dict[int, RingPiece]:
-    """The :class:`RingPiece` of every ring filling in ``fillings``, made once
-    per run on its dihedral orbit block, or on its whole sector unless ``orbits``.
+    """The :class:`RingPiece` of every ring filling in ``fillings``, on its
+    dihedral orbit block, or on its whole sector unless ``orbits``.
 
-    Each filling's block is built and labelled once; only it and the
-    block below it are alive at a time. With ``l_squared`` the filling
-    below the lowest one is built too, so every filling above 0 has its
-    lowering, from which :func:`star_block_operators` gives L^2.
+    The global spin flip P commutes with H_ring(J, Jp) at any anisotropy
+    and with the ring's rotations and reflections, maps filling N - n onto
+    filling n orbit for orbit and turns L- into L+. So a filling n above
+    N/2 whose mirror N - n is among ``fillings`` is not built: its piece
+    is its mirror's, permuted by P (:func:`_flip`), ring_n = P ring_{N-n} P^T
+    and lowering_n = P raising_{N-n+1} P^T. Every other filling's block is
+    enumerated, labelled and built once, as is the block below the lowest
+    filling above the mirrored ones; only it and the block below it are
+    alive at a time. With ``l_squared`` the filling below the lowest one
+    is built too, so every filling above 0 has its lowering, from which
+    :func:`star_block_operators` gives L^2.
     """
     pieces = {}
     below = None
     first = fillings.start - 1 if l_squared and fillings.start > 0 else fillings.start
+    mirrored = range(N // 2 + 1, min(fillings.stop, N - fillings.start + 1))
+    flips = {}
     for n in range(first, fillings.stop):
+        if n in mirrored:
+            for m in (N - n, N - n + 1):
+                if m not in flips:
+                    flips[m] = _flip(N, pieces[m])
+            mirror, above = pieces[N - n], pieces[N - n + 1]
+            bits, order, where = flips[N - n]
+            where_above = flips[N - n + 1][2]
+            ring = _permuted(mirror.ring, where, where)
+            pieces[n] = RingPiece(n_up=n, bits=bits,
+                                  size=None if mirror.size is None else mirror.size[order],
+                                  ring=ring, diagonal=np.flatnonzero(ring.indices == ring.rows),
+                                  lowering=_permuted(above.raising, where_above, where),
+                                  raising=_permuted(above.lowering, where, where_above))
+            if n + 1 in mirrored or n + 1 == fillings.stop:
+                continue  # no filling built above needs this block
         block = enumerate_bath_sector(N, n)
         if orbits:
             block = orbit_block(block)
-        if n in fillings:
+        if n in fillings and n not in mirrored:
             dim = block.dim
             diagonal = np.arange(dim) * (dim + 1)
             ring = build_bath_ring(block, J, Jp).matrix

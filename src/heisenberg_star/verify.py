@@ -132,20 +132,24 @@ def suite_dynamics_oracle(N: int = 6) -> list[CheckResult]:
     state = restrict_state(reference_state(central, neel_sites(N)), N, params.two_S)
     H = reference_hamiltonian(N, params.two_S, params.J, params.Jp, params.g, 0.0)
     mats = [restrict(H, s.keys) for s in state.sectors]
-    t_grid = np.linspace(0.0, 20.0, 21)[1:] / params.gt
-    # evolve takes each block's own route; _trajectory the Krylov route's complex CSR
-    krylov = [np.hstack(list(_trajectory(m.astype(np.complex128), state.block(i),
-                                         t_grid, "krylov"))) for i, m in enumerate(mats)]
-    states = evolve(lambda block, dense: restrict(H, block.keys), state, t_grid)
+    # a uniform grid, whose phases come from two small tables, and an irregular one
+    grids = [np.linspace(0.0, 20.0, 21)[1:] / params.gt,
+             20.0 * (np.arange(1, 21) / 20.0) ** 2 / params.gt]
     worst_evolve = worst_krylov = 0.0
-    for k, (t, st) in enumerate(zip(t_grid, states)):
-        for i, m in enumerate(mats):
-            dense = scipy.linalg.expm(-1j * t * m.toarray()) @ state.block(i)
-            worst_evolve = max(worst_evolve, float(np.max(np.abs(dense - st.block(i)))))
-            worst_krylov = max(worst_krylov, float(np.max(np.abs(dense - krylov[i][:, k]))))
+    for t_grid in grids:
+        # evolve takes each block's own route; _trajectory the Krylov route's complex CSR
+        krylov = [np.hstack(list(_trajectory(m.astype(np.complex128), state.block(i),
+                                             t_grid, "krylov"))) for i, m in enumerate(mats)]
+        states = evolve(lambda block, dense: restrict(H, block.keys), state, t_grid)
+        for k, (t, st) in enumerate(zip(t_grid, states)):
+            for i, m in enumerate(mats):
+                dense = scipy.linalg.expm(-1j * t * m.toarray()) @ state.block(i)
+                worst_evolve = max(worst_evolve, float(np.max(np.abs(dense - st.block(i)))))
+                worst_krylov = max(worst_krylov, float(np.max(np.abs(dense - krylov[i][:, k]))))
     routes = "/".join(sorted({_route(s.dim) for s in state.sectors}))
     out.append(_check(f"krylov-vs-dense N={N}", max(worst_evolve, worst_krylov) <= 1e-9,
-                      f"max amplitude deviation: evolve ({routes}) {worst_evolve:.2e},"
+                      f"max amplitude deviation on a uniform and an irregular grid:"
+                      f" evolve ({routes}) {worst_evolve:.2e},"
                       f" _trajectory (krylov) {worst_krylov:.2e}"))
     # the Dicke weights of the coherent ring on every configuration, against the ring alone
     n_up = np.bitwise_count(np.arange(1 << 14))
@@ -161,9 +165,10 @@ def suite_dynamics_oracle(N: int = 6) -> list[CheckResult]:
 
 def _coherent_k0_check() -> CheckResult:
     """The k = 0 coherent run against the Kronecker reference on whole
-    sectors, anisotropic ring: the oracle takes its <Sz> and <L^2> from
-    the states ``evolve`` yields and the reference matrices, sharing no
-    observable code with ``run_observables``.
+    sectors, anisotropic ring: the oracle propagates each sector of the
+    reference by its own dense ``eigh`` (:func:`_eigh_series`) and takes
+    <Sz> and <L^2> from those states and the reference matrices, sharing
+    no propagator or observable code with the package.
 
     The experiment takes g t and reports <Sz>/S; the oracle takes t and <Sz>.
     """
@@ -178,15 +183,21 @@ def _coherent_k0_check() -> CheckResult:
     H = reference_hamiltonian(N, two_S, params.J, params.Jp, 2.0 * params.g, params.omega)
     obs = {name: reference_operator(N, two_S, name) for name in ("Sz", "L2")}
     want = {name: np.zeros(t_abs.size) for name in obs}
-    states = evolve(lambda block, dense: restrict(H, block.keys), state, t_abs)
-    for k, st in enumerate(states):
-        for i, sector in enumerate(st.sectors):
-            x = st.block(i)
-            for name, M in obs.items():
-                want[name][k] += float(np.vdot(x, restrict(M, sector.keys) @ x).real)
+    for i, sector in enumerate(state.sectors):
+        X = _eigh_series(restrict(H, sector.keys).toarray(), state.block(i), t_abs)
+        for name, M in obs.items():
+            want[name] += np.einsum("ij,ij->j", X.conj(), restrict(M, sector.keys) @ X).real
     worst = max(float(np.max(np.abs(got[k] - want[k]))) for k in want)
     return _check("coherent-k0-vs-full N=8", worst <= 1e-10,
                   f"max Sz/L2 deviation {worst:.2e}")
+
+
+def _eigh_series(H: np.ndarray, psi0: np.ndarray, t_abs) -> np.ndarray:
+    """e^{-iHt} psi0 at each time t, one column per time, from one dense
+    ``eigh`` of H and cos and sin of every E t."""
+    energies, U = np.linalg.eigh(H)
+    phases = np.exp(-1j * np.outer(energies, np.asarray(t_abs, float)))
+    return U @ (phases * (U.conj().T @ psi0)[:, None])
 
 
 def _spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,9 +227,7 @@ def collective_series(params, theta: float, phi: float, t_abs) -> dict[str, np.n
     H = params.omega * np.kron(sz, one_l) + 2.0 * params.g * s_dot_l
     H += params.J * params.N / 4.0 * np.eye(H.shape[0])
     ring = coherent_coefficients(params.N, theta, phi)[::-1]  # n up spins: m_l = n - N/2
-    psi0 = np.kron(one_s[0], ring)
-    energies, U = np.linalg.eigh(H)
-    V = U @ (np.exp(-1j * np.outer(energies, np.asarray(t_abs, float))) * (U.T @ psi0)[:, None])
+    V = _eigh_series(H, np.kron(one_s[0], ring), t_abs)
     l_squared = np.kron(one_s, lz @ lz + 0.5 * (lplus @ lplus.T + lplus.T @ lplus))
     return {name: np.einsum("ij,ij->j", V.conj(), M @ V).real
             for name, M in (("Sz", np.kron(sz, one_l)), ("L2", l_squared))}

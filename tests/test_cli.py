@@ -184,6 +184,38 @@ sys.exit(code)
             == cli.GRID_POINTS_MAX
 
 
+class TestUnresolvedGrid:
+    @pytest.mark.parametrize("args,tag", [
+        (["coherent", "--n", "8", "--samples", "3", "--tmax-gt", "1e17"], ":dihedral"),
+        (["neel", "--n", "12", "--samples", "3", "--tmax", "1e12"], "N=12:2S=3:2m=3"),
+    ], ids=["coherent-spectral", "neel-krylov"])
+    def test_is_refused_before_propagating(self, args, tag, tmp_path):
+        # eps ||H|| t_end above KRYLOV_TOL: the spectral route used to write
+        # rounding noise, the Krylov route to halve substeps for hours
+        proc = subprocess.run([sys.executable, "-m", "heisenberg_star.cli", *args,
+                               "--threads", "1", "--out", str(tmp_path / "x.csv")],
+                              env=SUBPROCESS_ENV, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        assert "does not resolve the grid end" in proc.stderr and tag in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["coherent", "neel"])
+    def test_default_grid_ends_are_resolved(self, command, tmp_path, monkeypatch):
+        from heisenberg_star import dynamics, operators
+
+        spans = []
+        spanned = dynamics._spanned
+
+        def record(H, block, t_end):
+            mat = H.tocsr() if isinstance(H, operators.CSR) else H
+            spans.append(float(abs(mat).sum(axis=1).max()) * t_end)
+            return spanned(H, block, t_end)
+
+        monkeypatch.setattr(dynamics, "_spanned", record)
+        assert run([command, "--samples", 3, "--threads", 1, "--out", tmp_path / "x.csv"]) == 0
+        assert spans and max(spans) <= 1e-3 * dynamics.SPAN_MAX
+
+
 class TestLevelTable:
     def test_matches_library(self, tmp_path):
         out = tmp_path / "levels.csv"

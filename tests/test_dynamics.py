@@ -375,6 +375,60 @@ def test_chunk_budget_keeps_a_driven_n14_grid_whole():
     assert dynamics.CHUNK_ENTRIES // 259 >= 201
 
 
+def direct_phases(energies, c, taus):
+    """e^{-i E tau} c from cos and sin of every E tau, in the package's order."""
+    angles = np.outer(energies, taus)
+    out = np.empty(angles.shape, dtype=complex)
+    out.real, out.imag = np.cos(angles), np.sin(-angles)
+    out *= c[:, None]
+    return out
+
+
+def phase_case(monkeypatch, seed):
+    """Energies, unit-norm coefficients, and the list of the widths of every
+    cos/sin table ``dynamics._phases`` takes from ``_trig_table``."""
+    rng = np.random.default_rng(seed)
+    energies = rng.uniform(-3.0, 3.0, 40)
+    c = rng.normal(size=40) + 1j * rng.normal(size=40)
+    widths = []
+    table = dynamics._trig_table
+    monkeypatch.setattr(dynamics, "_trig_table",
+                        lambda E, taus: widths.append(np.size(taus)) or table(E, taus))
+    return energies, c / np.linalg.norm(c), widths
+
+
+@pytest.mark.parametrize("tmax,samples,g", [(10.0, 201, 1.0), (40.0, 400, math.sqrt(12)),
+                                            (7.3, 57, 0.37), (1e-3, 1000, 1.0)])
+def test_cli_grids_take_the_phase_tables(tmax, samples, g, monkeypatch):
+    # the grid as the CLI makes it, and the offset chunks the Krylov route
+    # passes after a basis restart at grid time start - 1
+    energies, c, widths = phase_case(monkeypatch, samples)
+    grid = np.linspace(0.0, tmax, samples) / g
+    for start, stop in ((0, samples), (1, samples), (samples // 3, samples // 3 + 37)):
+        t0 = grid[start - 1] if start else 0.0
+        widths.clear()
+        got = dynamics._phases(energies, c, grid[start:stop], t0)
+        assert sum(widths) <= 2 * math.isqrt(stop - start) + 2 < stop - start
+        want = direct_phases(energies, c, grid[start:stop] - t0)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.abs(got - want).max() <= 1e-13
+
+
+def test_other_grids_take_direct_trig_bit_for_bit(monkeypatch):
+    energies, c, widths = phase_case(monkeypatch, 1)
+    uniform = np.linspace(0.0, 10.0, 201)
+    nudged = uniform.copy()
+    nudged[100] += 1e-12  # far above rounding
+    grids = [10.0 * np.linspace(0.0, 1.0, 50) ** 2, nudged, np.geomspace(1e-3, 10.0, 30),
+             *(uniform[:n] for n in range(1, 6)),  # too short to gain
+             [0.7]]  # a halved substep
+    for grid in grids:
+        widths.clear()
+        got = dynamics._phases(energies, c, grid)
+        assert widths == [len(grid)]
+        np.testing.assert_array_equal(got, direct_phases(energies, c, grid))
+
+
 class TestRunObservables:
     def test_totals_match_a_manual_loop(self):
         params = make_params(6, 1, J=0.6, g=1.0)

@@ -522,3 +522,64 @@ def test_batched_hops_concatenate_the_single_hops(N, two_S):
             i, j = ops._hop(src, src, raise_bits, lower_bits, step)
             np.testing.assert_array_equal(i, np.concatenate([h[0] for h in single]))
             np.testing.assert_array_equal(j, np.concatenate([h[1] for h in single]))
+
+
+def mirror_ranges(N):
+    """Every filling, and a range whose top fillings have no mirror in it."""
+    return [range(N + 1), range(3, 12) if N == 14 else range(max(0, N // 2 - 2), N)]
+
+
+@pytest.mark.parametrize("N", range(2, 15, 2))
+@pytest.mark.parametrize("orbits", [True, False], ids=["orbits", "whole"])
+@pytest.mark.parametrize("l_squared", [True, False], ids=["L2", "noL2"])
+def test_mirrored_pieces_match_direct_builds(N, orbits, l_squared):
+    # a filling above N/2 whose mirror the run builds is the mirror's piece
+    # permuted by the spin flip; each piece against the filling built alone
+    J, Jp = 1.1, 0.83
+    for fillings in mirror_ranges(N):
+        pieces = ops.ring_pieces(N, J, Jp, fillings, l_squared=l_squared, orbits=orbits)
+        assert sorted(pieces) == list(fillings)
+        for n, got in pieces.items():
+            alone = ops.ring_pieces(N, J, Jp, range(n, n + 1),
+                                    l_squared=got.lowering is not None, orbits=orbits)
+            want = alone[n]
+            np.testing.assert_array_equal(got.bits, want.bits)
+            if orbits:
+                np.testing.assert_array_equal(got.size, want.size)
+            else:
+                assert got.size is None and want.size is None
+            np.testing.assert_array_equal(got.diagonal, want.diagonal)
+            for name in ("ring", "lowering", "raising"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None) == (b is None), (n, name)
+                if a is None:
+                    continue
+                assert a.shape == b.shape and a.width == b.width
+                for arr in ("indptr", "indices"):
+                    assert getattr(a, arr).dtype == getattr(b, arr).dtype
+                    np.testing.assert_array_equal(getattr(a, arr), getattr(b, arr))
+                if not orbits:
+                    np.testing.assert_array_equal(a.data, b.data)
+                elif name == "ring":
+                    # the hops agree bit for bit; the diagonal sums the same
+                    # N bonds in another order, since the mirror's
+                    # representative is a rotation or reflection of the flip
+                    off = a.indices != a.rows
+                    np.testing.assert_array_equal(a.data[off], b.data[off])
+                    tol = 2 * np.spacing(np.abs(b.data).max())
+                    assert np.abs(a.data - b.data).max() <= tol, (n, fillings)
+                else:
+                    np.testing.assert_array_max_ulp(a.data, b.data, maxulp=1)
+
+
+def test_mirrored_fillings_are_never_enumerated(monkeypatch):
+    calls = []
+    enumerate_ring = ops.enumerate_bath_sector
+    monkeypatch.setattr(ops, "enumerate_bath_sector",
+                        lambda N, n: calls.append(n) or enumerate_ring(N, n))
+    assert sorted(ops.ring_pieces(14, 1.0, 0.8, range(15), l_squared=True)) == list(range(15))
+    assert calls == list(range(8))
+    calls.clear()
+    # 12 and 13 have no mirror in 3..13: 11 is enumerated again as the block below 12
+    ops.ring_pieces(14, 1.0, 0.8, range(3, 14), l_squared=True)
+    assert calls == [2, 3, 4, 5, 6, 7, 11, 12, 13]
