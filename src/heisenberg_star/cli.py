@@ -13,7 +13,8 @@ Every command but ``verify`` writes a file and its effective
 configuration to ``<output>.meta``.
 Options may also come from a ``key = value`` config file; explicit
 flags win over the file, the file wins over built-in defaults. Exit
-codes: 0 success, 2 bad parameters or usage, 3 solver failure.
+codes: 0 success, 1 failed verify checks, 2 bad parameters, usage or a
+file that cannot be opened, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -338,7 +339,7 @@ def main(argv=None) -> int:
     except StarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing --config, or a path that is a directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
 

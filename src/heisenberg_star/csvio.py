@@ -71,12 +71,26 @@ def write_state_dump(path, header: tuple[int, int, int], amps: np.ndarray) -> No
     one ``index re im`` line per basis state. Each chunk of DUMP_LINES
     lines is formatted by one ``%`` operation; ``%.12g`` prints what
     :func:`fmt` prints.
+
+    When every imaginary part is +0.0, as in every sub-ground state
+    (built real, in a buffer of zeros), ``im`` is the literal ``0`` that
+    ``%.12g`` prints for it, and only the index and the real part are
+    formatted. A -0.0, NaN or nonzero imaginary part anywhere sends the
+    whole dump through the three-column format, so the bytes are the
+    same either way.
     """
     N, two_S, two_m = header
+    real = not (amps.imag.any() or np.signbit(amps.imag).any())
     with _open_w(path) as fh:
         fh.write(f"{N} {two_S} {two_m} {amps.size}\n")
         for start in range(0, amps.size, DUMP_LINES):
             part = amps[start:start + DUMP_LINES]
+            if real:
+                flat = [0] * (2 * part.size)
+                flat[0::2] = range(start, start + part.size)
+                flat[1::2] = part.real.tolist()
+                fh.write(("%d %.12g 0\n" * part.size) % tuple(flat))
+                continue
             rows = np.column_stack((np.arange(start, start + part.size), part.real, part.imag))
             fh.write(("%d %.12g %.12g\n" * part.size) % tuple(rows.ravel().tolist()))
 

@@ -21,8 +21,10 @@ Everything else is arithmetic on top of those numbers:
 
 * each ring block ``l_m = l`` has a nondegenerate bottom level with
   total ring angular momentum ``l`` and energy ``E1b(l)``, strictly
-  increasing with ``l`` (ferromagnetic states cost the most); that
-  strict increase is what certifies the angular momentum,
+  increasing with ``l`` (ferromagnetic states cost the most); a level
+  table certifies the angular momentum of its rows by that strict
+  increase, and ``subground`` certifies its one eigenvector on the
+  multiplet ladder it walks (:func:`states.subground_amplitudes`),
 * attaching the central spin shifts a ring multiplet ``(l, E_b)`` by a
   closed-form amount depending only on quantum numbers, so the star
   spectrum and its per-``l`` sub-ground energies need no further
@@ -218,19 +220,19 @@ def bath_subground_state(N: int, two_l: int) -> tuple[LevelRow, StateVector]:
     after the expansion.
 
     Returns the level's row, the one :func:`level_table` reports, and the
-    eigenvector, after certifying that the vector carries ring angular
-    momentum exactly ``l`` by the strict gap E1b(l) < E1b(l + 1), with
-    block l + 1 solved the same way.
-    The isotropic ring commutes with L, and the bottom is nondegenerate,
-    so it has one total spin L >= l. Were L > l, then L+ of it would be
-    a level of the same energy in block l + 1, and E1b(l + 1) <= E1b(l).
-    The top block l = N/2 holds one state and needs no certificate.
+    eigenvector, from one solve. The isotropic ring commutes with L, and
+    the bottom is nondegenerate, so it has one total spin L >= l. Either
+    of two checks then certifies L = l: the strict gap
+    E1b(l) < E1b(l + 1), since were L > l, L+ of the bottom would be a
+    level of block l + 1 at the same energy (:class:`LevelTable` checks
+    it on its rows), or the first rung of the multiplet ladder,
+    |L- v|^2 = (L + l)(L - l + 1), which is 2l only for L = l
+    (:func:`states.subground_amplitudes` checks it on the seed it walks
+    down). The second needs no solve of block l + 1, so none is made here.
     """
     if two_l % 2 != 0 or two_l < 0 or two_l > N:
         raise ParameterError(f"two_l={two_l} invalid for N={N}")
     row, x, block = _ring_level(N, two_l)
-    if two_l < N:
-        _check_increase(two_l, row.energy, _ring_level(N, two_l + 2)[0].energy)
     sector = block.sector
     odd_sites = sum(1 << a for a in range(0, N, 2))  # sites 1, 3, ...
     marshall = (-1.0) ** np.bitwise_count(sector.bits & odd_sites)

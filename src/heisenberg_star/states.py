@@ -16,8 +16,10 @@ closed form by :func:`subground_amplitudes`: a string of coefficients
 couples the central levels to the ring multiplet lowered from the bottom
 of one magnetization block, which the caller solves once with
 :func:`spectrum.bath_subground_state` and passes in; this module solves
-nothing. The coefficients depend only on quantum numbers, never on the
-couplings, which is what the tests pin down.
+nothing. The walk down that multiplet certifies that the seed carries
+ring angular momentum exactly l. The coefficients depend only on
+quantum numbers, never on the couplings, which is what the tests pin
+down.
 """
 
 from __future__ import annotations
@@ -237,6 +239,18 @@ def subground_amplitudes(N: int, two_S: int, two_l: int, two_m: int,
     ascending-bit order, so the term is added into that slice of one
     zeroed buffer as is. Slices no term reaches (l < S) stay zero. The
     buffer is then divided by its norm in place.
+
+    The walk certifies the seed: every rung must have the ladder norm
+    |L-|l, m>|^2 = (l + m)(l - m + 1) to 1e-9 relative, else StarError.
+    The seed is normalized and has l_m = l, so its components all have
+    total spin L >= l, and its first rung is the sum of their weights
+    times (L + l)(L - l + 1), which is 2l for L = l and larger for every
+    L > l. So the first rung holds only if all of the seed's weight is
+    on L = l. At l = 0 no term needs a lowering, so the seed is lowered
+    once more, and the image must vanish. So the seed needs no solve of
+    block l + 1 for the strict gap E1b(l) < E1b(l + 1), which certifies
+    the same by the same Perron-Frobenius argument (see
+    :func:`spectrum.bath_subground_state`).
     """
     layout = subground_layout(N, two_S, two_l, two_m)
     coeffs = subground_coefficients(two_S, two_l, two_m)
@@ -250,13 +264,20 @@ def subground_amplitudes(N: int, two_S: int, two_l: int, two_m: int,
         raise StarError(f"the seed of two_l={two_l} lives on {ring.tag}")
     slices = {s.central: s for s in layout}
     amps = np.zeros(layout[-1].stop, dtype=np.complex128)
-    for two_lm in range(two_l, min(terms) - 2, -2):
+    # at l = 0 no term needs a lowering, but the certificate needs one
+    for two_lm in range(two_l, min(*terms, two_l - 2) - 2, -2):
         if two_lm < two_l:
             dst = enumerate_bath_sector(N, (two_lm + N) // 2)
             level = apply_bath_lowering(ring, level, dst)
             nrm = np.linalg.norm(level)
-            if nrm < 1e-12:
-                raise StarError(f"lowering annihilated the multiplet at two_lm={two_lm}")
+            # |L-|l, m>|^2 = (l + m)(l - m + 1), m the level lowered
+            rung = (two_l + two_lm + 2) * (two_l - two_lm) // 4
+            if abs(nrm * nrm - rung) > 1e-9 * max(rung, 1):
+                raise StarError(f"the seed is not in the multiplet l={two_l // 2}: lowering"
+                                f" to two_lm={two_lm} gave |L-|^2 = {nrm * nrm:.12g},"
+                                f" want {rung}")
+            if rung == 0:  # the l = 0 check, past the last term
+                break
             level /= nrm
             ring = dst
         if two_lm in terms:

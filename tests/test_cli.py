@@ -443,8 +443,9 @@ class TestSubground:
         out = tmp_path / "sg.txt"
         assert run(["subground", "--n", 8, "--two-s", 2, "--two-l", 0, "--out", out]) == 0
         # the 8 bracelets of the half-filled 8-site ring pair up under the flip
-        # into 7; the gap certificate then solves the 5 bracelets of block l = 1
-        assert solved == [7, 5]
+        # into 7; the seed is certified on its multiplet ladder, so no other
+        # block is solved
+        assert solved == [7]
         assert "block_dim = 7" in read(tmp_path / "sg.txt.meta").splitlines()
 
     @pytest.mark.parametrize("two_l", range(0, 13, 2))
@@ -544,6 +545,23 @@ class TestStateDump:
         text = (tmp_path / "chunked.txt").read_bytes()
         assert text == (tmp_path / "per_line.txt").read_bytes()
         assert b"\n0 -0 " in text and (size == 1 or b" -0\n" in text)
+
+    @pytest.mark.parametrize("size", [1, 4095, 4096, 4097])
+    @pytest.mark.parametrize("odd", [None, -0.0, math.nan, 1e-300])
+    def test_real_amplitudes_match_the_per_line_writer(self, size, odd, tmp_path):
+        # every imaginary part +0.0 takes the two-column format; one -0.0, NaN
+        # or nonzero imaginary part anywhere takes the three-column one
+        rng = np.random.default_rng(size)
+        amps = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 3, size) + 0j
+        amps.real[::3] = -0.0
+        if odd is not None:
+            amps.imag[size // 2] = odd
+        csvio.write_state_dump(tmp_path / "chunked.txt", (14, 2, -2), amps)
+        per_line_dump(tmp_path / "per_line.txt", (14, 2, -2), amps)
+        text = (tmp_path / "chunked.txt").read_bytes()
+        assert text == (tmp_path / "per_line.txt").read_bytes()
+        if odd is not None:
+            assert f"\n{size // 2} {amps.real[size // 2]:.12g} {odd:.12g}\n".encode() in text
 
 
 class TestVerify:
@@ -672,6 +690,21 @@ class TestPlumbing:
     def test_missing_config_exits_two(self, tmp_path):
         assert run(["ground-scan", "--config", tmp_path / "nope.cfg",
                     "--out", tmp_path / "x.csv"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["ground-scan", "--n", 8], ["level-table", "--n", 8],
+        ["subground", "--n", 8], ["coherent", "--n", 8, "--samples", 3]])
+    def test_out_naming_a_directory_exits_two(self, argv, tmp_path, capsys):
+        assert run([*argv, "--threads", 1, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Is a directory" in err and "Traceback" not in err
+
+    def test_config_naming_a_directory_exits_two(self, tmp_path, capsys):
+        assert run(["level-table", "--config", tmp_path, "--out", tmp_path / "t.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "t.csv").exists()
 
     def test_thread_env_cap(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STAR_THREADS", "3")

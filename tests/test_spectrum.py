@@ -45,6 +45,7 @@ from heisenberg_star.spectrum import (
     sub_ground_energy,
     transition_point,
 )
+from heisenberg_star.states import subground_amplitudes
 from heisenberg_star.verify import reference_hamiltonian, reference_operator, restrict
 
 # ---------------------------------------------------------------- reference
@@ -383,20 +384,32 @@ class TestRingLevels:
 
     def test_vector_outside_the_multiplet_is_refused(self, monkeypatch):
         # the first excited level of the l_m = 0 orbit block at N = 8 is the
-        # l = 2 bottom, above E1b(1), so the strict gap refuses it; the
-        # certificate's own solve of block l = 1 is left alone
-        solve, solved = spectrum.lowest_eigenpair, []
-
+        # l = 2 bottom, so the walk of its multiplet refuses it: one lowering
+        # gives |L- v|^2 = L (L + 1) = 6, where l = 0 wants 0
         def excited(op):
-            solved.append(op)
-            if len(solved) > 1:
-                return solve(op)
             evals, evecs = np.linalg.eigh(op.matrix.toarray())
             return float(evals[1]), evecs[:, 1]
 
         monkeypatch.setattr(spectrum, "lowest_eigenpair", excited)
-        with pytest.raises(StarError, match="ordering violated at l=1"):
-            bath_subground_state(8, 0)
+        _, seed = bath_subground_state(8, 0)
+        with pytest.raises(StarError, match="not in the multiplet l=0") as caught:
+            subground_amplitudes(8, 2, 0, 2, seed)
+        got = float(str(caught.value).split("|L-|^2 = ")[1].split(",")[0])
+        assert got == pytest.approx(6.0, abs=1e-9)
+
+    @pytest.mark.parametrize("N", range(2, 13, 2))
+    def test_one_solve_per_block(self, N, monkeypatch):
+        # the seed is certified on its ladder, so no other block is solved
+        solve, solved = spectrum.lowest_eigenpair, []
+
+        def record(op):
+            solved.append(op.sector.sector.two_m)
+            return solve(op)
+
+        monkeypatch.setattr(spectrum, "lowest_eigenpair", record)
+        for two_l in range(0, N + 1, 2):
+            bath_subground_state(N, two_l)
+        assert solved == list(range(0, N + 1, 2))
 
     @pytest.mark.parametrize("N", range(2, 15, 2))
     def test_certified_vector_carries_its_momentum(self, N):

@@ -415,3 +415,47 @@ class TestSubgroundState:
             subground_amplitudes(4, 1, 4, 7, seed)  # beyond the multiplet
         with pytest.raises(StarError, match="seed of two_l=2"):
             subground_amplitudes(4, 1, 2, 1, seed)  # the seed of another block
+
+    @pytest.mark.parametrize("N", [2, 4, 6, 8, 10])
+    @pytest.mark.parametrize("two_S", [1, 2])
+    def test_seed_of_the_next_multiplet_is_refused(self, N, two_S):
+        # the normalized L- of the bottom of block l + 1 has l_m = l but L = l + 1:
+        # its first rung is 2 (2l + 1), not 2l
+        for two_l in range(0, N, 2):
+            ring, top = bath_subground_state(N, two_l + 2)[1].require_single()
+            sector = enumerate_bath_sector(N, (N + two_l) // 2)
+            seed = StateVector.single(sector, ops.apply_bath_lowering(ring, top, sector))
+            with pytest.raises(StarError, match=f"not in the multiplet l={two_l // 2}"):
+                subground_amplitudes(N, two_S, two_l, abs(two_l - two_S), seed)
+
+    @pytest.mark.parametrize("N", [2, 6, 12])
+    def test_l_zero_seed_is_lowered_once(self, N, monkeypatch):
+        # no term of l = 0 needs a lowering; the certificate makes one, to l_m = -1
+        lower, lowered = ops.apply_bath_lowering, []
+
+        def record(sector, amps, dst):
+            lowered.append(dst.two_m)
+            return lower(sector, amps, dst)
+
+        _, seed = bath_subground_state(N, 0)
+        monkeypatch.setattr(states, "apply_bath_lowering", record)
+        amps = subground_amplitudes(N, 2, 0, 0, seed)
+        assert lowered == [-2]
+        # the one term: central level S_m = 0 times the seed
+        sector = enumerate_sector(N, 2, 0)
+        assert np.array_equal(amps[sector.central == 1], seed.amps)
+        assert not amps[sector.central != 1].any()
+
+    @pytest.mark.parametrize("N", range(4, 13, 2))
+    def test_rungs_are_met_far_inside_the_tolerance(self, N):
+        # every rung of every certified seed, the whole multiplet down, to 1e-12
+        for two_l in range(2, N + 1, 2):
+            ring, level = bath_subground_state(N, two_l)[1].require_single()
+            for two_lm in range(two_l - 2, -two_l - 2, -2):
+                dst = enumerate_bath_sector(N, (N + two_lm) // 2)
+                level = ops.apply_bath_lowering(ring, level, dst)
+                m = (two_lm + 2) // 2
+                rung = (two_l // 2 + m) * (two_l // 2 - m + 1)
+                nrm = np.linalg.norm(level)
+                assert abs(nrm * nrm - rung) <= 1e-12 * rung
+                level, ring = level / nrm, dst
