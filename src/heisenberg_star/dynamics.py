@@ -6,14 +6,14 @@ write the state a time tau after a basis start v as B (e^{-iE tau} c)
 and run one loop over the grid. Blocks of at most DENSE_CUTOFF states
 take the spectral route: one dense numpy ``eigh`` H = U E U^H per block
 (B = U, c = U^H v) gives every grid time exactly, with no substeps and
-no tolerance. Larger blocks take the Krylov route on scipy CSR matrices, the only
-part of this module that imports scipy: one Lanczos basis of at most
-KRYLOV_DIM vectors and the ``eigh`` of its tridiagonal serve every
-following grid time whose a posteriori error estimate is at most
-KRYLOV_TOL (Park and Light 1986, Hochbruck and Lubich 1997); the next
-basis starts from the last state yielded, and a grid gap that no basis
-covers is crossed by halved substeps. Both settings are fixed module
-constants. On a grid uniform to rounding, which every grid of the CLI
+no tolerance. Larger blocks take the Krylov route on scipy CSR matrices,
+the only scipy here: a Lanczos basis of at most KRYLOV_DIM vectors, from
+the ring solver's loop (:func:`spectrum._lanczos`), and the ``eigh`` of
+its tridiagonal serve every following grid time whose a posteriori
+error estimate is at most KRYLOV_TOL (Park and Light 1986, Hochbruck and
+Lubich 1997); the next basis starts from the last state yielded, and
+halved substeps cross a grid gap that no basis covers. Both settings are
+fixed module constants. On a grid uniform to rounding, which every grid of the CLI
 is, both routes take the phases e^{-iE tau} c from two small cos/sin
 tables, about 2 sqrt(n) pairs per energy for n grid times
 (:func:`_phases`). Before a block propagates, ConvergenceError refuses
@@ -52,6 +52,7 @@ import numpy as np
 from .core import ModelParams, StateVector, sector_layout
 from .errors import ConvergenceError, ParameterError, SectorMismatch
 from .operators import CSR, ring_pieces, star_block_operators
+from .spectrum import _lanczos
 from .states import (
     central_initial,
     coherent_block_state,
@@ -155,42 +156,25 @@ def _basis(H, v, route: str):
     |tail . (e^{-iE tau} c)|, and ``energy`` is <v|H|v> read off the basis.
 
     The spectral route diagonalizes H = U E U^H: B = U, S and tail are
-    None, c = U^H v, every tau is exact, and the energy is
-    sum_k |c_k|^2 E_k. The Krylov route builds the Lanczos basis V of at
-    most KRYLOV_DIM vectors from v = beta_0 V[0], each new vector
-    reorthogonalized against all earlier ones, and diagonalizes its
-    tridiagonal T = S E S^T: B = V^T, c = beta_0 S[0] and
-    tail = beta_m S[-1], so the estimate is beta_0 beta_m |u_m(tau)| with
-    u(tau) = exp(-i tau T) e_0 (Hochbruck and Lubich 1997), and the
-    energy is beta_0^2 alpha_0. tail is 0 when the basis spans an
-    invariant space. The Krylov route takes one product with H per
-    basis vector, S.shape[0] in all; the spectral route none.
+    None, c = U^H v, every tau is exact, the energy is sum_k |c_k|^2 E_k,
+    and no product with H is taken. The Krylov route diagonalizes the
+    tridiagonal T = S E S^T of the Lanczos basis V of at most KRYLOV_DIM
+    vectors from v = beta_0 V[0] (:func:`spectrum._lanczos`), one product
+    with H each: B = V^T, c = beta_0 S[0] and tail = beta_m S[-1], so the
+    estimate is beta_0 beta_m |u_m(tau)| with u(tau) = exp(-i tau T) e_0
+    (Hochbruck and Lubich 1997), and the energy is beta_0^2 alpha_0. tail
+    is 0 when the basis spans an invariant space.
     """
     if route == "spectral":
         energies, U = np.linalg.eigh(H)
         c = U.conj().T @ v
         return U, None, energies, c, None, float(energies @ (c.real ** 2 + c.imag ** 2))
     beta0 = float(np.linalg.norm(v))
-    V = np.empty((min(KRYLOV_DIM, v.size), v.size), dtype=np.complex128)
-    V[0] = v / beta0 if beta0 else v
-    alphas, betas = [], []
-    for j in range(V.shape[0]):
-        w = H @ V[j]
-        alphas.append(float(np.vdot(V[j], w).real))
-        w -= alphas[j] * V[j]
-        if j:
-            w -= betas[j - 1] * V[j - 1]
-        w -= V[:j + 1].T @ np.conj(V[:j + 1] @ np.conj(w))  # conjugates w, not a copy of V
-        betas.append(float(np.linalg.norm(w)))
-        if betas[j] <= 1e-14 * max(1.0, max(map(abs, alphas))):
-            betas[j] = 0.0  # breakdown: the basis spans an invariant space
-            break
-        if j + 1 < V.shape[0]:
-            V[j + 1] = w / betas[j]
-    m = len(alphas)
-    off = betas[:m - 1]
+    for V, alphas, betas in _lanczos(H, v / beta0 if beta0 else v, min(KRYLOV_DIM, v.size)):
+        pass  # to KRYLOV_DIM vectors or to breakdown
+    off = betas[:-1]
     energies, S = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
-    return V[:m].T, S, energies, beta0 * S[0], betas[-1] * S[-1], beta0 ** 2 * alphas[0]
+    return V.T, S, energies, beta0 * S[0], betas[-1] * S[-1], beta0 ** 2 * alphas[0]
 
 
 def _trig_table(energies, taus):

@@ -12,10 +12,10 @@ in each magnetization block, found two ways:
   block, which holds the level exactly (see
   :func:`bath_subground_state`) and is about 2N times smaller; at
   l = 0 the spin flip folds that block once more, to 257 states at
-  N = 16. One numpy Lanczos with full reorthogonalization solves every
-  block, from a fixed positive start vector, and certifies its pair by
-  the true residual. ``subground`` needs the eigenvector, and the
-  level table is the Bethe levels' oracle.
+  N = 16. One numpy Lanczos loop (:func:`_lanczos`, which the Krylov
+  propagator shares) solves every block from a fixed positive start
+  vector, and the pair is certified by its true residual. ``subground``
+  needs the eigenvector, and the level table is the Bethe levels' oracle.
 
 Everything else is arithmetic on top of those numbers:
 
@@ -102,57 +102,71 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (abs(pivot) / pivot)
 
 
-def lowest_eigenpair(op: SparseOperator) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of a real symmetric operator, by Lanczos with full
-    reorthogonalization.
-
-    The start vector 1 + frac(i phi) (phi the golden ratio) is fixed and
-    positive. Every block the package solves is Marshall-rotated, so its
-    bottom is a positive Perron vector, which a positive start cannot be
-    orthogonal to. Each new vector is orthogonalized twice against the
-    whole basis. Every LANCZOS_CHECK steps the tridiagonal is diagonalized
-    and the iteration stops once the Ritz estimate beta_m |s_m| of the
-    lowest pair is at rounding level, or on breakdown, or when the basis
-    spans the space or holds LANCZOS_PRODUCTS vectors. The pair is then
-    certified by its true residual, else ConvergenceError carries it.
-
-    The vector's phase is fixed: its first entry of largest magnitude, up
-    to rounding, is real and positive. A complex matrix with a nonzero
-    imaginary part is refused; one stored complex with a zero imaginary
-    part gives the same bits as its real storage.
+def _lanczos(mat, v, cap: int):
+    """Yield (V, alphas, betas) after each of at most ``cap`` products in
+    the Lanczos recurrence of the Hermitian ``mat`` from the unit vector
+    ``v``: the basis rows V[0..j] in ``v``'s dtype, growing LANCZOS_CHUNK
+    rows at a time, and V^* mat V^T = tridiag(alphas, betas[:-1]). Each
+    residual w takes the three-term step, then one orthogonalization
+    against the whole basis, and betas[j] = |w|. The one breakdown rule:
+    |w| <= 1e-14 max(1, |alpha|) means the basis spans an invariant space,
+    so betas[j] is set to 0 and the loop ends.
     """
-    mat = _real_matrix(op)
-    n = op.dim
-    cap = min(n, LANCZOS_PRODUCTS)
-    eps = np.finfo(float).eps
-    basis = np.empty((min(cap, LANCZOS_CHUNK), n))
-    basis[0] = 1.0 + np.modf(np.arange(n) * ((math.sqrt(5.0) - 1.0) / 2.0))[0]
-    basis[0] /= np.linalg.norm(basis[0])
-    alpha, beta, scale = [], [], 0.0
+    basis = np.empty((min(cap, LANCZOS_CHUNK), v.size), dtype=v.dtype)
+    basis[0] = v
+    alphas, betas = [], []
     for j in range(cap):
         w = mat @ basis[j]
-        alpha.append(float(basis[j] @ w))
-        for _ in range(2):
-            w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
-        b = float(np.linalg.norm(w))
-        scale = max(scale, abs(alpha[-1]) + b + (beta[-1] if beta else 0.0))
-        if b <= eps * scale or (j + 1) % LANCZOS_CHECK == 0 or j + 1 == cap:
-            tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-            s = np.linalg.eigh(tri)[1][:, 0]
-            if b * abs(s[-1]) <= eps * scale or j + 1 == cap:
-                break
+        alphas.append(float(np.vdot(basis[j], w).real))
+        w -= alphas[j] * basis[j]
+        if j:
+            w -= betas[j - 1] * basis[j - 1]
+        w -= basis[:j + 1].T @ (basis[:j + 1] @ w.conj()).conj()  # conjugates w, not the basis
+        betas.append(float(np.linalg.norm(w)))
+        if betas[j] <= 1e-14 * max(1.0, max(map(abs, alphas))):
+            betas[j] = 0.0
+        yield basis[:j + 1], alphas, betas
+        if not betas[j] or j + 1 == cap:
+            return
         if j + 1 == len(basis):
-            basis = np.concatenate([basis, np.empty((min(LANCZOS_CHUNK, cap - j - 1), n))])
-        beta.append(b)
-        basis[j + 1] = w / b
-    vec = basis[:len(alpha)].T @ s
+            basis = np.concatenate([basis, np.empty_like(basis[:min(LANCZOS_CHUNK, cap - j - 1)])])
+        basis[j + 1] = w / betas[j]
+
+
+def lowest_eigenpair(op: SparseOperator) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a real symmetric operator, by :func:`_lanczos`
+    from the fixed positive start 1 + frac(i phi) (phi the golden ratio).
+
+    Every block the package solves is Marshall-rotated, so its bottom is a
+    positive Perron vector, which a positive start cannot be orthogonal
+    to. The tridiagonal is diagonalized every LANCZOS_CHECK steps and at
+    the loop's end, and the loop stops once the Ritz estimate beta_m |s_m|
+    of the lowest pair is at rounding level. The pair is then certified by
+    its true residual, else ConvergenceError carries it. Its phase is
+    fixed: its first entry of largest magnitude, up to rounding, is real
+    and positive. A complex matrix with a nonzero imaginary part is
+    refused; one stored complex with a zero imaginary part gives the same
+    bits as its real storage.
+    """
+    mat = _real_matrix(op)
+    cap, eps, scale = min(op.dim, LANCZOS_PRODUCTS), np.finfo(float).eps, 0.0
+    start = 1.0 + np.modf(np.arange(op.dim) * ((math.sqrt(5.0) - 1.0) / 2.0))[0]
+    for basis, alphas, betas in _lanczos(mat, start / np.linalg.norm(start), cap):
+        m = len(alphas)
+        scale = max(scale, abs(alphas[-1]) + betas[-1] + (betas[-2] if m > 1 else 0.0))
+        if not betas[-1] or m % LANCZOS_CHECK == 0 or m == cap:
+            off = betas[:-1]
+            s = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))[1][:, 0]
+            if betas[-1] * abs(s[-1]) <= eps * scale:
+                break
+    vec = basis.T @ s
     vec /= np.linalg.norm(vec)
     w = mat @ vec
     energy = float(vec @ w)
     residual = float(np.linalg.norm(w - energy * vec))
     if residual > LANCZOS_TOL:
         raise ConvergenceError(f"Lanczos did not reach tol={LANCZOS_TOL} with"
-                               f" {len(alpha)} Krylov vectors (residual {residual:.3e})",
+                               f" {m} Krylov vectors (residual {residual:.3e})",
                                residual=residual)
     return energy, _fix_phase(vec)
 

@@ -372,9 +372,11 @@ SUITES = {
 def run_suite(name: str, n: int | None = None, threads: int = 1) -> list[CheckResult]:
     """The checks of suite ``name`` (or of every suite, "all") at ring size
     ``n``, each suite's own when None; ParameterError, before any work, for
-    an ``n`` that is not an even integer >= 2."""
+    an ``n`` that is not an even integer >= 2 (>= 4 for the subground suite)."""
     if n is not None and (n < 2 or n % 2 != 0):
         raise ParameterError(f"the ring needs an even N >= 2, got --n {n}")
+    if n is not None and n < 4 and name in ("subground", "all"):
+        raise ParameterError(f"the subground suite checks 2S up to 4, so --n >= 4, got --n {n}")
     if name == "all":
         results = []
         for key in SUITES:

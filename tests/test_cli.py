@@ -592,6 +592,22 @@ class TestVerify:
         assert "PASS" not in captured.out and "Traceback" not in captured.err
         assert captured.err.startswith("error: the ring needs an even N >= 2")
 
+    @pytest.mark.parametrize("suite", ["subground", "all"])
+    def test_ring_below_the_largest_central_spin_is_refused_before_any_suite(
+            self, suite, monkeypatch, capsys):
+        # the subground suite checks 2S = 2, 3 and 4, so N = 2 is refused
+        # before any suite runs, with an error that names --n
+        def solve(*args, **kw):
+            raise AssertionError("a ring block was solved before --n was checked")
+
+        monkeypatch.setattr(verify, "bath_subground_state", solve)
+        monkeypatch.setattr(spectrum, "bath_subground_state", solve)
+        assert run(["verify", "--suite", suite, "--n", 2, "--threads", 1]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "Traceback" not in captured.err
+        assert captured.err.startswith("error: the subground suite checks 2S up to 4")
+        assert "--n >= 4, got --n 2" in captured.err
+
     def test_subground_suite_solves_each_ring_block_once(self, monkeypatch, capsys):
         solved = []
         real = verify.bath_subground_state

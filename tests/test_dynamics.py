@@ -26,7 +26,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from heisenberg_star import core, dynamics, operators as ops
+from heisenberg_star import core, dynamics, operators as ops, spectrum
 from heisenberg_star.core import (
     StateVector,
     enumerate_bath_sector,
@@ -757,13 +757,15 @@ def test_run_record_counts_products_and_bases(cutoff, monkeypatch, tmp_path):
     assert f"krylov_bases = {len(krylov)}" in sidecar
 
 
-def mutated_basis(old, new):
-    """dynamics._basis with the source line ``old`` replaced by ``new``."""
-    source = textwrap.dedent(inspect.getsource(dynamics._basis))
+def mutated(func, old, new):
+    """``func`` with the source line ``old`` replaced by ``new``, executed in
+    a copy of its own module's namespace, so patching the result into
+    ``dynamics`` leaves every other caller of ``func`` as it was."""
+    source = textwrap.dedent(inspect.getsource(func))
     assert old in source
-    namespace = dict(vars(dynamics))
+    namespace = dict(vars(inspect.getmodule(func)))
     exec(source.replace(old, new), namespace)
-    return namespace["_basis"]
+    return namespace[func.__name__]
 
 
 def per_time_energy_drift(hams, state, grid):
@@ -808,8 +810,10 @@ class TestDriftCatchesMutations:
         grid = np.linspace(0.0, 5.0, 6)
         _, energy, per_time = self.drifts(lambda block: H, state, grid)
         assert energy <= 1e-10 and per_time <= 1e-10
-        monkeypatch.setattr(dynamics, "_basis", mutated_basis(
-            "w -= V[:j + 1].T @ np.conj(V[:j + 1] @ np.conj(w))", "pass"))
+        # the Lanczos loop is shared with the ring solver, so the mutation
+        # goes into dynamics only
+        monkeypatch.setattr(dynamics, "_lanczos", mutated(
+            spectrum._lanczos, "w -= basis[:j + 1].T @ (basis[:j + 1] @ w.conj()).conj()", "pass"))
         _, energy, per_time = self.drifts(lambda block: H, state, grid)
         assert energy > self.ENERGY_BOUND and per_time > self.ENERGY_BOUND
 
@@ -817,16 +821,16 @@ class TestDriftCatchesMutations:
         # the second diagonal entry of every tridiagonal off by 1e-5: the
         # basis stays orthonormal, so only the energy can tell
         monkeypatch.setattr(dynamics, "DENSE_CUTOFF", 0)
-        monkeypatch.setattr(dynamics, "_basis", mutated_basis(
-            "alphas.append(float(np.vdot(V[j], w).real))",
-            "alphas.append(float(np.vdot(V[j], w).real) + (1e-5 if j == 1 else 0.0))"))
+        monkeypatch.setattr(dynamics, "_lanczos", mutated(
+            spectrum._lanczos, "alphas.append(float(np.vdot(basis[j], w).real))",
+            "alphas.append(float(np.vdot(basis[j], w).real) + (1e-5 if j == 1 else 0.0))"))
         hams, state = self.neel()
         _, energy, per_time = self.drifts(hams, state, np.linspace(0.0, 10.0, 41))
         assert energy > self.ENERGY_BOUND and per_time > self.ENERGY_BOUND
 
     def test_a_perturbed_eigenvector_column(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "_basis", mutated_basis(
-            "energies, U = np.linalg.eigh(H)",
+        monkeypatch.setattr(dynamics, "_basis", mutated(
+            dynamics._basis, "energies, U = np.linalg.eigh(H)",
             "energies, U = np.linalg.eigh(H)\n        U[:, 0] += 1e-5"))
         hams, state = self.neel()
         assert {dynamics._route(b.dim) for b in state.sectors} == {"spectral"}

@@ -146,12 +146,21 @@ class TestDegeneracy:
             degeneracy(5, 1)
 
 
+def pivot(vec):
+    """First entry whose magnitude is the largest, up to rounding."""
+    mags = np.abs(vec)
+    return vec[np.flatnonzero(mags >= (1.0 - 1e-8) * mags.max())[0]]
+
+
 @functools.lru_cache(maxsize=None)
 def ring_block_bottom(N, n_up):
-    """The full ring block at n_up up spins, and its lowest eigenvalue by
-    numpy's dense eigvalsh."""
+    """The full ring block at n_up up spins, and its lowest pair by one
+    dense eigh written here, the vector's pivot positive: the one dense
+    oracle of every full ring block, solved once per block."""
     op = ops.build_bath_ring(enumerate_bath_sector(N, n_up), 1.0, 1.0)
-    return op, float(np.linalg.eigvalsh(op.matrix.toarray())[0])
+    evals, evecs = scipy.linalg.eigh(op.matrix.toarray(), subset_by_index=[0, 0])
+    vec = evecs[:, 0]
+    return op, float(evals[0]), vec * np.sign(pivot(vec))
 
 
 class TestLanczos:
@@ -161,7 +170,7 @@ class TestLanczos:
     @pytest.mark.parametrize("N", range(2, 15, 2))
     def test_matches_dense_on_every_ring_block(self, N):
         for n_up in range(N + 1):
-            op, want = ring_block_bottom(N, n_up)
+            op, want, _ = ring_block_bottom(N, n_up)
             got, vec = lowest_eigenpair(op)
             assert got == pytest.approx(want, abs=1e-10)
             # residual contract
@@ -209,10 +218,87 @@ class TestLanczos:
         assert e_dense == pytest.approx(e_lan, abs=1e-10)
 
 
-def pivot(vec):
-    """First entry whose magnitude is the largest, up to rounding."""
-    mags = np.abs(vec)
-    return vec[np.flatnonzero(mags >= (1.0 - 1e-8) * mags.max())[0]]
+def hermitian(n, complex_entries, seed=0):
+    """A seeded dense Hermitian matrix of order n with norm of order one:
+    real symmetric, or complex with nonzero imaginary parts."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    if complex_entries:
+        A = A + 1j * rng.normal(size=(n, n))
+    return (A + A.conj().T) / (2.0 * math.sqrt(n))
+
+
+def unit_start(n, complex_entries, seed=1):
+    """A seeded unit vector of length n, real or complex."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_entries else 0.0)
+    return v / np.linalg.norm(v)
+
+
+class TestLanczosLoop:
+    """The one Lanczos loop that the ring solver and the Krylov propagator
+    share: an orthonormal basis that tridiagonalizes the matrix, chunked
+    growth, the breakdown rule and the product cap."""
+
+    @staticmethod
+    def check(H, V, alphas, betas):
+        m = len(alphas)
+        assert V.shape == (m, H.shape[0]) and len(betas) == m
+        assert np.abs(V.conj() @ V.T - np.eye(m)).max() <= 1e-12
+        off = np.array(betas[:-1])
+        T = np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.abs(V.conj() @ H @ V.T - T).max() <= 1e-12
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_every_step_is_orthonormal_and_tridiagonalizes(self, complex_entries):
+        H = hermitian(20, complex_entries)
+        steps = 0
+        for V, alphas, betas in spectrum._lanczos(H, unit_start(20, complex_entries), 12):
+            steps += 1
+            assert len(alphas) == steps
+            assert V.dtype == (np.complex128 if complex_entries else np.float64)
+            self.check(H, V, alphas, betas)
+        assert steps == 12  # the cap, with no breakdown before it
+        assert betas[-1] > 0.0
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("chunk", [None, 5])
+    def test_a_basis_grown_past_a_chunk_keeps_both(self, complex_entries, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(spectrum, "LANCZOS_CHUNK", chunk)
+        n, cap = 90, 70
+        assert cap > spectrum.LANCZOS_CHUNK
+        H = hermitian(n, complex_entries, seed=2)
+        *_, (V, alphas, betas) = spectrum._lanczos(H, unit_start(n, complex_entries), cap)
+        assert len(alphas) == cap
+        self.check(H, V, alphas, betas)
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_an_eigenvector_start_breaks_down_after_one_step(self, complex_entries):
+        H = hermitian(16, complex_entries, seed=3)
+        evals, evecs = np.linalg.eigh(H)
+        steps = list(spectrum._lanczos(H, evecs[:, 3], 16))
+        assert len(steps) == 1
+        V, alphas, betas = steps[0]
+        assert betas == [0.0]
+        assert alphas[0] == pytest.approx(evals[3], abs=1e-12)
+        self.check(H, V, alphas, betas)
+
+    @pytest.mark.parametrize("cap", [1, 2, 7])
+    def test_the_cap_bounds_the_products(self, cap):
+        products = []
+
+        class Counting:
+            shape = (30, 30)
+
+            def __matmul__(self, x):
+                products.append(1)
+                return H @ x
+
+        H = hermitian(30, False, seed=4)
+        steps = list(spectrum._lanczos(Counting(), unit_start(30, False), cap))
+        assert len(steps) == len(products) == cap
+        assert len(steps[-1][1]) == cap and steps[-1][0].shape == (cap, 30)
 
 
 def twisted_ring(N, n_up):
@@ -235,7 +321,7 @@ class TestSparseRoute:
     @pytest.mark.parametrize("n_up", [7, 8, 9])
     def test_ring_blocks_above_cutoff_match_dense(self, n_up):
         # 3432 and 3003 states, above the largest orbit block of N = 18
-        op, want = ring_block_bottom(14, n_up)
+        op, want, _ = ring_block_bottom(14, n_up)
         got, vec = lowest_eigenpair(op)
         assert got == pytest.approx(want, abs=1e-10)
         assert np.linalg.norm(op.matrix @ vec - got * vec) <= 1e-10
@@ -476,17 +562,6 @@ class TestRingLevels:
             level_table(N)
 
 
-@functools.lru_cache(maxsize=None)
-def full_sector_bottom(N, two_l):
-    """Lowest pair of the full ring block l_m = l by dense eigh, written here:
-    the route bath_subground_state took before it solved on orbit blocks."""
-    sec = enumerate_bath_sector(N, N // 2 + two_l // 2)
-    mat = ops.build_bath_ring(sec, 1.0, 1.0).matrix.toarray()
-    evals, evecs = scipy.linalg.eigh(mat, subset_by_index=[0, 0])
-    vec = evecs[:, 0]
-    return sec, float(evals[0]), vec * np.sign(pivot(vec))
-
-
 def ring_images(sec, shift, reflect):
     """Position of each state's image under a rotation by ``shift`` sites,
     after the bit reversal a -> N - 1 - a when ``reflect``."""
@@ -507,7 +582,10 @@ class TestOrbitBlockRoute:
     def test_matches_the_full_block(self, N):
         # N = 2 keeps its doubled bond on both routes
         for two_l in range(0, N + 1, 2):
-            sec, want_e, want_v = full_sector_bottom(N, two_l)
+            # the full block's dense solve, the route bath_subground_state
+            # took before it solved on orbit blocks
+            op, want_e, want_v = ring_block_bottom(N, N // 2 + two_l // 2)
+            sec = op.sector
             row, state = bath_subground_state(N, two_l)
             assert [(s.tag, s.keys.tolist()) for s in state.sectors] == [(sec.tag, sec.keys.tolist())]
             assert row.energy == pytest.approx(want_e, abs=1e-10)
@@ -517,7 +595,8 @@ class TestOrbitBlockRoute:
     def test_bottom_is_even_or_odd_under_translation_and_reflection(self, N):
         # the premise of the route: T v = R v = (-1)^(N/2 - l) v
         for two_l in range(0, N + 1, 2):
-            sec, _, v = full_sector_bottom(N, two_l)
+            op, _, v = ring_block_bottom(N, N // 2 + two_l // 2)
+            sec = op.sector
             sign = (-1) ** (N // 2 - two_l // 2)
             for shift, reflect in ((1, False), (0, True)):
                 image = ring_images(sec, shift, reflect)
