@@ -13,6 +13,9 @@ Conventions used everywhere in the package:
   maximal central level ``S_m = S``.
 * Bath-only sectors reuse the same container with ``two_S = 0`` and a
   single central level.
+* An orbit block keeps one state per ring orbit of the dihedral group,
+  or of its subgroup that maps each sublattice onto itself (rotations by
+  two sites and the reflection bit a -> bit -a mod N).
 """
 
 from __future__ import annotations
@@ -280,27 +283,29 @@ def enumerate_bath_sector(N: int, n_up: int) -> BasisSector:
 
 @dataclass(frozen=True, eq=False)
 class OrbitBlock(BasisSector):
-    """The dihedral-invariant states of one sector, one per ring orbit.
+    """The group-invariant states of one sector, one per ring orbit.
 
-    The ring's N rotations and their bit-reversed images permute the
-    bits of a state and keep its central index. Orbit ``o`` stands for
-    q_o, the normalized sum of its ``size[o]`` distinct states; these
-    columns of an isometry Q span the k = 0, reflection-even states of
-    the sector. ``label`` gives the orbit of every state of ``sector``.
-    The inherited arrays ``central``, ``bits``, ``n_up`` and ``keys``
-    describe the orbit representatives, the smallest key of each orbit,
-    in ascending key order, so the builders of :mod:`operators` run on
-    the block as on a sector; a hop from a representative lands, through
-    :meth:`positions`, on the orbit of its image.
+    The ring's N rotations and their reflections (with ``sublattice``,
+    the rotations by two sites and their reflections) permute the bits
+    of a state and keep its central index. Orbit ``o`` stands for q_o,
+    the normalized sum of its ``size[o]`` distinct states; these columns
+    of an isometry Q span the group-even states of the sector. ``label``
+    gives the orbit of every state of ``sector``. The inherited arrays
+    ``central``, ``bits``, ``n_up`` and ``keys`` describe the orbit
+    representatives, the smallest key of each orbit, in ascending key
+    order, so the builders of :mod:`operators` run on the block as on a
+    sector; a hop from a representative lands, through :meth:`positions`,
+    on the orbit of its image.
     """
 
     sector: BasisSector
     label: np.ndarray
     size: np.ndarray
+    sublattice: bool
 
     @property
     def tag(self) -> str:
-        return f"{self.sector.tag}:dihedral"
+        return f"{self.sector.tag}:{'sublattice' if self.sublattice else 'dihedral'}"
 
     def positions(self, keys: np.ndarray) -> np.ndarray:
         """Orbits of an array of packed sector keys, KeyError if any is missing."""
@@ -310,50 +315,49 @@ class OrbitBlock(BasisSector):
         return f"OrbitBlock({self.tag}, dim={self.dim})"
 
 
-def _least_image(N: int, bits: np.ndarray) -> np.ndarray:
-    """The smallest of the 2N dihedral images of each N-bit ring
-    configuration in ``bits``: the N bit rotations of it and of its bit
-    reversal. It is the representative of the configuration's orbit."""
+def _least_image(N: int, bits: np.ndarray, step: int) -> np.ndarray:
+    """The orbit representative of each N-bit ring configuration in ``bits``,
+    its smallest rotation by a multiple of ``step`` or of its reflection bit
+    a -> bit -a mod N: dihedral at step 1, sublattice at step 2."""
     mask = (1 << N) - 1
     mirror = np.zeros_like(bits)
     for a in range(N):
-        mirror |= ((bits >> a) & 1) << (N - 1 - a)
+        mirror |= ((bits >> a) & 1) << (-a % N)
     least = np.minimum(bits, mirror)
-    for r in range(1, N):
+    for r in range(step, N, step):
         for b in (bits, mirror):
             least = np.minimum(least, ((b >> r) | (b << (N - r))) & mask)
     return least
 
 
-def orbit_block(sector: BasisSector) -> OrbitBlock:
-    """Label each state of a sector by its orbit under the ring's dihedral group.
-
-    A state's label key is the smallest of its 2N images
-    (:func:`_least_image`) at the same central index. The sector's keys
-    are sorted, so each orbit's first state is its representative.
+def orbit_block(sector: BasisSector, sublattice: bool = False) -> OrbitBlock:
+    """Label each state of a sector by its orbit under the ring's dihedral
+    group, or its sublattice subgroup when ``sublattice``: by its least
+    image (:func:`_least_image`) at the same central index. The sector's
+    keys are sorted, so each orbit's first state is its representative.
     """
     N = sector.N
-    least = _least_image(N, sector.bits)
+    least = _least_image(N, sector.bits, 2 if sublattice else 1)
     _, first, label, size = np.unique((sector.central << N) | least, return_index=True,
                                       return_inverse=True, return_counts=True)
     return OrbitBlock(N=N, two_S=sector.two_S, two_m=sector.two_m,
                       central=sector.central[first], bits=sector.bits[first],
                       n_up=sector.n_up[first], keys=sector.keys[first],
-                      sector=sector, label=label, size=size)
+                      sector=sector, label=label, size=size, sublattice=sublattice)
 
 
 @dataclass(frozen=True, eq=False)
 class StarBlock:
-    """One star sector, or its dihedral orbit block, made of ring blocks.
+    """The orbit block of one star sector, made of ring orbit blocks.
 
-    A rotation or reflection keeps the central index, so the orbits of
-    the sector are those of its ring fillings, one central level after
-    another. ``slices`` holds a :class:`SectorSlice` per central level,
-    its ``start:stop`` counting orbits; ``central``, ``bits`` and ``size``
-    give every orbit's central index, representative and size. They are
-    the orbits, in the order, of ``orbit_block`` on the sector, which is
-    never enumerated here, so no hop builder runs on a star block. On the
-    whole sector each state is its own orbit and ``size`` is None.
+    The ring group keeps the central index, so the orbits of the sector
+    are those of its ring fillings, one central level after another.
+    ``slices`` holds a :class:`SectorSlice` per central level, its
+    ``start:stop`` counting orbits; ``central``, ``bits`` and ``size``
+    give every orbit's central index, representative and size, and
+    ``sublattice`` the group. They are the orbits, in the order, of
+    ``orbit_block`` on the sector, which is never enumerated here, so no
+    hop builder runs on a star block.
     """
 
     N: int
@@ -362,7 +366,8 @@ class StarBlock:
     slices: tuple[SectorSlice, ...]
     central: np.ndarray
     bits: np.ndarray
-    size: np.ndarray | None
+    size: np.ndarray
+    sublattice: bool
 
     @property
     def dim(self) -> int:
@@ -370,8 +375,8 @@ class StarBlock:
 
     @property
     def tag(self) -> str:
-        suffix = "" if self.size is None else ":dihedral"
-        return f"N={self.N}:2S={self.two_S}:2m={self.two_m}{suffix}"
+        group = "sublattice" if self.sublattice else "dihedral"
+        return f"N={self.N}:2S={self.two_S}:2m={self.two_m}:{group}"
 
     def __repr__(self) -> str:
         return f"StarBlock({self.tag}, dim={self.dim})"
@@ -381,10 +386,9 @@ def star_block(N: int, two_S: int, two_m: int, rings) -> StarBlock:
     """The block of sector ``two_m`` from the ring blocks of its
     :func:`sector_layout` slices, placed in central-index order.
 
-    ``rings[n]`` holds the representatives ``bits`` and orbit ``size`` of
-    ring filling n, as an :class:`OrbitBlock` of ``enumerate_bath_sector(N,
-    n)`` does, or its states and None, which make the whole sector in the
-    order of :func:`enumerate_sector`; the refusals are those of
+    ``rings[n]`` holds the representatives ``bits``, orbit ``size`` and
+    group ``sublattice`` of ring filling n, as an :class:`OrbitBlock` of
+    ``enumerate_bath_sector(N, n)`` does; the refusals are those of
     :func:`sector_layout`.
     """
     layout = sector_layout(N, two_S, two_m)
@@ -395,9 +399,9 @@ def star_block(N: int, two_S: int, two_m: int, rings) -> StarBlock:
         start += ring.bits.size
     central = np.repeat(np.array([s.central for s in slices], dtype=np.int64),
                         [s.stop - s.start for s in slices])
-    size = None if parts[0].size is None else np.concatenate([r.size for r in parts])
     return StarBlock(N=N, two_S=two_S, two_m=two_m, slices=tuple(slices), central=central,
-                     bits=np.concatenate([r.bits for r in parts]), size=size)
+                     bits=np.concatenate([r.bits for r in parts]),
+                     size=np.concatenate([r.size for r in parts]), sublattice=parts[0].sublattice)
 
 
 def _flip_block(block: OrbitBlock) -> OrbitBlock:
@@ -405,10 +409,10 @@ def _flip_block(block: OrbitBlock) -> OrbitBlock:
 
     The global spin flip ``bits ^ mask`` maps the half-filled ring block
     onto itself and commutes with the rotations and reflections, so it
-    pairs the dihedral orbits; the merged orbits are those of the
-    dihedral group times the flip, and their q_o span its even states.
-    Each keeps the smaller representative of its pair, so the result is
-    again an orbit block in ascending key order.
+    pairs the orbits; the merged orbits are those of the group times the
+    flip, and their q_o span its even states. Each keeps the smaller
+    representative of its pair, so the result is again an orbit block in
+    ascending key order.
     """
     partner = block.positions(block.keys ^ ((1 << block.N) - 1))
     first, merged = np.unique(np.minimum(np.arange(block.dim), partner), return_inverse=True)
@@ -416,7 +420,8 @@ def _flip_block(block: OrbitBlock) -> OrbitBlock:
                       central=block.central[first], bits=block.bits[first],
                       n_up=block.n_up[first], keys=block.keys[first],
                       sector=block.sector, label=merged[block.label],
-                      size=np.bincount(merged, weights=block.size).astype(block.size.dtype))
+                      size=np.bincount(merged, weights=block.size).astype(block.size.dtype),
+                      sublattice=block.sublattice)
 
 
 @dataclass

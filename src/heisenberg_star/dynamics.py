@@ -36,11 +36,12 @@ blocks they make, and runs :func:`run_observables` once on the grid
 divided by its rate, each block's operators assembled from the pieces
 inside its work: dense on the spectral route, CSR on the Krylov one.
 It returns ``(values, meta)``: one array per observable and one dict
-with the time unit, the parameters, the run diagnostics and the block
-dimensions. The driven run evolves dihedral orbit blocks (k = 0,
-reflection even), about 2N times smaller than the sectors; the
-alternating state has k = 0 and k = pi parts, so the quench runs on
-whole sectors. The propagator knows nothing of orbits.
+with the time unit, the parameters, the run diagnostics and the orbit
+count of each block. The driven run evolves dihedral orbit blocks
+(k = 0, reflection even), about 2N times smaller than the sectors, and
+the quench sublattice orbit blocks, about N times smaller: that group
+fixes the alternating state and keeps the staggered magnetization. The
+propagator knows nothing of orbits.
 """
 
 from __future__ import annotations
@@ -415,12 +416,12 @@ def neel_experiment(params: ModelParams, central_kind: str, t_grid,
     'ms' is the headline observable; 'Sz' and 'L2' may ride along. The
     Hamiltonian is the plain isotropic star, so the run refuses
     anisotropic parameters, a central field, or gt <= 0 (no reduced time
-    axis). Each block is a whole sector, made from the whole-sector ring
-    pieces of its fillings.
+    axis). Each block is the sublattice orbit block of a sector, made
+    from the sublattice ring pieces of its fillings.
 
     Returns (values, meta): one array per observable, and the time unit,
     the parameters, the central preparation, the run diagnostics and
-    ``block_dims``, the dimension of each block.
+    ``block_dims``, the orbit count of each block.
     """
     if params.gt <= 0:
         raise ParameterError("reduced time needs gt = g sqrt(N) > 0")
@@ -437,7 +438,7 @@ def neel_experiment(params: ModelParams, central_kind: str, t_grid,
     central = central_initial(two_S, central_kind)
     fillings = _fillings(N, two_S, [two_S - 2 * c for c in np.flatnonzero(central).tolist()])
     pieces = ring_pieces(N, params.J, params.Jp, fillings, l_squared="L2" in names,
-                         orbits=False)
+                         sublattice=True)
     state = neel_block_state(N, two_S, central, pieces)
     values, diagnostics = run_observables(lambda block, dense: star_block_operators(
         block, pieces, params.g, 0.0, names, dense), state, t_abs, names, threads)

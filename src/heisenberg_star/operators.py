@@ -12,11 +12,11 @@ construction and is asserted in tests.
 
 The quench runs make the pieces of every ring filling once
 (:func:`ring_pieces`): the ring Hamiltonian and the ring lowering, on
-the filling's orbit block (the coherent run) or on its whole ring sector
-(the alternating-state run). Only fillings up to half filling, and those
-whose spin-flip mirror the run lacks, are enumerated and built; every
-other filling above half filling permutes its mirror's pieces by the
-global spin flip. :func:`star_block_operators` places them
+the filling's dihedral orbit block (the coherent run) or sublattice
+orbit block (the alternating-state run). Only fillings up to half
+filling, and those whose spin-flip mirror the run lacks, are enumerated
+and built; every other filling above half filling permutes its mirror's
+pieces by the global spin flip. :func:`star_block_operators` places them
 block by block in the central index, as a dense array or as CSR rows
 without a sort, and gives L^2 as its lowering factor A and diagonal d,
 L^2 = A^T A + diag(d). No star sector is built whole here: the tests
@@ -244,35 +244,32 @@ def _staggered(N: int, bits: np.ndarray) -> np.ndarray:
 class RingPiece:
     """What ring filling n lends every star block of a run that holds it.
 
-    All of it lives on the dihedral orbit block of the filling, whose
-    representatives and orbit sizes are ``bits`` and ``size``, or on its
-    whole ring sector, with ``size`` None: its states are its orbits, and
-    the orbit forms below are the operators themselves. ``ring`` is
-    H_ring(J, Jp) with every diagonal entry stored, at the positions
-    ``diagonal`` of its data. ``lowering`` is the orbit form of the ring
-    lowering, Q_{n-1}^T L- Q_n, and ``raising`` its transpose
-    Q_n^T L+ Q_{n-1}; both are None at the lowest filling of a run that
-    needs no L^2, and at filling 0.
+    All of it lives on the dihedral (or, with ``sublattice``, sublattice)
+    orbit block of the filling, whose representatives and orbit sizes are
+    ``bits`` and ``size``. ``ring`` is H_ring(J, Jp) with every diagonal
+    entry stored, at the positions ``diagonal`` of its data.
+    ``lowering`` is the orbit form of the ring lowering, Q_{n-1}^T L- Q_n,
+    and ``raising`` its transpose Q_n^T L+ Q_{n-1}; both are None at the
+    lowest filling of a run that needs no L^2, and at filling 0.
     """
 
     n_up: int
     bits: np.ndarray
-    size: np.ndarray | None
+    size: np.ndarray
+    sublattice: bool
     ring: CSR
     diagonal: np.ndarray
     lowering: CSR | None
     raising: CSR | None
 
 
-def _lowering(src: BasisSector, dst: BasisSector) -> CSR:
+def _lowering(src: OrbitBlock, dst: OrbitBlock) -> CSR:
     """Q_dst^T L- Q_src from the orbit block of ring filling n to that of
-    n - 1, one hop per site; L- itself between whole ring sectors. Entry
-    (o', o) is the number of hops from the representative of o into o',
-    times sqrt(size[o] / size[o'])."""
+    n - 1, one hop per site. Entry (o', o) is the number of hops from the
+    representative of o into o', times sqrt(size[o] / size[o'])."""
     i, j = _hop(src, dst, lower_bits=1 << np.arange(src.N, dtype=np.int64))
     mat = _csr(dst.dim, j * src.dim + i, np.ones(i.size), src.dim)
-    if isinstance(src, OrbitBlock):
-        np.multiply(mat.data, np.sqrt(src.size[mat.indices] / dst.size[mat.rows]), out=mat.data)
+    np.multiply(mat.data, np.sqrt(src.size[mat.indices] / dst.size[mat.rows]), out=mat.data)
     return mat
 
 
@@ -297,13 +294,9 @@ def _flip(N: int, piece: RingPiece) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     The flip commutes with the rotations and reflections, so it maps
     orbits onto orbits of the same size, and the representative of an
-    orbit's image is the least dihedral image of its complemented
-    representative; on a whole sector it is the complement itself, and
-    the order is a plain reversal.
+    orbit's image is the least image of its complemented representative.
     """
-    image = ((1 << N) - 1) ^ piece.bits
-    if piece.size is not None:
-        image = _least_image(N, image)
+    image = _least_image(N, ((1 << N) - 1) ^ piece.bits, 2 if piece.sublattice else 1)
     order = np.argsort(image, kind="stable")
     where = np.empty_like(order)
     where[order] = np.arange(order.size)
@@ -311,9 +304,10 @@ def _flip(N: int, piece: RingPiece) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def ring_pieces(N: int, J: float, Jp: float, fillings: range,
-                l_squared: bool = False, orbits: bool = True) -> dict[int, RingPiece]:
+                l_squared: bool = False, sublattice: bool = False) -> dict[int, RingPiece]:
     """The :class:`RingPiece` of every ring filling in ``fillings``, on its
-    dihedral orbit block, or on its whole sector unless ``orbits``.
+    orbit block under the ring's dihedral group, or under its sublattice
+    subgroup when ``sublattice`` (:func:`core.orbit_block`).
 
     The global spin flip P commutes with H_ring(J, Jp) at any anisotropy
     and with the ring's rotations and reflections, maps filling N - n onto
@@ -341,16 +335,14 @@ def ring_pieces(N: int, J: float, Jp: float, fillings: range,
             bits, order, where = flips[N - n]
             where_above = flips[N - n + 1][2]
             ring = _permuted(mirror.ring, where, where)
-            pieces[n] = RingPiece(n_up=n, bits=bits,
-                                  size=None if mirror.size is None else mirror.size[order],
-                                  ring=ring, diagonal=np.flatnonzero(ring.indices == ring.rows),
+            pieces[n] = RingPiece(n_up=n, bits=bits, size=mirror.size[order],
+                                  sublattice=sublattice, ring=ring,
+                                  diagonal=np.flatnonzero(ring.indices == ring.rows),
                                   lowering=_permuted(above.raising, where_above, where),
                                   raising=_permuted(above.lowering, where, where_above))
             if n + 1 in mirrored or n + 1 == fillings.stop:
                 continue  # no filling built above needs this block
-        block = enumerate_bath_sector(N, n)
-        if orbits:
-            block = orbit_block(block)
+        block = orbit_block(enumerate_bath_sector(N, n), sublattice)
         if n in fillings and n not in mirrored:
             dim = block.dim
             diagonal = np.arange(dim) * (dim + 1)
@@ -361,7 +353,7 @@ def ring_pieces(N: int, J: float, Jp: float, fillings: range,
             if below is not None:
                 lowering = _lowering(block, below)
                 raising = _transpose(lowering)
-            pieces[n] = RingPiece(n_up=n, bits=block.bits, size=block.size if orbits else None,
+            pieces[n] = RingPiece(n_up=n, bits=block.bits, size=block.size, sublattice=sublattice,
                                   ring=ring, diagonal=np.flatnonzero(ring.indices == ring.rows),
                                   lowering=lowering, raising=raising)
         below = block
@@ -409,14 +401,16 @@ def star_block_operators(block: StarBlock, pieces: dict[int, RingPiece], prefact
     holds H_ring(n_c) plus (omega S_m + prefactor S_m L_m) on its
     diagonal, and slices c - 1 and c are linked by prefactor / 2
     sqrt(c (two_S - c + 1)) times the lowering of filling n_c and its
-    transpose. 'Sz', the central S_m, and, on whole sectors, 'ms' are
-    returned as diagonals. 'L2' is returned as a pair (A, d) with
-    L^2 = A^T A + diag(d): on slice c, L^2 = L+ L- + L_z (L_z - 1), so A
-    stacks the lowering of each filling n_c above 0, its rows those of
-    filling n_c - 1 one slice after another, and d is L_z (L_z - 1). L-
-    commutes with the ring's rotations and reflections, so this holds on
-    orbit blocks as on whole sectors. The Hamiltonian and A come dense
-    when ``dense``, else as CSR.
+    transpose. 'Sz', the central S_m, is returned as a diagonal, and so
+    is 'ms' on sublattice blocks, whose group keeps it: each q_o has the
+    value of its representative. A rotation by one site flips its sign,
+    so a dihedral block refuses it (ParameterError). 'L2' is returned as
+    a pair (A, d) with L^2 = A^T A + diag(d): on slice c,
+    L^2 = L+ L- + L_z (L_z - 1), so A stacks the lowering of each filling
+    n_c above 0, its rows those of filling n_c - 1 one slice after
+    another, and d is L_z (L_z - 1). L- commutes with the ring's rotations
+    and reflections, so this holds on every orbit block. The Hamiltonian
+    and A come dense when ``dense``, else as CSR.
     """
     N, two_S, half = block.N, block.two_S, 0.5 * prefactor
     slices = block.slices
@@ -450,7 +444,7 @@ def star_block_operators(block: StarBlock, pieces: dict[int, RingPiece], prefact
             lz = np.array([s.n_up - 0.5 * N for s in slices])
             mats.append((_assemble(rows, lower, dense, block.dim),
                          np.repeat(lz * (lz - 1.0), sizes)))
-        elif name == "ms" and block.size is None:
+        elif name == "ms" and block.sublattice:
             mats.append(_staggered(N, block.bits))
         else:
             raise ParameterError(f"observable {name!r} has no form on {block.tag}")

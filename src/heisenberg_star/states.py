@@ -7,9 +7,9 @@ polarized or in an equal-weight superposition (:func:`central_initial`).
 Each run writes its state straight onto star blocks made from the blocks
 of their ring fillings (:func:`core.star_block`), so no star sector is
 enumerated: the coherent ring on dihedral orbit blocks
-(:func:`coherent_block_state`), the alternating ring on whole sectors
-(:func:`neel_block_state`). The tests and ``verify`` check both against
-the product states of :func:`verify.reference_state`.
+(:func:`coherent_block_state`), the alternating ring on sublattice orbit
+blocks (:func:`neel_block_state`). The tests and ``verify`` check both
+against the product states of :func:`verify.reference_state`.
 
 The sub-ground eigenstates of the isotropic star are assembled in
 closed form by :func:`subground_amplitudes`: a string of coefficients
@@ -41,18 +41,17 @@ from .errors import ParameterError, StarError
 from .operators import apply_bath_lowering
 
 
-def _neel_bits(N: int) -> int:
-    """Ring bits of the alternating state: site 1 down, every even site up."""
-    return sum(1 << a for a in range(1, N, 2))
-
-
 def neel_block_state(N: int, two_S: int, central: np.ndarray, rings) -> StateVector:
-    """sum_c central[c] |c> x (alternating ring) on whole star sectors, each
-    a :class:`core.StarBlock` made from ``rings[n]``, the whole-sector
-    :class:`operators.RingPiece` of every filling n. Blocks come in
-    ascending c, one per occupied central level.
+    """sum_c central[c] |c> x (alternating ring) on sublattice orbit blocks,
+    each a :class:`core.StarBlock` made from ``rings[n]``, the sublattice
+    ring orbit block (or :class:`operators.RingPiece`) of every filling n.
+    The alternating ring (site 1 down, every even site up) is a one-state
+    orbit of that group only, so q_o is the state itself; ParameterError
+    for dihedral rings. Blocks come in ascending c, one per occupied level.
     """
-    at = int(np.searchsorted(rings[N // 2].bits, _neel_bits(N)))
+    if not rings[N // 2].sublattice:
+        raise ParameterError("the alternating ring is an orbit of the sublattice group only")
+    at = int(np.searchsorted(rings[N // 2].bits, sum(1 << a for a in range(1, N, 2))))
     blocks = []
     for c in np.flatnonzero(central).tolist():
         block = star_block(N, two_S, two_S - 2 * c, rings)

@@ -25,6 +25,7 @@ from .dynamics import (
     _trajectory,
     coherent_experiment,
     evolve,
+    neel_experiment,
 )
 from .spectrum import (
     bath_subground_state,
@@ -123,7 +124,8 @@ def suite_subground(N: int = 8) -> list[CheckResult]:
 
 
 def suite_dynamics_oracle(N: int = 6) -> list[CheckResult]:
-    """Both propagation routes against dense exponentials on a small star."""
+    """Both propagation routes against dense exponentials on a small star,
+    and both experiments against the Kronecker reference."""
     import scipy.linalg  # the expm oracle; the package itself needs no scipy here
 
     out = []
@@ -159,16 +161,32 @@ def suite_dynamics_oracle(N: int = 6) -> list[CheckResult]:
     out.append(_check("coherent-ring-eigenstate N=14", res <= 1e-10,
                       f"residual {res:.2e}"))
     out.append(_coherent_k0_check())
+    out.append(_neel_check())
     out.append(_coherent_collective_check())
     return out
 
 
+def _sector_series(H, central, sites, names, t_abs) -> dict[str, np.ndarray]:
+    """<name> for each of ``names`` over the run of the product state
+    central x ``sites`` under the whole-space H, on the reference's
+    sectors: each sector propagated by its own dense ``eigh``
+    (:func:`_eigh_series`), the values taken from those states and the
+    reference matrices, sharing no propagator or observable code with the
+    package."""
+    N, two_S = len(sites), len(central) - 1
+    state = restrict_state(reference_state(central, sites), N, two_S)
+    obs = {name: reference_operator(N, two_S, name) for name in names}
+    want = {name: np.zeros(len(t_abs)) for name in names}
+    for i, sector in enumerate(state.sectors):
+        X = _eigh_series(restrict(H, sector.keys).toarray(), state.block(i), t_abs)
+        for name, M in obs.items():
+            want[name] += np.einsum("ij,ij->j", X.conj(), restrict(M, sector.keys) @ X).real
+    return want
+
+
 def _coherent_k0_check() -> CheckResult:
     """The k = 0 coherent run against the Kronecker reference on whole
-    sectors, anisotropic ring: the oracle propagates each sector of the
-    reference by its own dense ``eigh`` (:func:`_eigh_series`) and takes
-    <Sz> and <L^2> from those states and the reference matrices, sharing
-    no propagator or observable code with the package.
+    sectors (:func:`_sector_series`), anisotropic ring.
 
     The experiment takes g t and reports <Sz>/S; the oracle takes t and <Sz>.
     """
@@ -178,18 +196,29 @@ def _coherent_k0_check() -> CheckResult:
     t_abs = np.linspace(0.0, 5.0, 11)
     got, _ = coherent_experiment(params, theta, phi, t_abs * params.g, ("Sz", "L2"))
     got["Sz"] *= params.S
-    state = restrict_state(reference_state(np.eye(two_S + 1)[0],
-                                           coherent_sites(N, theta, phi)), N, two_S)
     H = reference_hamiltonian(N, two_S, params.J, params.Jp, 2.0 * params.g, params.omega)
-    obs = {name: reference_operator(N, two_S, name) for name in ("Sz", "L2")}
-    want = {name: np.zeros(t_abs.size) for name in obs}
-    for i, sector in enumerate(state.sectors):
-        X = _eigh_series(restrict(H, sector.keys).toarray(), state.block(i), t_abs)
-        for name, M in obs.items():
-            want[name] += np.einsum("ij,ij->j", X.conj(), restrict(M, sector.keys) @ X).real
+    want = _sector_series(H, np.eye(two_S + 1)[0], coherent_sites(N, theta, phi),
+                          ("Sz", "L2"), t_abs)
     worst = max(float(np.max(np.abs(got[k] - want[k]))) for k in want)
     return _check("coherent-k0-vs-full N=8", worst <= 1e-10,
                   f"max Sz/L2 deviation {worst:.2e}")
+
+
+def _neel_check() -> CheckResult:
+    """The alternating-state quench on sublattice orbit blocks against the
+    Kronecker reference on whole sectors (:func:`_sector_series`), 2S = 3,
+    with both central preparations. The experiment takes gt_collective t."""
+    params = make_params(8, 3, J=0.8, g=1.1)
+    t_abs = np.linspace(0.0, 5.0, 11)
+    H = reference_hamiltonian(params.N, params.two_S, params.J, params.Jp, params.g, 0.0)
+    names, worst = ("Sz", "ms", "L2"), 0.0
+    for kind in ("polarized", "uniform"):
+        got, _ = neel_experiment(params, kind, t_abs * params.gt, names)
+        want = _sector_series(H, central_initial(params.two_S, kind), neel_sites(params.N),
+                              names, t_abs)
+        worst = max(worst, *(float(np.max(np.abs(got[k] - want[k]))) for k in want))
+    return _check("neel-vs-full N=8", worst <= 1e-10,
+                  f"max Sz/ms/L2 deviation {worst:.2e}, polarized and uniform centre")
 
 
 def _eigh_series(H: np.ndarray, psi0: np.ndarray, t_abs) -> np.ndarray:

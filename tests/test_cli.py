@@ -187,7 +187,7 @@ sys.exit(code)
 class TestUnresolvedGrid:
     @pytest.mark.parametrize("args,tag", [
         (["coherent", "--n", "8", "--samples", "3", "--tmax-gt", "1e17"], ":dihedral"),
-        (["neel", "--n", "12", "--samples", "3", "--tmax", "1e12"], "N=12:2S=3:2m=3"),
+        (["neel", "--n", "16", "--samples", "3", "--tmax", "1e12"], "N=16:2S=3:2m=3:sublattice"),
     ], ids=["coherent-spectral", "neel-krylov"])
     def test_is_refused_before_propagating(self, args, tag, tmp_path):
         # eps ||H|| t_end above KRYLOV_TOL: the spectral route used to write
@@ -273,9 +273,9 @@ class TestNeel:
         out = tmp_path / "q.csv"
         assert run(["neel", "--n", 4, "--two-s", 1, "--central", "uniform", "--tmax", 1,
                     "--samples", 3, "--out", out]) == 0
-        # the sectors 2m = +-1 each hold C(4, 2) + C(4, 3) states
+        # the sectors 2m = +-1 each hold 3 + 2 sublattice orbits of fillings 2 and 3 (or 1)
         meta = read(tmp_path / "q.csv.meta").splitlines()
-        assert "block_dim_max = 10" in meta and "spectral_blocks = 2" in meta
+        assert "block_dim_max = 5" in meta and "spectral_blocks = 2" in meta
 
     def test_series_depends_on_j_over_gt_only(self, tmp_path):
         # on a gt t grid H / gt = (J / gt) H_ring + S.L / sqrt(N), so the

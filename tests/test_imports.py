@@ -76,8 +76,8 @@ def test_dense_routes_load_no_scipy(args, tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    # one Krylov block of 2431 states
-    ["neel", "--n", "12", "--two-s", "3", "--samples", "21"],
+    # one Krylov block of 2421 sublattice orbits
+    ["neel", "--n", "16", "--two-s", "3", "--samples", "21"],
 ], ids=["neel-krylov"])
 def test_routes_above_the_cutoff_import_scipy_sparse(args, tmp_path):
     assert "scipy.sparse" in scipy_modules([*args, "--threads", "1", "--out", "out.csv"],

@@ -1,15 +1,17 @@
-"""The dihedral orbit blocks and the coherent run that uses them.
+"""The ring orbit blocks and the runs that use them.
 
-Each orbit block is checked against an isometry Q built here, state by
+Each orbit block is checked against an isometry Q built, state by
 state, from rotations and reflections of the ring carried out site by
-site: the ring builder emitted on the block equals Q^T M Q, is
-Hermitian, and has one state per bracelet of each central level. So do
-the coherent run's star blocks, assembled from ring pieces, dense and
-CSR: their Hamiltonian, Sz and L^2 equal Q^T M Q of ``verify``'s
-Kronecker reference restricted to the full sector. The whole-sector
-star blocks of the alternating-state quench hold the enumerated
-sector's states in its order, and their operators equal the reference
-on it. The coherent state written on the blocks is Q^T v of the
+site (``test_operators.orbit_isometry``): the ring builder emitted on
+the block equals Q^T M Q, is Hermitian, and has one state per bracelet
+of each central level. So do the coherent run's star blocks, assembled
+from ring pieces, dense and CSR: their Hamiltonian, Sz and L^2 equal
+Q^T M Q of ``verify``'s Kronecker reference restricted to the full
+sector. The alternating-state quench's star blocks, on the orbits of
+the subgroup that keeps each sublattice, hold the orbits of the sector
+under that group, counted here by brute force, and their Hamiltonian,
+Sz, staggered magnetization and L^2 equal Q^T M Q of the reference. The
+coherent state written on the blocks is Q^T v of the
 reference's product state v, which Q Q^T leaves whole. The k = 0
 isometry P of translations alone, also built here, is the oracle for
 the translation part. The driven coherent run on orbit blocks, on
@@ -20,7 +22,7 @@ that oracle shares no code with the propagator. At J == Jp the run is
 also compared with the collective-spin oracle of ``verify``.
 """
 
-import functools
+import collections
 import itertools
 import math
 
@@ -49,7 +51,7 @@ from heisenberg_star.verify import (
     restrict,
     restrict_state,
 )
-from test_operators import l_squared
+from test_operators import l_squared, orbit_isometry, ring_orbits
 
 
 def zero_momentum_isometry(sector: BasisSector) -> sparse.csr_matrix:
@@ -114,32 +116,6 @@ def bracelets(N, n_up):
     return total // (2 * N)
 
 
-@functools.lru_cache(maxsize=None)
-def ring_orbits(N):
-    """The smallest image of every N-bit ring configuration under the
-    dihedral group, each image moved site by site: site a goes to
-    (a + r) mod N, or to (r - a) mod N when reflected."""
-    def image(bits, r, reflect):
-        return sum(1 << (((r - a) if reflect else (a + r)) % N)
-                   for a in range(N) if bits >> a & 1)
-    return {bits: min(image(bits, r, reflect) for r in range(N) for reflect in (False, True))
-            for bits in range(1 << N)}
-
-
-def dihedral_isometry(sector, block):
-    """Q (dim x block.dim): column o is the normalized sum of the states
-    in the orbit of the block's representative o."""
-    orbits = ring_orbits(sector.N)
-    orbit = [(c, orbits[bits]) for c, bits in sector.states]
-    column = {(int(c), orbits[int(b)]): o
-              for o, (c, b) in enumerate(zip(block.central, block.bits))}
-    assert len(column) == block.dim == len(set(orbit))
-    cols = np.array([column[key] for key in orbit])
-    size = np.bincount(cols, minlength=block.dim)
-    return sparse.csr_matrix((1.0 / np.sqrt(size[cols]), (np.arange(sector.dim), cols)),
-                             shape=(sector.dim, block.dim))
-
-
 def translation(sector):
     """Permutation matrix of the ring shift site n -> site n + 1, state by state."""
     N = sector.N
@@ -197,7 +173,7 @@ class TestOrbitBlock:
     def test_builders_emit_the_reduced_operator(self, N, two_S):
         for sector in sectors(N, two_S):
             block = orbit_block(sector)
-            Q = dihedral_isometry(sector, block)
+            Q = orbit_isometry(sector, block)
             got = ring(block).matrix.tocsr()
             want = Q.T @ ring(sector).matrix.tocsr() @ Q
             assert got.shape == want.shape
@@ -219,20 +195,20 @@ class TestOrbitBlock:
 @pytest.mark.parametrize("N,two_S", [(N, two_S) for N in (4, 6, 8, 10, 12) for two_S in (1, 2, 3)])
 def test_hamiltonians_reduce_exactly(N, two_S):
     """The assembled Hamiltonians the runs propagate, not only their terms,
-    against the Kronecker reference: the coherent run's star blocks made
-    from ring pieces, with their Sz and L^2, and the quench's whole-sector
-    star blocks, with their Sz, ms and L^2, dense and CSR."""
+    against the Kronecker reference: the coherent run's dihedral star
+    blocks made from ring pieces, with their Sz and L^2, and the quench's
+    sublattice star blocks, with their Sz, ms and L^2, dense and CSR."""
     driven = make_params(N, two_S, J=1.1, Jp=0.88, g=0.7, omega=1.05)
     star = make_params(N, two_S, J=0.9, g=1.3)
     pieces = ops.ring_pieces(N, driven.J, driven.Jp, range(N + 1), l_squared=True)
-    whole = ops.ring_pieces(N, star.J, star.Jp, range(N + 1), l_squared=True, orbits=False)
+    sublattice = ops.ring_pieces(N, star.J, star.Jp, range(N + 1), l_squared=True, sublattice=True)
     driven_H = reference_hamiltonian(N, two_S, driven.J, driven.Jp, 2.0 * driven.g,
                                      driven.omega)
     star_H = reference_hamiltonian(N, two_S, star.J, star.Jp, star.g, 0.0)
     observables = {name: reference_operator(N, two_S, name) for name in ("Sz", "ms", "L2")}
     for sector in sectors(N, two_S):
         block = orbit_block(sector)
-        Q = dihedral_isometry(sector, block)
+        Q = orbit_isometry(sector, block)
         wants = [(Q.T @ restrict(full, sector.keys) @ Q).toarray()
                  for full in (driven_H, observables["Sz"], observables["L2"])]
         assembled = star_block(N, two_S, sector.two_m, pieces)
@@ -249,28 +225,50 @@ def test_hamiltonians_reduce_exactly(N, two_S):
         for got, want in zip((dense_H, np.diag(dense_Sz), l_squared(dense_L2)), wants):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13, sector
-        # the whole sector, state for state: the star Hamiltonian bit for bit
-        assembled = star_block(N, two_S, sector.two_m, whole)
-        assert assembled.tag == sector.tag
-        np.testing.assert_array_equal(assembled.central, sector.central)
-        np.testing.assert_array_equal(assembled.bits, sector.bits)
+        # the sublattice block: the orbits of orbit_block on the sector, in order
+        assembled = star_block(N, two_S, sector.two_m, sublattice)
+        assert assembled.tag == f"{sector.tag}:sublattice"
+        block = orbit_block(sector, sublattice=True)
+        for name in ("central", "bits", "size"):
+            np.testing.assert_array_equal(getattr(assembled, name), getattr(block, name))
+        Q = orbit_isometry(sector, assembled)
         names = ["Sz", "ms", "L2"]
-        want_H = restrict(star_H, sector.keys)
-        dense_H, dense_obs = ops.star_block_operators(assembled, whole, star.g, 0.0, names,
+        dense_H, dense_obs = ops.star_block_operators(assembled, sublattice, star.g, 0.0, names,
                                                       dense=True)
-        csr_H, csr_obs = ops.star_block_operators(assembled, whole, star.g, 0.0, names,
+        csr_H, csr_obs = ops.star_block_operators(assembled, sublattice, star.g, 0.0, names,
                                                   dense=False)
-        assert csr_H.tocsr().has_canonical_format
-        np.testing.assert_array_equal(dense_H, want_H.toarray())
-        np.testing.assert_array_equal(csr_H.toarray(), want_H.toarray())
-        assert (csr_H.tocsr() != want_H).nnz == 0
+        for mat in (csr_H, csr_obs[2][0]):
+            assert mat.tocsr().has_canonical_format
+        np.testing.assert_array_equal(csr_H.toarray(), dense_H)
         np.testing.assert_array_equal(csr_obs[2][0].toarray(), dense_obs[2][0])
         np.testing.assert_array_equal(csr_obs[2][1], dense_obs[2][1])
         np.testing.assert_array_equal(csr_obs[:2], dense_obs[:2])
-        wants = [restrict(observables[name], sector.keys).toarray() for name in names]
-        np.testing.assert_array_equal(np.diag(dense_obs[0]), wants[0])
-        np.testing.assert_array_equal(np.diag(dense_obs[1]), wants[1])
-        assert np.abs(l_squared(dense_obs[2]) - wants[2]).max() <= 1e-13, sector
+        wants = [(Q.T @ restrict(full, sector.keys) @ Q).toarray()
+                 for full in (star_H, *(observables[name] for name in names))]
+        gots = (dense_H, np.diag(dense_obs[0]), np.diag(dense_obs[1]), l_squared(dense_obs[2]))
+        for got, want in zip(gots, wants):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13, sector
+
+
+@pytest.mark.parametrize("N", range(2, 15, 2))
+def test_sublattice_orbits_are_the_brute_force_orbits(N):
+    # every filling's sublattice block against the image sets of the
+    # rotations by two sites and the reflections a -> r - a, r even, moved
+    # site by site: the same representatives, ascending, and orbit sizes
+    orbits = ring_orbits(N, sublattice=True)
+    size = collections.Counter(orbits.values())
+    for n_up in range(N + 1):
+        block = orbit_block(enumerate_bath_sector(N, n_up), sublattice=True)
+        assert block.tag == f"N={N}:2S=0:2m={2 * n_up - N}:sublattice"
+        reps = sorted(rep for rep in size if rep.bit_count() == n_up)
+        np.testing.assert_array_equal(block.bits, reps)
+        np.testing.assert_array_equal(block.size, [size[rep] for rep in reps])
+    # the group keeps each sublattice, so the alternating state is an orbit of its own
+    neel = sum(1 << a for a in range(1, N, 2))
+    assert orbits[neel] == neel and size[neel] == 1
+    # while the rotation by one site maps it onto the other alternating state
+    assert ring_orbits(N)[neel] == neel >> 1
 
 
 @pytest.mark.parametrize("N", range(2, 17, 2))
@@ -298,7 +296,7 @@ def test_block_state_is_the_projected_full_state(N, two_S):
             want = orbit_block(sector)
             for name in ("central", "bits", "size"):
                 np.testing.assert_array_equal(getattr(block, name), getattr(want, name))
-            Q = dihedral_isometry(sector, block)
+            Q = orbit_isometry(sector, block)
             v = full[sector.keys]
             held[sector.keys] = True
             np.testing.assert_allclose(got.block(i), Q.T @ v, rtol=0, atol=1e-14)

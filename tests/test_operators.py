@@ -8,11 +8,15 @@ reference (``reference_hamiltonian``, ``reference_operator``,
 2 x 2 matrix per site, term by term at N = 2-6. That reference in turn
 checks the package's own operators: the ring builder, the kernel, the
 ring pieces and the star blocks assembled from them, at sizes the dense
-one cannot reach. Neither reference shares code with the package (the
-squared ring momentum even takes a different ladder route), so
-agreement is a real cross-check, not a tautology.
+one cannot reach. The star blocks hold ring orbits, so each is compared
+with Q^T M Q for an isometry Q built here from the ring's rotations and
+reflections carried out site by site. Neither reference shares code
+with the package (the squared ring momentum even takes a different
+ladder route), so agreement is a real cross-check, not a tautology.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -116,19 +120,49 @@ def dense(op):
     return op.matrix.toarray()
 
 
-def block_keys(block):
-    """The whole-space keys c 2^N + bits of a whole-sector star block's states."""
-    return (block.central << block.N) | block.bits
+@functools.lru_cache(maxsize=None)
+def ring_orbits(N, sublattice=False):
+    """The smallest image of every N-bit ring configuration under the
+    dihedral group, each image moved site by site: site a goes to
+    (a + r) mod N, or to (r - a) mod N when reflected. With
+    ``sublattice`` r is even only, the subgroup that keeps each sublattice."""
+    def image(bits, r, reflect):
+        return sum(1 << (((r - a) if reflect else (a + r)) % N)
+                   for a in range(N) if bits >> a & 1)
+    return {bits: min(image(bits, r, reflect) for r in range(0, N, 2 if sublattice else 1)
+                      for reflect in (False, True))
+            for bits in range(1 << N)}
 
 
-def whole_sector(N, two_S, two_m, J=0.0, Jp=0.0, prefactor=0.0, omega=0.0, names=(),
-                 dense=False):
-    """(block, H, observables) of one whole star sector, assembled from
-    whole-sector ring pieces as the alternating-state quench assembles it."""
-    pieces = ops.ring_pieces(N, J, Jp, range(N + 1), l_squared="L2" in names, orbits=False)
+def orbit_isometry(sector, block):
+    """Q (dim x block.dim): column o is the normalized sum of the states
+    in the orbit of the block's representative o, under the block's group."""
+    orbits = ring_orbits(sector.N, block.sublattice)
+    orbit = [(c, orbits[bits]) for c, bits in sector.states]
+    column = {(int(c), orbits[int(b)]): o
+              for o, (c, b) in enumerate(zip(block.central, block.bits))}
+    assert len(column) == block.dim == len(set(orbit))
+    cols = np.array([column[key] for key in orbit])
+    size = np.bincount(cols, minlength=block.dim)
+    return sparse.csr_matrix((1.0 / np.sqrt(size[cols]), (np.arange(sector.dim), cols)),
+                             shape=(sector.dim, block.dim))
+
+
+def reduced(full, Q):
+    """Q^T M Q as a dense array, for a dense or scipy sparse M."""
+    out = Q.T @ full @ Q
+    return out.toarray() if sparse.issparse(out) else np.asarray(out)
+
+
+def sublattice_block(N, two_S, two_m, J=0.0, Jp=0.0, prefactor=0.0, omega=0.0, names=(),
+                     dense=False):
+    """(block, Q, H, observables) of the sublattice orbit block of one star
+    sector, assembled from ring pieces as the alternating-state quench
+    assembles it, and the isometry Q of the sector onto it."""
+    pieces = ops.ring_pieces(N, J, Jp, range(N + 1), l_squared="L2" in names, sublattice=True)
     block = star_block(N, two_S, two_m, pieces)
     H, mats = ops.star_block_operators(block, pieces, prefactor, omega, names, dense)
-    return block, H, mats
+    return block, orbit_isometry(enumerate_sector(N, two_S, two_m), block), H, mats
 
 
 def l_squared(pair):
@@ -196,15 +230,15 @@ class TestSystemBath:
     @pytest.mark.parametrize("two_S,two_m", [(1, 1), (1, -3), (2, 0), (4, 2)])
     def test_against_reference(self, two_S, two_m):
         # the coupling assembled from ring pieces, against the dense bit-loop route
-        block, H, _ = whole_sector(4, two_S, two_m, prefactor=1.3, dense=True)
+        _, Q, H, _ = sublattice_block(4, two_S, two_m, prefactor=1.3, dense=True)
         ref = project(full_star_matrix(4, two_S, 0.0, 0.0, 1.3, 0.0),
                       enumerate_sector(4, two_S, two_m))
-        np.testing.assert_allclose(H, ref, atol=1e-13)
+        np.testing.assert_allclose(H, reduced(ref, Q), atol=1e-13)
 
 
 class TestDiagonalObservables:
     def test_zeeman_levels(self):
-        block, H, (Sz,) = whole_sector(4, 3, 1, omega=2.0, names=["Sz"], dense=True)
+        block, _, H, (Sz,) = sublattice_block(4, 3, 1, omega=2.0, names=["Sz"], dense=True)
         for i, c in enumerate(block.central):
             assert H[i, i] == pytest.approx(2.0 * (1.5 - c))
             assert Sz[i] == 1.5 - c
@@ -222,12 +256,20 @@ class TestDiagonalObservables:
         sec = enumerate_bath_sector(6, 6)
         assert ops._staggered(6, sec.bits)[0] == pytest.approx(0.0)
 
+    def test_staggered_is_refused_on_dihedral_blocks(self):
+        # the rotation by one site flips its sign, so a dihedral block has no
+        # form of it; the tag names the group
+        pieces = ops.ring_pieces(4, 1.0, 1.0, range(5))
+        block = star_block(4, 1, 1, pieces)
+        with pytest.raises(ParameterError, match="'ms' has no form on N=4:2S=1:2m=1:dihedral"):
+            ops.star_block_operators(block, pieces, 1.0, 0.0, ["Sz", "ms"], dense=True)
+
 
 def ring_l_squared(N, n_up):
-    """L^2 of ring filling n_up, A^T A + diag(d) of the star block without
-    a central spin, from the whole-sector ring pieces."""
-    _, _, (pair,) = whole_sector(N, 0, 2 * n_up - N, names=["L2"], dense=True)
-    return l_squared(pair)
+    """(Q, L^2) of ring filling n_up: L^2 is A^T A + diag(d) of the
+    sublattice block without a central spin, from its ring pieces."""
+    _, Q, _, (pair,) = sublattice_block(N, 0, 2 * n_up - N, names=["L2"], dense=True)
+    return Q, l_squared(pair)
 
 
 class TestRingMomentumSquared:
@@ -235,57 +277,60 @@ class TestRingMomentumSquared:
     def test_bath_sector_against_reference(self, n_up):
         sec = enumerate_bath_sector(4, n_up)
         ref = project(np.kron(np.eye(1), l_squared_matrix(4)), sec)
-        np.testing.assert_allclose(ring_l_squared(4, n_up), ref, atol=1e-13)
+        Q, L2 = ring_l_squared(4, n_up)
+        np.testing.assert_allclose(L2, reduced(ref, Q), atol=1e-13)
 
     def test_star_sector_leaves_central_untouched(self):
-        _, _, (L2,) = whole_sector(4, 2, 0, names=["L2"], dense=True)
+        _, Q, _, (L2,) = sublattice_block(4, 2, 0, names=["L2"], dense=True)
         ref = project(np.kron(np.eye(3), l_squared_matrix(4)), enumerate_sector(4, 2, 0))
-        np.testing.assert_allclose(l_squared(L2), ref, atol=1e-13)
+        np.testing.assert_allclose(l_squared(L2), reduced(ref, Q), atol=1e-13)
 
     def test_spectrum_of_balanced_sector(self):
-        # N=4, n_up=2: eigenvalues l(l+1) with multiplicities 2, 3, 1
-        vals = np.sort(np.linalg.eigvalsh(ring_l_squared(4, 2)))
-        np.testing.assert_allclose(vals, [0, 0, 2, 2, 2, 6], atol=1e-12)
+        # N=4, n_up=2: l(l+1) with multiplicities 2, 3, 1 on the six states;
+        # the three sublattice orbits keep the quintet, one triplet (the
+        # k = pi state 0101 - 1010) and one singlet
+        vals = np.sort(np.linalg.eigvalsh(ring_l_squared(4, 2)[1]))
+        np.testing.assert_allclose(vals, [0, 2, 6], atol=1e-12)
 
     def test_polarized_is_maximal(self):
         for N in (4, 6):
             l = N / 2
-            assert ring_l_squared(N, N)[0, 0] == pytest.approx(l * (l + 1))
+            assert ring_l_squared(N, N)[1][0, 0] == pytest.approx(l * (l + 1))
 
 
 class TestAssembledHamiltonians:
-    """The star blocks of the alternating-state quench, on whole sectors."""
+    """The star blocks of the alternating-state quench, on sublattice orbit blocks."""
 
     def test_star_against_reference(self):
-        _, H, _ = whole_sector(4, 2, 0, J=0.9, Jp=0.9, prefactor=0.7, dense=True)
+        _, Q, H, _ = sublattice_block(4, 2, 0, J=0.9, Jp=0.9, prefactor=0.7, dense=True)
         ref = project(full_star_matrix(4, 2, 0.9, 0.9, 0.7, 0.0), enumerate_sector(4, 2, 0))
-        np.testing.assert_allclose(H, ref, atol=1e-13)
+        np.testing.assert_allclose(H, reduced(ref, Q), atol=1e-13)
 
     def test_modified_star_against_reference(self):
         # the driven star's coupling enters with an explicit factor two
-        _, H, _ = whole_sector(4, 1, 1, J=1.0, Jp=0.8, prefactor=2.0 * 0.5, omega=0.9,
-                               dense=True)
+        _, Q, H, _ = sublattice_block(4, 1, 1, J=1.0, Jp=0.8, prefactor=2.0 * 0.5, omega=0.9,
+                                      dense=True)
         ref = project(full_star_matrix(4, 1, 1.0, 0.8, 2.0 * 0.5, 0.9),
                       enumerate_sector(4, 1, 1))
-        np.testing.assert_allclose(H, ref, atol=1e-13)
+        np.testing.assert_allclose(H, reduced(ref, Q), atol=1e-13)
 
     def test_isotropic_star_commutes_with_ring_momentum(self):
-        _, H, (pair,) = whole_sector(6, 2, 0, J=0.77, Jp=0.77, prefactor=1.3, names=["L2"],
-                                     dense=True)
+        _, _, H, (pair,) = sublattice_block(6, 2, 0, J=0.77, Jp=0.77, prefactor=1.3,
+                                            names=["L2"], dense=True)
         L2 = l_squared(pair)
         assert np.max(np.abs(H @ L2 - L2 @ H)) < 1e-12
 
     def test_anisotropic_ring_breaks_the_conservation(self):
-        _, H, (pair,) = whole_sector(6, 2, 0, J=1.0, Jp=0.8, prefactor=2.6, names=["L2"],
-                                     dense=True)
+        _, _, H, (pair,) = sublattice_block(6, 2, 0, J=1.0, Jp=0.8, prefactor=2.6,
+                                            names=["L2"], dense=True)
         L2 = l_squared(pair)
         assert np.max(np.abs(H @ L2 - L2 @ H)) > 1e-3
 
     @pytest.mark.parametrize("build", [
         lambda: [ops.build_bath_ring(s, 0.7, 0.3).matrix
                  for s in (enumerate_sector(6, 2, 0), enumerate_bath_sector(6, 3))],
-        lambda: [l_squared(pair) for pair in whole_sector(6, 2, 0, names=["L2"])[2]],
-        lambda: [whole_sector(6, 2, 0, J=0.7, Jp=0.3, prefactor=1.1, omega=0.4)[1]],
+        lambda: [l_squared(pair) for pair in sublattice_block(6, 2, 0, names=["L2"])[3]],
+        lambda: [sublattice_block(6, 2, 0, J=0.7, Jp=0.3, prefactor=1.1, omega=0.4)[2]],
     ])
     def test_hermitian(self, build):
         for mat in build():
@@ -295,14 +340,14 @@ class TestAssembledHamiltonians:
 
 class TestCSR:
     def test_scipy_wraps_the_canonical_arrays_without_a_copy(self):
-        _, m, _ = whole_sector(8, 3, 1, J=0.9, Jp=0.9, prefactor=1.1)
+        m = sublattice_block(8, 3, 1, J=0.9, Jp=0.9, prefactor=1.1)[2]
         s = m.tocsr()
         for ours, theirs in ((m.indptr, s.indptr), (m.indices, s.indices), (m.data, s.data)):
             assert np.shares_memory(ours, theirs)
         assert s.has_canonical_format and s.nnz == m.nnz
 
     def test_product_matches_the_dense_matrix(self):
-        m = whole_sector(8, 2, 0, J=0.9, Jp=0.6, prefactor=1.1)[1]
+        m = sublattice_block(8, 2, 0, J=0.9, Jp=0.6, prefactor=1.1)[2]
         rng = np.random.default_rng(4)
         x = rng.normal(size=(m.shape[0], 3)) + 1j * rng.normal(size=(m.shape[0], 3))
         np.testing.assert_allclose(m @ x, m.toarray() @ x, rtol=0, atol=1e-12)
@@ -311,7 +356,7 @@ class TestCSR:
     @pytest.mark.parametrize("kind", ["real", "complex", "real-2d", "complex-2d"])
     def test_product_has_the_bits_of_the_scatter_form(self, kind):
         # the np.add.at scatter the product once used, kept as the reference
-        _, m, _ = whole_sector(10, 3, 1, J=0.9, Jp=0.9, prefactor=1.1)
+        m = sublattice_block(10, 3, 1, J=0.9, Jp=0.9, prefactor=1.1)[2]
         rng = np.random.default_rng(7)
         shape = (m.shape[0], 3) if kind.endswith("2d") else (m.shape[0],)
         x = rng.normal(size=shape)
@@ -324,7 +369,7 @@ class TestCSR:
         assert np.array_equal(got, want)
 
     def test_rows_are_found_once_and_read_only(self):
-        m = whole_sector(8, 2, 0, J=0.9, Jp=0.6, prefactor=1.1)[1]
+        m = sublattice_block(8, 2, 0, J=0.9, Jp=0.6, prefactor=1.1)[2]
         assert m.rows is m.rows
         np.testing.assert_array_equal(m.rows, np.repeat(np.arange(m.shape[0]),
                                                         np.diff(m.indptr)))
@@ -384,9 +429,9 @@ KRON_SECTORS = [(10, 1, 1), (10, 3, -3), (12, 1, -1), (12, 3, 3)]
 
 
 class TestAgainstSparseKronecker:
-    """The ring builder, the star blocks assembled from ring pieces and the
-    lowerings, against the Kronecker reference at sizes the dense one
-    cannot reach."""
+    """The ring builder, the sublattice star blocks assembled from ring
+    pieces and the lowerings, against the Kronecker reference at sizes the
+    dense one cannot reach."""
 
     @pytest.mark.parametrize("N,two_S,two_m", KRON_SECTORS)
     def test_anisotropic_ring(self, N, two_S, two_m):
@@ -396,25 +441,31 @@ class TestAgainstSparseKronecker:
 
     @pytest.mark.parametrize("N,two_S,two_m", KRON_SECTORS)
     def test_system_bath(self, N, two_S, two_m):
-        block, H, _ = whole_sector(N, two_S, two_m, prefactor=1.3)
-        ref = restrict(reference_hamiltonian(N, two_S, 0.0, 0.0, 1.3, 0.0), block_keys(block))
-        assert_matches(H, ref)
+        _, Q, H, _ = sublattice_block(N, two_S, two_m, prefactor=1.3)
+        keys = enumerate_sector(N, two_S, two_m).keys
+        ref = restrict(reference_hamiltonian(N, two_S, 0.0, 0.0, 1.3, 0.0), keys)
+        assert_matches(H, Q.T @ ref @ Q)
 
     @pytest.mark.parametrize("N,two_S,two_m", KRON_SECTORS)
     def test_L_squared(self, N, two_S, two_m):
         # symmetric ladder route in the reference, L+ L- from the lowering in the pieces
-        block, _, (L2,) = whole_sector(N, two_S, two_m, names=["L2"])
-        assert_matches(l_squared(L2), restrict(reference_operator(N, two_S, "L2"),
-                                                block_keys(block)))
+        _, Q, _, (L2,) = sublattice_block(N, two_S, two_m, names=["L2"])
+        keys = enumerate_sector(N, two_S, two_m).keys
+        assert_matches(l_squared(L2), Q.T @ restrict(reference_operator(N, two_S, "L2"),
+                                                     keys) @ Q)
 
     @pytest.mark.parametrize("N,two_S,two_m", KRON_SECTORS)
     def test_staggered(self, N, two_S, two_m):
-        block, _, (ms, Sz) = whole_sector(N, two_S, two_m, names=["ms", "Sz"])
-        keys = block_keys(block)
-        np.testing.assert_array_equal(ms, restrict(reference_operator(N, two_S, "ms"),
-                                                   keys).diagonal())
-        np.testing.assert_array_equal(Sz, restrict(reference_operator(N, two_S, "Sz"),
-                                                    keys).diagonal())
+        # both commute with the sublattice group, so Q^T M Q is their
+        # diagonal, whose entries are the reference's on the representatives
+        block, Q, _, (ms, Sz) = sublattice_block(N, two_S, two_m, names=["ms", "Sz"])
+        keys = enumerate_sector(N, two_S, two_m).keys
+        for got, name in ((ms, "ms"), (Sz, "Sz")):
+            full = reference_operator(N, two_S, name)
+            np.testing.assert_array_equal(
+                got, restrict(full, (block.central << N) | block.bits).diagonal())
+            np.testing.assert_allclose(np.diag(got), reduced(restrict(full, keys), Q),
+                                       rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("N,two_S,two_m", KRON_SECTORS)
     def test_bath_and_total_lowering(self, N, two_S, two_m):
@@ -530,24 +581,27 @@ def mirror_ranges(N):
 
 
 @pytest.mark.parametrize("N", range(2, 15, 2))
-@pytest.mark.parametrize("orbits", [True, False], ids=["orbits", "whole"])
+@pytest.mark.parametrize("against", ["orbits", "whole"])
 @pytest.mark.parametrize("l_squared", [True, False], ids=["L2", "noL2"])
-def test_mirrored_pieces_match_direct_builds(N, orbits, l_squared):
+def test_mirrored_pieces_match_direct_builds(N, against, l_squared):
     # a filling above N/2 whose mirror the run builds is the mirror's piece
-    # permuted by the spin flip; each piece against the filling built alone
+    # permuted by the spin flip, under both ring groups: each piece against
+    # the filling built alone ("orbits"), or against Q^T M Q of the whole
+    # ring sectors, with Q built here ("whole")
     J, Jp = 1.1, 0.83
-    for fillings in mirror_ranges(N):
-        pieces = ops.ring_pieces(N, J, Jp, fillings, l_squared=l_squared, orbits=orbits)
+    for sublattice, fillings in itertools.product((False, True), mirror_ranges(N)):
+        pieces = ops.ring_pieces(N, J, Jp, fillings, l_squared=l_squared, sublattice=sublattice)
         assert sorted(pieces) == list(fillings)
         for n, got in pieces.items():
+            if against == "whole":
+                assert_reduces(N, got, J, Jp)
+                continue
             alone = ops.ring_pieces(N, J, Jp, range(n, n + 1),
-                                    l_squared=got.lowering is not None, orbits=orbits)
+                                    l_squared=got.lowering is not None, sublattice=sublattice)
             want = alone[n]
+            assert got.sublattice == want.sublattice == sublattice
             np.testing.assert_array_equal(got.bits, want.bits)
-            if orbits:
-                np.testing.assert_array_equal(got.size, want.size)
-            else:
-                assert got.size is None and want.size is None
+            np.testing.assert_array_equal(got.size, want.size)
             np.testing.assert_array_equal(got.diagonal, want.diagonal)
             for name in ("ring", "lowering", "raising"):
                 a, b = getattr(got, name), getattr(want, name)
@@ -558,9 +612,7 @@ def test_mirrored_pieces_match_direct_builds(N, orbits, l_squared):
                 for arr in ("indptr", "indices"):
                     assert getattr(a, arr).dtype == getattr(b, arr).dtype
                     np.testing.assert_array_equal(getattr(a, arr), getattr(b, arr))
-                if not orbits:
-                    np.testing.assert_array_equal(a.data, b.data)
-                elif name == "ring":
+                if name == "ring":
                     # the hops agree bit for bit; the diagonal sums the same
                     # N bonds in another order, since the mirror's
                     # representative is a rotation or reflection of the flip
@@ -570,6 +622,28 @@ def test_mirrored_pieces_match_direct_builds(N, orbits, l_squared):
                     assert np.abs(a.data - b.data).max() <= tol, (n, fillings)
                 else:
                     np.testing.assert_array_max_ulp(a.data, b.data, maxulp=1)
+
+
+@functools.lru_cache(maxsize=None)
+def ring_lowering(N):
+    """The ring lowering L- on the 2^N ring states, from the reference's one-site matrices."""
+    return sum(verify._ring_sites(N)[2]).tocsr()
+
+
+def assert_reduces(N, piece, J, Jp):
+    """A ring piece against Q^T M Q of its whole ring sector: the ring, and
+    the lowering and raising between it and the filling below."""
+    sector = enumerate_bath_sector(N, piece.n_up)
+    Q = orbit_isometry(sector, star_block(N, 0, 2 * piece.n_up - N, {piece.n_up: piece}))
+    want = reduced(ops.build_bath_ring(sector, J, Jp).matrix.tocsr(), Q)
+    np.testing.assert_allclose(piece.ring.toarray(), want, rtol=0, atol=1e-13)
+    if piece.lowering is None:
+        return
+    below = enumerate_bath_sector(N, piece.n_up - 1)
+    P = orbit_isometry(below, orbit_block(below, piece.sublattice))
+    want = (P.T @ restrict(ring_lowering(N), sector.bits, below.bits) @ Q).toarray()
+    np.testing.assert_allclose(piece.lowering.toarray(), want, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(piece.raising.toarray(), piece.lowering.toarray().T)
 
 
 def test_mirrored_fillings_are_never_enumerated(monkeypatch):

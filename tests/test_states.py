@@ -59,13 +59,13 @@ def apply_total_lowering(sector, amps, dst):
 
 
 def neel_star(N, two_S, central):
-    """The alternating-state quench's initial state and its whole-sector ring pieces."""
-    pieces = ops.ring_pieces(N, 1.0, 1.0, range(N + 1), l_squared=True, orbits=False)
+    """The alternating-state quench's initial state and its sublattice ring pieces."""
+    pieces = ops.ring_pieces(N, 1.0, 1.0, range(N + 1), l_squared=True, sublattice=True)
     return neel_block_state(N, two_S, central, pieces), pieces
 
 
 def block_expectation(state, pieces, name):
-    """<name> of a whole-sector star state, from the operators on its blocks."""
+    """<name> of a sublattice star state, from the operators on its blocks."""
     total = 0.0
     for i, block in enumerate(state.sectors):
         x = state.block(i)
@@ -93,6 +93,13 @@ class TestNeel:
         for N in (4, 6, 10):
             st_, pieces = neel_star(N, 1, central_initial(1, "uniform"))
             assert block_expectation(st_, pieces, "ms") == pytest.approx(0.5)
+
+    def test_dihedral_rings_are_refused(self):
+        # the rotation by one site maps the alternating ring onto its
+        # partner, so no dihedral orbit is the state alone
+        rings = ops.ring_pieces(8, 1.0, 1.0, range(9))
+        with pytest.raises(ParameterError, match="sublattice group"):
+            neel_block_state(8, 1, central_initial(1, "polarized"), rings)
 
     def test_momentum_content(self):
         # a product state of N/2 flips carries <L^2> = N/2
