@@ -330,16 +330,10 @@ def main(argv=None) -> int:
             _apply_config(parser, args.command, _parse_config_file(args.config))
             args = parser.parse_args(argv)
         return COMMANDS[args.command](args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
     except ConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except StarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
-    except OSError as exc:  # a missing --config, or a path that is a directory
+    except (StarError, OSError) as exc:  # OSError: a missing --config, or a directory --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
 

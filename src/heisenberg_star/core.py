@@ -404,17 +404,25 @@ def star_block(N: int, two_S: int, two_m: int, rings) -> StarBlock:
                      size=np.concatenate([r.size for r in parts]), sublattice=parts[0].sublattice)
 
 
+def _flip_image(N: int, ring) -> np.ndarray:
+    """The representative of the global spin flip's image of each orbit of
+    ``ring``, an orbit block or ring piece of one filling (its ``bits`` and
+    ``sublattice``). The flip commutes with the rotations and reflections,
+    so it maps orbits onto orbits, and the representative of an orbit's
+    image is the least image of its complemented representative."""
+    return _least_image(N, ((1 << N) - 1) ^ ring.bits, 2 if ring.sublattice else 1)
+
+
 def _flip_block(block: OrbitBlock) -> OrbitBlock:
     """Merge each orbit of a half-filled ring block with the orbit of its complement.
 
-    The global spin flip ``bits ^ mask`` maps the half-filled ring block
-    onto itself and commutes with the rotations and reflections, so it
-    pairs the orbits; the merged orbits are those of the group times the
-    flip, and their q_o span its even states. Each keeps the smaller
-    representative of its pair, so the result is again an orbit block in
-    ascending key order.
+    The global spin flip maps the half-filled ring block onto itself, so
+    it pairs the orbits (:func:`_flip_image`); the merged orbits are those
+    of the group times the flip, and their q_o span its even states. Each
+    keeps the smaller representative of its pair, so the result is again
+    an orbit block in ascending key order.
     """
-    partner = block.positions(block.keys ^ ((1 << block.N) - 1))
+    partner = np.searchsorted(block.bits, _flip_image(block.N, block))
     first, merged = np.unique(np.minimum(np.arange(block.dim), partner), return_inverse=True)
     return OrbitBlock(N=block.N, two_S=block.two_S, two_m=block.two_m,
                       central=block.central[first], bits=block.bits[first],
@@ -436,10 +444,6 @@ class StateVector:
     sectors: tuple[BasisSector, ...]
     amps: np.ndarray
     offsets: tuple[int, ...]
-
-    @classmethod
-    def single(cls, sector: BasisSector, amps, *, renormalize: bool = True) -> "StateVector":
-        return cls.from_blocks([(sector, amps)], renormalize=renormalize)
 
     @classmethod
     def from_blocks(cls, blocks, *, renormalize: bool = True) -> "StateVector":
@@ -483,11 +487,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def require_single(self) -> tuple[BasisSector, np.ndarray]:
-        if len(self.sectors) != 1:
-            raise StarError(f"expected a single-sector state, got {len(self.sectors)} blocks")
-        return self.sectors[0], self.amps
 
     def copy(self) -> "StateVector":
         return StateVector(sectors=self.sectors, amps=self.amps.copy(), offsets=self.offsets)

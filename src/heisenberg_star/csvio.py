@@ -2,13 +2,15 @@
 
 All files are UTF-8 with Unix newlines and a mandatory header row.
 Floats are printed with 12 significant digits, so a rerun with the same
-configuration reproduces the bytes exactly.
+configuration reproduces the bytes exactly. A state dump takes a real
+state only, the one form every sub-ground state has.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import StarError
 from .spectrum import GroundScanRow, LevelTable
 
 # Lines of a state dump formatted at once: large enough to amortize the
@@ -64,35 +66,27 @@ def write_timeseries(path, times, columns: dict[str, np.ndarray]) -> None:
 
 
 def write_state_dump(path, header: tuple[int, int, int], amps: np.ndarray) -> None:
-    """Plain-text amplitudes of a single-sector state.
+    """Plain-text amplitudes of a single-sector real state.
 
     ``header`` is the sector's ``(N, two_S, two_m)`` and ``amps`` its
-    amplitudes in sector order. Header line ``N two_S two_m dim``, then
-    one ``index re im`` line per basis state. Each chunk of DUMP_LINES
-    lines is formatted by one ``%`` operation; ``%.12g`` prints what
-    :func:`fmt` prints.
-
-    When every imaginary part is +0.0, as in every sub-ground state
-    (built real, in a buffer of zeros), ``im`` is the literal ``0`` that
-    ``%.12g`` prints for it, and only the index and the real part are
-    formatted. A -0.0, NaN or nonzero imaginary part anywhere sends the
-    whole dump through the three-column format, so the bytes are the
-    same either way.
+    float64 amplitudes in sector order; StarError, before the file is
+    opened, for any other dtype. Header line ``N two_S two_m dim``, then
+    one ``index re 0`` line per basis state: the imaginary part is the
+    literal ``0`` that ``%.12g`` prints for +0.0. Each chunk of
+    DUMP_LINES lines is formatted by one ``%`` operation; ``%.12g``
+    prints what :func:`fmt` prints.
     """
+    if amps.dtype != np.float64:
+        raise StarError(f"a state dump takes float64 amplitudes, got {amps.dtype}")
     N, two_S, two_m = header
-    real = not (amps.imag.any() or np.signbit(amps.imag).any())
     with _open_w(path) as fh:
         fh.write(f"{N} {two_S} {two_m} {amps.size}\n")
         for start in range(0, amps.size, DUMP_LINES):
-            part = amps[start:start + DUMP_LINES]
-            if real:
-                flat = [0] * (2 * part.size)
-                flat[0::2] = range(start, start + part.size)
-                flat[1::2] = part.real.tolist()
-                fh.write(("%d %.12g 0\n" * part.size) % tuple(flat))
-                continue
-            rows = np.column_stack((np.arange(start, start + part.size), part.real, part.imag))
-            fh.write(("%d %.12g %.12g\n" * part.size) % tuple(rows.ravel().tolist()))
+            part = amps[start:start + DUMP_LINES].tolist()
+            flat = [0] * (2 * len(part))
+            flat[0::2] = range(start, start + len(part))
+            flat[1::2] = part
+            fh.write(("%d %.12g 0\n" * len(part)) % tuple(flat))
 
 
 def write_meta(path, entries: dict) -> None:

@@ -99,7 +99,7 @@ def _route(dim: int) -> str:
     return "spectral" if dim <= DENSE_CUTOFF else "krylov"
 
 
-def _prepare(hams, block):
+def _prepare(hams, block, t_end: float):
     """(route, H, observables) of one block from ``hams(block, dense)``,
     ``dense`` being True on the spectral route: dense numpy arrays there;
     on the Krylov route the Hamiltonian as a scipy CSR on its index arrays
@@ -108,7 +108,10 @@ def _prepare(hams, block):
     CSR on its own arrays. A numpy array, dense or a 1-D diagonal, is
     taken as given. An observable may also be a pair (A, d), A^T A +
     diag(d), whose A has the block's columns and any number of rows.
-    SectorMismatch when a matrix does not match the block's size."""
+    SectorMismatch when a matrix does not match the block's size.
+    ConvergenceError, naming the block and ``t_end``, unless double
+    precision resolves the block's phases up to the grid end:
+    ||H|| t_end <= SPAN_MAX, ||H|| being the largest absolute row sum."""
     route = _route(block.dim)
     dense = route == "spectral"
     H, observables = hams(block, dense)
@@ -122,25 +125,17 @@ def _prepare(hams, block):
         return mat.toarray() if dense else mat.tocsr()
 
     H = take(H)
-    if not isinstance(H, np.ndarray):
-        H = CSR(H.indptr, H.indices, H.data.astype(np.complex128)).tocsr()
-    mats = [(take(om[0], square=False), take(om[1])) if isinstance(om, tuple) else take(om)
-            for om in observables]
-    return route, H, mats
-
-
-def _spanned(H, block, t_end: float):
-    """H, once double precision resolves the block's phases up to the grid
-    end: ConvergenceError, naming the block and ``t_end``, unless
-    ||H|| t_end <= SPAN_MAX, ||H|| being the largest absolute row sum of H,
-    a numpy array, a :class:`operators.CSR` or a scipy sparse matrix."""
-    norm = float(abs(H.tocsr() if isinstance(H, CSR) else H).sum(axis=1).max())
+    norm = float(abs(H).sum(axis=1).max())
     if norm * t_end > SPAN_MAX:
         raise ConvergenceError(
             f"{block.tag}: double precision does not resolve the grid end t = {t_end:.6g}:"
             f" eps ||H|| t = {np.finfo(float).eps * norm * t_end:.3g} exceeds"
             f" {KRYLOV_TOL:g} (||H|| = {norm:.6g}, the largest absolute row sum)")
-    return H
+    if not dense:
+        H = CSR(H.indptr, H.indices, H.data.astype(np.complex128)).tocsr()
+    mats = [(take(om[0], square=False), take(om[1])) if isinstance(om, tuple) else take(om)
+            for om in observables]
+    return route, H, mats
 
 
 def _product(A, X):
@@ -294,8 +289,7 @@ def evolve(hams, state: StateVector, t_grid):
     t_grid = _time_grid(t_grid)
     paths = []
     for i, block in enumerate(state.sectors):
-        route, H, _ = _prepare(lambda b, dense: (_spanned(hams(b, dense), b, t_grid[-1]), []),
-                               block)
+        route, H, _ = _prepare(lambda b, dense: (hams(b, dense), []), block, t_grid[-1])
         paths.append(col for chunk in _trajectory(H, state.block(i), t_grid, route)
                      for col in chunk.T)
     for blocks in zip(*paths):
@@ -335,14 +329,10 @@ def run_observables(hams, state: StateVector, t_grid, observables, threads: int 
     t_grid = _time_grid(t_grid)
     n_t = len(t_grid)
 
-    def spanned(block, dense):
-        H, mats = hams(block, dense)
-        return _spanned(H, block, t_grid[-1]), mats
-
     def work(i):
         """Block i's route, its rows of observable values and norms, its
         energy drift, its products with H and its Krylov bases."""
-        route, H, mats = _prepare(spanned, state.sectors[i])
+        route, H, mats = _prepare(hams, state.sectors[i], t_grid[-1])
         diagonal = np.zeros((len(mats) + 1, state.sectors[i].dim))
         diagonal[-1] = 1.0  # the norm
         factors, matrices = {}, {}

@@ -25,11 +25,12 @@ reference (:func:`verify.reference_hamiltonian`) restricted to a sector.
 
 Every entry is real, so each operator holds its canonical CSR arrays in
 float64, assembled in numpy (:class:`CSR`). The ring solver multiplies
-by these arrays in numpy at every size. The propagator takes a block up
-to its DENSE_CUTOFF as a dense numpy matrix; above it, each observable
-as a scipy CSR on the same arrays, and the Hamiltonian as a scipy CSR on
-the same index arrays with its entries copied as complex, which makes a
-product with a complex vector faster. Only that conversion imports scipy.
+them with a real vector in numpy (``CSR @ x``) at every size; nothing
+else does. The propagator takes a block up to its DENSE_CUTOFF as a
+dense numpy matrix; above it, each observable as a scipy CSR on the
+same arrays, and the Hamiltonian as a scipy CSR on the same index
+arrays with its entries copied as complex, which makes a product with a
+complex vector faster. Only that conversion imports scipy.
 
 Matrix elements follow the usual spin ladder weights. For the central
 spin with ``S_m = S - c``:
@@ -51,7 +52,7 @@ from .core import (
     BasisSector,
     OrbitBlock,
     StarBlock,
-    _least_image,
+    _flip_image,
     enumerate_bath_sector,
     orbit_block,
 )
@@ -107,26 +108,10 @@ class CSR:
                                       shape=self.shape, copy=False)
 
     def __matmul__(self, x):
-        """Product with a vector, or with the columns of a 2-D array.
-
-        Each row sums its entries' products in stored order: by
-        ``np.bincount`` for a real product, by one ``np.add.at`` scatter
-        for a complex one, which numpy adds faster than two ``bincount``
-        calls on its real and imaginary parts.
-        """
-        x = np.asarray(x)
-        n = self.shape[0]
-        if x.ndim == 2:
-            out = np.empty((n, x.shape[1]), dtype=np.result_type(self.data, x))
-            for c in range(x.shape[1]):
-                out[:, c] = self @ x[:, c]
-            return out
-        terms = self.data * x[self.indices]
-        if not np.iscomplexobj(terms):
-            return np.bincount(self.rows, terms, n)
-        out = np.zeros(n, dtype=terms.dtype)
-        np.add.at(out, self.rows, terms)
-        return out
+        """Product with a real vector: each row sums its entries' products
+        in stored order, by one ``np.bincount``, which refuses a complex
+        product (TypeError)."""
+        return np.bincount(self.rows, self.data * x[self.indices], self.shape[0])
 
 
 def _csr(dim: int, keys: np.ndarray, vals: np.ndarray, width: int | None = None) -> CSR:
@@ -292,11 +277,10 @@ def _flip(N: int, piece: RingPiece) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     N - n in ascending order, orbit ``order[k]`` of filling n flips onto
     orbit k, and orbit o onto orbit ``where[o]``.
 
-    The flip commutes with the rotations and reflections, so it maps
-    orbits onto orbits of the same size, and the representative of an
-    orbit's image is the least image of its complemented representative.
+    The flip maps orbits onto orbits of the same size
+    (:func:`core._flip_image`).
     """
-    image = _least_image(N, ((1 << N) - 1) ^ piece.bits, 2 if piece.sublattice else 1)
+    image = _flip_image(N, piece)
     order = np.argsort(image, kind="stable")
     where = np.empty_like(order)
     where[order] = np.arange(order.size)
@@ -456,11 +440,12 @@ def apply_bath_lowering(sector: BasisSector, amps: np.ndarray,
     """Total ring lowering L- = sum_n S-_n, mapping n_up -> n_up - 1.
 
     Source and destination sectors must agree on N, two_S, and differ
-    by two units of two_m. Each up bit is flipped down with weight 1.
+    by two units of two_m. Each up bit is flipped down with weight 1; the
+    image has the dtype of ``amps``.
     """
     if dst.N != sector.N or dst.two_S != sector.two_S or dst.two_m != sector.two_m - 2:
         raise SectorMismatch(f"cannot lower {sector.tag} into {dst.tag}")
-    out = np.zeros(dst.dim, dtype=np.complex128)
+    out = np.zeros(dst.dim, dtype=amps.dtype)
     for a in range(sector.N):
         i, j = _hop(sector, dst, lower_bits=1 << a)
         out[j] += amps[i]

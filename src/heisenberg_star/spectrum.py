@@ -13,9 +13,10 @@ in each magnetization block, found two ways:
   :func:`bath_subground_state`) and is about 2N times smaller; at
   l = 0 the spin flip folds that block once more, to 257 states at
   N = 16. One numpy Lanczos loop (:func:`_lanczos`, which the Krylov
-  propagator shares) solves every block from a fixed positive start
-  vector, and the pair is certified by its true residual. ``subground``
-  needs the eigenvector, and the level table is the Bethe levels' oracle.
+  propagator shares) solves every block, a float64 CSR, from a fixed
+  positive start vector, and the real pair is certified by its true
+  residual. ``subground`` needs the eigenvector, and the level table is
+  the Bethe levels' oracle.
 
 Everything else is arithmetic on top of those numbers:
 
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OrbitBlock, StateVector, _flip_block, enumerate_bath_sector, orbit_block
+from .core import BasisSector, OrbitBlock, _flip_block, enumerate_bath_sector, orbit_block
 from .errors import ConvergenceError, ParameterError, StarError
 from .operators import CSR, SparseOperator, build_bath_ring
 
@@ -80,26 +81,14 @@ def degeneracy(N: int, l: int) -> int:
     return first - second
 
 
-def _real_matrix(op: SparseOperator) -> CSR:
-    """The CSR of ``op`` in float64; StarError if its imaginary part is nonzero."""
-    mat = op.matrix
-    if np.iscomplexobj(mat.data):
-        if mat.data.imag.any():
-            raise StarError(f"operator on {op.tag} has a nonzero imaginary part;"
-                            " the ring solver takes real symmetric matrices only")
-        mat = CSR(mat.indptr, mat.indices, mat.data.real)
-    return mat
-
-
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate ``vec`` so its first entry of largest magnitude is real and > 0.
+    """Flip the sign of ``vec`` so its first entry of largest magnitude is > 0.
 
     Entries within a relative 1e-8 of the largest count as largest, so
     rounding cannot choose between entries symmetry makes equal.
     """
     mags = np.abs(vec)
-    pivot = vec[np.flatnonzero(mags >= (1.0 - 1e-8) * mags.max())[0]]
-    return vec * (abs(pivot) / pivot)
+    return -vec if vec[np.flatnonzero(mags >= (1.0 - 1e-8) * mags.max())[0]] < 0 else vec
 
 
 def _lanczos(mat, v, cap: int):
@@ -142,13 +131,15 @@ def lowest_eigenpair(op: SparseOperator) -> tuple[float, np.ndarray]:
     to. The tridiagonal is diagonalized every LANCZOS_CHECK steps and at
     the loop's end, and the loop stops once the Ritz estimate beta_m |s_m|
     of the lowest pair is at rounding level. The pair is then certified by
-    its true residual, else ConvergenceError carries it. Its phase is
-    fixed: its first entry of largest magnitude, up to rounding, is real
-    and positive. A complex matrix with a nonzero imaginary part is
-    refused; one stored complex with a zero imaginary part gives the same
-    bits as its real storage.
+    its true residual, else ConvergenceError carries it. Its sign is
+    fixed: its first entry of largest magnitude, up to rounding, is
+    positive. StarError unless ``op`` holds a float64 :class:`CSR`, as
+    every builder makes it.
     """
-    mat = _real_matrix(op)
+    mat = op.matrix
+    if not isinstance(mat, CSR) or mat.dtype != np.float64:
+        raise StarError(f"the ring solver takes a float64 CSR only, got {mat.dtype}"
+                        f" {type(mat).__name__} on {op.tag}")
     cap, eps, scale = min(op.dim, LANCZOS_PRODUCTS), np.finfo(float).eps, 0.0
     start = 1.0 + np.modf(np.arange(op.dim) * ((math.sqrt(5.0) - 1.0) / 2.0))[0]
     for basis, alphas, betas in _lanczos(mat, start / np.linalg.norm(start), cap):
@@ -214,7 +205,7 @@ def _check_increase(two_l: int, lower: float, upper: float) -> None:
                         f" {upper} after {lower}")
 
 
-def bath_subground_state(N: int, two_l: int) -> tuple[LevelRow, StateVector]:
+def bath_subground_state(N: int, two_l: int) -> tuple[LevelRow, tuple[BasisSector, np.ndarray]]:
     """Bottom level of the ring block ``l_m = l`` at unit coupling.
 
     N is even, so the ring is bipartite, and the diagonal sign
@@ -230,12 +221,13 @@ def bath_subground_state(N: int, two_l: int) -> tuple[LevelRow, StateVector]:
     even, and it lies in the block whose orbits also merge each state
     with its complement (:func:`core._flip_block`), about half as large.
     The level is solved there and expanded back onto the sector,
-    v_s = M_s x[label[s]] / sqrt(size[label[s]]), with the phase fixed
-    after the expansion.
+    v_s = M_s x[label[s]] / sqrt(size[label[s]]), its sign fixed and its
+    norm restored to rounding after the expansion.
 
     Returns the level's row, the one :func:`level_table` reports, and the
-    eigenvector, from one solve. The isotropic ring commutes with L, and
-    the bottom is nondegenerate, so it has one total spin L >= l. Either
+    eigenvector as the pair (ring sector, float64 amplitudes), from one
+    solve. The isotropic ring commutes with L, and the bottom is
+    nondegenerate, so it has one total spin L >= l. Either
     of two checks then certifies L = l: the strict gap
     E1b(l) < E1b(l + 1), since were L > l, L+ of the bottom would be a
     level of block l + 1 at the same energy (:class:`LevelTable` checks
@@ -251,7 +243,7 @@ def bath_subground_state(N: int, two_l: int) -> tuple[LevelRow, StateVector]:
     odd_sites = sum(1 << a for a in range(0, N, 2))  # sites 1, 3, ...
     marshall = (-1.0) ** np.bitwise_count(sector.bits & odd_sites)
     vec = _fix_phase(marshall * x[block.label] / np.sqrt(block.size[block.label]))
-    return row, StateVector.single(sector, vec)
+    return row, (sector, vec / np.linalg.norm(vec))
 
 
 @dataclass(frozen=True)

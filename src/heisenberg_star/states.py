@@ -12,11 +12,11 @@ blocks (:func:`neel_block_state`). The tests and ``verify`` check both
 against the product states of :func:`verify.reference_state`.
 
 The sub-ground eigenstates of the isotropic star are assembled in
-closed form by :func:`subground_amplitudes`: a string of coefficients
-couples the central levels to the ring multiplet lowered from the bottom
-of one magnetization block, which the caller solves once with
-:func:`spectrum.bath_subground_state` and passes in; this module solves
-nothing. The walk down that multiplet certifies that the seed carries
+closed form by :func:`subground_amplitudes`: a string of real
+coefficients couples the central levels to the ring multiplet lowered
+from the real bottom of one magnetization block, which the caller solves
+once with :func:`spectrum.bath_subground_state` and passes in; this
+module solves nothing, and the state is float64 throughout. The walk down that multiplet certifies that the seed carries
 ring angular momentum exactly l. The coefficients depend only on
 quantum numbers, never on the couplings, which is what the tests pin
 down.
@@ -31,6 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    BasisSector,
     SectorSlice,
     StateVector,
     enumerate_bath_sector,
@@ -219,12 +220,13 @@ def subground_layout(N: int, two_S: int, two_l: int, two_m: int) -> list[SectorS
 
 
 def subground_amplitudes(N: int, two_S: int, two_l: int, two_m: int,
-                         seed: StateVector) -> np.ndarray:
-    """Normalized amplitudes of the sub-ground state (l, m), in the order
-    of ``enumerate_sector(N, two_S, two_m)``, built without that sector.
+                         seed: tuple[BasisSector, np.ndarray]) -> np.ndarray:
+    """Normalized float64 amplitudes of the sub-ground state (l, m), in the
+    order of ``enumerate_sector(N, two_S, two_m)``, built without that sector.
 
-    ``seed`` is the bottom of ring block l_m = l, as
-    :func:`spectrum.bath_subground_state` returns it. The state is
+    ``seed`` is the bottom of ring block l_m = l, the pair (ring sector,
+    float64 amplitudes) that :func:`spectrum.bath_subground_state`
+    returns. The state is
     sum over levels of coefficient * |central level> x |ring multiplet
     level>: an exact eigenstate of the isotropic star for every J and g,
     with total angular momentum j = |l - S|; the couplings enter only
@@ -236,7 +238,7 @@ def subground_amplitudes(N: int, two_S: int, two_l: int, two_m: int,
     of central index c is A_c times one level, whose ring filling is the
     one of slice c in :func:`subground_layout`; both come in
     ascending-bit order, so the term is added into that slice of one
-    zeroed buffer as is. Slices no term reaches (l < S) stay zero. The
+    zeroed float64 buffer as is. Slices no term reaches (l < S) stay zero. The
     buffer is then divided by its norm in place.
 
     The walk certifies the seed: every rung must have the ladder norm
@@ -258,11 +260,11 @@ def subground_amplitudes(N: int, two_S: int, two_l: int, two_m: int,
         terms = {two_m - two_Sm: ((two_S - two_Sm) // 2, coeff) for two_Sm, coeff in coeffs}
     else:
         terms = {two_lm: ((two_S - two_m + two_lm) // 2, coeff) for two_lm, coeff in coeffs}
-    ring, level = seed.require_single()
+    ring, level = seed
     if (ring.N, ring.two_S, ring.two_m) != (N, 0, two_l):
         raise StarError(f"the seed of two_l={two_l} lives on {ring.tag}")
     slices = {s.central: s for s in layout}
-    amps = np.zeros(layout[-1].stop, dtype=np.complex128)
+    amps = np.zeros(layout[-1].stop)
     # at l = 0 no term needs a lowering, but the certificate needs one
     for two_lm in range(two_l, min(*terms, two_l - 2) - 2, -2):
         if two_lm < two_l:

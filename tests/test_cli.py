@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from heisenberg_star import cli, csvio, spectrum, verify
-from heisenberg_star.core import StateVector, enumerate_sector, make_params
+from heisenberg_star.core import enumerate_sector, make_params
 from heisenberg_star.dynamics import neel_experiment
-from heisenberg_star.errors import ConvergenceError
+from heisenberg_star.errors import ConvergenceError, StarError
 from heisenberg_star.spectrum import level_table, sub_ground_energy
 from heisenberg_star.states import subground_amplitudes, subground_coefficients
 from heisenberg_star.verify import CheckResult
@@ -200,20 +200,16 @@ class TestUnresolvedGrid:
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("command", ["coherent", "neel"])
-    def test_default_grid_ends_are_resolved(self, command, tmp_path, monkeypatch):
-        from heisenberg_star import dynamics, operators
+    def test_default_grid_ends_are_resolved(self, command, tmp_path, monkeypatch, capsys):
+        from heisenberg_star import dynamics
 
-        spans = []
-        spanned = dynamics._spanned
-
-        def record(H, block, t_end):
-            mat = H.tocsr() if isinstance(H, operators.CSR) else H
-            spans.append(float(abs(mat).sum(axis=1).max()) * t_end)
-            return spanned(H, block, t_end)
-
-        monkeypatch.setattr(dynamics, "_spanned", record)
-        assert run([command, "--samples", 3, "--threads", 1, "--out", tmp_path / "x.csv"]) == 0
-        assert spans and max(spans) <= 1e-3 * dynamics.SPAN_MAX
+        # every block of the default run has ||H|| t_end three decades inside
+        # the bound, and the bound is checked on it: none passes a bound of 0
+        for span_max, code in ((1e-3 * dynamics.SPAN_MAX, 0), (0.0, 3)):
+            monkeypatch.setattr(dynamics, "SPAN_MAX", span_max)
+            assert run([command, "--samples", 3, "--threads", 1,
+                        "--out", tmp_path / "x.csv"]) == code
+        assert "does not resolve the grid end" in capsys.readouterr().err
 
 
 class TestLevelTable:
@@ -387,24 +383,26 @@ def term_by_term_subground(N, two_S, two_l, two_m, seed):
     in the whole product space at c 2^N + bits, restricted to the sector's
     keys and normalized there. The levels are lowered from the seed on the
     2^N ring states by the reference's L- and normalized over their filling,
-    so the solved seed is all this shares with the package."""
+    so the solved seed is all this shares with the package. Every step is
+    float64, as in the package, so the two round alike."""
     lowering = sum(verify._ring_sites(N)[2])
     filling = np.bitwise_count(np.arange(1 << N))
-    ring, amps = seed.require_single()
-    level = np.zeros(1 << N, dtype=np.complex128)
+    ring, amps = seed
+    level = np.zeros(1 << N)
     level[ring.bits] = amps
     levels = {two_l: level}
     for two_lm in range(two_l - 2, -two_l - 2, -2):
         level = lowering @ level
         level /= np.linalg.norm(level[filling == (two_lm + N) // 2])
         levels[two_lm] = level
-    full = np.zeros((two_S + 1) << N, dtype=np.complex128)
+    full = np.zeros((two_S + 1) << N)
     for level, coeff in subground_coefficients(two_S, two_l, two_m):
         two_Sm, two_lm = (level, two_m - level) if two_S <= two_l else (two_m - level, level)
         c = (two_S - two_Sm) // 2
         full[c << N:(c + 1) << N] += coeff * levels[two_lm]
     sector = enumerate_sector(N, two_S, two_m)
-    return StateVector.from_blocks([(sector, full[sector.keys])], renormalize=True)
+    x = full[sector.keys]
+    return sector, x / np.linalg.norm(x)
 
 
 class TestSubground:
@@ -500,23 +498,36 @@ class TestSubground:
         row, seed = spectrum.bath_subground_state(N, two_l)
 
         def dump(amps):
-            lines = ["%d %.12g %.12g\n" % (i, a.real, a.imag) for i, a in enumerate(amps)]
+            lines = ["%d %.12g 0\n" % (i, a) for i, a in enumerate(amps)]
             return f"{N} {two_S} {two_m} {amps.size}\n" + "".join(lines)
 
         amps = subground_amplitudes(N, two_S, two_l, two_m, seed)
+        assert amps.dtype == np.float64
         text = dump(amps)
         assert read(out) == text
         # each term placed in the whole product space
-        reference = term_by_term_subground(N, two_S, two_l, two_m, seed)
-        assert dump(reference.amps) == text and np.array_equal(reference.amps, amps)
+        sector, reference = term_by_term_subground(N, two_S, two_l, two_m, seed)
+        assert dump(reference) == text and np.array_equal(reference, amps)
         if two_l < two_S:
-            sector = reference.sectors[0]
             assert any(not amps[sector.central == c].any() for c in range(two_S + 1))
         meta = read(tmp_path / "sg.txt.meta").splitlines()
         energy = sub_ground_energy(two_l, two_S, 1.0, 1.0, row.energy)
         for line in (f"two_l = {two_l}", f"two_m = {two_m}", f"block_dim = {row.block_dim}",
                      f"E1b = {csvio.fmt(row.energy)}", f"energy = {csvio.fmt(energy)}"):
             assert line in meta
+
+    @pytest.mark.parametrize("two_S,two_l", [(3, 0), (3, 6), (2, 8)])
+    def test_the_dumped_state_is_float64(self, two_S, two_l, tmp_path, monkeypatch):
+        dumped, write = [], csvio.write_state_dump
+
+        def record(path, header, amps):
+            dumped.append(amps.dtype)
+            return write(path, header, amps)
+
+        monkeypatch.setattr(csvio, "write_state_dump", record)
+        assert run(["subground", "--n", 8, "--two-s", two_S, "--two-l", two_l,
+                    "--out", tmp_path / "sg.txt"]) == 0
+        assert dumped == [np.float64]
 
     def test_keys_beyond_int64_exit_two(self, tmp_path, capsys):
         assert run(["subground", "--n", 62, "--two-s", 3, "--two-l", 62,
@@ -525,7 +536,8 @@ class TestSubground:
 
 
 def per_line_dump(path, header, amps):
-    """The state dump written one line at a time, as csvio once did."""
+    """The state dump written one line at a time, the imaginary part of
+    each amplitude formatted as csvio once did."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{header[0]} {header[1]} {header[2]} {amps.size}\n")
         for i, a in enumerate(amps):
@@ -535,33 +547,38 @@ def per_line_dump(path, header, amps):
 class TestStateDump:
     @pytest.mark.parametrize("size", [1, 4095, 4096, 4097])
     def test_bytes_match_the_per_line_writer(self, size, tmp_path):
+        # amplitudes over 22 decades, every third one -0.0, around one chunk
         rng = np.random.default_rng(size)
-        scale = 10.0 ** rng.integers(-20, 3, (2, size))
-        amps = rng.standard_normal(size) * scale[0] + 1j * rng.standard_normal(size) * scale[1]
-        amps.real[::3] = -0.0
-        amps.imag[1::4] = -0.0
+        amps = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 3, size)
+        amps[::3] = -0.0
         csvio.write_state_dump(tmp_path / "chunked.txt", (14, 2, -2), amps)
         per_line_dump(tmp_path / "per_line.txt", (14, 2, -2), amps)
         text = (tmp_path / "chunked.txt").read_bytes()
         assert text == (tmp_path / "per_line.txt").read_bytes()
-        assert b"\n0 -0 " in text and (size == 1 or b" -0\n" in text)
+        assert b"\n0 -0 0\n" in text
 
     @pytest.mark.parametrize("size", [1, 4095, 4096, 4097])
     @pytest.mark.parametrize("odd", [None, -0.0, math.nan, 1e-300])
     def test_real_amplitudes_match_the_per_line_writer(self, size, odd, tmp_path):
-        # every imaginary part +0.0 takes the two-column format; one -0.0, NaN
-        # or nonzero imaginary part anywhere takes the three-column one
+        # a -0.0, NaN or tiny amplitude in the middle is printed as the
+        # per-line writer prints it, its imaginary part the literal 0
         rng = np.random.default_rng(size)
-        amps = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 3, size) + 0j
-        amps.real[::3] = -0.0
+        amps = rng.standard_normal(size)
         if odd is not None:
-            amps.imag[size // 2] = odd
+            amps[size // 2] = odd
         csvio.write_state_dump(tmp_path / "chunked.txt", (14, 2, -2), amps)
         per_line_dump(tmp_path / "per_line.txt", (14, 2, -2), amps)
         text = (tmp_path / "chunked.txt").read_bytes()
         assert text == (tmp_path / "per_line.txt").read_bytes()
-        if odd is not None:
-            assert f"\n{size // 2} {amps.real[size // 2]:.12g} {odd:.12g}\n".encode() in text
+        assert f"\n{size // 2} {amps[size // 2]:.12g} 0\n".encode() in text
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float32])
+    def test_other_dtypes_are_refused_before_writing(self, dtype, tmp_path):
+        # only float64 amplitudes are dumped, the form of every sub-ground state
+        path = tmp_path / "x.txt"
+        with pytest.raises(StarError, match="float64"):
+            csvio.write_state_dump(path, (14, 2, -2), np.ones(3, dtype=dtype))
+        assert not path.exists()
 
 
 class TestVerify:

@@ -245,23 +245,23 @@ def test_enumeration_matches_brute_force_everywhere(two_S, data):
 class TestStateVector:
     def test_single_normalizes(self):
         sec = enumerate_sector(4, 1, 1)
-        st_ = StateVector.single(sec, np.ones(sec.dim))
+        st_ = StateVector.from_blocks([(sec, np.ones(sec.dim))])
         assert st_.norm() == pytest.approx(1.0)
 
     def test_single_keeps_raw_when_asked(self):
         sec = enumerate_sector(4, 1, 1)
-        st_ = StateVector.single(sec, np.ones(sec.dim), renormalize=False)
+        st_ = StateVector.from_blocks([(sec, np.ones(sec.dim))], renormalize=False)
         assert st_.norm() == pytest.approx(math.sqrt(sec.dim))
 
     def test_zero_vector_rejected(self):
         sec = enumerate_sector(4, 1, 1)
         with pytest.raises(StarError):
-            StateVector.single(sec, np.zeros(sec.dim))
+            StateVector.from_blocks([(sec, np.zeros(sec.dim))])
 
     def test_block_length_mismatch(self):
         sec = enumerate_sector(4, 1, 1)
         with pytest.raises(StarError):
-            StateVector.single(sec, np.ones(sec.dim + 1))
+            StateVector.from_blocks([(sec, np.ones(sec.dim + 1))])
 
     def test_multi_block_layout(self):
         a = enumerate_sector(4, 2, 0)
@@ -274,18 +274,9 @@ class TestStateVector:
         ratio = abs(st_.block(1)[0] / st_.block(0)[0])
         assert ratio == pytest.approx(2.0)
 
-    def test_require_single(self):
-        a = enumerate_sector(4, 2, 0)
-        b = enumerate_sector(4, 2, 2)
-        st_ = StateVector.from_blocks([(a, np.ones(a.dim)), (b, np.ones(b.dim))])
-        with pytest.raises(StarError):
-            st_.require_single()
-        sec, amps = StateVector.single(a, np.ones(a.dim)).require_single()
-        assert sec is a and amps.size == a.dim
-
     def test_copy_is_deep_for_amps(self):
         sec = enumerate_sector(4, 1, 1)
-        st_ = StateVector.single(sec, np.ones(sec.dim))
+        st_ = StateVector.from_blocks([(sec, np.ones(sec.dim))])
         cp = st_.copy()
         cp.amps[0] = 0.0
         assert st_.amps[0] != 0.0

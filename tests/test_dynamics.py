@@ -61,7 +61,7 @@ from test_spectrum import twisted_ring
 def random_state(sector, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=sector.dim) + 1j * rng.normal(size=sector.dim)
-    return StateVector.single(sector, v)
+    return StateVector.from_blocks([(sector, v)])
 
 
 def dense_propagate(mat, amps, t):
@@ -190,7 +190,7 @@ class TestEvolve:
         # the Dicke state, uniform over one filling, is a ring eigenstate
         N = 6
         sec = enumerate_bath_sector(N, 3)
-        st = StateVector.single(sec, np.full(sec.dim, 1.0 / math.sqrt(sec.dim)))
+        st = StateVector.from_blocks([(sec, np.full(sec.dim, 1.0 / math.sqrt(sec.dim)))])
         H = ops.build_bath_ring(sec, 1.0, 1.0).matrix
         e = N / 4.0
         for t, out in zip([0.0, 1.5, 4.2], evolve(on_blocks((sec, H)), st, [0.0, 1.5, 4.2])):
@@ -232,7 +232,7 @@ class TestEvolve:
         yields = []  # the grid times each basis yielded, in order
         basis = dynamics._basis
         monkeypatch.setattr(dynamics, "_basis", lambda *args: yields.append(0) or basis(*args))
-        route, Hk, _ = dynamics._prepare(lambda block, dense: (H, []), sec)
+        route, Hk, _ = dynamics._prepare(lambda block, dense: (H, []), sec, grid[-1])
         assert route == "krylov"
         chunks = []
         for chunk in dynamics._trajectory(Hk, st.amps, grid, route):
@@ -336,8 +336,8 @@ def test_one_krylov_basis_serves_many_grid_times(monkeypatch):
 
     prepare = dynamics._prepare
 
-    def counted(hams, block):
-        route, mat, observables = prepare(hams, block)
+    def counted(hams, block, t_end):
+        route, mat, observables = prepare(hams, block, t_end)
         return route, Counted(mat), observables
 
     with monkeypatch.context() as patch:
@@ -530,7 +530,7 @@ class TestNeelSeries:
         grid = np.linspace(0.0, 6.0, 13)
         totals, _ = neel_star_run(params, "polarized", grid)
         sec = enumerate_bath_sector(N, N // 2)
-        bath = StateVector.single(sec, reference_state([1.0], neel_sites(N))[sec.keys])
+        bath = StateVector.from_blocks([(sec, reference_state([1.0], neel_sites(N))[sec.keys])])
         ring = ops.build_bath_ring(sec, params.J, params.Jp).matrix
         stag = restrict(reference_operator(N, 0, "ms"), sec.keys)
         want = [np.vdot(out.amps, stag @ out.amps).real
@@ -808,7 +808,7 @@ class TestDriftCatchesMutations:
         Q = np.linalg.qr(rng.normal(size=(sec.dim, sec.dim)))[0]
         H = scipy.sparse.csr_array(Q @ np.diag(np.geomspace(1e-2, 1e5, sec.dim)) @ Q.T)
         v = random_state(sec, 2).amps
-        state = StateVector.single(sec, v / np.linalg.norm(v))
+        state = StateVector.from_blocks([(sec, v / np.linalg.norm(v))])
         grid = np.linspace(0.0, 5.0, 6)
         _, energy, per_time = self.drifts(lambda block: H, state, grid)
         assert energy <= 1e-10 and per_time <= 1e-10

@@ -22,7 +22,7 @@ from heisenberg_star import operators as ops
 from heisenberg_star import spectrum
 from heisenberg_star.core import (
     OrbitBlock,
-    StateVector,
+    _flip_block,
     enumerate_bath_sector,
     enumerate_sector,
     orbit_block,
@@ -336,29 +336,20 @@ class TestSparseRoute:
 
     @pytest.mark.parametrize("min_dim", [0, 1024])
     def test_complex_matrix_is_refused(self, min_dim):
-        # the solver must not drop the imaginary part of a matrix the
-        # package never builds, on a small block or a large one
+        # the solver takes the float64 CSR every builder makes and nothing
+        # else: not a matrix the package never builds, with a nonzero
+        # imaginary part, nor the complex or scipy storage of a real one,
+        # on a small block or a large one
         cop = twisted_ring(*half_filled_ring_above(min_dim))
         assert cop.dim > min_dim
         assert np.any(cop.matrix.data.imag)
-        with pytest.raises(StarError, match="imaginary") as ei:
-            lowest_eigenpair(cop)
-        assert not isinstance(ei.value, ConvergenceError)
-
-    @pytest.mark.parametrize("min_dim", [0, 1024])
-    def test_real_storage_gives_the_same_pair(self, min_dim):
-        # builders store float64 CSR; a complex copy of the same matrix, with
-        # zero imaginary part, must give the same bits, on a small block or a
-        # large one
-        op = ops.build_bath_ring(enumerate_bath_sector(*half_filled_ring_above(min_dim)), 1.0, 1.0)
-        assert op.dim > min_dim
-        assert op.matrix.dtype == np.float64
-        m = op.matrix
-        cop = ops.SparseOperator(op.sector, ops.CSR(m.indptr, m.indices, m.data.astype(complex)))
-        e_complex, v_complex = lowest_eigenpair(cop)
-        e_real, v_real = lowest_eigenpair(op)
-        assert e_real == e_complex
-        np.testing.assert_array_equal(v_real, v_complex)
+        m = ops.build_bath_ring(cop.sector, 1.0, 1.0).matrix
+        assert m.dtype == np.float64
+        for mat in (cop.matrix, ops.CSR(m.indptr, m.indices, m.data.astype(complex)),
+                    m.tocsr()):
+            with pytest.raises(StarError, match="float64 CSR only") as ei:
+                lowest_eigenpair(ops.SparseOperator(cop.sector, mat))
+            assert not isinstance(ei.value, ConvergenceError)
 
     @pytest.mark.parametrize("N,n_up", [(8, 4), (8, 5), (14, 7), (14, 9)])
     def test_phase_convention(self, N, n_up):
@@ -446,9 +437,9 @@ class TestRingLevels:
         assert table.energy(N - 2) == pytest.approx(N / 4.0 - 2.0, abs=1e-10)
 
     def test_state_carries_the_right_momentum(self):
-        row, st = bath_subground_state(8, 4)
-        sec, _ = st.require_single()
-        l2 = ring_l_squared(sec, st.amps)
+        row, (sec, amps) = bath_subground_state(8, 4)
+        assert amps.dtype == np.float64
+        l2 = ring_l_squared(sec, amps)
         assert l2 == pytest.approx(2 * 3.0, abs=1e-8)
         assert row.energy == pytest.approx(-1.80193773580, abs=1e-8)
 
@@ -460,12 +451,13 @@ class TestRingLevels:
         for n_up in range(1, N + 1):
             sec = enumerate_bath_sector(N, n_up)
             below = enumerate_bath_sector(N, n_up - 1)
-            x = StateVector.single(
-                sec, rng.standard_normal(sec.dim) + 1j * rng.standard_normal(sec.dim))
-            lowered = ops.apply_bath_lowering(sec, x.amps, below)
+            x = rng.standard_normal(sec.dim) + 1j * rng.standard_normal(sec.dim)
+            x /= np.linalg.norm(x)
+            lowered = ops.apply_bath_lowering(sec, x, below)
+            assert lowered.dtype == x.dtype
             l_m = n_up - N / 2
             got = float(np.vdot(lowered, lowered).real) + l_m * (l_m - 1)
-            want = ring_l_squared(sec, x.amps)
+            want = ring_l_squared(sec, x)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_vector_outside_the_multiplet_is_refused(self, monkeypatch):
@@ -502,10 +494,9 @@ class TestRingLevels:
         # the oracle is the reference's L^2, which the certificate never uses
         energies = []
         for two_l in range(0, N + 1, 2):
-            row, st = bath_subground_state(N, two_l)
-            sec, _ = st.require_single()
+            row, (sec, amps) = bath_subground_state(N, two_l)
             l = two_l // 2
-            assert ring_l_squared(sec, st.amps) == pytest.approx(
+            assert ring_l_squared(sec, amps) == pytest.approx(
                 l * (l + 1), abs=1e-8)
             energies.append(row.energy)
         assert all(a < b for a, b in zip(energies, energies[1:]))
@@ -586,10 +577,10 @@ class TestOrbitBlockRoute:
             # took before it solved on orbit blocks
             op, want_e, want_v = ring_block_bottom(N, N // 2 + two_l // 2)
             sec = op.sector
-            row, state = bath_subground_state(N, two_l)
-            assert [(s.tag, s.keys.tolist()) for s in state.sectors] == [(sec.tag, sec.keys.tolist())]
+            row, (got, amps) = bath_subground_state(N, two_l)
+            assert (got.tag, got.keys.tolist()) == (sec.tag, sec.keys.tolist())
             assert row.energy == pytest.approx(want_e, abs=1e-10)
-            assert np.abs(state.amps - want_v).max() <= 1e-10
+            assert np.abs(amps - want_v).max() <= 1e-10
 
     @pytest.mark.parametrize("N", [8, 10, 12, 14])
     def test_bottom_is_even_or_odd_under_translation_and_reflection(self, N):
@@ -685,12 +676,29 @@ class TestFlipFold:
     @pytest.mark.parametrize("N", [2, 4, 6, 8, 10, 12])
     def test_state_is_the_full_block_bottom(self, N):
         evals, evecs = np.linalg.eigh(half_filled_ring(N).toarray())
-        row, state = bath_subground_state(N, 0)
-        (sector,) = state.sectors
+        row, (sector, amps) = bath_subground_state(N, 0)
         assert sector.bits.tolist() == half_filled_states(N)
-        want = evecs[:, 0] * np.sign(np.vdot(evecs[:, 0], state.amps).real)
+        want = evecs[:, 0] * np.sign(evecs[:, 0] @ amps)
         assert row.energy == pytest.approx(evals[0], abs=1e-12)
-        assert np.abs(state.amps - want).max() <= 1e-10
+        assert np.abs(amps - want).max() <= 1e-10
+
+    @pytest.mark.parametrize("N", range(2, 17, 2))
+    def test_fold_is_the_one_found_through_the_sector(self, N):
+        # the flip partners taken from the block's own representatives give
+        # the fold that locating each complemented representative in the
+        # whole sector and reading its orbit label gives
+        block = orbit_block(enumerate_bath_sector(N, N // 2))
+        partner = block.positions(block.keys ^ ((1 << N) - 1))
+        first, merged = np.unique(np.minimum(np.arange(block.dim), partner),
+                                  return_inverse=True)
+        got = _flip_block(block)
+        assert got.sector is block.sector and not got.sublattice
+        for name, want in (("keys", block.keys[first]), ("bits", block.bits[first]),
+                           ("central", block.central[first]), ("n_up", block.n_up[first]),
+                           ("label", merged[block.label]),
+                           ("size", np.bincount(merged, weights=block.size))):
+            assert np.array_equal(getattr(got, name), want), name
+        assert got.size.dtype == block.size.dtype
 
 
 class TestMagnonBand:
