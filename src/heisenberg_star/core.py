@@ -260,14 +260,16 @@ def enumerate_sector(N: int, two_S: int, two_m: int) -> BasisSector:
     """Materialize the sector basis and its sorted keys.
 
     Each call returns a fresh sector whose arrays are read-only; the
-    refusals are those of :func:`sector_layout`.
+    refusals are those of :func:`sector_layout`. The bit patterns come first,
+    so their temporaries meet no other array, and are the keys when every
+    central index is 0 (a ring sector).
     """
     layout = sector_layout(N, two_S, two_m)
+    bits = np.concatenate([_bit_patterns(N, s.n_up) for s in layout])
     counts = [s.stop - s.start for s in layout]
     central = np.repeat(np.array([s.central for s in layout], dtype=np.int64), counts)
     ups = np.repeat(np.array([s.n_up for s in layout], dtype=np.int64), counts)
-    bits = np.concatenate([_bit_patterns(N, s.n_up) for s in layout])
-    keys = (central << N) | bits
+    keys = bits if layout[-1].central == 0 else (central << N) | bits
     for arr in (central, bits, ups, keys):
         arr.flags.writeable = False
     return BasisSector(N=N, two_S=two_S, two_m=two_m,
@@ -333,13 +335,16 @@ def _least_image(N: int, bits: np.ndarray, step: int) -> np.ndarray:
 def orbit_block(sector: BasisSector, sublattice: bool = False) -> OrbitBlock:
     """Label each state of a sector by its orbit under the ring's dihedral
     group, or its sublattice subgroup when ``sublattice``: by its least
-    image (:func:`_least_image`) at the same central index. The sector's
-    keys are sorted, so each orbit's first state is its representative.
+    image (:func:`_least_image`) at the same central index. The states that
+    are their own least image represent the orbits, in the sorted order of
+    the sector's keys, among which each state's label finds its image.
     """
     N = sector.N
     least = _least_image(N, sector.bits, 2 if sublattice else 1)
-    _, first, label, size = np.unique((sector.central << N) | least, return_index=True,
-                                      return_inverse=True, return_counts=True)
+    first = np.flatnonzero(least == sector.bits)
+    least |= sector.central << N
+    label = np.searchsorted(sector.keys[first], least)
+    size = np.bincount(label)
     return OrbitBlock(N=N, two_S=sector.two_S, two_m=sector.two_m,
                       central=sector.central[first], bits=sector.bits[first],
                       n_up=sector.n_up[first], keys=sector.keys[first],

@@ -73,20 +73,25 @@ def write_state_dump(path, header: tuple[int, int, int], amps: np.ndarray) -> No
     opened, for any other dtype. Header line ``N two_S two_m dim``, then
     one ``index re 0`` line per basis state: the imaginary part is the
     literal ``0`` that ``%.12g`` prints for +0.0. Each chunk of
-    DUMP_LINES lines is formatted by one ``%`` operation; ``%.12g``
-    prints what :func:`fmt` prints.
+    DUMP_LINES lines is formatted by one ``%`` operation, and each distinct
+    amplitude (repeated over a ring orbit) by ``%.12g``, as :func:`fmt`, once,
+    kept under its bit pattern, since -0.0 == +0.0 and NaN equals nothing.
     """
     if amps.dtype != np.float64:
         raise StarError(f"a state dump takes float64 amplitudes, got {amps.dtype}")
     N, two_S, two_m = header
+    texts = {}
     with _open_w(path) as fh:
         fh.write(f"{N} {two_S} {two_m} {amps.size}\n")
         for start in range(0, amps.size, DUMP_LINES):
-            part = amps[start:start + DUMP_LINES].tolist()
-            flat = [0] * (2 * len(part))
-            flat[0::2] = range(start, start + len(part))
-            flat[1::2] = part
-            fh.write(("%d %.12g 0\n" * len(part)) % tuple(flat))
+            part = amps[start:start + DUMP_LINES]
+            keys = part.view(np.int64).tolist()
+            new = np.array(list(set(keys).difference(texts)), dtype=np.int64)
+            texts.update(zip(new.tolist(), map("%.12g".__mod__, new.view(np.float64).tolist())))
+            flat = [0] * (2 * len(keys))
+            flat[0::2] = range(start, start + len(keys))
+            flat[1::2] = map(texts.__getitem__, keys)
+            fh.write(("%d %s 0\n" * len(keys)) % tuple(flat))
 
 
 def write_meta(path, entries: dict) -> None:

@@ -2,18 +2,20 @@
 
 Every term here is either diagonal, with elements read off the bit
 parities and popcounts of the whole basis at once, or a hop: it raises
-some ring spins, lowers others, and may step the central index. The
-private kernel :func:`_hop` applies a list of hops to the packed keys
-of a whole sector at once and finds every image by one binary search
-in the destination keys. :func:`build_bath_ring` makes the ring of a
-ring sector, or of its :class:`core.OrbitBlock`, with one kernel call;
-the exchange is emitted in both directions, so Hermiticity holds by
-construction and is asserted in tests.
+some ring spins and lowers others. The private kernel :func:`_hop`
+applies a list of hops to the packed keys of a whole sector at once and
+finds every image by one binary search in the destination keys.
+:func:`build_bath_ring` makes the ring of a ring sector, or of its
+:class:`core.OrbitBlock`, with one kernel call; the exchange is emitted
+in both directions, so Hermiticity holds by construction and is
+asserted in tests.
 
 The quench runs make the pieces of every ring filling once
-(:func:`ring_pieces`): the ring Hamiltonian and the ring lowering, on
-the filling's dihedral orbit block (the coherent run) or sublattice
-orbit block (the alternating-state run). Only fillings up to half
+(:func:`ring_pieces`): the ring Hamiltonian and the ring lowering
+(:func:`_lowering`, the one form of L-, which the multiplet walk of
+:func:`states.subground_amplitudes` uses too), on the filling's dihedral
+orbit block (the coherent run) or sublattice orbit block (the
+alternating-state run). Only fillings up to half
 filling, and those whose spin-flip mirror the run lacks, are enumerated
 and built; every other filling above half filling permutes its mirror's
 pieces by the global spin flip. :func:`star_block_operators` places them
@@ -24,10 +26,10 @@ and ``verify`` check the pieces against an independent Kronecker
 reference (:func:`verify.reference_hamiltonian`) restricted to a sector.
 
 Every entry is real, so each operator holds its canonical CSR arrays in
-float64, assembled in numpy (:class:`CSR`). The ring solver multiplies
-them with a real vector in numpy (``CSR @ x``) at every size; nothing
-else does. The propagator takes a block up to its DENSE_CUTOFF as a
-dense numpy matrix; above it, each observable as a scipy CSR on the
+float64, assembled in numpy (:class:`CSR`). The ring solver and the
+sub-ground walk multiply them with a real vector in numpy (``CSR @ x``);
+nothing else does. The propagator takes a block up to its DENSE_CUTOFF
+as a dense numpy matrix; above it, each observable as a scipy CSR on the
 same arrays, and the Hamiltonian as a scipy CSR on the same index
 arrays with its entries copied as complex, which makes a product with a
 complex vector faster. Only that conversion imports scipy.
@@ -56,7 +58,7 @@ from .core import (
     enumerate_bath_sector,
     orbit_block,
 )
-from .errors import ParameterError, SectorMismatch
+from .errors import ParameterError
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,27 +155,22 @@ class SparseOperator:
         return f"SparseOperator({self.tag}, dim={self.dim}, nnz={self.matrix.nnz})"
 
 
-def _hop(src: BasisSector, dst: BasisSector, raise_bits=0, lower_bits=0,
-         step=0) -> tuple[np.ndarray, np.ndarray]:
+def _hop(src: BasisSector, dst: BasisSector, raise_bits=0,
+         lower_bits=0) -> tuple[np.ndarray, np.ndarray]:
     """Source and destination positions of the states a list of hops links.
 
-    Hop h raises the ring sites in the mask ``raise_bits[h]``, lowers
-    those in ``lower_bits[h]`` and moves the central index by
-    ``step[h]``; the three take int64 arrays or scalars, which
-    broadcast. Source states a hop annihilates (a raised site already
-    up, a lowered site already down, the central index leaving
-    ``0..dst.two_S``) are skipped; every other image must lie in
-    ``dst``, else KeyError. The pairs come hop by hop, in hop order.
+    Hop h raises the ring sites in the mask ``raise_bits[h]`` and lowers
+    those in ``lower_bits[h]``; the two take int64 arrays or scalars,
+    which broadcast. Source states a hop annihilates (a raised site
+    already up, a lowered site already down) are skipped; every other
+    image must lie in ``dst``, else KeyError. The pairs come hop by hop,
+    in hop order.
     """
-    raise_bits, lower_bits, step = (
-        h[:, None] for h in np.broadcast_arrays(*np.atleast_1d(raise_bits, lower_bits, step)))
+    raise_bits, lower_bits = (
+        h[:, None] for h in np.broadcast_arrays(*np.atleast_1d(raise_bits, lower_bits)))
     keep = (src.bits & (raise_bits | lower_bits)) == lower_bits
-    if step.any():
-        c = src.central + step
-        keep &= (c >= 0) & (c <= dst.two_S)
-    shift = step * (1 << src.N) + raise_bits - lower_bits
     i = np.broadcast_to(np.arange(src.dim), keep.shape)[keep]
-    return i, dst.positions((src.keys + shift)[keep])
+    return i, dst.positions((src.keys + (raise_bits - lower_bits))[keep])
 
 
 def _ladder_weight(two_S: int, c):
@@ -433,20 +430,3 @@ def star_block_operators(block: StarBlock, pieces: dict[int, RingPiece], prefact
         else:
             raise ParameterError(f"observable {name!r} has no form on {block.tag}")
     return _assemble(block.dim, ham, dense), mats
-
-
-def apply_bath_lowering(sector: BasisSector, amps: np.ndarray,
-                        dst: BasisSector) -> np.ndarray:
-    """Total ring lowering L- = sum_n S-_n, mapping n_up -> n_up - 1.
-
-    Source and destination sectors must agree on N, two_S, and differ
-    by two units of two_m. Each up bit is flipped down with weight 1; the
-    image has the dtype of ``amps``.
-    """
-    if dst.N != sector.N or dst.two_S != sector.two_S or dst.two_m != sector.two_m - 2:
-        raise SectorMismatch(f"cannot lower {sector.tag} into {dst.tag}")
-    out = np.zeros(dst.dim, dtype=amps.dtype)
-    for a in range(sector.N):
-        i, j = _hop(sector, dst, lower_bits=1 << a)
-        out[j] += amps[i]
-    return out

@@ -16,10 +16,10 @@ closed form by :func:`subground_amplitudes`: a string of real
 coefficients couples the central levels to the ring multiplet lowered
 from the real bottom of one magnetization block, which the caller solves
 once with :func:`spectrum.bath_subground_state` and passes in; this
-module solves nothing, and the state is float64 throughout. The walk down that multiplet certifies that the seed carries
-ring angular momentum exactly l. The coefficients depend only on
-quantum numbers, never on the couplings, which is what the tests pin
-down.
+module solves nothing, and the state is float64 throughout. The walk
+down that multiplet, on sublattice orbit blocks, certifies that the seed
+carries ring angular momentum exactly l. The coefficients depend only on
+quantum numbers, never on the couplings, which is what the tests pin down.
 """
 
 from __future__ import annotations
@@ -35,11 +35,12 @@ from .core import (
     SectorSlice,
     StateVector,
     enumerate_bath_sector,
+    orbit_block,
     sector_layout,
     star_block,
 )
 from .errors import ParameterError, StarError
-from .operators import apply_bath_lowering
+from .operators import _lowering
 
 
 def neel_block_state(N: int, two_S: int, central: np.ndarray, rings) -> StateVector:
@@ -232,14 +233,19 @@ def subground_amplitudes(N: int, two_S: int, two_l: int, two_m: int,
     with total angular momentum j = |l - S|; the couplings enter only
     through the energy, never the state.
 
-    The multiplet is walked down from the seed with the total ring
-    lowering, normalizing after every step, to the lowest level a term
-    needs; only the level being lowered and its image are held. The term
-    of central index c is A_c times one level, whose ring filling is the
-    one of slice c in :func:`subground_layout`; both come in
-    ascending-bit order, so the term is added into that slice of one
-    zeroed float64 buffer as is. Slices no term reaches (l < S) stay zero. The
-    buffer is then divided by its norm in place.
+    The multiplet is walked on sublattice orbit blocks: the seed M x (x
+    constant on dihedral orbits, M the Marshall sign, which the sublattice
+    group keeps) is constant on each sublattice orbit, else StarError. It
+    is folded onto them, x_o = sqrt(size_o) v_s, and lowered by
+    :func:`operators._lowering`, exact there since L- commutes with every
+    ring permutation, normalizing after every step, to the lowest level a
+    term needs; only the block being lowered and its image are held. The
+    term of central index c, A_c times the level of slice c's filling in
+    :func:`subground_layout`, is written into that slice of one zeroed
+    float64 buffer as v_s = x_o / sqrt(size_o) through the block's
+    ``label``, so an orbit's states share their bits; the seed's term is
+    the seed as given. Slices no term reaches (l < S) stay zero, and the
+    buffer is divided by its norm in place.
 
     The walk certifies the seed: every rung must have the ladder norm
     |L-|l, m>|^2 = (l + m)(l - m + 1) to 1e-9 relative, else StarError.
@@ -263,28 +269,31 @@ def subground_amplitudes(N: int, two_S: int, two_l: int, two_m: int,
     ring, level = seed
     if (ring.N, ring.two_S, ring.two_m) != (N, 0, two_l):
         raise StarError(f"the seed of two_l={two_l} lives on {ring.tag}")
+    block = orbit_block(ring, sublattice=True)
+    x = level[ring.positions(block.keys)]
+    if not np.array_equal(x[block.label], level):
+        raise StarError(f"the seed of two_l={two_l} is not constant on the sublattice orbits")
+    x *= np.sqrt(block.size)
     slices = {s.central: s for s in layout}
     amps = np.zeros(layout[-1].stop)
     # at l = 0 no term needs a lowering, but the certificate needs one
     for two_lm in range(two_l, min(*terms, two_l - 2) - 2, -2):
         if two_lm < two_l:
-            dst = enumerate_bath_sector(N, (two_lm + N) // 2)
-            level = apply_bath_lowering(ring, level, dst)
-            nrm = np.linalg.norm(level)
+            dst = orbit_block(enumerate_bath_sector(N, (two_lm + N) // 2), sublattice=True)
+            x = _lowering(block, dst) @ x
+            nrm = np.linalg.norm(x)
             # |L-|l, m>|^2 = (l + m)(l - m + 1), m the level lowered
             rung = (two_l + two_lm + 2) * (two_l - two_lm) // 4
             if abs(nrm * nrm - rung) > 1e-9 * max(rung, 1):
-                raise StarError(f"the seed is not in the multiplet l={two_l // 2}: lowering"
-                                f" to two_lm={two_lm} gave |L-|^2 = {nrm * nrm:.12g},"
-                                f" want {rung}")
+                raise StarError(f"the seed is not in the multiplet l={two_l // 2}: lowering to"
+                                f" two_lm={two_lm} gave |L-|^2 = {nrm * nrm:.12g}, want {rung}")
             if rung == 0:  # the l = 0 check, past the last term
                 break
-            level /= nrm
-            ring = dst
+            x /= nrm
+            block = dst
         if two_lm in terms:
             c, coeff = terms[two_lm]
-            part = slices[c]
-            amps[part.start:part.stop] += coeff * level
-    nrm = float(np.linalg.norm(amps))
-    amps /= nrm
+            amps[slices[c].start:slices[c].stop] = coeff * level if two_lm == two_l \
+                else (coeff * x / np.sqrt(block.size))[block.label]
+    amps /= np.linalg.norm(amps)
     return amps

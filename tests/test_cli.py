@@ -384,7 +384,8 @@ def term_by_term_subground(N, two_S, two_l, two_m, seed):
     keys and normalized there. The levels are lowered from the seed on the
     2^N ring states by the reference's L- and normalized over their filling,
     so the solved seed is all this shares with the package. Every step is
-    float64, as in the package, so the two round alike."""
+    float64, as in the package; the package lowers on orbits, which sums in
+    another order, so the two agree to rounding."""
     lowering = sum(verify._ring_sites(N)[2])
     filling = np.bitwise_count(np.arange(1 << N))
     ring, amps = seed
@@ -507,7 +508,7 @@ class TestSubground:
         assert read(out) == text
         # each term placed in the whole product space
         sector, reference = term_by_term_subground(N, two_S, two_l, two_m, seed)
-        assert dump(reference) == text and np.array_equal(reference, amps)
+        np.testing.assert_allclose(amps, reference, rtol=0, atol=1e-15)
         if two_l < two_S:
             assert any(not amps[sector.central == c].any() for c in range(two_S + 1))
         meta = read(tmp_path / "sg.txt.meta").splitlines()

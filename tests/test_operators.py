@@ -31,7 +31,7 @@ from heisenberg_star.core import (
     orbit_block,
     star_block,
 )
-from heisenberg_star.errors import ParameterError, SectorMismatch
+from heisenberg_star.errors import ParameterError
 from heisenberg_star.states import coherent_coefficients
 from heisenberg_star.verify import (
     reference_hamiltonian,
@@ -39,7 +39,7 @@ from heisenberg_star.verify import (
     reference_state,
     restrict,
 )
-from test_states import apply_total_lowering
+from test_states import apply_total_lowering, orbit_lowering
 
 # ---------------------------------------------------------------- reference
 
@@ -383,7 +383,7 @@ class TestLadders:
     def test_lowering_fully_polarized_ring(self):
         src = enumerate_bath_sector(4, 4)
         dst = enumerate_bath_sector(4, 3)
-        out = ops.apply_bath_lowering(src, np.ones(1, dtype=complex), dst)
+        out = orbit_lowering(src, np.ones(1), dst)
         # every single flip appears with weight one
         np.testing.assert_allclose(out, np.ones(4))
         assert np.linalg.norm(out) == pytest.approx(2.0)  # sqrt(N) for l = N/2
@@ -392,21 +392,21 @@ class TestLadders:
         # on the symmetric l = N/2 multiplet the norm is sqrt((l+lm)(l-lm+1))
         N, l = 4, 2.0
         src = enumerate_bath_sector(N, N)
-        vec = np.ones(1, dtype=complex)
+        vec = np.ones(1)
         lm = l
         for n_up in range(N, 0, -1):
             dst = enumerate_bath_sector(N, n_up - 1)
-            out = ops.apply_bath_lowering(src, vec, dst)
+            out = orbit_lowering(src, vec, dst)
             assert np.linalg.norm(out) / np.linalg.norm(vec) == pytest.approx(
                 math.sqrt((l + lm) * (l - lm + 1))
             )
             src, vec, lm = dst, out, lm - 1.0
 
     def test_lowering_sector_mismatch(self):
-        src = enumerate_bath_sector(4, 2)
-        with pytest.raises(SectorMismatch):
-            ops.apply_bath_lowering(src, np.ones(src.dim, dtype=complex),
-                                    enumerate_bath_sector(4, 0))
+        # an image outside the destination block is refused by the kernel
+        src = orbit_block(enumerate_bath_sector(4, 2), sublattice=True)
+        with pytest.raises(KeyError):
+            ops._lowering(src, orbit_block(enumerate_bath_sector(4, 0), sublattice=True))
 
     def test_total_lowering_against_reference(self):
         two_S, N = 2, 4
@@ -476,15 +476,20 @@ class TestAgainstSparseKronecker:
         _, sm = central_matrices(two_S)[1:]
         # the ring lowering from the reference's one-site matrices
         Lm = sparse.kron(sparse.identity(two_S + 1), sum(verify._ring_sites(N)[2]), format="csr")
-        rng = np.random.default_rng(N + two_S)
-        v = rng.normal(size=src.dim) + 1j * rng.normal(size=src.dim)
-        bath = restrict(Lm, src.keys, dst.keys) @ v
-        np.testing.assert_allclose(ops.apply_bath_lowering(src, v, dst), bath,
+        a, b = orbit_block(src, sublattice=True), orbit_block(dst, sublattice=True)
+        Qa, Qb = orbit_isometry(src, a), orbit_isometry(dst, b)
+        bath = ops._lowering(a, b).toarray()
+        np.testing.assert_allclose(bath, (Qb.T @ restrict(Lm, src.keys, dst.keys) @ Qa).toarray(),
                                    rtol=0, atol=1e-12)
+        # the central S- of each orbit, by the ladder weight of the star blocks
+        step = np.flatnonzero(a.central < two_S)
+        central = np.zeros_like(bath)
+        central[b.positions(a.keys[step] + (1 << N)), step] = ops._ladder_weight(
+            two_S, a.central[step] + 1)
         total = sparse.kron(sm, sparse.identity(1 << N)) + Lm
-        np.testing.assert_allclose(apply_total_lowering(src, v, dst),
-                                   restrict(total.tocsr(), src.keys, dst.keys) @ v,
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bath + central,
+                                   (Qb.T @ restrict(total.tocsr(), src.keys, dst.keys) @ Qa)
+                                   .toarray(), rtol=0, atol=1e-12)
 
     def test_kernel_raises_on_a_target_outside_the_sector(self):
         sec = enumerate_sector(10, 3, 1)
@@ -553,26 +558,21 @@ def test_the_reference_refuses_a_space_above_its_cap(monkeypatch):
 
 
 def kernel_hops(N):
-    """(raise_bits, lower_bits, step) arrays: every exchange of two ring
-    sites, every central step with one ring flip, the identity, and
-    two-spin hops whose central step of two leaves 0..two_S for most states."""
-    hops = [(1 << b, 1 << a, 0) for a in range(N) for b in range(N) if a != b]
-    hops += [h for a in range(N) for h in ((0, 1 << a, -1), (1 << a, 0, 1))]
-    hops += [(0, 0, 0)]
-    hops += [h for a in range(0, N, 3) for h in (((1 << a) | (1 << (a + 1) % N), 0, 2),
-                                                 (0, (1 << a) | (1 << (a + 2) % N), -2))]
+    """(raise_bits, lower_bits) arrays: every exchange of two ring sites and
+    the identity."""
+    hops = [(1 << b, 1 << a) for a in range(N) for b in range(N) if a != b]
+    hops += [(0, 0)]
     return np.array(hops).T
 
 
 @pytest.mark.parametrize("N,two_S", [(N, s) for N in (4, 6, 8, 10) for s in (0, 1, 3)])
 def test_batched_hops_concatenate_the_single_hops(N, two_S):
-    raise_bits, lower_bits, step = kernel_hops(N)
+    raise_bits, lower_bits = kernel_hops(N)
     for two_m in range(-(two_S + N), two_S + N + 1, 2):
         sector = enumerate_sector(N, two_S, two_m)
         for src in (sector, orbit_block(sector)):
-            single = [ops._hop(src, src, int(r), int(l), int(s))
-                      for r, l, s in zip(raise_bits, lower_bits, step)]
-            i, j = ops._hop(src, src, raise_bits, lower_bits, step)
+            single = [ops._hop(src, src, int(r), int(l)) for r, l in zip(raise_bits, lower_bits)]
+            i, j = ops._hop(src, src, raise_bits, lower_bits)
             np.testing.assert_array_equal(i, np.concatenate([h[0] for h in single]))
             np.testing.assert_array_equal(j, np.concatenate([h[1] for h in single]))
 

@@ -446,18 +446,19 @@ class TestRingLevels:
     @pytest.mark.parametrize("N", [8, 10])
     def test_lowering_norm_gives_l_squared(self, N):
         # <L^2> = |L- x|^2 + l_m (l_m - 1): the lowering subground_amplitudes walks
-        # down with agrees with the reference's L^2
+        # down with, between sublattice orbit blocks, agrees with the reference's
+        # L^2 on the state Q x of the sector
         rng = np.random.default_rng(N)
         for n_up in range(1, N + 1):
-            sec = enumerate_bath_sector(N, n_up)
-            below = enumerate_bath_sector(N, n_up - 1)
-            x = rng.standard_normal(sec.dim) + 1j * rng.standard_normal(sec.dim)
+            sec = orbit_block(enumerate_bath_sector(N, n_up), sublattice=True)
+            below = orbit_block(enumerate_bath_sector(N, n_up - 1), sublattice=True)
+            x = rng.standard_normal(sec.dim)
             x /= np.linalg.norm(x)
-            lowered = ops.apply_bath_lowering(sec, x, below)
+            lowered = ops._lowering(sec, below) @ x
             assert lowered.dtype == x.dtype
             l_m = n_up - N / 2
             got = float(np.vdot(lowered, lowered).real) + l_m * (l_m - 1)
-            want = ring_l_squared(sec, x)
+            want = ring_l_squared(sec.sector, x[sec.label] / np.sqrt(sec.size[sec.label]))
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_vector_outside_the_multiplet_is_refused(self, monkeypatch):

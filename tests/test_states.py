@@ -13,11 +13,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisenberg_star import operators as ops
-from heisenberg_star import states
+from heisenberg_star import states, verify
 from heisenberg_star.core import (
     StateVector,
     enumerate_bath_sector,
@@ -49,13 +50,25 @@ def apply_total_lowering(sector, amps, dst):
     """Total lowering S- + L- on a star sector, two_m -> two_m - 2.
 
     The package never lowers a star state; this is the oracle that checks
-    that the closed-form sub-ground states descend their multiplet.
-    ``tests/test_operators.py`` checks it against Kronecker products.
+    that the closed-form sub-ground states descend their multiplet: the
+    Kronecker S- of the central spin plus the reference's one-site S- of
+    every ring site, restricted to the two sectors.
+    ``tests/test_operators.py`` checks it against dense matrices.
     """
-    out = ops.apply_bath_lowering(sector, amps, dst)
-    i, j = ops._hop(sector, dst, step=1)
-    out[j] += ops._ladder_weight(sector.two_S, sector.central[i] + 1) * amps[i]
-    return out
+    N, two_S = sector.N, sector.two_S
+    total = sparse.kron(verify._spin_matrices(two_S)[1].T, sparse.identity(1 << N)) \
+        + sparse.kron(sparse.identity(two_S + 1), sum(verify._ring_sites(N)[2]))
+    return restrict(total.tocsr(), sector.keys, dst.keys) @ amps
+
+
+def orbit_lowering(sector, amps, dst):
+    """L- of ``amps`` from a ring sector to the ring sector ``dst`` through
+    the multiplet walk's kernel: folded onto the sublattice orbits (Q^T v),
+    lowered by ``operators._lowering`` and expanded back (Q y). Exact for
+    amplitudes constant on those orbits, as every multiplet level is."""
+    src, low = orbit_block(sector, sublattice=True), orbit_block(dst, sublattice=True)
+    y = ops._lowering(src, low) @ (np.bincount(src.label, amps) / np.sqrt(src.size))
+    return y[low.label] / np.sqrt(low.size[low.label])
 
 
 def neel_star(N, two_S, central):
@@ -175,10 +188,10 @@ class TestDicke:
     def test_reached_by_lowering_the_polarized_state(self):
         N = 6
         src = enumerate_bath_sector(N, N)
-        vec = np.ones(1, dtype=complex)
+        vec = np.ones(1)
         for n_up in range(N, 3, -1):
             dst = enumerate_bath_sector(N, n_up - 1)
-            vec = ops.apply_bath_lowering(src, vec, dst)
+            vec = orbit_lowering(src, vec, dst)
             src = dst
         got = StateVector.from_blocks([(src, vec)])
         overlap = abs(np.sum(got.amps)) / math.sqrt(src.dim)
@@ -431,22 +444,48 @@ class TestSubgroundState:
         for two_l in range(0, N, 2):
             ring, top = bath_subground_state(N, two_l + 2)[1]
             sector = enumerate_bath_sector(N, (N + two_l) // 2)
-            lowered = ops.apply_bath_lowering(ring, top, sector)
+            lowered = orbit_lowering(ring, top, sector)
             seed = (sector, lowered / np.linalg.norm(lowered))
             with pytest.raises(StarError, match=f"not in the multiplet l={two_l // 2}"):
                 subground_amplitudes(N, two_S, two_l, abs(two_l - two_S), seed)
 
+    @pytest.mark.parametrize("N", range(4, 17, 2))
+    @pytest.mark.parametrize("two_S", [1, 2, 3, 4])
+    @pytest.mark.parametrize("above", [True, False], ids=["S<=l", "l<S"])
+    def test_an_orbit_carries_one_amplitude(self, N, two_S, above):
+        # every state of one sublattice orbit in one slice has the same bits,
+        # the bottom of the multiplet being the longest walk
+        two_l = two_S + two_S % 2 if above else (two_S - 1) // 2 * 2
+        two_m = -abs(two_l - two_S)
+        amps = subground_amplitudes(N, two_S, two_l, two_m, bath_subground_state(N, two_l)[1])
+        for part in states.subground_layout(N, two_S, two_l, two_m):
+            block = orbit_block(enumerate_bath_sector(N, part.n_up), sublattice=True)
+            got = amps[part.start:part.stop]
+            at = block.sector.positions(block.keys)
+            assert np.array_equal(got.view(np.int64), got[at][block.label].view(np.int64))
+
+    @pytest.mark.parametrize("N,two_S,two_l", [(8, 1, 2), (8, 3, 0), (10, 2, 6)])
+    def test_seed_not_constant_on_the_orbits_is_refused(self, N, two_S, two_l):
+        # one unit in the last place on one state of an orbit is not projected away
+        ring, level = bath_subground_state(N, two_l)[1]
+        block = orbit_block(ring, sublattice=True)
+        level = level.copy()
+        at = np.flatnonzero(block.size[block.label] > 1)[-1]
+        level[at] = np.nextafter(level[at], np.inf)
+        with pytest.raises(StarError, match="not constant on the sublattice orbits"):
+            subground_amplitudes(N, two_S, two_l, abs(two_l - two_S), (ring, level))
+
     @pytest.mark.parametrize("N", [2, 6, 12])
     def test_l_zero_seed_is_lowered_once(self, N, monkeypatch):
         # no term of l = 0 needs a lowering; the certificate makes one, to l_m = -1
-        lower, lowered = ops.apply_bath_lowering, []
+        lower, lowered = ops._lowering, []
 
-        def record(sector, amps, dst):
+        def record(src, dst):
             lowered.append(dst.two_m)
-            return lower(sector, amps, dst)
+            return lower(src, dst)
 
         _, seed = bath_subground_state(N, 0)
-        monkeypatch.setattr(states, "apply_bath_lowering", record)
+        monkeypatch.setattr(states, "_lowering", record)
         amps = subground_amplitudes(N, 2, 0, 0, seed)
         assert lowered == [-2]
         # the one term: central level S_m = 0 times the seed
@@ -461,7 +500,7 @@ class TestSubgroundState:
             ring, level = bath_subground_state(N, two_l)[1]
             for two_lm in range(two_l - 2, -two_l - 2, -2):
                 dst = enumerate_bath_sector(N, (N + two_lm) // 2)
-                level = ops.apply_bath_lowering(ring, level, dst)
+                level = orbit_lowering(ring, level, dst)
                 m = (two_lm + 2) // 2
                 rung = (two_l // 2 + m) * (two_l // 2 - m + 1)
                 nrm = np.linalg.norm(level)
